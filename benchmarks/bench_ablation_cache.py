@@ -17,8 +17,8 @@ movement to punitive and shows:
 
 from __future__ import annotations
 
-from repro.cluster import CacheConfig, ClusterConfig
-from repro.engine import SimulationBuilder
+from repro.cluster import CacheConfig
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table

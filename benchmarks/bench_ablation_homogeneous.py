@@ -15,8 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.cluster import ClusterConfig
-from repro.engine import SimulationBuilder
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.core import HashFamily
 from repro.metrics import ascii_table
 from repro.policies import ANURandomization, SimpleRandomization

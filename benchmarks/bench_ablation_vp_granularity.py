@@ -12,8 +12,7 @@ floor. This bench regenerates that regime.
 
 from __future__ import annotations
 
-from repro.cluster import ClusterConfig
-from repro.engine import SimulationBuilder
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table

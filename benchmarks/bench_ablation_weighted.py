@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster import ClusterConfig
-from repro.engine import SimulationBuilder
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS, paper_config
 from repro.experiments.runner import run_system

@@ -21,7 +21,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.__main__ import scale_main  # noqa: E402
+from repro.experiments.__main__ import main  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(scale_main(sys.argv[1:]))
+    sys.exit(main(["scale", *sys.argv[1:]]))

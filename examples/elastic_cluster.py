@@ -17,8 +17,7 @@ Run:  python examples/elastic_cluster.py
 
 from __future__ import annotations
 
-from repro.cluster import ClusterConfig
-from repro.engine import SimulationBuilder
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.core import required_partitions
 from repro.policies import ANURandomization
 from repro.workloads import SyntheticConfig, generate_synthetic

@@ -18,13 +18,11 @@ layer never drags in the ones above it)
     fault layers assembled by ``SimulationBuilder``, instrumented
     through one probe bus.
 ``repro.cluster``
-    Shared-disk cluster model: file sets, heterogeneous servers, caches
-    (and the deprecated ``ClusterSimulation`` shims).
+    Shared-disk cluster model: file sets, heterogeneous servers, caches.
 ``repro.distributed``
     Control plane: messages, delegate election, heartbeats.
 ``repro.faults``
-    Fault schedules, injection, invariants (and the deprecated
-    ``ChaosClusterSimulation`` shim).
+    Fault schedules, injection, invariants.
 ``repro.policies``
     Load managers: ANU + the paper's three baselines (+ a table-based
     reference for shared-state accounting).

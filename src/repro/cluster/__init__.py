@@ -9,17 +9,16 @@ striped shared-disk data path behind a SAN.
 * :class:`MetadataRequest` — the short tasks servers serve
 * :class:`FileServer` — heterogeneous FIFO metadata server
 * :class:`CacheModel` / :class:`CacheConfig` — cost of moving file sets
-* :class:`RequestDriver` / :class:`AccessClient` — workload replay
+* :class:`AccessClient` — the metadata-then-data access path
 * :class:`SharedDisk` / :class:`DiskArray` — the data path
-* :class:`ClusterSimulation` / :class:`ClusterConfig` /
-  :class:`ClusterResult` — deprecated driver shims over
-  :mod:`repro.engine`
 
-The driver/client names are re-exported *lazily* (PEP 562): they live
-in modules that subclass :class:`repro.engine.engine.ClusterEngine`,
-and loading those eagerly here would cycle — the engine's layers import
-the cluster *model* modules (``fileset``, ``server``, ``cache``), which
-land in this package first.
+The simulation driver, its config/result records and the request-replay
+clients live in :mod:`repro.engine`.
+
+:class:`AccessClient` is re-exported *lazily* (PEP 562): its module
+imports :mod:`repro.engine.client_path`, and loading that eagerly here
+would cycle — the engine's layers import the cluster *model* modules
+(``fileset``, ``server``, ``cache``), which land in this package first.
 """
 
 from __future__ import annotations
@@ -35,34 +34,10 @@ from .request import MetadataRequest
 from .server import FileServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .client import (
-        AccessClient,
-        HardenedClient,
-        HardenedRequestDriver,
-        RequestDriver,
-        RetryPolicy,
-    )
-    from .cluster import (
-        ClusterConfig,
-        ClusterResult,
-        ClusterSimulation,
-        MovementRecord,
-    )
-    from .distributed_cluster import DistributedClusterSimulation
+    from .client import AccessClient
 
 #: Lazily re-exported name -> defining submodule.
-_LAZY = {
-    "AccessClient": "client",
-    "HardenedClient": "client",
-    "HardenedRequestDriver": "client",
-    "RequestDriver": "client",
-    "RetryPolicy": "client",
-    "ClusterConfig": "cluster",
-    "ClusterResult": "cluster",
-    "ClusterSimulation": "cluster",
-    "MovementRecord": "cluster",
-    "DistributedClusterSimulation": "distributed_cluster",
-}
+_LAZY = {"AccessClient": "client"}
 
 __all__ = [
     "FileSet",
@@ -71,18 +46,9 @@ __all__ = [
     "FileServer",
     "CacheModel",
     "CacheConfig",
-    "RequestDriver",
-    "RetryPolicy",
-    "HardenedClient",
-    "HardenedRequestDriver",
     "AccessClient",
     "SharedDisk",
     "DiskArray",
-    "ClusterSimulation",
-    "ClusterConfig",
-    "ClusterResult",
-    "MovementRecord",
-    "DistributedClusterSimulation",
     "Namespace",
     "normalize_path",
 ]

@@ -1,62 +1,24 @@
-"""Clients: request replay and the full metadata-then-data access path.
-
-The drivers themselves live in :mod:`repro.engine.client_path` now —
-one :class:`~repro.engine.client_path.RequestDriver` covering both the
-basic (route-once) and hardened (retry/redirect) replay paths, and one
-shared locate-retry-redirect core
-(:func:`~repro.engine.client_path.drive_attempts`) behind both
-:class:`~repro.engine.client_path.HardenedClient` and
-:class:`AccessClient`. This module re-exports them under their
-historical names and keeps :class:`HardenedRequestDriver` as a
-deprecated alias for ``RequestDriver(..., client=...)``.
+"""The full metadata-then-data access path.
 
 :class:`AccessClient` models the complete shared-disk access of §3:
 metadata request to a file server, then a data transfer from the
 shared disks. It is used by the quickstart example and the SAN
 under-utilization demonstration, not by the paper's figure runs (which
-measure the metadata tier only).
+measure the metadata tier only). The request-replay drivers and the
+hardened client live in :mod:`repro.engine.client_path`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from ..engine.client_path import (
-    HardenedClient,
-    RequestDriver,
-    RetryPolicy,
-    drive_attempts,
-)
+from ..engine.client_path import drive_attempts
 from ..sim import Simulator, Tally
 from .disk import DiskArray
 from .request import MetadataRequest
 from .server import FileServer
 
-__all__ = ["RequestDriver", "RetryPolicy", "HardenedClient", "HardenedRequestDriver", "AccessClient"]
-
-
-class HardenedRequestDriver(RequestDriver):
-    """Deprecated: ``RequestDriver(env, schedule, client=client)``.
-
-    The hardened replay loop is the same unified driver with a client
-    instead of a route; this name survives only for legacy callers.
-    """
-
-    def __init__(
-        self,
-        env: Simulator,
-        schedule: Sequence[MetadataRequest],
-        client: HardenedClient,
-    ) -> None:
-        if type(self) is HardenedRequestDriver:
-            warnings.warn(
-                "HardenedRequestDriver is deprecated; use "
-                "RequestDriver(env, schedule, client=client)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().__init__(env, schedule, client=client)
+__all__ = ["AccessClient"]
 
 
 class AccessClient:
@@ -72,7 +34,7 @@ class AccessClient:
 
     The metadata phase rides the same
     :func:`~repro.engine.client_path.drive_attempts` core as
-    :class:`HardenedClient` (without a retry policy: one locate, one
+    :class:`~repro.engine.client_path.HardenedClient` (without a retry policy: one locate, one
     submission, an unroutable file set raises).
     """
 

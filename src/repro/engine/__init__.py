@@ -1,15 +1,15 @@
 """repro.engine — the composable experiment engine.
 
 One :class:`ClusterEngine` assembled from four pluggable layers
-(control plane, client path, fault layer, instrumentation) replaces
-the legacy ``ClusterSimulation`` inheritance tower. See DESIGN.md §8
-for the architecture and the probe catalog.
+(control plane, client path, fault layer, instrumentation), built by
+:class:`SimulationBuilder`. See DESIGN.md §8 for the architecture and
+the probe catalog.
 
-Import order below is deliberate: the legacy shim modules in
-``repro.cluster``/``repro.faults`` import these submodules while their
-own packages are still initialising, so each engine module may only
-depend on the ones listed before it (and must never import the shim
-modules, or ``repro.experiments``, at top level).
+Import order below is deliberate: ``repro.cluster.client`` and
+``repro.faults`` import these submodules while their own packages are
+still initialising, so each engine module may only depend on the ones
+listed before it (and must never import ``repro.cluster``,
+``repro.faults`` or ``repro.experiments`` at top level).
 """
 
 from .probes import (  # noqa: F401  (isort: keep assembly order)

@@ -11,18 +11,17 @@ the fluent way to produce one::
     )
     result = engine.run()
 
-Layer shorthands mirror the legacy tower:
+Layer shorthands:
 
-* default layers reproduce ``ClusterSimulation`` (direct control,
-  basic client path, no faults);
-* :meth:`SimulationBuilder.distributed` reproduces
-  ``DistributedClusterSimulation``;
-* :meth:`SimulationBuilder.chaos` reproduces
-  ``ChaosClusterSimulation`` — distributed control with the seeded
-  network rng, hardened client path with the seeded jitter rng, and
-  the chaos fault layer, all derived from ``ChaosConfig.seed`` exactly
-  as before (the golden-fingerprint tests hold the two forms to
-  bit-identical results).
+* the default layers are direct control, the basic client path, and
+  no faults;
+* :meth:`SimulationBuilder.distributed` tunes over the message-level
+  control plane (delegate election, optional delegate crashes);
+* :meth:`SimulationBuilder.chaos` is the full chaos harness —
+  distributed control with the seeded network rng, hardened client
+  path with the seeded jitter rng, and the chaos fault layer, all
+  derived from ``ChaosConfig.seed`` (the golden-fingerprint tests pin
+  the composition bit for bit).
 
 Observers attach through :meth:`observe`/:meth:`probe` before the
 engine is assembled, so they see every event from the first one.
@@ -194,8 +193,7 @@ class SimulationBuilder:
         """The full chaos harness: one call sets all three layers.
 
         Derives the network and client-jitter rngs from
-        ``ChaosConfig.seed`` exactly as the legacy harness did, so a
-        chaos run stays a pure function of
+        ``ChaosConfig.seed``, so a chaos run stays a pure function of
         ``(workload, config, schedule, chaos)``.
         """
         cfg = chaos if chaos is not None else ChaosConfig()

@@ -1,11 +1,7 @@
 """The composable cluster engine.
 
 :class:`ClusterEngine` is the one simulation driver behind every
-experiment in the repo. Where the legacy stack expressed variation as
-an inheritance tower (``ClusterSimulation`` →
-``DistributedClusterSimulation`` → ``ChaosClusterSimulation``) with
-``_make_*`` override hooks, the engine is assembled from four explicit
-layers:
+experiment in the repo, assembled from four explicit layers:
 
 * a :class:`~repro.engine.control.ControlPlane` — who decides the
   tuning rounds (in-process shortcut vs message-level delegate);
@@ -19,14 +15,12 @@ layers:
   like any other observer.
 
 Assembly order is part of the determinism contract: layers are built
-in exactly the sequence the legacy tower used (servers → placement →
-driver → tuner → control plane → fault layer), so process creation
-order — and therefore every event tie-break — is unchanged and the
-golden fingerprints still match bit-for-bit.
+in a fixed sequence (servers → placement → driver → tuner → control
+plane → fault layer), so process creation order — and therefore every
+event tie-break — never changes and the golden fingerprints match
+bit-for-bit.
 
-Use :class:`~repro.engine.builder.SimulationBuilder` to assemble one;
-the legacy class names remain as deprecated shims subclassing this
-engine.
+Use :class:`~repro.engine.builder.SimulationBuilder` to assemble one.
 """
 
 from __future__ import annotations
@@ -53,7 +47,7 @@ from .probes import (
 from .record import ClusterConfig, ClusterResult, RunRecord, RunRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.client import HardenedClient
+    from .client_path import HardenedClient
     from ..cluster.request import MetadataRequest
     from ..cluster.server import FileServer
     from ..workloads.synthetic import Workload
@@ -67,7 +61,7 @@ class ClusterEngine:
     Parameters
     ----------
     workload, policy, config:
-        The experiment triple (as the legacy tower took).
+        The experiment triple.
     control:
         The control-plane layer (default: :class:`DirectControlPlane`).
     client_path:
@@ -93,9 +87,8 @@ class ClusterEngine:
         bus: Optional[ProbeBus] = None,
         observers: Sequence[Observer] = (),
     ) -> None:
-        # Deferred: the cluster package re-exports the legacy shims that
-        # subclass this engine, so importing it at module level would be
-        # circular.
+        # Deferred: the cluster package's client imports the engine's
+        # client path, so importing it at module level would be circular.
         from ..cluster.cache import CacheModel
         from ..cluster.server import FileServer
 
@@ -125,8 +118,8 @@ class ClusterEngine:
             else None
         )
         self.policy.initial_placement(workload.catalog, knowledge)
-        # Layer assembly — this order mirrors the legacy tower's
-        # construction sequence and must not change (see module doc).
+        # Layer assembly — this order fixes every event tie-break and
+        # must not change (see module doc).
         self.client_path = client_path if client_path is not None else BasicClientPath()
         self.driver: RequestDriver = self.client_path.build(self)
         self._tuner = self.env.process(self._tuning_loop())
@@ -261,7 +254,7 @@ class ClusterEngine:
         self._apply_moves(moves, kind="recover")
 
     # ------------------------------------------------------------------ #
-    # compat surface (the attributes the legacy tower exposed)
+    # views into the layers
     # ------------------------------------------------------------------ #
     @property
     def movement(self):
@@ -285,17 +278,6 @@ class ClusterEngine:
         return network
 
     @property
-    def service(self):
-        """The tuning service (distributed planes only)."""
-        service = getattr(self.control, "service", None)
-        if service is None:
-            raise AttributeError(
-                f"{type(self.control).__name__} has no tuning service "
-                "(direct control plane)"
-            )
-        return service
-
-    @property
     def failovers(self) -> int:
         """Delegate re-elections that were forced by crashes."""
         return self.control.failovers
@@ -313,31 +295,6 @@ class ClusterEngine:
     def monitor(self):
         """The failure detector, when a chaos layer installed one."""
         return getattr(getattr(self, "faults", None), "monitor", None)
-
-    @property
-    def checker(self):
-        """The invariant checker (chaos layer only)."""
-        return self.faults.checker
-
-    @property
-    def injector(self):
-        """The fault injector (chaos layer only)."""
-        return self.faults.injector
-
-    @property
-    def chaos(self):
-        """The chaos configuration (chaos layer only)."""
-        return self.faults.chaos
-
-    @property
-    def schedule(self):
-        """The fault schedule (chaos layer only)."""
-        return self.faults.schedule
-
-    @property
-    def failures(self):
-        """Crash/suspect timelines (chaos layer only)."""
-        return self.faults.failures
 
     # ------------------------------------------------------------------ #
     def run(self, until: Optional[float] = None) -> ClusterResult:

@@ -17,10 +17,9 @@ with a distributed control plane:
   ``(seed, schedule)`` fault script against this layer's injection
   surface (crash/heal, partition, straggle, link faults).
 
-Import discipline: ``repro.faults`` re-exports the legacy chaos shim,
-which subclasses the engine — so this module must not import it at top
-level. Everything from ``repro.faults`` is imported inside
-:meth:`ChaosFaultLayer.attach`.
+Import discipline: ``repro.faults`` imports the engine's records — so
+this module must not import it at top level. Everything from
+``repro.faults`` is imported inside :meth:`ChaosFaultLayer.attach`.
 """
 
 from __future__ import annotations

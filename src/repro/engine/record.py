@@ -3,22 +3,22 @@
 The canonical home of every configuration/result type the experiment
 stack shares:
 
-* :class:`ClusterConfig` — static cluster shape (moved from
-  ``repro.cluster.cluster``, which still re-exports it);
+* :class:`ClusterConfig` — static cluster shape;
 * :class:`MovementRecord` / :class:`ClusterResult` — the paper-figure
   measurements of one run;
 * :class:`ChaosConfig` / :class:`FailureRecord` / :class:`ChaosResult`
-  — the robustness measurements (moved from ``repro.faults.chaos``);
+  — the robustness measurements;
 * :class:`RunRecord` + :class:`RunRecorder` — the engine-side half:
   one recorder subscribed to the probe bus accumulates the movement
   log, delegate history, and fault/detector/audit counters, and the
   result dataclasses above are built as *views* of that record instead
   of being scraped out of each driver after the fact.
 
-This module must stay import-light: it is loaded while the legacy shim
-modules (``repro.cluster.cluster`` …) are still half-initialised, so it
-only imports :mod:`repro.sim` and sibling engine modules at top level —
-anything from ``repro.cluster``/``repro.faults`` is deferred.
+This module must stay import-light: ``repro.faults`` and
+``repro.cluster.client`` load it while their own packages are still
+half-initialised, so it only imports :mod:`repro.sim` and sibling
+engine modules at top level — anything from
+``repro.cluster``/``repro.faults`` is deferred.
 """
 
 from __future__ import annotations

@@ -25,17 +25,11 @@ from .chaos import (
     render_chaos,
     run_chaos,
     run_chaos_sweep,
-    write_robustness_bench,
 )
+from .fanout import default_workers
 from .figures import FIGURES
-from .parallel import (
-    default_workers,
-    run_comparison_parallel,
-    run_seed_sweep,
-    run_vp_sweep,
-)
 from .report import run_all_figures, run_figure
-from .runner import make_policy, run_comparison, run_system
+from .runner import make_policy, run_comparison, run_system, run_vp_sweep
 from .scale import (
     DEFAULT_POINTS,
     SCALE_POLICIES,
@@ -43,8 +37,6 @@ from .scale import (
     ScalePoint,
     render_scale,
     run_scale_point,
-    run_scale_sweep,
-    write_scale_bench,
 )
 
 __all__ = [
@@ -65,20 +57,15 @@ __all__ = [
     "result_fingerprint",
     "workload_fingerprint",
     "default_workers",
-    "run_comparison_parallel",
-    "run_seed_sweep",
     "run_vp_sweep",
     "DEFAULT_FAULT_RATES",
     "run_chaos",
     "run_chaos_sweep",
     "render_chaos",
-    "write_robustness_bench",
     "ScalePoint",
     "SCALE_POLICIES",
     "DEFAULT_POINTS",
     "SMOKE_POINTS",
     "run_scale_point",
-    "run_scale_sweep",
     "render_scale",
-    "write_scale_bench",
 ]

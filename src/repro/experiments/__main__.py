@@ -18,11 +18,17 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
 from .figures import FIGURES
 from .report import run_all_figures, run_figure
+from .sweep import sweep_main, write_bench
+
+#: Sweep subcommand → the module whose ``SWEEP`` spec describes it
+#: (imported on dispatch, so ``--figure`` runs never load the sweeps).
+SWEEPS = {"scale": "scale", "chaos-scale": "chaos_scale", "control": "control"}
 
 
 def chaos_main(argv=None) -> int:
@@ -32,7 +38,6 @@ def chaos_main(argv=None) -> int:
         DEFAULT_SCALE,
         render_chaos,
         run_chaos_sweep,
-        write_robustness_bench,
     )
 
     parser = argparse.ArgumentParser(
@@ -69,7 +74,7 @@ def chaos_main(argv=None) -> int:
     rates = [max(args.fault_rates)] if args.smoke else args.fault_rates
     t0 = time.time()
     payload = run_chaos_sweep(seed=args.seed, scale=scale, fault_rates=rates)
-    write_robustness_bench(payload, args.out)
+    write_bench(payload, args.out)
     print(render_chaos(payload))
     violations = sum(row["invariant_violations"] for row in payload["rows"])
     print(f"\nwrote {args.out}", file=sys.stderr)
@@ -80,207 +85,14 @@ def chaos_main(argv=None) -> int:
     return 0
 
 
-def scale_main(argv=None) -> int:
-    """The ``scale`` subcommand: vectorized sweep → BENCH_scale.json."""
-    from .scale import (
-        DEFAULT_POINTS,
-        SCALE_POLICIES,
-        SMOKE_POINTS,
-        render_scale,
-        run_scale_sweep,
-        write_scale_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments scale",
-        description="Planet-scale vectorized sweep: ANU vs bounded-load "
-        "consistent hashing vs JSQ(d), up to 1000 servers / 1M file sets.",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    parser.add_argument(
-        "--policies",
-        nargs="+",
-        default=list(SCALE_POLICIES),
-        help=f"policies to sweep (default: {' '.join(SCALE_POLICIES)})",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_scale.json",
-        help="output path for the bench JSON",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-sized subset (CI): tiny points, same code path",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="drive each run N times and report the best (timing noise); "
-        "repeats > 1 forces --workers 1 so drive timing owns its core",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan-out processes (default: REPRO_PARALLEL_WORKERS or CPU count)",
-    )
-    args = parser.parse_args(argv)
-
-    points = SMOKE_POINTS if args.smoke else DEFAULT_POINTS
-    t0 = time.time()
-    payload = run_scale_sweep(
-        points=points,
-        policies=args.policies,
-        seed=args.seed,
-        repeats=args.repeats,
-        workers=args.workers,
-    )
-    write_scale_bench(payload, args.out)
-    print(render_scale(payload))
-    print(f"\nwrote {args.out}", file=sys.stderr)
-    print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-    return 0
-
-
-def chaos_scale_main(argv=None) -> int:
-    """The ``chaos-scale`` subcommand: vectorized chaos → BENCH_chaos_scale.json."""
-    from .chaos_scale import (
-        CHAOS_SCALE_POLICIES,
-        DEFAULT_POINTS,
-        SMOKE_POINTS,
-        render_chaos_scale,
-        run_chaos_scale_sweep,
-        write_chaos_scale_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments chaos-scale",
-        description="Chaos at planet scale: compiled fault timelines on the "
-        "vectorized path, paper scale up to 1000 servers / 100k file sets.",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="chaos + workload seed")
-    parser.add_argument(
-        "--policies",
-        nargs="+",
-        default=list(CHAOS_SCALE_POLICIES),
-        help=f"policies to sweep (default: {' '.join(CHAOS_SCALE_POLICIES)})",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_chaos_scale.json",
-        help="output path for the bench JSON",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-sized subset (CI): tiny points, same code path",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan-out processes (default: REPRO_PARALLEL_WORKERS or CPU count)",
-    )
-    args = parser.parse_args(argv)
-
-    points = SMOKE_POINTS if args.smoke else DEFAULT_POINTS
-    t0 = time.time()
-    payload = run_chaos_scale_sweep(
-        points=points, policies=args.policies, seed=args.seed, workers=args.workers
-    )
-    write_chaos_scale_bench(payload, args.out)
-    print(render_chaos_scale(payload))
-    violations = sum(row["invariant_violations"] for row in payload["rows"])
-    lost = sum(row["requests_lost"] for row in payload["rows"])
-    print(f"\nwrote {args.out}", file=sys.stderr)
-    print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-    if violations or lost:
-        print(
-            f"INVARIANT VIOLATIONS: {violations}, LOST REQUESTS: {lost}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def control_main(argv=None) -> int:
-    """The ``control`` subcommand: controller ablation → BENCH_control.json."""
-    from .control import (
-        CONTROL_CONTROLLERS,
-        CONTROL_SCENARIOS,
-        DEFAULT_POINTS,
-        SMOKE_POINTS,
-        render_control,
-        run_control_sweep,
-        write_control_bench,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments control",
-        description="Controller ablation: multiplicative / PI / pole-placement "
-        "/ brownout / forecast under hotspot, churn, and flash-crowd stress, "
-        "at paper scale and 1000-server vector scale.",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="workload seed")
-    parser.add_argument(
-        "--controllers",
-        nargs="+",
-        default=list(CONTROL_CONTROLLERS),
-        help=f"controllers to sweep (default: {' '.join(CONTROL_CONTROLLERS)})",
-    )
-    parser.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=list(CONTROL_SCENARIOS),
-        help=f"scenarios to sweep (default: {' '.join(CONTROL_SCENARIOS)})",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_control.json",
-        help="output path for the bench JSON",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="seconds-sized subset (CI): tiny points, same code path",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fan-out processes (default: REPRO_PARALLEL_WORKERS or CPU count)",
-    )
-    args = parser.parse_args(argv)
-
-    points = SMOKE_POINTS if args.smoke else DEFAULT_POINTS
-    t0 = time.time()
-    payload = run_control_sweep(
-        points=points,
-        controllers=args.controllers,
-        scenarios=args.scenarios,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    write_control_bench(payload, args.out)
-    print(render_control(payload))
-    print(f"\nwrote {args.out}", file=sys.stderr)
-    print(f"[done in {time.time() - t0:.1f}s]", file=sys.stderr)
-    return 0
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "chaos":
         return chaos_main(argv[1:])
-    if argv and argv[0] == "scale":
-        return scale_main(argv[1:])
-    if argv and argv[0] == "chaos-scale":
-        return chaos_scale_main(argv[1:])
-    if argv and argv[0] == "control":
-        return control_main(argv[1:])
+    if argv and argv[0] in SWEEPS:
+        module = importlib.import_module(f".{SWEEPS[argv[0]]}", __package__)
+        return sweep_main(module.SWEEP, argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the figures of Wu & Burns, HPDC 2004.",

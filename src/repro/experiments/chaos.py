@@ -23,19 +23,11 @@ bit-reproducible and the determinism test simply compares two sweeps.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.hashing import HashFamily
-from ..engine import SimulationBuilder
-from ..faults import (
-    ChaosConfig,
-    ChaosResult,
-    FaultSchedule,
-    chaos_fingerprint,
-    random_schedule,
-)
+from ..engine import ChaosConfig, ChaosResult, SimulationBuilder
+from ..faults import FaultSchedule, chaos_fingerprint, random_schedule
 from ..metrics.robustness import RobustnessReport, robustness_report
 from ..policies import ANURandomization
 from .config import ExperimentConfig, paper_config
@@ -45,7 +37,6 @@ __all__ = [
     "run_chaos",
     "run_chaos_sweep",
     "render_chaos",
-    "write_robustness_bench",
 ]
 
 #: Faults per simulated second: quiet, moderate, and stormy. The quiet
@@ -128,13 +119,6 @@ def run_chaos_sweep(
         },
         "rows": rows,
     }
-
-
-def write_robustness_bench(payload: Dict, path: Path) -> Path:
-    """Serialize a sweep payload canonically (stable across runs)."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_chaos(payload: Dict) -> str:

@@ -5,11 +5,8 @@ five-server cluster; this sweep asks the same robustness questions —
 how fast are faults detected, how much capacity is lost, does
 consistency recover, is every request accounted for — from paper scale
 up to ≥1000 servers and ≥100k file sets, entirely on the vectorized
-client path, against the same three policies as the ``scale`` sweep:
-
-* ``anu``  — :class:`~repro.policies.vector.VectorANU` (this paper);
-* ``chbl`` — :class:`~repro.policies.bounded.BoundedLoadConsistentHashing`;
-* ``jsq2`` — :class:`~repro.policies.jsq.JSQd` with d=2.
+client path, against the same three policies as the ``scale`` sweep
+(:data:`~repro.experiments.scale.SCALE_POLICIES`).
 
 Each run compiles its ``(seed, fault_rate)`` schedule into a
 deterministic event timeline (:mod:`repro.faults.timeline`), replays it
@@ -23,62 +20,50 @@ remainder (``requests_lost`` must be 0) — plus the run's
 :func:`~repro.faults.chaos.chaos_fingerprint`, so the bench is
 bit-reproducible.
 
-Like the ``scale`` sweep, the (point, policy) cells fan out through
-:func:`repro.experiments.fanout.stream_map`: the per-point workload
-*and* fault schedule are generated once in the parent and reach the
-workers by fork (zero copies), results merge in submission order, and
-the payload records the ``workers`` count. One worker (or one CPU)
-runs everything in-process — rows byte-identical to the sequential
-sweep modulo timing fields.
+The cells run through :func:`repro.experiments.sweep.run_sweep`; the
+per-point workload *and* fault schedule are its shared inputs.
 
 ``python -m repro.experiments chaos-scale`` writes
 ``BENCH_chaos_scale.json``; ``--smoke`` runs a seconds-sized subset for
-CI. The JSON schema is guarded by ``tools/check_bench_schema.py``.
+CI.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..cluster.cache import CacheConfig
 from ..engine import (
     ChaosConfig,
-    ClusterConfig,
     ExperimentSpec,
     VectorChaosFaultLayer,
     VectorizedClientPath,
 )
 from ..faults import FaultSchedule, chaos_fingerprint, random_schedule
 from ..metrics.robustness import robustness_report
-from ..policies.vector import relocate_mode_from_env
-from ..workloads.scale import ArrayWorkload, ScaleConfig, generate_scale
-from .fanout import resolve_workers, shared_payload, stream_map
-from .scale import (
-    SCALE_POLICIES,
+from ..workloads.scale import ArrayWorkload
+from .scale import SCALE_POLICIES, make_scale_policy
+from .sweep import (
+    SweepSpec,
     format_point_label,
-    make_scale_policy,
+    point_columns,
+    policy_columns,
     scale_powers,
+    sweep_cluster_config,
+    timed_point_workload,
 )
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "SWEEP",
     "CHAOS_SCALE_POLICIES",
     "DEFAULT_POINTS",
     "SMOKE_POINTS",
     "ChaosScalePoint",
+    "point_schedule",
     "run_chaos_scale_point",
-    "run_chaos_scale_sweep",
     "render_chaos_scale",
-    "write_chaos_scale_bench",
 ]
-
-#: Bumped on any change to the BENCH_chaos_scale.json row/payload shape.
-SCHEMA_VERSION = 2
 
 CHAOS_SCALE_POLICIES: Tuple[str, ...] = SCALE_POLICIES
 
@@ -150,17 +135,19 @@ def point_schedule(
     )
 
 
-def _point_workload(point: ChaosScalePoint, seed: int) -> ArrayWorkload:
-    """Generate one point's columnar workload (the shared-setup step)."""
-    powers = scale_powers(point.n_servers)
-    return generate_scale(
-        ScaleConfig(
-            n_filesets=point.n_filesets,
-            target_requests=point.n_requests,
-            duration=point.duration,
-            total_capacity=sum(powers.values()),
-        ),
-        seed=seed,
+def _prepare(
+    point: ChaosScalePoint,
+    seed: int,
+    axes: Optional[Mapping[str, Sequence[str]]] = None,
+) -> Tuple[ArrayWorkload, float, FaultSchedule]:
+    """The point's shared inputs: workload, its seconds, fault script.
+
+    Both are immutable, so one of each serves every policy — identical
+    arrivals, identical faults.
+    """
+    return (
+        *timed_point_workload(point, seed),
+        point_schedule(point, seed, ChaosConfig(seed=seed)),
     )
 
 
@@ -168,144 +155,61 @@ def run_chaos_scale_point(
     point: ChaosScalePoint,
     policy_name: str,
     seed: int = 1,
-    workload: Optional[ArrayWorkload] = None,
-    schedule: Optional[FaultSchedule] = None,
-    workload_seconds: Optional[float] = None,
+    shared: Optional[Tuple[ArrayWorkload, float, FaultSchedule]] = None,
 ) -> Dict[str, object]:
     """One vectorized chaos run; returns a BENCH_chaos_scale row.
 
     ``drive_seconds`` times the run alone; setup splits into
-    ``workload_seconds`` (workload generation — measured here, or
-    passed by the sweep that generated the shared workload) and
-    ``placement_seconds`` (schedule compilation, engine assembly, and
-    initial placement); ``setup_seconds`` is their sum. The row is the
-    full robustness report plus the run's chaos fingerprint, the churn
-    ledger, and the relocation ledger.
+    ``workload_seconds`` (workload generation — ``shared`` carries the
+    sweep's per-point workload, its time, and the fault script; a lone
+    call generates its own) and ``placement_seconds`` (engine assembly,
+    schedule compilation, and initial placement); ``setup_seconds`` is
+    their sum. The row is the full robustness report plus the run's
+    chaos fingerprint, the churn ledger, and the relocation ledger.
     """
-    powers = scale_powers(point.n_servers)
-    chaos = ChaosConfig(seed=seed)
-    workload_start = time.perf_counter()
-    if workload is None:
-        workload = _point_workload(point, seed)
-        if workload_seconds is None:
-            workload_seconds = time.perf_counter() - workload_start
-    elif workload_seconds is None:
-        workload_seconds = 0.0
+    workload, workload_seconds, schedule = shared or _prepare(point, seed)
     placement_start = time.perf_counter()
-    if schedule is None:
-        schedule = point_schedule(point, seed, chaos)
-    config = ClusterConfig(
-        server_powers=powers,
-        tuning_interval=point.tuning_interval,
-        cache=CacheConfig(flush_work_scale=0.0, cold_factor=1.0, warmup_time=0.0),
-        supply_knowledge=False,
-    )
-    policy = make_scale_policy(policy_name, list(powers))
-    layer = VectorChaosFaultLayer(schedule=schedule, chaos=chaos)
+    config = sweep_cluster_config(point)
+    policy = make_scale_policy(policy_name, list(config.server_powers))
     engine = ExperimentSpec(
         workload=workload.fork(),
         policy=policy,
         config=config,
         client_path=VectorizedClientPath(),
-        faults=layer,
+        faults=VectorChaosFaultLayer(schedule=schedule, chaos=ChaosConfig(seed=seed)),
     ).build()
     drive_start = time.perf_counter()
     result = engine.run_chaos()
     drive_seconds = time.perf_counter() - drive_start
     placement_seconds = drive_start - placement_start
-    report = robustness_report(result, fault_rate=point.fault_rate)
-    row = report.to_dict()
+    row = robustness_report(result, fault_rate=point.fault_rate).to_dict()
     row.update(
         {
             "policy": policy_name,
-            "n_servers": point.n_servers,
-            "n_filesets": point.n_filesets,
+            **point_columns(point),
             "n_requests": int(result.requests_injected),
-            "duration_s": point.duration,
-            "tuning_interval_s": point.tuning_interval,
             "workload_seconds": round(workload_seconds, 4),
             "placement_seconds": round(placement_seconds, 4),
             "setup_seconds": round(workload_seconds + placement_seconds, 4),
             "drive_seconds": round(drive_seconds, 4),
             "failure_declarations": result.failure_declarations,
             "recovery_declarations": result.recovery_declarations,
-            "total_sheds": int(getattr(policy, "total_sheds", 0)),
-            "relocated": int(getattr(policy, "relocated_total", 0)),
-            "relocate_fraction": round(
-                float(getattr(policy, "relocate_fraction", 0.0)), 6
-            ),
-            "reshuffle_seconds": round(
-                float(getattr(policy, "reshuffle_seconds", 0.0)), 4
-            ),
+            **policy_columns(policy),
             "fingerprint": chaos_fingerprint(result),
         }
     )
     return row
 
 
-def _chaos_scale_cell(job: Tuple[int, str]) -> Dict[str, object]:
-    """One (point, policy) sweep cell; reads the fork-shared payload."""
-    point_idx, policy_name = job
-    points, workloads, schedules, workload_seconds, seed = shared_payload()
-    return run_chaos_scale_point(
-        points[point_idx],
-        policy_name,
-        seed=seed,
-        workload=workloads[point_idx],
-        schedule=schedules[point_idx],
-        workload_seconds=workload_seconds[point_idx],
-    )
-
-
-def run_chaos_scale_sweep(
-    points: Sequence[ChaosScalePoint] = DEFAULT_POINTS,
-    policies: Sequence[str] = CHAOS_SCALE_POLICIES,
-    seed: int = 1,
-    workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """The full sweep, fanned out one (point, policy) cell per job.
-
-    One workload + schedule per point, generated in the parent and
-    shared across policies (both are immutable, so sharing is free —
-    and it makes the per-point policy comparison apples-to-apples:
-    identical arrivals, identical fault script). Cells travel through
-    :func:`stream_map`, so results merge in submission order and the
-    row list matches the sequential sweep's exactly.
-    """
-    points = list(points)
-    workers = resolve_workers(workers)
+def _header(seed: int, rows) -> Dict[str, object]:
     chaos = ChaosConfig(seed=seed)
-    workloads: List[ArrayWorkload] = []
-    schedules: List[FaultSchedule] = []
-    workload_seconds: List[float] = []
-    for point in points:
-        t0 = time.perf_counter()
-        workloads.append(_point_workload(point, seed))
-        workload_seconds.append(time.perf_counter() - t0)
-        schedules.append(point_schedule(point, seed, chaos))
-    jobs = [(i, name) for i in range(len(points)) for name in policies]
-    rows = stream_map(
-        _chaos_scale_cell,
-        jobs,
-        payload=(points, workloads, schedules, workload_seconds, seed),
-        max_workers=workers,
-        chunk_size=1,
-    )
     return {
-        "bench": "chaos_scale",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "relocate_mode": relocate_mode_from_env(),
-        "policies": list(policies),
         "detection_latency_bound_s": chaos.detection_latency_bound,
         "heartbeat": {
             "period_s": chaos.heartbeat_period,
             "misses": chaos.heartbeat_misses,
             "recoveries": chaos.heartbeat_recoveries,
         },
-        "rows": rows,
     }
 
 
@@ -314,7 +218,7 @@ def render_chaos_scale(payload: Dict[str, object]) -> str:
     lines = [
         f"chaos-scale sweep: seed={payload['seed']} "
         f"detection bound={payload['detection_latency_bound_s']}s "
-        f"workers={payload['workers']} relocate={payload['relocate_mode']}",
+        f"workers={payload['workers']}",
         f"{'point':>16} {'policy':>6} {'faults':>6} {'unavail':>8} "
         f"{'det.max':>8} {'recov(s)':>8} {'retries/req':>11} {'lost':>5} "
         f"{'violations':>10} {'drive(s)':>9}",
@@ -333,8 +237,26 @@ def render_chaos_scale(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def write_chaos_scale_bench(payload: Dict[str, object], path) -> Path:
-    """Serialize a sweep payload canonically (stable across runs)."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+def _failure(payload: Dict[str, object]) -> Optional[str]:
+    """A recorded violation or lost request is a red build, not data."""
+    violations = sum(row["invariant_violations"] for row in payload["rows"])
+    lost = sum(row["requests_lost"] for row in payload["rows"])
+    if violations or lost:
+        return f"INVARIANT VIOLATIONS: {violations}, LOST REQUESTS: {lost}"
+    return None
+
+
+SWEEP = SweepSpec(
+    name="chaos-scale",
+    schema_version=3,
+    description="Chaos at planet scale: compiled fault timelines on the "
+    "vectorized path, paper scale up to 1000 servers / 100k file sets.",
+    points=DEFAULT_POINTS,
+    smoke_points=SMOKE_POINTS,
+    axes={"policies": CHAOS_SCALE_POLICIES},
+    prepare=_prepare,
+    cell=run_chaos_scale_point,
+    render=render_chaos_scale,
+    header=_header,
+    failure=_failure,
+)

@@ -30,6 +30,9 @@ re-assigned mass over the trailing half of the run) — the region-
 length trace is captured from :class:`~repro.engine.MovesApplied`
 probes, identically on both engines.
 
+The cells run through :func:`repro.experiments.sweep.run_sweep`; one
+workload per (point, scenario) is shared across controllers.
+
 ``python -m repro.experiments control`` writes ``BENCH_control.json``
 (schema-gated by ``tools/check_bench_schema.py``, including the
 semantic gate that at least one feedback controller beats the
@@ -39,16 +42,12 @@ multiplicative baseline on convergence or oscillation somewhere);
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..cluster.cache import CacheConfig
 from ..cluster.fileset import FileSet, FileSetCatalog
 from ..cluster.request import MetadataRequest
 from ..control import make_controller
@@ -56,27 +55,31 @@ from ..core.hashing import HashFamily
 from ..core.interval import HALF
 from ..engine import (
     ChaosConfig,
-    ClusterConfig,
     MovesApplied,
     SimulationBuilder,
     VectorChaosFaultLayer,
     VectorizedClientPath,
 )
 from ..faults import FaultEvent, FaultKind, FaultSchedule
-from ..metrics.consistency import consistency_report
 from ..policies import ANURandomization, VectorANU
 from ..sim.rng import StreamRegistry
 from ..workloads import ShiftConfig, SyntheticConfig, generate_shifting, generate_synthetic
-from ..policies.vector import relocate_mode_from_env
 from ..workloads.calibrate import request_work_for_utilization
 from ..workloads.distributions import lognormal_work
 from ..workloads.scale import ArrayCatalog, ArrayWorkload
 from ..workloads.synthetic import Workload
-from .fanout import resolve_workers, shared_payload, stream_map
-from .scale import format_point_label, scale_powers
+from .sweep import (
+    SweepSpec,
+    format_point_label,
+    latency_columns,
+    point_columns,
+    policy_columns,
+    scale_powers,
+    sweep_cluster_config,
+)
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "SWEEP",
     "CONTROL_CONTROLLERS",
     "CONTROL_SCENARIOS",
     "DEFAULT_POINTS",
@@ -84,13 +87,8 @@ __all__ = [
     "ControlPoint",
     "trace_metrics",
     "run_control_point",
-    "run_control_sweep",
     "render_control",
-    "write_control_bench",
 ]
-
-#: Bumped on any change to the BENCH_control.json row/payload shape.
-SCHEMA_VERSION = 2
 
 #: The controller family under ablation (registry names).
 CONTROL_CONTROLLERS: Tuple[str, ...] = (
@@ -350,36 +348,42 @@ def trace_metrics(
 # --------------------------------------------------------------------- #
 # the runs
 # --------------------------------------------------------------------- #
+def _workload(
+    point: ControlPoint, scenario: str, seed: int
+) -> Union[Workload, ArrayWorkload]:
+    """The scenario's schedule in the point's engine mode."""
+    generate = _scalar_workload if point.mode == "paper" else _vector_workload
+    return generate(point, scenario, seed)
+
+
+def _prepare(
+    point: ControlPoint, seed: int, axes: Mapping[str, Sequence[str]]
+) -> Dict[str, Union[Workload, ArrayWorkload]]:
+    """The point's shared inputs: one workload per scenario."""
+    return {
+        scenario: _workload(point, scenario, seed) for scenario in axes["scenarios"]
+    }
+
+
 def run_control_point(
     point: ControlPoint,
     scenario: str,
     controller_name: str,
     seed: int = 1,
-    workload=None,
+    shared: Optional[Mapping[str, Union[Workload, ArrayWorkload]]] = None,
 ) -> Dict[str, object]:
     """One (point, scenario, controller) run; returns a bench row."""
     if point.mode not in ("paper", "vector"):
         raise ValueError(f"unknown mode {point.mode!r}")
     if scenario not in CONTROL_SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; know {CONTROL_SCENARIOS}")
-    powers = scale_powers(point.n_servers)
     chaos = ChaosConfig(seed=seed)
     setup_start = time.perf_counter()
-    if workload is None:
-        workload = (
-            _scalar_workload(point, scenario, seed)
-            if point.mode == "paper"
-            else _vector_workload(point, scenario, seed)
-        )
-    config = ClusterConfig(
-        server_powers=powers,
-        tuning_interval=point.tuning_interval,
-        cache=CacheConfig(flush_work_scale=0.0, cold_factor=1.0, warmup_time=0.0),
-        supply_knowledge=False,
-    )
+    workload = shared[scenario] if shared else _workload(point, scenario, seed)
+    config = sweep_cluster_config(point)
     family = HashFamily(seed=0)
     controller = make_controller(controller_name)
-    server_ids = list(powers)
+    server_ids = list(config.server_powers)
     if point.mode == "paper":
         policy = ANURandomization(server_ids, hash_family=family, controller=controller)
     else:
@@ -415,54 +419,25 @@ def run_control_point(
     drive_seconds = time.perf_counter() - drive_start
     setup_seconds = drive_start - setup_start
     base = result.base if run_chaos else result
-    lat = base.all_latencies
-    report = consistency_report(base, min_share=0.0)
     metrics = trace_metrics(trace)
     conv = metrics["convergence_round"]
     return {
         "controller": controller_name,
         "scenario": scenario,
         "mode": point.mode,
-        "n_servers": point.n_servers,
-        "n_filesets": point.n_filesets,
+        **point_columns(point),
         "n_requests": int(base.submitted),
         "completed": int(base.completed),
-        "duration_s": point.duration,
-        "tuning_interval_s": point.tuning_interval,
         "rounds": metrics["rounds"],
         "convergence_round": conv,
         "convergence_time_s": (
             conv * point.tuning_interval if conv is not None else None
         ),
         "oscillation": metrics["oscillation"],
-        "mean_latency": float(lat.mean()) if lat.size else float("nan"),
-        "p99_latency": float(np.percentile(lat, 99)) if lat.size else float("nan"),
-        "latency_cov": report.cov,
-        "jain_index": report.jain,
-        # VectorANU counts sheds itself; the scalar adapter's counter
-        # lives on its ANUManager.
-        "total_sheds": int(
-            getattr(policy, "total_sheds", None)
-            or getattr(getattr(policy, "manager", None), "total_sheds", 0)
-        ),
-        # The relocation ledger exists only on RelocationStats policies
-        # (the vector path); paper-mode rows record null, not zero —
-        # the scalar adapter is uninstrumented, not relocation-free.
-        "relocated": (
-            int(policy.relocated_total)
-            if hasattr(policy, "relocated_total")
-            else None
-        ),
-        "relocate_fraction": (
-            round(float(policy.relocate_fraction), 6)
-            if hasattr(policy, "relocate_fraction")
-            else None
-        ),
-        "reshuffle_seconds": (
-            round(float(policy.reshuffle_seconds), 4)
-            if hasattr(policy, "reshuffle_seconds")
-            else None
-        ),
+        **latency_columns(base),
+        # Paper-mode rows record a null relocation ledger: the scalar
+        # adapter is uninstrumented, not relocation-free.
+        **policy_columns(policy),
         "setup_seconds": round(setup_seconds, 4),
         "drive_seconds": round(drive_seconds, 4),
     }
@@ -487,94 +462,29 @@ def _feedback_wins(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]
             if name == BASELINE_CONTROLLER:
                 continue
             conv, base_conv = row["convergence_round"], baseline["convergence_round"]
+            beaten = []
             if conv is not None and (base_conv is None or conv < base_conv):
-                wins.append(
-                    {
-                        "scenario": scenario,
-                        "mode": mode,
-                        "controller": name,
-                        "metric": "convergence_round",
-                        "value": conv,
-                        "baseline_value": base_conv,
-                    }
-                )
+                beaten.append("convergence_round")
             if row["oscillation"] < baseline["oscillation"]:
+                beaten.append("oscillation")
+            for metric in beaten:
                 wins.append(
                     {
                         "scenario": scenario,
                         "mode": mode,
                         "controller": name,
-                        "metric": "oscillation",
-                        "value": row["oscillation"],
-                        "baseline_value": baseline["oscillation"],
+                        "metric": metric,
+                        "value": row[metric],
+                        "baseline_value": baseline[metric],
                     }
                 )
     return wins
 
 
-def _control_cell(job: Tuple[int, str, str]) -> Dict[str, object]:
-    """One (point, scenario, controller) cell; fork-shared payload."""
-    point_idx, scenario, controller_name = job
-    points, workloads, seed = shared_payload()
-    return run_control_point(
-        points[point_idx],
-        scenario,
-        controller_name,
-        seed=seed,
-        workload=workloads[(point_idx, scenario)],
-    )
-
-
-def run_control_sweep(
-    points: Sequence[ControlPoint] = DEFAULT_POINTS,
-    controllers: Sequence[str] = CONTROL_CONTROLLERS,
-    scenarios: Sequence[str] = CONTROL_SCENARIOS,
-    seed: int = 1,
-    workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """The full sweep, one (point, scenario, controller) cell per job.
-
-    One workload per (point, scenario), generated in the parent and
-    shared across controllers so the ablation is apples-to-apples
-    (identical arrivals, identical fault script); the cells fan out
-    through :func:`stream_map` and merge in submission order, so the
-    row list matches the sequential sweep's exactly.
-    """
-    points = list(points)
-    workers = resolve_workers(workers)
-    workloads: Dict[Tuple[int, str], object] = {}
-    for i, point in enumerate(points):
-        for scenario in scenarios:
-            workloads[(i, scenario)] = (
-                _scalar_workload(point, scenario, seed)
-                if point.mode == "paper"
-                else _vector_workload(point, scenario, seed)
-            )
-    jobs = [
-        (i, scenario, controller_name)
-        for i in range(len(points))
-        for scenario in scenarios
-        for controller_name in controllers
-    ]
-    rows = stream_map(
-        _control_cell,
-        jobs,
-        payload=(points, workloads, seed),
-        max_workers=workers,
-        chunk_size=1,
-    )
+def _header(seed: int, rows: List[Dict[str, object]]) -> Dict[str, object]:
     return {
-        "bench": "control",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "relocate_mode": relocate_mode_from_env(),
         "baseline_controller": BASELINE_CONTROLLER,
-        "controllers": list(controllers),
-        "scenarios": list(scenarios),
         "feedback_wins": _feedback_wins(rows),
-        "rows": rows,
     }
 
 
@@ -583,7 +493,7 @@ def render_control(payload: Dict[str, object]) -> str:
     lines = [
         f"control sweep: seed={payload['seed']} "
         f"baseline={payload['baseline_controller']} "
-        f"workers={payload['workers']} relocate={payload['relocate_mode']}",
+        f"workers={payload['workers']}",
         f"{'point':>22} {'scenario':>8} {'ctrl':>14} {'conv':>5} "
         f"{'osc':>8} {'cov':>7} {'jain':>6} {'p99':>8} {'sheds':>8} "
         f"{'drive(s)':>9}",
@@ -611,8 +521,17 @@ def render_control(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def write_control_bench(payload: Dict[str, object], path) -> Path:
-    """Serialize a sweep payload canonically (stable across runs)."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+SWEEP = SweepSpec(
+    name="control",
+    schema_version=3,
+    description="Controller ablation: multiplicative / PI / pole-placement "
+    "/ brownout / forecast under hotspot, churn, and flash-crowd stress, "
+    "at paper scale and 1000-server vector scale.",
+    points=DEFAULT_POINTS,
+    smoke_points=SMOKE_POINTS,
+    axes={"scenarios": CONTROL_SCENARIOS, "controllers": CONTROL_CONTROLLERS},
+    prepare=_prepare,
+    cell=run_control_point,
+    render=render_control,
+    header=_header,
+)

@@ -23,7 +23,7 @@ from ...engine.record import ClusterResult
 from ...metrics.summary import ascii_table
 from ..cache import cached_synthetic
 from ..config import ExperimentConfig, paper_config
-from ..runner import run_system
+from ..runner import run_comparison, run_vp_sweep
 
 __all__ = ["Fig8Data", "run", "render", "DEFAULT_SWEEP"]
 
@@ -52,34 +52,20 @@ def run(
     seed: int = 1,
     scale: float = 1.0,
     sweep: Sequence[int] = DEFAULT_SWEEP,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
+    max_workers: Optional[int] = 1,
 ) -> Fig8Data:
     """Execute the VP sweep and the ANU/prescient reference runs.
 
-    With ``parallel=True`` the sweep points fan out across a process
-    pool (:mod:`repro.experiments.parallel`); results are identical to
-    the sequential path — the sweep is one independent run per VP count.
+    ``max_workers > 1`` fans the runs out across a process pool;
+    results are identical to the sequential path — the sweep is one
+    independent run per VP count.
     """
     config = paper_config(seed=seed, scale=scale)
     workload = cached_synthetic(config.synthetic_config(), seed=seed)
-    if parallel:
-        from ..parallel import run_comparison_parallel, run_vp_sweep
-
-        references = run_comparison_parallel(
-            workload, config, systems=("anu", "prescient"), max_workers=max_workers
-        )
-        sweep_results = run_vp_sweep(workload, config, sweep, max_workers=max_workers)
-    else:
-        references = {
-            system: run_system(system, workload.fork(), config)
-            for system in ("anu", "prescient")
-        }
-        sweep_results = {}
-        for nv in sweep:
-            sweep_results[nv] = run_system(
-                "virtual", workload.fork(), config, n_virtual=nv
-            )
+    references = run_comparison(
+        workload, config, systems=("anu", "prescient"), max_workers=max_workers
+    )
+    sweep_results = run_vp_sweep(workload, config, sweep, max_workers=max_workers)
     return Fig8Data(config=config, sweep=sweep_results, references=references)
 
 

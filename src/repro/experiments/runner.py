@@ -3,12 +3,14 @@
 :func:`make_policy` maps the paper's system names to configured
 :class:`LoadManager` instances; :func:`run_system` executes one
 system × workload combination; :func:`run_comparison` runs the full
-four-system sweep used by Figures 4–6.
+four-system sweep used by Figures 4–6 and :func:`run_vp_sweep` the
+Figure 8 VP sweep — sequentially by default, fanned out over forked
+workers and/or served from an :class:`ExperimentCache` on request.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.hashing import HashFamily
 from ..core.tuning import TuningPolicy
@@ -23,9 +25,11 @@ from ..policies import (
     VirtualProcessorSystem,
 )
 from ..workloads.synthetic import Workload
+from .cache import ExperimentCache
 from .config import ExperimentConfig
+from .fanout import shared_payload, stream_map
 
-__all__ = ["make_policy", "run_system", "run_comparison"]
+__all__ = ["make_policy", "run_system", "run_comparison", "run_vp_sweep"]
 
 
 def make_policy(
@@ -95,29 +99,84 @@ def run_system(
     return sim.run()
 
 
+def _system_job(job: Tuple[str, Optional[int]]) -> ClusterResult:
+    # The workload rides the fork, not the job tuple: each run forks its
+    # own pristine request objects from the shared schedule (requests
+    # carry per-run mutable state — server, completion).
+    system, n_virtual = job
+    workload, config = shared_payload()
+    return run_system(system, workload.fork(), config, n_virtual=n_virtual)
+
+
+def _run_jobs(
+    jobs: Sequence[Tuple[str, Optional[int]]],
+    workload: Workload,
+    config: ExperimentConfig,
+    max_workers: Optional[int],
+    cache: Optional[ExperimentCache],
+) -> List[ClusterResult]:
+    """Run ``(system, n_virtual)`` jobs over one workload, in job order.
+
+    Jobs whose result ``cache`` already holds are not re-run; the rest
+    fan out through :func:`stream_map` (in-process at one worker) and
+    are stored for next time. Each run is a pure function of its
+    inputs and the merge follows ``jobs``, never completion order, so
+    the worker count changes wall-clock only.
+    """
+    results: List[Optional[ClusterResult]] = [None] * len(jobs)
+    keys: List[str] = []
+    if cache is not None:
+        keys = [
+            cache.result_key(system, workload, config, n_virtual=n_virtual)
+            for system, n_virtual in jobs
+        ]
+        results = [cache.get_result(key) for key in keys]
+    pending = [i for i, result in enumerate(results) if result is None]
+    fresh = stream_map(
+        _system_job,
+        [jobs[i] for i in pending],
+        payload=(workload, config),
+        max_workers=max_workers,
+        chunk_size=1,
+    )
+    for i, result in zip(pending, fresh):
+        results[i] = result
+        if cache is not None:
+            cache.put_result(keys[i], result)
+    return results
+
+
 def run_comparison(
     workload: Workload,
     config: ExperimentConfig,
     systems: Iterable[str] = ("simple", "anu", "prescient", "virtual"),
+    max_workers: Optional[int] = 1,
+    cache: Optional[ExperimentCache] = None,
 ) -> Dict[str, ClusterResult]:
     """Run the four-system comparison of Figures 4/5/6.
 
-    Each system gets a fresh simulation over the *same* workload
-    object (schedules are immutable request descriptions; per-run
-    mutable fields are reset by re-instantiating requests).
+    Each system gets a fresh simulation over a fork of the *same*
+    workload. Returns ``{system: result}`` in the order of ``systems``;
+    ``max_workers > 1`` (``None``: ``REPRO_PARALLEL_WORKERS`` or the
+    CPU count) fans the systems out over forked workers with results
+    byte-identical to the sequential default.
     """
-    results: Dict[str, ClusterResult] = {}
-    for system in systems:
-        # Requests carry per-run mutable state (server, completion);
-        # rebuild a pristine copy of the schedule for each system.
-        results[system] = run_system(system, workload.fork(), config)
-    return results
+    systems = tuple(systems)
+    jobs = [(system, None) for system in systems]
+    return dict(zip(systems, _run_jobs(jobs, workload, config, max_workers, cache)))
 
 
-def _fresh_workload(workload: Workload) -> Workload:
-    """Copy a workload with pristine (un-served) request objects.
+def run_vp_sweep(
+    workload: Workload,
+    config: ExperimentConfig,
+    sweep: Sequence[int],
+    max_workers: Optional[int] = 1,
+    cache: Optional[ExperimentCache] = None,
+) -> Dict[int, ClusterResult]:
+    """The Figure 8 virtual-processor sweep, one run per VP count.
 
-    Thin wrapper over :meth:`Workload.fork` kept for its many existing
-    import sites; new code should call ``workload.fork()`` directly.
+    Returns ``{n_virtual: result}`` in the order of ``sweep``.
     """
-    return workload.fork()
+    sweep = [int(nv) for nv in sweep]
+    jobs = [("virtual", nv) for nv in sweep]
+    return dict(zip(sweep, _run_jobs(jobs, workload, config, max_workers, cache)))

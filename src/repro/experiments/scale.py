@@ -22,58 +22,49 @@ over per-server mean latency), shed counts, and the relocation ledger
 (``relocated``, ``relocate_fraction``, ``reshuffle_seconds`` — what the
 incremental epoch-delta path shrinks).
 
-The sweep fans its (point, policy) cells out through
-:func:`repro.experiments.fanout.stream_map`: workloads are generated
-once per point in the parent and travel to the workers by fork (zero
-copies), results stream back in submission order, and the payload
-records the ``workers`` count that produced it. ``--workers 1`` (or a
-single-CPU host) runs every cell in-process — byte-identical rows
-modulo timing fields. ``repeats > 1`` forces one worker, so the best-
-of-N drive timing never races a sibling cell for the core.
+The cells run through :func:`repro.experiments.sweep.run_sweep`.
+``repeats > 1`` forces one worker, so the best-of-N drive timing never
+races a sibling cell for the core.
 
 ``python -m repro.experiments scale`` writes ``BENCH_scale.json``; the
-``--smoke`` variant runs a seconds-sized subset for CI. The JSON schema
-is guarded by ``tools/check_bench_schema.py``.
+``--smoke`` variant runs a seconds-sized subset for CI.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..cluster.cache import CacheConfig
 from ..core.hashing import HashFamily
-from ..engine import ClusterConfig, ExperimentSpec, VectorizedClientPath
-from ..metrics.consistency import consistency_report
+from ..engine import ExperimentSpec, VectorizedClientPath
 from ..policies import BoundedLoadConsistentHashing, JSQd, VectorANU
 from ..policies.base import LoadManager
-from ..policies.vector import relocate_mode_from_env
-from ..workloads.scale import ArrayWorkload, ScaleConfig, generate_scale
-from .fanout import resolve_workers, shared_payload, stream_map
+from ..workloads.scale import ArrayWorkload
+from .sweep import (
+    SweepSpec,
+    format_point_label,
+    latency_columns,
+    point_columns,
+    policy_columns,
+    scale_powers,
+    sweep_cluster_config,
+    timed_point_workload,
+)
 
 __all__ = [
-    "SCHEMA_VERSION",
+    "SWEEP",
     "EVENTS_PER_COMPLETED_REQUEST",
     "SCALE_POLICIES",
     "DEFAULT_POINTS",
     "SMOKE_POINTS",
     "ScalePoint",
     "format_point_label",
+    "scale_powers",
     "make_scale_policy",
     "run_scale_point",
-    "run_scale_sweep",
     "render_scale",
-    "write_scale_bench",
 ]
-
-#: Bumped on any change to the BENCH_scale.json row/payload shape.
-SCHEMA_VERSION = 2
 
 SCALE_POLICIES: Tuple[str, ...] = ("anu", "chbl", "jsq2")
 
@@ -82,22 +73,9 @@ SCALE_POLICIES: Tuple[str, ...] = ("anu", "chbl", "jsq2")
 #: (measured: ``events_processed / completed`` = 3.002 on the
 #: paper-scale run). Throughput rows count the events the vectorized
 #: path *replaces*, so ``events_per_sec`` is directly comparable to
-#: the scalar engine's kernel-events/s in BENCH_perf.json.
+#: the scalar engine's ``sim.events_per_s`` on ``bench/``'s
+#: ``paper_scalar`` workload.
 EVENTS_PER_COMPLETED_REQUEST = 3
-
-#: Cyclic heterogeneity: the paper's power pattern tiled across the
-#: cluster, so every size keeps the same 9:1 spread.
-_POWER_PATTERN = (1.0, 3.0, 5.0, 7.0, 9.0)
-
-
-def format_point_label(n_servers: int, n_filesets: int) -> str:
-    """The canonical sweep-point label (``1000s/1000000fs``).
-
-    One definition for every sweep (scale, chaos-scale, control) and
-    every renderer — point labels in tables and in ``Point.label()``
-    can never drift apart.
-    """
-    return f"{n_servers}s/{n_filesets}fs"
 
 
 @dataclass(frozen=True)
@@ -129,11 +107,6 @@ SMOKE_POINTS: Tuple[ScalePoint, ...] = (
 )
 
 
-def scale_powers(n_servers: int) -> Dict[int, float]:
-    """Server powers for a point (paper pattern, tiled)."""
-    return {i: _POWER_PATTERN[i % len(_POWER_PATTERN)] for i in range(n_servers)}
-
-
 def make_scale_policy(
     name: str, server_ids: List[object], emit_moves: bool = False
 ) -> LoadManager:
@@ -149,64 +122,37 @@ def make_scale_policy(
     raise ValueError(f"unknown scale policy {name!r}; know {SCALE_POLICIES}")
 
 
-def _point_workload(point: ScalePoint, seed: int) -> ArrayWorkload:
-    """Generate one point's columnar workload (the shared-setup step)."""
-    powers = scale_powers(point.n_servers)
-    return generate_scale(
-        ScaleConfig(
-            n_filesets=point.n_filesets,
-            target_requests=point.n_requests,
-            duration=point.duration,
-            total_capacity=sum(powers.values()),
-        ),
-        seed=seed,
-    )
-
-
 def run_scale_point(
     point: ScalePoint,
     policy_name: str,
     seed: int = 1,
-    workload: Optional[ArrayWorkload] = None,
+    shared: Optional[Tuple[ArrayWorkload, float]] = None,
     repeats: int = 1,
-    workload_seconds: Optional[float] = None,
 ) -> Dict[str, object]:
     """One vectorized run; returns a BENCH_scale row.
 
     ``drive_seconds`` times :meth:`ClusterEngine.run` alone; setup is
     split into ``workload_seconds`` (columnar workload generation —
-    measured here, or passed in by the sweep that generated the shared
-    workload) and ``placement_seconds`` (engine assembly plus the
-    policy's initial placement, where the probe matrix is hashed);
-    ``setup_seconds`` is their sum. Events are counted at
-    :data:`EVENTS_PER_COMPLETED_REQUEST` per completed request — the
-    scalar kernel's measured per-request event cost — so throughput is
-    comparable to the scalar engine's kernel-events/s. With
-    ``repeats > 1`` the run is rebuilt and re-driven that many times
-    (results are deterministic, so only timing varies);
+    ``shared`` carries the sweep's per-point workload and its time; a
+    lone call generates its own) and ``placement_seconds`` (engine
+    assembly plus the policy's initial placement, where the probe
+    matrix is hashed); ``setup_seconds`` is their sum. Events are
+    counted at :data:`EVENTS_PER_COMPLETED_REQUEST` per completed
+    request — the scalar kernel's measured per-request event cost — so
+    throughput is comparable to the scalar engine's kernel-events/s.
+    With ``repeats > 1`` the run is rebuilt and re-driven that many
+    times (results are deterministic, so only timing varies);
     ``drive_seconds`` reports the best and ``drive_seconds_all`` every
     repeat — an honest floor on a shared, noisy host.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    powers = scale_powers(point.n_servers)
-    workload_start = time.perf_counter()
-    if workload is None:
-        workload = _point_workload(point, seed)
-        if workload_seconds is None:
-            workload_seconds = time.perf_counter() - workload_start
-    elif workload_seconds is None:
-        workload_seconds = 0.0
-    config = ClusterConfig(
-        server_powers=powers,
-        tuning_interval=point.tuning_interval,
-        cache=CacheConfig(flush_work_scale=0.0, cold_factor=1.0, warmup_time=0.0),
-        supply_knowledge=False,
-    )
+    workload, workload_seconds = shared or timed_point_workload(point, seed)
+    config = sweep_cluster_config(point)
     placement_start = time.perf_counter()
     drives: List[float] = []
     for _ in range(repeats):
-        policy = make_scale_policy(policy_name, list(powers))
+        policy = make_scale_policy(policy_name, list(config.server_powers))
         engine = ExperimentSpec(
             workload=workload.fork(),
             policy=policy,
@@ -219,16 +165,11 @@ def run_scale_point(
     drive_seconds = min(drives)
     placement_seconds = time.perf_counter() - placement_start - sum(drives)
     events = EVENTS_PER_COMPLETED_REQUEST * result.completed
-    lat = result.all_latencies
-    report = consistency_report(result, min_share=0.0)
     return {
         "policy": result.policy_name,
-        "n_servers": point.n_servers,
-        "n_filesets": point.n_filesets,
+        **point_columns(point),
         "n_requests": int(result.submitted),
         "completed": int(result.completed),
-        "duration_s": point.duration,
-        "tuning_interval_s": point.tuning_interval,
         "workload_seconds": round(workload_seconds, 4),
         "placement_seconds": round(placement_seconds, 4),
         "setup_seconds": round(workload_seconds + placement_seconds, 4),
@@ -236,79 +177,8 @@ def run_scale_point(
         "drive_seconds_all": [round(d, 4) for d in drives],
         "events": int(events),
         "events_per_sec": round(events / drive_seconds, 1) if drive_seconds else 0.0,
-        "mean_latency": float(lat.mean()) if lat.size else float("nan"),
-        "p99_latency": float(np.percentile(lat, 99)) if lat.size else float("nan"),
-        "latency_cov": report.cov,
-        "jain_index": report.jain,
-        "total_sheds": int(getattr(policy, "total_sheds", 0)),
-        "relocated": int(getattr(policy, "relocated_total", 0)),
-        "relocate_fraction": round(
-            float(getattr(policy, "relocate_fraction", 0.0)), 6
-        ),
-        "reshuffle_seconds": round(
-            float(getattr(policy, "reshuffle_seconds", 0.0)), 4
-        ),
-    }
-
-
-def _scale_cell(job: Tuple[int, str]) -> Dict[str, object]:
-    """One (point, policy) sweep cell; reads the fork-shared payload."""
-    point_idx, policy_name = job
-    points, workloads, workload_seconds, seed, repeats = shared_payload()
-    return run_scale_point(
-        points[point_idx],
-        policy_name,
-        seed=seed,
-        workload=workloads[point_idx],
-        repeats=repeats,
-        workload_seconds=workload_seconds[point_idx],
-    )
-
-
-def run_scale_sweep(
-    points: Sequence[ScalePoint] = DEFAULT_POINTS,
-    policies: Sequence[str] = SCALE_POLICIES,
-    seed: int = 1,
-    repeats: int = 1,
-    workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """The full sweep, fanned out one (point, policy) cell per job.
-
-    Workloads are generated once per point in the parent (the
-    ``ArrayWorkload`` is immutable, so sharing is free) and reach the
-    workers zero-copy through the fork; results merge in submission
-    order, so the row list is identical to the sequential sweep's.
-    ``repeats > 1`` pins the sweep to one worker — best-of-N drive
-    timing on a core that sibling cells are racing for would be noise,
-    not a floor.
-    """
-    points = list(points)
-    workers = resolve_workers(workers)
-    if repeats > 1:
-        workers = 1
-    workloads: List[ArrayWorkload] = []
-    workload_seconds: List[float] = []
-    for point in points:
-        t0 = time.perf_counter()
-        workloads.append(_point_workload(point, seed))
-        workload_seconds.append(time.perf_counter() - t0)
-    jobs = [(i, name) for i in range(len(points)) for name in policies]
-    rows = stream_map(
-        _scale_cell,
-        jobs,
-        payload=(points, workloads, workload_seconds, seed, repeats),
-        max_workers=workers,
-        chunk_size=1,
-    )
-    return {
-        "bench": "scale",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "relocate_mode": relocate_mode_from_env(),
-        "policies": list(policies),
-        "rows": rows,
+        **latency_columns(result),
+        **policy_columns(policy),
     }
 
 
@@ -316,7 +186,7 @@ def render_scale(payload: Dict[str, object]) -> str:
     """ASCII table of a sweep payload (the CLI's printed output)."""
     lines = [
         f"scale sweep: seed={payload['seed']} cpu_count={payload['cpu_count']} "
-        f"workers={payload['workers']} relocate={payload['relocate_mode']}",
+        f"workers={payload['workers']}",
         f"{'point':>14} {'policy':>6} {'events/s':>12} {'drive(s)':>9} "
         f"{'mean lat':>9} {'p99 lat':>9} {'cov':>7} {'jain':>6} {'sheds':>8} "
         f"{'reloc%':>7}",
@@ -333,8 +203,22 @@ def render_scale(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def write_scale_bench(payload: Dict[str, object], path) -> Path:
-    """Serialize a sweep payload canonically (stable across runs)."""
-    path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+SWEEP = SweepSpec(
+    name="scale",
+    schema_version=3,
+    description="Planet-scale vectorized sweep: ANU vs bounded-load "
+    "consistent hashing vs JSQ(d), up to 1000 servers / 1M file sets.",
+    points=DEFAULT_POINTS,
+    smoke_points=SMOKE_POINTS,
+    axes={"policies": SCALE_POLICIES},
+    prepare=timed_point_workload,
+    cell=run_scale_point,
+    render=render_scale,
+    options={
+        "repeats": (
+            1,
+            "drive each run N times and report the best (timing noise); "
+            "repeats > 1 forces --workers 1 so drive timing owns its core",
+        )
+    },
+)

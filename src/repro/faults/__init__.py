@@ -10,27 +10,19 @@ The subsystem splits into four pieces, composable on their own:
 * :mod:`repro.faults.invariants` — :class:`InvariantChecker`, hooked
   into every reconfiguration, raising :class:`ChaosInvariantError`
   with a replayable :class:`ReplayArtifact`;
-* :mod:`repro.faults.chaos` — :class:`ChaosClusterSimulation`, the
-  full harness (hardened client + heartbeat detection + injector +
-  auditor) and its :class:`ChaosResult` / :func:`chaos_fingerprint`.
+* :mod:`repro.faults.chaos` — :func:`chaos_fingerprint`, the
+  bit-reproducibility digest of a
+  :class:`~repro.engine.record.ChaosResult` (the full harness —
+  hardened client + heartbeat detection + injector + auditor — is
+  assembled by ``SimulationBuilder(...).chaos(...)``).
 """
 
-from .chaos import (
-    ChaosClusterSimulation,
-    ChaosConfig,
-    ChaosResult,
-    FailureRecord,
-    chaos_fingerprint,
-)
+from .chaos import chaos_fingerprint
 from .injector import FaultInjector
 from .invariants import ChaosInvariantError, InvariantChecker, ReplayArtifact
 from .schedule import FaultEvent, FaultKind, FaultSchedule, random_schedule
 
 __all__ = [
-    "ChaosClusterSimulation",
-    "ChaosConfig",
-    "ChaosResult",
-    "FailureRecord",
     "chaos_fingerprint",
     "FaultInjector",
     "ChaosInvariantError",

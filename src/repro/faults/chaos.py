@@ -1,115 +1,25 @@
-"""The chaos harness entry point (and the legacy shim).
+"""The chaos-run fingerprint.
 
-The harness itself is now a layer composition:
+The harness itself is a layer composition —
 :class:`~repro.engine.control.DistributedControlPlane` (seeded
 network) + :class:`~repro.engine.client_path.HardenedClientPath`
 (seeded jitter) + :class:`~repro.engine.fault_layer.ChaosFaultLayer`
 (heartbeat detection, fault injection, continuous invariant auditing),
-assembled by ``SimulationBuilder(...).chaos(schedule, chaos)``. The
-result/record types live in :mod:`repro.engine.record` and are
-re-exported here.
-
-This module keeps :class:`ChaosClusterSimulation` as a thin deprecated
-subclass wiring those layers exactly as before — everything stochastic
-still derives from ``ChaosConfig.seed``, so a run remains a pure
+assembled by ``SimulationBuilder(...).chaos(schedule, chaos)``; its
+result/record types live in :mod:`repro.engine.record`. Everything
+stochastic derives from ``ChaosConfig.seed``, so a run is a pure
 function of ``(workload, config, schedule, chaos)`` and replays
 bit-identically. :func:`chaos_fingerprint` is the equality the
-determinism and golden-equivalence tests assert.
-
-Migration::
-
-    # before
-    result = ChaosClusterSimulation(wl, policy, cfg, schedule, chaos).run_chaos()
-    # after
-    result = SimulationBuilder(wl, policy, cfg).chaos(schedule, chaos).run()
+determinism and golden tests assert.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-import warnings
-from typing import Optional, TYPE_CHECKING
 
-from ..cluster.distributed_cluster import DistributedClusterSimulation
-from ..engine.client_path import HardenedClientPath
-from ..engine.control import DistributedControlPlane
-from ..engine.engine import ClusterEngine
-from ..engine.fault_layer import MONITOR_ID, ChaosFaultLayer
-from ..engine.record import (
-    ChaosConfig,
-    ChaosResult,
-    ClusterConfig,
-    FailureRecord,
-    derive_seed as _derive_seed,
-)
-from ..policies.anu import ANURandomization
-from .schedule import FaultSchedule
+from ..engine.record import ChaosResult
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..workloads.synthetic import Workload
-
-__all__ = [
-    "ChaosConfig",
-    "FailureRecord",
-    "ChaosResult",
-    "ChaosClusterSimulation",
-    "chaos_fingerprint",
-    "MONITOR_ID",
-]
-
-
-class ChaosClusterSimulation(DistributedClusterSimulation):
-    """Deprecated: use ``SimulationBuilder(...).chaos(schedule, chaos)``.
-
-    Parameters
-    ----------
-    workload, policy, config:
-        As for the engine (``policy`` must be :class:`ANURandomization`).
-    schedule:
-        The fault script to execute.
-    chaos:
-        Harness configuration; its ``seed`` drives every random draw
-        (link faults, backoff jitter).
-    """
-
-    def __init__(
-        self,
-        workload: "Workload",
-        policy: ANURandomization,
-        config: ClusterConfig,
-        schedule: Optional[FaultSchedule] = None,
-        chaos: Optional[ChaosConfig] = None,
-    ) -> None:
-        if type(self) is ChaosClusterSimulation:
-            warnings.warn(
-                "ChaosClusterSimulation is deprecated; use "
-                "repro.engine.SimulationBuilder(...).chaos(schedule, chaos)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if not isinstance(policy, ANURandomization):
-            raise TypeError(
-                "the distributed control plane drives ANU; got "
-                f"{type(policy).__name__}"
-            )
-        chaos = chaos or ChaosConfig()
-        ClusterEngine.__init__(
-            self,
-            workload,
-            policy,
-            config,
-            control=DistributedControlPlane(
-                network_rng=random.Random(_derive_seed(chaos.seed, "network"))
-            ),
-            client_path=HardenedClientPath(
-                retry=chaos.retry,
-                rng=random.Random(_derive_seed(chaos.seed, "client")),
-            ),
-            faults=ChaosFaultLayer(
-                schedule=schedule or FaultSchedule(), chaos=chaos
-            ),
-        )
+__all__ = ["chaos_fingerprint"]
 
 
 def chaos_fingerprint(result: ChaosResult) -> str:

@@ -3,7 +3,7 @@
 :class:`FaultInjector` walks a :class:`~repro.faults.schedule.FaultSchedule`
 and applies each event against a *target adapter* — any object exposing
 the small injection surface below (implemented by
-:class:`~repro.faults.chaos.ChaosClusterSimulation`):
+:class:`~repro.engine.fault_layer.ChaosFaultLayer`):
 
 ``crash_server(sid) -> bool`` / ``heal_server(sid)``
     Take a server down (data + control plane) and bring its link back.

@@ -9,9 +9,8 @@ module. The contract is uniform and deliberately unforgiving:
   ``REPRO_CACHE=offf`` or ``REPRO_PARALLEL_WORKERS=many`` must never
   silently enable a cache or serialize a sweep.
 
-Historically the cache (``REPRO_CACHE``), the fan-out
-(``REPRO_PARALLEL_WORKERS``) and the vectorized relocation path
-(``REPRO_VECTOR_RELOCATE``) each carried a private copy of this logic;
+Historically the cache (``REPRO_CACHE``) and the fan-out
+(``REPRO_PARALLEL_WORKERS``) each carried a private copy of this logic;
 they now share these parsers, and the service layer registers its
 ``REPRO_SERVICE_*`` knobs (port, epoch seconds, client count) through
 the same registry. :func:`describe_knobs` renders the registry for
@@ -24,8 +23,8 @@ This module imports nothing from ``repro`` — it sits below every layer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "Knob",
@@ -34,7 +33,6 @@ __all__ = [
     "env_flag",
     "env_int",
     "env_float",
-    "env_choice",
     "describe_knobs",
 ]
 
@@ -47,16 +45,15 @@ FLAG_FALSY: Tuple[str, ...] = ("off", "0", "false", "no")
 class Knob:
     """One registered environment variable.
 
-    ``kind`` is the parser family (``flag`` / ``int`` / ``float`` /
-    ``choice``); ``default`` is what unset/blank resolves to (``None``
-    when the consumer supplies a computed default, e.g. the CPU count).
+    ``kind`` is the parser family (``flag`` / ``int`` / ``float``);
+    ``default`` is what unset/blank resolves to (``None`` when the
+    consumer supplies a computed default, e.g. the CPU count).
     """
 
     name: str
     kind: str
     default: object
     help: str
-    choices: Tuple[str, ...] = field(default=())
 
 
 #: The registry: variable name -> :class:`Knob`. Consumers register at
@@ -69,12 +66,9 @@ def register_knob(
     kind: str,
     default: object,
     help: str,  # noqa: A002 - mirrors the dataclass field
-    choices: Sequence[str] = (),
 ) -> Knob:
     """Record a knob in the registry (idempotent; last writer wins)."""
-    knob = Knob(
-        name=name, kind=kind, default=default, help=help, choices=tuple(choices)
-    )
+    knob = Knob(name=name, kind=kind, default=default, help=help)
     KNOBS[name] = knob
     return knob
 
@@ -84,8 +78,7 @@ def describe_knobs() -> str:
     lines = []
     for name in sorted(KNOBS):
         knob = KNOBS[name]
-        extra = f" choices={'/'.join(knob.choices)}" if knob.choices else ""
-        lines.append(f"{name} ({knob.kind}, default {knob.default!r}{extra}): {knob.help}")
+        lines.append(f"{name} ({knob.kind}, default {knob.default!r}): {knob.help}")
     return "\n".join(lines)
 
 
@@ -170,25 +163,4 @@ def env_float(
         raise ValueError(f"{name} must be > {exclusive_minimum}, got {value}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def env_choice(
-    name: str,
-    choices: Sequence[str],
-    default: Optional[str] = None,
-) -> Optional[str]:
-    """Strict enumerated knob; the value is stripped and lower-cased.
-
-    Unset/blank resolves to ``default``; anything outside ``choices``
-    raises naming the variable, the options, and the offending value.
-    """
-    raw = _raw(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if value not in choices:
-        raise ValueError(
-            f"{name} must be one of {tuple(choices)}, got {raw!r}"
-        )
     return value

@@ -13,7 +13,7 @@ A chaos run answers three questions the steady-state figures cannot:
   heals, the per-interval CV must return to its pre-fault band. The
   time that takes is the *consistency recovery time*.
 
-Everything here consumes a :class:`~repro.faults.chaos.ChaosResult`
+Everything here consumes a :class:`~repro.engine.record.ChaosResult`
 and produces the plain-data :class:`RobustnessReport` that
 ``BENCH_robustness.json`` serializes.
 """
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..faults.chaos import ChaosResult
+from ..engine.record import ChaosResult
 from .consistency import coefficient_of_variation
 
 __all__ = [

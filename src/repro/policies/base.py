@@ -1,6 +1,6 @@
 """The load-manager interface shared by ANU and every baseline.
 
-The cluster driver (:mod:`repro.cluster.cluster`) is policy-agnostic:
+The cluster driver (:mod:`repro.engine.engine`) is policy-agnostic:
 it routes each request through :meth:`LoadManager.locate`, and at every
 tuning interval hands the policy the servers' latency reports plus — for
 policies entitled to it — *prescient knowledge* of the upcoming
@@ -152,10 +152,10 @@ class RelocationStats:
     publishers drain :meth:`consume_last_relocation`.
     """
 
-    #: How reconfigurations re-resolve the catalog. ``full`` = whole
-    #: catalog every round; ``incremental`` = only names the epoch
-    #: delta can invalidate; ``native`` = the policy's own structure is
-    #: already incremental (displacement ledgers, candidate re-picks).
+    #: How reconfigurations re-resolve the catalog: ``incremental`` =
+    #: only names the epoch delta can invalidate (``VectorANU``);
+    #: ``native`` = the policy's own structure is already incremental
+    #: (displacement ledgers, candidate re-picks).
     relocate_mode: str = "native"
 
     def _init_relocation_stats(self) -> None:

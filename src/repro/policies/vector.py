@@ -9,18 +9,19 @@ keeps the file-set → server assignment as one integer array instead of
 a dict, and re-resolves it per reconfiguration with the batched
 kernels of :mod:`repro.core.vector`.
 
-Reconfigurations are **incremental by default** (epoch-delta
-relocation): each round patches the :class:`SegmentTable` from the
-changed servers' spans, computes the exact set of intervals whose
-effective owner differs between the epochs
+Reconfigurations are **incremental** (epoch-delta relocation): each
+round patches the :class:`SegmentTable` from the changed servers'
+spans, computes the exact set of intervals whose effective owner
+differs between the epochs
 (:func:`~repro.core.vector.segment_delta`), and re-resolves only the
 names whose materialized probe columns at rounds ``<= used`` intersect
 that delta — every other name provably keeps its ``(owner, used)``
 resolution, so per-round work is proportional to the *moved mass*
-instead of the catalog. ``REPRO_VECTOR_RELOCATE=full`` (or
-``relocate_mode="full"``) restores whole-catalog re-resolution; the
-two modes are pinned bit-for-bit equivalent (assignments, sheds,
-moves, chaos fingerprints) by hypothesis and golden tests.
+instead of the catalog. ``tools/check_relocation_equivalence.py`` is
+the oracle: after every reconfiguration a from-scratch
+``batched_locate`` of the whole catalog must reproduce the
+assignments, probe depths and moves bit for bit (golden and
+hypothesis timelines in ``tests/policies/test_relocation.py``).
 
 Differences from the scalar adapter, by design:
 
@@ -46,7 +47,6 @@ from ..core.interval import IntervalLayout
 from ..core.layout import LayoutEngine
 from ..core.tuning import TuningPolicy
 from ..core.vector import ProbeMatrix, SegmentTable, batched_locate, segment_delta
-from ..knobs import env_choice, register_knob
 from .base import (
     LoadManager,
     Move,
@@ -55,37 +55,14 @@ from .base import (
     RelocationStats,
 )
 
-__all__ = ["VectorANU", "RELOCATE_MODES", "relocate_mode_from_env"]
-
-#: Valid values of ``REPRO_VECTOR_RELOCATE`` / ``relocate_mode=``.
-RELOCATE_MODES: Tuple[str, ...] = ("incremental", "full")
-
-register_knob(
-    "REPRO_VECTOR_RELOCATE",
-    kind="choice",
-    default="incremental",
-    help="relocation strategy for the vectorized ANU path",
-    choices=RELOCATE_MODES,
-)
-
-
-def relocate_mode_from_env() -> str:
-    """Relocation mode from ``REPRO_VECTOR_RELOCATE`` (default incremental).
-
-    The variable must name a known mode; anything else raises a
-    :class:`ValueError` naming the variable and the offending value — a
-    silently ignored typo here would quietly change what every sweep
-    measures.
-    """
-    mode = env_choice("REPRO_VECTOR_RELOCATE", RELOCATE_MODES, default="incremental")
-    assert mode is not None  # default is non-None
-    return mode
+__all__ = ["VectorANU"]
 
 
 class VectorANU(RelocationStats, LoadManager):
     """Adaptive non-uniform randomization over array assignments."""
 
     name = "anu"
+    relocate_mode = "incremental"
 
     def __init__(
         self,
@@ -95,7 +72,6 @@ class VectorANU(RelocationStats, LoadManager):
         n_partitions: Optional[int] = None,
         emit_moves: bool = True,
         controller: Optional[object] = None,
-        relocate_mode: Optional[str] = None,
     ) -> None:
         self.server_ids = list(server_ids)
         self.hash_family = hash_family or HashFamily()
@@ -126,13 +102,6 @@ class VectorANU(RelocationStats, LoadManager):
         self.total_sheds = 0
         self.total_lookups = 0
         self.total_probes = 0
-        if relocate_mode is None:
-            relocate_mode = relocate_mode_from_env()
-        elif relocate_mode not in RELOCATE_MODES:
-            raise ValueError(
-                f"relocate_mode must be one of {RELOCATE_MODES}, got {relocate_mode!r}"
-            )
-        self.relocate_mode = relocate_mode
         self._init_relocation_stats()
         # Snapshots of the epoch the current assignment was resolved
         # against — the baseline an incremental round diffs from.
@@ -159,17 +128,15 @@ class VectorANU(RelocationStats, LoadManager):
         )
         for round_ in range(headroom):
             self._probes.column(round_)
-            if self.relocate_mode == "incremental":
-                # The delta scan reads the per-round sorted index; warm
-                # it here for the same reason — an argsort of a million
-                # names per probe round would otherwise land inside the
-                # first tuning round's reshuffle timing.
-                self._probes.sorted_column(round_)
+            # The delta scan reads the per-round sorted index; warm it
+            # here for the same reason — an argsort of a million names
+            # per probe round would otherwise land inside the first
+            # tuning round's reshuffle timing.
+            self._probes.sorted_column(round_)
         return {}
 
     def _relocate(self) -> None:
-        """Full re-resolution of the catalog (initial placement, and
-        every round in ``full`` mode)."""
+        """Full re-resolution of the catalog (initial placement)."""
         table = SegmentTable.from_layout(self.layout, self._slot)
         blocked_mask = self._blocked.copy()
         blocked = blocked_mask if blocked_mask.any() else None
@@ -307,28 +274,20 @@ class VectorANU(RelocationStats, LoadManager):
 
         ``changed_sids`` is the set of servers whose regions the caller
         just touched (``None`` = unknown → table rebuild); ``kind``
-        labels the round in the relocation counters. Both modes produce
-        identical assignments, shed counts, and :class:`Move` lists —
-        the incremental path just skips re-resolving names the epoch
-        delta cannot invalidate.
+        labels the round in the relocation counters. Only names the
+        epoch delta can invalidate are re-resolved; the assignments,
+        shed counts, and :class:`Move` list equal a whole-catalog
+        re-resolution's.
         """
-        old = self._assign
         self.epoch += 1
         self._vector_cache = None
         start = time.perf_counter()
-        if self.relocate_mode == "incremental" and self._table is not None:
-            invalid, old_owner = self._relocate_delta(changed_sids)
-            moved = self._assign[invalid] != old_owner
-            changed = invalid[moved]
-            changed_old = old_owner[moved]
-            relocated = int(invalid.size)
-        else:
-            self._relocate()
-            changed = np.flatnonzero(old != self._assign)
-            changed_old = old[changed]
-            relocated = len(self._names)
+        invalid, old_owner = self._relocate_delta(changed_sids)
+        moved = self._assign[invalid] != old_owner
+        changed = invalid[moved]
+        changed_old = old_owner[moved]
         seconds = time.perf_counter() - start
-        self._note_relocation(kind, relocated, len(self._names), seconds)
+        self._note_relocation(kind, int(invalid.size), len(self._names), seconds)
         self.total_sheds += int(changed.size)
         if not self.emit_moves or changed.size == 0:
             return []

@@ -92,8 +92,8 @@ class TestIteration:
         """The deterministic iteration predicts the simulator: the
         converged region lengths of a real ANU run land in the same
         neighborhood as the model's fixed point."""
-        from repro.cluster import ClusterConfig, ClusterSimulation
         from repro.core import HashFamily
+        from repro.engine import ClusterConfig, SimulationBuilder
         from repro.policies import ANURandomization
         from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -101,7 +101,7 @@ class TestIteration:
             SyntheticConfig(duration=4800.0, target_requests=26000), seed=1
         )
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = ClusterSimulation(wl, policy, ClusterConfig(server_powers=POWERS))
+        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         sim.run()
         simulated = policy.region_lengths
         eq = equilibrium_lengths(POWERS, offered_rate=15.0)

@@ -1,11 +1,11 @@
-"""ClusterSimulation driver: tuning cadence, movement, churn, results."""
+"""The default-layer engine: tuning cadence, movement, churn, results."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import CacheConfig, ClusterConfig, ClusterSimulation
-from repro.experiments.runner import _fresh_workload
+from repro.cluster import CacheConfig
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -38,9 +38,9 @@ class TestConfigValidation:
 class TestRun:
     def test_nearly_all_requests_complete_under_anu(self):
         wl = small_wl()
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
-        )
+        ).build()
         res = sim.run()
         assert res.submitted == len(wl)
         # A short run ends with some requests still queued (the horizon
@@ -51,7 +51,7 @@ class TestRun:
     def test_tuning_rounds_match_duration(self):
         wl = small_wl()
         cfg = ClusterConfig(server_powers=POWERS, tuning_interval=100.0)
-        sim = ClusterSimulation(wl, ANURandomization(list(POWERS)), cfg)
+        sim = SimulationBuilder(wl, ANURandomization(list(POWERS)), cfg).build()
         res = sim.run()
         tune_records = [m for m in res.movement if m.kind == "tune"]
         assert len(tune_records) == 6  # t = 100, 200, ..., 600
@@ -61,20 +61,20 @@ class TestRun:
 
     def test_simple_never_moves(self):
         wl = small_wl()
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl,
             SimpleRandomization(list(POWERS)),
             ClusterConfig(server_powers=POWERS),
-        )
+        ).build()
         res = sim.run()
         assert res.total_moves == 0
         assert res.total_moved_work_share == 0.0
 
     def test_aggregate_stats_consistent(self):
         wl = small_wl()
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
-        )
+        ).build()
         res = sim.run()
         assert res.all_latencies.size == res.completed
         assert res.aggregate_mean_latency > 0
@@ -85,11 +85,11 @@ class TestRun:
         wl = small_wl()
         results = []
         for _ in range(2):
-            sim = ClusterSimulation(
-                _fresh_workload(wl),
+            sim = SimulationBuilder(
+                wl.fork(),
                 ANURandomization(list(POWERS)),
                 ClusterConfig(server_powers=POWERS),
-            )
+            ).build()
             res = sim.run()
             results.append(
                 (res.aggregate_mean_latency, res.total_moves, res.completed)
@@ -102,7 +102,7 @@ class TestRun:
             server_powers=POWERS,
             cache=CacheConfig(flush_work_scale=4.0, cold_factor=1.5, warmup_time=30.0),
         )
-        sim = ClusterSimulation(wl, ANURandomization(list(POWERS)), cfg)
+        sim = SimulationBuilder(wl, ANURandomization(list(POWERS)), cfg).build()
         res = sim.run()
         if res.total_moves:
             assert sim.cache.total_flush_work > 0
@@ -112,9 +112,9 @@ class TestRun:
 class TestChurn:
     def test_failure_reroutes_requests(self):
         wl = small_wl()
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
-        )
+        ).build()
         # Fail a mid-size server: the survivors (capacity 20 vs offered
         # ~15) can absorb its load without saturating.
         sim.schedule_failure(150.0, 2)
@@ -127,9 +127,9 @@ class TestChurn:
 
     def test_failure_then_recovery(self):
         wl = small_wl()
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
-        )
+        ).build()
         sim.schedule_failure(150.0, 2)
         sim.schedule_recovery(350.0, 2)
         res = sim.run()
@@ -141,7 +141,7 @@ class TestChurn:
     def test_failed_server_excluded_from_routing(self):
         wl = small_wl()
         policy = ANURandomization(list(POWERS))
-        sim = ClusterSimulation(wl, policy, ClusterConfig(server_powers=POWERS))
+        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         sim.schedule_failure(100.0, 0)
         res = sim.run()
         # no post-failure completions on server 0: its tally froze

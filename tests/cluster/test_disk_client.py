@@ -9,9 +9,9 @@ from repro.cluster import (
     DiskArray,
     FileServer,
     MetadataRequest,
-    RequestDriver,
     SharedDisk,
 )
+from repro.engine import RequestDriver
 from repro.sim import Simulator
 
 

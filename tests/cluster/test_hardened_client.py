@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from repro.cluster.client import HardenedClient, HardenedRequestDriver, RetryPolicy
 from repro.cluster.request import MetadataRequest
 from repro.cluster.server import FileServer
+from repro.engine import HardenedClient, RequestDriver, RetryPolicy
 
 
 def make_request(arrival=0.0, work=1.0):
@@ -177,7 +177,7 @@ class TestHardenedRequestDriver:
         server = FileServer(env, 0, power=10.0)
         client = HardenedClient(env, lambda r: server)
         schedule = [make_request(arrival=float(i) * 0.1, work=0.01) for i in range(10)]
-        driver = HardenedRequestDriver(env, schedule, client)
+        driver = RequestDriver(env, schedule, client=client)
         env.run(until=10.0)
         assert driver.submitted == 10
         assert driver.dropped == 0
@@ -187,4 +187,4 @@ class TestHardenedRequestDriver:
         client = HardenedClient(env, lambda r: None)
         schedule = [make_request(arrival=5.0), make_request(arrival=1.0)]
         with pytest.raises(ValueError):
-            HardenedRequestDriver(env, schedule, client)
+            RequestDriver(env, schedule, client=client)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import ClusterConfig
 from repro.cluster.cache import CacheConfig
+from repro.engine import ClusterConfig
 from repro.sim import Simulator
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -30,7 +30,7 @@ def small_workload():
     """A small but non-trivial synthetic workload (shared, read-only).
 
     Tests must not mutate its request objects; use
-    ``repro.experiments.runner._fresh_workload`` for runs.
+    ``small_workload.fork()`` for runs.
     """
     cfg = SyntheticConfig(
         n_filesets=20,

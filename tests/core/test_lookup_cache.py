@@ -134,16 +134,15 @@ class TestMemoUnderChurn:
     def test_requests_in_flight_during_churn(self, small_workload, cluster_config):
         """Simulation-level: mid-run fail/recover with live traffic never
         routes an arrival to the dead server (a stale memo would)."""
-        from repro.cluster.cluster import ClusterSimulation
-        from repro.experiments.runner import _fresh_workload
+        from repro.engine import SimulationBuilder
         from repro.policies import ANURandomization
 
         policy = ANURandomization(
             list(cluster_config.server_powers), hash_family=HashFamily(seed=0)
         )
-        sim = ClusterSimulation(
-            _fresh_workload(small_workload), policy, cluster_config
-        )
+        sim = SimulationBuilder(
+            small_workload.fork(), policy, cluster_config
+        ).build()
         sim.schedule_failure(300.0, 2)
         sim.schedule_recovery(600.0, 2)
         sim.run()

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.core.hashing import HashFamily
 from repro.engine import (
     ChaosFaultLayer,
+    ClusterConfig,
     ClusterEngine,
     DistributedControlPlane,
     ExperimentSpec,

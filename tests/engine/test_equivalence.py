@@ -1,11 +1,9 @@
-"""Golden-fingerprint equivalence: the layered engine vs the legacy tower.
+"""Golden fingerprints of the layered engine.
 
-The refactor's contract is *bit-identical* behaviour: assembling an
-engine from layers must replay the exact event sequence the inheritance
-tower produced. These tests pin that with hard-coded SHA-256 digests
-(one paper-config run per system, one distributed run, one chaos run)
-and additionally hold the deprecated shim classes to the same digests,
-so the shims provably remain thin.
+The engine's contract is *bit-identical* replay: assembling an engine
+from layers must reproduce the exact event sequence these hard-coded
+SHA-256 digests were taken from (one paper-config run per system, one
+distributed run, one chaos run).
 
 If an intentional behaviour change ever invalidates the digests, rerun
 the recipes below and update the constants — in the same commit as the
@@ -14,19 +12,14 @@ change, with the reason in the commit message.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSimulation, DistributedClusterSimulation
 from repro.core.hashing import HashFamily
-from repro.engine import SimulationBuilder
-from repro.engine.record import ChaosConfig
+from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
 from repro.experiments.cache import result_fingerprint
 from repro.experiments.config import paper_config
-from repro.experiments.runner import make_policy, run_system
-from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.chaos import ChaosClusterSimulation, chaos_fingerprint
+from repro.experiments.runner import run_system
+from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
 from repro.policies import ANURandomization
 from repro.workloads import generate_synthetic
 
@@ -71,16 +64,6 @@ class TestPaperGoldens:
         result = run_system(system, workload.fork(), config)
         assert result_fingerprint(result) == PAPER_GOLD[system]
 
-    def test_legacy_tower_matches_golden(self):
-        """The deprecated ClusterSimulation shim replays bit-identically."""
-        config = paper_config(seed=3, scale=0.02)
-        workload = generate_synthetic(config.synthetic_config(), seed=3)
-        policy = make_policy("anu", config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim = ClusterSimulation(workload.fork(), policy, config.cluster_config())
-        assert result_fingerprint(sim.run()) == PAPER_GOLD["anu"]
-
 
 class TestDistributedGolden:
     def test_builder_matches_golden(self, golden_workload):
@@ -98,17 +81,6 @@ class TestDistributedGolden:
         assert engine.failovers == 1
         assert engine.delegate_history == [4, 3]
 
-    def test_legacy_tower_matches_golden(self, golden_workload):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim = DistributedClusterSimulation(
-                golden_workload.fork(),
-                anu_policy(),
-                ClusterConfig(server_powers=POWERS),
-                delegate_crashes=[200.0],
-            )
-        assert result_fingerprint(sim.run()) == DISTRIBUTED_GOLD
-
 
 class TestChaosGolden:
     def test_builder_matches_golden(self, golden_workload):
@@ -122,15 +94,3 @@ class TestChaosGolden:
             .run()
         )
         assert chaos_fingerprint(result) == CHAOS_GOLD
-
-    def test_legacy_tower_matches_golden(self, golden_workload):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim = ChaosClusterSimulation(
-                golden_workload.fork(),
-                anu_policy(),
-                ClusterConfig(server_powers=POWERS),
-                schedule=CHAOS_SCHEDULE,
-                chaos=ChaosConfig(seed=7),
-            )
-        assert chaos_fingerprint(sim.run_chaos()) == CHAOS_GOLD

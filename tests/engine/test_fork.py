@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 from repro.experiments.cache import workload_fingerprint
-from repro.experiments.runner import _fresh_workload
 from repro.workloads.synthetic import Workload
 
 
@@ -54,8 +53,3 @@ class TestFork:
         assert workload_fingerprint(tiny_workload.fork()) == workload_fingerprint(
             rebuilt
         )
-
-    def test_fresh_workload_wrapper_delegates(self, tiny_workload):
-        fresh = _fresh_workload(tiny_workload)
-        assert fresh._arrivals is tiny_workload._arrivals
-        assert fresh.requests[0] is not tiny_workload.requests[0]

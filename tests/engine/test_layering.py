@@ -32,6 +32,22 @@ class TestCheckerTool:
         assert len(problems) == 1
         assert "repro.engine.engine:12" in problems[0]
 
+    def test_removed_paths_are_reported(self, tmp_path):
+        """A resurrected shim module and a deprecation warning both fail."""
+        shim = tmp_path / "cluster.py"
+        shim.write_text(
+            "import warnings\n"
+            "warnings.warn('old', DeprecationWarning, stacklevel=2)\n"
+        )
+        clean = tmp_path / "fine.py"
+        clean.write_text("x = 1\n")
+        problems = check_layering.check_removed(
+            {"repro.cluster.cluster": shim, "repro.cluster.fine": clean}
+        )
+        assert len(problems) == 2
+        assert "removed module is back" in problems[0]
+        assert "repro.cluster.cluster:2: DeprecationWarning" in problems[1]
+
     def test_cycle_detection(self):
         graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
         cycles = check_layering.find_cycles(graph)

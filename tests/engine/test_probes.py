@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.core.hashing import HashFamily
-from repro.engine import SimulationBuilder
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.engine.probes import (
     MovesApplied,
     ProbeBus,

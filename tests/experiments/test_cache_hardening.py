@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.experiments.cache import ExperimentCache
-from repro.experiments.parallel import default_workers
+from repro.experiments.fanout import default_workers
 from repro.workloads import SyntheticConfig, generate_synthetic
 
 SMALL = SyntheticConfig(

@@ -14,14 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import chaos_scale_main
+from dataclasses import replace
+
 from repro.experiments.chaos_scale import (
     CHAOS_SCALE_POLICIES,
+    SWEEP,
     ChaosScalePoint,
     render_chaos_scale,
-    run_chaos_scale_sweep,
-    write_chaos_scale_bench,
 )
+from repro.experiments.sweep import run_sweep, sweep_main, write_bench
 
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tools"))
@@ -37,7 +38,7 @@ TINY = (
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_chaos_scale_sweep(points=TINY, seed=1)
+    return run_sweep(SWEEP, points=TINY, seed=1, workers=1)
 
 
 class TestSweepSmoke:
@@ -73,7 +74,7 @@ class TestSweepSmoke:
         )
 
     def test_fingerprints_deterministic(self, payload):
-        again = run_chaos_scale_sweep(points=TINY, seed=1)
+        again = run_sweep(SWEEP, points=TINY, seed=1, workers=1)
         assert [r["fingerprint"] for r in payload["rows"]] == [
             r["fingerprint"] for r in again["rows"]
         ]
@@ -83,7 +84,7 @@ class TestSweepSmoke:
         rows byte-for-byte, fingerprints included."""
         timing = {"setup_seconds", "workload_seconds", "placement_seconds",
                   "reshuffle_seconds", "drive_seconds", "events_per_sec"}
-        parallel = run_chaos_scale_sweep(points=TINY, seed=1, workers=2)
+        parallel = run_sweep(SWEEP, points=TINY, seed=1, workers=2)
         assert payload["workers"] == 1 and parallel["workers"] == 2
         for a, b in zip(payload["rows"], parallel["rows"]):
             for key in set(a) | set(b):
@@ -102,7 +103,7 @@ class TestSchemaGuard:
         assert check_bench_schema.check_payload(payload) == []
 
     def test_written_file_passes_guard(self, payload, tmp_path):
-        path = write_chaos_scale_bench(payload, tmp_path / "BENCH_chaos_scale.json")
+        path = write_bench(payload, tmp_path / "BENCH_chaos_scale.json")
         assert check_bench_schema.check_payload(json.loads(path.read_text())) == []
         assert check_bench_schema.main(["check", str(path)]) == 0
 
@@ -123,15 +124,12 @@ class TestSchemaGuard:
 
 
 class TestCLI:
-    def test_smoke_cli_writes_clean_bench(self, tmp_path, monkeypatch, capsys):
+    def test_smoke_cli_writes_clean_bench(self, tmp_path, capsys):
         # The real --smoke points are CI-sized but still seconds; shrink
-        # further by monkeypatching to the tiny point for test speed.
-        # (The CLI imports SMOKE_POINTS at call time, so patch the source.)
-        import repro.experiments.chaos_scale as chaos_scale
-
-        monkeypatch.setattr(chaos_scale, "SMOKE_POINTS", TINY)
+        # further to the tiny point for test speed.
         out = tmp_path / "bench.json"
-        assert chaos_scale_main(["--smoke", "--out", str(out)]) == 0
+        tiny = replace(SWEEP, smoke_points=TINY)
+        assert sweep_main(tiny, ["--smoke", "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "chaos-scale sweep" in captured.out
         assert check_bench_schema.check_payload(json.loads(out.read_text())) == []

@@ -15,16 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.__main__ import control_main
+from repro.experiments.__main__ import main
 from repro.experiments.control import (
     CONTROL_SCENARIOS,
+    SWEEP,
     ControlPoint,
     render_control,
     run_control_point,
-    run_control_sweep,
     trace_metrics,
-    write_control_bench,
 )
+from repro.experiments.sweep import run_sweep, write_bench
 
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tools"))
@@ -45,7 +45,7 @@ CONTROLLERS = ("multiplicative", "brownout")
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_control_sweep(points=TINY, controllers=CONTROLLERS, seed=1)
+    return run_sweep(SWEEP, points=TINY, controllers=CONTROLLERS, seed=1, workers=1)
 
 
 class TestSweepSmoke:
@@ -150,8 +150,9 @@ class TestSchemaMutations:
 class TestCLI:
     def test_control_main_writes_valid_bench(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        code = control_main(
+        code = main(
             [
+                "control",
                 "--smoke",
                 "--seed", "1",
                 "--controllers", "multiplicative", "brownout",
@@ -174,6 +175,6 @@ class TestCLI:
     def test_write_is_canonical(self, payload, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        write_control_bench(payload, a)
-        write_control_bench(json.loads(a.read_text()), b)
+        write_bench(payload, a)
+        write_bench(json.loads(a.read_text()), b)
         assert a.read_text() == b.read_text()

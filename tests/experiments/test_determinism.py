@@ -17,7 +17,6 @@ from repro.experiments import (
     paper_config,
     result_fingerprint,
     run_comparison,
-    run_comparison_parallel,
     run_vp_sweep,
     workload_fingerprint,
 )
@@ -67,9 +66,7 @@ class TestSequentialDeterminism:
 
 class TestParallelDeterminism:
     def test_parallel_byte_identical_to_sequential(self, workload, config, sequential):
-        parallel = run_comparison_parallel(
-            workload, config, systems=SYSTEMS, max_workers=4
-        )
+        parallel = run_comparison(workload, config, systems=SYSTEMS, max_workers=2)
         assert list(parallel) == list(SYSTEMS)
         for system in SYSTEMS:
             assert result_fingerprint(parallel[system]) == result_fingerprint(
@@ -77,17 +74,15 @@ class TestParallelDeterminism:
             ), f"parallel diverged from sequential for {system}"
 
     def test_single_worker_fallback_identical(self, workload, config, sequential):
-        inline = run_comparison_parallel(
-            workload, config, systems=("anu",), max_workers=1
-        )
+        inline = run_comparison(workload, config, systems=("anu",), max_workers=1)
         assert result_fingerprint(inline["anu"]) == result_fingerprint(sequential["anu"])
 
     def test_vp_sweep_matches_direct_runs(self, workload, config):
-        from repro.experiments.runner import _fresh_workload, run_system
+        from repro.experiments.runner import run_system
 
         sweep = run_vp_sweep(workload, config, sweep=(5, 10), max_workers=2)
         for nv in (5, 10):
-            direct = run_system("virtual", _fresh_workload(workload), config, n_virtual=nv)
+            direct = run_system("virtual", workload.fork(), config, n_virtual=nv)
             assert result_fingerprint(sweep[nv]) == result_fingerprint(direct)
 
 
@@ -103,12 +98,12 @@ class TestExperimentCache:
 
     def test_cached_comparison_identical_and_hit(self, tmp_path, workload, config, sequential):
         cache = ExperimentCache(root=tmp_path, enabled=True)
-        first = run_comparison_parallel(
-            workload, config, systems=("anu", "simple"), max_workers=1, cache=cache
+        first = run_comparison(
+            workload, config, systems=("anu", "simple"), cache=cache
         )
         assert cache.hits == 0
-        second = run_comparison_parallel(
-            workload, config, systems=("anu", "simple"), max_workers=1, cache=cache
+        second = run_comparison(
+            workload, config, systems=("anu", "simple"), cache=cache
         )
         assert cache.hits == 2
         for system in ("anu", "simple"):

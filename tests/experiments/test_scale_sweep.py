@@ -18,11 +18,11 @@ import pytest
 from repro.experiments.scale import (
     EVENTS_PER_COMPLETED_REQUEST,
     SCALE_POLICIES,
+    SWEEP,
     ScalePoint,
     run_scale_point,
-    run_scale_sweep,
-    write_scale_bench,
 )
+from repro.experiments.sweep import run_sweep, write_bench
 
 REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO / "tools"))
@@ -33,7 +33,7 @@ TINY = (ScalePoint(n_servers=5, n_filesets=40, n_requests=2_000),)
 
 @pytest.fixture(scope="module")
 def payload():
-    return run_scale_sweep(points=TINY, seed=1)
+    return run_sweep(SWEEP, points=TINY, seed=1, workers=1)
 
 
 class TestSweepSmoke:
@@ -55,7 +55,7 @@ class TestSweepSmoke:
             assert row["p99_latency"] >= row["mean_latency"]
 
     def test_deterministic_modulo_timing(self, payload):
-        again = run_scale_sweep(points=TINY, seed=1)
+        again = run_sweep(SWEEP, points=TINY, seed=1, workers=1)
         timing = {"setup_seconds", "workload_seconds", "placement_seconds",
                   "reshuffle_seconds", "drive_seconds", "drive_seconds_all",
                   "events_per_sec"}
@@ -89,10 +89,9 @@ class TestFanOut:
 
     def test_workers_recorded_in_payload(self, payload):
         assert payload["workers"] == 1  # module fixture runs sequentially
-        assert payload["relocate_mode"] == "incremental"
 
     def test_parallel_rows_identical_modulo_timing(self, payload):
-        parallel = run_scale_sweep(points=TINY, seed=1, workers=2)
+        parallel = run_sweep(SWEEP, points=TINY, seed=1, workers=2)
         assert parallel["workers"] == 2
         assert len(parallel["rows"]) == len(payload["rows"])
         for a, b in zip(payload["rows"], parallel["rows"]):
@@ -105,14 +104,14 @@ class TestFanOut:
         """``repeats > 1`` exists for honest best-of-N drive timing —
         fanning repeats out across workers would let cells contend for
         cores and poison the measurement, so the sweep pins itself."""
-        payload = run_scale_sweep(points=TINY, seed=1, repeats=2, workers=4)
+        payload = run_sweep(SWEEP, points=TINY, seed=1, repeats=2, workers=4)
         assert payload["workers"] == 1
         for row in payload["rows"]:
             assert len(row["drive_seconds_all"]) == 2
 
     def test_workers_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
-            run_scale_sweep(points=TINY, seed=1, workers=0)
+            run_sweep(SWEEP, points=TINY, seed=1, workers=0)
 
 
 class TestSchemaGuard:
@@ -120,7 +119,7 @@ class TestSchemaGuard:
         assert check_bench_schema.check_payload(payload) == []
 
     def test_written_file_passes_guard(self, payload, tmp_path):
-        path = write_scale_bench(payload, tmp_path / "BENCH_scale.json")
+        path = write_bench(payload, tmp_path / "BENCH_scale.json")
         assert check_bench_schema.check_payload(json.loads(path.read_text())) == []
         assert check_bench_schema.main(["check", str(path)]) == 0
 

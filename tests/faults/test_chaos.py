@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.core import HashFamily
-from repro.experiments.runner import _fresh_workload
+from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
 from repro.faults import (
-    ChaosClusterSimulation,
-    ChaosConfig,
     ChaosInvariantError,
     FaultEvent,
     FaultKind,
@@ -44,12 +41,10 @@ def workload():
 
 def make_sim(workload, schedule=FULL_SCHEDULE, seed=7):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    return ChaosClusterSimulation(
-        _fresh_workload(workload),
-        policy,
-        ClusterConfig(server_powers=POWERS),
-        schedule=schedule,
-        chaos=ChaosConfig(seed=seed),
+    return (
+        SimulationBuilder(workload.fork(), policy, ClusterConfig(server_powers=POWERS))
+        .chaos(schedule, ChaosConfig(seed=seed))
+        .build()
     )
 
 

@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import (
-    ClusterConfig,
-    ClusterSimulation,
-    DistributedClusterSimulation,
-)
 from repro.core import HashFamily
 from repro.distributed import MessageKind
-from repro.experiments.runner import _fresh_workload
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -38,19 +33,18 @@ def workload():
 
 def run_direct(workload):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    sim = ClusterSimulation(
-        _fresh_workload(workload), policy, ClusterConfig(server_powers=POWERS)
-    )
+    sim = SimulationBuilder(
+        workload.fork(), policy, ClusterConfig(server_powers=POWERS)
+    ).build()
     return sim.run(), policy, sim
 
 
 def run_distributed(workload, crashes=None):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    sim = DistributedClusterSimulation(
-        _fresh_workload(workload),
-        policy,
-        ClusterConfig(server_powers=POWERS),
-        delegate_crashes=crashes,
+    sim = (
+        SimulationBuilder(workload.fork(), policy, ClusterConfig(server_powers=POWERS))
+        .distributed(delegate_crashes=crashes)
+        .build()
     )
     return sim.run(), policy, sim
 
@@ -109,8 +103,8 @@ class TestControlTraffic:
 class TestGuards:
     def test_non_anu_policy_rejected(self, workload):
         with pytest.raises(TypeError):
-            DistributedClusterSimulation(
-                _fresh_workload(workload),
+            SimulationBuilder(
+                workload.fork(),
                 SimpleRandomization(list(POWERS)),
                 ClusterConfig(server_powers=POWERS),
-            )
+            ).distributed().build()

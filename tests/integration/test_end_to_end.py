@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import CacheConfig, ClusterConfig, ClusterSimulation
+from repro.cluster import CacheConfig
 from repro.core import HashFamily, TuningPolicy
-from repro.experiments.runner import _fresh_workload
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.metrics import consistency_report, movement_series, steady_state_means
 from repro.policies import (
     ANURandomization,
@@ -36,11 +36,11 @@ def workload():
 
 
 def run(policy, wl, **cfg_kw):
-    sim = ClusterSimulation(
-        _fresh_workload(wl),
+    sim = SimulationBuilder(
+        wl.fork(),
         policy,
         ClusterConfig(server_powers=POWERS, **cfg_kw),
-    )
+    ).build()
     return sim.run()
 
 

@@ -10,16 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    AccessClient,
-    ClusterConfig,
-    ClusterSimulation,
-    DiskArray,
-    FileServer,
-    Namespace,
-)
+from repro.cluster import AccessClient, DiskArray, FileServer, Namespace
 from repro.core import ANUManager, HashFamily
-from repro.experiments.runner import _fresh_workload
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.metrics import SLA, evaluate_sla, steady_state_means
 from repro.policies import ANURandomization
 from repro.sim import Simulator
@@ -41,7 +34,7 @@ class TestClustersOnDemand:
             seed=21,
         )
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = ClusterSimulation(wl, policy, ClusterConfig(server_powers=POWERS))
+        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         # The big server leaves for another cluster for a third of the day.
         sim.schedule_failure(1200.0, 4)
         sim.schedule_recovery(2400.0, 4)
@@ -87,9 +80,9 @@ class TestSLABackedConsistency:
             ("simple", lambda: SimpleRandomization(list(POWERS), hash_family=HashFamily(seed=0))),
         ):
             wl = generate_synthetic(cfg, seed=22)
-            sim = ClusterSimulation(
-                _fresh_workload(wl), factory(), ClusterConfig(server_powers=POWERS)
-            )
+            sim = SimulationBuilder(
+                wl.fork(), factory(), ClusterConfig(server_powers=POWERS)
+            ).build()
             reports[name] = evaluate_sla(sim.run(), sla, min_share=0.05)
         assert reports["anu"].global_met
         assert not reports["simple"].consistent

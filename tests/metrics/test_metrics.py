@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterConfig, ClusterSimulation
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.metrics import (
     aggregate_latency,
     ascii_table,
@@ -37,9 +37,9 @@ def result():
         ),
         seed=5,
     )
-    sim = ClusterSimulation(
+    sim = SimulationBuilder(
         wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
-    )
+    ).build()
     return sim.run()
 
 

@@ -1,31 +1,34 @@
 """Incremental epoch-delta relocation: equivalence and the ledger.
 
-``VectorANU`` defaults to re-resolving only delta-invalidated names
-(``relocate_mode="incremental"``); every observable — assignments,
-probe depths, emitted moves, shed counts — must be bit-identical to
-the ``full`` mode that re-resolves the whole catalog. Golden tests pin
-the equivalence across tuning rounds and crash/recovery churn, a
-hypothesis property drives randomized timelines, and the
-``REPRO_VECTOR_RELOCATE`` escape hatch plus the ``RelocationStats``
-ledger get their contract checks.
+``VectorANU`` re-resolves only delta-invalidated names; every
+observable — assignments, probe depths, emitted moves, shed counts —
+must be bit-identical to a from-scratch resolution of the whole
+catalog. The oracle of ``tools/check_relocation_equivalence.py`` checks
+that after every reconfiguration: golden timelines pin it across
+tuning rounds and crash/recovery churn, a hypothesis property drives
+randomized timelines, and the ``RelocationStats`` ledger gets its
+contract checks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.fileset import FileSet, FileSetCatalog
 from repro.core.hashing import HashFamily
 from repro.core.tuning import LatencyReport
 from repro.policies.base import RebalanceContext, RelocationStats
-from repro.policies.vector import (
-    RELOCATE_MODES,
-    VectorANU,
-    relocate_mode_from_env,
+from repro.policies.vector import VectorANU
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+from check_relocation_equivalence import (  # noqa: E402
+    audit_relocations,
+    oracle_problems,
 )
 
 SIDS = list(range(8))
@@ -37,12 +40,9 @@ def _catalog(n):
     )
 
 
-def _policy(mode, n_filesets=2_000, emit_moves=True):
+def _policy(n_filesets=2_000, emit_moves=True):
     policy = VectorANU(
-        list(SIDS),
-        hash_family=HashFamily(seed=0),
-        emit_moves=emit_moves,
-        relocate_mode=mode,
+        list(SIDS), hash_family=HashFamily(seed=0), emit_moves=emit_moves
     )
     policy.initial_placement(_catalog(n_filesets), None)
     return policy
@@ -69,42 +69,31 @@ def _tune(policy, round_, means):
     return policy.rebalance(ctx)
 
 
-def _assert_twins(a, b, what):
-    np.testing.assert_array_equal(a._assign, b._assign, err_msg=what)
-    np.testing.assert_array_equal(a._used, b._used, err_msg=what)
-    assert a.total_sheds == b.total_sheds, what
-
-
 class TestGoldenEquivalence:
     def test_tuning_rounds_bit_identical(self):
-        a, b = _policy("incremental"), _policy("full")
+        policy = _policy()
         rng = np.random.default_rng(7)
-        for round_ in range(10):
-            means = rng.gamma(2.0, 1.0, size=len(SIDS))
-            moves_a = _tune(a, round_, means)
-            moves_b = _tune(b, round_, means)
-            assert moves_a == moves_b, f"round {round_}"
-            _assert_twins(a, b, f"round {round_}")
+        with audit_relocations() as problems:
+            for round_ in range(10):
+                _tune(policy, round_, rng.gamma(2.0, 1.0, size=len(SIDS)))
+        assert problems == []
         # Incremental must actually have saved work, or it is just a
-        # slower spelling of full.
-        assert 0 < a.relocated_total < b.relocated_total
-        assert b.relocate_fraction == 1.0
+        # slower spelling of a from-scratch resolution.
+        assert policy.relocation_rounds == 10
+        assert 0 < policy.relocated_total < policy.relocation_opportunity
 
     def test_churn_bit_identical(self):
-        a, b = _policy("incremental"), _policy("full")
+        policy = _policy()
         rng = np.random.default_rng(13)
-        for round_ in range(8):
-            means = rng.gamma(2.0, 1.0, size=a.layout.n_servers)
-            _tune(a, round_, means)
-            _tune(b, round_, means)
-            if round_ == 2:
-                assert a.server_failed(3) == b.server_failed(3)
-                _assert_twins(a, b, "fail")
-            if round_ == 5:
-                assert a.server_added(3) == b.server_added(3)
-                _assert_twins(a, b, "recover")
-        _assert_twins(a, b, "final")
-        assert set(a.relocated_by_kind) == {"tune", "fail", "recover"}
+        with audit_relocations() as problems:
+            for round_ in range(8):
+                _tune(policy, round_, rng.gamma(2.0, 1.0, size=policy.layout.n_servers))
+                if round_ == 2:
+                    assert policy.server_failed(3)
+                if round_ == 5:
+                    assert policy.server_added(3)
+        assert problems == []
+        assert set(policy.relocated_by_kind) == {"tune", "fail", "recover"}
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -114,57 +103,45 @@ class TestGoldenEquivalence:
         ),
     )
     def test_random_timelines_bit_identical(self, seed, events):
-        a = _policy("incremental", n_filesets=600)
-        b = _policy("full", n_filesets=600)
+        policy = _policy(n_filesets=600)
         rng = np.random.default_rng(seed)
         down = set()
-        for round_, kind in enumerate(events):
-            if kind == "tune" or (kind == "fail" and len(down) >= len(SIDS) - 1):
-                means = rng.gamma(2.0, 1.0, size=a.layout.n_servers)
-                assert _tune(a, round_, means) == _tune(b, round_, means)
-            elif kind == "fail":
-                victim = int(rng.choice([s for s in SIDS if s not in down]))
-                down.add(victim)
-                assert a.server_failed(victim) == b.server_failed(victim)
-            elif down:
-                back = int(rng.choice(sorted(down)))
-                down.discard(back)
-                assert a.server_added(back) == b.server_added(back)
-            _assert_twins(a, b, f"event {round_} ({kind})")
+        with audit_relocations() as problems:
+            for round_, kind in enumerate(events):
+                if kind == "tune" or (kind == "fail" and len(down) >= len(SIDS) - 1):
+                    means = rng.gamma(2.0, 1.0, size=policy.layout.n_servers)
+                    _tune(policy, round_, means)
+                elif kind == "fail":
+                    victim = int(rng.choice([s for s in SIDS if s not in down]))
+                    down.add(victim)
+                    policy.server_failed(victim)
+                elif down:
+                    back = int(rng.choice(sorted(down)))
+                    down.discard(back)
+                    policy.server_added(back)
+        assert problems == []
 
-
-class TestEscapeHatch:
-    def test_env_default_is_incremental(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTOR_RELOCATE", raising=False)
-        assert relocate_mode_from_env() == "incremental"
-
-    @pytest.mark.parametrize("mode", RELOCATE_MODES)
-    def test_env_selects_mode(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_VECTOR_RELOCATE", mode)
-        assert relocate_mode_from_env() == mode
-        policy = VectorANU(list(SIDS), hash_family=HashFamily(seed=0))
-        assert policy.relocate_mode == mode
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_RELOCATE", "fastest")
-        with pytest.raises(ValueError, match="REPRO_VECTOR_RELOCATE"):
-            relocate_mode_from_env()
-
-    def test_constructor_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            VectorANU(
-                list(SIDS), hash_family=HashFamily(seed=0), relocate_mode="bogus"
-            )
+    def test_oracle_flags_a_stale_resolution(self):
+        """The oracle is not vacuous: one name left on its old owner, or
+        one dropped move, is reported."""
+        policy = _policy()
+        before = policy._assign.copy()
+        moves = _tune(policy, 0, np.linspace(1.0, 5.0, len(SIDS)))
+        assert moves and oracle_problems(policy, before, len(moves), moves, "t") == []
+        assert oracle_problems(policy, before, len(moves), moves[1:], "t")
+        moved = np.flatnonzero(policy._assign != before)[0]
+        policy._assign[moved] = before[moved]
+        assert oracle_problems(policy, before, len(moves), moves, "t")
 
 
 class TestRelocationLedger:
     def test_fraction_before_any_round_is_zero(self):
-        policy = _policy("incremental")
+        policy = _policy()
         assert policy.relocate_fraction == 0.0
         assert policy.consume_last_relocation() is None
 
     def test_consume_pops_one_record(self):
-        policy = _policy("incremental")
+        policy = _policy()
         _tune(policy, 0, np.linspace(1.0, 5.0, len(SIDS)))
         info = policy.consume_last_relocation()
         assert info is not None
@@ -174,13 +151,8 @@ class TestRelocationLedger:
         assert 0 <= info["relocated"] <= 2_000
         assert policy.consume_last_relocation() is None  # popped
 
-    def test_full_mode_fraction_is_one(self):
-        policy = _policy("full")
-        _tune(policy, 0, np.linspace(1.0, 5.0, len(SIDS)))
-        assert policy.relocate_fraction == 1.0
-
     def test_mixin_is_opt_in(self):
-        assert isinstance(_policy("incremental"), RelocationStats)
+        assert isinstance(_policy(), RelocationStats)
 
 
 class TestProbePublishing:
@@ -206,9 +178,7 @@ class TestProbePublishing:
             ),
             seed=1,
         )
-        policy = VectorANU(
-            list(SIDS), hash_family=HashFamily(seed=0), relocate_mode="incremental"
-        )
+        policy = VectorANU(list(SIDS), hash_family=HashFamily(seed=0))
         engine = ExperimentSpec(
             workload=workload,
             policy=policy,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import CacheConfig, ClusterConfig, ClusterSimulation
+from repro.cluster import CacheConfig
 from repro.core import HashFamily
+from repro.engine import ClusterConfig, SimulationBuilder
 from repro.policies import ANURandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -28,11 +29,11 @@ class TestConservation:
         """submitted == completed + still-queued/in-service; nothing is
         silently lost or duplicated, whatever the workload draw."""
         wl = small_workload(seed)
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl,
             ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
             ClusterConfig(server_powers=POWERS),
-        )
+        ).build()
         res = sim.run()
         assert res.submitted == len(wl)
         in_queues = sum(s.queue_length for s in sim.servers.values())
@@ -45,11 +46,11 @@ class TestConservation:
     @settings(max_examples=8, deadline=None)
     def test_per_server_counts_sum_to_completed(self, seed):
         wl = small_workload(seed)
-        sim = ClusterSimulation(
+        sim = SimulationBuilder(
             wl,
             ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
             ClusterConfig(server_powers=POWERS),
-        )
+        ).build()
         res = sim.run()
         assert sum(res.server_requests.values()) == res.completed
         assert res.all_latencies.size == res.completed
@@ -74,7 +75,7 @@ class TestChurnRobustness:
         and the cluster still serving."""
         wl = small_workload(3)
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = ClusterSimulation(wl, policy, ClusterConfig(server_powers=POWERS))
+        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
 
         # Sanitize into a *valid* schedule: fail only live, recover only
         # failed, never fail the last server.

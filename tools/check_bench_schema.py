@@ -9,7 +9,7 @@ Run from the repository root (CI does)::
 Validates each benchmark artifact against the schema the code writes
 today: top-level keys, ``schema_version`` where the bench carries one,
 and the per-row key set and value types — one schema table per bench
-(``scale``, ``chaos_scale``, ``control``, ``robustness``, ``perf``,
+(``scale``, ``chaos_scale``, ``control``, ``robustness``,
 ``service``).
 The point is
 drift detection — if an experiment module changes its payload shape,
@@ -36,12 +36,12 @@ from pathlib import Path
 
 NoneType = type(None)
 
-#: Must match ``repro.experiments.scale.SCHEMA_VERSION``.
-SCALE_SCHEMA_VERSION = 2
-#: Must match ``repro.experiments.chaos_scale.SCHEMA_VERSION``.
-CHAOS_SCALE_SCHEMA_VERSION = 2
-#: Must match ``repro.experiments.control.SCHEMA_VERSION``.
-CONTROL_SCHEMA_VERSION = 2
+#: Must match ``repro.experiments.scale.SWEEP.schema_version``.
+SCALE_SCHEMA_VERSION = 3
+#: Must match ``repro.experiments.chaos_scale.SWEEP.schema_version``.
+CHAOS_SCALE_SCHEMA_VERSION = 3
+#: Must match ``repro.experiments.control.SWEEP.schema_version``.
+CONTROL_SCHEMA_VERSION = 3
 #: Must match ``repro.service.bench.SCHEMA_VERSION``.
 SERVICE_SCHEMA_VERSION = 1
 
@@ -86,7 +86,6 @@ BENCHES = {
             "seed": int,
             "cpu_count": int,
             "workers": int,
-            "relocate_mode": str,
             "policies": list,
             "rows": list,
         },
@@ -126,7 +125,6 @@ BENCHES = {
             "seed": int,
             "cpu_count": int,
             "workers": int,
-            "relocate_mode": str,
             "policies": list,
             "detection_latency_bound_s": _NUM,
             "heartbeat": dict,
@@ -163,7 +161,6 @@ BENCHES = {
             "seed": int,
             "cpu_count": int,
             "workers": int,
-            "relocate_mode": str,
             "baseline_controller": str,
             "controllers": list,
             "scenarios": list,
@@ -282,23 +279,6 @@ BENCHES = {
         "zero_top": ("requests_lost",),
         "true_top": ("conserved", "classified", "converged", "twin_ok"),
     },
-    "perf": {
-        "default_path": "BENCH_perf.json",
-        "schema_version": None,
-        "top": {
-            "version": str,
-            "cpu_count": int,
-            "note": str,
-            "baseline": dict,
-            "kernel_events_per_sec": _NUM,
-            "locates_per_sec": _NUM,
-            "comparison": dict,
-            "kernel_speedup_vs_baseline": _NUM,
-            "locate_speedup_vs_baseline": _NUM,
-        },
-        "row": None,
-        "finite": ("kernel_events_per_sec", "locates_per_sec"),
-    },
 }
 
 
@@ -309,8 +289,6 @@ def identify_bench(payload: object) -> str | None:
     bench = payload.get("bench")
     if isinstance(bench, str) and bench in BENCHES:
         return bench
-    if "kernel_events_per_sec" in payload and "bench" not in payload:
-        return "perf"
     return None
 
 
@@ -379,8 +357,6 @@ def check_payload(payload: object, bench: str | None = None) -> list[str]:
                 f"top-level {key!r} must be true in a committed bench, "
                 f"got {payload.get(key)!r}"
             )
-    if spec["row"] is None:
-        return problems
     rows = payload.get("rows")
     if not isinstance(rows, list) or not rows:
         problems.append("rows must be a non-empty list")

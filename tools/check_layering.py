@@ -9,14 +9,19 @@ Checks, using nothing but the stdlib ``ast`` module:
 
 1. **Layer bans** — ``repro.engine`` is the bottom of the experiment
    stack: none of its modules may import ``repro.experiments`` (the top
-   of the stack), and none may import the legacy shim packages
-   ``repro.cluster`` / ``repro.faults`` *at module import time* (the
-   shims subclass the engine, so a top-level import would deadlock the
-   package initialisation order). Function-local (lazy) imports are
-   allowed and are how the engine reaches the server/cache models.
+   of the stack), and none may import ``repro.cluster`` /
+   ``repro.faults`` *at module import time* (both packages import the
+   engine's records and client path, so a top-level import would
+   deadlock the package initialisation order). Function-local (lazy)
+   imports are allowed and are how the engine reaches the server/cache
+   models.
 2. **Import cycles** — the module-level import graph of ``repro`` must
    be acyclic. Imports guarded by ``if TYPE_CHECKING:`` are ignored
    (they never execute).
+3. **Removed paths stay removed** — the legacy simulation shims and
+   the second parallel runner were deleted; a module under one of
+   their names, or any ``DeprecationWarning`` under ``src/`` (the shims
+   were the only deprecated surface), fails the gate.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -41,12 +46,12 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
     (
         "repro.engine",
         "repro.cluster",
-        "legacy shim package; engine modules must import it lazily",
+        "its client imports the engine; engine modules must import it lazily",
     ),
     (
         "repro.engine",
         "repro.faults",
-        "legacy shim package; engine modules must import it lazily",
+        "it imports the engine's records; engine modules must import it lazily",
     ),
     # The vectorized path added array kernels to repro.core and an
     # array workload to repro.workloads; both stay below the engine.
@@ -167,6 +172,15 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
 )
 
 
+#: Deleted modules that must not come back: build an engine with
+#: ``SimulationBuilder``, fan runs out with ``run_comparison``.
+REMOVED_MODULES: Tuple[str, ...] = (
+    "repro.cluster.cluster",
+    "repro.cluster.distributed_cluster",
+    "repro.experiments.parallel",
+)
+
+
 def discover_modules() -> Dict[str, Path]:
     """Map dotted module name -> source file for the whole package."""
     modules: Dict[str, Path] = {}
@@ -263,6 +277,23 @@ def check_bans(edges: List[Tuple[str, str, int]]) -> List[str]:
     return problems
 
 
+def check_removed(modules: Dict[str, Path]) -> List[str]:
+    """Resurrected modules and deprecation shims, one line each."""
+    problems = [
+        f"{name}: removed module is back ({modules[name]})"
+        for name in REMOVED_MODULES
+        if name in modules
+    ]
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "DeprecationWarning":
+                problems.append(
+                    f"{name}:{node.lineno}: DeprecationWarning — delete the "
+                    "old path instead of deprecating it"
+                )
+    return problems
+
+
 def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
     """Tarjan SCC; returns components of size > 1 (plus self-loops)."""
     index: Dict[str, int] = {}
@@ -320,7 +351,7 @@ def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
 def main() -> int:
     modules = discover_modules()
     graph, edges = build_graph(modules)
-    problems = check_bans(edges)
+    problems = check_bans(edges) + check_removed(modules)
     for component in find_cycles(graph):
         problems.append("import cycle: " + " <-> ".join(component))
     if problems:

@@ -1,125 +1,152 @@
 #!/usr/bin/env python3
-"""Relocation-equivalence gate: incremental must equal full, bit for bit.
+"""Relocation oracle: incremental must equal from-scratch, bit for bit.
 
-``VectorANU`` re-resolves only delta-invalidated names by default
-(``REPRO_VECTOR_RELOCATE=incremental``); the claim the optimization
-stands on is that this is *indistinguishable* from re-resolving the
-whole catalog (``full``) — same assignments, same sheds, same moves,
-same chaos fingerprints — at every reconfiguration: tuning rounds,
-crash/recovery churn, and full chaos timelines.
+``VectorANU`` re-resolves only the names an epoch delta can invalidate;
+the claim the optimization stands on is that this is
+*indistinguishable* from re-resolving the whole catalog. The oracle
+here checks it after **every** reconfiguration — tuning rounds,
+crash/recovery churn, full chaos timelines:
 
-This gate runs both modes over the CI-sized sweeps and compares the
-rows:
+* a from-scratch ``batched_locate`` over a ``SegmentTable`` rebuilt
+  from the policy's current layout must equal the policy's
+  ``_assign`` (owners) and ``_used`` (probe depths);
+* the shed count and the emitted ``Move`` list must equal the diff of
+  consecutive reference assignments.
+
+:func:`audit_relocations` installs the check around every
+``VectorANU._reshuffle`` inside a ``with`` block;
+``tests/policies/test_relocation.py`` drives its golden and hypothesis
+timelines through it, and this script runs the CI-sized sweeps' ANU
+cells under it, once:
 
 * every ``scale`` SMOKE_POINTS cell (tuning rounds only), and
-* every ``chaos_scale`` SMOKE_POINTS cell (compiled churn + chaos),
-  where the row carries the run's ``chaos_fingerprint`` — a content
-  hash over the drained latency arrays, so a single re-resolved name
-  diverging anywhere flips it.
-
-Rows must match on every key except wall-clock timing and the
-relocation ledger itself (``relocated``/``relocate_fraction`` measure
-how much *work* each mode did — the full mode re-resolves everything
-by definition, that asymmetry is the point).
+* every ``chaos_scale`` SMOKE_POINTS cell (compiled churn + chaos).
 
 Run from the repository root (CI does)::
 
     python tools/check_relocation_equivalence.py
 
-Exit status 0 when the modes agree everywhere; 1 with one line per
-divergent key otherwise.
+Exit status 0 when every reconfiguration matched; 1 with one line per
+divergence otherwise.
 """
 
 from __future__ import annotations
 
-import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-#: Keys that legitimately differ between modes: wall-clock timing, and
-#: the relocation ledger (it *measures* the work saved).
-EXEMPT = {
-    "workload_seconds",
-    "placement_seconds",
-    "setup_seconds",
-    "drive_seconds",
-    "drive_seconds_all",
-    "events_per_sec",
-    "reshuffle_seconds",
-    "relocated",
-    "relocate_fraction",
-}
+import numpy as np  # noqa: E402
+
+from repro.core.vector import SegmentTable, batched_locate  # noqa: E402
+from repro.policies.base import Move  # noqa: E402
+from repro.policies.vector import VectorANU  # noqa: E402
 
 
-def _diff_rows(label: str, incremental: dict, full: dict) -> list[str]:
+def reference_resolution(policy: VectorANU):
+    """``(owner, used)`` of the whole catalog, resolved from scratch."""
+    blocked = policy._blocked if policy._blocked.any() else None
+    table = SegmentTable.from_layout(policy.layout, policy._slot)
+    return batched_locate(policy._probes, table, blocked=blocked)
+
+
+def oracle_problems(
+    policy: VectorANU, before: np.ndarray, sheds: int, moves: List[Move], what: str
+) -> List[str]:
+    """Divergences of one reconfiguration from the from-scratch oracle.
+
+    ``before`` is the reference assignment of the previous epoch,
+    ``sheds`` what the round added to ``total_sheds``, ``moves`` what
+    it emitted.
+    """
+    owner, used = reference_resolution(policy)
     problems = []
-    for key in sorted(set(incremental) | set(full)):
-        if key in EXEMPT:
-            continue
-        a, b = incremental.get(key), full.get(key)
-        if a != b:
+    if not np.array_equal(owner, policy._assign):
+        bad = int(np.count_nonzero(owner != policy._assign))
+        problems.append(f"{what}: {bad} assignments differ from the reference")
+    if not np.array_equal(used, policy._used):
+        bad = int(np.count_nonzero(used != policy._used))
+        problems.append(f"{what}: {bad} probe depths differ from the reference")
+    changed = np.flatnonzero(before != owner)
+    if sheds != changed.size:
+        problems.append(f"{what}: shed {sheds} file sets, reference moved {changed.size}")
+    if policy.emit_moves:
+        names, sids = policy._names, policy.server_ids
+        expected = [Move(names[i], sids[before[i]], sids[owner[i]]) for i in changed]
+        if moves != expected:
             problems.append(
-                f"{label}: {key!r} diverges: incremental={a!r} full={b!r}"
+                f"{what}: emitted {len(moves)} moves, reference diff has {len(expected)}"
+                if len(moves) != len(expected)
+                else f"{what}: emitted moves differ from the reference diff"
             )
     return problems
 
 
-def _mode_rows(mode: str) -> list[tuple[str, dict]]:
-    """Every smoke cell's row under one relocation mode."""
-    os.environ["REPRO_VECTOR_RELOCATE"] = mode
+@contextmanager
+def audit_relocations() -> Iterator[List[str]]:
+    """Check every ``VectorANU`` reconfiguration inside the block.
+
+    Yields the list the divergences accumulate in (empty = every round
+    matched the oracle).
+    """
+    problems: List[str] = []
+    reshuffle = VectorANU._reshuffle
+
+    def audited(self, kind="tune", changed_sids=None):
+        # The assignment entering a round is the previous reference:
+        # placement resolves from scratch, and every later epoch was
+        # held to the oracle by this same check.
+        before = self._assign.copy()
+        sheds = self.total_sheds
+        moves = reshuffle(self, kind, changed_sids)
+        problems.extend(
+            oracle_problems(
+                self, before, self.total_sheds - sheds, moves,
+                f"epoch {self.epoch} ({kind})",
+            )
+        )
+        return moves
+
+    VectorANU._reshuffle = audited
+    try:
+        yield problems
+    finally:
+        VectorANU._reshuffle = reshuffle
+
+
+def main() -> int:
     from repro.experiments.chaos_scale import (
         SMOKE_POINTS as CHAOS_POINTS,
         run_chaos_scale_point,
     )
     from repro.experiments.scale import SMOKE_POINTS, run_scale_point
 
-    rows = []
-    for point in SMOKE_POINTS:
-        rows.append(
-            (f"scale {point.label()}", run_scale_point(point, "anu", seed=1))
-        )
-    for point in CHAOS_POINTS:
-        rows.append(
-            (
-                f"chaos-scale {point.label()}",
-                run_chaos_scale_point(point, "anu", seed=1),
-            )
-        )
-    return rows
-
-
-def main() -> int:
-    saved = os.environ.get("REPRO_VECTOR_RELOCATE")
-    try:
-        incremental = _mode_rows("incremental")
-        full = _mode_rows("full")
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_VECTOR_RELOCATE", None)
-        else:
-            os.environ["REPRO_VECTOR_RELOCATE"] = saved
-    problems: list[str] = []
-    for (label, row_inc), (_, row_full) in zip(incremental, full):
-        problems.extend(_diff_rows(label, row_inc, row_full))
-        if row_inc.get("relocated", 0) > row_full.get("relocated", 0):
-            problems.append(
-                f"{label}: incremental re-resolved more names than full "
-                f"({row_inc['relocated']} > {row_full['relocated']})"
-            )
-    for line in problems:
-        print(line, file=sys.stderr)
-    if problems:
-        print(f"\n{len(problems)} equivalence violation(s)", file=sys.stderr)
-        return 1
-    saved_work = [
-        (label, inc.get("relocated"), full_row.get("relocated"))
-        for (label, inc), (_, full_row) in zip(incremental, full)
+    cells = [(f"scale {p.label()}", run_scale_point, p) for p in SMOKE_POINTS]
+    cells += [
+        (f"chaos-scale {p.label()}", run_chaos_scale_point, p) for p in CHAOS_POINTS
     ]
-    print(f"relocation equivalence OK: {len(incremental)} cells, both modes agree")
-    for label, inc_n, full_n in saved_work:
-        print(f"  {label}: re-resolved {inc_n} (incremental) vs {full_n} (full)")
+    failed = 0
+    lines = []
+    for label, run, point in cells:
+        with audit_relocations() as problems:
+            row = run(point, "anu", seed=1)
+        if not row["relocated"]:
+            problems.append("no reconfiguration re-resolved anything; nothing was checked")
+        for line in problems:
+            print(f"{label}: {line}", file=sys.stderr)
+        failed += len(problems)
+        lines.append(
+            f"  {label}: re-resolved {row['relocated']} names "
+            f"({100.0 * row['relocate_fraction']:.1f}% of the from-scratch work)"
+        )
+    if failed:
+        print(f"\n{failed} equivalence violation(s)", file=sys.stderr)
+        return 1
+    print(f"relocation equivalence OK: {len(cells)} cells, every epoch matches the oracle")
+    print("\n".join(lines))
     return 0
 
 
