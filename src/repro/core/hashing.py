@@ -15,9 +15,13 @@ salted BLAKE2b digest interpreted as a 64-bit fraction. The family is
 * uniform — digest bits are uniform on [0, 1) for any name distribution;
 * independent across rounds — each round uses a distinct salt.
 
-Vectorized batch helpers are provided because experiments hash tens of
-thousands of names; hashing is never the bottleneck but the batch API
-keeps the analysis code idiomatic NumPy.
+A salted digest costs a few hundred nanoseconds from Python, so at
+catalog scale hashing *is* the placement cost: a million names times a
+handful of rounds is seconds. :meth:`HashFamily.batch_offsets` is the one
+bulk entry point (every vector-path digest goes through it, which is
+also where the benchmark counts them), and its callers are expected to
+hash only the ``(name, round)`` pairs they read
+(:class:`repro.core.vector.ProbeMatrix`).
 
 Probe offsets are memoized per name: ``h_r(name)`` is a pure function
 of ``(seed, name, r)``, so once computed it is valid forever. Lookups
@@ -138,14 +142,18 @@ class HashFamily:
             raise ConfigurationError(
                 f"round {round_} outside probe budget [0, {self.max_probes})"
             )
-        salt = self._salts[round_]
-        blake2b = hashlib.blake2b
-        from_bytes = int.from_bytes
-        out = np.empty(len(names), dtype=np.float64)
-        for i, name in enumerate(names):
-            digest = blake2b(name.encode("utf-8"), digest_size=8, salt=salt).digest()
-            out[i] = from_bytes(digest, "little") / _TWO64
-        return out
+        # One salted state per batch; each name pays a copy, an update
+        # and a digest instead of a keyword-parsing constructor call.
+        # uint64 -> float64 rounds to nearest-even exactly as
+        # ``int / 2.0**64`` does, and the power-of-two division is exact.
+        fresh = hashlib.blake2b(digest_size=8, salt=self._salts[round_]).copy
+        digests = []
+        append = digests.append
+        for name in names:
+            state = fresh()
+            state.update(name.encode())  # UTF-8, as in _grow_probes
+            append(state.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8") / _TWO64
 
     def offset_matrix(self, names: Sequence[str], rounds: int) -> np.ndarray:
         """``(len(names), rounds)`` matrix of offsets.

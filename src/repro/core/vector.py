@@ -13,9 +13,11 @@ routine (and tested for agreement with it):
   :meth:`IntervalLayout.owner_at` over an offset batch via one
   ``searchsorted``.
 * :class:`ProbeMatrix` — the memoized probe sequences of
-  :class:`~repro.core.hashing.HashFamily`, held column-major per round
-  and grown lazily; columns are pure in ``(seed, name, round)`` so they
-  are computed once and reused across every reconfiguration epoch.
+  :class:`~repro.core.hashing.HashFamily`: offsets are pure in
+  ``(seed, name, round)``, so each is hashed once, when the probe loop
+  first reads it, and reused across every reconfiguration epoch — one
+  dense round-0 column, a pooled row of deeper rounds per name, and
+  one offset-sorted index over all of them for the epoch-delta scan.
 * :func:`batched_locate` — the ANU re-hash loop ("re-hash until the
   offset lands in a mapped region") run round-by-round over the
   unresolved remainder of the batch.
@@ -26,7 +28,7 @@ routine (and tested for agreement with it):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,57 +176,222 @@ class SegmentTable:
         return np.where(hit, self.owners[clipped], -1)
 
 
-class ProbeMatrix:
-    """Probe-offset columns for a fixed name list, grown lazily by round.
+class _ProbeIndex(NamedTuple):
+    """Read probes sorted by offset (parallel arrays; ``name_idx`` and
+    ``rounds`` are int32 — at three entries per name the index is the
+    largest structure of a placement, and both fit with room to spare)."""
 
-    Column ``r`` is ``h_r(name)`` for every name — bit-identical to
-    :meth:`HashFamily.offset` — computed once via
-    :meth:`HashFamily.batch_offsets` and reused for every epoch. Memory
-    is ``8 * len(names)`` bytes per materialized round; with half
-    occupancy the expected number of materialized rounds is ~2 plus the
-    tail of the worst name.
+    offsets: np.ndarray
+    name_idx: np.ndarray
+    rounds: np.ndarray
+
+
+_NO_NAMES = np.empty(0, dtype=np.int32)
+_EMPTY_INDEX = _ProbeIndex(np.empty(0, dtype=np.float64), _NO_NAMES, _NO_NAMES)
+#: The recent run is merged into the probe index once it holds more
+#: than 1/_MERGE_SHARE as many entries (amortizes the merge pass).
+_MERGE_SHARE = 8
+
+
+def _merged(base: _ProbeIndex, fresh: _ProbeIndex) -> _ProbeIndex:
+    """Two offset-sorted runs as one (no re-sort of ``base``)."""
+    if not base.offsets.size:
+        return fresh
+    at = np.searchsorted(base.offsets, fresh.offsets)
+    return _ProbeIndex(*(np.insert(b, at, f) for b, f in zip(base, fresh)))
+
+
+def _in_intervals(
+    run: _ProbeIndex, starts: np.ndarray, ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(name_idx, rounds)`` of the entries of one sorted run inside
+    the sorted, disjoint intervals ``[starts[i], ends[i])``."""
+    lo = np.searchsorted(run.offsets, starts, side="left")
+    counts = np.searchsorted(run.offsets, ends, side="left") - lo
+    # Entry j of interval i sits at lo[i] + j: repeat each lo shifted
+    # back by the counts before it, then add 0..total-1 — the ranges
+    # lo[i]:lo[i]+counts[i] back to back, without a Python loop.
+    hits = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    hits += np.arange(hits.size)
+    return run.name_idx[hits], run.rounds[hits]
+
+
+class ProbeMatrix:
+    """Probe offsets ``h_r(name)`` of a fixed name list, hashed when first read.
+
+    Every value is bit-identical to :meth:`HashFamily.offset` and pure in
+    ``(seed, name, round)``, so an entry is hashed once (always through
+    :meth:`HashFamily.batch_offsets`) and stays valid for every epoch.
+    Only what the probe loop *reads* is hashed. Round 0 is read for
+    every name and is one dense column. Deeper rounds are read in order
+    until the name resolves, so what a name has hashed is always a
+    prefix ``1..deep``; it sits in one contiguous row of a shared pool,
+    and a row that fills up moves to the pool's end with twice the room.
+    Reading is two gathers, growing writes in place, and memory follows
+    the probes read — about two per name at half occupancy, the paper's
+    "about two" hash evaluations — not ``8 * len(names)`` bytes for
+    every round the deepest name reached.
+
+    :meth:`index` is the same set of entries sorted by offset, the form
+    the epoch-delta scan (:meth:`in_intervals`) needs.
+
+    ``names`` is shared with the caller, not copied (a million-entry
+    list at the big point); it must not change afterwards.
     """
 
-    __slots__ = ("names", "family", "_columns", "_sorted")
+    __slots__ = (
+        "names", "family", "_columns", "_deep", "_base", "_pool", "_pool_used",
+        "_index", "_recent", "_unindexed",
+    )
 
     def __init__(self, names: Sequence[str], family: HashFamily) -> None:
-        self.names = list(names)
+        self.names = names
         self.family = family
+        # round -> dense column. The probe loop only ever fills round 0;
+        # deeper entries are there when a caller asked for the reference.
         self._columns: Dict[int, np.ndarray] = {}
-        self._sorted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # Name i holds rounds 1.._deep[i] at _pool[_base[i]:][:_deep[i]],
+        # in a row whose capacity is _deep[i] rounded up to a power of two.
+        self._deep = np.zeros(len(names), dtype=np.int64)
+        self._base = np.zeros(len(names), dtype=np.int64)
+        self._pool = np.empty(0, dtype=np.float64)
+        self._pool_used = 0
+        # Read probes sorted by offset, in two runs: what index() last
+        # merged, and the (few) entries hashed since; plus the batches
+        # not yet sorted into the second.
+        self._index: _ProbeIndex = _EMPTY_INDEX
+        self._recent: _ProbeIndex = _EMPTY_INDEX
+        self._unindexed: List[Tuple[np.ndarray, np.ndarray, int]] = []
 
     def __len__(self) -> int:
         return len(self.names)
 
     @property
     def rounds_materialized(self) -> int:
-        return len(self._columns)
+        """Rounds with at least one hashed entry."""
+        deepest = int(self._deep.max(initial=0))
+        return len(self._columns.keys() | set(range(1, deepest + 1)))
 
     def column(self, round_: int) -> np.ndarray:
-        """Offsets of every name for probe ``round_`` (cached)."""
+        """Offsets of *every* name for probe ``round_`` (cached).
+
+        The dense reference: the probe loop reads round 0 through it,
+        oracles and tests read any round to check :meth:`offsets_at`
+        against. A deeper dense column is never consulted by
+        :meth:`offsets_at` and never enters :meth:`index`.
+        """
         col = self._columns.get(round_)
         if col is None:
             col = self._columns[round_] = self.family.batch_offsets(
                 self.names, round_
             )
+            if round_ == 0:
+                self._unindexed.append((col, np.arange(col.size, dtype=np.int32), 0))
         return col
 
-    def sorted_column(self, round_: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(sorted offsets, sorting permutation)`` for one round.
+    def offsets_at(self, name_idx: np.ndarray, round_: int) -> np.ndarray:
+        """Offsets of the names ``name_idx`` for probe ``round_``.
 
-        Columns are pure in ``(seed, name, round)``, so the sort is
-        computed once and stays valid for every epoch. Incremental
-        relocation uses it to find the names whose round-``r`` probe
-        falls inside a changed interval with two ``searchsorted`` calls
-        per delta interval — work proportional to the moved mass, not
-        the catalog.
+        Entries not read before are hashed now and kept; the result is
+        ``column(round_)[name_idx]`` bit for bit, for the price of the
+        missing entries only.
         """
-        entry = self._sorted.get(round_)
-        if entry is None:
-            col = self.column(round_)
-            order = np.argsort(col, kind="stable")
-            entry = self._sorted[round_] = (col[order], order)
-        return entry
+        if round_ == 0:
+            return self.column(0)[name_idx]
+        behind = self._deep[name_idx] < round_
+        if behind.any():
+            todo = name_idx[behind]
+            if (todo[1:] <= todo[:-1]).any():
+                # The probe loop asks in ascending order; anyone else
+                # gets sorted and deduplicated first.
+                todo = np.unique(todo)
+            # The probe loop is one round behind at most; a caller that
+            # skipped rounds has them filled in to keep rows prefixes.
+            for r in range(int(self._deep[todo].min()) + 1, round_ + 1):
+                self._hash_round(todo[self._deep[todo] == r - 1], r)
+        return self._pool[self._base[name_idx] + (round_ - 1)]
+
+    def _hash_round(self, name_idx: np.ndarray, round_: int) -> None:
+        """Hash ``round_ == deep + 1`` for these (distinct) names."""
+        held = round_ - 1
+        if held & (held - 1) == 0:
+            # Rows are full at 0, 1, 2, 4, 8, ... entries: move these to
+            # the end of the pool, into rows of twice the capacity.
+            room = max(1, 2 * held)
+            need = self._pool_used + room * name_idx.size
+            if need > self._pool.size:
+                grown = np.empty(max(need, 2 * self._pool.size), dtype=np.float64)
+                grown[: self._pool_used] = self._pool[: self._pool_used]
+                self._pool = grown
+            base = np.arange(self._pool_used, need, room)
+            if held:
+                row = np.arange(held)
+                self._pool[base[:, None] + row] = self._pool[
+                    self._base[name_idx][:, None] + row
+                ]
+            self._base[name_idx] = base
+            self._pool_used = need
+        names = self.names
+        hashed = self.family.batch_offsets([names[i] for i in name_idx.tolist()], round_)
+        self._pool[self._base[name_idx] + held] = hashed
+        self._deep[name_idx] = round_
+        self._unindexed.append((hashed, name_idx.astype(np.int32), round_))
+
+    def _sort_in_unindexed(self) -> None:
+        """Fold the batches hashed since the last call into ``_recent``."""
+        if self._unindexed:
+            offsets, name_idx, rounds = zip(*self._unindexed)
+            self._unindexed = []
+            batch = _ProbeIndex(
+                np.concatenate(offsets),
+                np.concatenate(name_idx),
+                np.repeat(np.array(rounds, dtype=np.int32), [part.size for part in offsets]),
+            )
+            # Entries with equal offsets may land in either order; every
+            # reader of the index takes sets of entries, never positions.
+            order = np.argsort(batch.offsets)
+            self._recent = _merged(self._recent, _ProbeIndex(*(a[order] for a in batch)))
+
+    def index(self) -> _ProbeIndex:
+        """Every probe read so far as ``(offsets, name_idx, rounds)``,
+        sorted by offset.
+
+        New entries are sorted among themselves and merged in
+        (``searchsorted`` + ``insert``); the index as a whole is never
+        re-sorted.
+        """
+        self._sort_in_unindexed()
+        if self._recent.offsets.size:
+            self._index = _merged(self._index, self._recent)
+            self._recent = _EMPTY_INDEX
+        return self._index
+
+    def in_intervals(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(name_idx, rounds)`` of every read probe whose offset lies in
+        one of the sorted, disjoint intervals ``[starts[i], ends[i])``.
+
+        Work is proportional to the probes inside the intervals, not to
+        the catalog. A merge into the index is a pass over all of it,
+        so what was hashed since :meth:`index` last ran waits in a
+        second, small sorted run that is scanned the same way, until it
+        is a share of the index worth that pass.
+        """
+        self._sort_in_unindexed()
+        if self._recent.offsets.size * _MERGE_SHARE > self._index.offsets.size:
+            self.index()
+        name_idx, rounds = zip(
+            *(_in_intervals(run, starts, ends) for run in (self._index, self._recent))
+        )
+        return np.concatenate(name_idx), np.concatenate(rounds)
+
+    def sorted_column(self, round_: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(sorted offsets, their name indices)`` of the round-``round_``
+        probes read so far — one round's slice of :meth:`index`."""
+        offsets, name_idx, rounds = self.index()
+        keep = rounds == round_
+        return offsets[keep], name_idx[keep]
 
 
 def batched_locate(
@@ -270,9 +437,8 @@ def batched_locate(
         blocked = None
     unresolved = np.arange(n)
     for round_ in range(probes.family.max_probes):
-        col = probes.column(round_)
         gather = unresolved if idx is None else idx[unresolved]
-        slots = table.locate(col[gather])
+        slots = table.locate(probes.offsets_at(gather, round_))
         hit = slots >= 0
         if blocked is not None:
             hit &= ~blocked[np.maximum(slots, 0)]

@@ -14,14 +14,15 @@ round patches the :class:`SegmentTable` from the changed servers'
 spans, computes the exact set of intervals whose effective owner
 differs between the epochs
 (:func:`~repro.core.vector.segment_delta`), and re-resolves only the
-names whose materialized probe columns at rounds ``<= used`` intersect
-that delta — every other name provably keeps its ``(owner, used)``
-resolution, so per-round work is proportional to the *moved mass*
-instead of the catalog. ``tools/check_relocation_equivalence.py`` is
-the oracle: after every reconfiguration a from-scratch
-``batched_locate`` of the whole catalog must reproduce the
-assignments, probe depths and moves bit for bit (golden and
-hypothesis timelines in ``tests/policies/test_relocation.py``).
+names with a probe they actually read (round ``< used``, found in the
+:class:`ProbeMatrix` offset index) inside that delta — every other
+name provably keeps its ``(owner, used)`` resolution, so per-round work
+is proportional to the *moved mass* instead of the catalog.
+``tools/check_relocation_equivalence.py`` is the oracle: after every
+reconfiguration a from-scratch probe loop over the whole catalog,
+reading dense columns of its own, must reproduce the assignments,
+probe depths and moves bit for bit (golden and hypothesis timelines in
+``tests/policies/test_relocation.py``).
 
 Differences from the scalar adapter, by design:
 
@@ -115,24 +116,22 @@ class VectorANU(RelocationStats, LoadManager):
         self, catalog: FileSetCatalog, knowledge: Optional[PrescientKnowledge]
     ) -> Dict[str, object]:
         """Equal regions + batched hashing; the oracle is unused."""
-        self._names = list(catalog.names)
+        # ``catalog.names`` is already a fresh list; the probe store
+        # shares it rather than copying a million entries again.
+        self._names = catalog.names
         self._probes = ProbeMatrix(self._names, self.hash_family)
         self._index = None
         self._relocate()
-        # Hash a few rounds past the deepest probe used so far, while we
-        # are still in setup: later reconfigurations shrink regions and
-        # probe deeper, and hashing a million names mid-run would show
-        # up as a throughput stall in the drive phase.
-        headroom = min(
-            self._probes.rounds_materialized + 4, self.hash_family.max_probes
-        )
-        for round_ in range(headroom):
-            self._probes.column(round_)
-            # The delta scan reads the per-round sorted index; warm it
-            # here for the same reason — an argsort of a million names
-            # per probe round would otherwise land inside the first
-            # tuning round's reshuffle timing.
-            self._probes.sorted_column(round_)
+        # Still in setup: hash every name one round past its resolving
+        # probe, so that the first region to shrink from under a name
+        # finds the next probe already there instead of hashing in the
+        # drive phase, and sort what was read into the delta-scan index
+        # so the first reshuffle does not pay for it.
+        used = self._used
+        deepest = min(int(used.max(initial=0)), self.hash_family.max_probes - 1)
+        for depth in range(1, deepest + 1):
+            self._probes.offsets_at(np.flatnonzero(used == depth), depth)
+        self._probes.index()
         return {}
 
     def _relocate(self) -> None:
@@ -155,9 +154,9 @@ class VectorANU(RelocationStats, LoadManager):
         Patches the segment table from the changed servers' spans,
         sweeps the exact set of intervals whose effective owner changed
         (:func:`segment_delta`), and re-resolves only the names with a
-        materialized probe at rounds ``<= used`` inside those
-        intervals. Returns ``(invalidated indices, their old owners)``
-        — everything else provably resolves identically: at rounds
+        read probe (round ``< used``) inside those intervals. Returns
+        ``(invalidated indices, their old owners)`` — everything else
+        provably resolves identically: at rounds
         before its resolving probe a kept name's offsets were
         effectively unmapped and still are (no delta hit), and at the
         resolving round its owner is unchanged.
@@ -185,29 +184,17 @@ class VectorANU(RelocationStats, LoadManager):
         d_starts, d_ends = segment_delta(
             old_table, new_table, old_blocked, new_blocked
         )
-        invalid: np.ndarray
-        if d_starts.size == 0:
-            invalid = np.empty(0, dtype=np.int64)
-        else:
-            used = self._used
-            max_used = int(used.max()) if used.size else 0
-            chunks = []
-            for round_ in range(max_used):
-                vals, order = self._probes.sorted_column(round_)
-                lo = np.searchsorted(vals, d_starts, side="left")
-                hi = np.searchsorted(vals, d_ends, side="left")
-                hits = [order[a:b] for a, b in zip(lo, hi) if b > a]
-                if not hits:
-                    continue
-                cand = np.concatenate(hits)
-                cand = cand[used[cand] >= round_ + 1]
-                if cand.size:
-                    chunks.append(cand)
-            invalid = (
-                np.unique(np.concatenate(chunks))
-                if chunks
-                else np.empty(0, dtype=np.int64)
-            )
+        # ``used > r`` implies the round-r probe was read, hence indexed;
+        # entries at rounds >= used (hashed ahead, or read in an earlier
+        # epoch) cannot affect the current resolution and are dropped.
+        cand, rounds = self._probes.in_intervals(d_starts, d_ends)
+        cand = np.sort(cand[self._used[cand] > rounds])
+        # A name read at several rounds inside the delta appears once per
+        # round (sort + adjacent compare: np.unique hashes, at several
+        # times the cost for index arrays this size).
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        invalid = cand[first]
         old_owner = self._assign[invalid].copy()
         if invalid.size:
             blocked = new_blocked if new_blocked.any() else None

@@ -17,11 +17,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.fileset import FileSet, FileSetCatalog
 from repro.core.hashing import HashFamily
 from repro.core.tuning import LatencyReport
+from repro.core.vector import ProbeMatrix
+from repro.policies import vector as policies_vector
 from repro.policies.base import RebalanceContext, RelocationStats
 from repro.policies.vector import VectorANU
 
@@ -69,6 +72,31 @@ def _tune(policy, round_, means):
     return policy.rebalance(ctx)
 
 
+def _random_timeline(policy, rng, events):
+    """Drive ``policy`` through tune / fail / recover / repartition events.
+
+    A fail that would take the last server down, or a recover with
+    nobody down, tunes instead. A repartition doubles the layout's
+    partition count under the policy and then tunes, which sends that
+    round through the table-rebuild fallback of ``_relocate_delta``
+    (churn within a fixed server set never repartitions by itself).
+    """
+    down = set()
+    for round_, kind in enumerate(events):
+        if kind == "repartition":
+            policy.layout.repartition()
+        if kind == "fail" and len(down) < len(SIDS) - 1:
+            victim = int(rng.choice([s for s in SIDS if s not in down]))
+            down.add(victim)
+            policy.server_failed(victim)
+        elif kind == "recover" and down:
+            back = int(rng.choice(sorted(down)))
+            down.discard(back)
+            policy.server_added(back)
+        else:
+            _tune(policy, round_, rng.gamma(2.0, 1.0, size=policy.layout.n_servers))
+
+
 class TestGoldenEquivalence:
     def test_tuning_rounds_bit_identical(self):
         policy = _policy()
@@ -99,26 +127,15 @@ class TestGoldenEquivalence:
     @given(
         seed=st.integers(0, 10_000),
         events=st.lists(
-            st.sampled_from(["tune", "fail", "recover"]), min_size=3, max_size=8
+            st.sampled_from(["tune", "fail", "recover", "repartition"]),
+            min_size=3,
+            max_size=8,
         ),
     )
     def test_random_timelines_bit_identical(self, seed, events):
         policy = _policy(n_filesets=600)
-        rng = np.random.default_rng(seed)
-        down = set()
         with audit_relocations() as problems:
-            for round_, kind in enumerate(events):
-                if kind == "tune" or (kind == "fail" and len(down) >= len(SIDS) - 1):
-                    means = rng.gamma(2.0, 1.0, size=policy.layout.n_servers)
-                    _tune(policy, round_, means)
-                elif kind == "fail":
-                    victim = int(rng.choice([s for s in SIDS if s not in down]))
-                    down.add(victim)
-                    policy.server_failed(victim)
-                elif down:
-                    back = int(rng.choice(sorted(down)))
-                    down.discard(back)
-                    policy.server_added(back)
+            _random_timeline(policy, np.random.default_rng(seed), events)
         assert problems == []
 
     def test_oracle_flags_a_stale_resolution(self):
@@ -132,6 +149,78 @@ class TestGoldenEquivalence:
         moved = np.flatnonzero(policy._assign != before)[0]
         policy._assign[moved] = before[moved]
         assert oracle_problems(policy, before, len(moves), moves, "t")
+
+
+class TestInvalidationSet:
+    """The probe index names exactly the resolutions a delta can touch."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        events=st.lists(
+            st.sampled_from(["tune", "fail", "recover", "repartition"]),
+            min_size=3,
+            max_size=8,
+        ),
+    )
+    def test_equals_brute_force_scan_of_dense_columns(self, seed, events):
+        policy = VectorANU(list(SIDS), hash_family=HashFamily(seed=seed))
+        policy.initial_placement(_catalog(400), None)
+        dense = ProbeMatrix(policy._names, policy.hash_family)
+        expected = []
+        segment_delta = policies_vector.segment_delta
+
+        def brute_force(*tables_and_masks):
+            starts, ends = segment_delta(*tables_and_masks)
+            used = policy._used  # still the old epoch's depths here
+            hit = np.zeros(used.size, dtype=bool)
+            for round_ in range(int(used.max())):
+                col = dense.column(round_)
+                inside = np.zeros(used.size, dtype=bool)
+                for lo, hi in zip(starts, ends):
+                    inside |= (col >= lo) & (col < hi)
+                hit |= inside & (used > round_)
+            expected.append(np.flatnonzero(hit))
+            return starts, ends
+
+        got = []
+        relocate_delta = VectorANU._relocate_delta
+
+        def recorded(self, changed_sids):
+            invalid, old_owner = relocate_delta(self, changed_sids)
+            got.append(invalid)
+            return invalid, old_owner
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(policies_vector, "segment_delta", brute_force)
+            patch.setattr(VectorANU, "_relocate_delta", recorded)
+            _random_timeline(policy, np.random.default_rng(seed), events)
+        assert len(got) == len(expected) == len(events)
+        for invalid, brute in zip(got, expected):
+            assert np.array_equal(invalid, brute)
+        assert any(invalid.size for invalid in got)
+
+
+class _CountingFamily(HashFamily):
+    digests = 0
+
+    def batch_offsets(self, names, round_=0):
+        self.digests += len(names)
+        return super().batch_offsets(names, round_)
+
+
+class TestDigestBudget:
+    def test_placement_hashes_what_it_reads_plus_one_round(self):
+        """Half occupancy reads ~2 probes per name and placement hashes one
+        more per name ahead of the drive: under 4 per name, where whole
+        columns for every round the deepest name reached cost 15+."""
+        n = 4_000
+        family = _CountingFamily(seed=0)
+        policy = VectorANU(list(SIDS), hash_family=family)
+        policy.initial_placement(_catalog(n), None)
+        assert family.digests == int(policy._used.sum()) + n
+        assert family.digests <= 4 * n
+        assert int(policy._used.max()) >= 8  # the tail whole columns paid for
 
 
 class TestRelocationLedger:

@@ -7,9 +7,12 @@ the claim the optimization stands on is that this is
 here checks it after **every** reconfiguration — tuning rounds,
 crash/recovery churn, full chaos timelines:
 
-* a from-scratch ``batched_locate`` over a ``SegmentTable`` rebuilt
-  from the policy's current layout must equal the policy's
-  ``_assign`` (owners) and ``_used`` (probe depths);
+* a from-scratch probe loop over a ``SegmentTable`` rebuilt from the
+  policy's current layout must equal the policy's ``_assign`` (owners)
+  and ``_used`` (probe depths) — the loop reads dense
+  ``ProbeMatrix.column()`` arrays of a matrix of its own, never the
+  policy's probe store, so a wrong stored offset cannot satisfy both
+  sides;
 * the shed count and the emitted ``Move`` list must equal the diff of
   consecutive reference assignments.
 
@@ -35,26 +38,49 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.core.vector import SegmentTable, batched_locate  # noqa: E402
+from repro.core.vector import ProbeMatrix, SegmentTable  # noqa: E402
 from repro.policies.base import Move  # noqa: E402
 from repro.policies.vector import VectorANU  # noqa: E402
 
 
-def reference_resolution(policy: VectorANU):
-    """``(owner, used)`` of the whole catalog, resolved from scratch."""
-    blocked = policy._blocked if policy._blocked.any() else None
+def reference_resolution(policy: VectorANU, probes: Optional[ProbeMatrix] = None):
+    """``(owner, used)`` of the whole catalog, resolved from scratch.
+
+    ``probes`` is the reference matrix to read dense columns from (so a
+    sequence of audits hashes each round once); by default a fresh one
+    over the policy's names. Either way nothing the policy hashed is
+    consulted.
+    """
+    if probes is None:
+        probes = ProbeMatrix(policy._names, policy.hash_family)
     table = SegmentTable.from_layout(policy.layout, policy._slot)
-    return batched_locate(policy._probes, table, blocked=blocked)
+    owner = np.full(len(probes), -1, dtype=np.int64)
+    used = np.zeros(len(probes), dtype=np.int64)
+    unresolved = np.arange(len(probes))
+    for round_ in range(policy.hash_family.max_probes):
+        if unresolved.size == 0:
+            break
+        slots = table.locate(probes.column(round_)[unresolved])
+        hit = (slots >= 0) & ~policy._blocked[np.maximum(slots, 0)]
+        owner[unresolved[hit]] = slots[hit]
+        used[unresolved[hit]] = round_ + 1
+        unresolved = unresolved[~hit]
+    return owner, used
 
 
 def oracle_problems(
-    policy: VectorANU, before: np.ndarray, sheds: int, moves: List[Move], what: str
+    policy: VectorANU,
+    before: np.ndarray,
+    sheds: int,
+    moves: List[Move],
+    what: str,
+    probes: Optional[ProbeMatrix] = None,
 ) -> List[str]:
     """Divergences of one reconfiguration from the from-scratch oracle.
 
@@ -62,7 +88,7 @@ def oracle_problems(
     ``sheds`` what the round added to ``total_sheds``, ``moves`` what
     it emitted.
     """
-    owner, used = reference_resolution(policy)
+    owner, used = reference_resolution(policy, probes)
     problems = []
     if not np.array_equal(owner, policy._assign):
         bad = int(np.count_nonzero(owner != policy._assign))
@@ -94,6 +120,9 @@ def audit_relocations() -> Iterator[List[str]]:
     """
     problems: List[str] = []
     reshuffle = VectorANU._reshuffle
+    # One reference matrix per audited placement: dense columns are
+    # hashed once and reused by every later epoch's check.
+    references: Dict[int, ProbeMatrix] = {}
 
     def audited(self, kind="tune", changed_sids=None):
         # The assignment entering a round is the previous reference:
@@ -102,10 +131,13 @@ def audit_relocations() -> Iterator[List[str]]:
         before = self._assign.copy()
         sheds = self.total_sheds
         moves = reshuffle(self, kind, changed_sids)
+        probes = references.get(id(self))
+        if probes is None or probes.names is not self._names:
+            probes = references[id(self)] = ProbeMatrix(self._names, self.hash_family)
         problems.extend(
             oracle_problems(
                 self, before, self.total_sheds - sheds, moves,
-                f"epoch {self.epoch} ({kind})",
+                f"epoch {self.epoch} ({kind})", probes,
             )
         )
         return moves
