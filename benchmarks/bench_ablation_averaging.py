@@ -9,7 +9,7 @@ our defaulting to the request-weighted mean.
 
 from __future__ import annotations
 
-from repro.core import TuningPolicy
+from repro.control import MultiplicativeController
 from repro.experiments.config import paper_config
 from repro.experiments.runner import run_system
 from repro.metrics import ascii_table
@@ -29,7 +29,7 @@ def _run_all(scale: float):
             "anu",
             workload.fork(),
             config,
-            tuning_policy=TuningPolicy(averaging=rule),
+            controller=MultiplicativeController(averaging=rule),
         )
     out["simple"] = run_system("simple", workload.fork(), config)
     return out

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core import ANUManager, LatencyReport, TuningPolicy, render_layout
+from repro.control import MultiplicativeController
+from repro.core import ANUManager, LatencyReport, render_layout
 
 #: The paper's cluster: "Servers 0..4 have processing power 1,3,5,7,9".
 POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
@@ -57,7 +58,7 @@ def main() -> None:
     #    a-priori knowledge of server capability.
     manager = ANUManager(
         server_ids=list(POWERS),
-        policy=TuningPolicy(),  # the delegate's scaling rule (defaults)
+        controller=MultiplicativeController(),  # the delegate's scaling rule (defaults)
     )
     print(f"unit interval: {manager.layout.n_partitions} partitions "
           f"(2^(ceil(lg 5)+1]); half occupancy = "

@@ -37,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..control import as_controller
 from ..core.interval import HALF
-from ..core.tuning import LatencyReport, TuningPolicy
+from ..core.tuning import LatencyReport
 
 __all__ = ["equilibrium_lengths", "ControllerTrace", "iterate_controller"]
 
@@ -132,7 +132,6 @@ def _model_latency(power: float, rate: float) -> float:
 def iterate_controller(
     powers: Mapping[object, float],
     offered_rate: float,
-    policy: Optional[TuningPolicy] = None,
     rounds: int = 60,
     controller: Optional[object] = None,
 ) -> ControllerTrace:
@@ -141,11 +140,11 @@ def iterate_controller(
     Starts from equal lengths (ANU's cold start) and alternates
     model-predicted latencies with real ``Controller.observe`` calls
     (any :class:`repro.control.Controller`; the paper's multiplicative
-    rule by default, or the wrapped form of ``policy``). No randomness:
-    this is the deterministic skeleton of the simulated dynamics,
-    usable to predict convergence-round counts and equilibria.
+    rule by default). No randomness: this is the deterministic skeleton
+    of the simulated dynamics, usable to predict convergence-round
+    counts and equilibria.
     """
-    ctrl = as_controller(controller if controller is not None else policy)
+    ctrl = as_controller(controller)
     k = len(powers)
     lengths: Dict[object, float] = {sid: HALF / k for sid in powers}
     trace = ControllerTrace(lengths=[dict(lengths)], latencies=[])

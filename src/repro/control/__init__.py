@@ -4,7 +4,7 @@ One protocol (:class:`Controller`), several decision procedures:
 
 ======================  ==============================================
 ``multiplicative``      The paper's averaging rule (the default;
-                        bit-for-bit the old ``TuningPolicy`` path).
+                        pinned to recorded golden digests).
 ``pi``                  Proportional-integral with anti-windup.
 ``pole``                First-order pole placement (stateless).
 ``brownout``            Saturated service-level dimmer with EWMA
@@ -22,9 +22,9 @@ exactly one place (:func:`default_controller`) and the scalar and
 vector paths can never silently diverge.
 
 Layering: this package sits beside ``repro.core`` (it imports only the
-core tuning primitives) and strictly below the engine — importing
-``repro.engine``, ``repro.experiments``, or ``repro.cluster`` from
-here is banned by ``tools/check_layering.py``.
+core tuning primitives: reports and averaging rules) and strictly below
+the engine — importing ``repro.engine``, ``repro.experiments``, or
+``repro.cluster`` from here is banned by ``tools/check_layering.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Type
 
 from ..core.errors import ConfigurationError
-from ..core.tuning import TuningPolicy
 from .base import Controller
 from .batch import EpochBatcher
 from .brownout import BrownoutController
@@ -71,14 +70,15 @@ def default_controller() -> Controller:
     (scalar delegate, ANU manager, vector ANU, convergence analysis):
     change it here and every path changes together.
     """
-    return MultiplicativeController(TuningPolicy())
+    return MultiplicativeController()
 
 
 def make_controller(name: str, **kwargs) -> Controller:
     """Instantiate a registered controller by name.
 
-    ``forecast`` accepts an ``inner=<Controller>`` keyword (default:
-    multiplicative) alongside its own knobs.
+    ``kwargs`` are the class's constructor knobs. ``forecast`` also
+    accepts an ``inner=<Controller>`` keyword (default: multiplicative)
+    or, instead of it, the default inner rule's knobs.
     """
     try:
         cls = CONTROLLERS[name]
@@ -90,19 +90,15 @@ def make_controller(name: str, **kwargs) -> Controller:
 
 
 def as_controller(obj: Optional[object]) -> Controller:
-    """Coerce the accepted spellings of "a tuning rule" to a Controller.
+    """Resolve a ``controller=`` argument to a Controller.
 
     ``None`` → :func:`default_controller`; a :class:`Controller` passes
-    through; a bare :class:`TuningPolicy` (the pre-refactor
-    configuration surface, still accepted everywhere) wraps into a
-    :class:`MultiplicativeController`.
+    through; anything else is a :class:`ConfigurationError`.
     """
     if obj is None:
         return default_controller()
     if isinstance(obj, Controller):
         return obj
-    if isinstance(obj, TuningPolicy):
-        return MultiplicativeController(obj)
     raise ConfigurationError(
-        f"expected a Controller, TuningPolicy, or None; got {type(obj).__name__}"
+        f"expected a Controller or None; got {type(obj).__name__}"
     )

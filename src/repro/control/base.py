@@ -57,7 +57,8 @@ class Controller(ABC):
     #: controllers must still be fork-deterministic (see module doc).
     stateless: bool = True
     #: Regions thinner than this are floored to zero when the layout
-    #: engine applies the targets (mirrors ``TuningPolicy.floor_length``).
+    #: engine applies the targets (every consumer builds its
+    #: :class:`~repro.core.layout.LayoutEngine` from this value).
     floor_length: float = 1e-4
     #: Averaging rule for :meth:`system_average` (key into
     #: :data:`~repro.core.tuning.AVERAGING_RULES`).
@@ -128,6 +129,14 @@ class Controller(ABC):
         if idle_rounds % self.idle_backoff == 0:
             return max(length, self.idle_seed)
         return length
+
+    @staticmethod
+    def _validate_clamp(max_step: float, deadband: float) -> None:
+        """Validate the per-round step clamp and the deadband."""
+        if max_step <= 1.0:
+            raise ConfigurationError(f"max_step must be > 1, got {max_step}")
+        if deadband < 0:
+            raise ConfigurationError(f"deadband must be >= 0, got {deadband}")
 
     def _validate_common(self) -> None:
         """Shared knob validation (call from subclass ``__init__``)."""

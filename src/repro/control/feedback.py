@@ -56,10 +56,7 @@ class PIController(Controller):
             raise ConfigurationError(f"kp must be > 0, got {kp}")
         if ki < 0:
             raise ConfigurationError(f"ki must be >= 0, got {ki}")
-        if max_step <= 1.0:
-            raise ConfigurationError(f"max_step must be > 1, got {max_step}")
-        if deadband < 0:
-            raise ConfigurationError(f"deadband must be >= 0, got {deadband}")
+        self._validate_clamp(max_step, deadband)
         self.kp = float(kp)
         self.ki = float(ki)
         self.max_step = float(max_step)
@@ -122,10 +119,7 @@ class PolePlacementController(Controller):
     ) -> None:
         if not 0.0 <= pole < 1.0:
             raise ConfigurationError(f"pole must be in [0, 1), got {pole}")
-        if max_step <= 1.0:
-            raise ConfigurationError(f"max_step must be > 1, got {max_step}")
-        if deadband < 0:
-            raise ConfigurationError(f"deadband must be >= 0, got {deadband}")
+        self._validate_clamp(max_step, deadband)
         self.pole = float(pole)
         self.max_step = float(max_step)
         self.deadband = float(deadband)

@@ -33,7 +33,11 @@ __all__ = ["ForecastingController"]
 
 
 class ForecastingController(Controller):
-    """Holt per-server demand forecast pre-scaling an inner controller."""
+    """Holt per-server demand forecast pre-scaling an inner controller.
+
+    Without ``inner``, any further keywords configure the default inner
+    :class:`MultiplicativeController` (e.g. ``floor_length=2e-4``).
+    """
 
     stateless = False
 
@@ -45,6 +49,7 @@ class ForecastingController(Controller):
         horizon: float = 1.0,
         strength: float = 0.5,
         prescale_cap: float = 1.3,
+        **inner_knobs: object,
     ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
@@ -58,7 +63,14 @@ class ForecastingController(Controller):
             raise ConfigurationError(
                 f"prescale_cap must be > 1, got {prescale_cap}"
             )
-        self.inner = inner if inner is not None else MultiplicativeController()
+        if inner is not None and inner_knobs:
+            raise ConfigurationError(
+                f"knobs {sorted(inner_knobs)} configure the default inner "
+                "controller; set them on the inner controller passed instead"
+            )
+        self.inner = (
+            inner if inner is not None else MultiplicativeController(**inner_knobs)
+        )
         self.name = f"forecast+{self.inner.name}"
         self.alpha = float(alpha)
         self.beta = float(beta)

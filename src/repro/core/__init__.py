@@ -11,7 +11,8 @@ Public surface:
 * :class:`HashFamily` — the agreed family of hash functions
 * :class:`IntervalLayout` / :func:`required_partitions` — interval geometry
 * :class:`LayoutEngine` — minimal-movement region placement
-* :class:`TuningPolicy` / :class:`LatencyReport` — the feedback controller
+* :class:`LatencyReport` / :data:`AVERAGING_RULES` — what a tuning round
+  reads (the rules themselves live in :mod:`repro.control`)
 * :class:`Delegate` / :class:`Decision` — the stateless delegate
 * :class:`ANUManager` — the façade gluing it all together
 * :class:`MultiChoicePlacer` — optional SIEVE d-choice refinement
@@ -41,7 +42,6 @@ from .tuning import (
     AVERAGING_RULES,
     IncompetenceDetector,
     LatencyReport,
-    TuningPolicy,
     arithmetic_mean,
     trimmed_mean,
     weighted_mean,
@@ -65,7 +65,6 @@ __all__ = [
     "MultiChoicePlacer",
     "render_layout",
     "render_lengths_bar",
-    "TuningPolicy",
     "LatencyReport",
     "IncompetenceDetector",
     "AVERAGING_RULES",

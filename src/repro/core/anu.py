@@ -9,8 +9,9 @@
 * the :class:`~repro.core.layout.LayoutEngine` that re-shapes regions
   with minimal movement, and
 * the pluggable tuning rule — any :class:`repro.control.Controller`;
-  the paper's multiplicative :class:`~repro.core.tuning.TuningPolicy`
-  by default.
+  the paper's
+  :class:`~repro.control.multiplicative.MultiplicativeController` by
+  default.
 
 It maintains the authoritative file-set → server assignment, and every
 reconfiguration (tuning round, failure, recovery, commissioning,
@@ -29,7 +30,7 @@ from .errors import LookupExhaustedError, UnknownServerError
 from .hashing import HashFamily
 from .interval import IntervalLayout
 from .layout import LayoutEngine
-from .tuning import IncompetenceDetector, LatencyReport, TuningPolicy
+from .tuning import IncompetenceDetector, LatencyReport
 
 __all__ = ["Shed", "Reconfiguration", "ANUManager"]
 
@@ -93,16 +94,12 @@ class ANUManager:
         Shared addressing family; defaults to ``HashFamily(seed=0)``.
         All nodes must use the same family — it *is* the addressing
         scheme.
-    policy:
-        Tuning-rule configuration: a :class:`TuningPolicy` (historical
-        spelling) or any :class:`repro.control.Controller`.
     n_partitions:
         Override the initial partition count (testing only); defaults to
         the paper's ``2^(ceil(lg k) + 1)``.
     controller:
-        Explicit :class:`repro.control.Controller`; takes precedence
-        over ``policy``. Defaults to
-        :func:`repro.control.default_controller`.
+        The tuning rule, any :class:`repro.control.Controller`. Defaults
+        to :func:`repro.control.default_controller`.
 
     Example
     -------
@@ -117,7 +114,6 @@ class ANUManager:
         self,
         server_ids: Sequence[object],
         hash_family: Optional[HashFamily] = None,
-        policy: Optional[object] = None,
         n_partitions: Optional[int] = None,
         detector: Optional[IncompetenceDetector] = None,
         controller: Optional[object] = None,
@@ -129,14 +125,7 @@ class ANUManager:
         from ..control import as_controller
 
         self.hash_family = hash_family or HashFamily()
-        self.controller = as_controller(
-            controller if controller is not None else policy
-        )
-        #: Back-compat view: the wrapped TuningPolicy when the rule is
-        #: the multiplicative one, else ``None``.
-        self.policy: Optional[TuningPolicy] = getattr(
-            self.controller, "policy", None
-        )
+        self.controller = as_controller(controller)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
         self.layout = IntervalLayout.initial(list(server_ids), n_partitions)
         self.detector = detector or IncompetenceDetector()
@@ -258,7 +247,6 @@ class ANUManager:
         from ..control import as_controller
 
         self.controller = as_controller(controller)
-        self.policy = getattr(self.controller, "policy", None)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
 
     def tune(self, reports: Sequence[LatencyReport]) -> Reconfiguration:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from .layout import LayoutEngine
-from .tuning import LatencyReport, TuningPolicy
+from .tuning import LatencyReport
 
 __all__ = ["Decision", "Delegate"]
 
@@ -55,31 +55,18 @@ class Delegate:
 
     Any server can instantiate one with the (agreed, replicated)
     controller and produce the round's decision from the reports alone.
-    ``policy`` accepts the historical :class:`TuningPolicy` spelling; a
-    :class:`repro.control.Controller` may be passed positionally there
-    or via ``controller=``. The default is
-    :func:`repro.control.default_controller`.
+    ``controller`` is any :class:`repro.control.Controller`; the default
+    is :func:`repro.control.default_controller`.
     """
 
-    def __init__(
-        self,
-        policy: Optional[object] = None,
-        controller: Optional[object] = None,
-    ) -> None:
+    def __init__(self, controller: Optional[object] = None) -> None:
         # Lazy import: repro.core and repro.control sit side by side,
         # and a module-level import here would cycle their package
         # initialization (importing repro.control first triggers
         # repro.core.__init__, which imports this module).
         from ..control import as_controller
 
-        self.controller = as_controller(
-            controller if controller is not None else policy
-        )
-        #: Back-compat view: the wrapped TuningPolicy when the rule is
-        #: the multiplicative one, else ``None``.
-        self.policy: Optional[TuningPolicy] = getattr(
-            self.controller, "policy", None
-        )
+        self.controller = as_controller(controller)
         self._engine = LayoutEngine(floor_length=self.controller.floor_length)
 
     def decide(

@@ -1,7 +1,7 @@
 """Layout engine: turning target region lengths into concrete layouts.
 
-The tuning controller (:mod:`repro.core.tuning`) decides *how long* each
-server's mapped region should be; this module decides *where* the
+The tuning controller (any :class:`repro.control.Controller`) decides
+*how long* each server's mapped region should be; this module decides *where* the
 regions sit, mutating an :class:`~repro.core.interval.IntervalLayout`
 with the minimum possible disturbance:
 

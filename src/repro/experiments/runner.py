@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.hashing import HashFamily
-from ..core.tuning import TuningPolicy
 from ..engine import SimulationBuilder
 from ..engine.record import ClusterResult
 from ..policies import (
@@ -36,7 +35,6 @@ def make_policy(
     system: str,
     config: ExperimentConfig,
     n_virtual: Optional[int] = None,
-    tuning_policy: Optional[TuningPolicy] = None,
     controller: Optional[object] = None,
 ) -> LoadManager:
     """Instantiate one of the paper's systems by name.
@@ -44,8 +42,7 @@ def make_policy(
     ``system`` ∈ {"simple", "anu", "prescient", "virtual", "table"}.
     ``n_virtual`` overrides the VP count (Figure 8 sweep); the default
     is the paper's ``v = 5`` → ``5 N`` VPs. ``controller`` plugs a
-    :class:`repro.control.Controller` into the ANU system (takes
-    precedence over ``tuning_policy``).
+    :class:`repro.control.Controller` into the ANU system.
     """
     server_ids = list(config.powers)
     # The hash family is fixed infrastructure (every node derives the
@@ -59,7 +56,6 @@ def make_policy(
         return ANURandomization(
             server_ids,
             hash_family=family,
-            policy=tuning_policy,
             controller=controller,
         )
     if system == "prescient":
@@ -84,7 +80,6 @@ def run_system(
     workload: Workload,
     config: ExperimentConfig,
     n_virtual: Optional[int] = None,
-    tuning_policy: Optional[TuningPolicy] = None,
     controller: Optional[object] = None,
 ) -> ClusterResult:
     """Run one system against one workload; returns the full result."""
@@ -92,7 +87,6 @@ def run_system(
         system,
         config,
         n_virtual=n_virtual,
-        tuning_policy=tuning_policy,
         controller=controller,
     )
     sim = SimulationBuilder(workload, policy, config.cluster_config()).build()

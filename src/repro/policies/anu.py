@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 from ..cluster.fileset import FileSetCatalog
 from ..core.anu import ANUManager
 from ..core.hashing import HashFamily
-from ..core.tuning import TuningPolicy
 from .base import LoadManager, Move, PrescientKnowledge, RebalanceContext
 
 __all__ = ["ANURandomization"]
@@ -29,13 +28,11 @@ class ANURandomization(LoadManager):
         self,
         server_ids: List[object],
         hash_family: Optional[HashFamily] = None,
-        policy: Optional[TuningPolicy] = None,
         controller: Optional[object] = None,
     ) -> None:
         self.manager = ANUManager(
             server_ids=server_ids,
             hash_family=hash_family,
-            policy=policy,
             controller=controller,
         )
         #: Servers flagged incompetent so far (paper §5.2.2: "ANU

@@ -46,7 +46,6 @@ from ..control import as_controller
 from ..core.hashing import HashFamily
 from ..core.interval import IntervalLayout
 from ..core.layout import LayoutEngine
-from ..core.tuning import TuningPolicy
 from ..core.vector import ProbeMatrix, SegmentTable, batched_locate, segment_delta
 from .base import (
     LoadManager,
@@ -69,21 +68,13 @@ class VectorANU(RelocationStats, LoadManager):
         self,
         server_ids: List[object],
         hash_family: Optional[HashFamily] = None,
-        policy: Optional[object] = None,
         n_partitions: Optional[int] = None,
         emit_moves: bool = True,
         controller: Optional[object] = None,
     ) -> None:
         self.server_ids = list(server_ids)
         self.hash_family = hash_family or HashFamily()
-        self.controller = as_controller(
-            controller if controller is not None else policy
-        )
-        #: Back-compat view: the wrapped TuningPolicy when the rule is
-        #: the multiplicative one, else ``None``.
-        self.policy: Optional[TuningPolicy] = getattr(
-            self.controller, "policy", None
-        )
+        self.controller = as_controller(controller)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
         self.layout = IntervalLayout.initial(list(self.server_ids), n_partitions)
         self.emit_moves = bool(emit_moves)
@@ -249,7 +240,6 @@ class VectorANU(RelocationStats, LoadManager):
     def use_controller(self, controller: object) -> None:
         """Swap the tuning rule in at assembly time (see ANUManager)."""
         self.controller = as_controller(controller)
-        self.policy = getattr(self.controller, "policy", None)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
 
     def _reshuffle(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.convergence import equilibrium_lengths, iterate_controller
-from repro.core import TuningPolicy
+from repro.control import MultiplicativeController
 from repro.core.interval import HALF
 
 POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
@@ -72,10 +72,16 @@ class TestIteration:
     def test_tighter_deadband_converges_closer(self):
         eq = equilibrium_lengths(POWERS, offered_rate=15.0)
         loose = iterate_controller(
-            POWERS, 15.0, policy=TuningPolicy(deadband=0.6), rounds=80
+            POWERS,
+            15.0,
+            rounds=80,
+            controller=MultiplicativeController(deadband=0.6),
         ).final_lengths
         tight = iterate_controller(
-            POWERS, 15.0, policy=TuningPolicy(deadband=0.05), rounds=80
+            POWERS,
+            15.0,
+            rounds=80,
+            controller=MultiplicativeController(deadband=0.05),
         ).final_lengths
         err = lambda lens: sum(abs(lens[s] - eq[s]) for s in POWERS)
         assert err(tight) <= err(loose) + 1e-9

@@ -18,7 +18,6 @@ from repro.control import (
     default_controller,
     make_controller,
 )
-from repro.core import TuningPolicy
 from repro.core.errors import ConfigurationError
 from repro.core.interval import HALF
 
@@ -39,16 +38,35 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             make_controller("nope")
 
+    @pytest.mark.parametrize("name", sorted(CONTROLLERS))
+    def test_knobs_pass_by_keyword(self, name):
+        assert make_controller(name, floor_length=2e-4).floor_length == 2e-4
+
+    @pytest.mark.parametrize("name", ["multiplicative", "pi", "pole"])
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ({"max_step": 1.0}, "max_step must be > 1"),
+            ({"deadband": -0.1}, "deadband must be >= 0"),
+        ],
+    )
+    def test_clamp_knobs_validated(self, name, knob, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_controller(name, **knob)
+
+    def test_forecast_rejects_inner_knobs_beside_inner(self):
+        with pytest.raises(ConfigurationError):
+            ForecastingController(inner=PIController(), floor_length=2e-4)
+
     def test_default_is_the_papers_rule(self):
         ctrl = default_controller()
         assert isinstance(ctrl, MultiplicativeController)
-        assert isinstance(ctrl.policy, TuningPolicy)
+        assert ctrl.gain == MultiplicativeController().gain
 
-    def test_as_controller_adapts_tuning_policy(self):
-        policy = TuningPolicy(max_step=1.7)
-        ctrl = as_controller(policy)
+    def test_as_controller_none_builds_default(self):
+        ctrl = as_controller(None)
         assert isinstance(ctrl, MultiplicativeController)
-        assert ctrl.policy is policy
+        assert as_controller(None) is not ctrl
 
     def test_as_controller_passes_controllers_through(self):
         ctrl = PIController()

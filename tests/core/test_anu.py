@@ -6,12 +6,12 @@ import math
 
 import pytest
 
+from repro.control import MultiplicativeController
 from repro.core import (
     ANUManager,
     HashFamily,
     LatencyReport,
     LookupExhaustedError,
-    TuningPolicy,
     UnknownServerError,
     required_partitions,
 )
@@ -103,7 +103,7 @@ class TestRegistry:
 class TestTuning:
     def test_converges_to_power_proportional_loads(self):
         """The headline behaviour: latencies equalize, loads ∝ power."""
-        mgr = make_manager(policy=TuningPolicy(deadband=0.05))
+        mgr = make_manager(controller=MultiplicativeController(deadband=0.05))
         mgr.register_filesets([f"/fs{i}" for i in range(200)])
         prev = {}
         for _ in range(40):

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.core import Decision, Delegate, LatencyReport, TuningPolicy
+from repro.control import MultiplicativeController
+from repro.core import Decision, Delegate, LatencyReport
 
 
 def report(sid, lat, count=100):
@@ -21,15 +22,15 @@ class TestStatelessness:
     def test_two_delegates_same_decision(self):
         """A freshly elected delegate reaches the identical decision —
         this is what makes delegate fail-over free of state transfer."""
-        d1 = Delegate(TuningPolicy())
-        d2 = Delegate(TuningPolicy())
+        d1 = Delegate(controller=MultiplicativeController())
+        d2 = Delegate(controller=MultiplicativeController())
         a = d1.decide(LENGTHS, REPORTS)
         b = d2.decide(LENGTHS, REPORTS)
         assert a.average_latency == b.average_latency
         assert a.targets == b.targets
 
     def test_repeated_decide_has_no_memory(self):
-        d = Delegate(TuningPolicy())
+        d = Delegate(controller=MultiplicativeController())
         first = d.decide(LENGTHS, REPORTS)
         # Feed garbage in between; a stateless delegate cannot care.
         d.decide({0: 0.5}, [report(0, 1.0)])
@@ -37,12 +38,12 @@ class TestStatelessness:
         assert first.targets == second.targets
 
     def test_decision_is_normalized(self):
-        d = Delegate(TuningPolicy())
+        d = Delegate(controller=MultiplicativeController())
         decision = d.decide(LENGTHS, REPORTS)
         assert sum(decision.targets.values()) == pytest.approx(0.5)
 
     def test_decision_direction(self):
-        d = Delegate(TuningPolicy(deadband=0.05))
+        d = Delegate(controller=MultiplicativeController(deadband=0.05))
         decision = d.decide(LENGTHS, REPORTS)
         # Server 0 is way above average, server 4 way below.
         norm_before = {sid: v for sid, v in LENGTHS.items()}
@@ -51,7 +52,7 @@ class TestStatelessness:
         assert decision.targets[4] / 0.5 > norm_before[4] / total_before
 
     def test_all_idle_reports_keep_shares(self):
-        d = Delegate(TuningPolicy())
+        d = Delegate(controller=MultiplicativeController())
         idle = [
             LatencyReport(sid, math.nan, request_count=0, idle_rounds=1)
             for sid in LENGTHS

@@ -1,4 +1,4 @@
-"""Tuning controller: averaging rules, zero-sum scaling, idle handling."""
+"""The paper's tuning rule: averaging rules, zero-sum scaling, idle handling."""
 
 from __future__ import annotations
 
@@ -6,12 +6,12 @@ import math
 
 import pytest
 
+from repro.control import MultiplicativeController
 from repro.core.errors import ConfigurationError
 from repro.core.tuning import (
     AVERAGING_RULES,
     IncompetenceDetector,
     LatencyReport,
-    TuningPolicy,
     arithmetic_mean,
     trimmed_mean,
     weighted_mean,
@@ -64,112 +64,106 @@ class TestPolicyValidation:
             {"max_step": 1.0},
             {"grow_step": 1.0},
             {"grow_step": 99.0},
-            {"idle_policy": "bounce"},
             {"idle_seed": 0.9},
             {"idle_backoff": 0},
             {"deadband": -0.1},
+            {"floor_length": 0.9},
+            {"floor_length": 0.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
-            TuningPolicy(**kwargs)
+            MultiplicativeController(**kwargs)
 
     def test_defaults_valid(self):
-        TuningPolicy()  # must not raise
+        MultiplicativeController()  # must not raise
 
 
 class TestComputeTargets:
     def test_zero_sum(self):
-        pol = TuningPolicy(deadband=0.1)
+        ctrl = MultiplicativeController(deadband=0.1)
         lengths = {0: 0.1, 1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1}
         reps = [report(i, lat, prev=lat) for i, lat in enumerate([10, 5, 1, 0.5, 0.2])]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert sum(targets.values()) == pytest.approx(0.5)
 
     def test_slow_shrinks_fast_grows(self):
-        pol = TuningPolicy(deadband=0.1)
+        ctrl = MultiplicativeController(deadband=0.1)
         lengths = {0: 0.25, 1: 0.25}
         reps = [report(0, 10.0, prev=10.0), report(1, 0.1, prev=0.1)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] < 0.25
         assert targets[1] > 0.25
 
     def test_deadband_holds_regions(self):
-        pol = TuningPolicy(deadband=0.5)
+        ctrl = MultiplicativeController(deadband=0.5)
         lengths = {0: 0.3, 1: 0.2}
         # Both within ±50% of the weighted average.
         reps = [report(0, 1.2, prev=1.2), report(1, 0.9, prev=0.9)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets == pytest.approx(lengths)
 
     def test_burst_filter_blocks_single_window_spike(self):
-        pol = TuningPolicy(deadband=0.2)
+        ctrl = MultiplicativeController(deadband=0.2)
         lengths = {0: 0.25, 1: 0.25}
         # Server 0 spikes now but was fine last window -> no shed.
         reps = [report(0, 50.0, prev=1.0), report(1, 1.0, prev=1.0)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] == pytest.approx(0.25)
 
     def test_persistent_spike_sheds(self):
-        pol = TuningPolicy(deadband=0.2)
+        ctrl = MultiplicativeController(deadband=0.2)
         lengths = {0: 0.25, 1: 0.25}
         reps = [report(0, 50.0, prev=50.0), report(1, 1.0, prev=1.0)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] < 0.25
 
     def test_first_round_has_no_burst_protection(self):
         """nan prev (first report) counts as persistent — convergence
         must start in round 1."""
-        pol = TuningPolicy(deadband=0.2)
+        ctrl = MultiplicativeController(deadband=0.2)
         lengths = {0: 0.25, 1: 0.25}
         reps = [
             report(0, 50.0, prev=math.nan),
             report(1, 1.0, prev=math.nan),
         ]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] < 0.25
 
     def test_step_clamps(self):
-        pol = TuningPolicy(gain=5.0, max_step=1.5, grow_step=1.2, deadband=0.0)
+        ctrl = MultiplicativeController(gain=5.0, max_step=1.5, grow_step=1.2, deadband=0.0)
         lengths = {0: 0.25, 1: 0.25}
         reps = [report(0, 1000.0, prev=1000.0), report(1, 0.001, prev=0.001)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         # shrink capped at 1/1.5, growth capped at 1.2 (then matched down)
         assert targets[0] >= 0.25 / 1.5 - 1e-9
         assert targets[1] <= 0.25 * 1.2 + 1e-9
 
-    def test_idle_hold_keeps_length(self):
-        pol = TuningPolicy(idle_policy="hold")
-        lengths = {0: 0.0, 1: 0.5}
-        reps = [idle_report(0), report(1, 1.0, prev=1.0)]
-        targets = pol.compute_targets(lengths, reps)
-        assert targets[0] == 0.0
-
     def test_idle_grow_probes_on_backoff_multiple(self):
-        pol = TuningPolicy(idle_policy="grow", idle_seed=0.05, idle_backoff=5, deadband=0.0)
+        ctrl = MultiplicativeController(idle_seed=0.05, idle_backoff=5, deadband=0.0)
         lengths = {0: 0.0, 1: 0.5}
         reps = [idle_report(0, idle_rounds=5), report(1, 1.0, prev=1.0)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] == pytest.approx(0.05)
 
     def test_idle_grow_holds_between_probes(self):
-        pol = TuningPolicy(idle_policy="grow", idle_seed=0.05, idle_backoff=5)
+        ctrl = MultiplicativeController(idle_seed=0.05, idle_backoff=5)
         lengths = {0: 0.0, 1: 0.5}
         reps = [idle_report(0, idle_rounds=3), report(1, 1.0, prev=1.0)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets[0] == 0.0
 
     def test_all_idle_no_change(self):
-        pol = TuningPolicy()
+        ctrl = MultiplicativeController()
         lengths = {0: 0.25, 1: 0.25}
         reps = [idle_report(0, 2), idle_report(1, 2)]
-        targets = pol.compute_targets(lengths, reps)
+        targets = ctrl.observe(lengths, reps)
         assert targets == pytest.approx(lengths)
 
     def test_unknown_reporter_rejected(self):
-        pol = TuningPolicy()
+        ctrl = MultiplicativeController()
         with pytest.raises(ConfigurationError):
-            pol.compute_targets({0: 0.5}, [report(99, 1.0)])
+            ctrl.observe({0: 0.5}, [report(99, 1.0)])
 
     def test_report_is_idle_flag(self):
         assert idle_report(0).is_idle

@@ -48,6 +48,35 @@ class TestCheckerTool:
         assert "removed module is back" in problems[0]
         assert "repro.cluster.cluster:2: DeprecationWarning" in problems[1]
 
+    def test_removed_names_are_reported(self, tmp_path):
+        """Defining or importing ``TuningPolicy`` fails; mentions do not."""
+        defines = tmp_path / "tuning.py"
+        defines.write_text("class TuningPolicy:\n    pass\n")
+        imports = tmp_path / "anu.py"
+        imports.write_text(
+            "x = 1\nfrom repro.core.tuning import LatencyReport, TuningPolicy\n"
+        )
+        aliased = tmp_path / "alias.py"
+        aliased.write_text("import repro.core.tuning as m\nTuningPolicy = m.X\n")
+        clean = tmp_path / "fine.py"
+        clean.write_text('"""Formerly TuningPolicy."""\n')
+        problems = check_layering.check_removed(
+            {
+                "repro.core.tuning": defines,
+                "repro.core.anu": imports,
+                "repro.core.alias": aliased,
+                "repro.core.fine": clean,
+            }
+        )
+        assert problems == [
+            "repro.core.tuning:1: defines or imports TuningPolicy — removed; "
+            "use repro.control.MultiplicativeController",
+            "repro.core.anu:2: defines or imports TuningPolicy — removed; "
+            "use repro.control.MultiplicativeController",
+            "repro.core.alias:2: defines or imports TuningPolicy — removed; "
+            "use repro.control.MultiplicativeController",
+        ]
+
     def test_cycle_detection(self):
         graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
         cycles = check_layering.find_cycles(graph)

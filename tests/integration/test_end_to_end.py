@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.cluster import CacheConfig
-from repro.core import HashFamily, TuningPolicy
 from repro.engine import ClusterConfig, SimulationBuilder
 from repro.metrics import consistency_report, movement_series, steady_state_means
 from repro.policies import (

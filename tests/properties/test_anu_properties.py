@@ -6,7 +6,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ANUManager, HashFamily, LatencyReport, TuningPolicy
+from repro.control import MultiplicativeController
+from repro.core import ANUManager, HashFamily, LatencyReport
 
 names_strategy = st.lists(
     st.text(
@@ -122,7 +123,7 @@ class TestDelegateDecisionPurity:
     def test_targets_always_normalize_to_half(self, lats, weights):
         from repro.core import Delegate
 
-        policy = TuningPolicy()
+        controller = MultiplicativeController()
         lengths_raw = {i: w for i, w in enumerate(weights)}
         total = sum(lengths_raw.values())
         lengths = {sid: w / total * 0.5 for sid, w in lengths_raw.items()}
@@ -130,6 +131,6 @@ class TestDelegateDecisionPurity:
             LatencyReport(i, lat, request_count=10, prev_mean_latency=lat)
             for i, lat in enumerate(lats)
         ]
-        decision = Delegate(policy).decide(lengths, reps)
+        decision = Delegate(controller=controller).decide(lengths, reps)
         assert abs(sum(decision.targets.values()) - 0.5) < 1e-9
         assert all(v >= 0 for v in decision.targets.values())

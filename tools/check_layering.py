@@ -21,7 +21,9 @@ Checks, using nothing but the stdlib ``ast`` module:
 3. **Removed paths stay removed** — the legacy simulation shims and
    the second parallel runner were deleted; a module under one of
    their names, or any ``DeprecationWarning`` under ``src/`` (the shims
-   were the only deprecated surface), fails the gate.
+   were the only deprecated surface), fails the gate. So does a module
+   that defines or imports a removed name (``TuningPolicy``: the
+   paper's tuning rule has one home, ``MultiplicativeController``).
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -180,6 +182,11 @@ REMOVED_MODULES: Tuple[str, ...] = (
     "repro.experiments.parallel",
 )
 
+#: Deleted names that must not come back, with what replaced them.
+REMOVED_NAMES: Dict[str, str] = {
+    "TuningPolicy": "repro.control.MultiplicativeController",
+}
+
 
 def discover_modules() -> Dict[str, Path]:
     """Map dotted module name -> source file for the whole package."""
@@ -277,8 +284,21 @@ def check_bans(edges: List[Tuple[str, str, int]]) -> List[str]:
     return problems
 
 
+def _bound_names(node: ast.AST) -> Iterator[str]:
+    """Names ``node`` defines or imports (``import a.B as C``: B and C)."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        yield node.name
+    elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+            yield alias.name.rpartition(".")[2]
+            if alias.asname:
+                yield alias.asname
+    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        yield node.id
+
+
 def check_removed(modules: Dict[str, Path]) -> List[str]:
-    """Resurrected modules and deprecation shims, one line each."""
+    """Resurrected modules, removed names and deprecation shims."""
     problems = [
         f"{name}: removed module is back ({modules[name]})"
         for name in REMOVED_MODULES
@@ -290,6 +310,11 @@ def check_removed(modules: Dict[str, Path]) -> List[str]:
                 problems.append(
                     f"{name}:{node.lineno}: DeprecationWarning — delete the "
                     "old path instead of deprecating it"
+                )
+            for gone in sorted(set(_bound_names(node)) & REMOVED_NAMES.keys()):
+                problems.append(
+                    f"{name}:{node.lineno}: defines or imports {gone} — "
+                    f"removed; use {REMOVED_NAMES[gone]}"
                 )
     return problems
 
