@@ -36,7 +36,7 @@ layer never drags in the ones above it)
     The pluggable tuning-control layer shared by scalar and vector
     engines (and the live service's epoch batcher).
 ``repro.knobs``
-    The strict ``REPRO_*`` environment-knob validators and registry.
+    The strict ``REPRO_*`` environment-knob validators.
 ``repro.service``
     ANU as a live placement service: asyncio locator, echo file
     servers, multi-process load generation, digital-twin parity.

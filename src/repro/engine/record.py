@@ -69,7 +69,7 @@ def derive_seed(seed: int, name: str) -> int:
     return (int(seed) * 2654435761 + zlib.crc32(name.encode("utf-8"))) % (2**63)
 
 
-def _default_cache_config() -> "CacheConfig":
+def _new_cache_config() -> "CacheConfig":
     # Deferred: repro.cluster may still be mid-import when this module
     # loads; by the time a config is *constructed* it is fully loaded.
     from ..cluster.cache import CacheConfig
@@ -98,7 +98,7 @@ class ClusterConfig:
 
     server_powers: Dict[object, float]
     tuning_interval: float = 120.0
-    cache: "CacheConfig" = field(default_factory=_default_cache_config)
+    cache: "CacheConfig" = field(default_factory=_new_cache_config)
     supply_knowledge: bool = True
 
     def __post_init__(self) -> None:

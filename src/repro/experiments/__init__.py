@@ -13,13 +13,7 @@ from .config import (
     ExperimentConfig,
     paper_config,
 )
-from .cache import (
-    ExperimentCache,
-    cached_synthetic,
-    default_cache,
-    result_fingerprint,
-    workload_fingerprint,
-)
+from .cache import result_fingerprint, workload_fingerprint
 from .chaos import (
     DEFAULT_FAULT_RATES,
     render_chaos,
@@ -51,9 +45,6 @@ __all__ = [
     "make_policy",
     "run_system",
     "run_comparison",
-    "ExperimentCache",
-    "cached_synthetic",
-    "default_cache",
     "result_fingerprint",
     "workload_fingerprint",
     "default_workers",

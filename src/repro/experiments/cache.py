@@ -1,132 +1,45 @@
-"""Content-addressed caching for workloads and experiment results.
+"""Content fingerprints of workloads and experiment results.
 
 Every figure and benchmark replays deterministic simulations: the same
-``(workload, config, system)`` triple always produces the same
-:class:`~repro.engine.record.ClusterResult`, and the same
-``(SyntheticConfig, seed)`` pair always produces the same 66k–112k
-request schedule. This module stops the harness from recomputing those
-fixed points:
+``(SyntheticConfig, seed)`` pair always produces the same request
+schedule, and the same ``(workload, config, system)`` triple the same
+:class:`~repro.engine.record.ClusterResult`. Nothing is stored — each
+figure regenerates its workload from its config and seed — but the
+determinism tests and ``bench/`` hold runs to that contract with two
+canonical SHA-256 digests:
 
-* an in-process memo for synthetic workloads
-  (:func:`cached_synthetic`) — each caller still receives a pristine
-  copy, because requests carry per-run mutable state;
-* an on-disk, content-hash-keyed store (:class:`ExperimentCache`) for
-  both workloads and results, shared across processes and sessions;
-* :func:`result_fingerprint` — a canonical SHA-256 digest over every
-  measured field of a result, used by the determinism tests to assert
-  that parallel and sequential execution are *byte-identical*.
+* :func:`workload_fingerprint` over a workload's schedule;
+* :func:`result_fingerprint` over every measured field of a result, so
+  parallel and sequential execution can be asserted *byte-identical*.
 
-Cache keys mix in ``repro.__version__`` and a schema version, so stale
-entries from older code are simply never hit. Environment knobs:
-
-``REPRO_CACHE=off``
-    Disable the on-disk cache entirely (in-process memo still applies).
-    Accepted values: ``on/off``, ``1/0``, ``true/false``, ``yes/no``
-    (case-insensitive); anything else raises a :class:`ValueError`.
-``REPRO_CACHE_DIR=<path>``
-    Override the on-disk location (default ``~/.cache/repro-sim``).
-
-Corrupt or truncated cache files (killed writer on a non-atomic
-filesystem, disk error, partial copy) are treated as misses, *deleted*,
-and recomputed — a bad entry can never wedge the harness or survive to
-poison the next run.
+The module keeps its old name, from when it also held a workload and
+result store, because the benchmark imports the fingerprints from here.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import pickle
-import tempfile
-from dataclasses import asdict
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import __version__
-from ..engine.record import ClusterResult
-from ..knobs import env_flag, register_knob
-from ..workloads.synthetic import SyntheticConfig, Workload, generate_synthetic
-from .config import ExperimentConfig
+if TYPE_CHECKING:
+    from ..engine.record import ClusterResult
+    from ..workloads.synthetic import Workload
 
-__all__ = [
-    "cached_synthetic",
-    "clear_memo",
-    "workload_fingerprint",
-    "result_fingerprint",
-    "ExperimentCache",
-    "default_cache",
-]
+__all__ = ["workload_fingerprint", "result_fingerprint"]
 
-#: Bump when the pickled layout of Workload/ClusterResult changes.
+#: Bump when the fingerprinted layout of Workload/ClusterResult changes.
 _SCHEMA = 1
 
-register_knob(
-    "REPRO_CACHE",
-    kind="flag",
-    default=True,
-    help="enable/disable the on-disk workload+result cache",
-)
-register_knob(
-    "REPRO_CACHE_DIR",
-    kind="path",
-    default="~/.cache/repro-sim",
-    help="override the on-disk cache location",
-)
 
-
-def _cache_enabled_from_env() -> bool:
-    """Parse ``REPRO_CACHE`` strictly; a typo must not silently enable."""
-    return env_flag("REPRO_CACHE", default=True)
-
-# ---------------------------------------------------------------------- #
-# in-process workload memo
-# ---------------------------------------------------------------------- #
-_workload_memo: Dict[Tuple[SyntheticConfig, int], Workload] = {}
-
-
-def cached_synthetic(
-    config: SyntheticConfig,
-    seed: int,
-    cache: Optional["ExperimentCache"] = None,
-) -> Workload:
-    """Memoized :func:`generate_synthetic`.
-
-    Returns a *fresh copy* (pristine, un-served request objects) on
-    every call — the memo holds a master that is never handed out.
-    With ``cache`` given (or the default cache enabled), misses also
-    consult and populate the on-disk store.
-    """
-    key = (config, int(seed))
-    master = _workload_memo.get(key)
-    if master is None:
-        store = cache if cache is not None else default_cache()
-        master = store.get_workload(config, seed) if store.enabled else None
-        if master is None:
-            master = generate_synthetic(config, seed=seed)
-            if store.enabled:
-                store.put_workload(config, seed, master)
-        _workload_memo[key] = master
-    return master.fork()
-
-
-def clear_memo() -> None:
-    """Drop the in-process workload memo (tests and memory pressure)."""
-    _workload_memo.clear()
-
-
-# ---------------------------------------------------------------------- #
-# fingerprints
-# ---------------------------------------------------------------------- #
 def _hash_update(h, *parts: object) -> None:
     for part in parts:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x00")
 
 
-def workload_fingerprint(workload: Workload) -> str:
+def workload_fingerprint(workload: "Workload") -> str:
     """Content hash of a workload's schedule (names, times, work)."""
     h = hashlib.sha256()
     _hash_update(h, "workload", _SCHEMA, workload.duration, workload.catalog.names)
@@ -136,7 +49,7 @@ def workload_fingerprint(workload: Workload) -> str:
     return h.hexdigest()
 
 
-def result_fingerprint(result: ClusterResult) -> str:
+def result_fingerprint(result: "ClusterResult") -> str:
     """Canonical digest over every measured field of a result.
 
     Two results with equal fingerprints are byte-identical in all the
@@ -174,153 +87,3 @@ def result_fingerprint(result: ClusterResult) -> str:
             result.server_utilization.get(sid),
         )
     return h.hexdigest()
-
-
-def _config_token(config: ExperimentConfig) -> str:
-    """Canonical JSON of an experiment configuration."""
-    return json.dumps(asdict(config), sort_keys=True, default=repr)
-
-
-def _synthetic_token(config: SyntheticConfig, seed: int) -> str:
-    return json.dumps({"cfg": asdict(config), "seed": int(seed)}, sort_keys=True)
-
-
-# ---------------------------------------------------------------------- #
-# on-disk store
-# ---------------------------------------------------------------------- #
-class ExperimentCache:
-    """Content-hash-keyed pickle store for workloads and results.
-
-    Entries are written atomically (temp file + rename) so concurrent
-    workers can share one directory. Keys embed the package version and
-    a schema version; entries written by incompatible code are never
-    read. The store degrades to a no-op when disabled.
-    """
-
-    def __init__(self, root: Optional[os.PathLike] = None, enabled: Optional[bool] = None) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or (
-                Path.home() / ".cache" / "repro-sim"
-            )
-        self.root = Path(root)
-        if enabled is None:
-            enabled = _cache_enabled_from_env()
-        self.enabled = bool(enabled)
-        #: Hit/miss counters (diagnostics and tests).
-        self.hits = 0
-        self.misses = 0
-        #: Corrupt/truncated entries deleted on read.
-        self.evictions = 0
-
-    # -- keys ----------------------------------------------------------- #
-    def _key(self, kind: str, token: str) -> str:
-        h = hashlib.sha256()
-        _hash_update(h, kind, __version__, _SCHEMA, token)
-        return h.hexdigest()
-
-    def workload_key(self, config: SyntheticConfig, seed: int) -> str:
-        """Cache key of a synthetic workload."""
-        return self._key("workload", _synthetic_token(config, seed))
-
-    def result_key(
-        self,
-        system: str,
-        workload: Workload,
-        config: ExperimentConfig,
-        n_virtual: Optional[int] = None,
-    ) -> str:
-        """Cache key of one ``system × workload × config`` result."""
-        token = json.dumps(
-            {
-                "system": system,
-                "workload": workload_fingerprint(workload),
-                "config": _config_token(config),
-                "n_virtual": n_virtual,
-            },
-            sort_keys=True,
-        )
-        return self._key("result", token)
-
-    # -- raw IO --------------------------------------------------------- #
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def _load(self, key: str):
-        if not self.enabled:
-            return None
-        path = self._path(key)
-        try:
-            fh = open(path, "rb")
-        except OSError:
-            # Plain miss: no entry (or unreadable filesystem).
-            self.misses += 1
-            return None
-        try:
-            with fh:
-                value = pickle.load(fh)
-        except Exception:
-            # The file exists but does not decode: corrupt or truncated.
-            # Delete it so the recomputed value can take its place —
-            # leaving it would repeat the failed decode on every read.
-            self.evictions += 1
-            self.misses += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return value
-
-    def _store(self, key: str, value) -> None:
-        if not self.enabled:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            # Read-only or full filesystem: caching is best-effort.
-            pass
-
-    # -- typed helpers --------------------------------------------------- #
-    def get_workload(self, config: SyntheticConfig, seed: int) -> Optional[Workload]:
-        """Load a cached workload, or ``None`` on a miss."""
-        return self._load(self.workload_key(config, seed))
-
-    def put_workload(self, config: SyntheticConfig, seed: int, workload: Workload) -> None:
-        """Store a workload under its content key."""
-        self._store(self.workload_key(config, seed), workload)
-
-    def get_result(self, key: str) -> Optional[ClusterResult]:
-        """Load a cached result by key, or ``None`` on a miss."""
-        return self._load(key)
-
-    def put_result(self, key: str, result: ClusterResult) -> None:
-        """Store a result under ``key``."""
-        self._store(key, result)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        state = "on" if self.enabled else "off"
-        return f"<ExperimentCache {state} root={str(self.root)!r} hits={self.hits} misses={self.misses}>"
-
-
-_default: Optional[ExperimentCache] = None
-
-
-def default_cache() -> ExperimentCache:
-    """Process-wide cache honouring the ``REPRO_CACHE*`` environment."""
-    global _default
-    if _default is None:
-        _default = ExperimentCache()
-    return _default

@@ -30,6 +30,7 @@ from ..engine import ChaosConfig, ChaosResult, SimulationBuilder
 from ..faults import FaultSchedule, chaos_fingerprint, random_schedule
 from ..metrics.robustness import RobustnessReport, robustness_report
 from ..policies import ANURandomization
+from ..workloads.synthetic import generate_synthetic
 from .config import ExperimentConfig, paper_config
 
 __all__ = [
@@ -61,10 +62,8 @@ def run_chaos(
     at ``fault_rate`` faults per simulated second; the harness seed is
     the same ``seed``, so the whole run replays from one integer.
     """
-    from .cache import cached_synthetic  # late: cache imports runner
-
     config = config or paper_config(seed=seed, scale=scale)
-    workload = cached_synthetic(config.synthetic_config(), seed=config.seed)
+    workload = generate_synthetic(config.synthetic_config(), seed=config.seed)
     chaos = chaos or ChaosConfig(seed=seed)
     if schedule is None:
         schedule = random_schedule(

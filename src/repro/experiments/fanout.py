@@ -2,8 +2,8 @@
 
 The old fan-out pickled a full workload per job — for a four-system
 comparison that is four multi-megabyte serializations *before any
-simulation starts*, which is exactly why the cold-cache parallel path
-used to lose to sequential. This module fixes the root cause:
+simulation starts*, which is exactly why the parallel path used to
+lose to sequential. This module fixes the root cause:
 
 * **Zero-copy payload.** The caller's large shared object (workload +
   config) is published to a module global *before* the pool forks;
@@ -37,16 +37,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
 
-from ..knobs import env_int, register_knob
+from ..knobs import env_int
 
 __all__ = ["default_workers", "resolve_workers", "shared_payload", "stream_map"]
-
-register_knob(
-    "REPRO_PARALLEL_WORKERS",
-    kind="int",
-    default=None,
-    help="worker-process count for experiment fan-out (default: CPU count)",
-)
 
 #: The fork-shared payload (set for the duration of one stream_map call).
 _PAYLOAD: Any = None

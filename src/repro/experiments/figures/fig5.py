@@ -22,7 +22,7 @@ import numpy as np
 from ...engine.record import ClusterResult
 from ...metrics.latency import convergence_round, latency_series
 from ...metrics.summary import ascii_table, format_float
-from ..cache import cached_synthetic
+from ...workloads.synthetic import generate_synthetic
 from ..config import ExperimentConfig, paper_config
 from ..runner import run_comparison
 
@@ -45,7 +45,7 @@ class Fig5Data:
 def run(seed: int = 1, scale: float = 1.0) -> Fig5Data:
     """Execute the Figure 5 experiment at the given scale."""
     config = paper_config(seed=seed, scale=scale)
-    workload = cached_synthetic(config.synthetic_config(), seed=seed)
+    workload = generate_synthetic(config.synthetic_config(), seed=seed)
     results = run_comparison(workload, config)
     return Fig5Data(config=config, results=results)
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...engine.record import ClusterResult
 from ...metrics.summary import ascii_table
-from ..cache import cached_synthetic
+from ...workloads.synthetic import generate_synthetic
 from ..config import ExperimentConfig, paper_config
 from ..runner import run_comparison, run_vp_sweep
 
@@ -61,7 +61,7 @@ def run(
     independent run per VP count.
     """
     config = paper_config(seed=seed, scale=scale)
-    workload = cached_synthetic(config.synthetic_config(), seed=seed)
+    workload = generate_synthetic(config.synthetic_config(), seed=seed)
     references = run_comparison(
         workload, config, systems=("anu", "prescient"), max_workers=max_workers
     )

@@ -5,7 +5,7 @@
 system × workload combination; :func:`run_comparison` runs the full
 four-system sweep used by Figures 4–6 and :func:`run_vp_sweep` the
 Figure 8 VP sweep — sequentially by default, fanned out over forked
-workers and/or served from an :class:`ExperimentCache` on request.
+workers on request.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..policies import (
     VirtualProcessorSystem,
 )
 from ..workloads.synthetic import Workload
-from .cache import ExperimentCache
 from .config import ExperimentConfig
 from .fanout import shared_payload, stream_map
 
@@ -107,37 +106,21 @@ def _run_jobs(
     workload: Workload,
     config: ExperimentConfig,
     max_workers: Optional[int],
-    cache: Optional[ExperimentCache],
 ) -> List[ClusterResult]:
     """Run ``(system, n_virtual)`` jobs over one workload, in job order.
 
-    Jobs whose result ``cache`` already holds are not re-run; the rest
-    fan out through :func:`stream_map` (in-process at one worker) and
-    are stored for next time. Each run is a pure function of its
-    inputs and the merge follows ``jobs``, never completion order, so
-    the worker count changes wall-clock only.
+    The jobs fan out through :func:`stream_map` (in-process at one
+    worker). Each run is a pure function of its inputs and the merge
+    follows ``jobs``, never completion order, so the worker count
+    changes wall-clock only.
     """
-    results: List[Optional[ClusterResult]] = [None] * len(jobs)
-    keys: List[str] = []
-    if cache is not None:
-        keys = [
-            cache.result_key(system, workload, config, n_virtual=n_virtual)
-            for system, n_virtual in jobs
-        ]
-        results = [cache.get_result(key) for key in keys]
-    pending = [i for i, result in enumerate(results) if result is None]
-    fresh = stream_map(
+    return stream_map(
         _system_job,
-        [jobs[i] for i in pending],
+        jobs,
         payload=(workload, config),
         max_workers=max_workers,
         chunk_size=1,
     )
-    for i, result in zip(pending, fresh):
-        results[i] = result
-        if cache is not None:
-            cache.put_result(keys[i], result)
-    return results
 
 
 def run_comparison(
@@ -145,7 +128,6 @@ def run_comparison(
     config: ExperimentConfig,
     systems: Iterable[str] = ("simple", "anu", "prescient", "virtual"),
     max_workers: Optional[int] = 1,
-    cache: Optional[ExperimentCache] = None,
 ) -> Dict[str, ClusterResult]:
     """Run the four-system comparison of Figures 4/5/6.
 
@@ -157,7 +139,7 @@ def run_comparison(
     """
     systems = tuple(systems)
     jobs = [(system, None) for system in systems]
-    return dict(zip(systems, _run_jobs(jobs, workload, config, max_workers, cache)))
+    return dict(zip(systems, _run_jobs(jobs, workload, config, max_workers)))
 
 
 def run_vp_sweep(
@@ -165,7 +147,6 @@ def run_vp_sweep(
     config: ExperimentConfig,
     sweep: Sequence[int],
     max_workers: Optional[int] = 1,
-    cache: Optional[ExperimentCache] = None,
 ) -> Dict[int, ClusterResult]:
     """The Figure 8 virtual-processor sweep, one run per VP count.
 
@@ -173,4 +154,4 @@ def run_vp_sweep(
     """
     sweep = [int(nv) for nv in sweep]
     jobs = [("virtual", nv) for nv in sweep]
-    return dict(zip(sweep, _run_jobs(jobs, workload, config, max_workers, cache)))
+    return dict(zip(sweep, _run_jobs(jobs, workload, config, max_workers)))

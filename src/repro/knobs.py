@@ -1,21 +1,14 @@
-"""Strict ``REPRO_*`` environment-knob parsing — one validator, one registry.
+"""Strict ``REPRO_*`` environment-knob parsing.
 
-Every tunable the repo reads from the environment goes through this
-module. The contract is uniform and deliberately unforgiving:
+Every tunable the repo reads from the environment goes through these
+validators — today ``REPRO_PARALLEL_WORKERS`` (the fan-out) and the
+service's ``REPRO_SERVICE_*`` knobs (port, epoch seconds, client
+count). The contract is uniform and deliberately unforgiving:
 
 * unset or blank means *default* — whitespace never changes behaviour;
 * anything else must parse **exactly**, or a :class:`ValueError` naming
   the variable and the offending value is raised. A typo in
-  ``REPRO_CACHE=offf`` or ``REPRO_PARALLEL_WORKERS=many`` must never
-  silently enable a cache or serialize a sweep.
-
-Historically the cache (``REPRO_CACHE``) and the fan-out
-(``REPRO_PARALLEL_WORKERS``) each carried a private copy of this logic;
-they now share these parsers, and the service layer registers its
-``REPRO_SERVICE_*`` knobs (port, epoch seconds, client count) through
-the same registry. :func:`describe_knobs` renders the registry for
-``--help`` output and docs, so the set of recognized variables is
-discoverable in one place.
+  ``REPRO_PARALLEL_WORKERS=many`` must never silently serialize a sweep.
 
 This module imports nothing from ``repro`` — it sits below every layer.
 """
@@ -23,97 +16,17 @@ This module imports nothing from ``repro`` — it sits below every layer.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-__all__ = [
-    "Knob",
-    "KNOBS",
-    "register_knob",
-    "env_flag",
-    "env_int",
-    "env_float",
-    "describe_knobs",
-]
-
-#: Spellings accepted for boolean knobs (after strip + lower).
-FLAG_TRUTHY: Tuple[str, ...] = ("on", "1", "true", "yes")
-FLAG_FALSY: Tuple[str, ...] = ("off", "0", "false", "no")
+__all__ = ["env_int", "env_float"]
 
 
-@dataclass(frozen=True)
-class Knob:
-    """One registered environment variable.
-
-    ``kind`` is the parser family (``flag`` / ``int`` / ``float``);
-    ``default`` is what unset/blank resolves to (``None`` when the
-    consumer supplies a computed default, e.g. the CPU count).
-    """
-
-    name: str
-    kind: str
-    default: object
-    help: str
-
-
-#: The registry: variable name -> :class:`Knob`. Consumers register at
-#: import time; parse calls work for unregistered names too (tests).
-KNOBS: Dict[str, Knob] = {}
-
-
-def register_knob(
-    name: str,
-    kind: str,
-    default: object,
-    help: str,  # noqa: A002 - mirrors the dataclass field
-) -> Knob:
-    """Record a knob in the registry (idempotent; last writer wins)."""
-    knob = Knob(name=name, kind=kind, default=default, help=help)
-    KNOBS[name] = knob
-    return knob
-
-
-def describe_knobs() -> str:
-    """Human-readable registry dump (one line per knob)."""
-    lines = []
-    for name in sorted(KNOBS):
-        knob = KNOBS[name]
-        lines.append(f"{name} ({knob.kind}, default {knob.default!r}): {knob.help}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# parsers
-# ---------------------------------------------------------------------- #
 def _raw(name: str) -> Optional[str]:
     """The variable's value, or ``None`` when unset or blank."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return None
     return raw
-
-
-def env_flag(name: str, default: bool = True, blank: Optional[bool] = None) -> bool:
-    """Strict boolean knob: ``on/1/true/yes`` vs ``off/0/false/no``.
-
-    Unset resolves to ``default``; a *set-but-blank* variable resolves
-    to ``blank`` when given (``REPRO_CACHE=`` historically means
-    "enabled") and to ``default`` otherwise. Any other value raises.
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = raw.strip().lower()
-    if not value:
-        return default if blank is None else blank
-    if value in FLAG_TRUTHY:
-        return True
-    if value in FLAG_FALSY:
-        return False
-    raise ValueError(
-        f"{name} must be one of "
-        f"{'/'.join(FLAG_TRUTHY + FLAG_FALSY)} (got {raw!r})"
-    )
 
 
 def env_int(

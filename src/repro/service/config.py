@@ -1,10 +1,11 @@
 """Service configuration and its ``REPRO_SERVICE_*`` environment knobs.
 
-All knobs go through :mod:`repro.knobs`, the same strict validator the
-cache / fan-out / relocation knobs use: unset means default, anything
-set must parse exactly or the service refuses to start. The paper's
-cluster shape — powers {1, 3, 5, 7, 9} — is the default line-up; the
-smoke profile trims it to two servers so CI finishes in seconds.
+All knobs go through :mod:`repro.knobs`, the same strict validators the
+fan-out's ``REPRO_PARALLEL_WORKERS`` uses: unset means default, anything
+set must parse exactly or the service refuses to start
+(:meth:`ServiceConfig.with_env_overrides`). The paper's cluster shape —
+powers {1, 3, 5, 7, 9} — is the default line-up; the smoke profile
+trims it to two servers so CI finishes in seconds.
 """
 
 from __future__ import annotations
@@ -12,28 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from ..knobs import env_float, env_int, register_knob
+from ..knobs import env_float, env_int
 
 __all__ = ["ServiceConfig", "smoke_config", "full_config"]
-
-register_knob(
-    "REPRO_SERVICE_PORT",
-    kind="int",
-    default=0,
-    help="locator TCP port (0 = ephemeral, the bench default)",
-)
-register_knob(
-    "REPRO_SERVICE_EPOCH_SECONDS",
-    kind="float",
-    default=None,
-    help="wall-clock seconds per tuning epoch (default: profile-dependent)",
-)
-register_knob(
-    "REPRO_SERVICE_CLIENTS",
-    kind="int",
-    default=None,
-    help="load-generating client processes (default: profile-dependent)",
-)
 
 #: The paper's heterogeneous cluster: relative powers {1, 3, 5, 7, 9}.
 PAPER_POWERS: Tuple[float, ...] = (1.0, 3.0, 5.0, 7.0, 9.0)
@@ -107,7 +89,13 @@ class ServiceConfig:
         return float(sum(self.server_powers.values()))
 
     def with_env_overrides(self) -> "ServiceConfig":
-        """This config with ``REPRO_SERVICE_*`` knobs applied on top."""
+        """This config with ``REPRO_SERVICE_*`` knobs applied on top.
+
+        ``REPRO_SERVICE_PORT`` (0–65535; 0 binds an ephemeral port),
+        ``REPRO_SERVICE_EPOCH_SECONDS`` (> 0) and ``REPRO_SERVICE_CLIENTS``
+        (>= 1) override the profile's values; unset knobs keep them, and
+        with none set the same object comes back.
+        """
         port = env_int("REPRO_SERVICE_PORT", default=None, minimum=0, maximum=65535)
         epoch = env_float(
             "REPRO_SERVICE_EPOCH_SECONDS", default=None, exclusive_minimum=0.0

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 ENGINE = REPO / "src" / "repro" / "engine"
 
@@ -75,6 +77,57 @@ class TestCheckerTool:
             "use repro.control.MultiplicativeController",
             "repro.core.alias:2: defines or imports TuningPolicy — removed; "
             "use repro.control.MultiplicativeController",
+        ]
+
+    @pytest.mark.parametrize(
+        "gone",
+        [
+            "ExperimentCache",
+            "cached_synthetic",
+            "default_cache",
+            "clear_memo",
+            "register_knob",
+            "describe_knobs",
+            "env_flag",
+        ],
+    )
+    def test_removed_cache_and_registry_names_are_reported(self, tmp_path, gone):
+        """The experiment cache and the knob registry stay deleted."""
+        imports = tmp_path / "imports.py"
+        imports.write_text(f"from repro.experiments.cache import {gone}\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text(f"def {gone}():\n    pass\n")
+        problems = check_layering.check_removed(
+            {"repro.experiments.a": imports, "repro.knobs": defines}
+        )
+        assert problems == [
+            f"repro.experiments.a:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+            f"repro.knobs:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+        ]
+
+    def test_removed_env_knobs_and_exporter_are_reported(self, tmp_path):
+        """Reading a removed variable or reviving the exporter fails."""
+        reads = tmp_path / "reads.py"
+        reads.write_text(
+            '"""Once read REPRO_CACHE."""\n'
+            "import os\n"
+            "root = os.environ.get('REPRO_CACHE_DIR')\n"
+            "on = os.environ['REPRO_CACHE']\n"
+        )
+        exporter = tmp_path / "export.py"
+        exporter.write_text("x = 1\n")
+        problems = check_layering.check_removed(
+            {"repro.experiments.runner": reads, "repro.experiments.export": exporter}
+        )
+        assert problems == [
+            "repro.experiments.export: removed module is back "
+            f"({exporter})",
+            "repro.experiments.runner:3: reads REPRO_CACHE_DIR — removed; "
+            "figures regenerate their workload from (config, seed)",
+            "repro.experiments.runner:4: reads REPRO_CACHE — removed; "
+            "figures regenerate their workload from (config, seed)",
         ]
 
     def test_cycle_detection(self):

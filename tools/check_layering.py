@@ -18,12 +18,14 @@ Checks, using nothing but the stdlib ``ast`` module:
 2. **Import cycles** — the module-level import graph of ``repro`` must
    be acyclic. Imports guarded by ``if TYPE_CHECKING:`` are ignored
    (they never execute).
-3. **Removed paths stay removed** — the legacy simulation shims and
-   the second parallel runner were deleted; a module under one of
-   their names, or any ``DeprecationWarning`` under ``src/`` (the shims
-   were the only deprecated surface), fails the gate. So does a module
-   that defines or imports a removed name (``TuningPolicy``: the
-   paper's tuning rule has one home, ``MultiplicativeController``).
+3. **Removed paths stay removed** — the legacy simulation shims, the
+   second parallel runner and the CSV exporter were deleted; a module
+   under one of their names, or any ``DeprecationWarning`` under
+   ``src/`` (the shims were the only deprecated surface), fails the
+   gate. So does a module that defines or imports a removed name
+   (``TuningPolicy``: the paper's tuning rule has one home,
+   ``MultiplicativeController``; the experiment cache and the knob
+   registry) or names a removed environment variable in a string.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -175,16 +177,35 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
 
 
 #: Deleted modules that must not come back: build an engine with
-#: ``SimulationBuilder``, fan runs out with ``run_comparison``.
+#: ``SimulationBuilder``, fan runs out with ``run_comparison``; the
+#: figure-data CSV exporter had no caller.
 REMOVED_MODULES: Tuple[str, ...] = (
     "repro.cluster.cluster",
     "repro.cluster.distributed_cluster",
     "repro.experiments.parallel",
+    "repro.experiments.export",
 )
+
+_KNOB_PARSERS = "repro.knobs.env_int / env_float directly"
+_REGENERATE = "figures regenerate their workload from (config, seed)"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
     "TuningPolicy": "repro.control.MultiplicativeController",
+    "ExperimentCache": "repro.workloads.generate_synthetic",
+    "cached_synthetic": "repro.workloads.generate_synthetic",
+    "default_cache": "repro.workloads.generate_synthetic",
+    "clear_memo": "repro.workloads.generate_synthetic",
+    "register_knob": _KNOB_PARSERS,
+    "describe_knobs": _KNOB_PARSERS,
+    "env_flag": _KNOB_PARSERS,
+}
+
+#: Deleted environment variables: a module that names one in a string
+#: literal is reading it again.
+REMOVED_ENV: Dict[str, str] = {
+    "REPRO_CACHE": _REGENERATE,
+    "REPRO_CACHE_DIR": _REGENERATE,
 }
 
 
@@ -315,6 +336,11 @@ def check_removed(modules: Dict[str, Path]) -> List[str]:
                 problems.append(
                     f"{name}:{node.lineno}: defines or imports {gone} — "
                     f"removed; use {REMOVED_NAMES[gone]}"
+                )
+            if isinstance(node, ast.Constant) and node.value in REMOVED_ENV:
+                problems.append(
+                    f"{name}:{node.lineno}: reads {node.value} — removed; "
+                    f"{REMOVED_ENV[node.value]}"
                 )
     return problems
 
