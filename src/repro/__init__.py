@@ -37,6 +37,9 @@ layer never drags in the ones above it)
     engines (and the live service's epoch batcher).
 ``repro.knobs``
     The strict ``REPRO_*`` environment-knob validators.
+``repro.retry``
+    Client request hardening shared by the simulated and the live
+    client: retry policy, request ledger, attempt state machine.
 ``repro.service``
     ANU as a live placement service: asyncio locator, echo file
     servers, multi-process load generation, digital-twin parity.
@@ -60,6 +63,7 @@ _SUBPACKAGES = (
     "knobs",
     "metrics",
     "policies",
+    "retry",
     "service",
     "sim",
     "workloads",

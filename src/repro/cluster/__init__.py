@@ -13,31 +13,19 @@ striped shared-disk data path behind a SAN.
 * :class:`SharedDisk` / :class:`DiskArray` — the data path
 
 The simulation driver, its config/result records and the request-replay
-clients live in :mod:`repro.engine`.
-
-:class:`AccessClient` is re-exported *lazily* (PEP 562): its module
-imports :mod:`repro.engine.client_path`, and loading that eagerly here
-would cycle — the engine's layers import the cluster *model* modules
-(``fileset``, ``server``, ``cache``), which land in this package first.
+clients live in :mod:`repro.engine`; this package imports nothing from
+it.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING
-
 from .cache import CacheConfig, CacheModel
+from .client import AccessClient
 from .disk import DiskArray, SharedDisk
 from .fileset import FileSet, FileSetCatalog
 from .namespace import Namespace, normalize_path
 from .request import MetadataRequest
 from .server import FileServer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .client import AccessClient
-
-#: Lazily re-exported name -> defining submodule.
-_LAZY = {"AccessClient": "client"}
 
 __all__ = [
     "FileSet",
@@ -52,17 +40,3 @@ __all__ = [
     "Namespace",
     "normalize_path",
 ]
-
-
-def __getattr__(name: str):
-    submodule = _LAZY.get(name)
-    if submodule is not None:
-        module = importlib.import_module(f".{submodule}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value  # cache: subsequent lookups skip __getattr__
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

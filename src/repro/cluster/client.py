@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..engine.client_path import drive_attempts
 from ..sim import Simulator, Tally
 from .disk import DiskArray
 from .request import MetadataRequest
@@ -32,10 +31,8 @@ class AccessClient:
     paper's motivation that "clients blocked on metadata may leave the
     high bandwidth SAN underutilized" (§3).
 
-    The metadata phase rides the same
-    :func:`~repro.engine.client_path.drive_attempts` core as
-    :class:`~repro.engine.client_path.HardenedClient` (without a retry policy: one locate, one
-    submission, an unroutable file set raises).
+    The metadata phase has no retries: one locate, one submission, and
+    an unroutable file set raises ``RuntimeError``.
     """
 
     def __init__(
@@ -57,7 +54,13 @@ class AccessClient:
     def _access(self, fileset: str, meta_work: float, data_size: float):
         start = self.env.now
         request = MetadataRequest(fileset=fileset, arrival=start, work=meta_work)
-        yield from drive_attempts(self.env, self.route, request)
+        server = self.route(request)
+        if server is None:
+            raise RuntimeError(f"no server for file set {fileset!r}")
+        done = self.env.event()
+        request.on_complete = lambda req, ev=done: ev.succeed(req)
+        server.submit(request)
+        yield done
         meta_done = self.env.now
         yield self.disks.read(data_size)
         total = self.env.now - start

@@ -5,11 +5,11 @@ One :class:`ClusterEngine` assembled from four pluggable layers
 :class:`SimulationBuilder`. See DESIGN.md §8 for the architecture and
 the probe catalog.
 
-Import order below is deliberate: ``repro.cluster.client`` and
-``repro.faults`` import these submodules while their own packages are
-still initialising, so each engine module may only depend on the ones
-listed before it (and must never import ``repro.cluster``,
-``repro.faults`` or ``repro.experiments`` at top level).
+Import order below is deliberate: ``repro.faults`` imports
+``engine.record`` while its own package is still initialising, so each
+engine module may only depend on the ones listed before it (and must
+never import ``repro.cluster``, ``repro.faults`` or
+``repro.experiments`` at top level).
 """
 
 from .probes import (  # noqa: F401  (isort: keep assembly order)
@@ -39,8 +39,6 @@ from .client_path import (  # noqa: F401
     HardenedClient,
     HardenedClientPath,
     RequestDriver,
-    RetryPolicy,
-    drive_attempts,
 )
 from .record import (  # noqa: F401
     ChaosConfig,
@@ -101,8 +99,6 @@ __all__ = [
     "VectorizedClientPath",
     "VectorizedRequestDriver",
     "HardenedClient",
-    "RetryPolicy",
-    "drive_attempts",
     # records / results
     "ClusterConfig",
     "ClusterResult",

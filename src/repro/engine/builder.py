@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Type, TYPE_CHECKING
 
 from ..policies.base import LoadManager
-from .client_path import ClientPath, HardenedClientPath, RetryPolicy
+from ..retry import RetryPolicy
+from .client_path import ClientPath, HardenedClientPath
 from .control import ControlPlane, DistributedControlPlane
 from .engine import ClusterEngine
 from .fault_layer import ChaosFaultLayer, FaultLayer

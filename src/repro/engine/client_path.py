@@ -1,16 +1,14 @@
-"""The client-path layer: one request driver, parameterized by retries.
+"""The client-path layer: one request driver, with or without retries.
 
-Historically the repo carried three near-duplicate drivers
-(``RequestDriver``, ``HardenedRequestDriver``, and the ``AccessClient``
-metadata phase). This module collapses them onto one replay driver
-(:class:`RequestDriver`) and one locate-retry-redirect core
-(:func:`drive_attempts`) shared by every client:
+:class:`RequestDriver` replays a request schedule into the cluster
+through one of two paths:
 
 * **basic path** — route once at arrival, submit or drop (the paper's
   figure runs: placement changes take effect for new arrivals, queued
   requests finish where they are);
 * **hardened path** — :class:`HardenedClient` drives each logical
-  request through :func:`drive_attempts` with a :class:`RetryPolicy`:
+  request through the retry, redirect and ledger rules of
+  :mod:`repro.retry` (the same rules the live service client follows):
   per-attempt completion timeout, capped exponential backoff with
   seeded jitter, and re-locate-and-redirect when the target is down or
   suspected. The ledger (``injected = completed + failed + in_flight``)
@@ -24,10 +22,10 @@ calls to assemble its driver.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Set, TYPE_CHECKING
 
-from ..sim import Simulator, Tally
+from ..retry import Attempts, RequestLedger, RetryPolicy
+from ..sim import Simulator
 from .probes import RequestDropped, RequestFailed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,261 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ClusterEngine
 
 __all__ = [
-    "RetryPolicy",
-    "RequestLedger",
-    "drive_attempts",
     "HardenedClient",
     "RequestDriver",
     "ClientPath",
     "BasicClientPath",
     "HardenedClientPath",
 ]
-
-
-class RequestLedger:
-    """The request-conservation ledger, independent of any clock.
-
-    Shared bookkeeping between the simulated :class:`HardenedClient`
-    and the live ``repro.service`` client: both drive logical requests
-    through locate-retry-redirect loops, and both are held to the same
-    two invariants —
-
-    * **conservation**: ``injected == completed + failed + in_flight``;
-    * **classification**: every in-flight request sits in exactly one
-      of ``dispatching`` / ``awaiting_service`` / ``backing_off``.
-
-    The ledger knows nothing about *how* requests are driven (simulated
-    processes vs asyncio tasks); it only counts transitions, which is
-    what makes the chaos invariants portable to sockets.
-    """
-
-    def __init__(self) -> None:
-        #: Logical requests handed to the client.
-        self.injected = 0
-        #: Logical requests that completed (first successful attempt).
-        self.completed = 0
-        #: Logical requests abandoned after ``max_attempts``.
-        self.failed = 0
-        #: Logical requests currently being driven.
-        self.in_flight = 0
-        #: Re-submissions after a failed/suspected/unroutable attempt.
-        self.retries = 0
-        #: Retries that landed on a *different* server than the last try.
-        self.redirects = 0
-        #: Attempts abandoned because the timeout found the target dead.
-        self.timeouts = 0
-        #: Where each in-flight request currently sits (classification
-        #: of the horizon remainder): accepted but the driver has not
-        #: started yet, waiting on a submitted attempt, or in a backoff
-        #: sleep between attempts. Every in-flight request is in exactly
-        #: one bucket — the conservation sweep asserts it.
-        self.dispatching = 0
-        self.awaiting_service = 0
-        self.backing_off = 0
-        #: End-to-end latency of every completed logical request.
-        self.latency = Tally(keep=True)
-
-    # ------------------------------------------------------------------ #
-    # transitions
-    # ------------------------------------------------------------------ #
-    def ledger_inject(self) -> None:
-        """A logical request enters the client."""
-        self.injected += 1
-        self.in_flight += 1
-        self.dispatching += 1
-
-    def ledger_settle(self, latency: float) -> None:
-        """A logical request completed with measured ``latency``."""
-        self.completed += 1
-        self.in_flight -= 1
-        self.latency.observe(latency)
-
-    def ledger_exhaust(self) -> None:
-        """A logical request gave up after exhausting its attempts."""
-        self.failed += 1
-        self.in_flight -= 1
-
-    # ------------------------------------------------------------------ #
-    # invariants
-    # ------------------------------------------------------------------ #
-    @property
-    def conserved(self) -> bool:
-        """The request-conservation ledger: injected == done + pending."""
-        return self.injected == self.completed + self.failed + self.in_flight
-
-    @property
-    def classified(self) -> bool:
-        """Every in-flight request sits in exactly one known bucket."""
-        return self.in_flight == (
-            self.dispatching + self.awaiting_service + self.backing_off
-        )
-
-    @property
-    def lost(self) -> int:
-        """Requests the ledger cannot account for (must always be 0)."""
-        return self.injected - self.completed - self.failed - self.in_flight
-
-    @property
-    def retries_per_request(self) -> float:
-        """Mean retries per injected logical request."""
-        return self.retries / self.injected if self.injected else 0.0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side request-hardening knobs.
-
-    Attributes
-    ----------
-    request_timeout:
-        Seconds to wait on a submitted attempt before re-evaluating the
-        target's health. A healthy-but-slow server is *not* abandoned
-        (FIFO guarantees progress); only a failed or suspected target
-        triggers a redirect, so no work is duplicated on live servers.
-    max_attempts:
-        Total placement attempts (initial + retries) before the request
-        is declared failed.
-    backoff_base / backoff_cap:
-        Exponential backoff between attempts: ``base · 2^(attempt-1)``
-        seconds, capped at ``backoff_cap``.
-    jitter:
-        Fraction of each backoff randomized (``0`` = deterministic
-        full backoff, ``0.5`` = uniform in ``[0.5·b, b]``). Drawn from
-        the client's seeded rng, so runs replay bit-identically.
-    """
-
-    request_timeout: float = 10.0
-    max_attempts: int = 10
-    backoff_base: float = 0.25
-    backoff_cap: float = 5.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
-            raise ValueError(f"request_timeout must be > 0, got {self.request_timeout}")
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base <= 0 or self.backoff_cap < self.backoff_base:
-            raise ValueError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"{self.backoff_base}/{self.backoff_cap}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def backoff(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """Backoff before retry number ``attempt`` (1-based), jittered."""
-        base = min(self.backoff_cap, self.backoff_base * (2.0 ** max(0, attempt - 1)))
-        if rng is None or self.jitter == 0.0:
-            return base
-        return base * (1.0 - self.jitter * rng.random())
-
-
-def drive_attempts(
-    env: Simulator,
-    route: Callable[["MetadataRequest"], Optional["FileServer"]],
-    request: "MetadataRequest",
-    policy: Optional[RetryPolicy] = None,
-    rng: Optional[random.Random] = None,
-    suspected: Optional[Callable[[], Set[object]]] = None,
-    ledger: Optional["HardenedClient"] = None,
-):
-    """The one locate-(retry)-submit-await code path every client shares.
-
-    A generator to ``yield from`` inside a simulation process.
-
-    With ``policy=None`` (the plain access path): locate once, submit,
-    wait for completion; an unroutable request raises ``RuntimeError``.
-
-    With a :class:`RetryPolicy`: the full hardened loop — re-locate
-    before every attempt (so reconfigurations redirect the next retry
-    automatically), per-attempt timeout that abandons only dead or
-    suspected targets, capped jittered backoff between attempts. Every
-    retry/redirect/timeout is counted on ``ledger`` when given.
-    """
-    if policy is None:
-        server = route(request)
-        if server is None:
-            raise RuntimeError(f"no server for file set {request.fileset!r}")
-        done = env.event()
-        request.on_complete = lambda req, ev=done: ev.succeed(req)
-        server.submit(request)
-        yield done
-        return
-
-    from ..cluster.request import MetadataRequest
-
-    attempts = 0
-    last_target: Optional[object] = None
-    while attempts < policy.max_attempts:
-        attempts += 1
-        server = route(request)
-        if server is None or server.failed or (
-            suspected is not None and server.server_id in suspected()
-        ):
-            # No live owner right now (stale mapping or mid-failover):
-            # back off and re-locate.
-            if ledger is not None:
-                ledger.retries += 1
-                ledger.backing_off += 1
-            yield env.timeout(policy.backoff(attempts, rng))
-            if ledger is not None:
-                ledger.backing_off -= 1
-            continue
-        if last_target is not None and server.server_id != last_target:
-            if ledger is not None:
-                ledger.redirects += 1
-        last_target = server.server_id
-        # A pristine attempt copy: the original request's arrival is
-        # preserved so measured latency includes every retry delay.
-        attempt = MetadataRequest(
-            fileset=request.fileset, arrival=request.arrival, work=request.work
-        )
-        done = env.event()
-        attempt.on_complete = lambda req, ev=done: ev.succeed(req)
-        incarnation = server.incarnation
-        server.submit(attempt)
-        if ledger is not None:
-            ledger.awaiting_service += 1
-        abandoned = False
-        while not attempt.done:
-            timeout = env.timeout(policy.request_timeout)
-            yield env.any_of([done, timeout])
-            if attempt.done:
-                break
-            if (
-                server.failed
-                or server.incarnation != incarnation
-                or (suspected is not None and server.server_id in suspected())
-            ):
-                # The attempt died with its server (a crash discards
-                # the queue — even if it has recovered since, this
-                # attempt is gone); abandon and redirect.
-                if ledger is not None:
-                    ledger.timeouts += 1
-                abandoned = True
-                break
-            # Healthy but slow: keep waiting — FIFO guarantees the
-            # attempt is still making progress toward the head.
-        if ledger is not None:
-            ledger.awaiting_service -= 1
-        if not abandoned:
-            request.server = attempt.server
-            request.service_start = attempt.service_start
-            request.completion = attempt.completion
-            if ledger is not None:
-                ledger._settle(request, attempt.latency)
-            if request.on_complete is not None:
-                request.on_complete(request)
-            return
-        if ledger is not None:
-            ledger.retries += 1
-            ledger.backing_off += 1
-        yield env.timeout(policy.backoff(attempts, rng))
-        if ledger is not None:
-            ledger.backing_off -= 1
-    if ledger is not None:
-        ledger._exhaust(request)
 
 
 class HardenedClient(RequestLedger):
@@ -338,33 +87,69 @@ class HardenedClient(RequestLedger):
     # ------------------------------------------------------------------ #
     def submit(self, request: "MetadataRequest"):
         """Drive one logical request to completion (or exhaustion)."""
-        self.ledger_inject()
-        return self.env.process(self._drive(request))
+        attempts = Attempts(self, self.policy, self.rng)
+        return self.env.process(self._drive(request, attempts))
 
-    def _drive(self, request: "MetadataRequest"):
-        self.dispatching -= 1
-        yield from drive_attempts(
-            self.env,
-            self.route,
-            request,
-            policy=self.policy,
-            rng=self.rng,
-            suspected=self.suspected,
-            ledger=self,
-        )
+    def _drive(self, request: "MetadataRequest", attempts: Attempts):
+        """Re-locate before every attempt (so a reconfiguration redirects
+        the next retry), abandon only dead or suspected targets, back
+        off between attempts."""
+        from ..cluster.request import MetadataRequest
 
-    # ------------------------------------------------------------------ #
-    # ledger transitions (called by drive_attempts)
-    # ------------------------------------------------------------------ #
-    def _settle(self, request: "MetadataRequest", latency: float) -> None:
-        self.ledger_settle(latency)
-
-    def _exhaust(self, request: "MetadataRequest") -> None:
-        self.ledger_exhaust()
-        if self.probe is not None:
-            self.probe.publish(
-                RequestFailed(time=self.env.now, fileset=request.fileset)
+        env = self.env
+        suspected = self.suspected
+        while attempts.next():
+            server = self.route(request)
+            if server is None or server.failed or (
+                suspected is not None and server.server_id in suspected()
+            ):
+                # No live owner right now (stale mapping or mid-failover):
+                # back off and re-locate.
+                yield env.timeout(attempts.back_off())
+                attempts.resume()
+                continue
+            attempts.aim(server.server_id)
+            # A pristine attempt copy: the original request's arrival is
+            # preserved so measured latency includes every retry delay.
+            attempt = MetadataRequest(
+                fileset=request.fileset, arrival=request.arrival, work=request.work
             )
+            done = env.event()
+            attempt.on_complete = lambda req, ev=done: ev.succeed(req)
+            incarnation = server.incarnation
+            server.submit(attempt)
+            attempts.send()
+            while not attempt.done:
+                timeout = env.timeout(self.policy.request_timeout)
+                yield env.any_of([done, timeout])
+                if attempt.done:
+                    break
+                if (
+                    server.failed
+                    or server.incarnation != incarnation
+                    or (suspected is not None and server.server_id in suspected())
+                ):
+                    # The attempt died with its server (a crash discards
+                    # the queue — even if it has recovered since, this
+                    # attempt is gone); abandon and redirect.
+                    attempts.timed_out()
+                    break
+                # Healthy but slow: keep waiting — FIFO guarantees the
+                # attempt is still making progress toward the head.
+            attempts.returned()
+            if attempt.done:
+                request.server = attempt.server
+                request.service_start = attempt.service_start
+                request.completion = attempt.completion
+                attempts.settle(attempt.latency)
+                if request.on_complete is not None:
+                    request.on_complete(request)
+                return
+            yield env.timeout(attempts.back_off())
+            attempts.resume()
+        attempts.exhaust()
+        if self.probe is not None:
+            self.probe.publish(RequestFailed(time=env.now, fileset=request.fileset))
 
 
 class RequestDriver:

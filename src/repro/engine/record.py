@@ -14,11 +14,10 @@ stack shares:
   result dataclasses above are built as *views* of that record instead
   of being scraped out of each driver after the fact.
 
-This module must stay import-light: ``repro.faults`` and
-``repro.cluster.client`` load it while their own packages are still
-half-initialised, so it only imports :mod:`repro.sim` and sibling
-engine modules at top level — anything from
-``repro.cluster``/``repro.faults`` is deferred.
+This module must stay import-light: ``repro.faults`` loads it while
+its own package is still half-initialised, so it only imports
+:mod:`repro.sim`, :mod:`repro.retry` and sibling engine modules at top
+level — anything from ``repro.cluster``/``repro.faults`` is deferred.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from ..retry import RetryPolicy
 from ..sim import Tally, TimeSeries
-from .client_path import RetryPolicy
 from .probes import (
     DelegateElected,
     FaultInjected,

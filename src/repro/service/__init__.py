@@ -7,81 +7,13 @@ multi-process hardened load generator, a real wall-clock tuning loop on
 epoch-batched latency reports, and a digital-twin parity harness that
 replays every live run through the simulator.
 
-Layering: this package sits *above* the engine — it may import
-``repro.core`` / ``repro.control`` / ``repro.engine`` /
-``repro.workloads``, but nothing below may import it back
-(``tools/check_layering.py`` enforces both directions).
+Layering: this package sits *above* the engine — the bench, load
+generator and twin may import ``repro.core`` / ``repro.control`` /
+``repro.engine`` / ``repro.workloads``, but nothing below may import it
+back. The serving path — ``client``, ``protocol``, ``fileserver`` and
+``locator`` — imports no engine module, and this package re-exports
+nothing, so a service process loads only what it runs
+(``tools/check_layering.py`` enforces the layering).
 
 Start with ``python -m repro.service bench --smoke``.
 """
-
-from __future__ import annotations
-
-from .bench import SCHEMA_VERSION, bench_payload, run_bench, run_bench_sync
-from .client import DriveOutcome, FramedConnection, HardenedServiceClient
-from .config import PAPER_POWERS, ServiceConfig, full_config, smoke_config
-from .fileserver import EchoFileServer
-from .loadgen import ClientResult, make_schedule, run_clients, split_schedule
-from .locator import LocatorService
-from .protocol import (
-    MAX_FRAME,
-    FrameDecoder,
-    ProtocolError,
-    decode_payload,
-    encode_frame,
-    read_frame,
-    write_frame,
-)
-from .recording import (
-    EpochRecord,
-    MembershipRecord,
-    RequestTrace,
-    ServiceRecording,
-)
-from .twin import (
-    DECISION_TOLERANCE,
-    SIM_TOLERANCE,
-    TwinReport,
-    build_twin_workload,
-    replay_decisions,
-    replay_simulation,
-    run_twin,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "bench_payload",
-    "run_bench",
-    "run_bench_sync",
-    "DriveOutcome",
-    "FramedConnection",
-    "HardenedServiceClient",
-    "PAPER_POWERS",
-    "ServiceConfig",
-    "full_config",
-    "smoke_config",
-    "EchoFileServer",
-    "ClientResult",
-    "make_schedule",
-    "run_clients",
-    "split_schedule",
-    "LocatorService",
-    "MAX_FRAME",
-    "FrameDecoder",
-    "ProtocolError",
-    "decode_payload",
-    "encode_frame",
-    "read_frame",
-    "write_frame",
-    "EpochRecord",
-    "MembershipRecord",
-    "RequestTrace",
-    "ServiceRecording",
-    "DECISION_TOLERANCE",
-    "SIM_TOLERANCE",
-    "TwinReport",
-    "build_twin_workload",
-    "replay_decisions",
-    "replay_simulation",
-    "run_twin",
-]

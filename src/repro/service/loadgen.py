@@ -30,8 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..engine.client_path import RetryPolicy
 from ..engine.record import derive_seed
+from ..retry import RetryPolicy
 from ..workloads.synthetic import SyntheticConfig, Workload, generate_synthetic
 from .client import HardenedServiceClient
 from .config import ServiceConfig

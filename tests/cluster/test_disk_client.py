@@ -150,3 +150,11 @@ class TestAccessClient:
         env.run()
         assert client.metadata_share.mean > 0.9
         assert fast_disks.utilization()[0] < 0.01
+
+    def test_unroutable_raises(self, env):
+        """The metadata phase has no retries: no owner is an error."""
+        disks = DiskArray(env, bandwidths=[10.0], stripe_unit=10.0)
+        client = AccessClient(env, route=lambda r: None, disks=disks)
+        client.access("/fs/0", meta_work=1.0, data_size=1.0)
+        with pytest.raises(RuntimeError, match="no server for file set"):
+            env.run(until=1.0)

@@ -107,6 +107,43 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
+    @pytest.mark.parametrize(
+        "importer, target",
+        [
+            ("repro.cluster.client", "repro.engine.client_path"),
+            ("repro.cluster", "repro.engine"),
+            ("repro.service.client", "repro.engine.client_path"),
+            ("repro.service.protocol", "repro.engine.record"),
+            ("repro.service.fileserver", "repro.engine"),
+            ("repro.service.locator", "repro.engine.record"),
+            ("repro.retry", "repro.engine.probes"),
+            ("repro.retry", "repro.service.client"),
+            ("repro.retry", "repro.cluster.request"),
+        ],
+    )
+    def test_hardening_boundaries_are_banned(self, importer, target):
+        """The cluster model, the serving path and the retry core stay
+        below the engine (and the retry core below everything else)."""
+        problems = check_layering.check_bans([(importer, target, 7)])
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{importer}:7: imports {target} — ")
+
+    def test_drive_attempts_stays_removed(self, tmp_path):
+        """The retry loop has one home: reviving the old core fails."""
+        imports = tmp_path / "imports.py"
+        imports.write_text("from repro.engine.client_path import drive_attempts\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text("x = 1\n\ndef drive_attempts(env, route, request):\n    pass\n")
+        problems = check_layering.check_removed(
+            {"repro.cluster.client": imports, "repro.engine.client_path": defines}
+        )
+        assert problems == [
+            "repro.cluster.client:1: defines or imports drive_attempts — removed; "
+            "use the repro.retry.Attempts state machine",
+            "repro.engine.client_path:3: defines or imports drive_attempts — "
+            "removed; use the repro.retry.Attempts state machine",
+        ]
+
     def test_removed_env_knobs_and_exporter_are_reported(self, tmp_path):
         """Reading a removed variable or reviving the exporter fails."""
         reads = tmp_path / "reads.py"
@@ -182,6 +219,31 @@ class TestEngineImportDiscipline:
             "import sys\n"
             "import repro.engine\n"
             "mods = [m for m in sys.modules if m.startswith('repro.experiments')]\n"
+            "assert not mods, mods\n"
+            "print('clean')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "clean" in proc.stdout
+
+    def test_serving_path_and_cluster_import_without_the_engine(self):
+        """The live client loads neither the simulator's layers nor the
+        control stack; the cluster model loads no engine module."""
+        code = (
+            "import sys\n"
+            "import repro.service.client\n"
+            "banned = ('repro.engine', 'repro.cluster', 'repro.policies',\n"
+            "          'repro.control', 'repro.experiments')\n"
+            "mods = [m for m in sys.modules if m.startswith(banned)]\n"
+            "assert not mods, mods\n"
+            "import repro.service.locator, repro.cluster\n"
+            "mods = [m for m in sys.modules if m.startswith('repro.engine')]\n"
             "assert not mods, mods\n"
             "print('clean')\n"
         )

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.engine.client_path import RequestLedger, RetryPolicy
+from repro.retry import Attempts, RequestLedger, RetryPolicy
 from repro.service.client import FramedConnection, HardenedServiceClient
 from repro.service.fileserver import EchoFileServer
 from repro.service.locator import LocatorService
@@ -16,24 +16,22 @@ from repro.service.locator import LocatorService
 class TestRequestLedger:
     def test_settle_path(self):
         ledger = RequestLedger()
-        ledger.ledger_inject()
+        attempts = Attempts(ledger, RetryPolicy())
         assert ledger.in_flight == 1 and ledger.dispatching == 1
         assert ledger.conserved and ledger.classified
-        # The driver owns the bucket: it leaves ``dispatching`` before
-        # settling (both drive loops do exactly this).
-        ledger.dispatching -= 1
-        ledger.ledger_settle(0.25)
+        attempts.settle(0.25)
         assert ledger.completed == 1 and ledger.in_flight == 0
+        assert ledger.dispatching == 0
         assert ledger.conserved and ledger.classified
         assert ledger.lost == 0
         assert ledger.latency.mean == pytest.approx(0.25)
 
     def test_exhaust_path(self):
         ledger = RequestLedger()
-        ledger.ledger_inject()
-        ledger.dispatching -= 1
-        ledger.ledger_exhaust()
+        attempts = Attempts(ledger, RetryPolicy())
+        attempts.exhaust()
         assert ledger.failed == 1 and ledger.in_flight == 0
+        assert ledger.dispatching == 0
         assert ledger.conserved and ledger.classified and ledger.lost == 0
 
     def test_lost_detects_imbalance(self):

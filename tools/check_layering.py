@@ -10,11 +10,15 @@ Checks, using nothing but the stdlib ``ast`` module:
 1. **Layer bans** — ``repro.engine`` is the bottom of the experiment
    stack: none of its modules may import ``repro.experiments`` (the top
    of the stack), and none may import ``repro.cluster`` /
-   ``repro.faults`` *at module import time* (both packages import the
-   engine's records and client path, so a top-level import would
-   deadlock the package initialisation order). Function-local (lazy)
-   imports are allowed and are how the engine reaches the server/cache
-   models.
+   ``repro.faults`` *at module import time* (``repro.faults`` imports
+   the engine's records, so a top-level import would deadlock the
+   package initialisation order). Function-local (lazy) imports are
+   allowed and are how the engine reaches the server/cache models.
+   The cluster model imports nothing from the engine, the live
+   service's serving path (client, protocol, file server, locator)
+   imports nothing from the engine, and the request-hardening core
+   ``repro.retry`` imports neither the engine, the service nor the
+   cluster model.
 2. **Import cycles** — the module-level import graph of ``repro`` must
    be acyclic. Imports guarded by ``if TYPE_CHECKING:`` are ignored
    (they never execute).
@@ -25,7 +29,9 @@ Checks, using nothing but the stdlib ``ast`` module:
    gate. So does a module that defines or imports a removed name
    (``TuningPolicy``: the paper's tuning rule has one home,
    ``MultiplicativeController``; the experiment cache and the knob
-   registry) or names a removed environment variable in a string.
+   registry; ``drive_attempts``: the retry, redirect and ledger rules
+   have one home, ``repro.retry.Attempts``) or names a removed
+   environment variable in a string.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -50,7 +56,13 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
     (
         "repro.engine",
         "repro.cluster",
-        "its client imports the engine; engine modules must import it lazily",
+        "engine modules reach the cluster model lazily, so importing the "
+        "engine never loads it",
+    ),
+    (
+        "repro.cluster",
+        "repro.engine",
+        "the cluster model is below the engine",
     ),
     (
         "repro.engine",
@@ -166,6 +178,46 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
         "repro.service",
         "the cluster model is below the live service",
     ),
+    # The serving path of the live service runs without the simulator:
+    # the client's retry, redirect and ledger rules come from
+    # repro.retry, not from the engine's client path.
+    (
+        "repro.service.client",
+        "repro.engine",
+        "the live client takes its retry rules from repro.retry",
+    ),
+    (
+        "repro.service.protocol",
+        "repro.engine",
+        "the wire protocol runs without the simulator",
+    ),
+    (
+        "repro.service.fileserver",
+        "repro.engine",
+        "the echo file server runs without the simulator",
+    ),
+    (
+        "repro.service.locator",
+        "repro.engine",
+        "the locator runs without the simulator",
+    ),
+    # The request-hardening core is a leaf both clients import: it may
+    # depend on the simulation kernel's Tally and nothing above it.
+    (
+        "repro.retry",
+        "repro.engine",
+        "the request-hardening core is below the engine",
+    ),
+    (
+        "repro.retry",
+        "repro.service",
+        "the request-hardening core is below the live service",
+    ),
+    (
+        "repro.retry",
+        "repro.cluster",
+        "the request-hardening core is below the cluster model",
+    ),
     # The strict env-knob validators are a leaf utility: they import
     # nothing from repro and everything may import them.
     (
@@ -199,6 +251,7 @@ REMOVED_NAMES: Dict[str, str] = {
     "register_knob": _KNOB_PARSERS,
     "describe_knobs": _KNOB_PARSERS,
     "env_flag": _KNOB_PARSERS,
+    "drive_attempts": "the repro.retry.Attempts state machine",
 }
 
 #: Deleted environment variables: a module that names one in a string
