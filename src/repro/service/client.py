@@ -23,6 +23,8 @@ Connections are persistent and multiplexed: one
 :class:`FramedConnection` per peer carries any number of concurrent
 requests, matched to their replies by the protocol's ``id`` field —
 a load generator never touches the ephemeral-port range per request.
+Replies are dispatched inside the transport's receive callback and a
+timeout is one timer handle: a round trip costs one future, no task.
 """
 
 from __future__ import annotations
@@ -34,52 +36,50 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..retry import Attempts, RequestLedger, RetryPolicy
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import FrameProtocol, ProtocolError
 
 __all__ = ["FramedConnection", "HardenedServiceClient", "DriveOutcome"]
 
 
-class FramedConnection:
+class FramedConnection(FrameProtocol):
     """One persistent, request-id-multiplexed protocol connection.
 
-    Concurrent callers of :meth:`request` share the socket; a reader
-    task dispatches each reply to its caller by the echoed ``id``. Any
+    Concurrent callers of :meth:`request` share the socket; each reply
+    is handed to its caller by the echoed ``id`` as it is decoded. Any
     transport or protocol failure fails *every* pending request — a
     desynchronized frame stream cannot be trusted for any of them.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        super().__init__()
+        self._loop = asyncio.get_running_loop()
         self._pending: Dict[int, asyncio.Future] = {}
         self._next_id = 0
         self._closed = False
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
     async def open(cls, host: str, port: int) -> "FramedConnection":
-        """Connect to ``host:port`` and start the reply dispatcher."""
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        """Connect to ``host:port``."""
+        _, conn = await asyncio.get_running_loop().create_connection(cls, host, port)
+        return conn
 
-    async def _read_loop(self) -> None:
-        error: Exception = ConnectionResetError("connection closed")
-        try:
-            while True:
-                message = await read_frame(self._reader)
-                if message is None:
-                    break
-                future = self._pending.pop(message.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(message)
-        except (ProtocolError, ConnectionError, asyncio.IncompleteReadError) as exc:
-            error = exc
-        finally:
-            self._closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(error)
-            self._pending.clear()
+    def frame_received(self, message: Dict[str, Any]) -> None:
+        future = self._pending.pop(message.get("id"), None)
+        if future is not None and not future.done():
+            future.set_result(message)
+
+    def frames_ended(self, error: Optional[Exception]) -> None:
+        self._closed = True
+        pending, self._pending = self._pending, {}
+        error = error or ConnectionResetError("connection closed")
+        for future in pending.values():
+            if not future.done():
+                future.set_exception(error)
+
+    @staticmethod
+    def _time_out(future: asyncio.Future) -> None:
+        if not future.done():
+            future.set_exception(asyncio.TimeoutError())
 
     async def request(
         self, message: Dict[str, Any], timeout: Optional[float] = None
@@ -95,28 +95,24 @@ class FramedConnection:
             raise ConnectionResetError("connection already closed")
         request_id = self._next_id
         self._next_id += 1
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+        future = self._loop.create_future()
         self._pending[request_id] = future
+        timer = None
         try:
-            await write_frame(self._writer, {**message, "id": request_id})
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
+            self.send({**message, "id": request_id})
+            if timeout is not None:
+                timer = self._loop.call_later(timeout, self._time_out, future)
+            return await future
         finally:
+            if timer is not None:
+                timer.cancel()
             self._pending.pop(request_id, None)
 
     async def close(self) -> None:
         """Tear the connection down; pending requests fail."""
-        self._closed = True
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
-        try:
-            self._writer.close()
-        except Exception:
-            pass
+        if self.transport is not None:
+            self.transport.close()
+        self.frames_ended(None)
 
     @property
     def closed(self) -> bool:
@@ -207,7 +203,7 @@ class HardenedServiceClient(RequestLedger):
                 {"op": "report", "server": server, "latency": latency, "count": count},
                 timeout=self.policy.request_timeout,
             )
-        except (ConnectionError, ProtocolError, asyncio.TimeoutError):
+        except (OSError, ProtocolError, asyncio.TimeoutError):
             pass
 
     # ------------------------------------------------------------------ #
@@ -280,7 +276,7 @@ class HardenedServiceClient(RequestLedger):
     async def _locate_target(self, name: str) -> Optional[Tuple[str, str, int]]:
         try:
             reply = await self.locate(name)
-        except (ConnectionError, ProtocolError, asyncio.TimeoutError):
+        except (OSError, ProtocolError, asyncio.TimeoutError):
             return None
         if not reply.get("ok"):
             return None

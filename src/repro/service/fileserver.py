@@ -2,26 +2,31 @@
 
 Each :class:`EchoFileServer` is one asyncio TCP listener standing in
 for a metadata server of the paper's cluster. It does no real metadata
-work — an ``exec`` request sleeps ``work * time_scale / power``
-seconds, the same service-time law the simulator's
-:class:`~repro.cluster.server.FileServer` charges, then echoes back.
-The paper's heterogeneity lives entirely in ``power``: the {1,3,5,7,9}
-line-up makes the weakest server nine times slower per unit of work
-than the strongest, which is exactly the imbalance the locator's
-tuning loop must discover from wall-clock latencies alone.
+work — an ``exec`` request occupies the server for
+``work * time_scale / power`` seconds, the same service-time law the
+simulator's :class:`~repro.cluster.server.FileServer` charges, then
+echoes back. The paper's heterogeneity lives entirely in ``power``: the
+{1,3,5,7,9} line-up makes the weakest server nine times slower per unit
+of work than the strongest, which is exactly the imbalance the
+locator's tuning loop must discover from wall-clock latencies alone.
 
-Service is FIFO through one queue per server (``asyncio.Lock`` wakes
-waiters in arrival order), so queueing delay builds up on overloaded
-servers just as it does in the simulator — that queueing signal is
-what the controller feeds on.
+Service is FIFO, kept as one clock — the simulator's FIFO law written
+directly: a request arriving at ``now`` finishes at
+``max(now, previous finish) + service``. One finished on arrival is
+answered at once; any other joins a queue whose head one timer serves,
+so none overtakes another. Queueing delay builds up on overloaded
+servers just as in the simulator; that signal is what the controller
+feeds on.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Set, Tuple
+import collections
+import math
+from typing import Deque, Optional, Tuple
 
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import FrameServer
 
 __all__ = ["EchoFileServer"]
 
@@ -57,16 +62,18 @@ class EchoFileServer:
         self.time_scale = float(time_scale)
         self.host = host
         self.port: Optional[int] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        # One FIFO service queue, exactly like the simulator's server.
-        self._service = asyncio.Lock()
-        self._tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._server: Optional[FrameServer] = None
+        # The FIFO clock: when the last accepted request finishes, the
+        # (finish, peer, reply) entries not yet answered, and the one
+        # timer armed for the head.
+        self._free_at = 0.0
+        self._queue: Deque[tuple] = collections.deque()
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._killed = False
         #: Requests fully served (diagnostics; the bench cross-checks
         #: the sum against the clients' completion counters).
         self.completed = 0
-        #: Total seconds spent in service sleeps.
+        #: Total seconds spent in service.
         self.busy_time = 0.0
 
     # ------------------------------------------------------------------ #
@@ -74,34 +81,20 @@ class EchoFileServer:
         """Bind and start serving; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise RuntimeError(f"server {self.server_id!r} already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port or 0
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._server = await FrameServer.open(self._on_frame, self.host, self.port or 0)
+        self.port = self._server.port
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop listening, drop every connection, cancel in-flight work.
-
-        Dropping established connections matters: peers blocked on a
-        reply must see the transport die (that is what drives the
-        hardened client's timeout/redirect path on a kill), and
-        ``Server.wait_closed`` alone only stops the *listener*.
-        """
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
+        """Stop listening, drop queued requests unanswered and every
+        connection: peers blocked on a reply must see the transport die
+        (that drives the hardened client's timeout/redirect path)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._queue.clear()
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await self._server.close()
             self._server = None
 
     async def kill(self) -> None:
@@ -122,56 +115,64 @@ class EchoFileServer:
         return self.host, self.port
 
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # One reader loop per connection; each request is served by its
-        # own task so a single connection can pipeline requests (the
-        # FIFO lock still serializes actual service).
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except ProtocolError:
-                    break
-                if message is None:
-                    break
-                task = asyncio.ensure_future(self._serve(message, writer))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-
-    async def _serve(self, message: dict, writer: asyncio.StreamWriter) -> None:
-        reply = {"ok": True, "server": self.server_id}
-        if "id" in message:
-            reply["id"] = message["id"]
-        op = message.get("op")
+    def _on_frame(self, peer, message: dict) -> None:
         if self._killed:
             return  # a dead server answers nothing
-        if op == "exec":
-            work = message.get("work")
-            if not isinstance(work, (int, float)) or work < 0:
-                reply = {"ok": False, "error": f"bad work {work!r}", "id": message.get("id")}
-            else:
-                service = float(work) * self.time_scale / self.power
-                async with self._service:
-                    if service > 0:
-                        await asyncio.sleep(service)
-                self.completed += 1
-                self.busy_time += service
-                reply["service"] = service
-                reply["name"] = message.get("name")
+        op = message.get("op")
+        service = self._service_time(message.get("work")) if op == "exec" else None
+        if service is not None:
+            reply = {"ok": True, "server": self.server_id, "service": service, "name": message.get("name")}
+        elif op == "exec":
+            reply = {"ok": False, "error": f"bad work {message.get('work')!r}"}
         elif op == "ping":
-            reply["power"] = self.power
+            reply = {"ok": True, "server": self.server_id, "power": self.power}
         else:
-            reply = {"ok": False, "error": f"unknown op {op!r}", "id": message.get("id")}
+            reply = {"ok": False, "error": f"unknown op {op!r}"}
+        if "id" in message or not reply["ok"]:
+            reply["id"] = message.get("id")
+        if service is None:
+            peer.send(reply)
+            return
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        self._free_at = finish = max(now, self._free_at) + service
+        if finish <= now and not self._queue:
+            self._answer(peer, reply)
+        else:
+            self._queue.append((finish, peer, reply))
+            if self._timer is None:
+                self._timer = loop.call_at(finish, self._serve_head)
+
+    def _service_time(self, work) -> Optional[float]:
+        """Seconds of service, or ``None`` unless ``work`` is a finite
+        number >= 0 (a boolean is not)."""
+        if isinstance(work, bool) or not isinstance(work, (int, float)):
+            return None
         try:
-            await write_frame(writer, reply)
-        except (ConnectionError, RuntimeError):
-            pass  # peer gone; its client-side timeout handles the rest
+            service = float(work) * self.time_scale / self.power
+        except OverflowError:  # an int too large for a float
+            return None
+        return service if 0.0 <= service < math.inf else None
+
+    def _serve_head(self) -> None:
+        """Answer the head, and each request behind it already finished."""
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        queue = self._queue
+        while True:
+            _, peer, reply = queue.popleft()
+            self._answer(peer, reply)
+            if not queue:
+                self._timer = None
+                return
+            if queue[0][0] > now:
+                break
+        self._timer = loop.call_at(queue[0][0], self._serve_head)
+
+    def _answer(self, peer, reply: dict) -> None:
+        self.completed += 1
+        self.busy_time += reply["service"]
+        peer.send(reply)  # a peer already gone drops it; its client times out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (

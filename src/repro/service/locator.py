@@ -2,7 +2,9 @@
 
 This is the paper's delegate turned into a daemon. One asyncio server
 owns the authoritative :class:`~repro.core.anu.ANUManager` and speaks
-the :mod:`~repro.service.protocol` frame protocol:
+the :mod:`~repro.service.protocol` frame protocol; each frame is
+handled and answered synchronously inside the transport's receive
+callback:
 
 ``LOCATE name``
     Resolve (registering on first sight) a file set to its current
@@ -25,8 +27,8 @@ batch and resulting region lengths are appended to the run's
 replays that control timeline verbatim.
 
 The event loop is single-threaded and every manager operation is
-synchronous, so handlers and the epoch loop interleave only at await
-points — no locks, no torn tuning rounds.
+synchronous, so a request is handled atomically with respect to the
+epoch loop — no locks, no torn tuning rounds.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..control import EpochBatcher, as_controller
 from ..core.anu import ANUManager
 from ..core.errors import ConfigurationError
 from ..core.hashing import HashFamily
-from .protocol import ProtocolError, read_frame, write_frame
+from .protocol import FrameServer
 from .recording import EpochRecord, MembershipRecord, ServiceRecording
 
 __all__ = ["LocatorService"]
@@ -109,8 +111,7 @@ class LocatorService:
                 str(k): v for k, v in self.manager.lengths().items()
             },
         )
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: set = set()
+        self._server: Optional[FrameServer] = None
         self._epoch_task: Optional[asyncio.Task] = None
         self._t0: Optional[float] = None
         self._epoch_index = 0
@@ -131,16 +132,14 @@ class LocatorService:
         """
         if self._server is not None:
             raise RuntimeError("locator already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port or 0
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._server = await FrameServer.open(self._on_frame, self.host, self.port or 0)
+        self.port = self._server.port
         self._t0 = time.monotonic() if t0 is None else t0
         self._epoch_task = asyncio.ensure_future(self._epoch_loop())
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop the epoch loop and close the listener."""
+        """Stop the epoch loop, the listener and every open connection."""
         if self._epoch_task is not None:
             self._epoch_task.cancel()
             try:
@@ -148,15 +147,8 @@ class LocatorService:
             except asyncio.CancelledError:
                 pass
             self._epoch_task = None
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+            await self._server.close()
             self._server = None
 
     @property
@@ -202,26 +194,8 @@ class LocatorService:
     # ------------------------------------------------------------------ #
     # request handling
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    message = await read_frame(reader)
-                except ProtocolError:
-                    break
-                if message is None:
-                    break
-                reply = self.handle(message)
-                try:
-                    await write_frame(writer, reply)
-                except (ConnectionError, RuntimeError):
-                    break
-        finally:
-            self._writers.discard(writer)
-            writer.close()
+    def _on_frame(self, peer, message: dict) -> None:
+        peer.send(self.handle(message))
 
     def handle(self, message: dict) -> dict:
         """Process one request message; returns the reply message.

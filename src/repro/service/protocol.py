@@ -28,15 +28,20 @@ Failure discipline: a malformed frame raises :class:`ProtocolError`
 immediately — the decoder never blocks on garbage, never yields a
 partial object, and never resynchronises silently (a desynchronized
 length prefix would misparse every subsequent frame, so the connection
-must be torn down).
+must be torn down). Non-finite numbers are not JSON: refused both ways.
+
+Transport: every endpoint (locator, echo server, client) is a
+:class:`FrameProtocol` — the decoder behind an asyncio callback
+transport, with no task or coroutine per connection or message.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 __all__ = [
     "MAX_FRAME",
@@ -44,8 +49,8 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "FrameDecoder",
-    "read_frame",
-    "write_frame",
+    "FrameProtocol",
+    "FrameServer",
 ]
 
 #: Hard cap on one frame's payload. Locator messages are tens to a few
@@ -55,9 +60,26 @@ MAX_FRAME = 1 << 20
 
 _LEN = struct.Struct(">I")
 
+#: Bytes one socket read may fill; a longer frame takes more reads.
+READ_SIZE = 4 * 1024
 
-class ProtocolError(Exception):
+
+class ProtocolError(ValueError):
     """A frame or message that violates the wire contract."""
+
+
+def _finite(token: str) -> float:
+    """``NaN``, ``Infinity`` or a literal that overflows a float: refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ProtocolError(f"non-finite number {token} on the wire")
+    return value
+
+
+# One codec for the module: ``json.dumps`` / ``json.loads`` with
+# non-default arguments build a new encoder or decoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
@@ -66,9 +88,10 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
         raise ProtocolError(
             f"messages are JSON objects, got {type(message).__name__}"
         )
-    payload = json.dumps(
-        message, separators=(",", ":"), ensure_ascii=False, allow_nan=False
-    ).encode("utf-8")
+    try:
+        payload = _ENCODER.encode(message).encode("utf-8")
+    except ValueError as exc:
+        raise ProtocolError(f"unencodable message: {exc}") from None
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME={MAX_FRAME}"
@@ -79,7 +102,7 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
 def decode_payload(payload: bytes) -> Dict[str, Any]:
     """One frame's payload bytes back into a message object."""
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _DECODER.decode(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
     if not isinstance(message, dict):
@@ -110,29 +133,27 @@ class FrameDecoder:
         """Absorb ``data``; return every message completed by it."""
         if self._error is not None:
             raise self._error
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer += data
         messages: List[Dict[str, Any]] = []
+        start = 0
         try:
-            while True:
-                if len(self._buffer) < _LEN.size:
-                    return messages
-                (length,) = _LEN.unpack_from(self._buffer)
+            while len(buffer) - start >= _LEN.size:
+                (length,) = _LEN.unpack_from(buffer, start)
                 if length > self.max_frame:
                     raise ProtocolError(
                         f"frame length {length} exceeds max_frame={self.max_frame}"
                     )
-                if len(self._buffer) < _LEN.size + length:
-                    return messages
-                payload = bytes(self._buffer[_LEN.size : _LEN.size + length])
-                del self._buffer[: _LEN.size + length]
-                messages.append(decode_payload(payload))
+                end = start + _LEN.size + length
+                if len(buffer) < end:
+                    break
+                messages.append(decode_payload(buffer[start + _LEN.size : end]))
+                start = end
         except ProtocolError as exc:
             self._error = exc
             raise
-
-    def feed_iter(self, data: bytes) -> Iterator[Dict[str, Any]]:
-        """Iterator spelling of :meth:`feed` (tests read nicer)."""
-        return iter(self.feed(data))
+        del buffer[:start]
+        return messages
 
     @property
     def buffered(self) -> int:
@@ -145,38 +166,109 @@ class FrameDecoder:
         return self._error is not None
 
 
-# ---------------------------------------------------------------------- #
-# asyncio stream helpers
-# ---------------------------------------------------------------------- #
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict[str, Any]]:
-    """Read one message; ``None`` on clean EOF between frames.
+class FrameProtocol(asyncio.BufferedProtocol):
+    """One framed connection: :class:`FrameDecoder` behind a callback
+    transport.
 
-    EOF in the *middle* of a frame is a :class:`ProtocolError` — the
-    peer died mid-write and the partial bytes must not be mistaken for
-    a clean shutdown.
+    Reads land in a buffer the connection owns (a plain ``Protocol``
+    costs a fresh 256 KiB ``bytes`` per read). ``data_received`` hands
+    each complete message to the subclass's :meth:`frame_received`; a
+    bad frame aborts the transport. The subclass's :meth:`frames_ended`
+    runs once at the end: with ``None`` after a close between frames, a
+    :class:`ProtocolError` after a bad frame or a close inside one, else
+    the transport's exception.
     """
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed inside a frame header ({len(exc.partial)} bytes)"
-        ) from None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame length {length} exceeds MAX_FRAME={MAX_FRAME}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed inside a frame body "
-            f"({len(exc.partial)}/{length} bytes)"
-        ) from None
-    return decode_payload(payload)
+
+    transport: Optional[asyncio.Transport] = None
+
+    def __init__(self) -> None:
+        self.decoder = FrameDecoder()
+        self._error: Optional[ProtocolError] = None
+        self._inbox = memoryview(bytearray(READ_SIZE))
+
+    def send(self, message: Dict[str, Any]) -> None:
+        """Write one message; a closing transport drops it."""
+        if not self.transport.is_closing():
+            self.transport.write(encode_frame(message))
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._inbox
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._inbox[:nbytes])
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            messages = self.decoder.feed(data)
+        except ProtocolError as exc:
+            self._error = exc
+            self.transport.abort()
+            return
+        for message in messages:
+            self.frame_received(message)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        error = self._error or exc
+        if error is None and self.decoder.buffered:
+            error = ProtocolError(
+                f"connection closed inside a frame ({self.decoder.buffered} bytes buffered)"
+            )
+        self.frames_ended(error)
 
 
-async def write_frame(writer: asyncio.StreamWriter, message: Dict[str, Any]) -> None:
-    """Write one message and drain the transport."""
-    writer.write(encode_frame(message))
-    await writer.drain()
+class _Peer(FrameProtocol):
+    """The server end of one :class:`FrameServer` connection. Over the
+    write high-water mark it stops reading (what ``await drain()`` gave a
+    stream); a client keeps reading, as replies drain a backed-up server.
+    """
+
+    def __init__(self, on_frame: Callable, peers: Set["_Peer"]) -> None:
+        super().__init__()
+        self.on_frame = on_frame
+        self.peers = peers
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.peers.add(self)
+
+    def frame_received(self, message: Dict[str, Any]) -> None:
+        self.on_frame(self, message)
+
+    def frames_ended(self, error: Optional[Exception]) -> None:
+        self.peers.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+
+class FrameServer:
+    """A listener handing each message to ``on_frame(peer, message)``,
+    which answers with ``peer.send(reply)``, now or later. :meth:`close`
+    also drops the open connections, which ``Server.close`` does not.
+    """
+
+    def __init__(self, server: asyncio.AbstractServer, peers: Set[_Peer]) -> None:
+        self._server = server
+        self._peers = peers
+        self.port: int = server.sockets[0].getsockname()[1]
+
+    @classmethod
+    async def open(cls, on_frame: Callable, host: str, port: int) -> "FrameServer":
+        peers: Set[_Peer] = set()
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Peer(on_frame, peers), host, port
+        )
+        return cls(server, peers)
+
+    async def close(self) -> None:
+        for peer in list(self._peers):
+            peer.transport.close()
+        self._peers.clear()
+        self._server.close()
+        await self._server.wait_closed()

@@ -167,6 +167,49 @@ class TestCheckerTool:
             "figures regenerate their workload from (config, seed)",
         ]
 
+    def test_stream_frame_helpers_stay_removed(self, tmp_path):
+        """The wire has one framing path: reviving the stream helpers fails."""
+        imports = tmp_path / "imports.py"
+        imports.write_text("from repro.service.protocol import read_frame, encode_frame\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text("async def write_frame(writer, message):\n    pass\n")
+        problems = check_layering.check_removed(
+            {"repro.service.client": imports, "repro.service.protocol": defines}
+        )
+        assert problems == [
+            "repro.service.client:1: defines or imports read_frame — removed; "
+            "use repro.service.protocol.FrameProtocol over FrameDecoder",
+            "repro.service.protocol:1: defines or imports write_frame — removed; "
+            "use repro.service.protocol.FrameProtocol over FrameDecoder",
+        ]
+
+    def test_stream_api_is_rejected_under_service(self, tmp_path):
+        """The live service has one transport; other layers are not policed."""
+        streams = tmp_path / "streams.py"
+        streams.write_text(
+            "import asyncio\n"
+            "from asyncio import Lock, sleep\n"
+            "async def f(host, port, fut):\n"
+            "    server = await asyncio.start_server(None, host, port)\n"
+            "    reader, writer = await asyncio.open_connection(host, port)\n"
+            "    return await asyncio.wait_for(fut, 1.0)\n"
+        )
+        problems = check_layering.check_service_transport(
+            {"repro.service.locator": streams, "repro.experiments.runner": streams}
+        )
+        assert sorted(problems) == sorted(
+            [
+                f"repro.service.locator:{line}: uses asyncio.{attr} — the live "
+                f"service uses {check_layering.BANNED_ASYNCIO[attr]}"
+                for line, attr in (
+                    (2, "Lock"),
+                    (4, "start_server"),
+                    (5, "open_connection"),
+                    (6, "wait_for"),
+                )
+            ]
+        )
+
     def test_cycle_detection(self):
         graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
         cycles = check_layering.find_cycles(graph)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import socket
 
 import pytest
 
@@ -213,3 +214,23 @@ class TestDrive:
                 await stop_stack(servers, locator, client)
 
         run(scenario())
+
+
+class TestUnreachableLocator:
+    def test_resolver_failure_exhausts_the_request(self, monkeypatch):
+        """An ``OSError`` that is not a ``ConnectionError`` (an unknown
+        host) fails the attempt instead of escaping ``drive`` with the
+        request still in flight."""
+
+        async def unresolvable(cls, host, port):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(FramedConnection, "open", classmethod(unresolvable))
+        policy = RetryPolicy(
+            request_timeout=0.05, max_attempts=2, backoff_base=0.001, backoff_cap=0.002
+        )
+        client = HardenedServiceClient(("locator.invalid", 9), policy=policy)
+        outcome = run(client.drive("/fs/1", 0.0))
+        assert not outcome.ok
+        assert client.failed == 1 and client.in_flight == 0
+        assert client.conserved and client.classified

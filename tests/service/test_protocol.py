@@ -155,3 +155,41 @@ class TestDecoderProperties:
         for cut in range(len(frame)):
             decoder = FrameDecoder()
             assert decoder.feed(frame[:cut]) == []
+
+
+class TestNonFiniteNumbers:
+    """``NaN`` and the infinities are not JSON: refused on both sides."""
+
+    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400"])
+    def test_decode_refuses_non_finite(self, token):
+        payload = b'{"op":"exec","work":' + token + b"}"
+        with pytest.raises(ProtocolError):
+            decode_payload(payload)
+        decoder = FrameDecoder()
+        with pytest.raises(ProtocolError):
+            decoder.feed(struct.pack(">I", len(payload)) + payload)
+        assert decoder.poisoned
+
+    def test_decode_keeps_large_finite_numbers(self):
+        assert decode_payload(b'{"a":1e308,"b":-2.5e-300,"c":12345678901234567890}') == {
+            "a": 1e308,
+            "b": -2.5e-300,
+            "c": 12345678901234567890,
+        }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_encode_refuses_non_finite(self, value):
+        with pytest.raises(ProtocolError, match="unencodable"):
+            encode_frame({"op": "report", "latency": value})
+
+
+class TestEncoderIsByteIdentical:
+    @settings(max_examples=100, deadline=None)
+    @given(messages)
+    def test_matches_json_dumps(self, msg):
+        """The module's one encoder writes what the per-call
+        ``json.dumps`` with the same arguments wrote."""
+        old = json.dumps(
+            msg, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+        ).encode("utf-8")
+        assert encode_frame(msg) == struct.pack(">I", len(old)) + old

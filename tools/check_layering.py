@@ -30,8 +30,15 @@ Checks, using nothing but the stdlib ``ast`` module:
    (``TuningPolicy``: the paper's tuning rule has one home,
    ``MultiplicativeController``; the experiment cache and the knob
    registry; ``drive_attempts``: the retry, redirect and ledger rules
-   have one home, ``repro.retry.Attempts``) or names a removed
-   environment variable in a string.
+   have one home, ``repro.retry.Attempts``; ``read_frame`` /
+   ``write_frame``: the wire has one framing path, ``FrameDecoder``
+   behind ``FrameProtocol``) or names a removed environment variable
+   in a string.
+4. **One transport for the live service** — no module under
+   ``repro.service`` names asyncio's stream API (``start_server``,
+   ``open_connection``, ``StreamReader``, ``StreamWriter``), the
+   per-call ``wait_for`` or an ``asyncio.Lock``: every endpoint is a
+   ``FrameProtocol`` on a callback transport.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -240,6 +247,7 @@ REMOVED_MODULES: Tuple[str, ...] = (
 
 _KNOB_PARSERS = "repro.knobs.env_int / env_float directly"
 _REGENERATE = "figures regenerate their workload from (config, seed)"
+_ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
@@ -252,6 +260,8 @@ REMOVED_NAMES: Dict[str, str] = {
     "describe_knobs": _KNOB_PARSERS,
     "env_flag": _KNOB_PARSERS,
     "drive_attempts": "the repro.retry.Attempts state machine",
+    "read_frame": _ONE_FRAMING,
+    "write_frame": _ONE_FRAMING,
 }
 
 #: Deleted environment variables: a module that names one in a string
@@ -259,6 +269,20 @@ REMOVED_NAMES: Dict[str, str] = {
 REMOVED_ENV: Dict[str, str] = {
     "REPRO_CACHE": _REGENERATE,
     "REPRO_CACHE_DIR": _REGENERATE,
+}
+
+
+#: The live service's one transport: asyncio names a module under
+#: ``repro.service`` must not use, with what replaced them.
+SERVICE_PREFIX = "repro.service"
+_CALLBACK_TRANSPORT = "a FrameProtocol on a callback transport (FrameServer.open / create_connection)"
+BANNED_ASYNCIO: Dict[str, str] = {
+    "start_server": _CALLBACK_TRANSPORT,
+    "open_connection": _CALLBACK_TRANSPORT,
+    "StreamReader": _CALLBACK_TRANSPORT,
+    "StreamWriter": _CALLBACK_TRANSPORT,
+    "wait_for": "one loop.call_later timer per request",
+    "Lock": "the echo server's FIFO clock",
 }
 
 
@@ -398,6 +422,33 @@ def check_removed(modules: Dict[str, Path]) -> List[str]:
     return problems
 
 
+def check_service_transport(modules: Dict[str, Path]) -> List[str]:
+    """``asyncio.X`` / ``from asyncio import X`` of a banned X under
+    ``repro.service``."""
+    problems = []
+    for name, path in modules.items():
+        if not (name == SERVICE_PREFIX or name.startswith(SERVICE_PREFIX + ".")):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "asyncio"
+            ):
+                used = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "asyncio":
+                used = [alias.name for alias in node.names]
+            else:
+                continue
+            for attr in used:
+                if attr in BANNED_ASYNCIO:
+                    problems.append(
+                        f"{name}:{node.lineno}: uses asyncio.{attr} — the live "
+                        f"service uses {BANNED_ASYNCIO[attr]}"
+                    )
+    return problems
+
+
 def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
     """Tarjan SCC; returns components of size > 1 (plus self-loops)."""
     index: Dict[str, int] = {}
@@ -455,7 +506,7 @@ def find_cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:
 def main() -> int:
     modules = discover_modules()
     graph, edges = build_graph(modules)
-    problems = check_bans(edges) + check_removed(modules)
+    problems = check_bans(edges) + check_removed(modules) + check_service_transport(modules)
     for component in find_cycles(graph):
         problems.append("import cycle: " + " <-> ".join(component))
     if problems:
