@@ -15,14 +15,17 @@ the aggregate figures.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.tuning import LatencyReport
 from ..sim import Interrupt, Simulator, Store, Tally, TimeSeries
+from ..sim.monitor import TallyColumns
 from .cache import CacheModel
 from .request import MetadataRequest
 
-__all__ = ["FileServer"]
+__all__ = ["FileServer", "land_moments"]
 
 
 class FileServer:
@@ -208,34 +211,6 @@ class FileServer:
         self._window_latency_sum += float(latencies.sum())
         self._window_count += count
 
-    def absorb_moments(
-        self,
-        count: int,
-        total: float,
-        m2: float,
-        minimum: float,
-        maximum: float,
-        busy: float,
-        samples,
-    ) -> None:
-        """:meth:`absorb_batch` from pre-reduced per-server sums.
-
-        The bulk flush computes every server's batch statistics in a
-        handful of ``reduceat`` passes; this lands one server's share
-        (``total`` is the latency sum, ``m2`` the batch's sum of
-        squared deviations) without touching the raw arrays again,
-        except to retain the sample slice.
-        """
-        if count == 0:
-            return
-        self.completed.observe_moments(
-            count, total / count, m2, minimum, maximum, samples
-        )
-        self.completed_requests += count
-        self.busy_time += busy
-        self._window_latency_sum += total
-        self._window_count += count
-
     # ------------------------------------------------------------------ #
     # measurement
     # ------------------------------------------------------------------ #
@@ -319,3 +294,47 @@ class FileServer:
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         state = "FAILED" if self._failed else f"q={self.queue_length}"
         return f"<FileServer {self.server_id!r} power={self.power} {state}>"
+
+
+def land_moments(
+    servers: Sequence[FileServer], batches: Sequence[Tuple[np.ndarray, ...]]
+) -> None:
+    """Land pre-reduced completion batches in many servers at once.
+
+    Each batch is a column tuple ``(slots, count, total, m2, minimum,
+    maximum, busy)`` over the servers it touches: ``slots`` index
+    ``servers`` and do not repeat within a batch, ``total`` is the
+    latency sum, ``m2`` the batch's sum of squared deviations and
+    ``busy`` its service time. Batches merge in the order given, each
+    with :meth:`Tally.observe_moments`'s update plus the request, busy
+    and window accumulators, elementwise over its servers — so every
+    server ends bit for bit where landing its batches one at a time
+    would leave it. Each touched server is read once and written once.
+    (Window file-set work is not tracked: the vectorized client path,
+    the caller, documents that limitation.)
+    """
+    if not batches:
+        return
+    touched = np.unique(np.concatenate([batch[0] for batch in batches]))
+    hosts = [servers[i] for i in touched.tolist()]
+    tallies = [host.completed for host in hosts]
+    moments = TallyColumns(tallies)
+    done = np.array([host.completed_requests for host in hosts], dtype=np.int64)
+    busy = np.array([host.busy_time for host in hosts], dtype=np.float64)
+    window_sum = np.array([host._window_latency_sum for host in hosts], dtype=np.float64)
+    window_count = np.array([host._window_count for host in hosts], dtype=np.int64)
+    for slots, count, total, m2, minimum, maximum, busy_part in batches:
+        at = np.searchsorted(touched, slots)
+        moments.merge(at, count, total / count, m2, minimum, maximum)
+        done[at] += count
+        busy[at] += busy_part
+        window_sum[at] += total
+        window_count[at] += count
+    moments.scatter(tallies)
+    for host, d, b, ws, wc in zip(
+        hosts, done.tolist(), busy.tolist(), window_sum.tolist(), window_count.tolist()
+    ):
+        host.completed_requests = d
+        host.busy_time = b
+        host._window_latency_sum = ws
+        host._window_count = wc

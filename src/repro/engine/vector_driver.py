@@ -11,11 +11,16 @@ of one request. Each wake it:
    ``locate`` calls);
 2. slices the workload's columnar arrays for arrivals in ``[t0, t1)``
    and computes every completion time with the
-   :func:`~repro.core.vector.fifo_drain` recurrence;
+   :func:`~repro.core.vector.fifo_drain` recurrence (short server
+   segments in one padded pass, long ones one slice at a time);
 3. flushes completions that fall *inside* closed windows into each
    server's interval accumulators — strictly before the tuner's
    ``interval_report`` runs at the same instant, preserving the scalar
-   path's measurement windows.
+   path's measurement windows. Each flushed chunk is reduced per server
+   with ``reduceat`` and lands in one vectorized merge across every
+   server it touches (:func:`~repro.cluster.server.land_moments`), so
+   neither the drain nor the landing makes a Python call per (server,
+   cohort).
 
 The driver wakes before the tuner at every boundary by construction:
 the engine builds the client path first, so the driver's timeout always
@@ -414,12 +419,15 @@ class VectorizedRequestDriver:
         without any sorting here. Masking with ``due`` preserves the
         grouping (it drops elements, never reorders them).
         """
+        from ..cluster.server import land_moments  # deferred: engine layering
+
         if not self._pending:
             return
         chunks = self._pending
         self._pending = []
+        batches = []
         for chunk in chunks:
-            completion = chunk[1]
+            srv, completion, latency, service = chunk[:4]
             due = completion <= t1 if final else completion < t1
             if not due.all():
                 if not final:
@@ -432,15 +440,15 @@ class VectorizedRequestDriver:
                     self._discarded += int(np.count_nonzero(~due))
                 if not due.any():
                     continue
-                chunk = tuple(col[due] for col in chunk)
-            srv, _, latency, service = chunk[:4]
+                # Landing reads three columns; the rest of a landed
+                # chunk (completions, re-drive columns) is dead.
+                srv, latency, service = srv[due], latency[due], service[due]
             self._flushed.append(latency)
             seg_start = np.flatnonzero(np.r_[True, srv[1:] != srv[:-1]])
-            bounds = np.r_[seg_start, srv.size]
-            # Per-server batch statistics in six vectorized passes; the
-            # Python loop below only lands scalars (absorb_moments),
-            # instead of paying observe_many's call overhead per server
-            # per window (~14k calls at planet scale).
+            # Per-server batch statistics in a handful of vectorized
+            # passes; land_moments then merges every server's share of
+            # every chunk without a Python call per (chunk, server).
+            count = np.diff(np.r_[seg_start, srv.size])
             lat_sum = np.add.reduceat(latency, seg_start)
             svc_sum = np.add.reduceat(service, seg_start)
             lat_min = np.minimum.reduceat(latency, seg_start)
@@ -449,25 +457,14 @@ class VectorizedRequestDriver:
             # popped or freshly masked), so reuse it for the squares.
             np.multiply(latency, latency, out=service)
             sq_sum = np.add.reduceat(service, seg_start)
-            heads = srv[seg_start]
-            servers = self._servers
-            for i in range(seg_start.size):
-                lo, hi = bounds[i], bounds[i + 1]
-                count = int(hi - lo)
-                total = float(lat_sum[i])
-                mean = total / count
-                m2 = float(sq_sum[i]) - count * mean * mean
-                if m2 < 0.0:  # rounding can push the difference negative
-                    m2 = 0.0
-                servers[heads[i]].absorb_moments(
-                    count,
-                    total,
-                    m2,
-                    float(lat_min[i]),
-                    float(lat_max[i]),
-                    busy=float(svc_sum[i]),
-                    samples=latency[lo:hi],
-                )
+            mean = lat_sum / count
+            m2 = sq_sum - count * mean * mean
+            # Rounding can push the difference negative.
+            m2 = np.where(m2 < 0.0, 0.0, m2)
+            batches.append(
+                (srv[seg_start], count, lat_sum, m2, lat_min, lat_max, svc_sum)
+            )
+        land_moments(self._servers, batches)
 
     def collected_latencies(self) -> np.ndarray:
         """Latency of every flushed (completed-in-run) request.

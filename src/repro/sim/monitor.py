@@ -4,7 +4,8 @@ Two collectors cover the paper's needs:
 
 * :class:`Tally` — unweighted observations (e.g. per-request latency),
   with streaming mean/variance (Welford) so memory stays O(1) when raw
-  samples are not retained.
+  samples are not retained; :class:`TallyColumns` merges pre-reduced
+  batches into many tallies at once.
 * :class:`TimeSeries` — timestamped samples (e.g. per-interval server
   latency reported to the delegate), retained in full for plotting the
   paper's latency-versus-time figures.
@@ -20,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Tally", "TimeSeries"]
+__all__ = ["Tally", "TallyColumns", "TimeSeries"]
 
 
 class Tally:
@@ -149,11 +150,12 @@ class Tally:
     ) -> None:
         """Merge a pre-summarized batch (same update as observe_many).
 
-        For callers that already hold per-batch moments — e.g. a bulk
-        flush that computed per-server sums with ``np.add.reduceat`` —
-        this skips re-deriving them from the raw array. ``samples`` is
-        retained verbatim when the tally keeps samples; it must then
-        have exactly ``count`` elements.
+        For callers that already hold per-batch moments, this skips
+        re-deriving them from the raw array. ``samples`` is retained
+        verbatim when the tally keeps samples; it must then have
+        exactly ``count`` elements. :meth:`TallyColumns.merge` is the
+        same update over many tallies at once, and is tested against
+        this one.
         """
         if count <= 0:
             return
@@ -270,6 +272,75 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"<Tally n={self._n} mean={self.mean:.6g}>"
+
+
+class TallyColumns:
+    """Several tallies' streaming moments as columns, for bulk merges.
+
+    Built from a sequence of sample-free tallies, merged any number of
+    times with :meth:`merge`, and written back with :meth:`scatter`:
+    a bulk flush that lands many pre-reduced batches per tally pays one
+    Python read and one write per tally instead of one
+    :meth:`Tally.observe_moments` call per batch.
+    """
+
+    __slots__ = ("n", "mean", "m2", "min", "max")
+
+    def __init__(self, tallies: Sequence[Tally]) -> None:
+        if any(t._keep for t in tallies):
+            raise ValueError("bulk merges cannot retain samples; call forget_samples()")
+        self.n = np.array([t._n for t in tallies], dtype=np.int64)
+        self.mean = np.array([t._mean for t in tallies], dtype=np.float64)
+        self.m2 = np.array([t._m2 for t in tallies], dtype=np.float64)
+        self.min = np.array([t._min for t in tallies], dtype=np.float64)
+        self.max = np.array([t._max for t in tallies], dtype=np.float64)
+
+    def merge(
+        self,
+        at: np.ndarray,
+        count: np.ndarray,
+        mean: np.ndarray,
+        m2: np.ndarray,
+        minimum: np.ndarray,
+        maximum: np.ndarray,
+    ) -> None:
+        """:meth:`Tally.observe_moments` for rows ``at``, elementwise.
+
+        ``at`` must not repeat a row, and every ``count`` must be
+        positive. Each row takes exactly the float operations, in the
+        same order, that one ``observe_moments`` call would, so the
+        moments match the scalar merge bit for bit.
+        """
+        n = self.n[at]
+        old = self.mean[at]
+        delta = mean - old
+        total = n + count
+        fresh = n == 0
+        self.mean[at] = np.where(fresh, mean, old + delta * (count / total))
+        self.m2[at] = np.where(
+            fresh, m2, self.m2[at] + (m2 + delta * delta * ((n * count) / total))
+        )
+        self.n[at] = total
+        lo = self.min[at]
+        self.min[at] = np.where(minimum < lo, minimum, lo)
+        hi = self.max[at]
+        self.max[at] = np.where(maximum > hi, maximum, hi)
+
+    def scatter(self, tallies: Sequence[Tally]) -> None:
+        """Write the columns back into ``tallies`` (the same sequence)."""
+        for t, n, mean, m2, lo, hi in zip(
+            tallies,
+            self.n.tolist(),
+            self.mean.tolist(),
+            self.m2.tolist(),
+            self.min.tolist(),
+            self.max.tolist(),
+        ):
+            t._n = n
+            t._mean = mean
+            t._m2 = m2
+            t._min = lo
+            t._max = hi
 
 
 class TimeSeries:

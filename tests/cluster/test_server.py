@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CacheConfig, CacheModel, FileServer, MetadataRequest
+from repro.cluster.server import land_moments
 from repro.sim import Simulator
 
 
@@ -190,3 +193,95 @@ class TestFailure:
         server = FileServer(env, "s", power=1.0)
         with pytest.raises(RuntimeError):
             server.recover()
+
+
+def _batch(slots, latencies, services):
+    """One flush chunk's per-server columns, reduced the way the
+    vectorized driver reduces them."""
+    count = np.array([len(lat) for lat in latencies], dtype=np.int64)
+    total = np.array([np.add.reduce(np.array(lat)) for lat in latencies])
+    sq = np.array([np.add.reduce(np.array(lat) ** 2) for lat in latencies])
+    mean = total / count
+    m2 = sq - count * mean * mean
+    m2 = np.where(m2 < 0.0, 0.0, m2)
+    return (
+        np.array(slots, dtype=np.int16),
+        count,
+        total,
+        m2,
+        np.array([min(lat) for lat in latencies]),
+        np.array([max(lat) for lat in latencies]),
+        np.array([np.add.reduce(np.array(svc)) for svc in services]),
+    )
+
+
+def _fresh_servers(k):
+    servers = [FileServer(Simulator(), i, 1.0 + i) for i in range(k)]
+    for server in servers:
+        server.completed.forget_samples()
+    return servers
+
+
+_latency = st.floats(0.0, 500.0, allow_nan=False)
+
+
+@st.composite
+def _chunks(draw):
+    """Servers, a prior state for some of them, and a chunk sequence in
+    which servers may be absent from any chunk."""
+    k = draw(st.integers(1, 7))
+    chunks = []
+    for _ in range(draw(st.integers(1, 6))):
+        slots = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+        lats = [draw(st.lists(_latency, min_size=1, max_size=6)) for _ in slots]
+        svcs = [draw(st.lists(_latency, min_size=len(lat), max_size=len(lat))) for lat in lats]
+        chunks.append(_batch(slots, lats, svcs))
+    primed = draw(st.sets(st.integers(0, k - 1)))
+    return k, chunks, primed
+
+
+class TestLandMoments:
+    """The bulk landing equals one observe_moments merge per (chunk,
+    server), in chunk order, bit for bit."""
+
+    @staticmethod
+    def _land_one_at_a_time(servers, batches):
+        for slots, count, total, m2, lo, hi, busy in batches:
+            for j, slot in enumerate(slots.tolist()):
+                server = servers[slot]
+                n, t = int(count[j]), float(total[j])
+                server.completed.observe_moments(
+                    n, t / n, float(m2[j]), float(lo[j]), float(hi[j])
+                )
+                server.completed_requests += n
+                server.busy_time += float(busy[j])
+                server._window_latency_sum += t
+                server._window_count += n
+
+    @settings(max_examples=80, deadline=None)
+    @given(_chunks())
+    def test_matches_sequential_merges(self, drawn):
+        k, batches, primed = drawn
+        bulk, reference = _fresh_servers(k), _fresh_servers(k)
+        # Some servers carry earlier state (the merge branch); the rest
+        # are first touched mid-flush (the n == 0 branch).
+        prior = [_batch([slot], [[1.5, 2.25, 0.125]], [[0.5]]) for slot in sorted(primed)]
+        land_moments(bulk, prior)
+        self._land_one_at_a_time(reference, prior)
+        land_moments(bulk, batches)
+        self._land_one_at_a_time(reference, batches)
+        for got, want in zip(bulk, reference):
+            g, w = got.completed, want.completed
+            assert (g._n, g._mean, g._m2, g._min, g._max) == (
+                w._n, w._mean, w._m2, w._min, w._max
+            )
+            assert type(g._n) is int and type(g._mean) is float
+            assert got.completed_requests == want.completed_requests
+            assert got.busy_time == want.busy_time
+            assert got._window_latency_sum == want._window_latency_sum
+            assert got._window_count == want._window_count
+
+    def test_sample_keeping_tallies_are_refused(self):
+        servers = [FileServer(Simulator(), 0, 1.0)]  # keeps samples
+        with pytest.raises(ValueError, match="forget_samples"):
+            land_moments(servers, [_batch([0], [[1.0]], [[1.0]])])

@@ -17,6 +17,7 @@ from repro.core.errors import LookupExhaustedError
 from repro.core.interval import IntervalLayout
 from repro.core.layout import LayoutEngine
 from repro.core.vector import (
+    _PADDED_CUT,
     DrainedCohort,
     ProbeMatrix,
     SegmentTable,
@@ -321,3 +322,101 @@ class TestFifoDrain:
         )
         assert cohort.completion[0] == 4.5
         assert free_at.tolist() == [0.0, 0.0, 4.5]
+
+
+def _reference_drain(arrival, service, server_idx, free_at, power=None):
+    """fifo_drain's float operations in pure Python, one segment at a time.
+
+    Groups requests by server in arrival order, then per segment: the
+    division by power, a sequential prefix sum ``P``, ``P - s``, the
+    slack ``a - (P - s)``, a running max seeded with the server's
+    ``free_at``, and ``+ P``. Returns (completion, service) in grouped
+    order and the updated ``free_at`` list.
+    """
+    free = [float(f) for f in free_at]
+    completion, served = [], []
+    for slot in sorted(set(int(x) for x in server_idx)):
+        idx = [i for i in range(len(arrival)) if int(server_idx[i]) == slot]
+        svc = [float(service[i]) for i in idx]
+        if power is not None:
+            svc = [x / float(power[slot]) for x in svc]
+        prefix, acc = [], None
+        for x in svc:
+            acc = x if acc is None else acc + x
+            prefix.append(acc)
+        running = None
+        for j, i in enumerate(idx):
+            slack = float(arrival[i]) - (prefix[j] - svc[j])
+            if running is None:
+                running = free[slot] if slack < free[slot] else slack
+            else:
+                running = max(running, slack)
+            completion.append(prefix[j] + running)
+        served.extend(svc)
+        free[slot] = completion[-1]
+    return np.array(completion), np.array(served), free
+
+
+def _mixed_cohort(rng, lengths, horizon=100.0):
+    """A cohort whose server ``i`` receives ``lengths[i]`` requests,
+    interleaved in arrival order."""
+    server_idx = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+    arrival = np.sort(rng.uniform(0.0, horizon, server_idx.size))
+    work = rng.exponential(1.0, server_idx.size)
+    return arrival, work, server_idx
+
+
+def _assert_drain_matches_reference(arrival, work, server_idx, free_at, power):
+    want_c, want_s, want_free = _reference_drain(
+        arrival, work, server_idx, free_at, power
+    )
+    got_free = free_at.copy()
+    cohort = fifo_drain(arrival, work.copy(), server_idx, got_free, power=power)
+    np.testing.assert_array_equal(cohort.completion, want_c)
+    np.testing.assert_array_equal(cohort.service, want_s)
+    np.testing.assert_array_equal(got_free, np.array(want_free))
+
+
+class TestFifoDrainBitExact:
+    """Both drain layouts — the padded block for short segments, the
+    per-segment loop for long ones — give the reference's exact bits."""
+
+    LENGTHS = (1, _PADDED_CUT - 1, _PADDED_CUT, _PADDED_CUT + 1, 12 * _PADDED_CUT)
+
+    @pytest.mark.parametrize("with_power", [False, True])
+    def test_segments_either_side_of_the_cut(self, with_power):
+        rng = np.random.default_rng(21)
+        arrival, work, server_idx = _mixed_cohort(rng, self.LENGTHS)
+        k = len(self.LENGTHS)
+        power = rng.uniform(1.0, 9.0, k) if with_power else None
+        _assert_drain_matches_reference(
+            arrival, work, server_idx, np.zeros(k), power
+        )
+
+    @pytest.mark.parametrize("with_power", [False, True])
+    def test_backlog_ahead_of_arrivals(self, with_power):
+        rng = np.random.default_rng(22)
+        arrival, work, server_idx = _mixed_cohort(rng, self.LENGTHS)
+        k = len(self.LENGTHS)
+        # Some queues are still busy past every arrival, some only
+        # partway into the cohort, one is idle.
+        free_at = np.array([250.0, 40.0, 0.0, 1e3, 55.5])
+        power = rng.uniform(1.0, 9.0, k) if with_power else None
+        _assert_drain_matches_reference(arrival, work, server_idx, free_at, power)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.integers(min_value=0, max_value=3 * _PADDED_CUT), min_size=1, max_size=12
+        ).filter(any),
+        backlog=st.lists(st.floats(0.0, 150.0), min_size=12, max_size=12),
+        with_power=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_reference(self, lengths, backlog, with_power, seed):
+        rng = np.random.default_rng(seed)
+        arrival, work, server_idx = _mixed_cohort(rng, lengths)
+        k = len(lengths)
+        free_at = np.array(backlog[:k])
+        power = rng.uniform(0.5, 9.0, k) if with_power else None
+        _assert_drain_matches_reference(arrival, work, server_idx, free_at, power)

@@ -183,6 +183,20 @@ class TestCheckerTool:
             "use repro.service.protocol.FrameProtocol over FrameDecoder",
         ]
 
+    def test_per_server_moment_landing_stays_removed(self, tmp_path):
+        """Flushes land moments in bulk: a per-server method is rejected."""
+        defines = tmp_path / "defines.py"
+        defines.write_text(
+            "class FileServer:\n"
+            "    def absorb_moments(self, count, total, m2, lo, hi, busy, samples):\n"
+            "        pass\n"
+        )
+        problems = check_layering.check_removed({"repro.cluster.server": defines})
+        assert problems == [
+            "repro.cluster.server:2: defines or imports absorb_moments — removed; "
+            "use repro.cluster.server.land_moments (one merge per flush chunk)",
+        ]
+
     def test_stream_api_is_rejected_under_service(self, tmp_path):
         """The live service has one transport; other layers are not policed."""
         streams = tmp_path / "streams.py"

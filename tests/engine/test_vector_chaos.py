@@ -58,6 +58,17 @@ def vector_chaos_run(
             fault_rate=fault_rate,
             min_outage=max(30.0, 3.0 * chaos.detection_latency_bound),
         )
+    return vector_engine(
+        policy_name, seed, n_servers, n_filesets, n_requests, duration,
+        faults=VectorChaosFaultLayer(schedule=schedule, chaos=chaos),
+    ).run_chaos()
+
+
+def vector_engine(
+    policy_name, seed, n_servers, n_filesets, n_requests, duration, faults=None
+):
+    """The miniature cell's engine; ``faults=None`` is the fault-free path."""
+    powers = scale_powers(n_servers)
     workload = generate_scale(
         ScaleConfig(
             n_filesets=n_filesets,
@@ -67,7 +78,7 @@ def vector_chaos_run(
         ),
         seed=seed,
     )
-    engine = ExperimentSpec(
+    return ExperimentSpec(
         workload=workload.fork(),
         policy=make_scale_policy(policy_name, list(powers)),
         config=ClusterConfig(
@@ -77,9 +88,8 @@ def vector_chaos_run(
             supply_knowledge=False,
         ),
         client_path=VectorizedClientPath(),
-        faults=VectorChaosFaultLayer(schedule=schedule, chaos=chaos),
+        faults=faults,
     ).build()
-    return engine.run_chaos()
 
 
 class TestDeterminism:
@@ -98,6 +108,34 @@ class TestDeterminism:
         assert len({chaos_fingerprint(r) for r in runs.values()}) == len(POLICIES)
         # Same compiled timeline underneath.
         assert len({r.faults_injected for r in runs.values()}) == 1
+
+
+class TestPinnedFingerprints:
+    """Golden digests of the miniature cells on the vectorized path.
+
+    The cohort drain and the moment landing are held to bit-for-bit
+    identity, not to float tolerance: a change that moves one latency,
+    one tally moment or one window sum by one ulp flips these. The cells
+    mix server segments shorter and longer than the drain's padded-pass
+    cut, so both drain paths are pinned.
+    """
+
+    CHAOS = {
+        "anu": "f96c0d4f0c01afb451e657e16bd9374672a7e6168c0316acf0ea70d7e6b5ea9e",
+        "chbl": "1918677a17dab43a494ae09790c0bdf8f101b0084bbc5a24a0e7b95be7a07952",
+    }
+    FAULT_FREE = "20555ee8479724f1b69edcc71090c4ead1e10a5fbb70d0a9ed00c54bb1701495"
+
+    @pytest.mark.parametrize("policy_name", sorted(CHAOS))
+    def test_chaos_fingerprint_pinned(self, policy_name):
+        result = vector_chaos_run(policy_name=policy_name, seed=3)
+        assert chaos_fingerprint(result) == self.CHAOS[policy_name]
+
+    def test_fault_free_fingerprint_pinned(self):
+        from repro.experiments.cache import result_fingerprint
+
+        engine = vector_engine("anu", 3, 5, 50, 4_000, 600.0)
+        assert result_fingerprint(engine.run()) == self.FAULT_FREE
 
 
 class TestConservation:

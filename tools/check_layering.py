@@ -262,6 +262,7 @@ REMOVED_NAMES: Dict[str, str] = {
     "drive_attempts": "the repro.retry.Attempts state machine",
     "read_frame": _ONE_FRAMING,
     "write_frame": _ONE_FRAMING,
+    "absorb_moments": "repro.cluster.server.land_moments (one merge per flush chunk)",
 }
 
 #: Deleted environment variables: a module that names one in a string
