@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.workloads import SyntheticConfig, generate_synthetic
@@ -36,3 +38,23 @@ def golden_workload():
         total_capacity=25.0,
     )
     return generate_synthetic(cfg, seed=12)
+
+
+def behaviour_fingerprint(result) -> str:
+    """``result_fingerprint`` with the kernel's event count zeroed.
+
+    Pins what a run computed, not how many calendar entries it took to
+    compute it: a change to the kernel's event traffic that leaves every
+    simulated value in place leaves this digest in place.
+    """
+    from repro.experiments.cache import result_fingerprint
+
+    return result_fingerprint(dataclasses.replace(result, events_processed=0))
+
+
+def behaviour_chaos_fingerprint(result) -> str:
+    """``chaos_fingerprint`` with the base result's event count zeroed."""
+    from repro.faults import chaos_fingerprint
+
+    base = dataclasses.replace(result.base, events_processed=0)
+    return chaos_fingerprint(dataclasses.replace(result, base=base))

@@ -8,6 +8,12 @@ distributed run, one chaos run).
 If an intentional behaviour change ever invalidates the digests, rerun
 the recipes below and update the constants — in the same commit as the
 change, with the reason in the commit message.
+
+The full digests hash the kernel's ``events_processed``, so a change to
+the kernel's event traffic alone flips them. Each recipe therefore also
+carries a *behaviour* pin — the digest with the event count zeroed — and
+its event count as a plain integer: a traffic-only change re-records the
+digest and the count and leaves the behaviour pin where it is.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
 from repro.policies import ANURandomization
 from repro.workloads import generate_synthetic
 
-from .conftest import POWERS
+from .conftest import POWERS, behaviour_chaos_fingerprint, behaviour_fingerprint
 
 #: Digests of the paper-config runs (seed=3, scale=0.02), one per system.
 PAPER_GOLD = {
@@ -32,11 +38,23 @@ PAPER_GOLD = {
     "prescient": "037a8f9e8f040cb97fdac87c59c3e18b07bc1b44f19478ffd84461d2ba7ef572",
 }
 
+#: Behaviour pins (event count zeroed) and event counts of the same runs.
+PAPER_BEHAVIOUR = {
+    "simple": "fd9a9135b80725d7ca7e27d7f67dc6298b43f3db0ba70bd48c3c1d7e65dae175",
+    "anu": "7d89dcde1199b97a0c1939a872da9aec185c44b4d4120aefc40824f628c23ac0",
+    "prescient": "7c0e870d86dea3f544bea665f87490d6eb4ea2bd3095ea3594997978ae21db45",
+}
+PAPER_EVENTS = {"simple": 3744, "anu": 3791, "prescient": 3985}
+
 #: Distributed control plane over the golden workload, one delegate crash.
 DISTRIBUTED_GOLD = "f550585365e707ad1d28bc33df6025514bc0ceda73787e3eb9071561e1866e9f"
+DISTRIBUTED_BEHAVIOUR = "296b8f35e8ed072a59853a9ddbb07bea0e6388f6259e23cb4786fba7fd66799d"
+DISTRIBUTED_EVENTS = 5662
 
 #: Full chaos harness (seed=7) over the golden workload and CHAOS_SCHEDULE.
 CHAOS_GOLD = "4366d2401b9dd58786a567f83f6982f1b375ae4c165d367afe306fe9a5689b5c"
+CHAOS_BEHAVIOUR = "99c41672cabe9adab27376d6e713c2fb3b9fe3d098ec8298bc32376a71408c84"
+CHAOS_EVENTS = 44876
 
 #: One fault of every kind, spread over the 600 s golden run.
 CHAOS_SCHEDULE = FaultSchedule(
@@ -62,6 +80,8 @@ class TestPaperGoldens:
         config = paper_config(seed=3, scale=0.02)
         workload = generate_synthetic(config.synthetic_config(), seed=3)
         result = run_system(system, workload.fork(), config)
+        assert behaviour_fingerprint(result) == PAPER_BEHAVIOUR[system]
+        assert result.events_processed == PAPER_EVENTS[system]
         assert result_fingerprint(result) == PAPER_GOLD[system]
 
 
@@ -77,6 +97,8 @@ class TestDistributedGolden:
             .build()
         )
         result = engine.run()
+        assert behaviour_fingerprint(result) == DISTRIBUTED_BEHAVIOUR
+        assert result.events_processed == DISTRIBUTED_EVENTS
         assert result_fingerprint(result) == DISTRIBUTED_GOLD
         assert engine.failovers == 1
         assert engine.delegate_history == [4, 3]
@@ -93,4 +115,6 @@ class TestChaosGolden:
             .chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7))
             .run()
         )
+        assert behaviour_chaos_fingerprint(result) == CHAOS_BEHAVIOUR
+        assert result.base.events_processed == CHAOS_EVENTS
         assert chaos_fingerprint(result) == CHAOS_GOLD

@@ -33,6 +33,8 @@ from repro.faults import chaos_fingerprint, random_schedule
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.workloads.scale import ScaleConfig, generate_scale
 
+from .conftest import behaviour_chaos_fingerprint, behaviour_fingerprint
+
 POLICIES = ("anu", "chbl", "jsq2")
 
 
@@ -125,17 +127,29 @@ class TestPinnedFingerprints:
         "chbl": "1918677a17dab43a494ae09790c0bdf8f101b0084bbc5a24a0e7b95be7a07952",
     }
     FAULT_FREE = "20555ee8479724f1b69edcc71090c4ead1e10a5fbb70d0a9ed00c54bb1701495"
+    #: Behaviour pins (event count zeroed) and event counts of the same runs.
+    CHAOS_BEHAVIOUR = {
+        "anu": "ebc87a28273c08cb3b26398e6551b95523c938f96920193cb452b8585ba5d7ff",
+        "chbl": "92b0a1d426979b92fcc13aad6316c5be810594ced53ad49cf98b9a3e1ce08fb0",
+    }
+    CHAOS_EVENTS = {"anu": 31, "chbl": 31}
+    FAULT_FREE_BEHAVIOUR = "188c2df166d6c068dd4f3929acd6cca35ce454b892b03252cb80ea3e71f58e50"
+    FAULT_FREE_EVENTS = 28
 
     @pytest.mark.parametrize("policy_name", sorted(CHAOS))
     def test_chaos_fingerprint_pinned(self, policy_name):
         result = vector_chaos_run(policy_name=policy_name, seed=3)
+        assert behaviour_chaos_fingerprint(result) == self.CHAOS_BEHAVIOUR[policy_name]
+        assert result.base.events_processed == self.CHAOS_EVENTS[policy_name]
         assert chaos_fingerprint(result) == self.CHAOS[policy_name]
 
     def test_fault_free_fingerprint_pinned(self):
         from repro.experiments.cache import result_fingerprint
 
-        engine = vector_engine("anu", 3, 5, 50, 4_000, 600.0)
-        assert result_fingerprint(engine.run()) == self.FAULT_FREE
+        result = vector_engine("anu", 3, 5, 50, 4_000, 600.0).run()
+        assert behaviour_fingerprint(result) == self.FAULT_FREE_BEHAVIOUR
+        assert result.events_processed == self.FAULT_FREE_EVENTS
+        assert result_fingerprint(result) == self.FAULT_FREE
 
 
 class TestConservation:

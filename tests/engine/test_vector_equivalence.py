@@ -27,6 +27,8 @@ from repro.engine.probes import ProbeBus, RequestCompleted
 from repro.policies import ANURandomization, VectorANU
 from repro.workloads import generate_synthetic
 
+from .conftest import behaviour_fingerprint
+
 SIDS = [f"s{i}" for i in range(5)]
 POWERS = {sid: p for sid, p in zip(SIDS, (1, 3, 5, 7, 9))}
 
@@ -149,6 +151,12 @@ class TestScalarPathGolden:
         "simple": "5cbad9c5011cf4a72a7855039152731b96f935109656552ba9fc72806034d69c",
         "anu": "59de49985eb33cab5dc606e2df606f2b253dd73891b2ebdeebea63917dacf7f7",
     }
+    #: Behaviour pins (event count zeroed) and event counts of the same runs.
+    BEHAVIOUR = {
+        "simple": "73a962dc389f9a24c7ebf92e0b99d37c7e74019247d28df44e3739768cfa2531",
+        "anu": "ffd68fda132090f952c7b16c8f49b6feab560a71d0994906a061b2b4a6299a3a",
+    }
+    EVENTS = {"simple": 9385, "anu": 9828}
 
     def test_scalar_fingerprints_pinned(self):
         from repro.experiments import paper_config, result_fingerprint, run_comparison
@@ -157,6 +165,8 @@ class TestScalarPathGolden:
         wl = generate_synthetic(config.synthetic_config(), seed=3)
         out = run_comparison(wl, config, systems=tuple(self.GOLDEN))
         for system, want in self.GOLDEN.items():
+            assert behaviour_fingerprint(out[system]) == self.BEHAVIOUR[system]
+            assert out[system].events_processed == self.EVENTS[system]
             assert result_fingerprint(out[system]) == want, (
                 f"scalar path fingerprint drifted for {system!r}"
             )
