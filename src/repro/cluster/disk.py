@@ -16,15 +16,20 @@ throughput.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections import deque
+from typing import Deque, List, Sequence, Tuple
 
-from ..sim import Simulator, Store, Tally
+from ..sim import Event, Simulator, Tally
 
 __all__ = ["SharedDisk", "DiskArray"]
 
 
 class SharedDisk:
-    """One disk on the SAN: FIFO service at a fixed bandwidth."""
+    """One disk on the SAN: FIFO service at a fixed bandwidth.
+
+    The same FIFO clock as :class:`~repro.cluster.server.FileServer`: a
+    queue and one pending calendar entry per transfer, no process.
+    """
 
     def __init__(self, env: Simulator, disk_id: object, bandwidth: float) -> None:
         if bandwidth <= 0:
@@ -33,11 +38,14 @@ class SharedDisk:
         self.disk_id = disk_id
         #: Transfer rate in data units per second.
         self.bandwidth = float(bandwidth)
-        self._queue: Store = Store(env)
+        #: Waiting transfers as ``(enqueued, size, done)``.
+        self._queue: Deque[Tuple[float, float, Event]] = deque()
+        #: The transfer in progress and its start, or ``None`` while idle.
+        self._head = None
+        self._start = 0.0
         #: Completed-transfer latencies.
         self.transfers = Tally()
         self.busy_time = 0.0
-        env.process(self._service_loop())
 
     def read(self, size: float):
         """Event that fires when ``size`` data units have been read.
@@ -45,17 +53,29 @@ class SharedDisk:
         Usage inside a process: ``yield disk.read(size)``.
         """
         done = self.env.event()
-        self._queue.put((self.env.now, float(size), done))
+        transfer = (self.env.now, float(size), done)
+        if self._head is None:
+            self._transfer(transfer)
+        else:
+            self._queue.append(transfer)
         return done
 
-    def _service_loop(self):
-        while True:
-            enqueued, size, done = yield self._queue.get()
-            start = self.env.now
-            yield self.env.timeout(size / self.bandwidth)
-            self.busy_time += self.env.now - start
-            self.transfers.observe(self.env.now - enqueued)
-            done.succeed(size)
+    def _transfer(self, transfer: Tuple[float, float, Event]) -> None:
+        now = self.env.now
+        self._head = transfer
+        self._start = now
+        self.env.schedule_at(now + transfer[1] / self.bandwidth, self._transferred)
+
+    def _transferred(self) -> None:
+        now = self.env.now
+        enqueued, size, done = self._head
+        self.busy_time += now - self._start
+        self.transfers.observe(now - enqueued)
+        done.succeed(size)
+        if self._queue:
+            self._transfer(self._queue.popleft())
+        else:
+            self._head = None
 
     def utilization(self) -> float:
         """Fraction of elapsed time spent transferring."""

@@ -18,7 +18,7 @@ from typing import Optional
 __all__ = ["MetadataRequest"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MetadataRequest:
     """One metadata operation against a file set.
 

@@ -10,17 +10,24 @@ metadata request, then the most powerful server consumes time T/9"
 Servers measure themselves: per-interval mean latency of completed
 requests (what they report to the delegate) and whole-run tallies for
 the aggregate figures.
+
+The FIFO runs on calendar callbacks rather than a process: a queue, the
+request at its head, and one pending calendar entry — the end of the
+service or flush slice in progress — are the whole clock. A request that
+reaches an idle server starts service in the same instant, with no
+hand-off event in between.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.tuning import LatencyReport
-from ..sim import Interrupt, Simulator, Store, Tally, TimeSeries
+from ..sim import Call, Simulator, Tally, TimeSeries
 from ..sim.monitor import TallyColumns
 from .cache import CacheModel
 from .request import MetadataRequest
@@ -44,10 +51,12 @@ class FileServer:
 
     Notes
     -----
-    The server is driven by a single service-loop process created at
-    construction. :meth:`submit` is the only entry point for work;
-    :meth:`interval_report` closes a measurement window (the report the
-    server sends the delegate each tuning interval).
+    The server is up from construction and serves its FIFO from
+    calendar callbacks: each service or flush slice is one
+    :meth:`~repro.sim.Simulator.schedule_at` entry whose callback books
+    the slice and starts the next. :meth:`submit` is the only entry
+    point for work; :meth:`interval_report` closes a measurement window
+    (the report the server sends the delegate each tuning interval).
     """
 
     def __init__(
@@ -66,7 +75,14 @@ class FileServer:
         #: by straggler injection (see :meth:`set_power_factor`).
         self.base_power = float(power)
         self.cache = cache
-        self._queue: Store = Store(env)
+        #: Waiting requests; the one at the head is held apart in _head.
+        self._queue: Deque[MetadataRequest] = deque()
+        #: The request at the head of the line — in service, or waiting
+        #: behind a flush slice — or ``None`` while the server is idle.
+        self._head: Optional[MetadataRequest] = None
+        #: Calendar entry ending the slice in progress, and its start.
+        self._slice: Optional[Call] = None
+        self._slice_start = 0.0
         self._failed = False
         #: Crash count; bumps on every fail(). Clients use it to notice
         #: that a queue they submitted into was discarded by a crash,
@@ -94,27 +110,29 @@ class FileServer:
         self._flush_backlog: List[float] = []
         #: Optional completion hook ``probe(request)`` — set by the
         #: engine when a RequestCompleted subscriber exists; ``None``
-        #: (the default) keeps the service loop probe-free.
+        #: (the default) keeps the completion path probe-free.
         self.probe = None
-        self._loop = env.process(self._service_loop())
 
     # ------------------------------------------------------------------ #
     # workload entry points
     # ------------------------------------------------------------------ #
     def submit(self, request: MetadataRequest) -> None:
-        """Enqueue a metadata request (FIFO)."""
+        """Enqueue a metadata request (FIFO); an idle server starts it now."""
         if self._failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
         request.server = self.server_id
-        self._queue.put(request)
+        if self._head is None:
+            self._take(request)
+        else:
+            self._queue.append(request)
 
     def charge_flush(self, work: float) -> None:
         """Charge cache-flush busy work (a shed's cost to the releaser).
 
-        Modeled as a pseudo-job at the *head-of-line position the loop
-        reaches next*: the flush occupies the server before subsequent
-        queued requests, which is how a synchronous cache write-back
-        behaves.
+        Modeled as a pseudo-job at the *next head-of-line position*: the
+        flush occupies the server before the next request to reach the
+        head starts service, which is how a synchronous cache write-back
+        behaves. An idle server runs it when its next request arrives.
         """
         if work > 0:
             self._flush_backlog.append(work)
@@ -150,56 +168,76 @@ class FileServer:
         return self.power != self.base_power
 
     # ------------------------------------------------------------------ #
-    # the service loop
+    # the FIFO clock
     # ------------------------------------------------------------------ #
-    def _service_loop(self):
-        try:
-            yield from self._serve_forever()
-        except Interrupt:
-            return  # failed: drop out cleanly; recover() starts a new loop
+    def _take(self, request: MetadataRequest) -> None:
+        """``request`` reaches the head: pending flush work runs first."""
+        self._head = request
+        if self._flush_backlog:
+            self._flush()
+        else:
+            self._serve(request)
 
-    def _serve_forever(self):
-        while True:
-            request = yield self._queue.get()
-            # Synchronous flush work blocks the queue first.
-            while self._flush_backlog:
-                flush = self._flush_backlog.pop(0)
-                start = self.env.now
-                yield self.env.timeout(flush / self.power)
-                self.busy_time += self.env.now - start
-            request.service_start = self.env.now
-            work = request.work
-            if self.cache is not None:
-                work *= self.cache.work_multiplier(
-                    self.server_id, request.fileset, self.env.now
-                )
-            start = self.env.now
-            yield self.env.timeout(work / self.power)
-            self.busy_time += self.env.now - start
-            request.completion = self.env.now
-            self._record(request)
+    def _flush(self) -> None:
+        now = self.env.now
+        self._slice_start = now
+        self._slice = self.env.schedule_at(
+            now + self._flush_backlog.pop(0) / self.power, self._flushed
+        )
 
-    def _record(self, request: MetadataRequest) -> None:
-        latency = request.latency
+    def _flushed(self) -> None:
+        self.busy_time += self.env.now - self._slice_start
+        if self._flush_backlog:
+            self._flush()
+        else:
+            self._serve(self._head)
+
+    def _serve(self, request: MetadataRequest) -> None:
+        # Service start, the cache multiplier and the power all read the
+        # state of this instant; a later straggler factor slows only
+        # slices that start after it.
+        env = self.env
+        now = env.now
+        request.service_start = now
+        work = request.work
+        if self.cache is not None:
+            work *= self.cache.work_multiplier(self.server_id, request.fileset, now)
+        self._slice_start = now
+        self._slice = env.schedule_at(now + work / self.power, self._served)
+
+    def _served(self) -> None:
+        """Book the finished service slice and the request, then start
+        the next request in line or go idle."""
+        now = self.env.now
+        self.busy_time += now - self._slice_start
+        request = self._head
+        request.completion = now
+        latency = now - request.arrival
         self.completed.observe(latency)
         self.completed_requests += 1
         self._window_latency_sum += latency
         self._window_count += 1
-        self._window_fs_work[request.fileset] = (
-            self._window_fs_work.get(request.fileset, 0.0) + request.work
-        )
+        fs_work = self._window_fs_work
+        fs_work[request.fileset] = fs_work.get(request.fileset, 0.0) + request.work
+        # Hooks run while the request still holds the head, so one that
+        # submits here queues behind whatever is already waiting.
         if request.on_complete is not None:
             request.on_complete(request)
         if self.probe is not None:
             self.probe(request)
+        if self._queue:
+            self._take(self._queue.popleft())
+        else:
+            self._head = None
+            self._slice = None
 
     def absorb_batch(self, latencies, busy: float) -> None:
         """Bulk-account a cohort of completed requests.
 
         The vectorized client path computes completions outside the
-        per-request service loop and lands them here: whole-run tally,
+        per-request FIFO clock and lands them here: whole-run tally,
         window accumulators, and busy time in one call, equivalent to
-        ``_record`` per request (window file-set work is not tracked —
+        serving each request here (window file-set work is not tracked —
         the vectorized path documents that limitation).
         """
         count = latencies.shape[0]
@@ -265,20 +303,21 @@ class FileServer:
     def fail(self) -> List[MetadataRequest]:
         """Take the server down; returns the queued requests it drops.
 
-        The in-service request (if any) is lost with it. The cluster
-        driver re-routes the returned requests through the updated
-        placement, modeling clients re-issuing to the new owner.
+        The request at the head (in service, or behind a flush slice) is
+        lost with it, and the slice in progress never completes. The
+        cluster driver re-routes the returned requests through the
+        updated placement, modeling clients re-issuing to the new owner.
         """
         if self._failed:
             raise RuntimeError(f"server {self.server_id!r} already failed")
         self._failed = True
         self.incarnation += 1
-        self._loop.interrupt("failed")
-        orphans = list(self._queue.drain())
-        # Replace the queue outright: the dying loop may still hold a
-        # pending get() on the old store, which would otherwise swallow
-        # the first request submitted after recovery.
-        self._queue = Store(self.env)
+        if self._slice is not None:
+            self._slice.cancel()
+            self._slice = None
+        self._head = None
+        orphans = list(self._queue)
+        self._queue.clear()
         return orphans
 
     def recover(self) -> None:
@@ -289,7 +328,6 @@ class FileServer:
         self._window_latency_sum = 0.0
         self._window_count = 0
         self._window_start = self.env.now
-        self._loop = self.env.process(self._service_loop())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         state = "FAILED" if self._failed else f"q={self.queue_length}"

@@ -166,6 +166,10 @@ class RequestDriver:
         Hardened path — every request is handed to a
         :class:`HardenedClient` for the retry/redirect treatment
         instead of being dropped when routing fails.
+
+    Arrivals replay as a chain of calendar callbacks: each one submits
+    every request due at its instant and schedules the next distinct
+    arrival time, so the driver costs one event per arrival instant.
     """
 
     def __init__(
@@ -189,14 +193,26 @@ class RequestDriver:
         self.probe = probe
         self._submitted = 0
         self._dropped = 0
-        self.process = env.process(self._replay())
+        self._submit = client.submit if client is not None else self._submit_basic
+        # The request the pending calendar entry submits, and the rest.
+        self._rest = iter(self.schedule)
+        self._due = next(self._rest, None)
+        if self._due is not None:
+            delay = self._due.arrival - env.now
+            env.schedule_at(env.now + delay if delay > 0 else env.now, self._arrive)
 
-    def _replay(self):
-        submit = self.client.submit if self.client is not None else self._submit_basic
-        for request in self.schedule:
-            delay = request.arrival - self.env.now
+    def _arrive(self) -> None:
+        """Submit the request this entry was scheduled for, then every
+        following one already due; schedule the next arrival instant."""
+        env = self.env
+        submit = self._submit
+        submit(self._due)
+        for request in self._rest:
+            delay = request.arrival - env.now
             if delay > 0:
-                yield self.env.timeout(delay)
+                self._due = request
+                env.schedule_at(env.now + delay, self._arrive)
+                return
             submit(request)
 
     def _submit_basic(self, request: "MetadataRequest") -> None:

@@ -20,7 +20,7 @@ from .errors import (
     SimulationError,
     StopSimulation,
 )
-from .events import AllOf, AnyOf, Event, EventQueue, EventState, Timeout
+from .events import AllOf, AnyOf, Call, Event, EventQueue, EventState, Timeout
 from .kernel import Simulator
 from .monitor import Tally, TimeSeries
 from .process import Process
@@ -34,6 +34,7 @@ __all__ = [
     "EventState",
     "EventQueue",
     "Timeout",
+    "Call",
     "AllOf",
     "AnyOf",
     "Resource",

@@ -39,7 +39,16 @@ from typing import Any, Callable, List, Optional
 
 from .errors import EventStateError, SchedulingError
 
-__all__ = ["EventState", "Event", "Timeout", "CompositeEvent", "AllOf", "AnyOf", "EventQueue"]
+__all__ = [
+    "EventState",
+    "Event",
+    "Timeout",
+    "Call",
+    "CompositeEvent",
+    "AllOf",
+    "AnyOf",
+    "EventQueue",
+]
 
 
 class EventState(IntEnum):
@@ -160,7 +169,7 @@ class Event:
         """Mark the event ``TRIGGERED`` without scheduling it.
 
         The public seam for code that manages calendar placement itself
-        (e.g. :meth:`Simulator.schedule_at` pushes the event at an
+        (e.g. pushing the event through :meth:`EventQueue.push` at an
         absolute time instead of a delay). The caller *must* place the
         event on a calendar afterwards or it will never be processed.
 
@@ -225,6 +234,27 @@ class Timeout(Event):
         # without a function-call indirection. The bare sequence number
         # is the NORMAL-priority ordering key (see EventQueue below).
         heappush(env._heap, (env._now + delay, next(env._seq), self))
+
+
+class Call(Event):
+    """A calendar entry that runs a zero-argument callback when processed.
+
+    Built by :meth:`Simulator.schedule_at`, which writes its slots
+    directly — callback-driven stations (the file servers' FIFO clocks)
+    schedule one per service slice. :meth:`cancel` disarms the entry: it
+    keeps its place on the calendar and is processed, and counted, as a
+    no-op, so cancelling costs no heap search.
+    """
+
+    __slots__ = ("fn",)
+
+    def cancel(self) -> None:
+        """Disarm the callback; the entry still fires, doing nothing."""
+        self._cbs = None
+
+
+def _run_call(call: Call) -> None:
+    call.fn()
 
 
 class CompositeEvent(Event):

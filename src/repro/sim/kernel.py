@@ -38,12 +38,14 @@ from .errors import SchedulingError, StopSimulation
 from .events import (
     AllOf,
     AnyOf,
+    Call,
     Event,
     EventQueue,
     Timeout,
     _PROCESSED,
     _TRIGGERED,
     _URGENT_OFFSET,
+    _run_call,
 )
 from .process import Process
 
@@ -143,20 +145,33 @@ class Simulator:
             key -= _URGENT_OFFSET
         heappush(self._heap, (self._now + delay, key, event))
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Call:
         """Run ``callback()`` at absolute simulated ``time``.
 
-        Returns the underlying event. This is the hook used by periodic
-        controllers (e.g. the ANU tuning loop) that prefer callback style
-        over full processes.
+        Returns the calendar entry, a :class:`~repro.sim.events.Call`;
+        ``entry.cancel()`` disarms it. The hook for code that prefers
+        callback style over full processes: fault injection, churn, and
+        the FIFO clocks of the file servers and shared disks, which
+        schedule one entry per service slice — so the entry is built
+        without an ``__init__`` chain or a wrapper closure, like
+        :meth:`timeout`'s. ``schedule_at(env.now + delay, f)`` lands at
+        exactly the time ``timeout(delay)`` would, in the same
+        first-scheduled-first-fired order among equal times.
         """
         if time < self._now:
             raise SchedulingError(f"schedule_at({time}) is in the past (now={self._now})")
-        ev = Event(self)
-        ev._add_callback(lambda _ev: callback())
-        ev.force_trigger()
-        self._queue.push(time, ev, EventQueue.NORMAL)
-        return ev
+        call = Call.__new__(Call)
+        call.env = self
+        call._cbs = _run_call
+        call.fn = callback
+        call.value = None
+        call.ok = True
+        call._state = _TRIGGERED
+        call._defused = False
+        if type(time) is not float:
+            time = float(time)
+        heappush(self._heap, (time, next(self._seq), call))
+        return call
 
     # ------------------------------------------------------------------ #
     # execution

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from repro.cluster import (
@@ -54,6 +57,49 @@ class TestSharedDisk:
     def test_bad_bandwidth(self, env):
         with pytest.raises(ValueError):
             SharedDisk(env, 0, bandwidth=0.0)
+
+
+def _san_run_digest() -> str:
+    """Digest of a seeded metadata-then-data run over two servers and a
+    three-disk stripe set: every access latency, and each disk's transfer
+    tally and busy time, as exact float reprs.
+
+    Arrivals are rounded to 0.1 s, so some accesses land on the same
+    instant and queue behind each other at the same disk.
+    """
+    env = Simulator()
+    rng = random.Random(7)
+    servers = [FileServer(env, 0, power=2.0), FileServer(env, 1, power=5.0)]
+    disks = DiskArray(env, bandwidths=[10.0, 20.0, 40.0], stripe_unit=16.0)
+    client = AccessClient(
+        env, route=lambda r: servers[int(r.fileset[4:]) % 2], disks=disks
+    )
+    accesses = sorted(
+        (round(rng.uniform(0.0, 60.0), 1), rng.uniform(0.1, 2.0), rng.uniform(1.0, 100.0))
+        for _ in range(300)
+    )
+
+    def launcher(env):
+        for at, meta_work, size in accesses:
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            client.access(f"/fs/{int(size) % 7}", meta_work=meta_work, data_size=size)
+
+    env.process(launcher(env))
+    env.run()
+    h = hashlib.sha256(client.access_latency.samples.tobytes())
+    for disk in disks.disks:
+        tally = disk.transfers
+        h.update(repr((tally.count, tally.mean, tally.maximum, disk.busy_time)).encode())
+    return h.hexdigest()
+
+
+class TestSanLatencies:
+    #: Recorded on the generator-and-Store disk loop this FIFO replaced.
+    DIGEST = "1156cc6f1696627b7f50ebe762887e8aa194d4a277404e684ffee1efc8df8871"
+
+    def test_latencies_match_the_generator_disk(self):
+        assert _san_run_digest() == self.DIGEST
 
 
 class TestDiskArray:

@@ -33,9 +33,9 @@ from .conftest import POWERS, behaviour_chaos_fingerprint, behaviour_fingerprint
 
 #: Digests of the paper-config runs (seed=3, scale=0.02), one per system.
 PAPER_GOLD = {
-    "simple": "9f10ac545f6fd8562a64a0d09040076df395056d88d47e3685acd59422c824bd",
-    "anu": "8b6ce9ec16eb66a8b35500f2323a44627aaa375123f340a679469b5b4873f566",
-    "prescient": "037a8f9e8f040cb97fdac87c59c3e18b07bc1b44f19478ffd84461d2ba7ef572",
+    "simple": "559a600ad8abe3243814758eef25e7d720f3adce504680d2c41778cf160db1b9",
+    "anu": "7a2639c735e12f30e8b985fcf2bb9b4199019e3456be942c63e269459deda9a3",
+    "prescient": "7a6850e678446880d1cbbc7615e5199c753260b009abd6d583ab7abb3b148cf8",
 }
 
 #: Behaviour pins (event count zeroed) and event counts of the same runs.
@@ -44,17 +44,17 @@ PAPER_BEHAVIOUR = {
     "anu": "7d89dcde1199b97a0c1939a872da9aec185c44b4d4120aefc40824f628c23ac0",
     "prescient": "7c0e870d86dea3f544bea665f87490d6eb4ea2bd3095ea3594997978ae21db45",
 }
-PAPER_EVENTS = {"simple": 3744, "anu": 3791, "prescient": 3985}
+PAPER_EVENTS = {"simple": 2533, "anu": 2559, "prescient": 2654}
 
 #: Distributed control plane over the golden workload, one delegate crash.
-DISTRIBUTED_GOLD = "f550585365e707ad1d28bc33df6025514bc0ceda73787e3eb9071561e1866e9f"
+DISTRIBUTED_GOLD = "52450484560dec68be7545fd1e8fae30b4c8dd37012534f02472c2cb6ceabf6e"
 DISTRIBUTED_BEHAVIOUR = "296b8f35e8ed072a59853a9ddbb07bea0e6388f6259e23cb4786fba7fd66799d"
-DISTRIBUTED_EVENTS = 5662
+DISTRIBUTED_EVENTS = 3855
 
 #: Full chaos harness (seed=7) over the golden workload and CHAOS_SCHEDULE.
-CHAOS_GOLD = "4366d2401b9dd58786a567f83f6982f1b375ae4c165d367afe306fe9a5689b5c"
+CHAOS_GOLD = "37bfc10b76680a0f32d285e31c65336f9421250beca95e777bee180b67268f93"
 CHAOS_BEHAVIOUR = "99c41672cabe9adab27376d6e713c2fb3b9fe3d098ec8298bc32376a71408c84"
-CHAOS_EVENTS = 44876
+CHAOS_EVENTS = 43169
 
 #: One fault of every kind, spread over the 600 s golden run.
 CHAOS_SCHEDULE = FaultSchedule(

@@ -197,6 +197,22 @@ class TestCheckerTool:
             "use repro.cluster.server.land_moments (one merge per flush chunk)",
         ]
 
+    @pytest.mark.parametrize("gone", ["_service_loop", "_serve_forever"])
+    def test_generator_service_loop_stays_removed(self, tmp_path, gone):
+        """Stations serve their FIFO from calendar callbacks: a revived
+        generator loop is rejected."""
+        defines = tmp_path / "defines.py"
+        defines.write_text(
+            "class SharedDisk:\n"
+            f"    def {gone}(self):\n"
+            "        yield self._queue.get()\n"
+        )
+        problems = check_layering.check_removed({"repro.cluster.disk": defines})
+        assert problems == [
+            f"repro.cluster.disk:2: defines or imports {gone} — removed; use "
+            "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)",
+        ]
+
     def test_stream_api_is_rejected_under_service(self, tmp_path):
         """The live service has one transport; other layers are not policed."""
         streams = tmp_path / "streams.py"

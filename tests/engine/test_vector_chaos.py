@@ -123,18 +123,18 @@ class TestPinnedFingerprints:
     """
 
     CHAOS = {
-        "anu": "f96c0d4f0c01afb451e657e16bd9374672a7e6168c0316acf0ea70d7e6b5ea9e",
-        "chbl": "1918677a17dab43a494ae09790c0bdf8f101b0084bbc5a24a0e7b95be7a07952",
+        "anu": "f81f3fc9b6d94beb771936ede5a30f6cce5f6617eaf4bd170e55b359b3e4854d",
+        "chbl": "7b200910bb05ba67f44eb9758f523025cbd940611baf2b8f4d8cfec6c51d4997",
     }
-    FAULT_FREE = "20555ee8479724f1b69edcc71090c4ead1e10a5fbb70d0a9ed00c54bb1701495"
+    FAULT_FREE = "7cbcc8ef71ecba6e9a3645c9e99ce7e24c364956afe2d375fd4f3f9ac01c702f"
     #: Behaviour pins (event count zeroed) and event counts of the same runs.
     CHAOS_BEHAVIOUR = {
         "anu": "ebc87a28273c08cb3b26398e6551b95523c938f96920193cb452b8585ba5d7ff",
         "chbl": "92b0a1d426979b92fcc13aad6316c5be810594ced53ad49cf98b9a3e1ce08fb0",
     }
-    CHAOS_EVENTS = {"anu": 31, "chbl": 31}
+    CHAOS_EVENTS = {"anu": 23, "chbl": 23}
     FAULT_FREE_BEHAVIOUR = "188c2df166d6c068dd4f3929acd6cca35ce454b892b03252cb80ea3e71f58e50"
-    FAULT_FREE_EVENTS = 28
+    FAULT_FREE_EVENTS = 23
 
     @pytest.mark.parametrize("policy_name", sorted(CHAOS))
     def test_chaos_fingerprint_pinned(self, policy_name):

@@ -148,15 +148,15 @@ class TestScalarPathGolden:
     """
 
     GOLDEN = {
-        "simple": "5cbad9c5011cf4a72a7855039152731b96f935109656552ba9fc72806034d69c",
-        "anu": "59de49985eb33cab5dc606e2df606f2b253dd73891b2ebdeebea63917dacf7f7",
+        "simple": "7cf874adf2d1a05e21454b5043431402444e5286d914ad994e1819019056f08f",
+        "anu": "57989eb14e50f4bd992f31ba3510e672824ee581b0447c55bd08ecd60a2b6003",
     }
     #: Behaviour pins (event count zeroed) and event counts of the same runs.
     BEHAVIOUR = {
         "simple": "73a962dc389f9a24c7ebf92e0b99d37c7e74019247d28df44e3739768cfa2531",
         "anu": "ffd68fda132090f952c7b16c8f49b6feab560a71d0994906a061b2b4a6299a3a",
     }
-    EVENTS = {"simple": 9385, "anu": 9828}
+    EVENTS = {"simple": 6352, "anu": 6581}
 
     def test_scalar_fingerprints_pinned(self):
         from repro.experiments import paper_config, result_fingerprint, run_comparison

@@ -121,6 +121,27 @@ class TestStop:
         env.run()
         assert hits == [7.0]
 
+    def test_cancelled_entry_fires_as_a_counted_no_op(self, env):
+        hits = []
+        entry = env.schedule_at(3.0, lambda: hits.append("cancelled"))
+        env.schedule_at(3.0, lambda: hits.append("kept"))
+        entry.cancel()
+        env.run()
+        assert hits == ["kept"]
+        assert env.events_processed == 2 and env.now == 3.0
+
+    def test_schedule_at_lands_where_timeout_does(self, env):
+        """``now + delay`` on both paths; equal times fire in schedule order."""
+        order = []
+        env.timeout(0.1)
+        env.run()
+        delay = 0.7  # 0.1 + 0.7 is not 0.8 in binary floating point
+        tm = env.timeout(delay)
+        tm.callbacks.append(lambda ev: order.append(("timeout", env.now)))
+        env.schedule_at(env.now + delay, lambda: order.append(("call", env.now)))
+        env.run()
+        assert order == [("timeout", 0.1 + 0.7), ("call", 0.1 + 0.7)]
+
     def test_schedule_at_past_rejected(self, env):
         env.timeout(5.0)
         env.run()

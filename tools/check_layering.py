@@ -248,6 +248,7 @@ REMOVED_MODULES: Tuple[str, ...] = (
 _KNOB_PARSERS = "repro.knobs.env_int / env_float directly"
 _REGENERATE = "figures regenerate their workload from (config, seed)"
 _ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
+_FIFO_CLOCK = "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
@@ -263,6 +264,8 @@ REMOVED_NAMES: Dict[str, str] = {
     "read_frame": _ONE_FRAMING,
     "write_frame": _ONE_FRAMING,
     "absorb_moments": "repro.cluster.server.land_moments (one merge per flush chunk)",
+    "_service_loop": _FIFO_CLOCK,
+    "_serve_forever": _FIFO_CLOCK,
 }
 
 #: Deleted environment variables: a module that names one in a string
