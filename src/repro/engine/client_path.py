@@ -198,8 +198,7 @@ class RequestDriver:
         self._rest = iter(self.schedule)
         self._due = next(self._rest, None)
         if self._due is not None:
-            delay = self._due.arrival - env.now
-            env.schedule_at(env.now + delay if delay > 0 else env.now, self._arrive)
+            env.schedule_at(env.now + max(self._due.arrival - env.now, 0.0), self._arrive)
 
     def _arrive(self) -> None:
         """Submit the request this entry was scheduled for, then every

@@ -159,6 +159,16 @@ class TestRequestDriver:
         env.run()
         assert driver.dropped == 1 and driver.submitted == 0
 
+    def test_same_time_arrivals_share_one_calendar_entry(self, env):
+        """One event per distinct arrival instant, none to start or finish."""
+        schedule = [
+            MetadataRequest("/a", arrival=t, work=1.0) for t in (1.0, 1.0, 1.0, 2.5, 2.5)
+        ]
+        driver = RequestDriver(env, schedule, route=lambda r: None)
+        env.run()
+        assert driver.dropped == 5
+        assert env.events_processed == 2
+
     def test_routing_sees_arrival_time_state(self, env):
         """Routing decisions are taken at each request's arrival."""
         s1 = FileServer(env, 1, power=100.0)
