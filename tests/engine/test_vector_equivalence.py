@@ -142,9 +142,11 @@ class TestVectorPathScope:
 class TestScalarPathGolden:
     """Golden fingerprints: the scalar path is byte-for-byte untouched.
 
-    Computed once from the pre-vectorization scalar engine; any change
-    to scalar request stepping, hashing, tuning, or result assembly
-    flips these.
+    Computed from the pre-vectorization scalar engine; any change to
+    scalar request stepping, hashing, tuning, or result assembly flips
+    these. The full digests also hash the kernel's event count; the
+    behaviour pins, taken with that count zeroed, hold the simulated
+    values alone.
     """
 
     GOLDEN = {
