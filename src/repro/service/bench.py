@@ -19,6 +19,8 @@ The payload's hard gates — checked here *and* by
 
 * ``requests_lost == 0`` — the conservation ledger accounts for every
   injected request, on real sockets;
+* ``latency_samples == requests_completed`` — every completed request's
+  latency sample reached the locator (gated here only);
 * ``twin.decision_ok`` — the recorded control timeline replays exactly;
 * ``twin.sim_ok`` — the simulator tracks the live region trajectory
   within the documented tolerance.
@@ -89,8 +91,9 @@ async def run_bench(
         results = await run_clients(
             config, workload, (host, port), t0, processes=processes
         )
-        # The clients have all joined: every request is settled and its
-        # report delivered. One forced epoch close folds the samples of
+        # The clients have all joined: every request is settled, and each
+        # client's close flushed its folded reports and saw the locator
+        # answer after them. One forced epoch close folds the samples of
         # the open partial window into the recording.
         locator.close_epoch()
     finally:
@@ -221,6 +224,11 @@ def gate_failures(payload: dict) -> List[str]:
         problems.append("in-flight classification violated")
     if payload["requests_completed"] == 0:
         problems.append("no requests completed")
+    if payload["latency_samples"] != payload["requests_completed"]:
+        problems.append(
+            f"latency_samples = {payload['latency_samples']} "
+            f"(must equal requests_completed = {payload['requests_completed']})"
+        )
     if not payload["converged"]:
         problems.append("live tuning loop did not converge within the run")
     if not payload["twin"]["decision_ok"]:

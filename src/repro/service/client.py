@@ -15,9 +15,14 @@ checked, unchanged, against a real wire:
 * the **ledger** accounts for every request:
   ``injected == completed + failed + in_flight``, always.
 
-This module owns only the wire: LOCATE / EXEC / REPORT over
+This module owns only the wire: LOCATE / EXEC over
 :class:`FramedConnection`, plus caching and dropping server
-connections. It imports nothing from the simulation engine.
+connections. It imports nothing from the simulation engine. REPORT is
+off the request path: a latency sample is folded per server
+(:class:`ReportFold`), and the fold leaves as one id-less ``report``
+frame per server per :data:`REPORT_WINDOW_S` window, so a request costs
+two round trips, and a sample reaches the locator at most
+:data:`REPORT_WINDOW_S` late (10 % of the smoke profile's 0.5 s epoch).
 
 Connections are persistent and multiplexed: one
 :class:`FramedConnection` per peer carries any number of concurrent
@@ -33,12 +38,23 @@ import asyncio
 import math
 import random
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..retry import Attempts, RequestLedger, RetryPolicy
 from .protocol import FrameProtocol, ProtocolError
 
-__all__ = ["FramedConnection", "HardenedServiceClient", "DriveOutcome"]
+__all__ = [
+    "REPORT_WINDOW_S",
+    "FramedConnection",
+    "HardenedServiceClient",
+    "DriveOutcome",
+    "ReportFold",
+]
+
+#: Longest a latency sample waits in the client before its report frame
+#: leaves: the first sample after a quiet window goes at once, the rest
+#: of a window's samples when it closes.
+REPORT_WINDOW_S = 0.05
 
 
 class FramedConnection(FrameProtocol):
@@ -141,6 +157,38 @@ class DriveOutcome:
         self.ok = ok
 
 
+class ReportFold:
+    """Per-server ``(sum, count)`` of latency samples not yet reported.
+
+    :meth:`drain` empties it into one ``report`` frame per server that
+    carries the mean and the count, which
+    :meth:`~repro.control.EpochBatcher.observe` weights back by the
+    count: folding changes how many frames go out, not the sums.
+    """
+
+    def __init__(self) -> None:
+        self._folds: Dict[str, List[float]] = {}
+
+    def add(self, server: str, latency: float, count: int = 1) -> None:
+        fold = self._folds.get(server)
+        if fold is None:
+            self._folds[server] = [latency * count, count]
+        else:
+            fold[0] += latency * count
+            fold[1] += count
+
+    def drain(self) -> List[Dict[str, Any]]:
+        frames = [
+            {"op": "report", "server": server, "latency": total / count, "count": count}
+            for server, (total, count) in self._folds.items()
+        ]
+        self._folds.clear()
+        return frames
+
+    def __bool__(self) -> bool:
+        return bool(self._folds)
+
+
 class HardenedServiceClient(RequestLedger):
     """Drives logical requests through locator + echo servers.
 
@@ -168,6 +216,10 @@ class HardenedServiceClient(RequestLedger):
         self.rng = rng
         self._locator: Optional[FramedConnection] = None
         self._servers: Dict[str, FramedConnection] = {}
+        self._fold = ReportFold()
+        self._window: Optional[asyncio.TimerHandle] = None
+        #: A report frame went out since the last ``close()`` barrier.
+        self._unconfirmed = False
 
     # ------------------------------------------------------------------ #
     async def connect(self) -> None:
@@ -176,8 +228,25 @@ class HardenedServiceClient(RequestLedger):
             self._locator = await FramedConnection.open(*self.locator_address)
 
     async def close(self) -> None:
-        """Close every connection this client holds."""
+        """Flush the folded latency samples, then close every connection.
+
+        The flush ends with one ``map`` round trip: the locator answers
+        one connection's frames in order, so its reply proves that every
+        report frame sent before it was handled.
+        """
+        if self._window is not None:
+            self._window.cancel()
+            self._window = None
         if self._locator is not None:
+            self._flush()
+            if self._unconfirmed:
+                self._unconfirmed = False
+                try:
+                    await self._locator.request(
+                        {"op": "map"}, timeout=self.policy.request_timeout
+                    )
+                except (OSError, ProtocolError, asyncio.TimeoutError):
+                    pass
             await self._locator.close()
             self._locator = None
         for conn in list(self._servers.values()):
@@ -185,7 +254,7 @@ class HardenedServiceClient(RequestLedger):
         self._servers.clear()
 
     # ------------------------------------------------------------------ #
-    # the locator round trips (bench/layers.py wraps both by name)
+    # the locator calls (bench/layers.py wraps both by name)
     # ------------------------------------------------------------------ #
     async def locate(self, name: str) -> Dict[str, Any]:
         """One LOCATE round trip (raises on transport failure)."""
@@ -195,16 +264,35 @@ class HardenedServiceClient(RequestLedger):
         )
 
     async def report(self, server: str, latency: float, count: int = 1) -> None:
-        """Send one latency report; transport failures are swallowed
-        (a lost report is a lost sample, not a lost request)."""
-        try:
-            await self.connect()
-            await self._locator.request(
-                {"op": "report", "server": server, "latency": latency, "count": count},
-                timeout=self.policy.request_timeout,
+        """Fold ``count`` samples of mean ``latency``; never waits on the wire.
+
+        With no window open the fold leaves at once and a
+        :data:`REPORT_WINDOW_S` window opens; samples folded inside it
+        leave as one frame per server when it closes. Samples stay
+        folded while the locator connection is down and go out with the
+        first report after the next locate reconnects.
+        """
+        self._fold.add(server, latency, count)
+        if self._window is None:
+            self._send_fold()
+
+    def _send_fold(self) -> None:
+        """Send the fold and open a window; with nothing sent, none opens."""
+        self._window = None
+        if self._fold and self._flush():
+            self._window = asyncio.get_running_loop().call_later(
+                REPORT_WINDOW_S, self._send_fold
             )
-        except (OSError, ProtocolError, asyncio.TimeoutError):
-            pass
+
+    def _flush(self) -> bool:
+        """Send every folded sample; ``False`` when there is no connection."""
+        conn = self._locator
+        if conn is None or conn.closed:
+            return False
+        for frame in self._fold.drain():
+            conn.send(frame)
+            self._unconfirmed = True
+        return True
 
     # ------------------------------------------------------------------ #
     # the hardened drive loop

@@ -11,8 +11,11 @@ callback:
     server and that server's socket address. Placement changes take
     effect for the *next* locate — exactly the paper's semantics.
 ``REPORT server latency n``
-    Fold a client-measured latency sample into the open epoch's
-    :class:`~repro.control.EpochBatcher` window.
+    Fold ``n`` client-measured latency samples of mean ``latency`` into
+    the open epoch's :class:`~repro.control.EpochBatcher` window. Clients
+    send these off the request path, one id-less frame per server per
+    :data:`~repro.service.client.REPORT_WINDOW_S` window, so a sample
+    lands in the epoch that is open at most that long after it was taken.
 ``MAP``
     The current epoch, per-server region lengths, and membership —
     what a monitoring dashboard would poll.

@@ -5,11 +5,15 @@ from __future__ import annotations
 import asyncio
 import math
 import socket
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.control import EpochBatcher
 from repro.retry import Attempts, RequestLedger, RetryPolicy
-from repro.service.client import FramedConnection, HardenedServiceClient
+from repro.service import client as client_module
+from repro.service.client import FramedConnection, HardenedServiceClient, ReportFold
 from repro.service.fileserver import EchoFileServer
 from repro.service.locator import LocatorService
 
@@ -61,6 +65,13 @@ async def start_stack(powers, time_scale=0.01, epoch_seconds=10.0):
     )
     await locator.start()
     return servers, locator
+
+
+async def barrier(client):
+    """One ``map`` round trip on the client's locator connection: the
+    locator answers a connection's frames in order, so the reply proves
+    every report frame the client sent before it was handled."""
+    return await client._locator.request({"op": "map"})
 
 
 async def stop_stack(servers, locator, client=None):
@@ -124,8 +135,76 @@ class TestDrive:
                 assert outcome.latency > 0
                 assert client.completed == 1 and client.lost == 0
                 assert client.conserved and client.classified
-                # The latency sample reached the open epoch window.
+                # The report frame is not awaited; a reply on the same
+                # locator connection proves it was handled, and its
+                # sample reached the open epoch window.
+                assert (await barrier(client))["ok"]
                 assert locator.batcher.pending(outcome.server) == 1
+            finally:
+                await stop_stack(servers, locator, client)
+
+        run(scenario())
+
+    def test_burst_sends_at_most_two_report_frames_per_server(self, monkeypatch):
+        monkeypatch.setattr(client_module, "REPORT_WINDOW_S", 60.0)
+
+        async def scenario():
+            servers, locator = await start_stack({"s0": 1.0, "s1": 3.0})
+            frames = Counter()
+            handle = locator.handle
+
+            def counting(message):
+                if message.get("op") == "report":
+                    frames[message["server"]] += 1
+                return handle(message)
+
+            locator.handle = counting
+            client = HardenedServiceClient(("127.0.0.1", locator.port))
+            try:
+                outcomes = await asyncio.gather(
+                    *(client.drive(f"/fs/{i}", work=0.0) for i in range(30))
+                )
+                assert all(o.ok for o in outcomes)
+                await client.close()
+                assert max(frames.values()) <= 2, frames
+                assert locator.samples_received == 30
+            finally:
+                await stop_stack(servers, locator, client)
+
+        run(scenario())
+
+    def test_window_close_sends_the_trailing_fold(self):
+        async def scenario():
+            servers, locator = await start_stack({"s0": 1.0})
+            client = HardenedServiceClient(("127.0.0.1", locator.port))
+            try:
+                # Leading edge: with no window open the sample leaves at once.
+                assert (await client.drive("/fs/0", work=0.0)).ok
+                await barrier(client)
+                assert locator.samples_received == 1
+                for i in (1, 2):
+                    assert (await client.drive(f"/fs/{i}", work=0.0)).ok
+                await asyncio.sleep(2 * client_module.REPORT_WINDOW_S)
+                await barrier(client)
+                assert locator.samples_received == 3
+            finally:
+                await stop_stack(servers, locator, client)
+
+        run(scenario())
+
+    def test_close_flushes_an_open_window(self, monkeypatch):
+        monkeypatch.setattr(client_module, "REPORT_WINDOW_S", 60.0)
+
+        async def scenario():
+            servers, locator = await start_stack({"s0": 1.0})
+            client = HardenedServiceClient(("127.0.0.1", locator.port))
+            try:
+                assert (await client.drive("/fs/1", work=0.0)).ok
+                assert (await client.drive("/fs/2", work=0.0)).ok
+                await barrier(client)
+                assert locator.samples_received == 1
+                await client.close()
+                assert locator.samples_received == 2
             finally:
                 await stop_stack(servers, locator, client)
 
@@ -214,6 +293,56 @@ class TestDrive:
                 await stop_stack(servers, locator, client)
 
         run(scenario())
+
+
+SAMPLES = st.lists(
+    st.tuples(
+        st.sampled_from(["s0", "s1", "s2"]),
+        st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+        st.booleans(),  # the window closes after this sample
+    ),
+    max_size=200,
+)
+
+
+class TestReportFold:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(SAMPLES, min_size=1, max_size=4))
+    def test_folded_reports_give_the_per_sample_epoch_means(self, epochs):
+        servers = ["s0", "s1", "s2"]
+        one_by_one, folded = EpochBatcher(servers), EpochBatcher(servers)
+        fold = ReportFold()
+
+        def deliver():
+            for frame in fold.drain():
+                folded.observe(frame["server"], frame["latency"], frame["count"])
+
+        for samples in epochs:
+            for server, latency, window_closes in samples:
+                one_by_one.observe(server, latency)
+                fold.add(server, latency)
+                if window_closes:
+                    deliver()
+            deliver()
+            expected = one_by_one.close_epoch()
+            got = folded.close_epoch()
+            for want, have in zip(expected, got):
+                assert have.request_count == want.request_count
+                if want.request_count:
+                    assert have.mean_latency == pytest.approx(
+                        want.mean_latency, rel=1e-12, abs=0.0
+                    )
+                else:
+                    assert math.isnan(have.mean_latency)
+
+    def test_drain_empties_the_fold(self):
+        fold = ReportFold()
+        fold.add("s0", 0.5)
+        fold.add("s0", 0.25, count=2)
+        assert fold.drain() == [
+            {"op": "report", "server": "s0", "latency": pytest.approx(1.0 / 3), "count": 3}
+        ]
+        assert not fold and fold.drain() == []
 
 
 class TestUnreachableLocator:
