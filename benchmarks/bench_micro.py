@@ -1,7 +1,7 @@
 """Ablation A7: substrate microbenchmarks.
 
 These are true pytest-benchmark microbenches (multiple rounds): the
-event-kernel throughput that bounds experiment wall-time, the lookup
+calendar throughput that bounds experiment wall-time, the lookup
 path cost (hash + probe chain), and the tuning-round cost at cluster
 scale. No paper figure depends on absolute speed, but a reproduction
 whose simulator is too slow to run the paper's experiments would be
@@ -13,46 +13,23 @@ from __future__ import annotations
 import math
 
 from repro.core import ANUManager, HashFamily, LatencyReport
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 
 
 def test_kernel_event_throughput(benchmark):
-    """Schedule-and-run cost of 10k timeout events."""
+    """Schedule-and-run cost of 10k calendar callbacks."""
+
+    def noop() -> None:
+        pass
 
     def run():
         env = Simulator()
         for i in range(10_000):
-            env.timeout(float(i % 100))
+            env.schedule_at(float(i % 100), noop)
         env.run()
         return env.events_processed
 
     assert benchmark(run) == 10_000
-
-
-def test_kernel_process_pingpong(benchmark):
-    """Producer/consumer handoff through a Store (2k messages)."""
-
-    def run():
-        env = Simulator()
-        store = Store(env)
-        got = []
-
-        def producer(env):
-            for i in range(2_000):
-                store.put(i)
-                yield env.timeout(0.001)
-
-        def consumer(env):
-            for _ in range(2_000):
-                item = yield store.get()
-                got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return len(got)
-
-    assert benchmark(run) == 2_000
 
 
 def test_hash_lookup_cost(benchmark):

@@ -45,12 +45,13 @@ def run(route_mode: str) -> dict:
 
     client = AccessClient(env, route=route, disks=disks)
 
-    def driver(env):
-        for i in range(N_ACCESSES):
-            client.access(f"/data/{i % 20}", META_WORK, DATA_SIZE)
-            yield env.timeout(0.25)
+    def launch(i: int) -> None:
+        """Start access ``i``; the next one follows 0.25 s later."""
+        client.access(f"/data/{i % 20}", META_WORK, DATA_SIZE)
+        if i + 1 < N_ACCESSES:
+            env.schedule_at(env.now + 0.25, lambda: launch(i + 1))
 
-    env.process(driver(env))
+    env.schedule_at(env.now, lambda: launch(0))
     env.run(until=WINDOW)
     return {
         "mode": route_mode,

@@ -32,7 +32,9 @@ class AccessClient:
     high bandwidth SAN underutilized" (§3).
 
     The metadata phase has no retries: one locate, one submission, and
-    an unroutable file set raises ``RuntimeError``.
+    an unroutable file set raises ``RuntimeError``. The access is a chain
+    of callbacks: locate and submit, read when the metadata completes,
+    book the latency when the last stripe lands.
     """
 
     def __init__(
@@ -47,22 +49,28 @@ class AccessClient:
         self.access_latency = Tally(keep=True)
         self.metadata_share = Tally()
 
-    def access(self, fileset: str, meta_work: float, data_size: float):
-        """Start one access; returns the driving process (awaitable)."""
-        return self.env.process(self._access(fileset, meta_work, data_size))
+    def access(self, fileset: str, meta_work: float, data_size: float) -> None:
+        """Start one access. It is routed from a start hop, after every
+        entry already due at this instant; an unroutable file set raises
+        out of :meth:`~repro.sim.Simulator.run`."""
+        env = self.env
+        env.schedule_at(env.now, lambda: self._locate(fileset, meta_work, data_size))
 
-    def _access(self, fileset: str, meta_work: float, data_size: float):
+    def _locate(self, fileset: str, meta_work: float, data_size: float) -> None:
         start = self.env.now
         request = MetadataRequest(fileset=fileset, arrival=start, work=meta_work)
         server = self.route(request)
         if server is None:
             raise RuntimeError(f"no server for file set {fileset!r}")
-        done = self.env.event()
-        request.on_complete = lambda req, ev=done: ev.succeed(req)
+        request.on_complete = lambda req: self._read(start, data_size)
         server.submit(request)
-        yield done
+
+    def _read(self, start: float, data_size: float) -> None:
+        """The metadata is back: fetch the data across the SAN."""
         meta_done = self.env.now
-        yield self.disks.read(data_size)
+        self.disks.read(data_size, lambda: self._finish(start, meta_done))
+
+    def _finish(self, start: float, meta_done: float) -> None:
         total = self.env.now - start
         self.access_latency.observe(total)
         if total > 0:

@@ -17,9 +17,9 @@ throughput.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Sequence, Tuple
+from typing import Callable, Deque, List, Sequence, Tuple
 
-from ..sim import Event, Simulator, Tally
+from ..sim import Simulator, Tally
 
 __all__ = ["SharedDisk", "DiskArray"]
 
@@ -28,7 +28,7 @@ class SharedDisk:
     """One disk on the SAN: FIFO service at a fixed bandwidth.
 
     The same FIFO clock as :class:`~repro.cluster.server.FileServer`: a
-    queue and one pending calendar entry per transfer, no process.
+    queue and one pending calendar entry per transfer.
     """
 
     def __init__(self, env: Simulator, disk_id: object, bandwidth: float) -> None:
@@ -39,7 +39,7 @@ class SharedDisk:
         #: Transfer rate in data units per second.
         self.bandwidth = float(bandwidth)
         #: Waiting transfers as ``(enqueued, size, done)``.
-        self._queue: Deque[Tuple[float, float, Event]] = deque()
+        self._queue: Deque[Tuple[float, float, Callable[[], None]]] = deque()
         #: The transfer in progress and its start, or ``None`` while idle.
         self._head = None
         self._start = 0.0
@@ -47,20 +47,15 @@ class SharedDisk:
         self.transfers = Tally()
         self.busy_time = 0.0
 
-    def read(self, size: float):
-        """Event that fires when ``size`` data units have been read.
-
-        Usage inside a process: ``yield disk.read(size)``.
-        """
-        done = self.env.event()
+    def read(self, size: float, done: Callable[[], None]) -> None:
+        """Read ``size`` data units; ``done()`` runs when the transfer ends."""
         transfer = (self.env.now, float(size), done)
         if self._head is None:
             self._transfer(transfer)
         else:
             self._queue.append(transfer)
-        return done
 
-    def _transfer(self, transfer: Tuple[float, float, Event]) -> None:
+    def _transfer(self, transfer: Tuple[float, float, Callable[[], None]]) -> None:
         now = self.env.now
         self._head = transfer
         self._start = now
@@ -71,7 +66,7 @@ class SharedDisk:
         enqueued, size, done = self._head
         self.busy_time += now - self._start
         self.transfers.observe(now - enqueued)
-        done.succeed(size)
+        done()
         if self._queue:
             self._transfer(self._queue.popleft())
         else:
@@ -105,17 +100,29 @@ class DiskArray:
         ]
         self._next = 0
 
-    def read(self, size: float):
-        """Event firing when all stripes of a ``size``-unit read finish."""
-        chunks = []
+    def read(self, size: float, done: Callable[[], None]) -> None:
+        """Read ``size`` units striped over the disks; ``done()`` runs
+        when the last stripe ends (at once for a zero-size read)."""
+        stripes = []
         remaining = float(size)
         while remaining > 0:
             chunk = min(self.stripe_unit, remaining)
-            disk = self.disks[self._next % len(self.disks)]
+            stripes.append((self.disks[self._next % len(self.disks)], chunk))
             self._next += 1
-            chunks.append(disk.read(chunk))
             remaining -= chunk
-        return self.env.all_of(chunks)
+        if not stripes:
+            done()
+            return
+        left = len(stripes)
+
+        def stripe_done() -> None:
+            nonlocal left
+            left -= 1
+            if not left:
+                done()
+
+        for disk, chunk in stripes:
+            disk.read(chunk, stripe_done)
 
     def utilization(self) -> List[float]:
         """Per-disk utilizations."""

@@ -11,11 +11,11 @@ Servers measure themselves: per-interval mean latency of completed
 requests (what they report to the delegate) and whole-run tallies for
 the aggregate figures.
 
-The FIFO runs on calendar callbacks rather than a process: a queue, the
-request at its head, and one pending calendar entry — the end of the
-service or flush slice in progress — are the whole clock. A request that
-reaches an idle server starts service in the same instant, with no
-hand-off event in between.
+The FIFO runs on calendar callbacks: a queue, the request at its head,
+and one pending calendar entry — the end of the service or flush slice
+in progress — are the whole clock. A request that reaches an idle
+server starts service in the same instant, with no hand-off event in
+between.
 """
 
 from __future__ import annotations

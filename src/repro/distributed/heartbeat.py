@@ -3,7 +3,7 @@
 The framework "treats commissioning (installing) or decommissioning
 servers the same as a recovery or failure" (§4) — but someone has to
 *notice* the failure. :class:`HeartbeatMonitor` is that someone: a
-process on the observing node that probes peers every ``period``
+calendar entry on the observing node that probes peers every ``period``
 seconds and declares a peer failed after ``misses`` consecutive
 unanswered probes, invoking a callback (typically the membership hook
 of the ANU manager plus a delegate re-election if the delegate died).
@@ -84,7 +84,7 @@ class HeartbeatMonitor:
         self.failure_declarations = 0
         #: Recovery declarations made so far.
         self.recovery_declarations = 0
-        self.process = env.process(self._probe_loop())
+        env.schedule_at(env.now, self._arm)
 
     # ------------------------------------------------------------------ #
     @property
@@ -99,31 +99,34 @@ class HeartbeatMonitor:
             self._miss_count[peer] = 0
             self._success_count[peer] = 0
 
-    def _probe_loop(self):
-        while True:
-            yield self.env.timeout(self.period)
-            for peer in self.peers:
-                if self.network.probe(self.observer, peer):
-                    self._miss_count[peer] = 0
-                    if peer in self._declared_failed:
-                        self._success_count[peer] += 1
-                        if self._success_count[peer] >= self.recoveries:
-                            self._declared_failed.discard(peer)
-                            self._success_count[peer] = 0
-                            self.recovery_declarations += 1
-                            if self.on_recovery is not None:
-                                self.on_recovery(peer)
-                else:
-                    self._success_count[peer] = 0
-                    self._miss_count[peer] += 1
-                    if (
-                        self._miss_count[peer] >= self.misses
-                        and peer not in self._declared_failed
-                    ):
-                        self._declared_failed.add(peer)
-                        self.failure_declarations += 1
-                        if self.on_failure is not None:
-                            self.on_failure(peer)
+    def _arm(self) -> None:
+        self.env.schedule_at(self.env.now + self.period, self._probe_round)
+
+    def _probe_round(self) -> None:
+        """Probe every peer once; the entry then reschedules itself."""
+        for peer in self.peers:
+            if self.network.probe(self.observer, peer):
+                self._miss_count[peer] = 0
+                if peer in self._declared_failed:
+                    self._success_count[peer] += 1
+                    if self._success_count[peer] >= self.recoveries:
+                        self._declared_failed.discard(peer)
+                        self._success_count[peer] = 0
+                        self.recovery_declarations += 1
+                        if self.on_recovery is not None:
+                            self.on_recovery(peer)
+            else:
+                self._success_count[peer] = 0
+                self._miss_count[peer] += 1
+                if (
+                    self._miss_count[peer] >= self.misses
+                    and peer not in self._declared_failed
+                ):
+                    self._declared_failed.add(peer)
+                    self.failure_declarations += 1
+                    if self.on_failure is not None:
+                        self.on_failure(peer)
+        self._arm()
 
     def detection_latency_bound(self) -> float:
         """Worst-case seconds from crash to declaration."""

@@ -2,10 +2,10 @@
 
 Cluster control traffic (reports, mappings, shed notifications,
 election and heartbeat probes) flows through a :class:`Network` with a
-configurable one-way delay. Nodes are registered with an inbox
-(:class:`repro.sim.Store`); delivery to a failed node silently drops
-the message, which is what the election and heartbeat layers observe
-as a timeout.
+configurable one-way delay. Nothing reads message bodies on arrival:
+each registered node keeps a delivery counter (:attr:`Network.delivered`),
+and delivery to a failed node silently drops the message, which is
+what the election and heartbeat layers observe as a timeout.
 
 The network keeps per-kind traffic counters so experiments can report
 control-plane cost next to shared-state size (ANU's pitch is small on
@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from ..sim import Simulator, Store
+from ..sim import Simulator
 from .messages import Message, MessageKind
 
 __all__ = ["Network"]
@@ -67,7 +67,8 @@ class Network:
         self.env = env
         self._delay = delay
         self._rng = rng
-        self._inboxes: Dict[object, Store] = {}
+        #: Messages delivered so far, per registered node.
+        self.delivered: Dict[object, int] = {}
         self._down: set = set()
         # node -> partition group index; empty dict = no partition.
         # Nodes absent from an active partition map share group -1.
@@ -90,22 +91,16 @@ class Network:
         self.chaos_duplicated = 0
 
     # ------------------------------------------------------------------ #
-    def register(self, node_id: object) -> Store:
-        """Attach a node; returns its inbox Store."""
-        if node_id in self._inboxes:
+    def register(self, node_id: object) -> None:
+        """Attach a node (its delivery counter starts at 0)."""
+        if node_id in self.delivered:
             raise ValueError(f"node {node_id!r} already registered")
-        inbox = Store(self.env)
-        self._inboxes[node_id] = inbox
-        return inbox
-
-    def inbox(self, node_id: object) -> Store:
-        """The inbox of a registered node."""
-        return self._inboxes[node_id]
+        self.delivered[node_id] = 0
 
     @property
     def node_ids(self) -> list:
         """All registered node ids."""
-        return list(self._inboxes)
+        return list(self.delivered)
 
     # -- failure modeling -------------------------------------------------- #
     def set_down(self, node_id: object, down: bool = True) -> None:
@@ -184,7 +179,7 @@ class Network:
         msg.sent_at = self.env.now
         self.sent_count[msg.kind] += 1
         self.sent_bytes[msg.kind] += msg.wire_size
-        if msg.dst not in self._inboxes or msg.dst in self._down:
+        if msg.dst not in self.delivered or msg.dst in self._down:
             self.dropped += 1
             return
         if not self.reachable(msg.src, msg.dst):
@@ -202,23 +197,19 @@ class Network:
                 delay += self.extra_delay * rng.random()
             if self.dup_rate and rng.random() < self.dup_rate:
                 self.chaos_duplicated += 1
-                inbox = self._inboxes[msg.dst]
-                self.env.schedule_at(
-                    self.env.now + delay, lambda: self._deliver(inbox, msg)
-                )
-        inbox = self._inboxes[msg.dst]
-        self.env.schedule_at(self.env.now + delay, lambda: self._deliver(inbox, msg))
+                self.env.schedule_at(self.env.now + delay, lambda: self._deliver(msg))
+        self.env.schedule_at(self.env.now + delay, lambda: self._deliver(msg))
 
-    def _deliver(self, inbox: Store, msg: Message) -> None:
+    def _deliver(self, msg: Message) -> None:
         # Re-check: the node may have died while the message was in flight.
         if msg.dst in self._down:
             self.dropped += 1
             return
-        inbox.put(msg)
+        self.delivered[msg.dst] += 1
 
     def broadcast(self, src: object, kind: str, payload: object, dsts: Optional[Iterable[object]] = None) -> int:
         """Send one message per destination; returns the send count."""
-        targets = list(dsts) if dsts is not None else [n for n in self._inboxes if n != src]
+        targets = list(dsts) if dsts is not None else [n for n in self.delivered if n != src]
         for dst in targets:
             self.send(Message(src=src, dst=dst, kind=kind, payload=payload))
         return len(targets)
@@ -233,7 +224,7 @@ class Network:
         claims either leg of the round trip.
         """
         self.send(Message(src=src, dst=dst, kind=MessageKind.HEARTBEAT))
-        if dst not in self._inboxes or dst in self._down:
+        if dst not in self.delivered or dst in self._down:
             return False
         if not self.reachable(src, dst):
             return False

@@ -25,7 +25,7 @@ import random
 from typing import Callable, Optional, Sequence, Set, TYPE_CHECKING
 
 from ..retry import Attempts, RequestLedger, RetryPolicy
-from ..sim import Simulator
+from ..sim import Call, Simulator
 from .probes import RequestDropped, RequestFailed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,71 +85,131 @@ class HardenedClient(RequestLedger):
         self.probe = probe
 
     # ------------------------------------------------------------------ #
-    def submit(self, request: "MetadataRequest"):
-        """Drive one logical request to completion (or exhaustion)."""
-        attempts = Attempts(self, self.policy, self.rng)
-        return self.env.process(self._drive(request, attempts))
+    def submit(self, request: "MetadataRequest") -> None:
+        """Drive one logical request to completion (or exhaustion).
 
-    def _drive(self, request: "MetadataRequest", attempts: Attempts):
-        """Re-locate before every attempt (so a reconfiguration redirects
-        the next retry), abandon only dead or suspected targets, back
-        off between attempts."""
+        The first attempt is located from a start hop, after every entry
+        already due at this instant.
+        """
+        self.env.schedule_at(self.env.now, _Drive(self, request).dispatch)
+
+    def _suspects(self, server: "FileServer") -> bool:
+        return self.suspected is not None and server.server_id in self.suspected()
+
+
+class _Drive:
+    """One logical request's attempts, as calendar callbacks.
+
+    :meth:`dispatch` re-locates before every attempt (so a
+    reconfiguration redirects the next retry) and submits a pristine
+    copy of the request, or backs off when there is no live owner. The
+    attempt then races one timer entry. If the attempt completes first,
+    its completion hook cancels the timer and settles the request. If
+    the timer expires first, the target is looked at from a hop — after
+    every entry already due at that instant, a crash or a heartbeat
+    round included — and the client either keeps waiting on a
+    healthy-but-slow server or abandons the attempt, backs off and
+    dispatches again.
+    """
+
+    __slots__ = ("client", "request", "attempts", "attempt", "server", "incarnation", "timer")
+
+    def __init__(self, client: HardenedClient, request: "MetadataRequest") -> None:
+        self.client = client
+        self.request = request
+        self.attempts = Attempts(client, client.policy, client.rng)
+        #: The attempt in flight (``None`` between attempts).
+        self.attempt: Optional["MetadataRequest"] = None
+        self.server: Optional["FileServer"] = None
+        self.incarnation = 0
+        self.timer: Optional[Call] = None
+
+    def dispatch(self) -> None:
         from ..cluster.request import MetadataRequest
 
-        env = self.env
-        suspected = self.suspected
-        while attempts.next():
-            server = self.route(request)
-            if server is None or server.failed or (
-                suspected is not None and server.server_id in suspected()
-            ):
-                # No live owner right now (stale mapping or mid-failover):
-                # back off and re-locate.
-                yield env.timeout(attempts.back_off())
-                attempts.resume()
-                continue
-            attempts.aim(server.server_id)
-            # A pristine attempt copy: the original request's arrival is
-            # preserved so measured latency includes every retry delay.
-            attempt = MetadataRequest(
-                fileset=request.fileset, arrival=request.arrival, work=request.work
-            )
-            done = env.event()
-            attempt.on_complete = lambda req, ev=done: ev.succeed(req)
-            incarnation = server.incarnation
-            server.submit(attempt)
-            attempts.send()
-            while not attempt.done:
-                timeout = env.timeout(self.policy.request_timeout)
-                yield env.any_of([done, timeout])
-                if attempt.done:
-                    break
-                if (
-                    server.failed
-                    or server.incarnation != incarnation
-                    or (suspected is not None and server.server_id in suspected())
-                ):
-                    # The attempt died with its server (a crash discards
-                    # the queue — even if it has recovered since, this
-                    # attempt is gone); abandon and redirect.
-                    attempts.timed_out()
-                    break
-                # Healthy but slow: keep waiting — FIFO guarantees the
-                # attempt is still making progress toward the head.
-            attempts.returned()
-            if attempt.done:
-                request.server = attempt.server
-                request.service_start = attempt.service_start
-                request.completion = attempt.completion
-                attempts.settle(attempt.latency)
-                if request.on_complete is not None:
-                    request.on_complete(request)
-                return
-            yield env.timeout(attempts.back_off())
-            attempts.resume()
-        attempts.exhaust()
-        if self.probe is not None:
-            self.probe.publish(RequestFailed(time=env.now, fileset=request.fileset))
+        client = self.client
+        attempts = self.attempts
+        if not attempts.next():
+            attempts.exhaust()
+            if client.probe is not None:
+                client.probe.publish(
+                    RequestFailed(time=client.env.now, fileset=self.request.fileset)
+                )
+            return
+        request = self.request
+        server = client.route(request)
+        if server is None or server.failed or client._suspects(server):
+            # No live owner right now (stale mapping or mid-failover):
+            # back off and re-locate.
+            self._back_off()
+            return
+        attempts.aim(server.server_id)
+        # The original request's arrival is kept, so measured latency
+        # includes every retry delay.
+        attempt = MetadataRequest(
+            fileset=request.fileset, arrival=request.arrival, work=request.work
+        )
+        attempt.on_complete = self._served
+        self.attempt = attempt
+        self.server = server
+        self.incarnation = server.incarnation
+        server.submit(attempt)
+        attempts.send()
+        self._arm()
+
+    def _arm(self) -> None:
+        env = self.client.env
+        self.timer = env.schedule_at(
+            env.now + self.client.policy.request_timeout, self._expired
+        )
+
+    def _served(self, attempt: "MetadataRequest") -> None:
+        if attempt is not self.attempt:  # abandoned, finishing late
+            return
+        self.timer.cancel()
+        self.attempt = None
+        attempts = self.attempts
+        attempts.returned()
+        request = self.request
+        request.server = attempt.server
+        request.service_start = attempt.service_start
+        request.completion = attempt.completion
+        attempts.settle(attempt.latency)
+        if request.on_complete is not None:
+            request.on_complete(request)
+
+    def _expired(self) -> None:
+        env = self.client.env
+        env.schedule_at(env.now, self._look)
+
+    def _look(self) -> None:
+        if self.attempt is None:  # completed since the timer fired
+            return
+        server = self.server
+        if (
+            server.failed
+            or server.incarnation != self.incarnation
+            or self.client._suspects(server)
+        ):
+            # The attempt died with its server (a crash discards the
+            # queue — even if it has recovered since, this attempt is
+            # gone); abandon and redirect.
+            self.attempt = None
+            self.attempts.timed_out()
+            self.attempts.returned()
+            self._back_off()
+            return
+        # Healthy but slow: keep waiting — FIFO guarantees the attempt
+        # is still making progress toward the head.
+        self._arm()
+
+    def _back_off(self) -> None:
+        env = self.client.env
+        env.schedule_at(env.now + self.attempts.back_off(), self._resume)
+
+    def _resume(self) -> None:
+        self.attempts.resume()
+        self.dispatch()
 
 
 class RequestDriver:

@@ -16,9 +16,9 @@ experiment in the repo, assembled from four explicit layers:
 
 Assembly order is part of the determinism contract: layers are built
 in a fixed sequence (servers → placement → driver → tuner → control
-plane → fault layer), so process creation order — and therefore every
-event tie-break — never changes and the golden fingerprints match
-bit-for-bit.
+plane → fault layer), so the order of their first calendar entries —
+and therefore every event tie-break — never changes and the golden
+fingerprints match bit-for-bit.
 
 Use :class:`~repro.engine.builder.SimulationBuilder` to assemble one.
 """
@@ -122,7 +122,9 @@ class ClusterEngine:
         # must not change (see module doc).
         self.client_path = client_path if client_path is not None else BasicClientPath()
         self.driver: RequestDriver = self.client_path.build(self)
-        self._tuner = self.env.process(self._tuning_loop())
+        # Armed from a start hop: the first tick is scheduled after every
+        # entry already due at t=0, not at construction.
+        self.env.schedule_at(self.env.now, self._arm_tuner)
         self.control = control if control is not None else DirectControlPlane()
         self.control.attach(self)
         self.faults = faults if faults is not None else NullFaultLayer()
@@ -188,14 +190,16 @@ class ClusterEngine:
         )
 
     # ------------------------------------------------------------------ #
-    # the tuning loop
+    # the tuning tick
     # ------------------------------------------------------------------ #
-    def _tuning_loop(self):
-        interval = self.config.tuning_interval
-        while True:
-            yield self.env.timeout(interval)
-            moves = self.control.tuning_round(self)
-            self._apply_moves(moves, kind="tune")
+    def _arm_tuner(self) -> None:
+        self.env.schedule_at(self.env.now + self.config.tuning_interval, self._tune)
+
+    def _tune(self) -> None:
+        """One tuning round; the entry then reschedules itself."""
+        moves = self.control.tuning_round(self)
+        self._apply_moves(moves, kind="tune")
+        self._arm_tuner()
 
     def _apply_moves(self, moves: Sequence[Move], kind: str) -> None:
         moved_share = 0.0

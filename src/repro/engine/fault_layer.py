@@ -133,7 +133,7 @@ class ChaosFaultLayer(FaultLayer):
             now=lambda: engine.env.now,
         )
         self.injector = FaultInjector(engine.env, self, self.schedule)
-        self._auditor = engine.env.process(self._invariant_loop())
+        engine.env.schedule_at(engine.env.now, self._arm_audit)
 
     # ------------------------------------------------------------------ #
     # injection surface (used by FaultInjector)
@@ -275,18 +275,22 @@ class ChaosFaultLayer(FaultLayer):
             record.t_readmit = now
 
     # ------------------------------------------------------------------ #
-    def _invariant_loop(self):
+    def _arm_audit(self) -> None:
+        env = self.engine.env
+        env.schedule_at(env.now + self.chaos.invariant_interval, self._audit)
+
+    def _audit(self) -> None:
+        """Periodic invariant sweep; the entry then reschedules itself."""
         engine = self.engine
-        while True:
-            yield engine.env.timeout(self.chaos.invariant_interval)
-            self.checker.check("periodic")
-            engine.bus.publish(
-                InvariantAudit(
-                    time=engine.env.now,
-                    trigger="periodic",
-                    violations=len(self.checker.violations),
-                )
+        self.checker.check("periodic")
+        engine.bus.publish(
+            InvariantAudit(
+                time=engine.env.now,
+                trigger="periodic",
+                violations=len(self.checker.violations),
             )
+        )
+        self._arm_audit()
 
     # ------------------------------------------------------------------ #
     def finalize(self, engine: "ClusterEngine", base: "ClusterResult") -> ChaosResult:

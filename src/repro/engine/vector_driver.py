@@ -23,7 +23,7 @@ of one request. Each wake it:
    cohort).
 
 The driver wakes before the tuner at every boundary by construction:
-the engine builds the client path first, so the driver's timeout always
+the engine builds the client path first, so the driver's wake always
 carries the earlier sequence number.
 
 Scope (validated at run start, loud errors otherwise):
@@ -126,9 +126,12 @@ class VectorizedRequestDriver:
         self._orphans: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         self._orphan_total = 0
         self._discarded = 0
+        #: Index of the next compiled timeline event to apply.
+        self._next_event = 0
         #: Compat with the scalar driver surface (no hardened client).
         self.client = None
-        self.process = engine.env.process(self._drive())
+        # The start hop runs _validate after every layer is attached.
+        engine.env.schedule_at(engine.env.now, self._start)
 
     # ------------------------------------------------------------------ #
     @property
@@ -145,7 +148,7 @@ class VectorizedRequestDriver:
     def _validate(self) -> None:
         """Check the engine assembly fits the vectorized path's scope.
 
-        Runs at process start (t=0), after every layer is attached.
+        Runs from the start hop (t=0), after every layer is attached.
         """
         from .control import DirectControlPlane
         from .fault_layer import NullFaultLayer
@@ -179,33 +182,38 @@ class VectorizedRequestDriver:
                 "BasicClientPath"
             )
 
-    def _drive(self):
+    def _start(self) -> None:
         self._validate()
-        env = self.env
-        interval = self.engine.config.tuning_interval
+        self._arm(self.env.now)
+
+    def _arm(self, t0: float) -> None:
+        """Schedule the wake that drains the window starting at ``t0``."""
         duration = self.engine.workload.duration
+        if t0 < duration:
+            t1 = min(t0 + self.engine.config.tuning_interval, duration)
+            env = self.env
+            env.schedule_at(env.now + (t1 - t0), lambda: self._wake(t1))
+
+    def _wake(self, t1: float) -> None:
+        """Drain the window ending at ``t1``, then arm the next one."""
         chaos = self._chaos
-        events = chaos.timeline.events if chaos is not None else []
-        next_event = 0
-        t0 = env.now
-        while t0 < duration:
-            t1 = min(t0 + interval, duration)
-            yield env.timeout(t1 - t0)
+        if chaos is not None:
             # Timeline events split the interval into piecewise drains:
             # completions are computed analytically, so draining the
             # sub-windows at the boundary wake is equivalent to waking
             # at each event — without paying a kernel event per fault.
-            while next_event < len(events) and events[next_event].time <= t1:
-                event = events[next_event]
-                next_event += 1
+            events = chaos.timeline.events
+            while self._next_event < len(events) and events[self._next_event].time <= t1:
+                event = events[self._next_event]
+                self._next_event += 1
                 self._drain(event.time)
                 chaos.apply_event(event)
-            self._drain(t1)
-            final = t1 >= duration
-            self._flush(t1, final=final)
-            if chaos is not None:
-                chaos.sweep("boundary", t1, final=final)
-            t0 = t1
+        self._drain(t1)
+        final = t1 >= self.engine.workload.duration
+        self._flush(t1, final=final)
+        if chaos is not None:
+            chaos.sweep("boundary", t1, final=final)
+        self._arm(t1)
 
     # ------------------------------------------------------------------ #
     def _assignment(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The fault injector: a sim process that executes a fault schedule.
+"""The fault injector: calendar callbacks that execute a fault schedule.
 
 :class:`FaultInjector` walks a :class:`~repro.faults.schedule.FaultSchedule`
 and applies each event against a *target adapter* — any object exposing

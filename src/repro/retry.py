@@ -94,7 +94,7 @@ class RequestLedger:
       of ``dispatching`` / ``awaiting_service`` / ``backing_off``.
 
     Only :class:`Attempts` moves these counters; the ledger knows
-    nothing about *how* requests are driven (simulated processes vs
+    nothing about *how* requests are driven (calendar callbacks vs
     asyncio tasks), which is what makes the chaos invariants portable
     to sockets.
     """

@@ -22,35 +22,21 @@ class TestSharedDisk:
     def test_read_takes_size_over_bandwidth(self, env):
         disk = SharedDisk(env, 0, bandwidth=10.0)
         done = []
-
-        def reader(env):
-            yield disk.read(50.0)
-            done.append(env.now)
-
-        env.process(reader(env))
+        disk.read(50.0, lambda: done.append(env.now))
         env.run()
         assert done == [5.0]
 
     def test_fifo_queueing(self, env):
         disk = SharedDisk(env, 0, bandwidth=1.0)
         times = []
-
-        def reader(env, size):
-            yield disk.read(size)
-            times.append(env.now)
-
-        env.process(reader(env, 2.0))
-        env.process(reader(env, 3.0))
+        disk.read(2.0, lambda: times.append(env.now))
+        disk.read(3.0, lambda: times.append(env.now))
         env.run()
         assert times == [2.0, 5.0]
 
     def test_utilization(self, env):
         disk = SharedDisk(env, 0, bandwidth=1.0)
-
-        def reader(env):
-            yield disk.read(4.0)
-
-        env.process(reader(env))
+        disk.read(4.0, lambda: None)
         env.run(until=10.0)
         assert disk.utilization() == pytest.approx(0.4)
 
@@ -79,13 +65,17 @@ def _san_run_digest() -> str:
         for _ in range(300)
     )
 
-    def launcher(env):
-        for at, meta_work, size in accesses:
+    def launch(i: int) -> None:
+        """Start every access due at this instant; schedule the next."""
+        while i < len(accesses):
+            at, meta_work, size = accesses[i]
             if at > env.now:
-                yield env.timeout(at - env.now)
+                env.schedule_at(env.now + (at - env.now), lambda: launch(i))
+                return
             client.access(f"/fs/{int(size) % 7}", meta_work=meta_work, data_size=size)
+            i += 1
 
-    env.process(launcher(env))
+    env.schedule_at(0.0, lambda: launch(0))
     env.run()
     h = hashlib.sha256(client.access_latency.samples.tobytes())
     for disk in disks.disks:
@@ -107,25 +97,24 @@ class TestDiskArray:
         """A large read striped over 4 disks finishes ~4x faster."""
         array = DiskArray(env, bandwidths=[10.0] * 4, stripe_unit=25.0)
         done = []
-
-        def reader(env):
-            yield array.read(100.0)
-            done.append(env.now)
-
-        env.process(reader(env))
+        array.read(100.0, lambda: done.append(env.now))
         env.run()
         assert done == [2.5]  # 25 units per disk at bw 10
 
     def test_round_robin_balances(self, env):
         array = DiskArray(env, bandwidths=[1.0] * 3, stripe_unit=1.0)
-
-        def reader(env):
-            yield array.read(9.0)
-
-        env.process(reader(env))
+        array.read(9.0, lambda: None)
         env.run()
         utils = array.utilization()
         assert max(utils) == pytest.approx(min(utils))
+
+    def test_zero_size_read_completes_at_once(self, env):
+        array = DiskArray(env, bandwidths=[10.0] * 2, stripe_unit=25.0)
+        env.run(until=3.0)
+        done = []
+        array.read(0.0, lambda: done.append(env.now))
+        assert done == [3.0]
+        assert env.events_processed == 0  # no transfer was scheduled
 
     def test_validation(self, env):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 :class:`GeneratorFileServer` is the service loop :class:`FileServer`
 used to run: one generator process pulling requests off a ``Store``,
 with a zero-delay hand-off event between a request reaching the head
-and its service starting. The property drives one server of each kind
+and its service starting. It runs on the test-only generator runtime
+of ``tests/sim/generators.py``. The property drives one server of each kind
 through the same random sequence of arrivals, flush charges, cold
 windows, straggler factors and crashes, and holds every simulated value
 to bit-for-bit equality.
@@ -14,7 +15,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CacheConfig, CacheModel, FileServer, MetadataRequest
-from repro.sim import Interrupt, Simulator, Store
+from repro.sim import Simulator
+
+from ..sim.generators import Interrupt, Process, Store, Timeout
 
 
 class GeneratorFileServer(FileServer):
@@ -23,7 +26,7 @@ class GeneratorFileServer(FileServer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._store = Store(self.env)
-        self._loop = self.env.process(self._service_loop())
+        self._loop = Process(self.env, self._service_loop())
 
     def submit(self, request: MetadataRequest) -> None:
         if self._failed:
@@ -48,14 +51,14 @@ class GeneratorFileServer(FileServer):
             while self._flush_backlog:
                 flush = self._flush_backlog.pop(0)
                 start = env.now
-                yield env.timeout(flush / self.power)
+                yield Timeout(env, flush / self.power)
                 self.busy_time += env.now - start
             request.service_start = env.now
             work = request.work
             if self.cache is not None:
                 work *= self.cache.work_multiplier(self.server_id, request.fileset, env.now)
             start = env.now
-            yield env.timeout(work / self.power)
+            yield Timeout(env, work / self.power)
             self.busy_time += env.now - start
             request.completion = env.now
             latency = request.latency
@@ -77,7 +80,7 @@ class GeneratorFileServer(FileServer):
 
     def recover(self) -> None:
         super().recover()
-        self._loop = self.env.process(self._service_loop())
+        self._loop = Process(self.env, self._service_loop())
 
 
 #: Steps that land on exactly the same instant, on instants a completion

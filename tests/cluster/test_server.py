@@ -42,17 +42,10 @@ class TestService:
 
     def test_requests_arriving_later_wait_correctly(self, env):
         server = FileServer(env, "s", power=2.0)
-
-        def feed(env):
-            server.submit(req(arrival=env.now, work=4.0))  # 2s service
-            yield env.timeout(1.0)
-            r2 = req(arrival=env.now, work=4.0)
-            server.submit(r2)
-            return r2
-
-        p = env.process(feed(env))
+        server.submit(req(arrival=env.now, work=4.0))  # 2s service
+        r2 = req(arrival=1.0, work=4.0)
+        env.schedule_at(1.0, lambda: server.submit(r2))
         env.run()
-        r2 = p.value
         assert r2.completion == pytest.approx(4.0)  # waits until t=2
         assert r2.latency == pytest.approx(3.0)
 
@@ -152,13 +145,8 @@ class TestCacheIntegration:
 class TestFailure:
     def test_fail_drains_queue(self, env):
         server = FileServer(env, "s", power=1.0)
-
-        def feed(env):
-            for _ in range(3):
-                server.submit(req(arrival=env.now, work=100.0))
-            yield env.timeout(1.0)
-
-        env.process(feed(env))
+        for _ in range(3):
+            server.submit(req(arrival=env.now, work=100.0))
         env.run(until=2.0)
         orphans = server.fail()
         assert len(orphans) == 2  # one was in service, lost

@@ -29,33 +29,25 @@ class TestMessage:
 class TestNetwork:
     def test_delivery_after_delay(self, env):
         net = Network(env, delay=0.5)
-        inbox = net.register("b")
+        net.register("b")
         net.send(Message("a", "b", MessageKind.REPORT, payload=42))
-        got = []
-
-        def consumer(env):
-            msg = yield inbox.get()
-            got.append((msg.payload, env.now))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [(42, 0.5)]
+        env.run(until=0.49)
+        assert net.delivered == {"b": 0}
+        env.run(until=0.5)
+        assert net.delivered == {"b": 1}
 
     def test_fifo_between_same_pair(self, env):
+        """Messages between one pair arrive in send order."""
         net = Network(env, delay=0.1)
-        inbox = net.register("b")
+        net.register("b")
+        arrivals = []
+        deliver = net._deliver
+        net._deliver = lambda msg: (arrivals.append(msg.payload), deliver(msg))
         for i in range(5):
             net.send(Message("a", "b", MessageKind.REPORT, payload=i))
-        got = []
-
-        def consumer(env):
-            for _ in range(5):
-                msg = yield inbox.get()
-                got.append(msg.payload)
-
-        env.process(consumer(env))
         env.run()
-        assert got == [0, 1, 2, 3, 4]
+        assert arrivals == [0, 1, 2, 3, 4]
+        assert net.delivered["b"] == 5
 
     def test_down_node_drops(self, env):
         net = Network(env)
@@ -72,21 +64,21 @@ class TestNetwork:
 
     def test_in_flight_message_dropped_if_node_dies(self, env):
         net = Network(env, delay=1.0)
-        inbox = net.register("b")
+        net.register("b")
         net.send(Message("a", "b", MessageKind.REPORT))
         net.set_down("b")  # dies while message in flight
         env.run()
         assert net.dropped == 1
-        assert len(inbox) == 0
+        assert net.delivered["b"] == 0
 
     def test_recovery_allows_delivery_again(self, env):
         net = Network(env)
-        inbox = net.register("b")
+        net.register("b")
         net.set_down("b")
         net.set_down("b", down=False)
         net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
-        assert len(inbox) == 1
+        assert net.delivered["b"] == 1
 
     def test_broadcast_excludes_sender(self, env):
         net = Network(env)
@@ -113,14 +105,9 @@ class TestNetwork:
 
     def test_callable_delay(self, env):
         net = Network(env, delay=lambda msg: 2.0)
-        inbox = net.register("b")
+        net.register("b")
         net.send(Message("a", "b", MessageKind.REPORT))
-        times = []
-
-        def consumer(env):
-            yield inbox.get()
-            times.append(env.now)
-
-        env.process(consumer(env))
+        env.run(until=1.99)
+        assert net.delivered["b"] == 0
         env.run()
-        assert times == [2.0]
+        assert net.delivered["b"] == 1 and env.now == 2.0

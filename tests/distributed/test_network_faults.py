@@ -9,27 +9,15 @@ import pytest
 from repro.distributed import Message, MessageKind, Network
 
 
-def drain(env, inbox):
-    got = []
-
-    def consumer(env):
-        while True:
-            msg = yield inbox.get()
-            got.append(msg)
-
-    env.process(consumer(env))
-    return got
-
-
 class TestPartitions:
     def test_partitioned_pair_cannot_talk(self, env):
         net = Network(env)
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_partition(["b"])
         net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
-        assert len(inbox) == 0
+        assert net.delivered["b"] == 0
         assert net.partition_dropped == 1
         assert net.dropped == 1
         assert net.partitioned
@@ -37,33 +25,33 @@ class TestPartitions:
     def test_same_group_still_talks(self, env):
         net = Network(env)
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.register("c")
         net.set_partition(["a", "b"])  # c is implicitly the other side
         net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
-        assert len(inbox) == 1
+        assert net.delivered["b"] == 1
         assert net.partition_dropped == 0
 
     def test_unlisted_nodes_share_the_implicit_group(self, env):
         net = Network(env)
         net.register("a")
-        inbox_d = net.register("d")
+        net.register("d")
         net.set_partition(["b", "c"])
         net.send(Message("a", "d", MessageKind.REPORT))
         env.run()
-        assert len(inbox_d) == 1
+        assert net.delivered["d"] == 1
 
     def test_heal_restores_delivery(self, env):
         net = Network(env)
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_partition(["b"])
         net.heal_partition()
         assert not net.partitioned
         net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
-        assert len(inbox) == 1
+        assert net.delivered["b"] == 1
 
     def test_node_in_two_groups_rejected(self, env):
         net = Network(env)
@@ -97,51 +85,46 @@ class TestLinkFaults:
     def test_drop_rate_loses_messages(self, env):
         net = Network(env, rng=random.Random(1))
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_link_faults(drop_rate=0.5)
         for _ in range(200):
             net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
         assert net.chaos_dropped > 50
-        assert len(inbox) == 200 - net.chaos_dropped
+        assert net.delivered["b"] == 200 - net.chaos_dropped
 
     def test_duplication_delivers_extra_copies(self, env):
         net = Network(env, rng=random.Random(1))
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_link_faults(dup_rate=0.5)
         for _ in range(100):
             net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
         assert net.chaos_duplicated > 20
-        assert len(inbox) == 100 + net.chaos_duplicated
+        assert net.delivered["b"] == 100 + net.chaos_duplicated
 
     def test_extra_delay_slows_delivery(self, env):
         net = Network(env, delay=0.1, rng=random.Random(1))
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_link_faults(extra_delay=5.0)
         net.send(Message("a", "b", MessageKind.REPORT))
-        arrivals = []
-
-        def consumer(env):
-            yield inbox.get()
-            arrivals.append(env.now)
-
-        env.process(consumer(env))
+        env.run(until=0.1)
+        assert net.delivered["b"] == 0
         env.run()
-        assert arrivals and arrivals[0] > 0.1
+        assert net.delivered["b"] == 1 and env.now > 0.1
 
     def test_clear_restores_reliability(self, env):
         net = Network(env, rng=random.Random(1))
         net.register("a")
-        inbox = net.register("b")
+        net.register("b")
         net.set_link_faults(drop_rate=0.9, dup_rate=0.5, extra_delay=1.0)
         net.clear_link_faults()
         for _ in range(50):
             net.send(Message("a", "b", MessageKind.REPORT))
         env.run()
-        assert len(inbox) == 50
+        assert net.delivered["b"] == 50
         assert net.chaos_dropped == 0
 
     def test_same_seed_same_fault_pattern(self, env):

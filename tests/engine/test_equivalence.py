@@ -52,9 +52,9 @@ DISTRIBUTED_BEHAVIOUR = "296b8f35e8ed072a59853a9ddbb07bea0e6388f6259e23cb4786fba
 DISTRIBUTED_EVENTS = 3855
 
 #: Full chaos harness (seed=7) over the golden workload and CHAOS_SCHEDULE.
-CHAOS_GOLD = "37bfc10b76680a0f32d285e31c65336f9421250beca95e777bee180b67268f93"
+CHAOS_GOLD = "aa763589811f8b7e563854bd44c29b31a82704a43a56f1e94b5ac8bf730f23e9"
 CHAOS_BEHAVIOUR = "99c41672cabe9adab27376d6e713c2fb3b9fe3d098ec8298bc32376a71408c84"
-CHAOS_EVENTS = 43169
+CHAOS_EVENTS = 38096
 
 #: One fault of every kind, spread over the 600 s golden run.
 CHAOS_SCHEDULE = FaultSchedule(

@@ -213,6 +213,22 @@ class TestCheckerTool:
             "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)",
         ]
 
+    def test_generator_kernel_stays_removed(self, tmp_path):
+        """The kernel is one calendar of callbacks: importing ``AnyOf``
+        (or a revived ``repro.sim.process``) is rejected."""
+        imports = tmp_path / "imports.py"
+        imports.write_text("from repro.sim import AnyOf, Simulator\n")
+        process = tmp_path / "process.py"
+        process.write_text("x = 1\n")
+        problems = check_layering.check_removed(
+            {"repro.engine.client_path": imports, "repro.sim.process": process}
+        )
+        assert problems == [
+            f"repro.sim.process: removed module is back ({process})",
+            "repro.engine.client_path:1: defines or imports AnyOf — removed; "
+            "use Simulator.schedule_at (a cancellable calendar callback)",
+        ]
+
     def test_stream_api_is_rejected_under_service(self, tmp_path):
         """The live service has one transport; other layers are not policed."""
         streams = tmp_path / "streams.py"

@@ -123,18 +123,18 @@ class TestPinnedFingerprints:
     """
 
     CHAOS = {
-        "anu": "f81f3fc9b6d94beb771936ede5a30f6cce5f6617eaf4bd170e55b359b3e4854d",
-        "chbl": "7b200910bb05ba67f44eb9758f523025cbd940611baf2b8f4d8cfec6c51d4997",
+        "anu": "22a05aaf1777afc5261094f5739d7c3062164dc4975f3c5ff2459a4eef1a77b4",
+        "chbl": "d7c7da976523c11f5e314c22a38b81662452d15cd24f14844362cc270b2d44fa",
     }
-    FAULT_FREE = "7cbcc8ef71ecba6e9a3645c9e99ce7e24c364956afe2d375fd4f3f9ac01c702f"
+    FAULT_FREE = "2dad4c5b43bd45c83ee6403a47f918ce50efa981157ddeb6ba9c9e88c01e1373"
     #: Behaviour pins (event count zeroed) and event counts of the same runs.
     CHAOS_BEHAVIOUR = {
         "anu": "ebc87a28273c08cb3b26398e6551b95523c938f96920193cb452b8585ba5d7ff",
         "chbl": "92b0a1d426979b92fcc13aad6316c5be810594ced53ad49cf98b9a3e1ce08fb0",
     }
-    CHAOS_EVENTS = {"anu": 23, "chbl": 23}
+    CHAOS_EVENTS = {"anu": 22, "chbl": 22}
     FAULT_FREE_BEHAVIOUR = "188c2df166d6c068dd4f3929acd6cca35ce454b892b03252cb80ea3e71f58e50"
-    FAULT_FREE_EVENTS = 23
+    FAULT_FREE_EVENTS = 22
 
     @pytest.mark.parametrize("policy_name", sorted(CHAOS))
     def test_chaos_fingerprint_pinned(self, policy_name):

@@ -16,16 +16,16 @@ class TestCalendarProperties:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_events_fire_in_time_order(self, delays):
+    def test_events_fire_in_time_order(self, times):
         env = Simulator()
         fired = []
-        for d in delays:
-            ev = env.timeout(d)
-            ev.callbacks.append(lambda e, d=d: fired.append(env.now))
+        for i, t in enumerate(times):
+            env.schedule_at(t, lambda i=i: fired.append((env.now, i)))
         env.run()
+        # Time order, and schedule order among equal times.
         assert fired == sorted(fired)
-        assert len(fired) == len(delays)
-        assert env.now == max(delays)
+        assert len(fired) == len(times)
+        assert env.now == max(times)
 
     @given(
         st.lists(
@@ -36,18 +36,17 @@ class TestCalendarProperties:
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_run_until_is_a_clean_cut(self, delays, horizon):
+    def test_run_until_is_a_clean_cut(self, times, horizon):
         env = Simulator()
         fired = []
-        for d in delays:
-            ev = env.timeout(d)
-            ev.callbacks.append(lambda e, d=d: fired.append(d))
+        for t in times:
+            env.schedule_at(t, lambda t=t: fired.append(t))
         env.run(until=horizon)
-        assert sorted(fired) == sorted(d for d in delays if d <= horizon)
+        assert sorted(fired) == sorted(t for t in times if t <= horizon)
         assert env.now == horizon
         # the rest still fire on a later run
         env.run()
-        assert sorted(fired) == sorted(delays)
+        assert sorted(fired) == sorted(times)
 
     @given(
         st.lists(
@@ -61,18 +60,41 @@ class TestCalendarProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_process_interleaving_is_deterministic(self, spec):
+        """Self-rescheduling callbacks interleave the same way every run."""
+
         def trace():
             env = Simulator()
             log = []
 
-            def worker(env, wid, delay):
-                for i in range(3):
-                    yield env.timeout(delay)
-                    log.append((wid, i, round(env.now, 9)))
+            def step(wid, delay, i):
+                log.append((wid, i, round(env.now, 9)))
+                if i < 2:
+                    env.schedule_at(env.now + delay, lambda: step(wid, delay, i + 1))
 
             for wid, delay in spec:
-                env.process(worker(env, wid, delay))
+                env.schedule_at(delay, lambda wid=wid, delay=delay: step(wid, delay, 0))
             env.run()
             return log
 
         assert trace() == trace()
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=10.0), st.booleans()),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cancelled_entry_is_a_counted_no_op(self, spec):
+        env = Simulator()
+        fired = []
+        for i, (t, cancel) in enumerate(spec):
+            entry = env.schedule_at(t, lambda i=i: fired.append(i))
+            if cancel:
+                entry.cancel()
+        env.run()
+        assert fired == [
+            i for _, i in sorted((t, i) for i, (t, cancel) in enumerate(spec) if not cancel)
+        ]
+        assert env.events_processed == len(spec)

@@ -1,159 +1,53 @@
-"""Event life cycle, composites, and the calendar."""
+"""Events of the test-only generator runtime, and a failing callback.
+
+The runtime (``tests/sim/generators.py``) hosts the generator oracles;
+its events must fire from a zero-delay entry, once, with their value.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Event, EventQueue, EventState, EventStateError, Simulator
+from .generators import AnyOf, Event, Timeout
 
 
 class TestEventLifeCycle:
     def test_initial_state(self, env):
-        ev = env.event()
-        assert ev.state == EventState.PENDING
+        ev = Event(env)
         assert not ev.triggered and not ev.processed
 
     def test_succeed_delivers_value(self, env):
-        ev = env.event()
+        ev = Event(env)
         got = []
         ev.callbacks.append(lambda e: got.append(e.value))
         ev.succeed(41)
+        assert got == [] and ev.triggered
         env.run()
         assert got == [41]
-        assert ev.processed and ev.ok
+        assert ev.processed
 
     def test_succeed_twice_rejected(self, env):
-        ev = env.event()
+        ev = Event(env)
         ev.succeed(1)
-        with pytest.raises(EventStateError):
+        with pytest.raises(RuntimeError):
             ev.succeed(2)
 
-    def test_fail_requires_exception(self, env):
-        ev = env.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
     def test_unhandled_failure_surfaces(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("boom"))
+        """A callback's exception propagates out of ``run``, clock at its entry."""
+
+        def boom():
+            raise RuntimeError("boom")
+
+        env.schedule_at(2.0, boom)
         with pytest.raises(RuntimeError, match="boom"):
             env.run()
-
-    def test_defused_failure_is_silent(self, env):
-        ev = env.event()
-        ev.fail(RuntimeError("boom"))
-        ev.defuse()
-        env.run()  # no raise
-        assert ev.processed and not ev.ok
-
-    def test_event_without_env_cannot_trigger(self):
-        ev = Event(env=None)
-        with pytest.raises(EventStateError):
-            ev.succeed()
-
-
-class TestForceTrigger:
-    """The public seam for code that manages calendar placement itself."""
-
-    def test_marks_triggered_without_scheduling(self, env):
-        ev = env.event()
-        ev.force_trigger(value="later")
-        assert ev.triggered and not ev.processed
-        assert ev.value == "later" and ev.ok
-        assert len(env) == 0  # nothing was placed on the calendar
-
-    def test_works_without_env(self):
-        # Unlike succeed(), no simulator is required: the caller owns
-        # calendar placement.
-        ev = Event(env=None)
-        ev.force_trigger()
-        assert ev.triggered
-
-    def test_double_trigger_rejected(self, env):
-        ev = env.event().force_trigger()
-        with pytest.raises(EventStateError):
-            ev.force_trigger()
-        with pytest.raises(EventStateError):
-            ev.succeed()
-
-    def test_failure_variant(self, env):
-        boom = RuntimeError("boom")
-        ev = env.event().force_trigger(value=boom, ok=False)
-        ev.defuse()
-        env._queue.push(1.0, ev)
-        env.run()
-        assert ev.processed and not ev.ok
-
-    def test_processed_after_manual_placement(self, env):
-        got = []
-        ev = env.event().force_trigger(value=7)
-        ev.callbacks.append(lambda e: got.append((env.now, e.value)))
-        env._queue.push(3.0, ev)
-        env.run()
-        assert got == [(3.0, 7)]
+        assert env.now == 2.0
 
 
 class TestComposites:
-    def test_all_of_waits_for_all(self, env):
-        a, b = env.timeout(1.0, "a"), env.timeout(3.0, "b")
-        combo = env.all_of([a, b])
-        fired_at = []
-        combo.callbacks.append(lambda e: fired_at.append(env.now))
-        env.run()
-        assert fired_at == [3.0]
-
     def test_any_of_fires_on_first(self, env):
-        a, b = env.timeout(1.0, "a"), env.timeout(3.0, "b")
-        combo = env.any_of([a, b])
+        combo = AnyOf(env, [Timeout(env, 1.0, "a"), Timeout(env, 3.0, "b")])
         fired_at = []
-        combo.callbacks.append(lambda e: fired_at.append(env.now))
+        combo.callbacks.append(lambda e: fired_at.append((env.now, e.value)))
         env.run()
-        assert fired_at == [1.0]
-
-    def test_empty_all_of_fires_immediately(self, env):
-        combo = env.all_of([])
-        env.run()
-        assert combo.processed
-
-    def test_all_of_value_maps_children(self, env):
-        a, b = env.timeout(1.0, "x"), env.timeout(2.0, "y")
-        combo = env.all_of([a, b])
-        env.run()
-        assert set(combo.value.values()) == {"x", "y"}
-
-    def test_all_of_propagates_failure(self, env):
-        a = env.timeout(1.0)
-        bad = env.event()
-        combo = env.all_of([a, bad])
-        combo.defuse()
-        bad.fail(ValueError("child failed"))
-        env.run()
-        assert not combo.ok
-        assert isinstance(combo.value, ValueError)
-
-
-class TestEventQueue:
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert len(q) == 0 and not q
-        q.push(1.0, Event(None))
-        assert len(q) == 1 and q
-
-    def test_pop_order_is_time_then_priority_then_seq(self):
-        q = EventQueue()
-        e1, e2, e3 = Event(None), Event(None), Event(None)
-        q.push(2.0, e1)
-        q.push(1.0, e2)
-        q.push(1.0, e3, priority=EventQueue.URGENT)
-        order = [q.pop()[3] for _ in range(3)]
-        assert order == [e3, e2, e1]
-
-    def test_clear(self):
-        q = EventQueue()
-        q.push(1.0, Event(None))
-        q.clear()
-        assert not q
-
-    def test_peek_time_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().peek_time()
+        assert fired_at == [(1.0, "a")]

@@ -1,14 +1,14 @@
-"""Kernel semantics: clock, ordering, run bounds, stop."""
+"""Kernel semantics: clock, ordering, run bounds, cancellation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import (
-    EventQueue,
-    SchedulingError,
-    Simulator,
-)
+from repro.sim import SchedulingError, Simulator
+
+
+def _noop() -> None:
+    pass
 
 
 class TestClockAndRun:
@@ -32,14 +32,14 @@ class TestClockAndRun:
             env.run(until=5.0)
 
     def test_timeout_advances_clock(self, env):
-        env.timeout(3.5)
+        """An entry ``delay`` ahead moves the clock there."""
+        env.schedule_at(env.now + 3.5, _noop)
         env.run()
         assert env.now == 3.5
 
     def test_run_until_does_not_process_later_events(self, env):
         fired = []
-        ev = env.timeout(10.0)
-        ev.callbacks.append(lambda e: fired.append(env.now))
+        env.schedule_at(10.0, lambda: fired.append(env.now))
         env.run(until=5.0)
         assert fired == []
         assert env.now == 5.0
@@ -47,12 +47,13 @@ class TestClockAndRun:
         assert fired == [10.0]
 
     def test_negative_timeout_rejected(self, env):
+        """An entry a negative delay ahead is in the past."""
         with pytest.raises(SchedulingError):
-            env.timeout(-1.0)
+            env.schedule_at(env.now - 1.0, _noop)
 
     def test_events_processed_counter(self, env):
         for _ in range(5):
-            env.timeout(1.0)
+            env.schedule_at(1.0, _noop)
         env.run()
         assert env.events_processed == 5
 
@@ -61,43 +62,29 @@ class TestDeterministicOrdering:
     def test_fifo_among_equal_times(self, env):
         order = []
         for i in range(10):
-            ev = env.timeout(1.0, value=i)
-            ev.callbacks.append(lambda e: order.append(e.value))
+            env.schedule_at(1.0, lambda i=i: order.append(i))
         env.run()
         assert order == list(range(10))
 
     def test_time_ordering(self, env):
         order = []
-        for delay in (5.0, 1.0, 3.0, 2.0, 4.0):
-            ev = env.timeout(delay, value=delay)
-            ev.callbacks.append(lambda e: order.append(e.value))
+        for time in (5.0, 1.0, 3.0, 2.0, 4.0):
+            env.schedule_at(time, lambda time=time: order.append(time))
         env.run()
         assert order == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_urgent_priority_fires_first(self, env):
-        order = []
-        q = env._queue
-        late = env.event().force_trigger(value="normal")
-        q.push(1.0, late, EventQueue.NORMAL)
-        urgent = env.event().force_trigger(value="urgent")
-        q.push(1.0, urgent, EventQueue.URGENT)
-        for ev in (late, urgent):
-            ev.callbacks.append(lambda e: order.append(e.value))
-        env.run()
-        assert order == ["urgent", "normal"]
 
     def test_two_identical_sims_produce_identical_traces(self):
         def trace():
             env = Simulator()
             log = []
 
-            def worker(env, wid):
-                for i in range(3):
-                    yield env.timeout(0.5 * (wid + 1))
-                    log.append((round(env.now, 6), wid, i))
+            def tick(wid, i):
+                log.append((round(env.now, 6), wid, i))
+                if i < 2:
+                    env.schedule_at(env.now + 0.5 * (wid + 1), lambda: tick(wid, i + 1))
 
             for w in range(4):
-                env.process(worker(env, w))
+                env.schedule_at(0.5 * (w + 1), lambda w=w: tick(w, 0))
             env.run()
             return log
 
@@ -105,15 +92,7 @@ class TestDeterministicOrdering:
 
 
 class TestStop:
-    def test_stop_terminates_run_with_value(self, env):
-        def stopper(env):
-            yield env.timeout(2.0)
-            env.stop("halted")
-
-        env.process(stopper(env))
-        env.timeout(10.0)
-        assert env.run() == "halted"
-        assert env.now == 2.0
+    """Calendar entries: placing, cancelling, and the zero-delay hop."""
 
     def test_schedule_at_runs_callback(self, env):
         hits = []
@@ -131,24 +110,23 @@ class TestStop:
         assert env.events_processed == 2 and env.now == 3.0
 
     def test_schedule_at_lands_where_timeout_does(self, env):
-        """``now + delay`` on both paths; equal times fire in schedule order."""
+        """``now + delay`` is kept as that float sum, and a zero-delay
+        entry fires after every entry already due at this instant."""
         order = []
-        env.timeout(0.1)
+        env.schedule_at(0.1, _noop)
         env.run()
         delay = 0.7  # 0.1 + 0.7 is not 0.8 in binary floating point
-        tm = env.timeout(delay)
-        tm.callbacks.append(lambda ev: order.append(("timeout", env.now)))
-        env.schedule_at(env.now + delay, lambda: order.append(("call", env.now)))
+        env.schedule_at(env.now + delay, lambda: order.append(("first", env.now)))
+        env.schedule_at(
+            env.now + delay,
+            lambda: env.schedule_at(env.now, lambda: order.append(("hop", env.now))),
+        )
+        env.schedule_at(env.now + delay, lambda: order.append(("third", env.now)))
         env.run()
-        assert order == [("timeout", 0.1 + 0.7), ("call", 0.1 + 0.7)]
+        assert order == [("first", 0.1 + 0.7), ("third", 0.1 + 0.7), ("hop", 0.1 + 0.7)]
 
     def test_schedule_at_past_rejected(self, env):
-        env.timeout(5.0)
+        env.schedule_at(5.0, _noop)
         env.run()
         with pytest.raises(SchedulingError):
-            env.schedule_at(1.0, lambda: None)
-
-    def test_peek(self, env):
-        assert env.peek() == float("inf")
-        env.timeout(4.0)
-        assert env.peek() == 4.0
+            env.schedule_at(1.0, _noop)

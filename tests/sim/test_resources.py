@@ -1,111 +1,12 @@
-"""Resource (FIFO station) and Store (FIFO buffer) semantics."""
+"""The Store of the test-only generator runtime (``tests/sim/generators.py``).
+
+The generator file-server oracle queues its requests in one; ``get``
+hands items out in FIFO order, to getters in FIFO order.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim import Resource, Simulator, SimulationError, Store
-
-
-class TestResource:
-    def test_immediate_grant_when_free(self, env):
-        r = Resource(env, capacity=1)
-        req = r.request()
-        env.run()
-        assert req.processed and r.in_use == 1
-
-    def test_fifo_service_order(self, env):
-        r = Resource(env, capacity=1)
-        order = []
-
-        def user(env, uid, hold):
-            with r.request() as req:
-                yield req
-                order.append(uid)
-                yield env.timeout(hold)
-
-        for uid in range(5):
-            env.process(user(env, uid, 1.0))
-        env.run()
-        assert order == [0, 1, 2, 3, 4]
-
-    def test_capacity_respected(self, env):
-        r = Resource(env, capacity=2)
-        concurrent = []
-
-        def user(env):
-            with r.request() as req:
-                yield req
-                concurrent.append(r.in_use)
-                yield env.timeout(1.0)
-
-        for _ in range(6):
-            env.process(user(env))
-        env.run()
-        assert max(concurrent) <= 2
-
-    def test_release_admits_next(self, env):
-        r = Resource(env, capacity=1)
-        log = []
-
-        def user(env, uid):
-            with r.request() as req:
-                yield req
-                log.append((uid, env.now))
-                yield env.timeout(2.0)
-
-        env.process(user(env, "a"))
-        env.process(user(env, "b"))
-        env.run()
-        assert log == [("a", 0.0), ("b", 2.0)]
-
-    def test_wait_time_accounting(self, env):
-        r = Resource(env, capacity=1)
-        waits = []
-
-        def user(env, hold):
-            with r.request() as req:
-                yield req
-                waits.append(req.wait_time)
-                yield env.timeout(hold)
-
-        env.process(user(env, 3.0))
-        env.process(user(env, 1.0))
-        env.run()
-        assert waits == [0.0, 3.0]
-
-    def test_queue_length(self, env):
-        r = Resource(env, capacity=1)
-
-        def holder(env):
-            with r.request() as req:
-                yield req
-                yield env.timeout(10.0)
-
-        env.process(holder(env))
-        env.run(until=1.0)
-        r.request()
-        r.request()
-        assert r.queue_length == 2
-
-    def test_cancel_queued_request(self, env):
-        r = Resource(env, capacity=1)
-
-        def holder(env):
-            with r.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        env.process(holder(env))
-        env.run(until=1.0)
-        queued = r.request()
-        assert r.queue_length == 1
-        queued.release()  # cancel before grant
-        assert r.queue_length == 0
-
-    def test_bad_capacity(self, env):
-        with pytest.raises(SimulationError):
-            Resource(env, capacity=0)
+from .generators import Process, Store
 
 
 class TestStore:
@@ -124,7 +25,7 @@ class TestStore:
             item = yield s.get()
             got.append((item, env.now))
 
-        env.process(consumer(env))
+        Process(env, consumer(env))
         env.schedule_at(4.0, lambda: s.put("late"))
         env.run()
         assert got == [("late", 4.0)]
@@ -138,7 +39,7 @@ class TestStore:
                 item = yield s.get()
                 got.append(item)
 
-        env.process(consumer(env))
+        Process(env, consumer(env))
         for item in ("a", "b", "c"):
             s.put(item)
         env.run()
@@ -152,8 +53,8 @@ class TestStore:
             item = yield s.get()
             got.append((cid, item))
 
-        env.process(consumer(env, 0))
-        env.process(consumer(env, 1))
+        Process(env, consumer(env, 0))
+        Process(env, consumer(env, 1))
         env.schedule_at(1.0, lambda: s.put("first"))
         env.schedule_at(2.0, lambda: s.put("second"))
         env.run()

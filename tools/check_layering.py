@@ -237,18 +237,22 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
 
 #: Deleted modules that must not come back: build an engine with
 #: ``SimulationBuilder``, fan runs out with ``run_comparison``; the
-#: figure-data CSV exporter had no caller.
+#: figure-data CSV exporter had no caller; the kernel has no generator
+#: processes or resources, only calendar callbacks.
 REMOVED_MODULES: Tuple[str, ...] = (
     "repro.cluster.cluster",
     "repro.cluster.distributed_cluster",
     "repro.experiments.parallel",
     "repro.experiments.export",
+    "repro.sim.process",
+    "repro.sim.resources",
 )
 
 _KNOB_PARSERS = "repro.knobs.env_int / env_float directly"
 _REGENERATE = "figures regenerate their workload from (config, seed)"
 _ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
 _FIFO_CLOCK = "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)"
+_CALLBACKS = "Simulator.schedule_at (a cancellable calendar callback)"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
@@ -266,6 +270,16 @@ REMOVED_NAMES: Dict[str, str] = {
     "absorb_moments": "repro.cluster.server.land_moments (one merge per flush chunk)",
     "_service_loop": _FIFO_CLOCK,
     "_serve_forever": _FIFO_CLOCK,
+    "Process": _CALLBACKS,
+    "AnyOf": _CALLBACKS,
+    "AllOf": _CALLBACKS,
+    "Store": _CALLBACKS,
+    "Resource": _CALLBACKS,
+    "Interrupt": _CALLBACKS,
+    "force_trigger": _CALLBACKS,
+    "_tuning_loop": _CALLBACKS,
+    "_invariant_loop": _CALLBACKS,
+    "_probe_loop": _CALLBACKS,
 }
 
 #: Deleted environment variables: a module that names one in a string
