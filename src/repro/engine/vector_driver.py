@@ -54,7 +54,7 @@ tolerances.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,11 +85,15 @@ class VectorizedRequestDriver:
         self._arrivals: np.ndarray = workload._arrivals
         self._works: np.ndarray = workload._works
         self._fs_idx: np.ndarray = workload._fs_idx
+        # The columnar generators already emit int32; only the synthetic
+        # Workload's int64 column is narrowed (once per cell) so the
+        # per-cohort gathers move half the bytes.
         if self._fs_idx.dtype.itemsize > 4 and len(workload.catalog) < 2**31:
             self._fs_idx = self._fs_idx.astype(np.int32)
+        # Read-only (the locate fallback of _assignment): shared, not copied.
         names = getattr(workload, "_fs_names", None)
-        self._names: List[str] = (
-            list(names) if names is not None else list(workload.catalog.names)
+        self._names: Sequence[str] = (
+            names if names is not None else workload.catalog.names
         )
         # Fixed slot order: the config's server insertion order, same
         # order the engine builds FileServers in.

@@ -45,7 +45,9 @@ def workload_fingerprint(workload: "Workload") -> str:
     _hash_update(h, "workload", _SCHEMA, workload.duration, workload.catalog.names)
     h.update(np.ascontiguousarray(workload._arrivals).tobytes())
     h.update(np.ascontiguousarray(workload._works).tobytes())
-    h.update(np.ascontiguousarray(workload._fs_idx).tobytes())
+    # Hash index values, not storage width: int32 and int64 columns of
+    # the same schedule share one digest.
+    h.update(np.ascontiguousarray(workload._fs_idx, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 

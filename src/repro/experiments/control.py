@@ -65,7 +65,7 @@ from ..policies import ANURandomization, VectorANU
 from ..sim.rng import StreamRegistry
 from ..workloads import ShiftConfig, SyntheticConfig, generate_shifting, generate_synthetic
 from ..workloads.calibrate import request_work_for_utilization
-from ..workloads.distributions import lognormal_work
+from ..workloads.distributions import lognormal_work, weighted_indices
 from ..workloads.scale import ArrayCatalog, ArrayWorkload
 from ..workloads.synthetic import Workload
 from .sweep import (
@@ -221,15 +221,6 @@ def _scalar_workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
     return generate_synthetic(base_cfg, seed=seed)
 
 
-def _draw_filesets(stream, weights: np.ndarray, n: int) -> np.ndarray:
-    """Sample ``n`` file-set indices proportional to ``weights``."""
-    prob = weights / weights.sum()
-    cum = np.cumsum(prob)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, stream.uniform(0.0, 1.0, n), side="right")
-    return np.minimum(idx, len(weights) - 1).astype(np.int64)
-
-
 def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWorkload:
     """The scenario's columnar schedule for the vectorized path."""
     registry = StreamRegistry(seed)
@@ -243,8 +234,8 @@ def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWork
         # demand shifts hard at half-time.
         half = n // 2
         perm = registry.stream("control/hotspot/perm").permutation(m)
-        fs1 = _draw_filesets(registry.stream("control/hotspot/fs1"), weights, half)
-        fs2 = _draw_filesets(
+        fs1 = weighted_indices(registry.stream("control/hotspot/fs1"), weights, half)
+        fs2 = weighted_indices(
             registry.stream("control/hotspot/fs2"), weights[perm], n - half
         )
         t1 = np.sort(registry.stream("control/hotspot/t1").uniform(0.0, T / 2, half))
@@ -261,7 +252,7 @@ def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWork
             w0 * T, w1 * T, n_surge
         )
         arrivals = np.concatenate([base_t, surge_t])
-        fs_idx = _draw_filesets(
+        fs_idx = weighted_indices(
             registry.stream("control/flash/fs"), weights, n + n_surge
         )
         order = np.argsort(arrivals, kind="stable")
@@ -269,7 +260,7 @@ def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWork
         fs_idx = fs_idx[order]
     else:  # churn: stationary arrivals; the fault layer is the stress.
         arrivals = np.sort(registry.stream("control/churn/t").uniform(0.0, T, n))
-        fs_idx = _draw_filesets(registry.stream("control/churn/fs"), weights, n)
+        fs_idx = weighted_indices(registry.stream("control/churn/fs"), weights, n)
     works = lognormal_work(
         registry.stream(f"control/{scenario}/work"), len(arrivals), mean_work, 0.25
     )

@@ -6,6 +6,9 @@
   (21 file sets, 112,590 requests, one hour; see DESIGN.md for the
   substitution rationale)
 * :class:`Workload` — immutable request schedule + catalog + oracle
+* :class:`ArrayWorkload` / :func:`generate_scale` — columnar schedules
+  for the vectorized path, file-set indices drawn by
+  :func:`weighted_indices`
 * :mod:`repro.workloads.calibrate` — the "scaling factor c" made explicit
 * :func:`save_trace` / :func:`load_trace` — archival trace format
 """
@@ -20,6 +23,7 @@ from .distributions import (
     arrival_times_from_gaps,
     lognormal_work,
     pareto_gaps,
+    weighted_indices,
     zipf_weights,
 )
 from .io import load_trace, save_trace
@@ -46,6 +50,7 @@ __all__ = [
     "arrival_times_from_gaps",
     "zipf_weights",
     "lognormal_work",
+    "weighted_indices",
     "request_work_for_utilization",
     "offered_utilization",
     "scaling_factor_c",

@@ -3,8 +3,10 @@
 The synthetic workload of §5.1 needs: uniform file-set weights
 (``X ~ U[1,10]``), heavy-tailed Pareto inter-arrival times, and
 per-request service demands. The trace-shaped workload adds Zipf
-file-set popularity. All draws are vectorized NumPy against explicit
-``Generator`` streams so every workload is reproducible from a seed.
+file-set popularity; the columnar generators draw tens of millions of
+file-set indices from a weight vector (:func:`weighted_indices`). All
+draws are vectorized NumPy against explicit ``Generator`` streams so
+every workload is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ __all__ = [
     "arrival_times_from_gaps",
     "zipf_weights",
     "lognormal_work",
+    "weighted_indices",
 ]
+
+#: Draws resolved per pass of :func:`_cdf_indices`: bounds the
+#: transient cell/gather arrays to a few MiB whatever ``n`` is.
+_CHUNK = 1 << 18
 
 
 def pareto_gaps(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
@@ -86,3 +93,52 @@ def lognormal_work(
         return np.full(n, mean, dtype=np.float64)
     mu = np.log(mean) - 0.5 * sigma * sigma
     return rng.lognormal(mean=mu, sigma=sigma, size=n)
+
+
+def weighted_indices(
+    rng: np.random.Generator, weights: np.ndarray, n: int
+) -> np.ndarray:
+    """``n`` indices into ``weights``, drawn proportionally, as ``int32``.
+
+    Inverse-CDF sampling with one ``rng.uniform(0, 1, n)`` call: the
+    values are exactly ``min(searchsorted(cumsum(w / w.sum()), U,
+    "right"), m - 1)`` with the last CDF entry pinned to 1.0, resolved
+    through a guide table (:func:`_cdf_indices`) instead of a binary
+    search per draw.
+    """
+    cum = np.cumsum(weights / weights.sum())
+    cum[-1] = 1.0
+    return _cdf_indices(cum, rng.uniform(0.0, 1.0, n))
+
+
+def _cdf_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cum, u, "right"), m - 1)`` as ``int32``, for ``u`` in ``[0, 1)``.
+
+    ``cum`` is non-decreasing. Guide table (Chen & Asau): ``2^g >= 16 m``
+    equal cells over ``[0, 1)``; entry ``c`` is the answer at the cell's
+    left edge ``c / 2^g`` when no CDF step lies in ``(c / 2^g, (c + 1) /
+    2^g]`` -- every ``u`` in the cell then shares it -- and ``-1`` when
+    one does. Only draws in flagged cells (~1/16 of the mass) fall back
+    to the binary search. The edges are binary fractions, so scaling by
+    ``2^g`` is exact: ``floor(u * 2^g)`` names ``u``'s cell and
+    ``cum_i <= c / 2^g`` exactly when ``ceil(cum_i * 2^g) <= c``.
+    """
+    m = cum.shape[0]
+    cells = 1 << int(16 * m - 1).bit_length()
+    # first[i]: the first cell whose left edge is >= cum[i]; the edge
+    # answer is j on [first[j-1], first[j]) -- a run-length table.
+    first = np.clip(np.ceil(cum * cells), 0, cells).astype(np.int64)
+    answers = np.arange(m + 1, dtype=np.int32)
+    answers[m] = m - 1
+    guide = np.repeat(answers, np.diff(first, prepend=0, append=cells))
+    # A step at cum[i] lies in the cell just below first[i].
+    guide[first[first > 0] - 1] = -1
+    out = np.empty(u.shape[0], dtype=np.int32)
+    for lo in range(0, u.shape[0], _CHUNK):
+        uc = u[lo : lo + _CHUNK]
+        dst = out[lo : lo + uc.shape[0]]
+        np.take(guide, (uc * cells).astype(np.intp), out=dst)
+        step = np.flatnonzero(dst < 0)
+        if step.size:
+            dst[step] = np.minimum(np.searchsorted(cum, uc[step], side="right"), m - 1)
+    return out

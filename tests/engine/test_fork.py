@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.experiments.cache import workload_fingerprint
 from repro.workloads.synthetic import Workload
 
@@ -53,3 +55,21 @@ class TestFork:
         assert workload_fingerprint(tiny_workload.fork()) == workload_fingerprint(
             rebuilt
         )
+
+
+class TestWorkloadFingerprint:
+    def test_int64_digest_pinned(self, tiny_workload):
+        assert tiny_workload._fs_idx.dtype == np.int64
+        assert workload_fingerprint(tiny_workload) == (
+            "efeaacd81953130c591a08b8c6a1e8621483ff2887fe6f5b4e1408158a7105b5"
+        )
+
+    def test_index_width_does_not_change_digest(self, tiny_workload):
+        narrow = tiny_workload.fork()
+        narrow._fs_idx = tiny_workload._fs_idx.astype(np.int32)
+        assert workload_fingerprint(narrow) == workload_fingerprint(tiny_workload)
+
+    def test_index_values_do_change_digest(self, tiny_workload):
+        other = tiny_workload.fork()
+        other._fs_idx = tiny_workload._fs_idx[::-1].astype(np.int32)
+        assert workload_fingerprint(other) != workload_fingerprint(tiny_workload)

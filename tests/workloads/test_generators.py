@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.workloads import (
+    ScaleConfig,
     SyntheticConfig,
     TraceConfig,
+    generate_scale,
     generate_synthetic,
     generate_trace_shaped,
     offered_utilization,
@@ -76,6 +80,48 @@ class TestSyntheticGenerator:
             SyntheticConfig(n_filesets=10, target_requests=5)
         with pytest.raises(ValueError):
             SyntheticConfig(x_low=5.0, x_high=1.0)
+
+
+class TestScaleGenerator:
+    CFG = ScaleConfig(n_filesets=500, target_requests=20_000, duration=60.0)
+
+    @pytest.fixture(scope="class")
+    def wl(self):
+        return generate_scale(self.CFG, seed=7)
+
+    def test_request_count_exact(self, wl):
+        assert len(wl) == self.CFG.target_requests
+        assert wl.catalog.total_requests == self.CFG.target_requests
+        assert len(wl.catalog) == self.CFG.n_filesets
+
+    def test_catalog_totals_are_bincounts(self, wl):
+        m = self.CFG.n_filesets
+        np.testing.assert_array_equal(
+            wl.catalog._n_requests, np.bincount(wl._fs_idx, minlength=m)
+        )
+        np.testing.assert_array_equal(
+            wl.catalog._total_work,
+            np.bincount(wl._fs_idx, weights=wl._works, minlength=m),
+        )
+
+    def test_fs_idx_int32_in_range(self, wl):
+        assert wl._fs_idx.dtype == np.int32
+        assert wl._fs_idx.min() >= 0
+        assert wl._fs_idx.max() < self.CFG.n_filesets
+
+    def test_deterministic_in_seed(self, wl):
+        again = generate_scale(self.CFG, seed=7)
+        for col in ("_arrivals", "_works", "_fs_idx"):
+            np.testing.assert_array_equal(getattr(again, col), getattr(wl, col))
+
+    def test_schedule_digest_pinned(self, wl):
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(wl._arrivals).tobytes())
+        h.update(np.ascontiguousarray(wl._works).tobytes())
+        h.update(np.ascontiguousarray(wl._fs_idx, dtype=np.int64).tobytes())
+        assert h.hexdigest() == (
+            "b5270723b5a245cc07365ada2b385abf186548108053d61d4a62c9fa6d604663"
+        )
 
 
 class TestTraceGenerator:
