@@ -11,11 +11,10 @@ Servers measure themselves: per-interval mean latency of completed
 requests (what they report to the delegate) and whole-run tallies for
 the aggregate figures.
 
-The FIFO runs on calendar callbacks: a queue, the request at its head,
-and one pending calendar entry — the end of the service or flush slice
-in progress — are the whole clock. A request that reaches an idle
-server starts service in the same instant, with no hand-off event in
-between.
+The FIFO is a queue, the request at its head, and the end of the
+service or flush slice in progress: finish = max(arrival, previous
+finish) + work / power. A request that reaches an idle server starts
+service in the same instant, with no hand-off event in between.
 """
 
 from __future__ import annotations
@@ -51,10 +50,13 @@ class FileServer:
 
     Notes
     -----
-    The server is up from construction and serves its FIFO from
-    calendar callbacks: each service or flush slice is one
-    :meth:`~repro.sim.Simulator.schedule_at` entry whose callback books
-    the slice and starts the next. :meth:`submit` is the only entry
+    The server is up from construction. While something in its line
+    is listened to (an ``on_complete`` hook, or ``probe``), each
+    service or flush slice ends in a
+    :meth:`~repro.sim.Simulator.schedule_at` entry, so hooks fire at
+    the completion instant. Otherwise the server is a kernel station
+    and :meth:`advance` books each slice without an entry, with the
+    same values and one counted event. :meth:`submit` is the only entry
     point for work; :meth:`interval_report` closes a measurement window
     (the report the server sends the delegate each tuning interval).
     """
@@ -80,9 +82,15 @@ class FileServer:
         #: The request at the head of the line — in service, or waiting
         #: behind a flush slice — or ``None`` while the server is idle.
         self._head: Optional[MetadataRequest] = None
-        #: Calendar entry ending the slice in progress, and its start.
-        self._slice: Optional[Call] = None
+        #: The slice in progress: its start, whether it is flush work,
+        #: and its calendar entry if listened, else its inline end
+        #: (``inf`` when none; finite exactly while in ``env.stations``).
         self._slice_start = 0.0
+        self._flushing = False
+        self._slice: Optional[Call] = None
+        self._end = math.inf
+        #: Requests in line, the head included, with an ``on_complete``.
+        self._listened = 0
         self._failed = False
         #: Crash count; bumps on every fail(). Clients use it to notice
         #: that a queue they submitted into was discarded by a crash,
@@ -117,12 +125,22 @@ class FileServer:
     # workload entry points
     # ------------------------------------------------------------------ #
     def submit(self, request: MetadataRequest) -> None:
-        """Enqueue a metadata request (FIFO); an idle server starts it now."""
+        """Enqueue a metadata request (FIFO); an idle server starts it now.
+
+        A listened request puts the line on the calendar until it ends.
+        """
         if self._failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
+        now = self.env.now
+        if self._end < now:
+            self.advance(now)
         request.server = self.server_id
+        if request.on_complete is not None:
+            self._listened += 1
+            self._to_calendar()
         if self._head is None:
-            self._take(request)
+            self._head = request
+            self._start(now)
         else:
             self._queue.append(request)
 
@@ -170,46 +188,52 @@ class FileServer:
     # ------------------------------------------------------------------ #
     # the FIFO clock
     # ------------------------------------------------------------------ #
-    def _take(self, request: MetadataRequest) -> None:
-        """``request`` reaches the head: pending flush work runs first."""
-        self._head = request
-        if self._flush_backlog:
-            self._flush()
-        else:
-            self._serve(request)
+    def advance(self, t: float) -> None:
+        """Book every inline slice that ends strictly before ``t``,
+        one simulated event each."""
+        booked = 0
+        while self._end < t:
+            self._book(self._end)
+            booked += 1
+        self.env.events_processed += booked
 
-    def _flush(self) -> None:
-        now = self.env.now
-        self._slice_start = now
-        self._slice = self.env.schedule_at(
-            now + self._flush_backlog.pop(0) / self.power, self._flushed
-        )
-
-    def _flushed(self) -> None:
-        self.busy_time += self.env.now - self._slice_start
-        if self._flush_backlog:
-            self._flush()
-        else:
-            self._serve(self._head)
-
-    def _serve(self, request: MetadataRequest) -> None:
+    def _start(self, now: float) -> None:
+        """Open the head's next slice at ``now``: pending flush work
+        first, then its service."""
         # Service start, the cache multiplier and the power all read the
         # state of this instant; a later straggler factor slows only
         # slices that start after it.
-        env = self.env
-        now = env.now
-        request.service_start = now
-        work = request.work
-        if self.cache is not None:
-            work *= self.cache.work_multiplier(self.server_id, request.fileset, now)
+        if self._flush_backlog:
+            self._flushing = True
+            end = now + self._flush_backlog.pop(0) / self.power
+        else:
+            self._flushing = False
+            request = self._head
+            request.service_start = now
+            work = request.work
+            if self.cache is not None:
+                work *= self.cache.work_multiplier(self.server_id, request.fileset, now)
+            end = now + work / self.power
         self._slice_start = now
-        self._slice = env.schedule_at(now + work / self.power, self._served)
+        if self._listened or self.probe is not None:
+            self._leave_stations()
+            self._slice = self.env.schedule_at(end, self._ended)
+        else:
+            if self._end == math.inf:
+                self.env.stations[self] = None
+            self._end = end
 
-    def _served(self) -> None:
-        """Book the finished service slice and the request, then start
-        the next request in line or go idle."""
-        now = self.env.now
+    def _ended(self) -> None:
+        self._book(self.env.now)
+
+    def _book(self, now: float) -> None:
+        """Book the slice in progress as ended at ``now`` — a flush, or
+        the head's service and the request — then start the next slice
+        or go idle."""
         self.busy_time += now - self._slice_start
+        if self._flushing:
+            self._start(now)
+            return
         request = self._head
         request.completion = now
         latency = now - request.arrival
@@ -222,14 +246,28 @@ class FileServer:
         # Hooks run while the request still holds the head, so one that
         # submits here queues behind whatever is already waiting.
         if request.on_complete is not None:
+            self._listened -= 1
             request.on_complete(request)
         if self.probe is not None:
             self.probe(request)
         if self._queue:
-            self._take(self._queue.popleft())
+            self._head = self._queue.popleft()
+            self._start(now)
         else:
             self._head = None
             self._slice = None
+            self._leave_stations()
+
+    def _to_calendar(self) -> None:
+        """Give the inline slice in progress a real calendar entry."""
+        if self._end != math.inf:
+            self._slice = self.env.schedule_at(self._end, self._ended)
+            self._leave_stations()
+
+    def _leave_stations(self) -> None:
+        if self._end != math.inf:
+            self._end = math.inf
+            del self.env.stations[self]
 
     def absorb_batch(self, latencies, busy: float) -> None:
         """Bulk-account a cohort of completed requests.
@@ -304,18 +342,23 @@ class FileServer:
         """Take the server down; returns the queued requests it drops.
 
         The request at the head (in service, or behind a flush slice) is
-        lost with it, and the slice in progress never completes. The
-        cluster driver re-routes the returned requests through the
-        updated placement, modeling clients re-issuing to the new owner.
+        lost with it, and the slice in progress — even one ending at
+        this instant — never completes: its entry, real even for an
+        inline slice, fires as a counted no-op. The cluster driver
+        re-routes the returned requests through the updated placement,
+        modeling clients re-issuing to the new owner.
         """
         if self._failed:
             raise RuntimeError(f"server {self.server_id!r} already failed")
+        self.advance(self.env.now)
         self._failed = True
         self.incarnation += 1
+        self._to_calendar()
         if self._slice is not None:
             self._slice.cancel()
             self._slice = None
         self._head = None
+        self._listened = 0
         orphans = list(self._queue)
         self._queue.clear()
         return orphans

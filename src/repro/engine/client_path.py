@@ -227,9 +227,11 @@ class RequestDriver:
         :class:`HardenedClient` for the retry/redirect treatment
         instead of being dropped when routing fails.
 
-    Arrivals replay as a chain of calendar callbacks: each one submits
-    every request due at its instant and schedules the next distinct
-    arrival time, so the driver costs one event per arrival instant.
+    Arrivals replay as a chain of calendar callbacks, one simulated
+    event per distinct arrival instant: a callback submits the requests
+    due, then skips the clock to the next instant
+    (:meth:`~repro.sim.Simulator.skip_to`) until an entry is due by
+    then, and schedules an entry there instead.
     """
 
     def __init__(
@@ -261,17 +263,20 @@ class RequestDriver:
             env.schedule_at(env.now + max(self._due.arrival - env.now, 0.0), self._arrive)
 
     def _arrive(self) -> None:
-        """Submit the request this entry was scheduled for, then every
-        following one already due; schedule the next arrival instant."""
+        """Submit the request this entry was scheduled for and every
+        following one the clock can skip to; schedule the next."""
         env = self.env
         submit = self._submit
         submit(self._due)
+        now = env.now
         for request in self._rest:
-            delay = request.arrival - env.now
+            delay = request.arrival - now
             if delay > 0:
-                self._due = request
-                env.schedule_at(env.now + delay, self._arrive)
-                return
+                now += delay
+                if not env.skip_to(now):
+                    self._due = request
+                    env.schedule_at(now, self._arrive)
+                    return
             submit(request)
 
     def _submit_basic(self, request: "MetadataRequest") -> None:

@@ -5,7 +5,8 @@ built on YACSIM, a C discrete-event library. This package provides the
 equivalent substrate in Python:
 
 * :class:`Simulator` — virtual clock + calendar of cancellable callbacks
-  (:meth:`Simulator.schedule_at` returns a :class:`Call` entry)
+  (:meth:`Simulator.schedule_at` returns a :class:`Call` entry), plus
+  stations that book unobserved work between entries
 * :class:`Tally` / :class:`TimeSeries` — measurement collection
 * :class:`StreamRegistry` — named reproducible RNG streams
 """

@@ -82,9 +82,10 @@ class Workload:
         clone = object.__new__(Workload)
         clone.name = self.name
         clone.catalog = self.catalog
+        # Positional arguments: the slotted dataclass's keyword
+        # ``__init__`` costs about half as much again per request.
         clone.requests = [
-            MetadataRequest(fileset=r.fileset, arrival=r.arrival, work=r.work)
-            for r in self.requests
+            MetadataRequest(r.fileset, r.arrival, r.work) for r in self.requests
         ]
         clone.duration = self.duration
         clone._fs_names = self._fs_names

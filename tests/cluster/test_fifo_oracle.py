@@ -8,6 +8,12 @@ of ``tests/sim/generators.py``. The property drives one server of each kind
 through the same random sequence of arrivals, flush charges, cold
 windows, straggler factors and crashes, and holds every simulated value
 to bit-for-bit equality.
+
+A second property holds the inline booking of unlistened slices to the
+calendar path: the same random sequences, now with window reports,
+``run(until)`` cut points and listened requests, are replayed twice
+through a :class:`RequestDriver` into one server — once with a no-op
+``probe``, which keeps every slice on the calendar, and once without.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CacheConfig, CacheModel, FileServer, MetadataRequest
+from repro.engine.client_path import RequestDriver
 from repro.sim import Simulator
 
 from ..sim.generators import Interrupt, Process, Store, Timeout
@@ -152,3 +159,89 @@ class TestCallbackFifoMatchesGeneratorLoop:
         assert orphans[0] == orphans[1]
         assert _state(fast) == _state(slow)
         assert _books(fast) == _books(slow)
+
+
+TWIN_STEPS = st.lists(
+    st.tuples(
+        GAPS,
+        st.sampled_from(
+            ["arrive", "arrive", "arrive", "flush", "power", "shed", "crash", "report"]
+        ),
+        WORKS,
+        st.sampled_from(["/a", "/b", "/c"]),
+        st.sampled_from([False, False, True]),  # the request is listened to
+        st.sampled_from([False, False, True]),  # cut the run here
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _replay(steps, power: float, probe: bool) -> tuple:
+    """One server fed by a driver; the other actions are calendar entries
+    placed up front, like a fault timeline."""
+    env = Simulator()
+    cache = CacheModel(CACHE)
+    server = FileServer(env, "s", power, cache=cache)
+    if probe:
+        server.probe = lambda request: None
+    requests, hooks, orphans, reports, cuts = [], [], [], [], []
+
+    def hook(request):
+        hooks.append((requests.index(request), env.now, request.completion))
+
+    def act(action, work, fileset, now):
+        if action == "flush":
+            server.charge_flush(work)
+        elif action == "power":
+            server.set_power_factor(work / 4.0)
+        elif action == "shed":
+            cache.on_shed(fileset, "elsewhere", "s", now, work)
+        elif action == "report":
+            report = server.interval_report()
+            reports.append((report.mean_latency, report.request_count, report.window))
+        elif server.failed:
+            server.recover()
+        else:
+            orphans.append([requests.index(r) for r in server.fail()])
+
+    now = 0.0
+    for gap, action, work, fileset, listened, cut in steps:
+        now += gap
+        if cut:
+            cuts.append(now)
+        if action == "arrive":
+            request = MetadataRequest(fileset, now, work)
+            if listened:
+                request.on_complete = hook
+            requests.append(request)
+        else:
+            env.schedule_at(now, lambda a=(action, work, fileset, now): act(*a))
+    driver = RequestDriver(
+        env, requests, route=lambda request: None if server.failed else server
+    )
+    for cut in cuts:
+        env.run(until=cut)
+        assert env.now == cut
+    env.run()
+    return (
+        [(r.service_start, r.completion) for r in requests],
+        hooks,
+        orphans,
+        reports,
+        _state(server),
+        _books(server),
+        (driver.submitted, driver.dropped),
+        env.events_processed,
+    )
+
+
+class TestInlineBookingMatchesCalendar:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=TWIN_STEPS, power=st.sampled_from([1.0, 2.0, 3.0]))
+    def test_every_value_and_event_count_is_bit_equal(self, steps, power):
+        calendar = _replay(steps, power, probe=True)
+        inline = _replay(steps, power, probe=False)
+        assert inline == calendar
+        # Every hook ran at its request's completion instant.
+        assert all(now == completion for _, now, completion in inline[1])

@@ -27,6 +27,7 @@ from repro.experiments.config import paper_config
 from repro.experiments.runner import run_system
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
 from repro.policies import ANURandomization
+from repro.sim import Simulator
 from repro.workloads import generate_synthetic
 
 from .conftest import POWERS, behaviour_chaos_fingerprint, behaviour_fingerprint
@@ -117,4 +118,43 @@ class TestChaosGolden:
         )
         assert behaviour_chaos_fingerprint(result) == CHAOS_BEHAVIOUR
         assert result.base.events_processed == CHAOS_EVENTS
+        assert chaos_fingerprint(result) == CHAOS_GOLD
+
+
+@pytest.fixture
+def entries(monkeypatch):
+    """Counts every ``Simulator.schedule_at`` call."""
+    count = [0]
+    schedule_at = Simulator.schedule_at
+
+    def counted(self, time, callback):
+        count[0] += 1
+        return schedule_at(self, time, callback)
+
+    monkeypatch.setattr(Simulator, "schedule_at", counted)
+    return count
+
+
+class TestCalendarTraffic:
+    """Unobserved service is booked inline; listened service is not."""
+
+    def test_basic_path_books_service_and_arrivals_without_entries(self, entries):
+        config = paper_config(seed=3, scale=0.02)
+        workload = generate_synthetic(config.synthetic_config(), seed=3)
+        result = run_system("anu", workload.fork(), config)
+        assert entries[0] < 0.05 * result.submitted
+        assert result.events_processed == PAPER_EVENTS["anu"]
+        assert result_fingerprint(result) == PAPER_GOLD["anu"]
+
+    def test_hardened_path_keeps_its_per_request_entries(self, entries, golden_workload):
+        result = (
+            SimulationBuilder(
+                golden_workload.fork(),
+                anu_policy(),
+                ClusterConfig(server_powers=POWERS),
+            )
+            .chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7))
+            .run()
+        )
+        assert entries[0] > 3 * result.base.submitted
         assert chaos_fingerprint(result) == CHAOS_GOLD
