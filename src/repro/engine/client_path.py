@@ -22,7 +22,7 @@ calls to assemble its driver.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Callable, Iterable, Optional, Set, TYPE_CHECKING
 
 from ..retry import Attempts, RequestLedger, RetryPolicy
 from ..sim import Call, Simulator
@@ -231,13 +231,14 @@ class RequestDriver:
     event per distinct arrival instant: a callback submits the requests
     due, then skips the clock to the next instant
     (:meth:`~repro.sim.Simulator.skip_to`) until an entry is due by
-    then, and schedules an entry there instead.
+    then, and schedules an entry there instead. The schedule is
+    iterated once, as it replays, and never copied.
     """
 
     def __init__(
         self,
         env: Simulator,
-        schedule: Sequence["MetadataRequest"],
+        schedule: Iterable["MetadataRequest"],
         route: Optional[Callable[["MetadataRequest"], Optional["FileServer"]]] = None,
         client: Optional[HardenedClient] = None,
         probe=None,
@@ -245,11 +246,6 @@ class RequestDriver:
         if (route is None) == (client is None):
             raise ValueError("exactly one of route/client must be given")
         self.env = env
-        self.schedule = list(schedule)
-        if any(
-            b.arrival < a.arrival for a, b in zip(self.schedule, self.schedule[1:])
-        ):
-            raise ValueError("request schedule must be sorted by arrival time")
         self.route = route
         self.client = client
         self.probe = probe
@@ -257,26 +253,39 @@ class RequestDriver:
         self._dropped = 0
         self._submit = client.submit if client is not None else self._submit_basic
         # The request the pending calendar entry submits, and the rest.
-        self._rest = iter(self.schedule)
+        self._rest = iter(schedule)
         self._due = next(self._rest, None)
         if self._due is not None:
             env.schedule_at(env.now + max(self._due.arrival - env.now, 0.0), self._arrive)
 
     def _arrive(self) -> None:
         """Submit the request this entry was scheduled for and every
-        following one the clock can skip to; schedule the next."""
+        following one the clock can skip to; schedule the next.
+
+        The schedule's order is checked here, pair by pair as requests
+        come due, rather than by a pass over the whole schedule up
+        front: a request arriving before its predecessor raises.
+        """
         env = self.env
         submit = self._submit
-        submit(self._due)
+        due = self._due
+        submit(due)
         now = env.now
+        last = due.arrival
         for request in self._rest:
-            delay = request.arrival - now
+            arrival = request.arrival
+            delay = arrival - now
             if delay > 0:
                 now += delay
                 if not env.skip_to(now):
                     self._due = request
                     env.schedule_at(now, self._arrive)
                     return
+            elif arrival < last:
+                # (A request later than the clock is no earlier than
+                # its predecessor, which was due by then.)
+                raise ValueError("request schedule must be sorted by arrival time")
+            last = arrival
             submit(request)
 
     def _submit_basic(self, request: "MetadataRequest") -> None:

@@ -42,10 +42,11 @@ Scope (validated at run start, loud errors otherwise):
 * per-file-set window work is not tracked (``drain_fileset_work``
   stays empty), so observation-driven bin-packing policies are out of
   scope on this path;
-* per-server tallies do not retain raw samples (the driver keeps the
-  flushed cohorts itself and hands the aggregate to the engine), so
-  per-server percentile/SLA metrics are unavailable — aggregate
-  latencies and per-server streaming moments are unaffected.
+* per-server tallies do not retain raw samples (the driver lands every
+  flushed latency in one column sized to the workload and hands that
+  column to the result), so per-server percentile/SLA metrics are
+  unavailable — aggregate latencies and per-server streaming moments
+  are unaffected.
 
 Aggregate metrics agree with the scalar driver to float rounding; see
 ``tests/engine/test_vector_equivalence.py`` for the documented
@@ -105,14 +106,20 @@ class VectorizedRequestDriver:
         )
         #: Absolute time each server's queue drains empty.
         self._free_at = np.zeros(len(server_ids), dtype=np.float64)
-        # The driver retains flushed latency cohorts itself (handed to
-        # the engine via collected_latencies); per-server tally buffers
-        # would copy every latency a second time and regrow along the
-        # way. Per-server raw samples are therefore unavailable on this
-        # path — streaming per-server moments are kept as always.
+        # Flushed latencies land in one column the driver hands to the
+        # result (collected_latencies); per-server tally buffers would
+        # copy every latency a second time and regrow along the way.
+        # Per-server raw samples are therefore unavailable on this path
+        # — streaming per-server moments are kept as always.
         for server in self._servers:
             server.completed.forget_samples()
-        self._flushed: List[np.ndarray] = []
+        # A request lands at most once (a re-driven orphan is the same
+        # request), so one slot per arrival is enough and the column
+        # never grows.
+        self._column: Optional[np.ndarray] = np.empty(
+            self._arrivals.shape[0], dtype=np.float64
+        )
+        self._landed = 0
         # Computed-but-unflushed completions: (server slot, completion,
         # latency, service) column tuples.
         self._pending: List[Tuple[np.ndarray, ...]] = []
@@ -147,6 +154,11 @@ class VectorizedRequestDriver:
     def dropped(self) -> int:
         """Requests that could not be routed (always 0: no fault layer)."""
         return self._dropped
+
+    @property
+    def landed(self) -> int:
+        """Requests whose completion has been flushed (latency landed)."""
+        return self._landed
 
     # ------------------------------------------------------------------ #
     def _validate(self) -> None:
@@ -433,6 +445,12 @@ class VectorizedRequestDriver:
         """
         from ..cluster.server import land_moments  # deferred: engine layering
 
+        column = self._column
+        if column is None:
+            raise RuntimeError(
+                "the vectorized run's latencies were handed to its result; "
+                "build a new engine instead of continuing this run"
+            )
         if not self._pending:
             return
         chunks = self._pending
@@ -455,7 +473,14 @@ class VectorizedRequestDriver:
                 # Landing reads three columns; the rest of a landed
                 # chunk (completions, re-drive columns) is dead.
                 srv, latency, service = srv[due], latency[due], service[due]
-            self._flushed.append(latency)
+            end = self._landed + latency.size
+            if end > column.size:
+                raise RuntimeError(
+                    f"{end} latencies landed for {column.size} arrivals: "
+                    "a request completed twice"
+                )
+            column[self._landed:end] = latency
+            self._landed = end
             seg_start = np.flatnonzero(np.r_[True, srv[1:] != srv[:-1]])
             # Per-server batch statistics in a handful of vectorized
             # passes; land_moments then merges every server's share of
@@ -479,18 +504,25 @@ class VectorizedRequestDriver:
         land_moments(self._servers, batches)
 
     def collected_latencies(self) -> np.ndarray:
-        """Latency of every flushed (completed-in-run) request.
+        """Hand the latency of every flushed request over to the result.
 
-        The engine calls this at result-assembly time instead of
-        concatenating per-server tally buffers — the driver already
-        holds every flushed cohort, so the aggregate costs exactly one
-        concatenation. Order is flush order (by completion window),
-        not the scalar path's per-server order; aggregate statistics
-        do not depend on it.
+        The engine calls this once, at result-assembly time. It returns
+        the landed prefix of the driver's column (a view, no copy) and
+        drops the driver's own reference, so the result is the column's
+        only owner: a finished engine is cyclic garbage that may outlive
+        its result, and it must not keep a request-sized array alive.
+        The run cannot continue afterwards — a later flush raises.
+        Order is flush order (by completion window), not the scalar
+        path's per-server order; aggregate statistics do not depend on
+        it.
         """
-        if not self._flushed:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(self._flushed)
+        column = self._column
+        if column is None:
+            raise RuntimeError(
+                "the vectorized run's latencies were already handed to its result"
+            )
+        self._column = None
+        return column[: self._landed]
 
 
 class VectorizedClientPath(ClientPath):

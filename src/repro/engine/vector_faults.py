@@ -305,7 +305,7 @@ class VectorChaosFaultLayer(FaultLayer):
             applied=list(self.timeline.applied),
             failures=list(self.failures),
             requests_injected=driver.submitted,
-            requests_completed=sum(c.size for c in driver._flushed),
+            requests_completed=driver.landed,
             requests_failed=0,
             requests_in_flight=discarded + orphaned,
             retries=self.retries,

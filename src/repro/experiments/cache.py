@@ -39,15 +39,25 @@ def _hash_update(h, *parts: object) -> None:
         h.update(b"\x00")
 
 
+def _hash_array(h, array: np.ndarray, dtype=None) -> None:
+    """Feed ``array``'s bytes to ``h`` without copying a contiguous one.
+
+    The digest equals hashing ``.tobytes()``: a C-contiguous buffer
+    holds exactly those bytes, and anything else (a strided view, a
+    different ``dtype``) is copied once into one first.
+    """
+    h.update(memoryview(np.ascontiguousarray(array, dtype=dtype)))
+
+
 def workload_fingerprint(workload: "Workload") -> str:
     """Content hash of a workload's schedule (names, times, work)."""
     h = hashlib.sha256()
     _hash_update(h, "workload", _SCHEMA, workload.duration, workload.catalog.names)
-    h.update(np.ascontiguousarray(workload._arrivals).tobytes())
-    h.update(np.ascontiguousarray(workload._works).tobytes())
+    _hash_array(h, workload._arrivals)
+    _hash_array(h, workload._works)
     # Hash index values, not storage width: int32 and int64 columns of
     # the same schedule share one digest.
-    h.update(np.ascontiguousarray(workload._fs_idx, dtype=np.int64).tobytes())
+    _hash_array(h, workload._fs_idx, dtype=np.int64)
     return h.hexdigest()
 
 
@@ -71,14 +81,14 @@ def result_fingerprint(result: "ClusterResult") -> str:
         result.shared_state_entries,
         result.events_processed,
     )
-    h.update(np.ascontiguousarray(result.all_latencies, dtype=np.float64).tobytes())
+    _hash_array(h, result.all_latencies, dtype=np.float64)
     for m in result.movement:
         _hash_update(h, "move", m.round_index, m.time, m.kind, m.moves, m.moved_work_share)
     for sid in sorted(result.server_latency, key=repr):
         series = result.server_latency[sid]
         _hash_update(h, "series", sid, len(series))
-        h.update(series.times().tobytes())
-        h.update(series.values().tobytes())
+        _hash_array(h, series.times())
+        _hash_array(h, series.values())
         tally = result.server_tally[sid]
         _hash_update(h, "tally", sid, tally.count, tally.mean, tally.minimum, tally.maximum)
         _hash_update(

@@ -114,7 +114,7 @@ class VectorInvariantChecker:
 
     def _check_conservation(self, trigger: str, final: bool) -> None:
         d = self.driver
-        flushed = sum(chunk.size for chunk in d._flushed)
+        flushed = d.landed
         pending = sum(chunk[0].size for chunk in d._pending)
         orphaned = d.orphan_count()
         discarded = d._discarded
@@ -135,13 +135,12 @@ class VectorInvariantChecker:
 
     def _check_moments(self, trigger: str) -> None:
         d = self.driver
-        flushed = sum(chunk.size for chunk in d._flushed)
-        landed = sum(s.completed_requests for s in d._servers)
-        if flushed != landed:
+        counted = sum(s.completed_requests for s in d._servers)
+        if d.landed != counted:
             self._fail(
                 "no-lost-moments",
-                f"[{trigger}] flushed={flushed} != per-server "
-                f"completed_requests sum={landed}",
+                f"[{trigger}] flushed={d.landed} != per-server "
+                f"completed_requests sum={counted}",
             )
 
     def _check_assignment(self, trigger: str) -> None:
@@ -163,9 +162,9 @@ class VectorInvariantChecker:
         if layout is None:
             return  # non-interval policies have no layout to audit
         admitted = self.admitted()
+        members = set(layout.server_ids)
         member_slots = {
-            i for i, sid in enumerate(self.server_ids)
-            if sid in set(layout.server_ids)
+            i for i, sid in enumerate(self.server_ids) if sid in members
         }
         admitted_slots = set(np.flatnonzero(admitted).tolist())
         if member_slots != admitted_slots:

@@ -139,8 +139,9 @@ class TestRequestDriver:
             MetadataRequest("/a", arrival=2.0, work=1.0),
             MetadataRequest("/a", arrival=1.0, work=1.0),
         ]
+        RequestDriver(env, schedule, route=lambda r: None)
         with pytest.raises(ValueError):
-            RequestDriver(env, schedule, route=lambda r: None)
+            env.run()
 
     def test_route_none_drops(self, env):
         schedule = [MetadataRequest("/a", arrival=0.0, work=1.0)]

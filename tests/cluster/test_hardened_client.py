@@ -163,5 +163,6 @@ class TestHardenedRequestDriver:
     def test_unsorted_schedule_rejected(self, env):
         client = HardenedClient(env, lambda r: None)
         schedule = [make_request(arrival=5.0), make_request(arrival=1.0)]
+        RequestDriver(env, schedule, client=client)
         with pytest.raises(ValueError):
-            RequestDriver(env, schedule, client=client)
+            env.run()

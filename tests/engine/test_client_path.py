@@ -27,9 +27,36 @@ class TestRequestDriverModes:
             RequestDriver(env, [])
 
     def test_schedule_must_be_sorted(self):
+        # The order is checked as requests come due, not up front.
         env = Simulator()
+        RequestDriver(env, [req(2.0), req(1.0)], route=lambda r: None)
         with pytest.raises(ValueError, match="sorted"):
-            RequestDriver(env, [req(2.0), req(1.0)], route=lambda r: None)
+            env.run()
+
+    def test_unsorted_schedule_raises_when_the_inversion_comes_due(self):
+        env = Simulator()
+        server = FileServer(env, "s0", power=5.0)
+        schedule = [req(1.0), req(2.0), req(2.0), req(3.0), req(2.5), req(4.0)]
+        driver = RequestDriver(env, schedule, route=lambda r: server)
+        with pytest.raises(ValueError, match="sorted"):
+            env.run(until=10.0)
+        # Everything before the inversion went out; nothing after it.
+        assert driver.submitted == 4
+        assert env.now == 3.0
+
+    def test_clock_rounding_past_an_arrival_is_not_an_inversion(self):
+        # 0.7 + (a - 0.7) rounds one ulp above a, so the second request
+        # at ``a`` comes due with a negative delay; it is still sorted.
+        a = 3.0000000000000004
+        assert 0.7 + (a - 0.7) > a
+        env = Simulator()
+        server = FileServer(env, "s0", power=5.0)
+        driver = RequestDriver(
+            env, [req(0.7), req(a), req(a), req(5.0)], route=lambda r: server
+        )
+        env.run(until=10.0)
+        assert driver.submitted == 4
+        assert server.completed_requests == 4
 
     def test_basic_path_counts_drops(self):
         env = Simulator()

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 
-from repro.experiments.cache import workload_fingerprint
+from repro.experiments.cache import _hash_array, workload_fingerprint
 from repro.workloads.synthetic import Workload
 
 
@@ -73,3 +74,30 @@ class TestWorkloadFingerprint:
         other = tiny_workload.fork()
         other._fs_idx = tiny_workload._fs_idx[::-1].astype(np.int32)
         assert workload_fingerprint(other) != workload_fingerprint(tiny_workload)
+
+
+class TestZeroCopyDigest:
+    """Arrays are hashed through their buffer: same bytes as ``.tobytes()``."""
+
+    @staticmethod
+    def digests(array, dtype=None):
+        via_buffer = hashlib.sha256()
+        _hash_array(via_buffer, array, dtype=dtype)
+        widened = array if dtype is None else array.astype(dtype)
+        return via_buffer.hexdigest(), hashlib.sha256(widened.tobytes()).hexdigest()
+
+    def test_non_contiguous_slice(self):
+        column = np.linspace(0.0, 1.0, 101)[::3]
+        assert not column.flags.c_contiguous
+        mine, reference = self.digests(column)
+        assert mine == reference
+
+    def test_int32_index_column_widened(self):
+        column = np.arange(-5, 50, dtype=np.int32)
+        mine, reference = self.digests(column, dtype=np.int64)
+        assert mine == reference
+        assert mine != self.digests(column)[1]
+
+    def test_empty_column(self):
+        mine, reference = self.digests(np.empty(0))
+        assert mine == reference

@@ -30,6 +30,7 @@ from repro.engine import (
 from repro.experiments.chaos import run_chaos
 from repro.experiments.scale import make_scale_policy, scale_powers
 from repro.faults import chaos_fingerprint, random_schedule
+from repro.faults.invariants import ChaosInvariantError
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from repro.workloads.scale import ScaleConfig, generate_scale
 
@@ -238,6 +239,51 @@ class TestRecoveryMechanics:
         assert result.retries == result.redirects == result.timeouts == 0
         assert result.requests_lost == 0
         assert result.invariant_violations == 0
+
+
+class TestInvariantViolations:
+    """Each vector invariant fires on the state it guards.
+
+    A clean chaos cell runs to the horizon; one piece of its array state
+    is then tampered with, and the next sweep must name the broken
+    invariant in a replayable artifact.
+    """
+
+    @staticmethod
+    def finished_cell():
+        layer = VectorChaosFaultLayer(schedule=FaultSchedule(), chaos=ChaosConfig(seed=2))
+        engine = vector_engine("anu", 2, 5, 50, 4_000, 600.0, faults=layer)
+        result = engine.run_chaos()
+        assert result.invariant_violations == 0
+        layer.checker.check("clean", final=True)
+        return engine, layer
+
+    def assert_violates(self, layer, invariant):
+        with pytest.raises(ChaosInvariantError, match=invariant) as caught:
+            layer.checker.check("tampered")
+        assert caught.value.artifact.invariant == invariant
+        assert caught.value.artifact.seed == 2
+
+    def test_request_counter(self):
+        engine, layer = self.finished_cell()
+        engine.driver._submitted += 1
+        self.assert_violates(layer, "request-conservation")
+
+    def test_server_moment_counter(self):
+        engine, layer = self.finished_cell()
+        engine.driver._servers[0].completed_requests += 1
+        self.assert_violates(layer, "no-lost-moments")
+
+    def test_evicted_slot_keeps_its_file_sets(self):
+        engine, layer = self.finished_cell()
+        slot = int(engine.driver._assignment()[0])
+        layer.admitted[slot] = False
+        self.assert_violates(layer, "assignment-respects-masks")
+
+    def test_layout_loses_an_admitted_member(self):
+        engine, layer = self.finished_cell()
+        engine.policy.layout.remove_server(layer.server_ids[0])
+        self.assert_violates(layer, "layout-covers-alive-set")
 
 
 class TestScalarVectorParity:
