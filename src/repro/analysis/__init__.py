@@ -6,36 +6,26 @@
   estimation for the heavy-tail verification
 """
 
-from .convergence import (
-    ControllerTrace,
-    equilibrium_lengths,
-    iterate_controller,
-)
-from .bounds import (
-    BalanceSample,
-    anu_balance_bound,
-    measure_balance,
-    simple_randomization_bound,
-)
-from .stats import (
-    ConfidenceInterval,
-    bootstrap_mean_ci,
-    is_heavy_tailed,
-    mean_sem,
-    pareto_tail_index,
-)
+from __future__ import annotations
 
-__all__ = [
-    "anu_balance_bound",
-    "equilibrium_lengths",
-    "iterate_controller",
-    "ControllerTrace",
-    "simple_randomization_bound",
-    "measure_balance",
-    "BalanceSample",
-    "ConfidenceInterval",
-    "bootstrap_mean_ci",
-    "mean_sem",
-    "pareto_tail_index",
-    "is_heavy_tailed",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "convergence": ["ControllerTrace", "equilibrium_lengths", "iterate_controller"],
+        "bounds": [
+            "BalanceSample",
+            "anu_balance_bound",
+            "measure_balance",
+            "simple_randomization_bound",
+        ],
+        "stats": [
+            "ConfidenceInterval",
+            "bootstrap_mean_ci",
+            "is_heavy_tailed",
+            "mean_sem",
+            "pareto_tail_index",
+        ],
+    },
+)

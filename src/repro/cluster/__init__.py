@@ -19,24 +19,17 @@ it.
 
 from __future__ import annotations
 
-from .cache import CacheConfig, CacheModel
-from .client import AccessClient
-from .disk import DiskArray, SharedDisk
-from .fileset import FileSet, FileSetCatalog
-from .namespace import Namespace, normalize_path
-from .request import MetadataRequest
-from .server import FileServer
+from .._lazy import attach
 
-__all__ = [
-    "FileSet",
-    "FileSetCatalog",
-    "MetadataRequest",
-    "FileServer",
-    "CacheModel",
-    "CacheConfig",
-    "AccessClient",
-    "SharedDisk",
-    "DiskArray",
-    "Namespace",
-    "normalize_path",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "cache": ["CacheConfig", "CacheModel"],
+        "client": ["AccessClient"],
+        "disk": ["DiskArray", "SharedDisk"],
+        "fileset": ["FileSet", "FileSetCatalog"],
+        "namespace": ["Namespace", "normalize_path"],
+        "request": ["MetadataRequest"],
+        "server": ["FileServer"],
+    },
+)

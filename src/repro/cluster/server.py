@@ -396,7 +396,9 @@ def land_moments(
     """
     if not batches:
         return
-    touched = np.unique(np.concatenate([batch[0] for batch in batches]))
+    # Slots are small non-negative ints: a bincount finds the touched
+    # ones in order without np.unique (which imports numpy.ma).
+    touched = np.flatnonzero(np.bincount(np.concatenate([batch[0] for batch in batches])))
     hosts = [servers[i] for i in touched.tolist()]
     tallies = [host.completed for host in hosts]
     moments = TallyColumns(tallies)

@@ -18,66 +18,41 @@ Public surface:
 * :class:`MultiChoicePlacer` — optional SIEVE d-choice refinement
 """
 
-from .anu import ANUManager, Reconfiguration, Shed
-from .delegate import Decision, Delegate
-from .errors import (
-    ANUError,
-    ConfigurationError,
-    InvariantViolation,
-    LookupExhaustedError,
-    UnknownServerError,
-)
-from .hashing import DEFAULT_MAX_PROBES, HashFamily
-from .interval import (
-    EPS,
-    IntervalLayout,
-    ServerRegion,
-    region_difference,
-    required_partitions,
-)
-from .layout import LayoutEngine
-from .multichoice import MultiChoicePlacer
-from .render import render_layout, render_lengths_bar
-from .tuning import (
-    AVERAGING_RULES,
-    IncompetenceDetector,
-    LatencyReport,
-    arithmetic_mean,
-    trimmed_mean,
-    weighted_mean,
-)
-from .vector import ProbeMatrix, SegmentTable, batched_locate, fifo_drain
+from __future__ import annotations
 
-__all__ = [
-    "ANUManager",
-    "Reconfiguration",
-    "Shed",
-    "Delegate",
-    "Decision",
-    "HashFamily",
-    "DEFAULT_MAX_PROBES",
-    "IntervalLayout",
-    "ServerRegion",
-    "required_partitions",
-    "region_difference",
-    "EPS",
-    "LayoutEngine",
-    "MultiChoicePlacer",
-    "render_layout",
-    "render_lengths_bar",
-    "LatencyReport",
-    "IncompetenceDetector",
-    "AVERAGING_RULES",
-    "arithmetic_mean",
-    "weighted_mean",
-    "trimmed_mean",
-    "SegmentTable",
-    "ProbeMatrix",
-    "batched_locate",
-    "fifo_drain",
-    "ANUError",
-    "InvariantViolation",
-    "UnknownServerError",
-    "LookupExhaustedError",
-    "ConfigurationError",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "anu": ["ANUManager", "Reconfiguration", "Shed"],
+        "delegate": ["Decision", "Delegate"],
+        "errors": [
+            "ANUError",
+            "ConfigurationError",
+            "InvariantViolation",
+            "LookupExhaustedError",
+            "UnknownServerError",
+        ],
+        "hashing": ["DEFAULT_MAX_PROBES", "HashFamily"],
+        "interval": [
+            "EPS",
+            "IntervalLayout",
+            "ServerRegion",
+            "region_difference",
+            "required_partitions",
+        ],
+        "layout": ["LayoutEngine"],
+        "multichoice": ["MultiChoicePlacer"],
+        "render": ["render_layout", "render_lengths_bar"],
+        "tuning": [
+            "AVERAGING_RULES",
+            "IncompetenceDetector",
+            "LatencyReport",
+            "arithmetic_mean",
+            "trimmed_mean",
+            "weighted_mean",
+        ],
+        "vector": ["ProbeMatrix", "SegmentTable", "batched_locate", "fifo_drain"],
+    },
+)

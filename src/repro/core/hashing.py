@@ -34,11 +34,12 @@ excluded from pickles (workers rebuild it on demand).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["HashFamily", "DEFAULT_MAX_PROBES"]
 
@@ -123,6 +124,8 @@ class HashFamily:
     # ------------------------------------------------------------------ #
     def offsets(self, names: Sequence[str], round_: int = 0) -> np.ndarray:
         """Vectorized :meth:`offset` over many names (one round)."""
+        import numpy as np
+
         return np.fromiter(
             (self.offset(n, round_) for n in names),
             dtype=np.float64,
@@ -138,6 +141,8 @@ class HashFamily:
         digests straight into a float array; values are bit-identical
         to :meth:`offset` for every ``(name, round_)``.
         """
+        import numpy as np
+
         if not 0 <= round_ < self.max_probes:
             raise ConfigurationError(
                 f"round {round_} outside probe budget [0, {self.max_probes})"
@@ -165,6 +170,8 @@ class HashFamily:
             raise ConfigurationError(
                 f"requested {rounds} rounds > probe budget {self.max_probes}"
             )
+        import numpy as np
+
         out = np.empty((len(names), rounds), dtype=np.float64)
         for r in range(rounds):
             out[:, r] = self.offsets(names, r)

@@ -44,6 +44,8 @@ __all__ = [
     "batched_locate",
     "fifo_drain",
     "segment_delta",
+    "run_bounds",
+    "sorted_unique",
 ]
 
 
@@ -202,6 +204,32 @@ def _merged(base: _ProbeIndex, fresh: _ProbeIndex) -> _ProbeIndex:
     return _ProbeIndex(*(np.insert(b, at, f) for b, f in zip(base, fresh)))
 
 
+def run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Boundaries of the runs of equal adjacent values in a 1-D ``keys``.
+
+    Run ``i`` is ``keys[b[i]:b[i + 1]]``, and ``b`` ends with
+    ``len(keys)``: the array ``np.r_[np.flatnonzero(np.r_[True,
+    keys[1:] != keys[:-1]]), len(keys)]``, without the per-call cost of
+    ``np.r_``'s index tricks, which per-chunk callers pay thousands of
+    times a run.
+    """
+    n = keys.shape[0]
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
+    return np.flatnonzero(edge)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array, as a sort plus an adjacent compare.
+
+    Same sorted values; but ``np.unique`` imports ``numpy.ma`` on its
+    first call (9–16 ms cold), which the vector drive never needs.
+    """
+    ordered = np.sort(values)
+    return ordered[run_bounds(ordered)[:-1]]
+
+
 def _in_intervals(
     run: _ProbeIndex, starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -305,7 +333,7 @@ class ProbeMatrix:
             if (todo[1:] <= todo[:-1]).any():
                 # The probe loop asks in ascending order; anyone else
                 # gets sorted and deduplicated first.
-                todo = np.unique(todo)
+                todo = sorted_unique(todo)
             # The probe loop is one round behind at most; a caller that
             # skipped rounds has them filled in to keep rows prefixes.
             for r in range(int(self._deep[todo].min()) + 1, round_ + 1):
@@ -561,8 +589,8 @@ def fifo_drain(
     srv = key[order]
     arr = arrival[order]
     svc = service[order]
-    seg_start = np.flatnonzero(np.r_[True, srv[1:] != srv[:-1]])
-    bounds = np.r_[seg_start, n]
+    bounds = run_bounds(srv)
+    seg_start = bounds[:-1]
     heads = srv[seg_start]
     lengths = np.diff(bounds)
     completion = np.empty(n, dtype=np.float64)
@@ -669,10 +697,8 @@ def segment_delta(
     the whole interval. O(total segments) per reconfiguration — the
     tables are O(servers), not O(names).
     """
-    pts = np.unique(
-        np.concatenate(
-            (old.starts, old.ends, new.starts, new.ends, np.array([0.0]))
-        )
+    pts = sorted_unique(
+        np.concatenate((old.starts, old.ends, new.starts, new.ends, [0.0]))
     )
     lefts = pts[pts < 1.0]
     rights = np.append(lefts[1:], 1.0)
@@ -686,6 +712,8 @@ def segment_delta(
     if not diff.any():
         empty = np.empty(0, dtype=np.float64)
         return empty, empty.copy()
-    run_start = diff & np.r_[True, ~diff[:-1]]
-    run_end = diff & np.r_[~diff[1:], True]
+    run_start = diff.copy()
+    run_start[1:] &= ~diff[:-1]
+    run_end = diff.copy()
+    run_end[:-1] &= ~diff[1:]
     return lefts[run_start], rights[run_end]

@@ -9,39 +9,28 @@ a dead delegate with zero state transfer (the delegate is stateless).
 comparison of §5.4/§6 across all schemes.
 """
 
-from .chord import ChordNode, ChordRing
-from .control import DistributedTuningService
-from .election import ElectionProtocol, elect
-from .heartbeat import HeartbeatMonitor
-from .messages import Message, MessageKind
-from .network import Network
-from .state import (
-    BYTES_PER_ENTRY,
-    StateFootprint,
-    anu_footprint,
-    chord_ring_footprint,
-    lookup_table_footprint,
-    simple_footprint,
-    state_table,
-    virtual_processor_footprint,
-)
+from __future__ import annotations
 
-__all__ = [
-    "Message",
-    "MessageKind",
-    "Network",
-    "elect",
-    "ElectionProtocol",
-    "HeartbeatMonitor",
-    "DistributedTuningService",
-    "ChordRing",
-    "ChordNode",
-    "StateFootprint",
-    "BYTES_PER_ENTRY",
-    "anu_footprint",
-    "virtual_processor_footprint",
-    "chord_ring_footprint",
-    "lookup_table_footprint",
-    "simple_footprint",
-    "state_table",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "chord": ["ChordNode", "ChordRing"],
+        "control": ["DistributedTuningService"],
+        "election": ["ElectionProtocol", "elect"],
+        "heartbeat": ["HeartbeatMonitor"],
+        "messages": ["Message", "MessageKind"],
+        "network": ["Network"],
+        "state": [
+            "BYTES_PER_ENTRY",
+            "StateFootprint",
+            "anu_footprint",
+            "chord_ring_footprint",
+            "lookup_table_footprint",
+            "simple_footprint",
+            "state_table",
+            "virtual_processor_footprint",
+        ],
+    },
+)

@@ -5,122 +5,70 @@ One :class:`ClusterEngine` assembled from four pluggable layers
 :class:`SimulationBuilder`. See DESIGN.md §8 for the architecture and
 the probe catalog.
 
-Import order below is deliberate: ``repro.faults`` imports
-``engine.record`` while its own package is still initialising, so each
-engine module may only depend on the ones listed before it (and must
-never import ``repro.cluster``, ``repro.faults`` or
-``repro.experiments`` at top level).
+The names below are re-exported lazily (:mod:`repro._lazy`): importing
+the package runs none of its modules, so ``import repro.engine.record``
+— all the live load generator needs, for :func:`derive_seed` — loads
+``record`` and ``probes`` and nothing else. Engine modules still reach
+``repro.cluster``, ``repro.faults`` and ``repro.experiments`` only
+inside functions (``tools/check_layering.py``).
 """
 
-from .probes import (  # noqa: F401  (isort: keep assembly order)
-    DelegateElected,
-    FaultInjected,
-    FailureDeclared,
-    InvariantAudit,
-    MovesApplied,
-    Observer,
-    ProbeBus,
-    ProbeEvent,
-    RecoveryDeclared,
-    RelocationApplied,
-    RequestCompleted,
-    RequestDropped,
-    RequestFailed,
-    RoundTraceProbe,
-    RunCompleted,
-    RunStarted,
-    SLAProbe,
-    ServerFailed,
-    ServerRecovered,
-)
-from .client_path import (  # noqa: F401
-    BasicClientPath,
-    ClientPath,
-    HardenedClient,
-    HardenedClientPath,
-    RequestDriver,
-)
-from .record import (  # noqa: F401
-    ChaosConfig,
-    ChaosResult,
-    ClusterConfig,
-    ClusterResult,
-    FailureRecord,
-    MovementRecord,
-    RunRecord,
-    RunRecorder,
-    derive_seed,
-)
-from .control import (  # noqa: F401
-    ControlPlane,
-    DirectControlPlane,
-    DistributedControlPlane,
-)
-from .fault_layer import (  # noqa: F401
-    MONITOR_ID,
-    ChaosFaultLayer,
-    FaultLayer,
-    NullFaultLayer,
-)
-from .vector_faults import VectorChaosFaultLayer  # noqa: F401
-from .engine import ClusterEngine  # noqa: F401
-from .vector_driver import (  # noqa: F401
-    VectorizedClientPath,
-    VectorizedRequestDriver,
-)
-from .builder import ExperimentSpec, SimulationBuilder  # noqa: F401
+from __future__ import annotations
 
-__all__ = [
-    # probes
-    "ProbeEvent",
-    "ProbeBus",
-    "Observer",
-    "SLAProbe",
-    "RoundTraceProbe",
-    "RunStarted",
-    "RunCompleted",
-    "RequestCompleted",
-    "RequestDropped",
-    "RequestFailed",
-    "MovesApplied",
-    "RelocationApplied",
-    "DelegateElected",
-    "ServerFailed",
-    "ServerRecovered",
-    "FaultInjected",
-    "FailureDeclared",
-    "RecoveryDeclared",
-    "InvariantAudit",
-    # client path
-    "ClientPath",
-    "BasicClientPath",
-    "HardenedClientPath",
-    "RequestDriver",
-    "VectorizedClientPath",
-    "VectorizedRequestDriver",
-    "HardenedClient",
-    # records / results
-    "ClusterConfig",
-    "ClusterResult",
-    "MovementRecord",
-    "ChaosConfig",
-    "ChaosResult",
-    "FailureRecord",
-    "RunRecord",
-    "RunRecorder",
-    "derive_seed",
-    # control plane
-    "ControlPlane",
-    "DirectControlPlane",
-    "DistributedControlPlane",
-    # fault layer
-    "FaultLayer",
-    "NullFaultLayer",
-    "ChaosFaultLayer",
-    "VectorChaosFaultLayer",
-    "MONITOR_ID",
-    # engine + assembly
-    "ClusterEngine",
-    "ExperimentSpec",
-    "SimulationBuilder",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "probes": [
+            "DelegateElected",
+            "FaultInjected",
+            "FailureDeclared",
+            "InvariantAudit",
+            "MovesApplied",
+            "Observer",
+            "ProbeBus",
+            "ProbeEvent",
+            "RecoveryDeclared",
+            "RelocationApplied",
+            "RequestCompleted",
+            "RequestDropped",
+            "RequestFailed",
+            "RoundTraceProbe",
+            "RunCompleted",
+            "RunStarted",
+            "SLAProbe",
+            "ServerFailed",
+            "ServerRecovered",
+        ],
+        "client_path": [
+            "BasicClientPath",
+            "ClientPath",
+            "HardenedClient",
+            "HardenedClientPath",
+            "RequestDriver",
+        ],
+        "record": [
+            "ChaosConfig",
+            "ChaosResult",
+            "ClusterConfig",
+            "ClusterResult",
+            "FailureRecord",
+            "MovementRecord",
+            "RunRecord",
+            "RunRecorder",
+            "derive_seed",
+        ],
+        "control": ["ControlPlane", "DirectControlPlane", "DistributedControlPlane"],
+        "fault_layer": [
+            "MONITOR_ID",
+            "ChaosFaultLayer",
+            "FaultLayer",
+            "NullFaultLayer",
+        ],
+        "vector_faults": ["VectorChaosFaultLayer"],
+        "engine": ["ClusterEngine"],
+        "vector_driver": ["VectorizedClientPath", "VectorizedRequestDriver"],
+        "builder": ["ExperimentSpec", "SimulationBuilder"],
+    },
+)

@@ -34,12 +34,12 @@ import random
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..core.tuning import LatencyReport
-from ..distributed.control import DistributedTuningService
-from ..distributed.network import Network
 from ..policies.base import LazyKnowledge, Move, RebalanceContext
 from .probes import DelegateElected, RelocationApplied
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..distributed.control import DistributedTuningService
+    from ..distributed.network import Network
     from .engine import ClusterEngine
 
 __all__ = [
@@ -155,6 +155,9 @@ class DistributedControlPlane(ControlPlane):
 
     # ------------------------------------------------------------------ #
     def attach(self, engine: "ClusterEngine") -> None:
+        # The message-level stack loads only for the plane that uses it.
+        from ..distributed.control import DistributedTuningService
+        from ..distributed.network import Network
         from ..policies.anu import ANURandomization  # heavy policy module
 
         if not isinstance(engine.policy, ANURandomization):

@@ -14,10 +14,12 @@ stack shares:
   result dataclasses above are built as *views* of that record instead
   of being scraped out of each driver after the fact.
 
-This module must stay import-light: ``repro.faults`` loads it while
-its own package is still half-initialised, so it only imports
-:mod:`repro.sim`, :mod:`repro.retry` and sibling engine modules at top
-level — anything from ``repro.cluster``/``repro.faults`` is deferred.
+This module must stay import-light: the live load generator imports
+it for :func:`derive_seed`, so at top level it imports only
+:class:`~repro.sim.Tally`/:class:`~repro.sim.TimeSeries`,
+:mod:`repro.retry` and :mod:`.probes`, and no NumPy — anything from
+``repro.cluster``/``repro.faults`` is deferred
+(``tests/engine/test_layering.py`` pins the closure).
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
-
-import numpy as np
 
 from ..retry import RetryPolicy
 from ..sim import Tally, TimeSeries
@@ -47,6 +47,8 @@ from .probes import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from ..cluster.cache import CacheConfig
     from ..faults.schedule import FaultSchedule
 

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.errors import ConfigurationError
-from ..core.vector import fifo_drain
+from ..core.vector import fifo_drain, run_bounds
 from .client_path import ClientPath
 from .probes import RequestCompleted
 
@@ -295,7 +295,7 @@ class VectorizedRequestDriver:
         if dead.any():
             # Arrivals routed to a crashed-but-undetected slot wait in
             # the orphan pool until a reconfiguration re-locates them.
-            for s in np.unique(srv[dead]):
+            for s in np.flatnonzero(np.bincount(srv[dead])):
                 sel = dead & (srv == s)
                 self._stash(int(s), arrivals[sel], works[sel], fs[sel])
             keep = ~dead
@@ -410,7 +410,7 @@ class VectorizedRequestDriver:
         srv = assign[fs]
         dead = ~self._chaos.alive[srv]
         if dead.any():
-            for s in np.unique(srv[dead]):
+            for s in np.flatnonzero(np.bincount(srv[dead])):
                 sel = dead & (srv == s)
                 self._stash(int(s), arr0[sel], work[sel], fs[sel])
             keep = ~dead
@@ -481,11 +481,12 @@ class VectorizedRequestDriver:
                 )
             column[self._landed:end] = latency
             self._landed = end
-            seg_start = np.flatnonzero(np.r_[True, srv[1:] != srv[:-1]])
+            bounds = run_bounds(srv)
+            seg_start = bounds[:-1]
             # Per-server batch statistics in a handful of vectorized
             # passes; land_moments then merges every server's share of
             # every chunk without a Python call per (chunk, server).
-            count = np.diff(np.r_[seg_start, srv.size])
+            count = np.diff(bounds)
             lat_sum = np.add.reduceat(latency, seg_start)
             svc_sum = np.add.reduceat(service, seg_start)
             lat_min = np.minimum.reduceat(latency, seg_start)

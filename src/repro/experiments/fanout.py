@@ -26,18 +26,22 @@ lose to sequential. This module fixes the root cause:
 On platforms without the ``fork`` start method the payload is shipped
 once per worker through the pool initializer — the old cost model, kept
 as a documented fallback, behind the same API.
+
+``multiprocessing`` and ``concurrent.futures`` are imported where a pool
+is built: a one-worker run (the default of ``run_comparison``) never
+loads them.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 from ..knobs import env_int
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["default_workers", "resolve_workers", "shared_payload", "stream_map"]
 
@@ -99,6 +103,9 @@ def _run_chunk(fn: Callable[[Any], Any], chunk: Sequence[Any]) -> List[Any]:
 
 def _new_pool(workers: int, payload: Any) -> ProcessPoolExecutor:
     """A warmed pool; workers fork after the payload global is set."""
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
     if "fork" in mp.get_all_start_methods():
         # The payload global is set by the caller, *then* the workers
         # fork: each inherits it copy-on-write. The warmup round both
@@ -148,6 +155,8 @@ def stream_map(
     try:
         if workers <= 1 or len(jobs) <= 1:
             return [fn(job) for job in jobs]
+        from concurrent.futures.process import BrokenProcessPool
+
         if chunk_size is None:
             chunk_size = max(1, len(jobs) // (workers * 4))
         chunks = [jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)]

@@ -17,19 +17,16 @@ The subsystem splits into four pieces, composable on their own:
   assembled by ``SimulationBuilder(...).chaos(...)``).
 """
 
-from .chaos import chaos_fingerprint
-from .injector import FaultInjector
-from .invariants import ChaosInvariantError, InvariantChecker, ReplayArtifact
-from .schedule import FaultEvent, FaultKind, FaultSchedule, random_schedule
+from __future__ import annotations
 
-__all__ = [
-    "chaos_fingerprint",
-    "FaultInjector",
-    "ChaosInvariantError",
-    "InvariantChecker",
-    "ReplayArtifact",
-    "FaultEvent",
-    "FaultKind",
-    "FaultSchedule",
-    "random_schedule",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "chaos": ["chaos_fingerprint"],
+        "injector": ["FaultInjector"],
+        "invariants": ["ChaosInvariantError", "InvariantChecker", "ReplayArtifact"],
+        "schedule": ["FaultEvent", "FaultKind", "FaultSchedule", "random_schedule"],
+    },
+)

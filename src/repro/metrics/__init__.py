@@ -7,52 +7,35 @@
 * :mod:`repro.metrics.summary` — cross-system tables + ASCII rendering
 """
 
-from .consistency import (
-    ConsistencyReport,
-    coefficient_of_variation,
-    consistency_report,
-    jain_index,
-)
-from .latency import (
-    AggregateLatency,
-    aggregate_latency,
-    convergence_round,
-    latency_series,
-    per_server_mean,
-    steady_state_means,
-)
-from .movement import MovementSeries, front_loadedness, movement_series
-from .robustness import (
-    RobustnessReport,
-    consistency_cv_series,
-    consistency_recovery_time,
-    robustness_report,
-)
-from .sla import SLA, SLAReport, evaluate_sla
-from .summary import ascii_table, comparison_rows, format_float
+from __future__ import annotations
 
-__all__ = [
-    "AggregateLatency",
-    "aggregate_latency",
-    "per_server_mean",
-    "latency_series",
-    "steady_state_means",
-    "convergence_round",
-    "MovementSeries",
-    "movement_series",
-    "SLA",
-    "SLAReport",
-    "evaluate_sla",
-    "front_loadedness",
-    "ConsistencyReport",
-    "consistency_report",
-    "RobustnessReport",
-    "robustness_report",
-    "consistency_cv_series",
-    "consistency_recovery_time",
-    "jain_index",
-    "coefficient_of_variation",
-    "ascii_table",
-    "comparison_rows",
-    "format_float",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "consistency": [
+            "ConsistencyReport",
+            "coefficient_of_variation",
+            "consistency_report",
+            "jain_index",
+        ],
+        "latency": [
+            "AggregateLatency",
+            "aggregate_latency",
+            "convergence_round",
+            "latency_series",
+            "per_server_mean",
+            "steady_state_means",
+        ],
+        "movement": ["MovementSeries", "front_loadedness", "movement_series"],
+        "robustness": [
+            "RobustnessReport",
+            "consistency_cv_series",
+            "consistency_recovery_time",
+            "robustness_report",
+        ],
+        "sla": ["SLA", "SLAReport", "evaluate_sla"],
+        "summary": ["ascii_table", "comparison_rows", "format_float"],
+    },
+)

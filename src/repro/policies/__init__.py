@@ -10,33 +10,29 @@ any of them interchangeably:
 * :class:`TableBinPacking` — O(m) lookup-table comparator (§6)
 """
 
-from .anu import ANURandomization
-from .base import LazyKnowledge, LoadManager, Move, PrescientKnowledge, RebalanceContext
-from .bounded import BoundedLoadConsistentHashing
-from .jsq import JSQd
-from .optimizer import balance_items, estimated_average_latency
-from .prescient import DynamicPrescient
-from .simple import SimpleRandomization
-from .table import TableBinPacking
-from .vector import VectorANU
-from .virtual import VirtualProcessorSystem
-from .weighted import WeightedHashing
+from __future__ import annotations
 
-__all__ = [
-    "LoadManager",
-    "Move",
-    "PrescientKnowledge",
-    "LazyKnowledge",
-    "RebalanceContext",
-    "SimpleRandomization",
-    "DynamicPrescient",
-    "VirtualProcessorSystem",
-    "ANURandomization",
-    "VectorANU",
-    "BoundedLoadConsistentHashing",
-    "JSQd",
-    "TableBinPacking",
-    "WeightedHashing",
-    "balance_items",
-    "estimated_average_latency",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "anu": ["ANURandomization"],
+        "base": [
+            "LazyKnowledge",
+            "LoadManager",
+            "Move",
+            "PrescientKnowledge",
+            "RebalanceContext",
+        ],
+        "bounded": ["BoundedLoadConsistentHashing"],
+        "jsq": ["JSQd"],
+        "optimizer": ["balance_items", "estimated_average_latency"],
+        "prescient": ["DynamicPrescient"],
+        "simple": ["SimpleRandomization"],
+        "table": ["TableBinPacking"],
+        "vector": ["VectorANU"],
+        "virtual": ["VirtualProcessorSystem"],
+        "weighted": ["WeightedHashing"],
+    },
+)

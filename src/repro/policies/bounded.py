@@ -27,6 +27,7 @@ import numpy as np
 from ..cluster.fileset import FileSetCatalog
 from ..core.errors import ConfigurationError
 from ..core.hashing import HashFamily
+from ..core.vector import run_bounds
 from .base import (
     LoadManager,
     Move,
@@ -135,8 +136,9 @@ class BoundedLoadConsistentHashing(RelocationStats, LoadManager):
             order = np.lexsort((offsets[unplaced], cand))
             items = unplaced[order]
             cand = cand[order]
-            group_start = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
-            sizes = np.diff(np.r_[group_start, cand.size])
+            bounds = run_bounds(cand)
+            group_start = bounds[:-1]
+            sizes = np.diff(bounds)
             position = np.arange(cand.size) - np.repeat(group_start, sizes)
             admitted = position < np.maximum(avail_cap - load, 0)[cand]
             assign[items[admitted]] = cand[admitted]

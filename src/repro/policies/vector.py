@@ -46,7 +46,13 @@ from ..control import as_controller
 from ..core.hashing import HashFamily
 from ..core.interval import IntervalLayout
 from ..core.layout import LayoutEngine
-from ..core.vector import ProbeMatrix, SegmentTable, batched_locate, segment_delta
+from ..core.vector import (
+    ProbeMatrix,
+    SegmentTable,
+    batched_locate,
+    segment_delta,
+    sorted_unique,
+)
 from .base import (
     LoadManager,
     Move,
@@ -179,13 +185,9 @@ class VectorANU(RelocationStats, LoadManager):
         # entries at rounds >= used (hashed ahead, or read in an earlier
         # epoch) cannot affect the current resolution and are dropped.
         cand, rounds = self._probes.in_intervals(d_starts, d_ends)
-        cand = np.sort(cand[self._used[cand] > rounds])
         # A name read at several rounds inside the delta appears once per
-        # round (sort + adjacent compare: np.unique hashes, at several
-        # times the cost for index arrays this size).
-        first = np.ones(cand.size, dtype=bool)
-        first[1:] = cand[1:] != cand[:-1]
-        invalid = cand[first]
+        # round.
+        invalid = sorted_unique(cand[self._used[cand] > rounds])
         old_owner = self._assign[invalid].copy()
         if invalid.size:
             blocked = new_blocked if new_blocked.any() else None

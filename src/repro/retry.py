@@ -16,8 +16,10 @@ delays, and give up after ``max_attempts``. Those rules live here, once:
   timeout or an asyncio sleep) and moves bytes.
 
 The module has no clock and does no I/O, and it imports only
-:mod:`repro.sim` (for :class:`~repro.sim.Tally`), so the live client
-loads it without the simulation engine.
+:mod:`repro.sim.monitor` (for :class:`~repro.sim.Tally`), so the live
+client loads it without the simulation engine and without NumPy: the
+lazy ``repro.sim`` init loads no kernel, and ``Tally`` keeps retained
+samples in a stdlib ``array``.
 """
 
 from __future__ import annotations

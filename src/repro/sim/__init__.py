@@ -11,15 +11,15 @@ equivalent substrate in Python:
 * :class:`StreamRegistry` — named reproducible RNG streams
 """
 
-from .kernel import Call, SchedulingError, Simulator
-from .monitor import Tally, TimeSeries
-from .rng import StreamRegistry
+from __future__ import annotations
 
-__all__ = [
-    "Simulator",
-    "Call",
-    "SchedulingError",
-    "Tally",
-    "TimeSeries",
-    "StreamRegistry",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "kernel": ["Call", "SchedulingError", "Simulator"],
+        "monitor": ["Tally", "TimeSeries"],
+        "rng": ["StreamRegistry"],
+    },
+)

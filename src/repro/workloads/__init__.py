@@ -13,46 +13,30 @@
 * :func:`save_trace` / :func:`load_trace` — archival trace format
 """
 
-from .calibrate import (
-    offered_utilization,
-    request_work_for_utilization,
-    scaling_factor_c,
-    weakest_server_overloaded,
-)
-from .distributions import (
-    arrival_times_from_gaps,
-    lognormal_work,
-    pareto_gaps,
-    weighted_indices,
-    zipf_weights,
-)
-from .io import load_trace, save_trace
-from .scale import ArrayCatalog, ArrayWorkload, ScaleConfig, generate_scale
-from .shifting import ShiftConfig, generate_shifting
-from .synthetic import SyntheticConfig, Workload, generate_synthetic
-from .trace import TraceConfig, generate_trace_shaped
+from __future__ import annotations
 
-__all__ = [
-    "Workload",
-    "SyntheticConfig",
-    "generate_synthetic",
-    "ShiftConfig",
-    "generate_shifting",
-    "TraceConfig",
-    "generate_trace_shaped",
-    "ArrayCatalog",
-    "ArrayWorkload",
-    "ScaleConfig",
-    "generate_scale",
-    "save_trace",
-    "load_trace",
-    "pareto_gaps",
-    "arrival_times_from_gaps",
-    "zipf_weights",
-    "lognormal_work",
-    "weighted_indices",
-    "request_work_for_utilization",
-    "offered_utilization",
-    "scaling_factor_c",
-    "weakest_server_overloaded",
-]
+from .._lazy import attach
+
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "calibrate": [
+            "offered_utilization",
+            "request_work_for_utilization",
+            "scaling_factor_c",
+            "weakest_server_overloaded",
+        ],
+        "distributions": [
+            "arrival_times_from_gaps",
+            "lognormal_work",
+            "pareto_gaps",
+            "weighted_indices",
+            "zipf_weights",
+        ],
+        "io": ["load_trace", "save_trace"],
+        "scale": ["ArrayCatalog", "ArrayWorkload", "ScaleConfig", "generate_scale"],
+        "shifting": ["ShiftConfig", "generate_shifting"],
+        "synthetic": ["SyntheticConfig", "Workload", "generate_synthetic"],
+        "trace": ["TraceConfig", "generate_trace_shaped"],
+    },
+)

@@ -23,6 +23,8 @@ from repro.core.vector import (
     SegmentTable,
     batched_locate,
     fifo_drain,
+    run_bounds,
+    sorted_unique,
 )
 
 SIDS = [f"s{i}" for i in range(7)]
@@ -420,3 +422,40 @@ class TestFifoDrainBitExact:
         free_at = np.array(backlog[:k])
         power = rng.uniform(0.5, 9.0, k) if with_power else None
         _assert_drain_matches_reference(arrival, work, server_idx, free_at, power)
+
+
+class TestRunHelpers:
+    """The ``np.r_`` / ``np.unique`` replacements give the same arrays."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60))
+    def test_run_bounds_match_the_index_trick(self, keys):
+        keys = np.sort(np.array(keys, dtype=np.int16))
+        want = np.r_[np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]), keys.size]
+        got = run_bounds(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_run_bounds_of_nothing(self):
+        assert run_bounds(np.empty(0, dtype=np.int16)).tolist() == [0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0 / 3.0, 0.75, 1.0]),
+            max_size=40,
+        )
+    )
+    def test_sorted_unique_matches_np_unique(self, values):
+        values = np.array(values, dtype=np.float64)
+        want = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_sorted_unique_of_ints(self):
+        idx = np.array([5, 1, 5, 3, 1], dtype=np.int32)
+        got = sorted_unique(idx)
+        assert got.dtype == np.int32
+        assert got.tolist() == [1, 3, 5]
+

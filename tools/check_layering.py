@@ -10,9 +10,9 @@ Checks, using nothing but the stdlib ``ast`` module:
 1. **Layer bans** — ``repro.engine`` is the bottom of the experiment
    stack: none of its modules may import ``repro.experiments`` (the top
    of the stack), and none may import ``repro.cluster`` /
-   ``repro.faults`` *at module import time* (``repro.faults`` imports
-   the engine's records, so a top-level import would deadlock the
-   package initialisation order). Function-local (lazy) imports are
+   ``repro.faults`` *at module import time* (``repro.faults`` builds
+   on the engine's records, so it sits above the engine, and importing
+   the engine never loads it). Function-local (lazy) imports are
    allowed and are how the engine reaches the server/cache models.
    The cluster model imports nothing from the engine, the live
    service's serving path (client, protocol, file server, locator)
@@ -21,7 +21,10 @@ Checks, using nothing but the stdlib ``ast`` module:
    cluster model.
 2. **Import cycles** — the module-level import graph of ``repro`` must
    be acyclic. Imports guarded by ``if TYPE_CHECKING:`` are ignored
-   (they never execute).
+   (they never execute). Package inits re-export lazily
+   (``repro._lazy.attach``), so ``from repro.engine import X`` is read
+   as an import of the submodule the package's table names for ``X``:
+   that is the module the statement executes.
 3. **Removed paths stay removed** — the legacy simulation shims, the
    second parallel runner and the CSV exporter were deleted; a module
    under one of their names, or any ``DeprecationWarning`` under
@@ -48,7 +51,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = "repro"
@@ -323,15 +326,38 @@ def _is_type_checking_guard(node: ast.If) -> bool:
     )
 
 
+def lazy_exports(tree: ast.Module) -> Dict[str, str]:
+    """Name -> submodule of a package init's ``attach(__name__, {...})``
+    table (empty for a module that re-exports nothing lazily)."""
+    for node in tree.body:
+        call = getattr(node, "value", None)
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "attach"
+        ):
+            table = ast.literal_eval(call.args[1])
+            return {name: sub for sub, names in table.items() for name in names}
+    return {}
+
+
 def module_level_imports(
-    module: str, tree: ast.Module, is_package: bool
+    module: str,
+    tree: ast.Module,
+    is_package: bool,
+    lazy: Optional[Dict[str, Dict[str, str]]] = None,
 ) -> Iterator[Tuple[str, int]]:
     """Yield (imported dotted name, lineno) for executed top-level imports.
 
     Walks statements reachable at import time (including inside
     ``try``/``if`` at module level) but skips function and class bodies
-    and ``if TYPE_CHECKING:`` blocks.
+    and ``if TYPE_CHECKING:`` blocks. ``lazy`` maps a package to its
+    :func:`lazy_exports` table: ``from pkg import Name`` then yields
+    ``pkg.<submodule defining Name>`` (and ``pkg.Name`` for any other
+    name, which resolves to a submodule or back to the package).
     """
+    lazy = lazy or {}
 
     def walk(stmts) -> Iterator[Tuple[str, int]]:
         for node in stmts:
@@ -348,7 +374,12 @@ def module_level_imports(
                     target = ".".join(base + ([node.module] if node.module else []))
                 else:
                     target = node.module or ""
-                if target:
+                if target in lazy:
+                    table = lazy[target]
+                    for alias in node.names:
+                        sub = table.get(alias.name, alias.name)
+                        yield f"{target}.{sub}", node.lineno
+                elif target:
                     yield target, node.lineno
             elif isinstance(node, ast.If):
                 if _is_type_checking_guard(node):
@@ -372,10 +403,19 @@ def build_graph(
     """Return (adjacency over known modules, raw edges with line numbers)."""
     graph: Dict[str, Set[str]] = {name: set() for name in modules}
     edges: List[Tuple[str, str, int]] = []
+    trees = {
+        name: ast.parse(path.read_text(), filename=str(path))
+        for name, path in modules.items()
+    }
+    lazy = {
+        name: table
+        for name, path in modules.items()
+        if path.name == "__init__.py" and (table := lazy_exports(trees[name]))
+    }
     for name, path in modules.items():
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = trees[name]
         is_package = path.name == "__init__.py"
-        for target, lineno in module_level_imports(name, tree, is_package):
+        for target, lineno in module_level_imports(name, tree, is_package, lazy):
             if not target.startswith(PACKAGE):
                 continue
             # Normalize to the longest known module prefix (an import of
