@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.cache import CacheConfig
 from repro.engine import ClusterConfig
 from repro.sim import Simulator
 from repro.workloads import SyntheticConfig, generate_synthetic
+
+REPO = Path(__file__).resolve().parents[1]
 
 #: The paper's heterogeneous cluster.
 PAPER_POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
@@ -54,3 +60,23 @@ def no_cache_config(powers):
         server_powers=powers,
         cache=CacheConfig(flush_work_scale=0.0, cold_factor=1.0, warmup_time=0.0),
     )
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """Run Python source in a fresh interpreter on ``src`` (from the repo
+    root, so ``tests`` imports too) and return its stdout — for checks on
+    what a process imports."""
+
+    def run(code: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
