@@ -2,8 +2,9 @@
 
 The engine's contract is *bit-identical* replay: assembling an engine
 from layers must reproduce the exact event sequence these hard-coded
-SHA-256 digests were taken from (one paper-config run per system, one
-distributed run, one chaos run).
+SHA-256 digests were taken from (one paper-config run per system on the
+synthetic and on the trace-shaped workload, one distributed run, one
+chaos run).
 
 If an intentional behaviour change ever invalidates the digests, rerun
 the recipes below and update the constants — in the same commit as the
@@ -29,6 +30,7 @@ from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
 from repro.policies import ANURandomization
 from repro.sim import Simulator
 from repro.workloads import generate_synthetic
+from repro.workloads.trace import generate_trace_shaped
 
 from .conftest import POWERS, behaviour_chaos_fingerprint, behaviour_fingerprint
 
@@ -37,6 +39,8 @@ PAPER_GOLD = {
     "simple": "559a600ad8abe3243814758eef25e7d720f3adce504680d2c41778cf160db1b9",
     "anu": "7a2639c735e12f30e8b985fcf2bb9b4199019e3456be942c63e269459deda9a3",
     "prescient": "7a6850e678446880d1cbbc7615e5199c753260b009abd6d583ab7abb3b148cf8",
+    "virtual": "3aa6c0f40efce74d3e245f8acf7b3d78f47f641b1f4b14b0b31150cfc73a2fc5",
+    "table": "d0c3cd898835ca742b0cff1c5e467120c81c5eb7bb37b3effe7049e7b19a6c43",
 }
 
 #: Behaviour pins (event count zeroed) and event counts of the same runs.
@@ -44,8 +48,32 @@ PAPER_BEHAVIOUR = {
     "simple": "fd9a9135b80725d7ca7e27d7f67dc6298b43f3db0ba70bd48c3c1d7e65dae175",
     "anu": "7d89dcde1199b97a0c1939a872da9aec185c44b4d4120aefc40824f628c23ac0",
     "prescient": "7c0e870d86dea3f544bea665f87490d6eb4ea2bd3095ea3594997978ae21db45",
+    "virtual": "211e11ef3890246b67c85ce30af266f54b35d5316902cd375d0484be9be7ea58",
+    "table": "c414f7b8b4d4e841cb197dab6818563445088f7e47c9c73bc4168d99a6066329",
 }
-PAPER_EVENTS = {"simple": 2533, "anu": 2559, "prescient": 2654}
+PAPER_EVENTS = {
+    "simple": 2533,
+    "anu": 2559,
+    "prescient": 2654,
+    "virtual": 2658,
+    "table": 2593,
+}
+
+#: The four paper systems over the trace-shaped workload (seed=3,
+#: scale=0.02): full digest, behaviour pin and event count per system.
+TRACE_GOLD = {
+    "simple": "9ca5ababdf0b8c2b5022f67b554ec413eece80cf039b7622de55232f9fdfd0cb",
+    "anu": "81e2164f407d7963a068bb1a329c3d81494be295b9b120fbb72f792b33864841",
+    "prescient": "ab4fa8027666d1f4b7c7058a3e0fa99717dd75a0c4ce77e325629e536031d26c",
+    "virtual": "30f0dc4124ad7f4d1e92650947e624902d9e430ad3b342106b478ca7f9b45e28",
+}
+TRACE_BEHAVIOUR = {
+    "simple": "9a08e4484066b6ee9e278c6a277582c403bc3995cc929f51ed55a835cc889342",
+    "anu": "1294cea45d96ff6b6828ff39fac179f11a8e8a167389db6197fe8e1343b1a2b5",
+    "prescient": "a21e8f47cd1f95b8ad8ecb25085689bf7590821c77b4b3c0ce37ce3f80b4a193",
+    "virtual": "6a664cf8058a0680fa4ebab84d07262d728392f7ed7c6d618492e6519a19a1c2",
+}
+TRACE_EVENTS = {"simple": 4327, "anu": 4470, "prescient": 4495, "virtual": 4495}
 
 #: Distributed control plane over the golden workload, one delegate crash.
 DISTRIBUTED_GOLD = "52450484560dec68be7545fd1e8fae30b4c8dd37012534f02472c2cb6ceabf6e"
@@ -84,6 +112,15 @@ class TestPaperGoldens:
         assert behaviour_fingerprint(result) == PAPER_BEHAVIOUR[system]
         assert result.events_processed == PAPER_EVENTS[system]
         assert result_fingerprint(result) == PAPER_GOLD[system]
+
+    @pytest.mark.parametrize("system", sorted(TRACE_GOLD))
+    def test_trace_shaped_run_matches_golden(self, system):
+        config = paper_config(seed=3, scale=0.02)
+        workload = generate_trace_shaped(config.trace_config(), seed=3)
+        result = run_system(system, workload.fork(), config)
+        assert behaviour_fingerprint(result) == TRACE_BEHAVIOUR[system]
+        assert result.events_processed == TRACE_EVENTS[system]
+        assert result_fingerprint(result) == TRACE_GOLD[system]
 
 
 class TestDistributedGolden:
