@@ -25,6 +25,7 @@ Use :class:`~repro.engine.builder.SimulationBuilder` to assemble one.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -103,8 +104,9 @@ class ClusterEngine:
 
         self.env = Simulator()
         self.cache = CacheModel(config.cache)
+        track = policy.reads_fileset_work
         self.servers: Dict[object, "FileServer"] = {
-            sid: FileServer(self.env, sid, power, cache=self.cache)
+            sid: FileServer(self.env, sid, power, self.cache, track)
             for sid, power in config.server_powers.items()
         }
         self._round = 0
@@ -175,19 +177,20 @@ class ClusterEngine:
     def _knowledge(self, t0: float) -> PrescientKnowledge:
         """Oracle for the interval starting at ``t0``."""
         t1 = t0 + self.config.tuning_interval
-        interval = self.config.tuning_interval
         return PrescientKnowledge(
             server_powers={
                 sid: srv.power for sid, srv in self.servers.items() if not srv.failed
             },
             upcoming_work=self.workload.work_between(t0, t1),
-            average_work={
-                name: self.workload.catalog.get(name).total_work
-                / self.workload.duration
-                * interval
-                for name in self.workload.catalog.names
-            },
+            average_work=self._average_work,
         )
+
+    @cached_property
+    def _average_work(self) -> Dict[str, float]:
+        """Each file set's mean work per tuning interval, built once."""
+        catalog, duration = self.workload.catalog, self.workload.duration
+        interval = self.config.tuning_interval
+        return {n: catalog.get(n).total_work / duration * interval for n in catalog.names}
 
     # ------------------------------------------------------------------ #
     # the tuning tick

@@ -172,7 +172,7 @@ def run_chaos_scale_point(
     config = sweep_cluster_config(point)
     policy = make_scale_policy(policy_name, list(config.server_powers))
     engine = ExperimentSpec(
-        workload=workload.fork(),
+        workload=workload,
         policy=policy,
         config=config,
         client_path=VectorizedClientPath(),

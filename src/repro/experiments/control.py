@@ -388,7 +388,7 @@ def run_control_point(
             trace.append(dict(policy.region_lengths))
 
     builder = (
-        SimulationBuilder(workload.fork(), policy, config)
+        SimulationBuilder(workload, policy, config)
         .probe(MovesApplied, snap)
     )
     run_chaos = False

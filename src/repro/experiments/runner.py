@@ -93,12 +93,10 @@ def run_system(
 
 
 def _system_job(job: Tuple[str, Optional[int]]) -> ClusterResult:
-    # The workload rides the fork, not the job tuple: each run forks its
-    # own pristine request objects from the shared schedule (requests
-    # carry per-run mutable state — server, completion).
+    # The workload rides the fork, not the job tuple; runs only read it.
     system, n_virtual = job
     workload, config = shared_payload()
-    return run_system(system, workload.fork(), config, n_virtual=n_virtual)
+    return run_system(system, workload, config, n_virtual=n_virtual)
 
 
 def _run_jobs(
@@ -131,8 +129,8 @@ def run_comparison(
 ) -> Dict[str, ClusterResult]:
     """Run the four-system comparison of Figures 4/5/6.
 
-    Each system gets a fresh simulation over a fork of the *same*
-    workload. Returns ``{system: result}`` in the order of ``systems``;
+    Each system gets a fresh simulation over the *same* workload.
+    Returns ``{system: result}`` in the order of ``systems``;
     ``max_workers > 1`` (``None``: ``REPRO_PARALLEL_WORKERS`` or the
     CPU count) fans the systems out over forked workers with results
     byte-identical to the sequential default.

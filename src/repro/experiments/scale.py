@@ -157,7 +157,7 @@ def run_scale_point(
     for _ in range(repeats):
         policy = make_scale_policy(policy_name, list(config.server_powers))
         engine = ExperimentSpec(
-            workload=workload.fork(),
+            workload=workload,
             policy=policy,
             config=config,
             client_path=VectorizedClientPath(),

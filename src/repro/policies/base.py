@@ -205,6 +205,9 @@ class LoadManager(abc.ABC):
 
     #: Human-readable policy name (used in reports and figures).
     name: str = "abstract"
+    #: Whether :meth:`rebalance` reads ``ctx.observed_fileset_work``;
+    #: servers keep per-file-set window work only for a policy that does.
+    reads_fileset_work: bool = False
 
     @abc.abstractmethod
     def initial_placement(

@@ -46,20 +46,30 @@ def estimated_average_latency(
     work-weighted average over servers — the latency the average request
     would see — so minimizing it is the paper's objective.
     """
+    return _score(loads, {sid: _term(load, powers, sid, interval) for sid, load in loads.items()})
+
+
+def _term(load: float, powers: Mapping[object, float], sid: object, interval: float) -> float:
+    """Server ``sid``'s ``load * t`` share of the objective (0 when idle)."""
+    if load <= 0:
+        return 0.0
+    power = powers[sid]
+    rho = load / (power * interval)
+    if rho < _RHO_CAP:
+        t = 1.0 / (power * (1.0 - rho))
+    else:
+        t = 1.0 / (power * (1.0 - _RHO_CAP)) + _PENALTY_SLOPE * (rho - _RHO_CAP) / power
+    return load * t
+
+
+def _score(loads: Mapping[object, float], terms: Mapping[object, float]) -> float:
+    """The terms, summed in server order, over the total load."""
     total = sum(loads.values())
     if total <= 0:
         return 0.0
     acc = 0.0
-    for sid, load in loads.items():
-        if load <= 0:
-            continue
-        power = powers[sid]
-        rho = load / (power * interval)
-        if rho < _RHO_CAP:
-            t = 1.0 / (power * (1.0 - rho))
-        else:
-            t = 1.0 / (power * (1.0 - _RHO_CAP)) + _PENALTY_SLOPE * (rho - _RHO_CAP) / power
-        acc += load * t
+    for term in terms.values():
+        acc += term
     return acc / total
 
 
@@ -131,9 +141,30 @@ def balance_items(
     # "improvement" and churn a local optimum forever.
     item_order = sorted(items, key=lambda n: (-items[n], n))
     movable = [n for n in item_order if items[n] > 0]
+    # Each server's ``load * t`` term, in step with ``loads``: a candidate
+    # computes the two it changes; a rejected one restores them.
+    terms = {sid: _term(loads[sid], powers, sid, interval) for sid in server_order}
+
+    def shift(s1: object, d1: float, s2: object, d2: float, bar: float) -> Optional[float]:
+        """Add ``d1`` to ``s1``'s load and ``d2`` to ``s2``'s; keep the shift
+        and return its score if below ``bar``, else undo it and return None."""
+        load1, term1, load2, term2 = loads[s1], terms[s1], loads[s2], terms[s2]
+        loads[s1] = new1 = load1 + d1
+        loads[s2] = new2 = load2 + d2
+        terms[s1] = _term(new1, powers, s1, interval)
+        terms[s2] = _term(new2, powers, s2, interval)
+        val = _score(loads, terms)
+        if val < bar:
+            return val
+        loads[s1] = new1 = new1 - d1
+        loads[s2] = new2 = new2 - d2
+        terms[s1] = term1 if new1 == load1 else _term(new1, powers, s1, interval)
+        terms[s2] = term2 if new2 == load2 else _term(new2, powers, s2, interval)
+        return None
+
     for _ in range(max_passes):
         improved = False
-        score = estimated_average_latency(loads, powers, interval)
+        score = _score(loads, terms)
         margin = 1e-9 * (score if score > 1.0 else 1.0)
         # single-item moves
         for name in movable:
@@ -142,18 +173,13 @@ def balance_items(
             for dst in server_order:
                 if dst == src:
                     continue
-                loads[src] -= work
-                loads[dst] += work
-                val = estimated_average_latency(loads, powers, interval)
-                if val < score - margin:
+                val = shift(src, -work, dst, work, score - margin)
+                if val is not None:
                     assignment[name] = dst
                     score = val
                     margin = 1e-9 * (score if score > 1.0 else 1.0)
                     src = dst
                     improved = True
-                else:
-                    loads[src] += work
-                    loads[dst] -= work
         # pairwise swaps (catch what moves cannot: exchanging unequal items)
         for i, a in enumerate(movable):
             for b in movable[i + 1 :]:
@@ -161,17 +187,12 @@ def balance_items(
                 if sa == sb:
                     continue
                 wa, wb = items[a], items[b]
-                loads[sa] += wb - wa
-                loads[sb] += wa - wb
-                val = estimated_average_latency(loads, powers, interval)
-                if val < score - margin:
+                val = shift(sa, wb - wa, sb, wa - wb, score - margin)
+                if val is not None:
                     assignment[a], assignment[b] = sb, sa
                     score = val
                     margin = 1e-9 * (score if score > 1.0 else 1.0)
                     improved = True
-                else:
-                    loads[sa] -= wb - wa
-                    loads[sb] -= wa - wb
         if not improved:
             break
     return assignment

@@ -42,6 +42,7 @@ class TableBinPacking(LoadManager):
     """
 
     name = "table"
+    reads_fileset_work = True
 
     def __init__(
         self,

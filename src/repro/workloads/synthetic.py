@@ -22,9 +22,8 @@ Generation recipe (documented for auditability):
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 import numpy as np
 
@@ -40,8 +39,10 @@ __all__ = ["Workload", "SyntheticConfig", "generate_synthetic"]
 class Workload:
     """An immutable request schedule plus its file-set catalog.
 
-    Provides the oracle queries prescient policies need
-    (:meth:`work_between`) via pre-sorted NumPy arrays — O(log n) per
+    The schedule is held as arrival-sorted template :attr:`requests`,
+    which runs copy as they replay them (:meth:`replay`) and never
+    write into, and as NumPy columns that answer the oracle queries
+    prescient policies need (:meth:`work_between`) — O(log n) per
     window rather than a scan.
     """
 
@@ -69,30 +70,19 @@ class Workload:
 
     # ------------------------------------------------------------------ #
     def fork(self) -> "Workload":
-        """A pristine copy of this workload for one simulation run.
+        """This workload: a run replays it and never writes into it."""
+        return self
+
+    def replay(self) -> Iterator[MetadataRequest]:
+        """The schedule as fresh requests, each built as it is drawn.
 
         Requests carry per-run mutable state (``server``,
-        ``service_start``, ``completion``), so a schedule can only be
-        replayed through fresh request objects. ``fork`` rebuilds
-        exactly those, while sharing everything immutable — the
-        catalog and the columnar oracle arrays — with the parent.
-        ``self.requests`` is already arrival-sorted, so the clone skips
-        the sort and array construction of ``__init__`` entirely.
+        ``service_start``, ``completion``), so a run stamps the copies
+        this iterator builds, never :attr:`requests`: one workload can
+        be run any number of times. A copy shares its template's field
+        objects, and lives only from its arrival to its completion.
         """
-        clone = object.__new__(Workload)
-        clone.name = self.name
-        clone.catalog = self.catalog
-        # Positional arguments: the slotted dataclass's keyword
-        # ``__init__`` costs about half as much again per request.
-        clone.requests = [
-            MetadataRequest(r.fileset, r.arrival, r.work) for r in self.requests
-        ]
-        clone.duration = self.duration
-        clone._fs_names = self._fs_names
-        clone._arrivals = self._arrivals
-        clone._works = self._works
-        clone._fs_idx = self._fs_idx
-        return clone
+        return (MetadataRequest(r.fileset, r.arrival, r.work) for r in self.requests)
 
     def __len__(self) -> int:
         return len(self.requests)

@@ -68,7 +68,7 @@ class TestShedCosts:
         model = CacheModel(CacheConfig(cold_factor=1.5, warmup_time=10.0))
         model.on_shed("/fs", "a", "b", now=0.0, mean_request_work=1.0)
         model.work_multiplier("b", "/fs", 20.0)  # past warmup: prunes
-        assert model._warm_at == {}
+        assert model.cold == {}
 
     def test_disabled_model_is_free(self):
         model = CacheModel(

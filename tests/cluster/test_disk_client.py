@@ -129,7 +129,7 @@ class TestRequestDriver:
         schedule = [
             MetadataRequest("/a", arrival=float(t), work=1.0) for t in range(5)
         ]
-        driver = RequestDriver(env, schedule, route=lambda r: server)
+        driver = RequestDriver(env, schedule, locate=lambda fileset: "s", servers={"s": server})
         env.run()
         assert driver.submitted == 5
         assert server.completed_requests == 5
@@ -139,13 +139,13 @@ class TestRequestDriver:
             MetadataRequest("/a", arrival=2.0, work=1.0),
             MetadataRequest("/a", arrival=1.0, work=1.0),
         ]
-        RequestDriver(env, schedule, route=lambda r: None)
+        RequestDriver(env, schedule, locate=lambda fileset: None)
         with pytest.raises(ValueError):
             env.run()
 
     def test_route_none_drops(self, env):
         schedule = [MetadataRequest("/a", arrival=0.0, work=1.0)]
-        driver = RequestDriver(env, schedule, route=lambda r: None)
+        driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
         assert driver.dropped == 1 and driver.submitted == 0
 
@@ -154,7 +154,7 @@ class TestRequestDriver:
         schedule = [
             MetadataRequest("/a", arrival=t, work=1.0) for t in (1.0, 1.0, 1.0, 2.5, 2.5)
         ]
-        driver = RequestDriver(env, schedule, route=lambda r: None)
+        driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
         assert driver.dropped == 5
         assert env.events_processed == 2
@@ -164,11 +164,11 @@ class TestRequestDriver:
         s1 = FileServer(env, 1, power=100.0)
         s2 = FileServer(env, 2, power=100.0)
         flip_at = 5.0
-        route = lambda r: s2 if env.now >= flip_at else s1
+        locate = lambda fileset: 2 if env.now >= flip_at else 1
         schedule = [
             MetadataRequest("/a", arrival=float(t), work=0.1) for t in range(10)
         ]
-        RequestDriver(env, schedule, route)
+        RequestDriver(env, schedule, locate, servers={1: s1, 2: s2})
         env.run()
         assert s1.completed_requests == 5
         assert s2.completed_requests == 5

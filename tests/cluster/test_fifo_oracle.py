@@ -217,9 +217,7 @@ def _replay(steps, power: float, probe: bool) -> tuple:
             requests.append(request)
         else:
             env.schedule_at(now, lambda a=(action, work, fileset, now): act(*a))
-    driver = RequestDriver(
-        env, requests, route=lambda request: None if server.failed else server
-    )
+    driver = RequestDriver(env, requests, locate=lambda fileset: 0, servers={0: server})
     for cut in cuts:
         env.run(until=cut)
         assert env.now == cut

@@ -122,6 +122,13 @@ class TestReporting:
         assert work == {"/a": 3.0, "/b": 4.0}
         assert server.drain_fileset_work() == {}
 
+    def test_untracked_fileset_work_drains_empty(self, env):
+        server = FileServer(env, "s", power=1.0, track_fileset_work=False)
+        server.submit(req(fileset="/a", work=2.0))
+        env.run()
+        assert server.completed_requests == 1
+        assert server.drain_fileset_work() == {}
+
 
 class TestCacheIntegration:
     def test_cold_fileset_served_slower(self, env):

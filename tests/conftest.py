@@ -35,8 +35,8 @@ def powers():
 def small_workload():
     """A small but non-trivial synthetic workload (shared, read-only).
 
-    Tests must not mutate its request objects; use
-    ``small_workload.fork()`` for runs.
+    Runs replay it without writing into it, so tests may run it
+    directly; they must not mutate its request objects themselves.
     """
     cfg = SyntheticConfig(
         n_filesets=20,

@@ -14,10 +14,10 @@ POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
 
 @pytest.fixture(scope="session")
 def tiny_workload():
-    """A small workload for fast engine smoke runs (read-only master).
+    """A small workload for fast engine smoke runs (shared, read-only).
 
-    Tests must not run the returned object directly — call
-    ``tiny_workload.fork()`` for each simulation.
+    Runs replay it without writing into it, so tests may run it
+    directly; they must not mutate its request objects themselves.
     """
     cfg = SyntheticConfig(
         n_filesets=10,

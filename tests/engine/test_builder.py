@@ -17,7 +17,12 @@ from repro.engine import (
 )
 from repro.engine.record import ChaosResult, ClusterResult
 from repro.experiments.cache import result_fingerprint
-from repro.policies import ANURandomization, SimpleRandomization
+from repro.policies import (
+    ANURandomization,
+    DynamicPrescient,
+    SimpleRandomization,
+    TableBinPacking,
+)
 
 from .conftest import POWERS
 
@@ -121,6 +126,25 @@ class TestAssembly:
             )
 
         assert result_fingerprint(one_run()) == result_fingerprint(one_run())
+
+    def test_only_a_policy_that_reads_fileset_work_gets_it_tracked(self, tiny_workload):
+        config = ClusterConfig(server_powers=POWERS)
+        for policy, tracked in (
+            (anu_policy(), False),
+            (TableBinPacking(list(POWERS), hash_family=HashFamily(seed=0)), True),
+        ):
+            engine = SimulationBuilder(tiny_workload, policy, config).build()
+            engine.run(until=100.0)
+            drained = [srv.drain_fileset_work() for srv in engine.servers.values()]
+            assert any(drained) is tracked
+
+    def test_average_work_is_built_once(self, tiny_workload):
+        engine = SimulationBuilder(
+            tiny_workload, DynamicPrescient(list(POWERS)), ClusterConfig(server_powers=POWERS)
+        ).build()
+        first = engine._knowledge(0.0).average_work
+        assert engine._knowledge(120.0).average_work is first
+        assert set(first) == set(tiny_workload.catalog.names)
 
     def test_chaos_requires_distributed_control(self, tiny_workload):
         """The fault layer needs the network; direct control has none."""

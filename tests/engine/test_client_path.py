@@ -22,14 +22,14 @@ class TestRequestDriverModes:
         env = Simulator()
         client = HardenedClient(env, route=lambda r: None)
         with pytest.raises(ValueError, match="exactly one"):
-            RequestDriver(env, [], route=lambda r: None, client=client)
+            RequestDriver(env, [], locate=lambda fileset: None, client=client)
         with pytest.raises(ValueError, match="exactly one"):
             RequestDriver(env, [])
 
     def test_schedule_must_be_sorted(self):
         # The order is checked as requests come due, not up front.
         env = Simulator()
-        RequestDriver(env, [req(2.0), req(1.0)], route=lambda r: None)
+        RequestDriver(env, [req(2.0), req(1.0)], locate=lambda fileset: None)
         with pytest.raises(ValueError, match="sorted"):
             env.run()
 
@@ -37,7 +37,7 @@ class TestRequestDriverModes:
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
         schedule = [req(1.0), req(2.0), req(2.0), req(3.0), req(2.5), req(4.0)]
-        driver = RequestDriver(env, schedule, route=lambda r: server)
+        driver = RequestDriver(env, schedule, locate=lambda fileset: "s0", servers={"s0": server})
         with pytest.raises(ValueError, match="sorted"):
             env.run(until=10.0)
         # Everything before the inversion went out; nothing after it.
@@ -52,7 +52,10 @@ class TestRequestDriverModes:
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
         driver = RequestDriver(
-            env, [req(0.7), req(a), req(a), req(5.0)], route=lambda r: server
+            env,
+            [req(0.7), req(a), req(a), req(5.0)],
+            locate=lambda fileset: "s0",
+            servers={"s0": server},
         )
         env.run(until=10.0)
         assert driver.submitted == 4
@@ -61,11 +64,12 @@ class TestRequestDriverModes:
     def test_basic_path_counts_drops(self):
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
-        routes = {"/fs/0": server, "/fs/1": None}
+        owners = {"/fs/0": "s0", "/fs/1": None}
         driver = RequestDriver(
             env,
             [req(0.5, "/fs/0"), req(1.0, "/fs/1")],
-            route=lambda r: routes[r.fileset],
+            locate=owners.__getitem__,
+            servers={"s0": server},
         )
         env.run(until=10.0)
         assert driver.submitted == 1

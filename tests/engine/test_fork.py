@@ -1,14 +1,44 @@
-"""``Workload.fork`` — pristine per-run copies that share the schedule."""
+"""``Workload.fork`` and replay: runs never write into their workload."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 
 import numpy as np
 
-from repro.experiments.cache import _hash_array, workload_fingerprint
+from repro.core.hashing import HashFamily
+from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
+from repro.experiments.cache import _hash_array, result_fingerprint, workload_fingerprint
+from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
+from repro.policies import ANURandomization
 from repro.workloads.synthetic import Workload
+
+from .conftest import POWERS
+
+#: A crash and a straggler inside the 300 s tiny workload: the chaos
+#: path re-drives orphans and retries through its hardened client.
+CHAOS_SCHEDULE = FaultSchedule(
+    events=(
+        FaultEvent(60.0, FaultKind.CRASH, target=4, duration=60.0),
+        FaultEvent(150.0, FaultKind.STRAGGLE, target=3, duration=60.0, params=(0.25,)),
+    )
+)
+
+
+def _run(workload, path):
+    builder = SimulationBuilder(
+        workload,
+        ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
+        ClusterConfig(server_powers=POWERS),
+    )
+    if path == "hardened":
+        return result_fingerprint(builder.hardened().run())
+    if path == "chaos":
+        result = builder.chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7)).run()
+        return chaos_fingerprint(result)
+    return result_fingerprint(builder.run())
 
 
 class TestFork:
@@ -22,10 +52,12 @@ class TestFork:
         assert fork.duration == tiny_workload.duration
 
     def test_requests_are_fresh_and_identical(self, tiny_workload):
-        fork = tiny_workload.fork()
-        assert len(fork.requests) == len(tiny_workload.requests)
-        for mine, orig in zip(fork.requests, tiny_workload.requests):
+        assert tiny_workload.fork() is tiny_workload
+        replayed = list(tiny_workload.replay())
+        assert len(replayed) == len(tiny_workload.requests)
+        for mine, orig in zip(replayed, tiny_workload.requests):
             assert mine is not orig
+            assert type(mine.arrival) is float and type(mine.work) is float
             assert (mine.fileset, mine.arrival, mine.work) == (
                 orig.fileset,
                 orig.arrival,
@@ -37,11 +69,21 @@ class TestFork:
             assert math.isnan(mine.latency)
 
     def test_fork_isolation(self, tiny_workload):
-        fork = tiny_workload.fork()
-        fork.requests[0].completion = 42.0
-        assert tiny_workload.requests[0].completion is None
-        other = tiny_workload.fork()
-        assert other.requests[0].completion is None
+        # Runs over a copy of the session fixture, which stays pristine
+        # for other tests even when this contract breaks.
+        workload = Workload(
+            name=tiny_workload.name,
+            catalog=tiny_workload.catalog,
+            requests=[copy.copy(r) for r in tiny_workload.requests],
+            duration=tiny_workload.duration,
+        )
+        for path in ("basic", "hardened", "chaos"):
+            first = _run(workload, path)
+            assert _run(workload, path) == first, path
+        assert all(
+            r.server is None and r.service_start is None and r.completion is None
+            for r in workload.requests
+        )
 
     def test_same_fingerprint_as_full_rebuild(self, tiny_workload):
         rebuilt = Workload(
@@ -66,12 +108,12 @@ class TestWorkloadFingerprint:
         )
 
     def test_index_width_does_not_change_digest(self, tiny_workload):
-        narrow = tiny_workload.fork()
+        narrow = copy.copy(tiny_workload)
         narrow._fs_idx = tiny_workload._fs_idx.astype(np.int32)
         assert workload_fingerprint(narrow) == workload_fingerprint(tiny_workload)
 
     def test_index_values_do_change_digest(self, tiny_workload):
-        other = tiny_workload.fork()
+        other = copy.copy(tiny_workload)
         other._fs_idx = tiny_workload._fs_idx[::-1].astype(np.int32)
         assert workload_fingerprint(other) != workload_fingerprint(tiny_workload)
 

@@ -8,7 +8,70 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import HashFamily
 from repro.distributed import ChordRing
-from repro.policies import WeightedHashing, balance_items
+from repro.policies import WeightedHashing, balance_items, estimated_average_latency
+
+def reference_balance_items(items, powers, interval, current):
+    """``balance_items`` as it was before its per-server terms were
+    cached: every candidate re-evaluates the whole objective."""
+    server_order = list(powers)
+    assignment, loads, unplaced = {}, {sid: 0.0 for sid in server_order}, []
+    for name, work in items.items():
+        sid = current.get(name) if current else None
+        if sid is not None and sid in loads:
+            assignment[name] = sid
+            loads[sid] += work
+        else:
+            unplaced.append((name, work))
+    unplaced.sort(key=lambda kv: (-kv[1], kv[0]))
+    for name, work in unplaced:
+        best_sid, best_val = None, None
+        for sid in server_order:
+            loads[sid] += work
+            val = estimated_average_latency(loads, powers, interval)
+            loads[sid] -= work
+            if best_val is None or val < best_val - 1e-15:
+                best_sid, best_val = sid, val
+        assignment[name] = best_sid
+        loads[best_sid] += work
+    item_order = sorted(items, key=lambda n: (-items[n], n))
+    movable = [n for n in item_order if items[n] > 0]
+    for _ in range(30):
+        improved = False
+        score = estimated_average_latency(loads, powers, interval)
+        margin = 1e-9 * (score if score > 1.0 else 1.0)
+        for name in movable:
+            work, src = items[name], assignment[name]
+            for dst in server_order:
+                if dst == src:
+                    continue
+                loads[src] -= work
+                loads[dst] += work
+                val = estimated_average_latency(loads, powers, interval)
+                if val < score - margin:
+                    assignment[name], score, src, improved = dst, val, dst, True
+                    margin = 1e-9 * (score if score > 1.0 else 1.0)
+                else:
+                    loads[src] += work
+                    loads[dst] -= work
+        for i, a in enumerate(movable):
+            for b in movable[i + 1 :]:
+                sa, sb = assignment[a], assignment[b]
+                if sa == sb:
+                    continue
+                wa, wb = items[a], items[b]
+                loads[sa] += wb - wa
+                loads[sb] += wa - wb
+                val = estimated_average_latency(loads, powers, interval)
+                if val < score - margin:
+                    assignment[a], assignment[b], score, improved = sb, sa, val, True
+                    margin = 1e-9 * (score if score > 1.0 else 1.0)
+                else:
+                    loads[sa] -= wb - wa
+                    loads[sb] -= wa - wb
+        if not improved:
+            break
+    return assignment
+
 
 fileset_names = st.lists(
     st.integers(min_value=0, max_value=10_000).map(lambda i: f"/fs/{i}"),
@@ -91,6 +154,31 @@ class TestOptimizerProperties:
         first = balance_items(items, powers, interval=10.0)
         second = balance_items(items, powers, interval=10.0, current=first)
         assert second == first
+
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 60).map(lambda i: f"item{i}"),
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=300.0)),
+            min_size=1,
+            max_size=50,
+        ),
+        st.lists(st.sampled_from([1.0, 3.0, 5.0, 7.0, 9.0, 2.5]), min_size=1, max_size=6),
+        st.sampled_from([1.0, 10.0, 120.0]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_reevaluation(self, items, weights, interval, warm, rnd):
+        """Cached terms change the cost of a candidate, not one decision."""
+        powers = {i: w for i, w in enumerate(weights)}
+        current = None
+        if warm:
+            ids = list(powers) + ["gone"]
+            current = {name: rnd.choice(ids) for name in items}
+        assert balance_items(items, powers, interval, current) == reference_balance_items(
+            items, powers, interval, current
+        )
 
 
 class TestChordProperties:

@@ -272,7 +272,7 @@ class TestTies:
     def test_an_arrival_tied_with_an_entry_is_submitted_after_it(self, env):
         server = FileServer(env, "s", 1.0)
         schedule = [MetadataRequest("/a", t, 0.25) for t in (0.0, 1.0, 2.0)]
-        driver = RequestDriver(env, schedule, route=lambda request: server)
+        driver = RequestDriver(env, schedule, locate=lambda fileset: "s", servers={"s": server})
         seen = []
         env.schedule_at(1.0, lambda: seen.append((env.now, driver.submitted)))
         env.run()
