@@ -114,7 +114,8 @@ class ArrayWorkload:
     """An immutable columnar request schedule.
 
     Only the vectorized client path can drive it — there are no request
-    objects to replay. Accessing :attr:`requests` says so loudly.
+    objects to replay. Accessing :attr:`requests` or :meth:`replay`
+    says so loudly.
     """
 
     def __init__(
@@ -136,13 +137,14 @@ class ArrayWorkload:
         self._fs_idx = fs_idx
         self._fs_names = catalog.names
 
-    @property
-    def requests(self):
+    def replay(self):
         raise TypeError(
             "ArrayWorkload holds no per-request objects; drive it with "
             "VectorizedClientPath (the scalar driver needs "
             "generate_synthetic)"
         )
+
+    requests = property(replay)
 
     def fork(self) -> "ArrayWorkload":
         """Immutable, so a 'pristine copy' is the object itself."""

@@ -123,6 +123,18 @@ class TestScaleGenerator:
             "b5270723b5a245cc07365ada2b385abf186548108053d61d4a62c9fa6d604663"
         )
 
+    def test_scalar_replay_points_to_the_vector_path(self, wl):
+        from repro.engine import ClusterConfig, SimulationBuilder
+        from repro.policies import SimpleRandomization
+
+        builder = SimulationBuilder(
+            wl, SimpleRandomization([0, 1]), ClusterConfig(server_powers={0: 1.0, 1: 2.0})
+        )
+        with pytest.raises(TypeError, match="VectorizedClientPath"):
+            builder.build()
+        with pytest.raises(TypeError, match="VectorizedClientPath"):
+            wl.requests
+
 
 class TestTraceGenerator:
     def test_paper_aggregates(self):
