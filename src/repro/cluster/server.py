@@ -56,11 +56,14 @@ class FileServer:
     is listened to (an ``on_complete`` hook, or ``probe``), each
     service or flush slice ends in a
     :meth:`~repro.sim.Simulator.schedule_at` entry, so hooks fire at
-    the completion instant. Otherwise the server is a kernel station
-    and :meth:`advance` books each slice without an entry, with the
-    same values and one counted event. :meth:`submit` is the only entry
-    point for work; :meth:`interval_report` closes a measurement window
-    (the report the server sends the delegate each tuning interval).
+    the completion instant. Otherwise the server is a kernel station:
+    an arrival only joins the queue, and :meth:`advance` books the
+    backlog — every slice that ends before the next calendar entry —
+    in one pass, with the same values and one counted event per slice.
+    Between entries the placement is fixed, so each line evolves alone.
+    :meth:`submit` is the only entry point for work;
+    :meth:`interval_report` closes a measurement window (the report the
+    server sends the delegate each tuning interval).
     """
 
     def __init__(
@@ -80,7 +83,9 @@ class FileServer:
         #: by straggler injection (see :meth:`set_power_factor`).
         self.base_power = float(power)
         self.cache = cache
-        #: Waiting requests; the one at the head is held apart in _head.
+        #: Requests behind the head, in arrival order. Between entries
+        #: some of them may be due to have started: :meth:`advance`
+        #: books that backlog when something looks.
         self._queue: Deque[MetadataRequest] = deque()
         #: The request at the head of the line — in service, or waiting
         #: behind a flush slice — or ``None`` while the server is idle.
@@ -103,8 +108,6 @@ class FileServer:
         self.completed = Tally(keep=True)
         #: Per-interval mean latency samples (one per tuning round).
         self.latency_series = TimeSeries(name=f"server-{server_id}")
-        #: Requests completed, whole run.
-        self.completed_requests: int = 0
         #: Busy time accumulated (for utilization).
         self.busy_time: float = 0.0
         # Current-interval accumulators.
@@ -127,31 +130,38 @@ class FileServer:
     # ------------------------------------------------------------------ #
     # workload entry points
     # ------------------------------------------------------------------ #
-    def submit(self, request: MetadataRequest) -> None:
+    def submit(self, request: MetadataRequest) -> bool:
         """Enqueue a metadata request (FIFO); an idle server starts it now.
 
-        A listened request puts the line on the calendar until it ends.
+        An unlistened request submitted at its own arrival instant to an
+        unlistened line only joins the queue: it starts at max(arrival,
+        previous finish) when the line is next booked. Any other submit
+        (a listened request or line, a ``probe``, or a clock past the
+        arrival, as for an orphan re-issued after a crash) first brings
+        the server to the clock, and a listened request puts the line
+        on the calendar until it ends.
+
+        Returns ``True`` when the submit left the calendar as it was
+        (the line is unlistened); on ``False`` it may have scheduled an
+        entry, which a caller that moves the clock itself
+        (:class:`~repro.engine.client_path.RequestDriver`) must not pass.
         """
         if self._failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
-        env = self.env
-        now = env.now
-        if self._end < now:
-            # advance(now), inlined: most arrivals find a slice overdue.
-            booked = 0
-            while self._end < now:
-                self._book(self._end)
-                booked += 1
-            env.events_processed += booked
+        now = self.env.now
         request.server = self.server_id
-        if request.on_complete is not None:
-            self._listened += 1
-            self._to_calendar()
+        quiet = not self._listened and self.probe is None and request.on_complete is None
+        if not quiet or request.arrival != now:
+            self.advance(now)
+            if request.on_complete is not None:
+                self._listened += 1
+                self._to_calendar()
         if self._head is None:
             self._head = request
-            self._start(now)
+            self._serve(None, now)
         else:
             self._queue.append(request)
+        return quiet
 
     def charge_flush(self, work: float) -> None:
         """Charge cache-flush busy work (a shed's cost to the releaser).
@@ -166,8 +176,14 @@ class FileServer:
 
     @property
     def queue_length(self) -> int:
-        """Requests currently waiting (excludes the one in service)."""
+        """Requests waiting at the clock (excludes the one in service)."""
+        self.advance(self.env.now)
         return len(self._queue)
+
+    @property
+    def completed_requests(self) -> int:
+        """Requests completed, whole run."""
+        return self.completed.count
 
     @property
     def failed(self) -> bool:
@@ -200,74 +216,116 @@ class FileServer:
     def advance(self, t: float) -> None:
         """Book every inline slice that ends strictly before ``t``,
         one simulated event each."""
-        booked = 0
-        while self._end < t:
-            self._book(self._end)
-            booked += 1
-        self.env.events_processed += booked
-
-    def _start(self, now: float) -> None:
-        """Open the head's next slice at ``now``: pending flush work
-        first, then its service."""
-        # Service start, the cache multiplier and the power all read the
-        # state of this instant; a later straggler factor slows only
-        # slices that start after it.
-        if self._flush_backlog:
-            self._flushing = True
-            end = now + self._flush_backlog.pop(0) / self.power
-        else:
-            self._flushing = False
-            request = self._head
-            request.service_start = now
-            work = request.work
-            cache = self.cache
-            if cache is not None and cache.cold:  # else every multiplier is 1
-                work *= cache.work_multiplier(self.server_id, request.fileset, now)
-            end = now + work / self.power
-        self._slice_start = now
-        if self._listened or self.probe is not None:
-            self._leave_stations()
-            self._slice = self.env.schedule_at(end, self._ended)
-        else:
-            if self._end == math.inf:
-                self.env.stations[self] = None
-            self._end = end
+        if self._end < t:
+            self.env.events_processed += self._serve(self._end, t)
 
     def _ended(self) -> None:
-        self._book(self.env.now)
+        """A listened slice's calendar entry: book that one slice."""
+        now = self.env.now
+        self._serve(now, now)
 
-    def _book(self, now: float) -> None:
-        """Book the slice in progress as ended at ``now`` — a flush, or
-        the head's service and the request — then start the next slice
-        or go idle."""
-        self.busy_time += now - self._slice_start
-        if self._flushing:
-            self._start(now)
-            return
-        request = self._head
-        request.completion = now
-        latency = now - request.arrival
-        self.completed.observe(latency)
-        self.completed_requests += 1
-        self._window_latency_sum += latency
-        self._window_count += 1
+    def _serve(self, end: Optional[float], t: float) -> int:
+        """The FIFO rules, in one loop: book the slice in progress as
+        ended at ``end``, open the next slice, and go on while slices
+        end strictly before ``t``; return the slices booked.
+
+        ``end=None`` opens the head's first slice at ``t`` (an idle
+        server took a request). A slice opens at the previous slice's
+        end, or at the arrival of a head that came later: pending flush
+        work first, then the head's service, with the cache multiplier
+        and the power read then. A slice opened while the line is
+        listened ends in a calendar entry, which stops the loop.
+        """
+        env = self.env
+        queue = self._queue
+        backlog = self._flush_backlog
+        cache = self.cache
+        sid = self.server_id
+        power = self.power
+        probe = self.probe
+        listened = self._listened
         fs_work = self._window_fs_work
-        if fs_work is not None:
-            fs_work[request.fileset] = fs_work.get(request.fileset, 0.0) + request.work
-        # Hooks run while the request still holds the head, so one that
-        # submits here queues behind whatever is already waiting.
-        if request.on_complete is not None:
-            self._listened -= 1
-            request.on_complete(request)
-        if self.probe is not None:
-            self.probe(request)
-        if self._queue:
-            self._head = self._queue.popleft()
-            self._start(now)
-        else:
-            self._head = None
+        head = self._head
+        flushing = self._flushing
+        start = self._slice_start
+        busy = self.busy_time
+        window_sum = self._window_latency_sum
+        latencies: List[float] = []
+        booked = 0
+        at = t
+        book = end is not None
+        while True:
+            if book:
+                booked += 1
+                busy += end - start
+                at = end
+                if not flushing:
+                    head.completion = end
+                    latency = end - head.arrival
+                    latencies.append(latency)
+                    window_sum += latency
+                    if fs_work is not None:
+                        fileset = head.fileset
+                        fs_work[fileset] = fs_work.get(fileset, 0.0) + head.work
+                    if head.on_complete is not None or probe is not None:
+                        # Hooks see the server as booked so far, while
+                        # the request still holds the head: one that
+                        # submits here queues behind whatever waits.
+                        self._head = head
+                        self.busy_time = busy
+                        self._window_latency_sum = window_sum
+                        self._window_count += len(latencies)
+                        self.completed.observe_each(latencies)
+                        latencies = []
+                        if head.on_complete is not None:
+                            self._listened -= 1
+                            head.on_complete(head)
+                        if probe is not None:
+                            probe(head)
+                        busy = self.busy_time
+                        window_sum = self._window_latency_sum
+                        power = self.power
+                        probe = self.probe
+                        listened = self._listened
+                        fs_work = self._window_fs_work
+                    if not queue:
+                        head = None
+                        break
+                    head = queue.popleft()
+                    if head.arrival > end:
+                        at = head.arrival
+            book = True
+            start = at
+            if backlog:
+                flushing = True
+                end = at + backlog.pop(0) / power
+            else:
+                flushing = False
+                head.service_start = at
+                work = head.work
+                if cache is not None and cache.cold:  # else every multiplier is 1
+                    work *= cache.work_multiplier(sid, head.fileset, at)
+                end = at + work / power
+            if listened or probe is not None:
+                self._leave_stations()
+                self._slice = env.schedule_at(end, self._ended)
+                break
+            if end >= t:
+                if self._end == math.inf:
+                    env.stations[self] = None
+                self._end = end
+                break
+        if head is None:
             self._slice = None
             self._leave_stations()
+        self._head = head
+        self._flushing = flushing
+        self._slice_start = start
+        self.busy_time = busy
+        self._window_latency_sum = window_sum
+        self._window_count += len(latencies)
+        self.completed.observe_each(latencies)
+        return booked
 
     def _to_calendar(self) -> None:
         """Give the inline slice in progress a real calendar entry."""
@@ -293,7 +351,6 @@ class FileServer:
         if count == 0:
             return
         self.completed.observe_many(latencies)
-        self.completed_requests += count
         self.busy_time += busy
         self._window_latency_sum += float(latencies.sum())
         self._window_count += count
@@ -400,8 +457,8 @@ def land_moments(
     ``servers`` and do not repeat within a batch, ``total`` is the
     latency sum, ``m2`` the batch's sum of squared deviations and
     ``busy`` its service time. Batches merge in the order given, each
-    with :meth:`Tally.observe_moments`'s update plus the request, busy
-    and window accumulators, elementwise over its servers — so every
+    with :meth:`Tally.observe_moments`'s update plus the busy and
+    window accumulators, elementwise over its servers — so every
     server ends bit for bit where landing its batches one at a time
     would leave it. Each touched server is read once and written once.
     (Window file-set work is not tracked: the vectorized client path,
@@ -415,22 +472,17 @@ def land_moments(
     hosts = [servers[i] for i in touched.tolist()]
     tallies = [host.completed for host in hosts]
     moments = TallyColumns(tallies)
-    done = np.array([host.completed_requests for host in hosts], dtype=np.int64)
     busy = np.array([host.busy_time for host in hosts], dtype=np.float64)
     window_sum = np.array([host._window_latency_sum for host in hosts], dtype=np.float64)
     window_count = np.array([host._window_count for host in hosts], dtype=np.int64)
     for slots, count, total, m2, minimum, maximum, busy_part in batches:
         at = np.searchsorted(touched, slots)
         moments.merge(at, count, total / count, m2, minimum, maximum)
-        done[at] += count
         busy[at] += busy_part
         window_sum[at] += total
         window_count[at] += count
     moments.scatter(tallies)
-    for host, d, b, ws, wc in zip(
-        hosts, done.tolist(), busy.tolist(), window_sum.tolist(), window_count.tolist()
-    ):
-        host.completed_requests = d
+    for host, b, ws, wc in zip(hosts, busy.tolist(), window_sum.tolist(), window_count.tolist()):
         host.busy_time = b
         host._window_latency_sum = ws
         host._window_count = wc

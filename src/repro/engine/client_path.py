@@ -229,11 +229,15 @@ class RequestDriver:
         instead of being dropped when routing fails.
 
     Arrivals replay as a chain of calendar callbacks, one simulated
-    event per distinct arrival instant: a callback submits the requests
-    due, then skips the clock to the next instant
-    (:meth:`~repro.sim.Simulator.skip_to`) until an entry is due by
-    then, and schedules an entry there instead. The schedule is
-    iterated once, as it replays, and never copied.
+    event per distinct arrival instant. A callback submits the requests
+    due, then moves the clock on to the next arrival instant itself, in
+    place of an entry there, while that instant is before the kernel's
+    :meth:`~repro.sim.Simulator.skip_limit`; at the first instant that
+    is not, it schedules an entry instead. It asks the kernel for the
+    limit once per callback, and again only after something that may
+    have scheduled an entry: a hardened submit, a drop, or a submit
+    into a listened line. The schedule is iterated once, as it replays,
+    and never copied.
     """
 
     def __init__(
@@ -264,9 +268,11 @@ class RequestDriver:
         """Submit the request this entry was scheduled for and every
         following one the clock can skip to; schedule the next.
 
-        The schedule's order is checked here, pair by pair as requests
-        come due, rather than by a pass over the whole schedule up
-        front: a request arriving before its predecessor raises.
+        The next instant is computed as ``now + (arrival - now)``, the
+        float an entry there was always scheduled at. The schedule's
+        order is checked here, pair by pair as requests come due, rather
+        than by a pass over the whole schedule up front: a request
+        arriving before its predecessor raises.
         """
         env = self.env
         client = self.client
@@ -276,32 +282,43 @@ class RequestDriver:
         request = self._due
         now = env.now
         last = request.arrival
-        while True:
-            if client is not None:
-                client.submit(request)
-            else:
-                server = servers.get(locate(request.fileset))
-                if server is None or server.failed:
-                    self._drop(request)
+        limit = env.skip_limit()
+        skipped = submitted = 0
+        try:
+            while True:
+                if client is not None:
+                    client.submit(request)
+                    limit = env.skip_limit()
                 else:
-                    server.submit(request)
-                    self._submitted += 1
-            request = next(rest, None)
-            if request is None:
-                return
-            arrival = request.arrival
-            delay = arrival - now
-            if delay > 0:
-                now += delay
-                if not env.skip_to(now):
-                    self._due = request
-                    env.schedule_at(now, self._arrive)
+                    server = servers.get(locate(request.fileset))
+                    if server is None or server.failed:
+                        self._drop(request)
+                        limit = env.skip_limit()
+                    else:
+                        if not server.submit(request):
+                            limit = env.skip_limit()
+                        submitted += 1
+                request = next(rest, None)
+                if request is None:
                     return
-            elif arrival < last:
-                # (A request later than the clock is no earlier than
-                # its predecessor, which was due by then.)
-                raise ValueError("request schedule must be sorted by arrival time")
-            last = arrival
+                arrival = request.arrival
+                delay = arrival - now
+                if delay > 0:
+                    now += delay
+                    if now >= limit:
+                        self._due = request
+                        env.schedule_at(now, self._arrive)
+                        return
+                    env.now = now
+                    skipped += 1
+                elif arrival < last:
+                    # (A request later than the clock is no earlier than
+                    # its predecessor, which was due by then.)
+                    raise ValueError("request schedule must be sorted by arrival time")
+                last = arrival
+        finally:
+            env.events_processed += skipped
+            self._submitted += submitted
 
     def _drop(self, request: "MetadataRequest") -> None:
         self._dropped += 1

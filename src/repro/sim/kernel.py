@@ -17,8 +17,10 @@ Work nothing observes when it happens gets no entry. A busy *station*
 :meth:`Simulator.run` advances it through the slices that end strictly
 before the next entry (so an entry tied with a slice's end fires
 first), and through those ending at or before the deadline when it
-stops. A driver moves the clock with :meth:`Simulator.skip_to`. Each
-counts one event, as the entry it replaces would.
+stops. A driver moves the clock itself in place of an entry, to an
+instant before :meth:`Simulator.skip_limit` (:meth:`Simulator.skip_to`
+is the checked one-instant form). Each slice and each instant skipped
+to counts one event, as the entry it replaces would.
 
 Example
 -------
@@ -74,7 +76,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time. The kernel moves it; so may a driver,
+        #: forward to an instant before :meth:`skip_limit`, adding one
+        #: to :attr:`events_processed` per instant it skips to.
+        self.now = float(start_time)
         # Entries are (time, sequence number, Call): the sequence number
         # breaks ties between equal times in scheduling order.
         self._heap: List[Tuple[float, int, Call]] = []
@@ -84,13 +89,8 @@ class Simulator:
         self.events_processed = 0
         #: Busy stations, an insertion-ordered set (see the module doc).
         self.stations: Dict[object, None] = {}
-        # Deadline of the run in progress; skip_to refuses outside run().
+        # Deadline of the run in progress; nothing is skipped to outside run().
         self._deadline = -math.inf
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Call:
         """Run ``callback()`` at absolute simulated ``time``.
@@ -100,8 +100,8 @@ class Simulator:
         built without an ``__init__`` call. ``schedule_at(env.now, f)``
         runs ``f`` after every entry already due at this instant.
         """
-        if time < self._now:
-            raise SchedulingError(f"schedule_at({time}) is in the past (now={self._now})")
+        if time < self.now:
+            raise SchedulingError(f"schedule_at({time}) is in the past (now={self.now})")
         call = Call.__new__(Call)
         call.fn = callback
         if type(time) is not float:
@@ -109,17 +109,26 @@ class Simulator:
         heappush(self._heap, (time, next(self._seq), call))
         return call
 
-    def skip_to(self, time: float) -> bool:
-        """Move the clock to ``time`` in place of an entry there.
+    def skip_limit(self) -> float:
+        """The first instant the clock may not skip to: the earliest due
+        entry's time, or just past the running deadline if sooner.
+        Outside :meth:`run` no finite instant is before it.
 
-        Refuses (``False``) unless ``time`` is within the running
-        deadline and no entry is due at or before it. Stations are not
-        advanced: whoever touches one next brings it to the clock.
+        Until something schedules an entry, a driver may move the clock
+        to any instant before it in place of an entry there. Stations
+        are not advanced: whoever touches one next brings it to the
+        clock.
         """
         heap = self._heap
-        if time > self._deadline or (heap and heap[0][0] <= time):
+        limit = math.nextafter(self._deadline, math.inf)
+        return heap[0][0] if heap and heap[0][0] < limit else limit
+
+    def skip_to(self, time: float) -> bool:
+        """Move the clock to ``time`` in place of an entry there, if it
+        is before :meth:`skip_limit`; else refuse (``False``)."""
+        if time >= self.skip_limit():
             return False
-        self._now = time
+        self.now = time
         self.events_processed += 1
         return True
 
@@ -134,8 +143,8 @@ class Simulator:
             slices that end at or before it. If ``None``, run until no
             entries remain and every station is idle.
         """
-        if until is not None and until < self._now:
-            raise SchedulingError(f"run(until={until}) is in the past (now={self._now})")
+        if until is not None and until < self.now:
+            raise SchedulingError(f"run(until={until}) is in the past (now={self.now})")
         deadline = math.inf if until is None else until
         last = math.nextafter(deadline, math.inf)  # slices ending <= deadline
         heap = self._heap
@@ -153,17 +162,17 @@ class Simulator:
                             t = heap[0][0]  # an advance pushed an earlier entry
                 if not heap or heap[0][0] > deadline:
                     break
-                self._now, _, call = pop(heap)
+                self.now, _, call = pop(heap)
                 processed += 1
                 fn = call.fn
                 if fn is not None:
                     fn()
             if until is not None:
-                self._now = until
+                self.now = until
         finally:
             self._deadline = -math.inf
             self.events_processed += processed
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        return f"<Simulator now={self._now} pending={len(self._heap)}>"
+        return f"<Simulator now={self.now} pending={len(self._heap)}>"
 

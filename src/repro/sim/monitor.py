@@ -70,6 +70,38 @@ class Tally:
         if value > self._max:
             self._max = value
 
+    def observe_each(self, values: Iterable[float]) -> None:
+        """Record each of ``values`` in turn, in one call.
+
+        Bit for bit what one :meth:`observe` per value leaves: the same
+        Welford update, value by value, over Python floats. A
+        ``BufferError`` (see :meth:`samples_view`) leaves the tally
+        unchanged. A server books its departures between two calendar
+        entries with one call.
+        """
+        batch = array("d", values)
+        if self._keep:
+            self._buf.extend(batch)
+        n = self._n
+        mean = self._mean
+        m2 = self._m2
+        lo = self._min
+        hi = self._max
+        for value in batch:
+            n += 1
+            delta = value - mean
+            mean += delta / n
+            m2 += delta * (value - mean)
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+        self._n = n
+        self._mean = mean
+        self._m2 = m2
+        self._min = lo
+        self._max = hi
+
     # -- pickling and copying (the state owns a copy of the buffer) ------ #
     def __getstate__(self) -> dict:
         return {

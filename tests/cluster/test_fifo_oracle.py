@@ -11,7 +11,9 @@ to bit-for-bit equality.
 
 A second property holds the inline booking of unlistened slices to the
 calendar path: the same random sequences, now with window reports,
-``run(until)`` cut points and listened requests, are replayed twice
+``run(until)`` cut points, listened requests, submits at a clock past
+the request's arrival (an orphan re-issued after a crash) and reads of
+``queue_length`` and ``busy_time`` between entries, are replayed twice
 through a :class:`RequestDriver` into one server — once with a no-op
 ``probe``, which keeps every slice on the calendar, and once without.
 """
@@ -70,7 +72,6 @@ class GeneratorFileServer(FileServer):
             request.completion = env.now
             latency = request.latency
             self.completed.observe(latency)
-            self.completed_requests += 1
             self._window_latency_sum += latency
             self._window_count += 1
             self._window_fs_work[request.fileset] = (
@@ -165,7 +166,10 @@ TWIN_STEPS = st.lists(
     st.tuples(
         GAPS,
         st.sampled_from(
-            ["arrive", "arrive", "arrive", "flush", "power", "shed", "crash", "report"]
+            [
+                "arrive", "arrive", "arrive", "flush", "power", "shed", "crash",
+                "report", "late", "read",
+            ]
         ),
         WORKS,
         st.sampled_from(["/a", "/b", "/c"]),
@@ -179,18 +183,26 @@ TWIN_STEPS = st.lists(
 
 def _replay(steps, power: float, probe: bool) -> tuple:
     """One server fed by a driver; the other actions are calendar entries
-    placed up front, like a fault timeline."""
+    placed up front, like a fault timeline. A late submit comes from
+    such an entry, with an arrival ``work`` seconds before it."""
     env = Simulator()
     cache = CacheModel(CACHE)
     server = FileServer(env, "s", power, cache=cache)
     if probe:
         server.probe = lambda request: None
-    requests, hooks, orphans, reports, cuts = [], [], [], [], []
+    requests, late, hooks, orphans, reports, reads = [], [], [], [], [], []
+
+    def tag(request):
+        for kind, pool in (("driven", requests), ("late", late)):
+            for i, r in enumerate(pool):
+                if r is request:
+                    return kind, i
+        raise AssertionError("unknown request")
 
     def hook(request):
-        hooks.append((requests.index(request), env.now, request.completion))
+        hooks.append((tag(request), env.now, request.completion))
 
-    def act(action, work, fileset, now):
+    def act(action, work, fileset, listened, now):
         if action == "flush":
             server.charge_flush(work)
         elif action == "power":
@@ -200,12 +212,22 @@ def _replay(steps, power: float, probe: bool) -> tuple:
         elif action == "report":
             report = server.interval_report()
             reports.append((report.mean_latency, report.request_count, report.window))
+        elif action == "read":
+            reads.append((now, server.queue_length, server.busy_time))
+        elif action == "late":
+            if not server.failed:
+                request = MetadataRequest(fileset, max(now - work, 0.0), work)
+                if listened:
+                    request.on_complete = hook
+                late.append(request)
+                server.submit(request)
         elif server.failed:
             server.recover()
         else:
-            orphans.append([requests.index(r) for r in server.fail()])
+            orphans.append([tag(r) for r in server.fail()])
 
     now = 0.0
+    cuts = []
     for gap, action, work, fileset, listened, cut in steps:
         now += gap
         if cut:
@@ -216,17 +238,19 @@ def _replay(steps, power: float, probe: bool) -> tuple:
                 request.on_complete = hook
             requests.append(request)
         else:
-            env.schedule_at(now, lambda a=(action, work, fileset, now): act(*a))
+            env.schedule_at(now, lambda a=(action, work, fileset, listened, now): act(*a))
     driver = RequestDriver(env, requests, locate=lambda fileset: 0, servers={0: server})
     for cut in cuts:
         env.run(until=cut)
         assert env.now == cut
+        reads.append((cut, server.queue_length, server.busy_time))
     env.run()
     return (
-        [(r.service_start, r.completion) for r in requests],
+        [(r.service_start, r.completion) for r in requests + late],
         hooks,
         orphans,
         reports,
+        reads,
         _state(server),
         _books(server),
         (driver.submitted, driver.dropped),

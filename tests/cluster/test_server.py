@@ -248,7 +248,6 @@ class TestLandMoments:
                 server.completed.observe_moments(
                     n, t / n, float(m2[j]), float(lo[j]), float(hi[j])
                 )
-                server.completed_requests += n
                 server.busy_time += float(busy[j])
                 server._window_latency_sum += t
                 server._window_count += n

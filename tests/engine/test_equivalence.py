@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import FileServer
 from repro.core.hashing import HashFamily
 from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
 from repro.experiments.cache import result_fingerprint
@@ -173,7 +174,8 @@ def entries(monkeypatch):
 
 
 class TestCalendarTraffic:
-    """Unobserved service is booked inline; listened service is not."""
+    """Unobserved service is booked in bulk between entries; listened
+    service is not."""
 
     def test_basic_path_books_service_and_arrivals_without_entries(self, entries):
         config = paper_config(seed=3, scale=0.02)
@@ -181,6 +183,23 @@ class TestCalendarTraffic:
         result = run_system("anu", workload.fork(), config)
         assert entries[0] < 0.05 * result.submitted
         assert result.events_processed == PAPER_EVENTS["anu"]
+        assert result_fingerprint(result) == PAPER_GOLD["anu"]
+
+    def test_basic_path_books_service_in_bulk(self, monkeypatch):
+        """Each server books its backlog in one pass per calendar entry,
+        not one call per slice."""
+        passes = [0]
+        serve = FileServer._serve
+
+        def counted(self, end, t):
+            passes[0] += 1
+            return serve(self, end, t)
+
+        monkeypatch.setattr(FileServer, "_serve", counted)
+        config = paper_config(seed=3, scale=0.02)
+        workload = generate_synthetic(config.synthetic_config(), seed=3)
+        result = run_system("anu", workload.fork(), config)
+        assert passes[0] < 0.02 * result.submitted
         assert result_fingerprint(result) == PAPER_GOLD["anu"]
 
     def test_hardened_path_keeps_its_per_request_entries(self, entries, golden_workload):

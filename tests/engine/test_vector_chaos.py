@@ -271,7 +271,7 @@ class TestInvariantViolations:
 
     def test_server_moment_counter(self):
         engine, layer = self.finished_cell()
-        engine.driver._servers[0].completed_requests += 1
+        engine.driver._servers[0].completed._n += 1
         self.assert_violates(layer, "no-lost-moments")
 
     def test_evicted_slot_keeps_its_file_sets(self):

@@ -3,6 +3,8 @@ stations and clock skips."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.request import MetadataRequest
@@ -186,6 +188,47 @@ class TestSkipTo:
         env.schedule_at(1.0, lambda: seen.append(env.skip_to(1e9)))
         env.run()
         assert seen == [True] and env.now == 1e9
+
+
+class TestSkipLimit:
+    """``skip_limit`` is the first instant ``skip_to`` refuses."""
+
+    def test_no_finite_instant_outside_a_run(self, env):
+        assert env.skip_limit() < -1e300
+
+    def test_the_next_entry_or_just_past_the_deadline(self, env):
+        seen = []
+        env.schedule_at(1.0, lambda: seen.append(env.skip_limit()))
+        env.schedule_at(3.0, lambda: seen.append(env.skip_limit()))
+        env.run(until=4.0)
+        assert seen == [3.0, math.nextafter(4.0, math.inf)]
+
+    def test_unbounded_run(self, env):
+        seen = []
+        env.schedule_at(1.0, lambda: seen.append(env.skip_limit()))
+        env.run()
+        assert seen == [math.inf]
+
+    def test_a_driver_stops_short_of_an_entry_its_submit_scheduled(self, env):
+        """A probed server puts each completion on the calendar, so the
+        driver may not skip past it to the next arrival."""
+        server = FileServer(env, "s", 1.0)
+        clock = []
+
+        def locate(fileset):
+            clock.append(("arrive", env.now))
+            return "s"
+
+        server.probe = lambda request: clock.append(("done", env.now))
+        schedule = [MetadataRequest("/a", t, 0.5) for t in (0.0, 1.0, 1.25)]
+        RequestDriver(env, schedule, locate=locate, servers={"s": server})
+        env.run()
+        assert clock == [
+            ("arrive", 0.0), ("done", 0.5), ("arrive", 1.0), ("arrive", 1.25),
+            ("done", 1.5), ("done", 2.0),
+        ]
+        # Two arrival entries, one skipped instant, three completion entries.
+        assert env.events_processed == 6
 
 
 class _Station:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -304,3 +305,51 @@ class TestKeptSampleBuffer:
         with pytest.raises(ValueError, match="keep=False"):
             clone.samples
 
+
+
+def _state(t: Tally) -> tuple:
+    """Everything a tally holds, floats as bit patterns."""
+    bits = [struct.pack("<d", x) for x in (t._mean, t._m2, t._min, t._max)]
+    samples = t.samples.tobytes() if t._keep else None
+    return (t._n, type(t._n), *bits, samples)
+
+
+#: Any finite double, and integers, which observe() converts with float().
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-(2**60), 2**60),
+)
+
+
+class TestObserveEach:
+    """observe_each is repeated observe, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_numbers, max_size=30),
+        st.lists(st.lists(_numbers, max_size=30), max_size=4),
+        st.booleans(),
+    )
+    def test_bit_equal_to_repeated_observe(self, before, batches, keep):
+        one, each = Tally(keep=keep), Tally(keep=keep)
+        for value in before:
+            one.observe(value)
+            each.observe(value)
+        for batch in batches:
+            for value in batch:
+                one.observe(value)
+            each.observe_each(batch)
+            assert _state(each) == _state(one)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_numbers, max_size=10), st.lists(_numbers, min_size=1, max_size=10))
+    def test_refused_under_a_live_view_leaves_the_tally_unchanged(self, before, batch):
+        t = Tally(keep=True)
+        t.observe_each(before)
+        was = _state(t)
+        view = t.samples_view()
+        with pytest.raises(BufferError):
+            t.observe_each(batch)
+        del view
+        assert _state(t) == was
