@@ -272,10 +272,7 @@ class FileServer:
                         # the request still holds the head: one that
                         # submits here queues behind whatever waits.
                         self._head = head
-                        self.busy_time = busy
-                        self._window_latency_sum = window_sum
-                        self._window_count += len(latencies)
-                        self.completed.observe_each(latencies)
+                        self._write_back(busy, window_sum, latencies)
                         latencies = []
                         if head.on_complete is not None:
                             self._listened -= 1
@@ -321,11 +318,17 @@ class FileServer:
         self._head = head
         self._flushing = flushing
         self._slice_start = start
+        if booked:
+            self._write_back(busy, window_sum, latencies)
+        return booked
+
+    def _write_back(self, busy: float, window_sum: float, latencies: List[float]) -> None:
+        """Store what :meth:`_serve` booked into its locals."""
         self.busy_time = busy
         self._window_latency_sum = window_sum
-        self._window_count += len(latencies)
-        self.completed.observe_each(latencies)
-        return booked
+        if latencies:
+            self._window_count += len(latencies)
+            self.completed.observe_each(latencies)
 
     def _to_calendar(self) -> None:
         """Give the inline slice in progress a real calendar entry."""
@@ -443,7 +446,7 @@ class FileServer:
         self._window_start = self.env.now
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        state = "FAILED" if self._failed else f"q={self.queue_length}"
+        state = "FAILED" if self._failed else f"q={len(self._queue)}"
         return f"<FileServer {self.server_id!r} power={self.power} {state}>"
 
 

@@ -283,42 +283,37 @@ class RequestDriver:
         now = env.now
         last = request.arrival
         limit = env.skip_limit()
-        skipped = submitted = 0
-        try:
-            while True:
-                if client is not None:
-                    client.submit(request)
+        while True:
+            if client is not None:
+                client.submit(request)
+                limit = env.skip_limit()
+            else:
+                server = servers.get(locate(request.fileset))
+                if server is None or server.failed:
+                    self._drop(request)
                     limit = env.skip_limit()
                 else:
-                    server = servers.get(locate(request.fileset))
-                    if server is None or server.failed:
-                        self._drop(request)
+                    if not server.submit(request):
                         limit = env.skip_limit()
-                    else:
-                        if not server.submit(request):
-                            limit = env.skip_limit()
-                        submitted += 1
-                request = next(rest, None)
-                if request is None:
+                    self._submitted += 1
+            request = next(rest, None)
+            if request is None:
+                return
+            arrival = request.arrival
+            delay = arrival - now
+            if delay > 0:
+                now += delay
+                if now >= limit:
+                    self._due = request
+                    env.schedule_at(now, self._arrive)
                     return
-                arrival = request.arrival
-                delay = arrival - now
-                if delay > 0:
-                    now += delay
-                    if now >= limit:
-                        self._due = request
-                        env.schedule_at(now, self._arrive)
-                        return
-                    env.now = now
-                    skipped += 1
-                elif arrival < last:
-                    # (A request later than the clock is no earlier than
-                    # its predecessor, which was due by then.)
-                    raise ValueError("request schedule must be sorted by arrival time")
-                last = arrival
-        finally:
-            env.events_processed += skipped
-            self._submitted += submitted
+                env.now = now
+                env.events_processed += 1
+            elif arrival < last:
+                # (A request later than the clock is no earlier than
+                # its predecessor, which was due by then.)
+                raise ValueError("request schedule must be sorted by arrival time")
+            last = arrival
 
     def _drop(self, request: "MetadataRequest") -> None:
         self._dropped += 1

@@ -18,9 +18,8 @@ Work nothing observes when it happens gets no entry. A busy *station*
 before the next entry (so an entry tied with a slice's end fires
 first), and through those ending at or before the deadline when it
 stops. A driver moves the clock itself in place of an entry, to an
-instant before :meth:`Simulator.skip_limit` (:meth:`Simulator.skip_to`
-is the checked one-instant form). Each slice and each instant skipped
-to counts one event, as the entry it replaces would.
+instant before :meth:`Simulator.skip_limit`. Each slice and each
+instant skipped to counts one event, as the entry it replaces would.
 
 Example
 -------
@@ -73,6 +72,17 @@ class Simulator:
     ----------
     start_time:
         Initial value of the simulated clock (default ``0.0``).
+
+    Notes
+    -----
+    :attr:`now` is a plain attribute, for speed, but the only supported
+    write outside the kernel is a driver's skip: forward, to an instant
+    before :meth:`skip_limit`, from inside a callback. Any other write
+    can take the clock past a due entry or backwards, and
+    :meth:`schedule_at`'s past-check then guards nothing.
+    :attr:`events_processed` adds the entries a :meth:`run` processed
+    when it returns; a callback reading it mid-run sees slices and
+    skips so far, but not this run's entries.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -122,15 +132,6 @@ class Simulator:
         heap = self._heap
         limit = math.nextafter(self._deadline, math.inf)
         return heap[0][0] if heap and heap[0][0] < limit else limit
-
-    def skip_to(self, time: float) -> bool:
-        """Move the clock to ``time`` in place of an entry there, if it
-        is before :meth:`skip_limit`; else refuse (``False``)."""
-        if time >= self.skip_limit():
-            return False
-        self.now = time
-        self.events_processed += 1
-        return True
 
     def run(self, until: Optional[float] = None) -> None:
         """Process the calendar in time order.

@@ -62,17 +62,30 @@ class TestRequestDriverModes:
         assert server.completed_requests == 4
 
     def test_basic_path_counts_drops(self):
+        """Both counters are current when a drop is published, even
+        mid-way through a run of arrivals one callback submits."""
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
         owners = {"/fs/0": "s0", "/fs/1": None}
+        seen = []
+
+        class Probe:
+            def wants(self, event_type):
+                return True
+
+            def publish(self, event):
+                seen.append((event.time, driver.submitted, driver.dropped))
+
         driver = RequestDriver(
             env,
-            [req(0.5, "/fs/0"), req(1.0, "/fs/1")],
+            [req(0.5, "/fs/0"), req(0.75, "/fs/0"), req(1.0, "/fs/1")],
             locate=owners.__getitem__,
             servers={"s0": server},
+            probe=Probe(),
         )
         env.run(until=10.0)
-        assert driver.submitted == 1
+        assert seen == [(1.0, 2, 1)]
+        assert driver.submitted == 2
         assert driver.dropped == 1
 
     def test_hardened_path_counts_through_client(self):

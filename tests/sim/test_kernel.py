@@ -139,75 +139,74 @@ class TestStop:
 
 
 class TestSkipTo:
-    """``skip_to`` moves the clock only where no entry could tell."""
+    """A driver may skip the clock to an instant, in place of an entry
+    there, only while it is before ``skip_limit()``: the earliest due
+    entry, or just past the running deadline."""
 
     def test_refused_outside_a_run(self, env):
-        assert not env.skip_to(1.0)
+        assert not 1.0 < env.skip_limit()
+        assert env.skip_limit() < -1e300
         assert env.now == 0.0 and env.events_processed == 0
 
     def test_moves_and_counts_one_event(self, env):
         seen = []
 
         def step():
-            seen.append(env.skip_to(2.5))
-            seen.append(env.now)
+            assert 2.5 < env.skip_limit()
+            env.now = 2.5
+            env.events_processed += 1
+            env.schedule_at(env.now, lambda: seen.append(env.now))
 
         env.schedule_at(1.0, step)
         env.run(until=10.0)
-        assert seen == [True, 2.5]
-        assert env.events_processed == 2
+        assert seen == [2.5]
+        assert env.events_processed == 3
 
     @pytest.mark.parametrize("due", [2.5, 2.0])
     def test_refused_at_or_past_a_due_entry(self, env, due):
         seen = []
-
-        def step():
-            seen.append(env.skip_to(2.5))
-            seen.append(env.now)
-
-        env.schedule_at(1.0, step)
+        env.schedule_at(1.0, lambda: seen.append(env.skip_limit()))
         env.schedule_at(due, _noop)
         env.run(until=10.0)
-        assert seen == [False, 1.0]
-        assert env.events_processed == 2
+        assert seen == [due]
+        assert not 2.5 < seen[0]
 
     def test_refused_past_the_deadline(self, env):
-        seen = []
-
-        def step():
-            seen.append(env.skip_to(5.0))
-            seen.append(env.skip_to(4.0))
-
-        env.schedule_at(1.0, step)
-        env.run(until=4.0)
-        assert seen == [False, True]
-        assert env.now == 4.0 and env.events_processed == 2
-
-    def test_unbounded_run_has_no_deadline(self, env):
-        seen = []
-        env.schedule_at(1.0, lambda: seen.append(env.skip_to(1e9)))
-        env.run()
-        assert seen == [True] and env.now == 1e9
-
-
-class TestSkipLimit:
-    """``skip_limit`` is the first instant ``skip_to`` refuses."""
-
-    def test_no_finite_instant_outside_a_run(self, env):
-        assert env.skip_limit() < -1e300
-
-    def test_the_next_entry_or_just_past_the_deadline(self, env):
         seen = []
         env.schedule_at(1.0, lambda: seen.append(env.skip_limit()))
         env.schedule_at(3.0, lambda: seen.append(env.skip_limit()))
         env.run(until=4.0)
         assert seen == [3.0, math.nextafter(4.0, math.inf)]
+        assert 4.0 < seen[1] <= 5.0 and not 5.0 < seen[1]
+        assert env.now == 4.0
 
-    def test_unbounded_run(self, env):
+    def test_unbounded_run_has_no_deadline(self, env):
         seen = []
         env.schedule_at(1.0, lambda: seen.append(env.skip_limit()))
         env.run()
         assert seen == [math.inf]
+
+    def test_an_entry_at_the_limit_fires_before_what_the_skip_schedules(self, env):
+        """Skipping to one ulp before the limit passes no entry: the
+        entry due at the limit still fires first, and a slice ending
+        there is booked after it (an entry tied with a slice's end
+        fires first)."""
+        log = []
+        _Station(env, [3.0], log)
+
+        def step():
+            limit = env.skip_limit()
+            assert limit == 3.0
+            env.now = math.nextafter(limit, -math.inf)
+            env.events_processed += 1
+            env.schedule_at(limit, lambda: log.append(("skipper", env.now)))
+
+        env.schedule_at(1.0, step)
+        env.schedule_at(3.0, lambda: log.append(("due", env.now)))
+        env.run()
+        assert log == [("due", 3.0), ("skipper", 3.0), ("slice", 3.0)]
+        # The step entry, the skip, the two entries at the limit, the slice.
+        assert env.events_processed == 5
 
     def test_a_driver_stops_short_of_an_entry_its_submit_scheduled(self, env):
         """A probed server puts each completion on the calendar, so the
