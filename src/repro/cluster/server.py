@@ -99,7 +99,9 @@ class FileServer:
         self._end = math.inf
         #: Requests in line, the head included, with an ``on_complete``.
         self._listened = 0
-        self._failed = False
+        #: ``True`` while the server is down; only :meth:`fail` and
+        #: :meth:`recover` write it.
+        self.failed = False
         #: Crash count; bumps on every fail(). Clients use it to notice
         #: that a queue they submitted into was discarded by a crash,
         #: even if the server has already recovered since.
@@ -146,7 +148,7 @@ class FileServer:
         entry, which a caller that moves the clock itself
         (:class:`~repro.engine.client_path.RequestDriver`) must not pass.
         """
-        if self._failed:
+        if self.failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
         now = self.env.now
         request.server = self.server_id
@@ -184,11 +186,6 @@ class FileServer:
     def completed_requests(self) -> int:
         """Requests completed, whole run."""
         return self.completed.count
-
-    @property
-    def failed(self) -> bool:
-        """``True`` while the server is down."""
-        return self._failed
 
     # ------------------------------------------------------------------ #
     # straggler injection
@@ -341,23 +338,6 @@ class FileServer:
             self._end = math.inf
             del self.env.stations[self]
 
-    def absorb_batch(self, latencies, busy: float) -> None:
-        """Bulk-account a cohort of completed requests.
-
-        The vectorized client path computes completions outside the
-        per-request FIFO clock and lands them here: whole-run tally,
-        window accumulators, and busy time in one call, equivalent to
-        serving each request here (window file-set work is not tracked —
-        the vectorized path documents that limitation).
-        """
-        count = latencies.shape[0]
-        if count == 0:
-            return
-        self.completed.observe_many(latencies)
-        self.busy_time += busy
-        self._window_latency_sum += float(latencies.sum())
-        self._window_count += count
-
     # ------------------------------------------------------------------ #
     # measurement
     # ------------------------------------------------------------------ #
@@ -421,10 +401,10 @@ class FileServer:
         re-routes the returned requests through the updated placement,
         modeling clients re-issuing to the new owner.
         """
-        if self._failed:
+        if self.failed:
             raise RuntimeError(f"server {self.server_id!r} already failed")
         self.advance(self.env.now)
-        self._failed = True
+        self.failed = True
         self.incarnation += 1
         self._to_calendar()
         if self._slice is not None:
@@ -438,15 +418,15 @@ class FileServer:
 
     def recover(self) -> None:
         """Bring the server back with an empty queue and cold state."""
-        if not self._failed:
+        if not self.failed:
             raise RuntimeError(f"server {self.server_id!r} is not failed")
-        self._failed = False
+        self.failed = False
         self._window_latency_sum = 0.0
         self._window_count = 0
         self._window_start = self.env.now
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        state = "FAILED" if self._failed else f"q={len(self._queue)}"
+        state = "FAILED" if self.failed else f"q={len(self._queue)}"
         return f"<FileServer {self.server_id!r} power={self.power} {state}>"
 
 

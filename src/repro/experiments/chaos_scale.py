@@ -18,7 +18,8 @@ robustness report — detection latencies vs the analytic bound,
 unavailability, consistency recovery time, the classified in-flight
 remainder (``requests_lost`` must be 0) — plus the run's
 :func:`~repro.faults.chaos.chaos_fingerprint`, so the bench is
-bit-reproducible.
+bit-reproducible: a row is a pure function of (point, policy, seed),
+and host time is measured by ``bench/`` alone.
 
 The cells run through :func:`repro.experiments.sweep.run_sweep`; the
 per-point workload *and* fault schedule are its shared inputs.
@@ -30,7 +31,6 @@ CI.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -48,10 +48,10 @@ from .sweep import (
     SweepSpec,
     format_point_label,
     point_columns,
+    point_workload,
     policy_columns,
     scale_powers,
     sweep_cluster_config,
-    timed_point_workload,
 )
 
 __all__ = [
@@ -139,14 +139,14 @@ def _prepare(
     point: ChaosScalePoint,
     seed: int,
     axes: Optional[Mapping[str, Sequence[str]]] = None,
-) -> Tuple[ArrayWorkload, float, FaultSchedule]:
-    """The point's shared inputs: workload, its seconds, fault script.
+) -> Tuple[ArrayWorkload, FaultSchedule]:
+    """The point's shared inputs: workload and fault script.
 
     Both are immutable, so one of each serves every policy — identical
     arrivals, identical faults.
     """
     return (
-        *timed_point_workload(point, seed),
+        point_workload(point, seed),
         point_schedule(point, seed, ChaosConfig(seed=seed)),
     )
 
@@ -155,20 +155,16 @@ def run_chaos_scale_point(
     point: ChaosScalePoint,
     policy_name: str,
     seed: int = 1,
-    shared: Optional[Tuple[ArrayWorkload, float, FaultSchedule]] = None,
+    shared: Optional[Tuple[ArrayWorkload, FaultSchedule]] = None,
 ) -> Dict[str, object]:
     """One vectorized chaos run; returns a BENCH_chaos_scale row.
 
-    ``drive_seconds`` times the run alone; setup splits into
-    ``workload_seconds`` (workload generation — ``shared`` carries the
-    sweep's per-point workload, its time, and the fault script; a lone
-    call generates its own) and ``placement_seconds`` (engine assembly,
-    schedule compilation, and initial placement); ``setup_seconds`` is
-    their sum. The row is the full robustness report plus the run's
-    chaos fingerprint, the churn ledger, and the relocation ledger.
+    ``shared`` carries the sweep's per-point workload and fault script;
+    a lone call generates its own. The row is the full robustness
+    report plus the run's chaos fingerprint, the churn ledger, and the
+    relocation ledger.
     """
-    workload, workload_seconds, schedule = shared or _prepare(point, seed)
-    placement_start = time.perf_counter()
+    workload, schedule = shared or _prepare(point, seed)
     config = sweep_cluster_config(point)
     policy = make_scale_policy(policy_name, list(config.server_powers))
     engine = ExperimentSpec(
@@ -178,20 +174,13 @@ def run_chaos_scale_point(
         client_path=VectorizedClientPath(),
         faults=VectorChaosFaultLayer(schedule=schedule, chaos=ChaosConfig(seed=seed)),
     ).build()
-    drive_start = time.perf_counter()
     result = engine.run_chaos()
-    drive_seconds = time.perf_counter() - drive_start
-    placement_seconds = drive_start - placement_start
     row = robustness_report(result, fault_rate=point.fault_rate).to_dict()
     row.update(
         {
             "policy": policy_name,
             **point_columns(point),
             "n_requests": int(result.requests_injected),
-            "workload_seconds": round(workload_seconds, 4),
-            "placement_seconds": round(placement_seconds, 4),
-            "setup_seconds": round(workload_seconds + placement_seconds, 4),
-            "drive_seconds": round(drive_seconds, 4),
             "failure_declarations": result.failure_declarations,
             "recovery_declarations": result.recovery_declarations,
             **policy_columns(policy),
@@ -217,11 +206,10 @@ def render_chaos_scale(payload: Dict[str, object]) -> str:
     """ASCII table of a sweep payload (the CLI's printed output)."""
     lines = [
         f"chaos-scale sweep: seed={payload['seed']} "
-        f"detection bound={payload['detection_latency_bound_s']}s "
-        f"workers={payload['workers']}",
+        f"detection bound={payload['detection_latency_bound_s']}s",
         f"{'point':>16} {'policy':>6} {'faults':>6} {'unavail':>8} "
         f"{'det.max':>8} {'recov(s)':>8} {'retries/req':>11} {'lost':>5} "
-        f"{'violations':>10} {'drive(s)':>9}",
+        f"{'violations':>10}",
     ]
     for row in payload["rows"]:
         point = format_point_label(row["n_servers"], row["n_filesets"])
@@ -232,7 +220,7 @@ def render_chaos_scale(payload: Dict[str, object]) -> str:
             f"{row['unavailability']:>8.4f} {det:>8.2f} "
             f"{recov if recov is not None else '—':>8} "
             f"{row['retries_per_request']:>11.4f} {row['requests_lost']:>5} "
-            f"{row['invariant_violations']:>10} {row['drive_seconds']:>9.3f}"
+            f"{row['invariant_violations']:>10}"
         )
     return "\n".join(lines)
 
@@ -248,7 +236,7 @@ def _failure(payload: Dict[str, object]) -> Optional[str]:
 
 SWEEP = SweepSpec(
     name="chaos-scale",
-    schema_version=3,
+    schema_version=4,
     description="Chaos at planet scale: compiled fault timelines on the "
     "vectorized path, paper scale up to 1000 servers / 100k file sets.",
     points=DEFAULT_POINTS,

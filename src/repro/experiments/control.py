@@ -42,7 +42,6 @@ multiplicative baseline on convergence or oscillation somewhere);
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -369,7 +368,6 @@ def run_control_point(
     if scenario not in CONTROL_SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; know {CONTROL_SCENARIOS}")
     chaos = ChaosConfig(seed=seed)
-    setup_start = time.perf_counter()
     workload = shared[scenario] if shared else _workload(point, scenario, seed)
     config = sweep_cluster_config(point)
     family = HashFamily(seed=0)
@@ -405,10 +403,7 @@ def run_control_point(
         engine.schedule_failure(0.35 * point.duration, victim)
         engine.schedule_recovery(0.65 * point.duration, victim)
     trace.insert(0, dict(policy.region_lengths))
-    drive_start = time.perf_counter()
     result = engine.run_chaos() if run_chaos else engine.run()
-    drive_seconds = time.perf_counter() - drive_start
-    setup_seconds = drive_start - setup_start
     base = result.base if run_chaos else result
     metrics = trace_metrics(trace)
     conv = metrics["convergence_round"]
@@ -429,8 +424,6 @@ def run_control_point(
         # Paper-mode rows record a null relocation ledger: the scalar
         # adapter is uninstrumented, not relocation-free.
         **policy_columns(policy),
-        "setup_seconds": round(setup_seconds, 4),
-        "drive_seconds": round(drive_seconds, 4),
     }
 
 
@@ -483,11 +476,9 @@ def render_control(payload: Dict[str, object]) -> str:
     """ASCII table of a sweep payload (the CLI's printed output)."""
     lines = [
         f"control sweep: seed={payload['seed']} "
-        f"baseline={payload['baseline_controller']} "
-        f"workers={payload['workers']}",
+        f"baseline={payload['baseline_controller']}",
         f"{'point':>22} {'scenario':>8} {'ctrl':>14} {'conv':>5} "
-        f"{'osc':>8} {'cov':>7} {'jain':>6} {'p99':>8} {'sheds':>8} "
-        f"{'drive(s)':>9}",
+        f"{'osc':>8} {'cov':>7} {'jain':>6} {'p99':>8} {'sheds':>8}",
     ]
     for row in payload["rows"]:
         point = f"{row['mode']}:{format_point_label(row['n_servers'], row['n_filesets'])}"
@@ -497,7 +488,7 @@ def render_control(payload: Dict[str, object]) -> str:
             f"{conv if conv is not None else '—':>5} "
             f"{row['oscillation']:>8.4f} {row['latency_cov']:>7.4f} "
             f"{row['jain_index']:>6.4f} {row['p99_latency']:>8.4f} "
-            f"{row['total_sheds']:>8} {row['drive_seconds']:>9.3f}"
+            f"{row['total_sheds']:>8}"
         )
     wins = payload["feedback_wins"]
     lines.append(
@@ -514,7 +505,7 @@ def render_control(payload: Dict[str, object]) -> str:
 
 SWEEP = SweepSpec(
     name="control",
-    schema_version=3,
+    schema_version=4,
     description="Controller ablation: multiplicative / PI / pole-placement "
     "/ brownout / forecast under hotspot, churn, and flash-crowd stress, "
     "at paper scale and 1000-server vector scale.",

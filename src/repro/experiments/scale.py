@@ -13,18 +13,14 @@ at-scale literature centers on:
 * ``jsq2`` — :class:`~repro.policies.jsq.JSQd` with d=2
   (Mukhopadhyay et al.).
 
-Per (point, policy) the sweep records throughput (simulated events per
-wall-clock second of drive time; setup — workload generation and
-hashing/initial placement — is split into ``workload_seconds`` and
-``placement_seconds``) and policy quality: mean / p99 latency, the
-paper's consistency metrics (coefficient of variation and Jain index
-over per-server mean latency), shed counts, and the relocation ledger
-(``relocated``, ``relocate_fraction``, ``reshuffle_seconds`` — what the
-incremental epoch-delta path shrinks).
+Per (point, policy) the sweep records policy quality: mean / p99
+latency, the paper's consistency metrics (coefficient of variation and
+Jain index over per-server mean latency), shed counts, and the
+relocation ledger (``relocated``, ``relocate_fraction`` — what the
+incremental epoch-delta path shrinks). A row is a pure function of
+(point, policy, seed); host time is measured by ``bench/`` alone.
 
 The cells run through :func:`repro.experiments.sweep.run_sweep`.
-``repeats > 1`` forces one worker, so the best-of-N drive timing never
-races a sibling cell for the core.
 
 ``python -m repro.experiments scale`` writes ``BENCH_scale.json``; the
 ``--smoke`` variant runs a seconds-sized subset for CI.
@@ -32,7 +28,6 @@ races a sibling cell for the core.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -46,15 +41,14 @@ from .sweep import (
     format_point_label,
     latency_columns,
     point_columns,
+    point_workload,
     policy_columns,
     scale_powers,
     sweep_cluster_config,
-    timed_point_workload,
 )
 
 __all__ = [
     "SWEEP",
-    "EVENTS_PER_COMPLETED_REQUEST",
     "SCALE_POLICIES",
     "DEFAULT_POINTS",
     "SMOKE_POINTS",
@@ -67,19 +61,6 @@ __all__ = [
 ]
 
 SCALE_POLICIES: Tuple[str, ...] = ("anu", "chbl", "jsq2")
-
-#: The fixed per-request event unit throughput rows count in: arrival,
-#: queue hand-off, service completion — what the scalar engine's
-#: generator server processed (measured ``events_processed / completed``
-#: = 3.002 on the paper-scale run). The scalar kernel now processes 2:
-#: its FIFO runs on calendar callbacks and a request that reaches the
-#: head starts service without a hand-off event. The unit stays 3 so
-#: that committed ``BENCH_scale.json`` rows and ``bench/``'s
-#: ``wall_events_per_s`` stay comparable across that change; the
-#: scalar engine's own ``sim.events_per_s`` on ``bench/``'s
-#: ``paper_scalar`` counts the 2 it really processes.
-EVENTS_PER_COMPLETED_REQUEST = 3
-
 
 @dataclass(frozen=True)
 class ScalePoint:
@@ -129,57 +110,27 @@ def run_scale_point(
     point: ScalePoint,
     policy_name: str,
     seed: int = 1,
-    shared: Optional[Tuple[ArrayWorkload, float]] = None,
-    repeats: int = 1,
+    shared: Optional[ArrayWorkload] = None,
 ) -> Dict[str, object]:
     """One vectorized run; returns a BENCH_scale row.
 
-    ``drive_seconds`` times :meth:`ClusterEngine.run` alone; setup is
-    split into ``workload_seconds`` (columnar workload generation —
-    ``shared`` carries the sweep's per-point workload and its time; a
-    lone call generates its own) and ``placement_seconds`` (engine
-    assembly plus the policy's initial placement, where the probe
-    matrix is hashed); ``setup_seconds`` is their sum. Events are
-    counted at :data:`EVENTS_PER_COMPLETED_REQUEST` per completed
-    request — the fixed unit of committed rows, not the scalar kernel's
-    current per-request cost of 2.
-    With ``repeats > 1`` the run is rebuilt and re-driven that many
-    times (results are deterministic, so only timing varies);
-    ``drive_seconds`` reports the best and ``drive_seconds_all`` every
-    repeat — an honest floor on a shared, noisy host.
+    ``shared`` carries the sweep's per-point workload; a lone call
+    generates its own.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    workload, workload_seconds = shared or timed_point_workload(point, seed)
+    workload = shared if shared is not None else point_workload(point, seed)
     config = sweep_cluster_config(point)
-    placement_start = time.perf_counter()
-    drives: List[float] = []
-    for _ in range(repeats):
-        policy = make_scale_policy(policy_name, list(config.server_powers))
-        engine = ExperimentSpec(
-            workload=workload,
-            policy=policy,
-            config=config,
-            client_path=VectorizedClientPath(),
-        ).build()
-        drive_start = time.perf_counter()
-        result = engine.run()
-        drives.append(time.perf_counter() - drive_start)
-    drive_seconds = min(drives)
-    placement_seconds = time.perf_counter() - placement_start - sum(drives)
-    events = EVENTS_PER_COMPLETED_REQUEST * result.completed
+    policy = make_scale_policy(policy_name, list(config.server_powers))
+    result = ExperimentSpec(
+        workload=workload,
+        policy=policy,
+        config=config,
+        client_path=VectorizedClientPath(),
+    ).build().run()
     return {
         "policy": result.policy_name,
         **point_columns(point),
         "n_requests": int(result.submitted),
         "completed": int(result.completed),
-        "workload_seconds": round(workload_seconds, 4),
-        "placement_seconds": round(placement_seconds, 4),
-        "setup_seconds": round(workload_seconds + placement_seconds, 4),
-        "drive_seconds": round(drive_seconds, 4),
-        "drive_seconds_all": [round(d, 4) for d in drives],
-        "events": int(events),
-        "events_per_sec": round(events / drive_seconds, 1) if drive_seconds else 0.0,
         **latency_columns(result),
         **policy_columns(policy),
     }
@@ -188,17 +139,14 @@ def run_scale_point(
 def render_scale(payload: Dict[str, object]) -> str:
     """ASCII table of a sweep payload (the CLI's printed output)."""
     lines = [
-        f"scale sweep: seed={payload['seed']} cpu_count={payload['cpu_count']} "
-        f"workers={payload['workers']}",
-        f"{'point':>14} {'policy':>6} {'events/s':>12} {'drive(s)':>9} "
-        f"{'mean lat':>9} {'p99 lat':>9} {'cov':>7} {'jain':>6} {'sheds':>8} "
-        f"{'reloc%':>7}",
+        f"scale sweep: seed={payload['seed']}",
+        f"{'point':>14} {'policy':>6} {'mean lat':>9} {'p99 lat':>9} {'cov':>7} "
+        f"{'jain':>6} {'sheds':>8} {'reloc%':>7}",
     ]
     for row in payload["rows"]:
         point = format_point_label(row["n_servers"], row["n_filesets"])
         lines.append(
-            f"{point:>14} {row['policy']:>6} {row['events_per_sec']:>12,.0f} "
-            f"{row['drive_seconds']:>9.3f} {row['mean_latency']:>9.4f} "
+            f"{point:>14} {row['policy']:>6} {row['mean_latency']:>9.4f} "
             f"{row['p99_latency']:>9.4f} {row['latency_cov']:>7.4f} "
             f"{row['jain_index']:>6.4f} {row['total_sheds']:>8} "
             f"{100.0 * row['relocate_fraction']:>6.1f}%"
@@ -208,20 +156,13 @@ def render_scale(payload: Dict[str, object]) -> str:
 
 SWEEP = SweepSpec(
     name="scale",
-    schema_version=3,
+    schema_version=4,
     description="Planet-scale vectorized sweep: ANU vs bounded-load "
     "consistent hashing vs JSQ(d), up to 1000 servers / 1M file sets.",
     points=DEFAULT_POINTS,
     smoke_points=SMOKE_POINTS,
     axes={"policies": SCALE_POLICIES},
-    prepare=timed_point_workload,
+    prepare=point_workload,
     cell=run_scale_point,
     render=render_scale,
-    options={
-        "repeats": (
-            1,
-            "drive each run N times and report the best (timing noise); "
-            "repeats > 1 forces --workers 1 so drive timing owns its core",
-        )
-    },
 )

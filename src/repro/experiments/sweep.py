@@ -10,8 +10,9 @@ declared in a :class:`SweepSpec`; what they share lives here, once:
   :func:`repro.experiments.fanout.stream_map` — the inputs reach the
   workers by fork, zero copies — and merges the rows in submission
   order under the common payload header. One worker (or one CPU) runs
-  every cell in-process; the rows are byte-identical either way,
-  modulo the wall-clock columns.
+  every cell in-process; the payload is byte-identical either way — a
+  pure function of (points, seed, axes). Host time is not a sweep
+  column: ``bench/`` is its one authority.
 * :func:`sweep_main` derives the subcommand's flags from the spec.
 * :func:`write_bench` serializes a payload canonically; the shape is
   guarded by ``tools/check_bench_schema.py``.
@@ -28,10 +29,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -53,7 +53,7 @@ __all__ = [
     "format_point_label",
     "scale_powers",
     "sweep_cluster_config",
-    "timed_point_workload",
+    "point_workload",
     "point_columns",
     "latency_columns",
     "policy_columns",
@@ -79,17 +79,13 @@ class SweepSpec:
     axes: Mapping[str, Tuple[str, ...]]
     #: ``prepare(point, seed, axes)`` → the point's shared inputs.
     prepare: Callable[[object, int, Mapping[str, Sequence[str]]], object]
-    #: ``cell(point, *axis_values, seed=, shared=, **options)`` → row.
+    #: ``cell(point, *axis_values, seed=, shared=)`` → row.
     cell: Callable[..., Row]
     render: Callable[[Row], str]
     #: ``header(seed, rows)`` → the sweep's own payload keys.
     header: Optional[Callable[[int, List[Row]], Row]] = None
     #: ``failure(payload)`` → why the CLI must exit 1, or ``None``.
     failure: Optional[Callable[[Row], Optional[str]]] = None
-    #: Scalar timing knobs of ``cell``: name → (default, help); each a
-    #: flag. A non-default value pins the sweep to one worker, so the
-    #: timing it asks for (best-of-N drives) never races a sibling cell.
-    options: Mapping[str, Tuple[object, str]] = field(default_factory=dict)
 
     @property
     def bench(self) -> str:
@@ -99,10 +95,8 @@ class SweepSpec:
 def _run_cell(job: Tuple[object, ...]) -> Row:
     """One sweep cell; reads the fork-shared payload."""
     point_idx, *values = job
-    cell, points, shared, seed, options = shared_payload()
-    return cell(
-        points[point_idx], *values, seed=seed, shared=shared[point_idx], **options
-    )
+    cell, points, shared, seed = shared_payload()
+    return cell(points[point_idx], *values, seed=seed, shared=shared[point_idx])
 
 
 def run_sweep(
@@ -114,36 +108,29 @@ def run_sweep(
 ) -> Row:
     """Run every (point × axis values) cell of ``spec``; returns the payload.
 
-    ``axes`` overrides axis values (``policies=("anu",)``) and option
-    values (``repeats=3``) by name. Shared inputs are generated once
-    per point in the parent, so every cell of a point sees identical
-    arrivals (and fault script) — the comparison across an axis is
-    apples-to-apples — and cells merge in submission order, so the row
-    list never depends on the worker count.
+    ``axes`` overrides axis values (``policies=("anu",)``) by name.
+    Shared inputs are generated once per point in the parent, so every
+    cell of a point sees identical arrivals (and fault script) — the
+    comparison across an axis is apples-to-apples — and cells merge in
+    submission order, so the payload never depends on the worker count.
     """
-    unknown = set(axes) - set(spec.axes) - set(spec.options)
+    unknown = set(axes) - set(spec.axes)
     if unknown:
-        raise TypeError(f"{spec.name} sweep has no axis/option {sorted(unknown)}")
+        raise TypeError(f"{spec.name} sweep has no axis {sorted(unknown)}")
     points = list(spec.points if points is None else points)
     values = {name: list(axes.get(name, spec.axes[name])) for name in spec.axes}
-    options = {name: axes.get(name, spec.options[name][0]) for name in spec.options}
-    workers = resolve_workers(workers)
-    if any(options[name] != spec.options[name][0] for name in options):
-        workers = 1
     shared = [spec.prepare(point, seed, values) for point in points]
     rows = stream_map(
         _run_cell,
         list(itertools.product(range(len(points)), *values.values())),
-        payload=(spec.cell, points, shared, seed, options),
-        max_workers=workers,
+        payload=(spec.cell, points, shared, seed),
+        max_workers=resolve_workers(workers),
         chunk_size=1,
     )
     return {
         "bench": spec.bench,
         "schema_version": spec.schema_version,
         "seed": seed,
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
         **values,
         **(spec.header(seed, rows) if spec.header is not None else {}),
         "rows": rows,
@@ -182,10 +169,6 @@ def sweep_main(spec: SweepSpec, argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="seconds-sized subset (CI): tiny points, same code path",
     )
-    for option, (default, help_text) in spec.options.items():
-        parser.add_argument(
-            f"--{option}", type=type(default), default=default, help=help_text
-        )
     parser.add_argument(
         "--workers",
         type=int,
@@ -200,7 +183,7 @@ def sweep_main(spec: SweepSpec, argv: Optional[Sequence[str]] = None) -> int:
         points=spec.smoke_points if args.smoke else spec.points,
         seed=args.seed,
         workers=args.workers,
-        **{name: getattr(args, name) for name in (*spec.axes, *spec.options)},
+        **{name: getattr(args, name) for name in spec.axes},
     )
     write_bench(payload, args.out)
     print(spec.render(payload))
@@ -242,13 +225,12 @@ def sweep_cluster_config(point) -> ClusterConfig:
     )
 
 
-def timed_point_workload(
+def point_workload(
     point, seed: int, axes: Optional[Mapping[str, Sequence[str]]] = None
-) -> Tuple[ArrayWorkload, float]:
-    """The point's columnar workload and the seconds generating it took
-    (a ``prepare`` as is: every axis value shares the one workload)."""
-    start = time.perf_counter()
-    workload = generate_scale(
+) -> ArrayWorkload:
+    """The point's columnar workload (a ``prepare`` as is: every axis
+    value shares the one workload)."""
+    return generate_scale(
         ScaleConfig(
             n_filesets=point.n_filesets,
             target_requests=point.n_requests,
@@ -257,7 +239,6 @@ def timed_point_workload(
         ),
         seed=seed,
     )
-    return workload, time.perf_counter() - start
 
 
 def point_columns(point) -> Row:
@@ -288,17 +269,18 @@ def policy_columns(policy: LoadManager) -> Row:
     The vector policies count sheds themselves; the scalar ANU
     adapter's counter lives on its ``ANUManager``. The ledger exists
     only on :class:`RelocationStats` policies — others record null,
-    not zero: they are uninstrumented, not relocation-free.
+    not zero: they are uninstrumented, not relocation-free. The
+    policies' own ``reshuffle_seconds`` is host time and stays out of
+    the row (``bench/`` reports it as ``policies.reshuffle_s``).
     """
     sheds = getattr(policy, "total_sheds", None) or getattr(
         getattr(policy, "manager", None), "total_sheds", 0
     )
     if not isinstance(policy, RelocationStats):
-        ledger = dict.fromkeys(("relocated", "relocate_fraction", "reshuffle_seconds"))
+        ledger = dict.fromkeys(("relocated", "relocate_fraction"))
     else:
         ledger = {
             "relocated": int(policy.relocated_total),
             "relocate_fraction": round(float(policy.relocate_fraction), 6),
-            "reshuffle_seconds": round(float(policy.reshuffle_seconds), 4),
         }
     return {"total_sheds": int(sheds), **ledger}

@@ -38,7 +38,7 @@ class GeneratorFileServer(FileServer):
         self._loop = Process(self.env, self._service_loop())
 
     def submit(self, request: MetadataRequest) -> None:
-        if self._failed:
+        if self.failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
         request.server = self.server_id
         self._store.put(request)
@@ -79,7 +79,7 @@ class GeneratorFileServer(FileServer):
             )
 
     def fail(self):
-        self._failed = True
+        self.failed = True
         self.incarnation += 1
         self._loop.interrupt("failed")
         orphans = self._store.drain()

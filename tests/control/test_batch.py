@@ -100,23 +100,27 @@ class TestMembership:
 class TestSimulatorParity:
     def test_mirrors_fileserver_interval_report(self, env):
         """Same observation sequence -> identical report fields."""
-        import numpy as np
-
-        from repro.cluster.server import FileServer
+        from repro.cluster import FileServer, MetadataRequest
 
         server = FileServer(env, server_id="s0", power=2.0)
         batcher = EpochBatcher(["s0"])
-        # Window 1: two completions.
-        server.absorb_batch(np.array([0.25, 0.75]), busy=1.0)
+        # Window 1: two completions, served FIFO at power 2 (latencies
+        # 0.5 / 2 and (0.5 + 1.0) / 2).
+        for work in (0.5, 1.0):
+            server.submit(MetadataRequest(fileset="/a", arrival=0.0, work=work))
+        env.run(until=1.0)
+        assert list(server.completed.samples) == [0.25, 0.75]
         for latency in (0.25, 0.75):
             batcher.observe("s0", latency)
         sim = server.interval_report()
         live = batcher.close_epoch(window=(0.0, 1.0))[0]
         # Window 2: idle.
+        env.run(until=2.0)
         sim2 = server.interval_report()
         live2 = batcher.close_epoch(window=(1.0, 2.0))[0]
         for a, b in ((sim, live), (sim2, live2)):
             assert a.server_id == b.server_id
+            assert a.window == b.window
             assert a.request_count == b.request_count
             assert a.idle_rounds == b.idle_rounds
             assert (a.mean_latency == pytest.approx(b.mean_latency)) or (

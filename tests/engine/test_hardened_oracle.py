@@ -3,12 +3,13 @@
 :class:`GeneratorHardenedClient` is the drive loop
 :class:`~repro.engine.HardenedClient` used to run: one generator process
 per logical request, racing each attempt's completion event against a
-timeout through ``AnyOf``. It runs on the test-only generator runtime of
-``tests/sim/generators.py``. The property drives one client of each kind
-through the same random sequence of arrivals, slow servers, crashes and
-recoveries (incarnation bumps), suspected sets and placement moves, and
-holds every ledger counter, completion time and latency to bit-for-bit
-equality.
+timeout through ``AnyOf`` (a completion disarms the pending timeout,
+as it cancels the timer in the program). It runs on the test-only
+generator runtime of ``tests/sim/generators.py``. The property drives
+one client of each kind through the same random sequence of arrivals,
+slow servers, crashes and recoveries (incarnation bumps), suspected
+sets and placement moves, and holds every ledger counter, completion
+time and latency to bit-for-bit equality.
 """
 
 from __future__ import annotations
@@ -49,13 +50,27 @@ class GeneratorHardenedClient(HardenedClient):
                 fileset=request.fileset, arrival=request.arrival, work=request.work
             )
             done = Event(env)
-            attempt.on_complete = lambda req, ev=done: ev.succeed(req)
+            timer = []  # the attempt's pending timeout
+
+            def served(req, done=done, timer=timer):
+                # Completing disarms the pending timeout, as a completion
+                # cancels the timer entry in the program.
+                timer[-1].callbacks.clear()
+                done.succeed(req)
+
+            attempt.on_complete = served
             incarnation = server.incarnation
             server.submit(attempt)
             attempts.send()
             while not attempt.done:
-                yield AnyOf(env, [done, Timeout(env, self.policy.request_timeout)])
+                timer.append(Timeout(env, self.policy.request_timeout))
+                yield AnyOf(env, [done, timer[-1]])
                 if attempt.done:
+                    # The timeout fired first at the completion's instant:
+                    # learn of the completion through its event all the
+                    # same, so settles keep the servers' completion order.
+                    if not done.processed:
+                        yield AnyOf(env, [done])
                     break
                 if (
                     server.failed
@@ -218,6 +233,25 @@ class TestCallbackClientMatchesGeneratorClient:
         steps=[(0.0, "arrive", 0, 2.0, "/a"), (0.25, "suspect", 0, 1.0, "/a"),
                (0.0, "move", 1, 1.0, "/a")],
         policy=RetryPolicy(request_timeout=1.0, max_attempts=3, jitter=0.0),
+        seed=0,
+    )
+    # Two completions at one instant on different servers, each racing
+    # its attempt's timer there: the samples follow the completions.
+    @example(
+        steps=[(0.0, "arrive", 0, 2.0, "/a"), (1.0, "arrive", 0, 2.0, "/b")],
+        policy=RetryPolicy(
+            request_timeout=0.5, max_attempts=1, backoff_base=0.25,
+            backoff_cap=0.25, jitter=0.0,
+        ),
+        seed=0,
+    )
+    # The queued request's timer fires at its completion's instant ahead
+    # of the completion entry, and another server completes in between:
+    # the other request settles first, as the program's client does.
+    @example(
+        steps=[(0.0, "arrive", 0, 1.75, "/a"), (0.0, "arrive", 0, 0.25, "/a"),
+               (1.625, "arrive", 0, 0.75, "/b")],
+        policy=RetryPolicy(request_timeout=0.5, max_attempts=1, jitter=0.0),
         seed=0,
     )
     def test_every_ledger_value_is_bit_equal(self, steps, policy, seed):

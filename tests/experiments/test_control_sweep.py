@@ -97,9 +97,25 @@ class TestDeterminism:
         point = TINY[0]
         a = run_control_point(point, "hotspot", "brownout", seed=3)
         b = run_control_point(point, "hotspot", "brownout", seed=3)
-        for key in ("completed", "convergence_round", "oscillation",
-                    "latency_cov", "jain_index", "total_sheds"):
-            assert a[key] == b[key], key
+        assert a == b
+
+    def test_deterministic(self, payload, tmp_path):
+        again = run_sweep(
+            SWEEP, points=TINY, controllers=CONTROLLERS, seed=1, workers=1
+        )
+        assert again == payload
+        a = write_bench(payload, tmp_path / "a.json")
+        b = write_bench(again, tmp_path / "b.json")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_fanout_payload_identical(self, payload, tmp_path):
+        parallel = run_sweep(
+            SWEEP, points=TINY, controllers=CONTROLLERS, seed=1, workers=2
+        )
+        assert parallel == payload
+        a = write_bench(payload, tmp_path / "sequential.json")
+        b = write_bench(parallel, tmp_path / "parallel.json")
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestTraceMetrics:

@@ -37,11 +37,11 @@ from pathlib import Path
 NoneType = type(None)
 
 #: Must match ``repro.experiments.scale.SWEEP.schema_version``.
-SCALE_SCHEMA_VERSION = 3
+SCALE_SCHEMA_VERSION = 4
 #: Must match ``repro.experiments.chaos_scale.SWEEP.schema_version``.
-CHAOS_SCALE_SCHEMA_VERSION = 3
+CHAOS_SCALE_SCHEMA_VERSION = 4
 #: Must match ``repro.experiments.control.SWEEP.schema_version``.
-CONTROL_SCHEMA_VERSION = 3
+CONTROL_SCHEMA_VERSION = 4
 #: Must match ``repro.service.bench.SCHEMA_VERSION``.
 SERVICE_SCHEMA_VERSION = 1
 
@@ -84,8 +84,6 @@ BENCHES = {
             "bench": str,
             "schema_version": int,
             "seed": int,
-            "cpu_count": int,
-            "workers": int,
             "policies": list,
             "rows": list,
         },
@@ -97,13 +95,6 @@ BENCHES = {
             "completed": int,
             "duration_s": _NUM,
             "tuning_interval_s": _NUM,
-            "workload_seconds": _NUM,
-            "placement_seconds": _NUM,
-            "setup_seconds": _NUM,
-            "drive_seconds": _NUM,
-            "drive_seconds_all": list,
-            "events": int,
-            "events_per_sec": _NUM,
             "mean_latency": _NUM,
             "p99_latency": _NUM,
             "latency_cov": _NUM,
@@ -111,9 +102,7 @@ BENCHES = {
             "total_sheds": int,
             "relocated": int,
             "relocate_fraction": _NUM,
-            "reshuffle_seconds": _NUM,
         },
-        "finite": ("events_per_sec",),
         "unit": ("relocate_fraction",),
     },
     "chaos_scale": {
@@ -123,8 +112,6 @@ BENCHES = {
             "bench": str,
             "schema_version": int,
             "seed": int,
-            "cpu_count": int,
-            "workers": int,
             "policies": list,
             "detection_latency_bound_s": _NUM,
             "heartbeat": dict,
@@ -138,16 +125,11 @@ BENCHES = {
             "n_requests": int,
             "duration_s": _NUM,
             "tuning_interval_s": _NUM,
-            "workload_seconds": _NUM,
-            "placement_seconds": _NUM,
-            "setup_seconds": _NUM,
-            "drive_seconds": _NUM,
             "failure_declarations": int,
             "recovery_declarations": int,
             "total_sheds": int,
             "relocated": int,
             "relocate_fraction": _NUM,
-            "reshuffle_seconds": _NUM,
         },
         "zero": ("invariant_violations", "requests_lost"),
         "unit": ("relocate_fraction",),
@@ -159,8 +141,6 @@ BENCHES = {
             "bench": str,
             "schema_version": int,
             "seed": int,
-            "cpu_count": int,
-            "workers": int,
             "baseline_controller": str,
             "controllers": list,
             "scenarios": list,
@@ -190,9 +170,6 @@ BENCHES = {
             # no relocation ledger (uninstrumented ≠ zero relocations).
             "relocated": (int, NoneType),
             "relocate_fraction": _NUM + (NoneType,),
-            "reshuffle_seconds": _NUM + (NoneType,),
-            "setup_seconds": _NUM,
-            "drive_seconds": _NUM,
         },
         "unit": ("relocate_fraction",),
         "finite": (
