@@ -18,7 +18,7 @@ movement to punitive and shows:
 from __future__ import annotations
 
 from repro.cluster import CacheConfig
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table
@@ -43,7 +43,7 @@ def _run_sweep(scale: float):
     out = {}
     for name, cache in SWEEP.items():
         policy = ANURandomization(list(PAPER_POWERS), hash_family=HashFamily(seed=0))
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             workload.fork(),
             policy,
             ClusterConfig(server_powers=dict(PAPER_POWERS), cache=cache),

@@ -12,7 +12,7 @@ cluster keeps serving throughout.
 
 from __future__ import annotations
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table
@@ -29,7 +29,7 @@ def _run_churn(scale: float):
     )
     workload = generate_synthetic(cfg, seed=BENCH_SEED)
     policy = ANURandomization(list(PAPER_POWERS), hash_family=HashFamily(seed=0))
-    sim = SimulationBuilder(
+    sim = ExperimentSpec(
         workload, policy, ClusterConfig(server_powers=dict(PAPER_POWERS))
     ).build()
     # fail a mid server at 25% of the run, recover it at 60%

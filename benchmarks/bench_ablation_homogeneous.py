@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.metrics import ascii_table
 from repro.policies import ANURandomization, SimpleRandomization
@@ -41,9 +41,9 @@ def _run_pair(scale: float):
         ("simple", SimpleRandomization(list(EQUAL_POWERS), hash_family=HashFamily(seed=0))),
         ("anu", ANURandomization(list(EQUAL_POWERS), hash_family=HashFamily(seed=0))),
     ):
-        out[name] = SimulationBuilder(
+        out[name] = ExperimentSpec(
             workload.fork(), policy, cluster_cfg
-        ).run()
+        ).build().run()
     return out
 
 

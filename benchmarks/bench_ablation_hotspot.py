@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table
@@ -35,16 +35,16 @@ def _run(scale: float):
     )
     workload, hot_sets = generate_shifting(cfg, seed=BENCH_SEED)
     anu_policy = ANURandomization(list(PAPER_POWERS), hash_family=HashFamily(seed=0))
-    anu = SimulationBuilder(
+    anu = ExperimentSpec(
         workload.fork(),
         anu_policy,
         ClusterConfig(server_powers=dict(PAPER_POWERS)),
-    ).run()
-    prescient = SimulationBuilder(
+    ).build().run()
+    prescient = ExperimentSpec(
         workload.fork(),
         DynamicPrescient(list(PAPER_POWERS)),
         ClusterConfig(server_powers=dict(PAPER_POWERS)),
-    ).run()
+    ).build().run()
     return workload, hot_sets, anu, anu_policy, prescient, cfg
 
 

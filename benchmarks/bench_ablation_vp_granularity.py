@@ -12,7 +12,7 @@ floor. This bench regenerates that regime.
 
 from __future__ import annotations
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS
 from repro.metrics import ascii_table
@@ -37,12 +37,12 @@ def _run_sweep(scale: float):
         policy = VirtualProcessorSystem(
             list(PAPER_POWERS), n_virtual=nv, hash_family=HashFamily(seed=0)
         )
-        out[f"vp{nv}"] = SimulationBuilder(
+        out[f"vp{nv}"] = ExperimentSpec(
             workload.fork(), policy, cluster_cfg
-        ).run()
-    out["prescient"] = SimulationBuilder(
+        ).build().run()
+    out["prescient"] = ExperimentSpec(
         workload.fork(), DynamicPrescient(list(PAPER_POWERS)), cluster_cfg
-    ).run()
+    ).build().run()
     return out
 
 

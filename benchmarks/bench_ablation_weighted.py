@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import HashFamily
 from repro.experiments.config import PAPER_POWERS, paper_config
 from repro.experiments.runner import run_system
@@ -36,9 +36,9 @@ def _run_all(scale: float):
         for system in ("simple", "anu")
     }
     weighted = WeightedHashing(dict(PAPER_POWERS), hash_family=HashFamily(seed=0))
-    out["weighted"] = SimulationBuilder(
+    out["weighted"] = ExperimentSpec(
         workload.fork(), weighted, config.cluster_config()
-    ).run()
+    ).build().run()
     return out
 
 

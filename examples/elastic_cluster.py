@@ -17,7 +17,7 @@ Run:  python examples/elastic_cluster.py
 
 from __future__ import annotations
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.core import required_partitions
 from repro.policies import ANURandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
@@ -30,7 +30,7 @@ def main() -> None:
         SyntheticConfig(duration=3600.0, target_requests=20000), seed=8
     )
     policy = ANURandomization(list(POWERS))
-    sim = SimulationBuilder(
+    sim = ExperimentSpec(
         workload, policy, ClusterConfig(server_powers=POWERS)
     ).build()
 

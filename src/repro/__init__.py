@@ -15,7 +15,7 @@ layer never drags in the ones above it)
     ANU randomization: hashing, interval geometry, tuning, delegate.
 ``repro.engine``
     The composable experiment engine: control-plane / client-path /
-    fault layers assembled by ``SimulationBuilder``, instrumented
+    fault layers assembled by ``ExperimentSpec.build()``, instrumented
     through one probe bus.
 ``repro.cluster``
     Shared-disk cluster model: file sets, heterogeneous servers, caches.
@@ -35,8 +35,6 @@ layer never drags in the ones above it)
 ``repro.control``
     The pluggable tuning-control layer shared by scalar and vector
     engines (and the live service's epoch batcher).
-``repro.knobs``
-    The strict ``REPRO_*`` environment-knob validators.
 ``repro.retry``
     Client request hardening shared by the simulated and the live
     client: retry policy, request ledger, attempt state machine.
@@ -60,7 +58,6 @@ _SUBPACKAGES = (
     "engine",
     "experiments",
     "faults",
-    "knobs",
     "metrics",
     "policies",
     "retry",

@@ -1,9 +1,10 @@
 """repro.engine — the composable experiment engine.
 
 One :class:`ClusterEngine` assembled from four pluggable layers
-(control plane, client path, fault layer, instrumentation), built by
-:class:`SimulationBuilder`. See DESIGN.md §8 for the architecture and
-the probe catalog.
+(control plane, client path, fault layer, instrumentation), described
+by an :class:`ExperimentSpec` and assembled by its ``build()``;
+:func:`chaos_layers` supplies the chaos harness's three layers. See
+DESIGN.md §8 for the architecture and the probe catalog.
 
 The names below are re-exported lazily (:mod:`repro._lazy`): importing
 the package runs none of its modules, so ``import repro.engine.record``
@@ -34,10 +35,8 @@ __getattr__, __dir__, __all__ = attach(
             "RequestCompleted",
             "RequestDropped",
             "RequestFailed",
-            "RoundTraceProbe",
             "RunCompleted",
             "RunStarted",
-            "SLAProbe",
             "ServerFailed",
             "ServerRecovered",
         ],
@@ -69,6 +68,6 @@ __getattr__, __dir__, __all__ = attach(
         "vector_faults": ["VectorChaosFaultLayer"],
         "engine": ["ClusterEngine"],
         "vector_driver": ["VectorizedClientPath", "VectorizedRequestDriver"],
-        "builder": ["ExperimentSpec", "SimulationBuilder"],
+        "builder": ["ExperimentSpec", "chaos_layers"],
     },
 )

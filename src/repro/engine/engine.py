@@ -20,7 +20,8 @@ plane → fault layer), so the order of their first calendar entries —
 and therefore every event tie-break — never changes and the golden
 fingerprints match bit-for-bit.
 
-Use :class:`~repro.engine.builder.SimulationBuilder` to assemble one.
+Describe one with :class:`~repro.engine.builder.ExperimentSpec` and
+assemble it with ``ExperimentSpec.build()``.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ layer — reports what happened by publishing a small frozen dataclass
 (a *probe event*) onto one :class:`ProbeBus`. Results are no longer
 collected ad hoc inside each driver: the canonical
 :class:`~repro.engine.record.RunRecord` is itself just a subscriber
-(:class:`~repro.engine.record.RunRecorder`), and new observers —
-per-round traces, SLA counters, movement logs — attach without
-touching the engine.
+(:class:`~repro.engine.record.RunRecorder`), and any other
+:class:`Observer` attaches the same way without touching the engine.
 
 Probe catalog
 -------------
@@ -34,8 +33,8 @@ the figure runs therefore pay nothing for the bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Type
 
 __all__ = [
     "ProbeEvent",
@@ -55,8 +54,6 @@ __all__ = [
     "InvariantAudit",
     "ProbeBus",
     "Observer",
-    "SLAProbe",
-    "RoundTraceProbe",
 ]
 
 
@@ -256,70 +253,3 @@ class Observer:
         for event_type, method_name in self.subscriptions.items():
             bus.subscribe(event_type, getattr(self, method_name))
         return self
-
-
-# ---------------------------------------------------------------------- #
-# bundled observers
-# ---------------------------------------------------------------------- #
-@dataclass
-class SLAProbe(Observer):
-    """Counts SLA attainment online from :class:`RequestCompleted`.
-
-    The per-server view restates the paper's consistency argument
-    operationally: a cluster is consistent when every busy server
-    attains the SLA, not just the average (§5.2.2). Requires the
-    completion probe (attach via the builder, or call
-    ``engine.enable_completion_probe()``).
-    """
-
-    latency_target: float = 5.0
-    total: int = 0
-    within: int = 0
-    per_server: Dict[object, Tuple[int, int]] = field(default_factory=dict)
-
-    subscriptions = {}  # set below (forward reference to the dataclass)
-
-    def on_completed(self, event: RequestCompleted) -> None:
-        ok = event.latency <= self.latency_target
-        self.total += 1
-        self.within += ok
-        within, total = self.per_server.get(event.server_id, (0, 0))
-        self.per_server[event.server_id] = (within + ok, total + 1)
-
-    @property
-    def attainment(self) -> float:
-        """Fraction of completed requests at or under the target."""
-        return self.within / self.total if self.total else float("nan")
-
-    def server_attainment(self, server_id: object) -> float:
-        """Attainment over requests served by one server."""
-        within, total = self.per_server.get(server_id, (0, 0))
-        return within / total if total else float("nan")
-
-
-SLAProbe.subscriptions = {RequestCompleted: "on_completed"}
-
-
-@dataclass
-class RoundTraceProbe(Observer):
-    """Per-reconfiguration trace rows (time, kind, moves, share).
-
-    A movement log that attaches without touching the engine — the
-    Figure 7 data as a live subscriber instead of a post-hoc scan.
-    """
-
-    rows: List[Tuple[float, int, str, int, float]] = field(default_factory=list)
-
-    subscriptions = {}
-
-    def on_moves(self, event: MovesApplied) -> None:
-        self.rows.append(
-            (event.time, event.round_index, event.kind, event.moves, event.moved_work_share)
-        )
-
-    def total_moves(self, kind: Optional[str] = None) -> int:
-        """Moves across recorded reconfigurations (optionally one kind)."""
-        return sum(r[3] for r in self.rows if kind is None or r[2] == kind)
-
-
-RoundTraceProbe.subscriptions = {MovesApplied: "on_moves"}

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.hashing import HashFamily
-from ..engine import ChaosConfig, ChaosResult, SimulationBuilder
+from ..engine import ChaosConfig, ChaosResult, ExperimentSpec, chaos_layers
 from ..faults import FaultSchedule, chaos_fingerprint, random_schedule
 from ..metrics.robustness import RobustnessReport, robustness_report
 from ..policies import ANURandomization
@@ -76,11 +76,10 @@ def run_chaos(
             min_outage=max(30.0, 3.0 * chaos.detection_latency_bound),
         )
     policy = ANURandomization(list(config.powers), hash_family=HashFamily(seed=0))
-    return (
-        SimulationBuilder(workload, policy, config.cluster_config())
-        .chaos(schedule=schedule, chaos=chaos)
-        .run()
+    spec = ExperimentSpec(
+        workload, policy, config.cluster_config(), **chaos_layers(schedule, chaos)
     )
+    return spec.build().run_chaos()
 
 
 def run_chaos_sweep(

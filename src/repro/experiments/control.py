@@ -54,8 +54,9 @@ from ..core.hashing import HashFamily
 from ..core.interval import HALF
 from ..engine import (
     ChaosConfig,
+    ExperimentSpec,
     MovesApplied,
-    SimulationBuilder,
+    ProbeBus,
     VectorChaosFaultLayer,
     VectorizedClientPath,
 )
@@ -385,20 +386,23 @@ def run_control_point(
         if event.kind == "tune":
             trace.append(dict(policy.region_lengths))
 
-    builder = (
-        SimulationBuilder(workload, policy, config)
-        .probe(MovesApplied, snap)
-    )
-    run_chaos = False
-    if point.mode == "vector":
-        builder.client_path(VectorizedClientPath())
-        if scenario == "churn":
-            builder.faults(
-                VectorChaosFaultLayer(schedule=_churn_script(point, chaos), chaos=chaos)
-            )
-            run_chaos = True
-    engine = builder.build()
-    if point.mode == "paper" and scenario == "churn":
+    bus = ProbeBus()
+    bus.subscribe(MovesApplied, snap)
+    vector = point.mode == "vector"
+    run_chaos = vector and scenario == "churn"
+    engine = ExperimentSpec(
+        workload,
+        policy,
+        config,
+        client_path=VectorizedClientPath() if vector else None,
+        faults=(
+            VectorChaosFaultLayer(schedule=_churn_script(point, chaos), chaos=chaos)
+            if run_chaos
+            else None
+        ),
+        bus=bus,
+    ).build()
+    if not vector and scenario == "churn":
         victim = max(server_ids[:-1]) if len(server_ids) > 1 else server_ids[0]
         engine.schedule_failure(0.35 * point.duration, victim)
         engine.schedule_recovery(0.65 * point.duration, victim)

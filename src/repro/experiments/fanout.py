@@ -38,8 +38,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
-from ..knobs import env_int
-
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
@@ -59,21 +57,12 @@ def shared_payload() -> Any:
 
 
 def default_workers() -> int:
-    """Worker count from ``REPRO_PARALLEL_WORKERS`` or the CPU count.
-
-    The variable must be a positive integer; anything else raises a
-    :class:`ValueError` naming the variable and the offending value —
-    a silently ignored typo here would quietly serialize (or fail to
-    bound) every sweep.
-    """
-    workers = env_int("REPRO_PARALLEL_WORKERS", default=None, minimum=1)
-    if workers is not None:
-        return workers
+    """The default worker count: the CPU count (``--workers`` overrides it)."""
     return os.cpu_count() or 1
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """An explicit worker count, or the environment/CPU default.
+    """An explicit worker count, or the CPU-count default.
 
     The sweeps call this once up front and record the result in their
     payload, so every bench says how many workers produced it.

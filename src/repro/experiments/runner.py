@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.hashing import HashFamily
-from ..engine import SimulationBuilder
+from ..engine import ExperimentSpec
 from ..engine.record import ClusterResult
 from ..policies import (
     ANURandomization,
@@ -88,8 +88,7 @@ def run_system(
         n_virtual=n_virtual,
         controller=controller,
     )
-    sim = SimulationBuilder(workload, policy, config.cluster_config()).build()
-    return sim.run()
+    return ExperimentSpec(workload, policy, config.cluster_config()).build().run()
 
 
 def _system_job(job: Tuple[str, Optional[int]]) -> ClusterResult:
@@ -131,9 +130,9 @@ def run_comparison(
 
     Each system gets a fresh simulation over the *same* workload.
     Returns ``{system: result}`` in the order of ``systems``;
-    ``max_workers > 1`` (``None``: ``REPRO_PARALLEL_WORKERS`` or the
-    CPU count) fans the systems out over forked workers with results
-    byte-identical to the sequential default.
+    ``max_workers > 1`` (``None``: the CPU count) fans the systems out
+    over forked workers with results byte-identical to the sequential
+    default.
     """
     systems = tuple(systems)
     jobs = [(system, None) for system in systems]

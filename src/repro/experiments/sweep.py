@@ -173,7 +173,7 @@ def sweep_main(spec: SweepSpec, argv: Optional[Sequence[str]] = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="fan-out processes (default: REPRO_PARALLEL_WORKERS or CPU count)",
+        help="fan-out processes (default: CPU count)",
     )
     args = parser.parse_args(argv)
 

@@ -14,7 +14,7 @@ The subsystem splits into four pieces, composable on their own:
   bit-reproducibility digest of a
   :class:`~repro.engine.record.ChaosResult` (the full harness —
   hardened client + heartbeat detection + injector + auditor — is
-  assembled by ``SimulationBuilder(...).chaos(...)``).
+  assembled by ``ExperimentSpec(..., **chaos_layers(...)).build()``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ The harness itself is a layer composition —
 network) + :class:`~repro.engine.client_path.HardenedClientPath`
 (seeded jitter) + :class:`~repro.engine.fault_layer.ChaosFaultLayer`
 (heartbeat detection, fault injection, continuous invariant auditing),
-assembled by ``SimulationBuilder(...).chaos(schedule, chaos)``; its
+assembled by ``ExperimentSpec(..., **chaos_layers(schedule, chaos))``; its
 result/record types live in :mod:`repro.engine.record`. Everything
 stochastic derives from ``ChaosConfig.seed``, so a run is a pure
 function of ``(workload, config, schedule, chaos)`` and replays

@@ -21,6 +21,7 @@ import argparse
 import asyncio
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .bench import bench_payload, gate_failures, run_bench, write_payload
@@ -73,10 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _bench_config(args: argparse.Namespace) -> ServiceConfig:
     config = smoke_config(args.seed) if args.smoke else full_config(args.seed)
-    config = config.with_env_overrides()
     if args.clients is not None:
-        from dataclasses import replace
-
         config = replace(config, clients=args.clients)
     return config
 
@@ -111,7 +109,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-async def _serve(config: ServiceConfig, epoch_seconds: float) -> None:
+async def _serve(config: ServiceConfig) -> None:
     servers: List[EchoFileServer] = [
         EchoFileServer(sid, power, time_scale=config.time_scale, host=config.host)
         for sid, power in config.server_powers.items()
@@ -122,7 +120,7 @@ async def _serve(config: ServiceConfig, epoch_seconds: float) -> None:
     locator = LocatorService(
         server_powers=dict(config.server_powers),
         addresses=addresses,
-        epoch_seconds=epoch_seconds,
+        epoch_seconds=config.epoch_seconds,
         hash_seed=config.seed,
         host=config.host,
         port=config.port,
@@ -144,12 +142,11 @@ async def _serve(config: ServiceConfig, epoch_seconds: float) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    config = full_config(args.seed).with_env_overrides()
-    from dataclasses import replace
-
-    config = replace(config, port=args.port if args.port else config.port)
+    config = replace(
+        full_config(args.seed), port=args.port, epoch_seconds=args.epoch_seconds
+    )
     try:
-        asyncio.run(_serve(config, args.epoch_seconds))
+        asyncio.run(_serve(config))
     except KeyboardInterrupt:
         pass
     return 0

@@ -28,7 +28,6 @@ The payload's hard gates — checked here *and* by
 
 from __future__ import annotations
 
-import asyncio
 import json
 import math
 import time
@@ -42,7 +41,7 @@ from .locator import LocatorService
 from .recording import ServiceRecording
 from .twin import TwinReport, run_twin
 
-__all__ = ["SCHEMA_VERSION", "run_bench", "bench_payload", "run_bench_sync"]
+__all__ = ["SCHEMA_VERSION", "run_bench", "bench_payload"]
 
 #: Bump alongside ``tools/check_bench_schema.py`` when the payload
 #: shape changes.
@@ -241,19 +240,6 @@ def gate_failures(payload: dict) -> List[str]:
             f"(tolerance {payload['twin']['sim_tolerance']})"
         )
     return problems
-
-
-def run_bench_sync(
-    config: ServiceConfig,
-    profile: str,
-    processes: bool = True,
-    controller: Optional[object] = None,
-) -> dict:
-    """Blocking wrapper: run the bench and return the payload."""
-    recording, results, locator, twin = asyncio.run(
-        run_bench(config, processes=processes, controller=controller)
-    )
-    return bench_payload(config, profile, recording, results, locator, twin)
 
 
 def write_payload(payload: dict, path: str) -> None:

@@ -1,19 +1,17 @@
-"""Service configuration and its ``REPRO_SERVICE_*`` environment knobs.
+"""Service configuration: one frozen, validated :class:`ServiceConfig`.
 
-All knobs go through :mod:`repro.knobs`, the same strict validators the
-fan-out's ``REPRO_PARALLEL_WORKERS`` uses: unset means default, anything
-set must parse exactly or the service refuses to start
-(:meth:`ServiceConfig.with_env_overrides`). The paper's cluster shape —
-powers {1, 3, 5, 7, 9} — is the default line-up; the smoke profile
-trims it to two servers so CI finishes in seconds.
+The command line (``python -m repro.service``) picks a profile and
+applies its flags (``bench --clients``, ``serve --port`` /
+``--epoch-seconds``) with :func:`dataclasses.replace`, which re-runs
+the validation. The paper's cluster shape — powers {1, 3, 5, 7, 9} —
+is the default line-up; the smoke profile trims it to two servers so
+CI finishes in seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
-
-from ..knobs import env_float, env_int
 
 __all__ = ["ServiceConfig", "smoke_config", "full_config"]
 
@@ -87,32 +85,6 @@ class ServiceConfig:
     def total_capacity(self) -> float:
         """Sum of server powers (the workload calibration base)."""
         return float(sum(self.server_powers.values()))
-
-    def with_env_overrides(self) -> "ServiceConfig":
-        """This config with ``REPRO_SERVICE_*`` knobs applied on top.
-
-        ``REPRO_SERVICE_PORT`` (0–65535; 0 binds an ephemeral port),
-        ``REPRO_SERVICE_EPOCH_SECONDS`` (> 0) and ``REPRO_SERVICE_CLIENTS``
-        (>= 1) override the profile's values; unset knobs keep them, and
-        with none set the same object comes back.
-        """
-        port = env_int("REPRO_SERVICE_PORT", default=None, minimum=0, maximum=65535)
-        epoch = env_float(
-            "REPRO_SERVICE_EPOCH_SECONDS", default=None, exclusive_minimum=0.0
-        )
-        clients = env_int("REPRO_SERVICE_CLIENTS", default=None, minimum=1)
-        changes = {}
-        if port is not None:
-            changes["port"] = port
-        if epoch is not None:
-            changes["epoch_seconds"] = epoch
-        if clients is not None:
-            changes["clients"] = clients
-        if not changes:
-            return self
-        from dataclasses import replace
-
-        return replace(self, **changes)
 
 
 def smoke_config(seed: int = 0) -> ServiceConfig:

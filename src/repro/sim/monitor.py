@@ -58,7 +58,7 @@ class Tally:
         """Record one observation."""
         value = float(value)
         # Retain first: a BufferError (see samples_view) must leave the
-        # moments as they were. observe_many/observe_moments do the same.
+        # moments as they were. observe_each/observe_moments do the same.
         if self._keep:
             self._buf.append(value)
         n = self._n = self._n + 1
@@ -118,46 +118,6 @@ class Tally:
         for key, value in state.items():
             setattr(self, key, value)
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations.
-
-        Vectorized: batch moments are computed once and merged into the
-        running state with the parallel-variance (Chan et al.) update,
-        so the vectorized client path can land a whole request cohort
-        per call. Mean/variance agree with repeated :meth:`observe` to
-        float rounding (the summation order differs); min/max/count and
-        retained samples are identical.
-        """
-        import numpy as np
-
-        arr = np.asarray(
-            values if isinstance(values, (np.ndarray, list, tuple)) else list(values),
-            dtype=np.float64,
-        ).ravel()
-        k = arr.size
-        if k == 0:
-            return
-        if self._keep:
-            self._buf.frombytes(memoryview(arr).cast("B"))
-        n = self._n
-        batch_mean = float(arr.mean())
-        batch_m2 = float(((arr - batch_mean) ** 2).sum())
-        if n == 0:
-            self._mean = batch_mean
-            self._m2 = batch_m2
-        else:
-            delta = batch_mean - self._mean
-            total = n + k
-            self._mean += delta * (k / total)
-            self._m2 += batch_m2 + delta * delta * (n * k / total)
-        self._n = n + k
-        lo = float(arr.min())
-        hi = float(arr.max())
-        if lo < self._min:
-            self._min = lo
-        if hi > self._max:
-            self._max = hi
-
     def observe_moments(
         self,
         count: int,
@@ -167,14 +127,16 @@ class Tally:
         maximum: float,
         samples: Optional[np.ndarray] = None,
     ) -> None:
-        """Merge a pre-summarized batch (same update as observe_many).
+        """Merge a pre-summarized batch with the parallel-variance update.
 
-        For callers that already hold per-batch moments, this skips
-        re-deriving them from the raw array. ``samples`` is retained
-        verbatim when the tally keeps samples; it must then have
-        exactly ``count`` elements. :meth:`TallyColumns.merge` is the
-        same update over many tallies at once, and is tested against
-        this one.
+        For callers that already hold per-batch moments (Chan et al.:
+        the batch's count, mean, M2, min and max). Mean and variance
+        agree with one :meth:`observe` per value to float rounding (the
+        summation order differs); count, min, max and retained samples
+        are identical. ``samples`` is retained verbatim when the tally
+        keeps samples; it must then have exactly ``count`` elements.
+        :meth:`TallyColumns.merge` is the same update over many tallies
+        at once, and is tested against this one.
         """
         if count <= 0:
             return

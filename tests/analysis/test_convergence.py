@@ -99,7 +99,7 @@ class TestIteration:
         converged region lengths of a real ANU run land in the same
         neighborhood as the model's fixed point."""
         from repro.core import HashFamily
-        from repro.engine import ClusterConfig, SimulationBuilder
+        from repro.engine import ClusterConfig, ExperimentSpec
         from repro.policies import ANURandomization
         from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -107,7 +107,7 @@ class TestIteration:
             SyntheticConfig(duration=4800.0, target_requests=26000), seed=1
         )
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
+        sim = ExperimentSpec(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         sim.run()
         simulated = policy.region_lengths
         eq = equilibrium_lengths(POWERS, offered_rate=15.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import CacheConfig
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -38,7 +38,7 @@ class TestConfigValidation:
 class TestRun:
     def test_nearly_all_requests_complete_under_anu(self):
         wl = small_wl()
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
         res = sim.run()
@@ -51,7 +51,7 @@ class TestRun:
     def test_tuning_rounds_match_duration(self):
         wl = small_wl()
         cfg = ClusterConfig(server_powers=POWERS, tuning_interval=100.0)
-        sim = SimulationBuilder(wl, ANURandomization(list(POWERS)), cfg).build()
+        sim = ExperimentSpec(wl, ANURandomization(list(POWERS)), cfg).build()
         res = sim.run()
         tune_records = [m for m in res.movement if m.kind == "tune"]
         assert len(tune_records) == 6  # t = 100, 200, ..., 600
@@ -61,7 +61,7 @@ class TestRun:
 
     def test_simple_never_moves(self):
         wl = small_wl()
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl,
             SimpleRandomization(list(POWERS)),
             ClusterConfig(server_powers=POWERS),
@@ -72,7 +72,7 @@ class TestRun:
 
     def test_aggregate_stats_consistent(self):
         wl = small_wl()
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
         res = sim.run()
@@ -85,7 +85,7 @@ class TestRun:
         wl = small_wl()
         results = []
         for _ in range(2):
-            sim = SimulationBuilder(
+            sim = ExperimentSpec(
                 wl.fork(),
                 ANURandomization(list(POWERS)),
                 ClusterConfig(server_powers=POWERS),
@@ -102,7 +102,7 @@ class TestRun:
             server_powers=POWERS,
             cache=CacheConfig(flush_work_scale=4.0, cold_factor=1.5, warmup_time=30.0),
         )
-        sim = SimulationBuilder(wl, ANURandomization(list(POWERS)), cfg).build()
+        sim = ExperimentSpec(wl, ANURandomization(list(POWERS)), cfg).build()
         res = sim.run()
         if res.total_moves:
             assert sim.cache.total_flush_work > 0
@@ -112,7 +112,7 @@ class TestRun:
 class TestChurn:
     def test_failure_reroutes_requests(self):
         wl = small_wl()
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
         # Fail a mid-size server: the survivors (capacity 20 vs offered
@@ -127,7 +127,7 @@ class TestChurn:
 
     def test_failure_then_recovery(self):
         wl = small_wl()
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
         sim.schedule_failure(150.0, 2)
@@ -141,7 +141,7 @@ class TestChurn:
     def test_failed_server_excluded_from_routing(self):
         wl = small_wl()
         policy = ANURandomization(list(POWERS))
-        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
+        sim = ExperimentSpec(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         sim.schedule_failure(100.0, 0)
         res = sim.run()
         # no post-failure completions on server 0: its tally froze

@@ -1,6 +1,6 @@
 """The assembly seam: ``ExperimentSpec.controller`` end to end.
 
-One seam, every consumer: the builder/spec inject a controller into
+One seam, every consumer: the spec injects a controller into
 the policy at assembly; the distributed control plane forks the same
 controller per round. These tests run tiny simulations through the
 seam and check the pieces line up.
@@ -13,7 +13,7 @@ import pytest
 from repro.cluster.cache import CacheConfig
 from repro.control import BrownoutController, PIController, make_controller
 from repro.core.hashing import HashFamily
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, DistributedControlPlane, ExperimentSpec
 from repro.experiments.runner import run_system
 from repro.experiments.config import ExperimentConfig
 from repro.policies import ANURandomization, SimpleRandomization
@@ -46,11 +46,9 @@ def config():
 class TestBuilderInjection:
     def test_builder_controller_reaches_policy(self):
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        engine = (
-            SimulationBuilder(tiny_workload(), policy, config())
-            .controller(BrownoutController())
-            .build()
-        )
+        engine = ExperimentSpec(
+            tiny_workload(), policy, config(), controller=BrownoutController()
+        ).build()
         assert isinstance(policy.controller, BrownoutController)
         result = engine.run()
         assert result.completed > 0
@@ -58,10 +56,7 @@ class TestBuilderInjection:
     def test_spec_forks_per_build(self):
         """Two builds of one spec must not share controller state."""
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        builder = SimulationBuilder(tiny_workload(), policy, config()).controller(
-            PIController()
-        )
-        spec = builder.spec()
+        spec = ExperimentSpec(tiny_workload(), policy, config(), controller=PIController())
         spec.build()
         first = policy.controller
         spec.build()
@@ -69,16 +64,9 @@ class TestBuilderInjection:
 
     def test_policy_without_seam_is_rejected(self):
         policy = SimpleRandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        builder = SimulationBuilder(tiny_workload(), policy, config()).controller(
-            PIController()
-        )
+        spec = ExperimentSpec(tiny_workload(), policy, config(), controller=PIController())
         with pytest.raises(ValueError, match="pluggable controller"):
-            builder.build()
-
-    def test_controller_slot_is_set_once(self):
-        builder = SimulationBuilder().controller(PIController())
-        with pytest.raises(ValueError, match="already set"):
-            builder.controller(PIController())
+            spec.build()
 
 
 class TestRunnerPassthrough:
@@ -104,11 +92,12 @@ class TestDistributedStatefulFailover:
             hash_family=HashFamily(seed=0),
             controller=PIController(),
         )
-        engine = (
-            SimulationBuilder(tiny_workload(seed=9), policy, config())
-            .distributed(delegate_crashes=[150.0])
-            .build()
-        )
+        engine = ExperimentSpec(
+            tiny_workload(seed=9),
+            policy,
+            config(),
+            control=DistributedControlPlane(delegate_crashes=[150.0]),
+        ).build()
         result = engine.run()
         assert result.completed > 0
         assert engine.control.failovers >= 1

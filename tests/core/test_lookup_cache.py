@@ -134,13 +134,13 @@ class TestMemoUnderChurn:
     def test_requests_in_flight_during_churn(self, small_workload, cluster_config):
         """Simulation-level: mid-run fail/recover with live traffic never
         routes an arrival to the dead server (a stale memo would)."""
-        from repro.engine import SimulationBuilder
+        from repro.engine import ExperimentSpec
         from repro.policies import ANURandomization
 
         policy = ANURandomization(
             list(cluster_config.server_powers), hash_family=HashFamily(seed=0)
         )
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             small_workload.fork(), policy, cluster_config
         ).build()
         # The run stamps the requests it replays, not the workload's:

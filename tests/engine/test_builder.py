@@ -1,4 +1,4 @@
-"""SimulationBuilder / ExperimentSpec assembly semantics."""
+"""ExperimentSpec assembly semantics and the chaos_layers composition."""
 
 from __future__ import annotations
 
@@ -12,15 +12,13 @@ from repro.engine import (
     DistributedControlPlane,
     ExperimentSpec,
     HardenedClientPath,
-    ProbeBus,
-    SimulationBuilder,
+    chaos_layers,
 )
-from repro.engine.record import ChaosResult, ClusterResult
+from repro.engine.record import ChaosResult
 from repro.experiments.cache import result_fingerprint
 from repro.policies import (
     ANURandomization,
     DynamicPrescient,
-    SimpleRandomization,
     TableBinPacking,
 )
 
@@ -31,84 +29,58 @@ def anu_policy():
     return ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
 
 
-def simple_policy():
-    return SimpleRandomization(list(POWERS), hash_family=HashFamily(seed=0))
-
-
 class TestValidation:
-    def test_missing_triple_is_named(self):
-        with pytest.raises(ValueError, match="workload.*config"):
-            SimulationBuilder(policy=simple_policy()).spec()
-
-    def test_layer_set_once(self, tiny_workload):
-        b = SimulationBuilder(
-            tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-        ).distributed()
-        with pytest.raises(ValueError, match="control layer already set"):
-            b.distributed()
-
     def test_chaos_conflicts_with_explicit_layers(self, tiny_workload):
-        b = SimulationBuilder(
-            tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-        ).hardened()
-        with pytest.raises(ValueError, match="already set"):
-            b.chaos()
-
-    def test_bus_set_once(self):
-        b = SimulationBuilder().bus(ProbeBus())
-        with pytest.raises(ValueError, match="bus.*already set"):
-            b.bus(ProbeBus())
+        """A second control layer beside the chaos harness is Python's
+        own duplicate-keyword error, before anything is assembled."""
+        with pytest.raises(TypeError, match="control"):
+            ExperimentSpec(
+                tiny_workload.fork(),
+                anu_policy(),
+                ClusterConfig(server_powers=POWERS),
+                control=DistributedControlPlane(),
+                **chaos_layers(),
+            )
 
 
 class TestAssembly:
-    def test_fluent_setters_build_an_engine(self, tiny_workload):
-        engine = (
-            SimulationBuilder()
-            .workload(tiny_workload.fork())
-            .policy(simple_policy())
-            .config(ClusterConfig(server_powers=POWERS))
-            .build()
-        )
-        assert isinstance(engine, ClusterEngine)
-        result = engine.run()
-        assert isinstance(result, ClusterResult)
-        assert result.completed > 0
-
     def test_spec_round_trip(self, tiny_workload):
-        spec = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-            )
-            .distributed()
-            .hardened()
-            .spec()
+        """The engine is assembled from exactly the layers the spec holds."""
+        spec = ExperimentSpec(
+            tiny_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            control=DistributedControlPlane(),
+            client_path=HardenedClientPath(),
         )
-        assert isinstance(spec, ExperimentSpec)
-        assert isinstance(spec.control, DistributedControlPlane)
-        assert isinstance(spec.client_path, HardenedClientPath)
         assert spec.faults is None
         engine = spec.build()
         assert engine.control is spec.control
+        assert engine.client_path is spec.client_path
 
     def test_chaos_sets_all_three_layers(self, tiny_workload):
-        spec = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-            )
-            .chaos()
-            .spec()
+        spec = ExperimentSpec(
+            tiny_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            **chaos_layers(),
         )
         assert isinstance(spec.control, DistributedControlPlane)
         assert isinstance(spec.client_path, HardenedClientPath)
         assert isinstance(spec.faults, ChaosFaultLayer)
+        engine = spec.build()
+        assert engine.faults is spec.faults
 
     def test_chaos_run_returns_chaos_result(self, tiny_workload):
         result = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
+            ExperimentSpec(
+                tiny_workload.fork(),
+                anu_policy(),
+                ClusterConfig(server_powers=POWERS),
+                **chaos_layers(),
             )
-            .chaos()
-            .run()
+            .build()
+            .run_chaos()
         )
         assert isinstance(result, ChaosResult)
         assert result.base.completed > 0
@@ -116,7 +88,7 @@ class TestAssembly:
     def test_identical_builds_are_deterministic(self, tiny_workload):
         def one_run():
             return (
-                SimulationBuilder(
+                ExperimentSpec(
                     tiny_workload.fork(),
                     anu_policy(),
                     ClusterConfig(server_powers=POWERS),
@@ -133,13 +105,13 @@ class TestAssembly:
             (anu_policy(), False),
             (TableBinPacking(list(POWERS), hash_family=HashFamily(seed=0)), True),
         ):
-            engine = SimulationBuilder(tiny_workload, policy, config).build()
+            engine = ExperimentSpec(tiny_workload, policy, config).build()
             engine.run(until=100.0)
             drained = [srv.drain_fileset_work() for srv in engine.servers.values()]
             assert any(drained) is tracked
 
     def test_average_work_is_built_once(self, tiny_workload):
-        engine = SimulationBuilder(
+        engine = ExperimentSpec(
             tiny_workload, DynamicPrescient(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
         first = engine._knowledge(0.0).average_work

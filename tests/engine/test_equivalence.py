@@ -23,7 +23,13 @@ import pytest
 
 from repro.cluster import FileServer
 from repro.core.hashing import HashFamily
-from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
+from repro.engine import (
+    ChaosConfig,
+    ClusterConfig,
+    DistributedControlPlane,
+    ExperimentSpec,
+    chaos_layers,
+)
 from repro.experiments.cache import result_fingerprint
 from repro.experiments.config import paper_config
 from repro.experiments.runner import run_system
@@ -126,15 +132,12 @@ class TestPaperGoldens:
 
 class TestDistributedGolden:
     def test_builder_matches_golden(self, golden_workload):
-        engine = (
-            SimulationBuilder(
-                golden_workload.fork(),
-                anu_policy(),
-                ClusterConfig(server_powers=POWERS),
-            )
-            .distributed(delegate_crashes=[200.0])
-            .build()
-        )
+        engine = ExperimentSpec(
+            golden_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            control=DistributedControlPlane(delegate_crashes=[200.0]),
+        ).build()
         result = engine.run()
         assert behaviour_fingerprint(result) == DISTRIBUTED_BEHAVIOUR
         assert result.events_processed == DISTRIBUTED_EVENTS
@@ -145,15 +148,12 @@ class TestDistributedGolden:
 
 class TestChaosGolden:
     def test_builder_matches_golden(self, golden_workload):
-        result = (
-            SimulationBuilder(
-                golden_workload.fork(),
-                anu_policy(),
-                ClusterConfig(server_powers=POWERS),
-            )
-            .chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7))
-            .run()
-        )
+        result = ExperimentSpec(
+            golden_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            **chaos_layers(CHAOS_SCHEDULE, ChaosConfig(seed=7)),
+        ).build().run_chaos()
         assert behaviour_chaos_fingerprint(result) == CHAOS_BEHAVIOUR
         assert result.base.events_processed == CHAOS_EVENTS
         assert chaos_fingerprint(result) == CHAOS_GOLD
@@ -203,14 +203,11 @@ class TestCalendarTraffic:
         assert result_fingerprint(result) == PAPER_GOLD["anu"]
 
     def test_hardened_path_keeps_its_per_request_entries(self, entries, golden_workload):
-        result = (
-            SimulationBuilder(
-                golden_workload.fork(),
-                anu_policy(),
-                ClusterConfig(server_powers=POWERS),
-            )
-            .chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7))
-            .run()
-        )
+        result = ExperimentSpec(
+            golden_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            **chaos_layers(CHAOS_SCHEDULE, ChaosConfig(seed=7)),
+        ).build().run_chaos()
         assert entries[0] > 3 * result.base.submitted
         assert chaos_fingerprint(result) == CHAOS_GOLD

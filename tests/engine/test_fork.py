@@ -9,7 +9,13 @@ import math
 import numpy as np
 
 from repro.core.hashing import HashFamily
-from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
+from repro.engine import (
+    ChaosConfig,
+    ClusterConfig,
+    ExperimentSpec,
+    HardenedClientPath,
+    chaos_layers,
+)
 from repro.experiments.cache import _hash_array, result_fingerprint, workload_fingerprint
 from repro.faults import FaultEvent, FaultKind, FaultSchedule, chaos_fingerprint
 from repro.policies import ANURandomization
@@ -28,17 +34,18 @@ CHAOS_SCHEDULE = FaultSchedule(
 
 
 def _run(workload, path):
-    builder = SimulationBuilder(
+    triple = (
         workload,
         ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
         ClusterConfig(server_powers=POWERS),
     )
     if path == "hardened":
-        return result_fingerprint(builder.hardened().run())
+        spec = ExperimentSpec(*triple, client_path=HardenedClientPath())
+        return result_fingerprint(spec.build().run())
     if path == "chaos":
-        result = builder.chaos(schedule=CHAOS_SCHEDULE, chaos=ChaosConfig(seed=7)).run()
-        return chaos_fingerprint(result)
-    return result_fingerprint(builder.run())
+        spec = ExperimentSpec(*triple, **chaos_layers(CHAOS_SCHEDULE, ChaosConfig(seed=7)))
+        return chaos_fingerprint(spec.build().run_chaos())
+    return result_fingerprint(ExperimentSpec(*triple).build().run())
 
 
 class TestFork:

@@ -89,21 +89,28 @@ class TestCheckerTool:
             "register_knob",
             "describe_knobs",
             "env_flag",
+            "SimulationBuilder",
+            "SLAProbe",
+            "RoundTraceProbe",
+            "observe_many",
+            "run_bench_sync",
         ],
     )
     def test_removed_cache_and_registry_names_are_reported(self, tmp_path, gone):
-        """The experiment cache and the knob registry stay deleted."""
+        """The experiment cache, the knob registry, the fluent engine
+        builder, the observers that copied result views, the batch tally
+        path and the blocking bench wrapper stay deleted."""
         imports = tmp_path / "imports.py"
         imports.write_text(f"from repro.experiments.cache import {gone}\n")
         defines = tmp_path / "defines.py"
         defines.write_text(f"def {gone}():\n    pass\n")
         problems = check_layering.check_removed(
-            {"repro.experiments.a": imports, "repro.knobs": defines}
+            {"repro.experiments.a": imports, "repro.experiments.b": defines}
         )
         assert problems == [
             f"repro.experiments.a:1: defines or imports {gone} — removed; "
             f"use {check_layering.REMOVED_NAMES[gone]}",
-            f"repro.knobs:1: defines or imports {gone} — removed; "
+            f"repro.experiments.b:1: defines or imports {gone} — removed; "
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
@@ -145,26 +152,35 @@ class TestCheckerTool:
         ]
 
     def test_removed_env_knobs_and_exporter_are_reported(self, tmp_path):
-        """Reading a removed variable or reviving the exporter fails."""
+        """Reading a removed variable, or reviving the exporter or the
+        knob parsers, fails."""
         reads = tmp_path / "reads.py"
         reads.write_text(
             '"""Once read REPRO_CACHE."""\n'
             "import os\n"
             "root = os.environ.get('REPRO_CACHE_DIR')\n"
             "on = os.environ['REPRO_CACHE']\n"
+            "workers = os.environ.get('REPRO_PARALLEL_WORKERS')\n"
         )
         exporter = tmp_path / "export.py"
         exporter.write_text("x = 1\n")
         problems = check_layering.check_removed(
-            {"repro.experiments.runner": reads, "repro.experiments.export": exporter}
+            {
+                "repro.experiments.runner": reads,
+                "repro.experiments.export": exporter,
+                "repro.knobs": exporter,
+            }
         )
         assert problems == [
             "repro.experiments.export: removed module is back "
             f"({exporter})",
+            f"repro.knobs: removed module is back ({exporter})",
             "repro.experiments.runner:3: reads REPRO_CACHE_DIR — removed; "
             "figures regenerate their workload from (config, seed)",
             "repro.experiments.runner:4: reads REPRO_CACHE — removed; "
             "figures regenerate their workload from (config, seed)",
+            "repro.experiments.runner:5: reads REPRO_PARALLEL_WORKERS — removed; "
+            "pass --workers / max_workers (default: the CPU count)",
         ]
 
     def test_stream_frame_helpers_stay_removed(self, tmp_path):

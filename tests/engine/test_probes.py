@@ -5,16 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hashing import HashFamily
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.engine.probes import (
     MovesApplied,
+    Observer,
     ProbeBus,
     ProbeEvent,
     RequestCompleted,
-    RoundTraceProbe,
     RunCompleted,
     RunStarted,
-    SLAProbe,
 )
 from repro.policies import ANURandomization
 
@@ -87,38 +86,35 @@ class TestProbeBus:
 
 class TestLiveObservers:
     def test_sla_probe_counts_every_completion(self, tiny_workload):
-        sla = SLAProbe(latency_target=5.0)
-        engine = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-            )
-            .observe(sla)
-            .build()
-        )
-        result = engine.run()
-        assert sla.total == result.completed > 0
-        assert 0.0 <= sla.attainment <= 1.0
-        per_server_total = sum(t for _, t in sla.per_server.values())
-        assert per_server_total == sla.total
+        """A declared observer subscribed to the opt-in completion probe
+        sees every completed request, and nothing else turns it on."""
 
-    def test_round_trace_matches_movement_log(self, tiny_workload):
-        trace = RoundTraceProbe()
-        engine = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
-            )
-            .observe(trace)
-            .build()
-        )
+        class Completions(Observer):
+            subscriptions = {RequestCompleted: "on_completed"}
+
+            def __init__(self):
+                self.per_server = {}
+
+            def on_completed(self, event):
+                self.per_server[event.server_id] = self.per_server.get(event.server_id, 0) + 1
+
+        seen = Completions()
+        engine = ExperimentSpec(
+            tiny_workload.fork(),
+            anu_policy(),
+            ClusterConfig(server_powers=POWERS),
+            observers=(seen,),
+        ).build()
         result = engine.run()
-        assert len(trace.rows) == len(result.movement)
-        assert trace.total_moves() == result.total_moves
-        for row, rec in zip(trace.rows, result.movement):
-            assert row == (rec.time, rec.round_index, rec.kind, rec.moves, rec.moved_work_share)
+        assert sum(seen.per_server.values()) == result.completed > 0
+        assert seen.per_server == {
+            sid: n for sid, n in result.server_requests.items() if n
+        }
+        assert engine.bus.published["RequestCompleted"] == result.completed
 
     def test_completion_probe_is_opt_in(self, tiny_workload):
         """Without a RequestCompleted subscriber, the hot event never exists."""
-        engine = SimulationBuilder(
+        engine = ExperimentSpec(
             tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
         ).build()
         assert all(srv.probe is None for srv in engine.servers.values())
@@ -130,11 +126,16 @@ class TestLiveObservers:
 
     def test_bare_probe_subscription(self, tiny_workload):
         moves = []
+        bus = ProbeBus()
+        bus.subscribe(MovesApplied, moves.append)
         result = (
-            SimulationBuilder(
-                tiny_workload.fork(), anu_policy(), ClusterConfig(server_powers=POWERS)
+            ExperimentSpec(
+                tiny_workload.fork(),
+                anu_policy(),
+                ClusterConfig(server_powers=POWERS),
+                bus=bus,
             )
-            .probe(MovesApplied, moves.append)
+            .build()
             .run()
         )
         assert len(moves) == len(result.movement)

@@ -121,34 +121,17 @@ class TestStreamMap:
 
 
 class TestDefaultWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_env_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_WORKERS", raising=False)
+    def test_env_unset_uses_cpu_count(self):
+        """The environment holds no worker count: the default is the CPU count."""
         assert default_workers() == (os.cpu_count() or 1)
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL_WORKERS"):
-            default_workers()
-
-    def test_env_nonpositive_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            default_workers()
 
 
 class TestResolveWorkers:
-    def test_none_defers_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "5")
-        assert resolve_workers(None) == 5
-        monkeypatch.delenv("REPRO_PARALLEL_WORKERS")
-        assert resolve_workers() == (os.cpu_count() or 1)
+    def test_none_defers_to_default(self):
+        assert resolve_workers(None) == resolve_workers() == default_workers()
 
-    def test_explicit_count_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "5")
+    def test_explicit_count_wins_over_env(self):
+        """An explicit count wins over the CPU-count default."""
         assert resolve_workers(2) == 2
 
     def test_nonpositive_raises(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import HashFamily
-from repro.engine import ChaosConfig, ClusterConfig, SimulationBuilder
+from repro.engine import ChaosConfig, ClusterConfig, ExperimentSpec, chaos_layers
 from repro.faults import (
     ChaosInvariantError,
     FaultEvent,
@@ -41,11 +41,12 @@ def workload():
 
 def make_sim(workload, schedule=FULL_SCHEDULE, seed=7):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    return (
-        SimulationBuilder(workload.fork(), policy, ClusterConfig(server_powers=POWERS))
-        .chaos(schedule, ChaosConfig(seed=seed))
-        .build()
-    )
+    return ExperimentSpec(
+        workload.fork(),
+        policy,
+        ClusterConfig(server_powers=POWERS),
+        **chaos_layers(schedule, ChaosConfig(seed=seed)),
+    ).build()
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import HashFamily
 from repro.distributed import MessageKind
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, DistributedControlPlane, ExperimentSpec
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -33,7 +33,7 @@ def workload():
 
 def run_direct(workload):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    sim = SimulationBuilder(
+    sim = ExperimentSpec(
         workload.fork(), policy, ClusterConfig(server_powers=POWERS)
     ).build()
     return sim.run(), policy, sim
@@ -41,11 +41,12 @@ def run_direct(workload):
 
 def run_distributed(workload, crashes=None):
     policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-    sim = (
-        SimulationBuilder(workload.fork(), policy, ClusterConfig(server_powers=POWERS))
-        .distributed(delegate_crashes=crashes)
-        .build()
-    )
+    sim = ExperimentSpec(
+        workload.fork(),
+        policy,
+        ClusterConfig(server_powers=POWERS),
+        control=DistributedControlPlane(delegate_crashes=crashes),
+    ).build()
     return sim.run(), policy, sim
 
 
@@ -103,8 +104,9 @@ class TestControlTraffic:
 class TestGuards:
     def test_non_anu_policy_rejected(self, workload):
         with pytest.raises(TypeError):
-            SimulationBuilder(
+            ExperimentSpec(
                 workload.fork(),
                 SimpleRandomization(list(POWERS)),
                 ClusterConfig(server_powers=POWERS),
-            ).distributed().build()
+                control=DistributedControlPlane(),
+            ).build()

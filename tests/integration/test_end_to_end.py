@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import CacheConfig
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.metrics import consistency_report, movement_series, steady_state_means
 from repro.policies import (
     ANURandomization,
@@ -35,7 +35,7 @@ def workload():
 
 
 def run(policy, wl, **cfg_kw):
-    sim = SimulationBuilder(
+    sim = ExperimentSpec(
         wl.fork(),
         policy,
         ClusterConfig(server_powers=POWERS, **cfg_kw),

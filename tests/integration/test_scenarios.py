@@ -12,7 +12,7 @@ import pytest
 
 from repro.cluster import AccessClient, DiskArray, FileServer, Namespace
 from repro.core import ANUManager, HashFamily
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.metrics import SLA, evaluate_sla, steady_state_means
 from repro.policies import ANURandomization
 from repro.sim import Simulator
@@ -34,7 +34,7 @@ class TestClustersOnDemand:
             seed=21,
         )
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
+        sim = ExperimentSpec(wl, policy, ClusterConfig(server_powers=POWERS)).build()
         # The big server leaves for another cluster for a third of the day.
         sim.schedule_failure(1200.0, 4)
         sim.schedule_recovery(2400.0, 4)
@@ -80,7 +80,7 @@ class TestSLABackedConsistency:
             ("simple", lambda: SimpleRandomization(list(POWERS), hash_family=HashFamily(seed=0))),
         ):
             wl = generate_synthetic(cfg, seed=22)
-            sim = SimulationBuilder(
+            sim = ExperimentSpec(
                 wl.fork(), factory(), ClusterConfig(server_powers=POWERS)
             ).build()
             reports[name] = evaluate_sla(sim.run(), sla, min_share=0.05)

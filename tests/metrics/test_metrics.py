@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.metrics import (
     aggregate_latency,
     ascii_table,
@@ -37,7 +37,7 @@ def result():
         ),
         seed=5,
     )
-    sim = SimulationBuilder(
+    sim = ExperimentSpec(
         wl, ANURandomization(list(POWERS)), ClusterConfig(server_powers=POWERS)
     ).build()
     return sim.run()

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.metrics import SLA, evaluate_sla
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
@@ -25,7 +25,7 @@ def runs():
         ("simple", lambda: SimpleRandomization(list(POWERS))),
     ):
         wl = generate_synthetic(wl_cfg, seed=6)
-        sim = SimulationBuilder(wl, factory(), ClusterConfig(server_powers=POWERS)).build()
+        sim = ExperimentSpec(wl, factory(), ClusterConfig(server_powers=POWERS)).build()
         out[name] = sim.run()
     return out
 

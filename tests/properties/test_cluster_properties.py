@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CacheConfig
 from repro.core import HashFamily
-from repro.engine import ClusterConfig, SimulationBuilder
+from repro.engine import ClusterConfig, ExperimentSpec
 from repro.policies import ANURandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -29,7 +29,7 @@ class TestConservation:
         """submitted == completed + still-queued/in-service; nothing is
         silently lost or duplicated, whatever the workload draw."""
         wl = small_workload(seed)
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl,
             ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
             ClusterConfig(server_powers=POWERS),
@@ -46,7 +46,7 @@ class TestConservation:
     @settings(max_examples=8, deadline=None)
     def test_per_server_counts_sum_to_completed(self, seed):
         wl = small_workload(seed)
-        sim = SimulationBuilder(
+        sim = ExperimentSpec(
             wl,
             ANURandomization(list(POWERS), hash_family=HashFamily(seed=0)),
             ClusterConfig(server_powers=POWERS),
@@ -75,7 +75,7 @@ class TestChurnRobustness:
         and the cluster still serving."""
         wl = small_workload(3)
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
-        sim = SimulationBuilder(wl, policy, ClusterConfig(server_powers=POWERS)).build()
+        sim = ExperimentSpec(wl, policy, ClusterConfig(server_powers=POWERS)).build()
 
         # Sanitize into a *valid* schedule: fail only live, recover only
         # failed, never fail the last server.

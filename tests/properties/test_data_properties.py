@@ -37,7 +37,7 @@ class TestTallyProperties:
     @settings(max_examples=100, deadline=None)
     def test_streaming_mean_matches_numpy(self, values):
         t = Tally()
-        t.observe_many(values)
+        t.observe_each(values)
         assert math.isclose(t.mean, float(np.mean(values)), rel_tol=1e-9, abs_tol=1e-6)
         assert t.minimum == min(values)
         assert t.maximum == max(values)
@@ -46,7 +46,7 @@ class TestTallyProperties:
     @settings(max_examples=100, deadline=None)
     def test_variance_nonnegative(self, values):
         t = Tally()
-        t.observe_many(values)
+        t.observe_each(values)
         assert t.variance >= -1e-9
 
 

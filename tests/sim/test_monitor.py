@@ -25,7 +25,7 @@ class TestTally:
         rng = np.random.default_rng(3)
         data = rng.exponential(2.0, size=500)
         t = Tally()
-        t.observe_many(data)
+        t.observe_each(data)
         assert t.count == 500
         assert t.mean == pytest.approx(float(data.mean()), rel=1e-12)
         assert t.variance == pytest.approx(float(data.var(ddof=1)), rel=1e-9)
@@ -46,13 +46,13 @@ class TestTally:
 
     def test_percentile_and_samples(self):
         t = Tally(keep=True)
-        t.observe_many(range(101))
+        t.observe_each(range(101))
         assert t.percentile(50) == 50.0
         assert t.samples.shape == (101,)
 
     def test_reset(self):
         t = Tally(keep=True)
-        t.observe_many([1, 2, 3])
+        t.observe_each([1, 2, 3])
         t.reset()
         assert t.count == 0
         assert t.samples.size == 0
@@ -117,15 +117,15 @@ def _moments(batch: np.ndarray):
 
 
 class TestTallyMoments:
-    """observe_moments merges pre-reduced batches like observe_many."""
+    """observe_moments merges pre-reduced batches like observe_each."""
 
-    def test_matches_observe_many(self):
+    def test_matches_observe_each(self):
         rng = np.random.default_rng(17)
         a = Tally()
         b = Tally()
         for size in (1, 400, 7, 60):
             batch = rng.exponential(1.5, size=size)
-            a.observe_many(batch)
+            a.observe_each(batch)
             b.observe_moments(*_moments(batch))
         assert b.count == a.count
         assert b.mean == pytest.approx(a.mean, rel=1e-12)
@@ -169,7 +169,7 @@ class TestTallyMoments:
 class TestTallySampleRetention:
     def test_forget_samples_drops_buffer_keeps_moments(self):
         t = Tally(keep=True)
-        t.observe_many([1.0, 2.0, 3.0])
+        t.observe_each([1.0, 2.0, 3.0])
         t.forget_samples()
         with pytest.raises(ValueError, match="keep=False"):
             t.samples
@@ -182,7 +182,7 @@ class TestTallySampleRetention:
 
     def test_samples_view_is_read_only_and_zero_copy(self):
         t = Tally(keep=True)
-        t.observe_many([5.0, 6.0])
+        t.observe_each([5.0, 6.0])
         view = t.samples_view()
         np.testing.assert_array_equal(view, [5.0, 6.0])
         assert view.base is not None  # a view, not a copy
@@ -198,7 +198,7 @@ class TestTallySampleRetention:
         with pytest.raises(BufferError):
             t.observe(2.0)
         with pytest.raises(BufferError):
-            t.observe_many([2.0, 3.0])
+            t.observe_each([2.0, 3.0])
         with pytest.raises(BufferError):
             t.observe_moments(1, 2.0, 0.0, 2.0, 2.0, samples=np.array([2.0]))
         assert (t.count, t.mean, t.maximum, len(view)) == (1, 1.0, 1.0, 1)
@@ -212,7 +212,7 @@ _values = st.floats(-1e6, 1e6, allow_nan=False)
 _steps = st.lists(
     st.one_of(
         st.tuples(st.just("observe"), _values),
-        st.tuples(st.just("many"), st.lists(_values, max_size=40)),
+        st.tuples(st.just("each"), st.lists(_values, max_size=40)),
         st.tuples(st.just("moments"), st.lists(_values, min_size=1, max_size=40)),
     ),
     max_size=30,
@@ -227,8 +227,8 @@ def _replay(steps) -> tuple:
         if kind == "observe":
             t.observe(value)
             seen.append(value)
-        elif kind == "many":
-            t.observe_many(value)
+        elif kind == "each":
+            t.observe_each(value)
             seen.extend(value)
         else:
             batch = np.array(value)
@@ -258,13 +258,13 @@ class TestKeptSampleBuffer:
         values = np.random.default_rng(5).uniform(0, 1, size=5_000)
         for v in values[:2_000]:
             t.observe(float(v))
-        t.observe_many(values[2_000:4_000])
+        t.observe_each(values[2_000:4_000])
         t.observe_moments(*_moments(values[4_000:]), samples=values[4_000:])
         np.testing.assert_array_equal(t.samples, values)
 
     def test_samples_is_a_copy(self):
         t = Tally(keep=True)
-        t.observe_many([1.0, 2.0])
+        t.observe_each([1.0, 2.0])
         copy_ = t.samples
         copy_[0] = 9.0
         t.observe(3.0)
@@ -286,7 +286,7 @@ class TestKeptSampleBuffer:
         # The clone owns its buffer: both keep growing independently.
         _, extra = _replay(after)
         for tally in (t, clone):
-            tally.observe_many(extra)
+            tally.observe_each(extra)
         assert clone.samples.tolist() == t.samples.tolist() == seen + extra
 
     def test_shallow_copy_does_not_share_the_buffer(self):
@@ -299,7 +299,7 @@ class TestKeptSampleBuffer:
 
     def test_sample_free_tally_pickles(self):
         t = Tally()
-        t.observe_many([1.0, 3.0])
+        t.observe_each([1.0, 3.0])
         clone = pickle.loads(pickle.dumps(t))
         assert (clone.count, clone.mean) == (2, 2.0)
         with pytest.raises(ValueError, match="keep=False"):

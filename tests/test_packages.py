@@ -71,10 +71,10 @@ def test_submodules_are_reachable_as_attributes(run_fresh):
     did when the package init imported every submodule."""
     out = run_fresh(
         "import repro.engine, repro.experiments\n"
-        "print(repro.engine.builder.SimulationBuilder.__name__,\n"
+        "print(repro.engine.builder.ExperimentSpec.__name__,\n"
         "      repro.experiments.figures.FIGURES['fig4'].__name__)\n"
     )
-    assert out.strip() == "SimulationBuilder repro.experiments.figures.fig4"
+    assert out.strip() == "ExperimentSpec repro.experiments.figures.fig4"
 
 
 def test_a_broken_submodule_import_is_not_masked(tmp_path, monkeypatch):

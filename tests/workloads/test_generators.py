@@ -124,14 +124,14 @@ class TestScaleGenerator:
         )
 
     def test_scalar_replay_points_to_the_vector_path(self, wl):
-        from repro.engine import ClusterConfig, SimulationBuilder
+        from repro.engine import ClusterConfig, ExperimentSpec
         from repro.policies import SimpleRandomization
 
-        builder = SimulationBuilder(
+        spec = ExperimentSpec(
             wl, SimpleRandomization([0, 1]), ClusterConfig(server_powers={0: 1.0, 1: 2.0})
         )
         with pytest.raises(TypeError, match="VectorizedClientPath"):
-            builder.build()
+            spec.build()
         with pytest.raises(TypeError, match="VectorizedClientPath"):
             wl.requests
 

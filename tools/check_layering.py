@@ -26,8 +26,9 @@ Checks, using nothing but the stdlib ``ast`` module:
    as an import of the submodule the package's table names for ``X``:
    that is the module the statement executes.
 3. **Removed paths stay removed** — the legacy simulation shims, the
-   second parallel runner and the CSV exporter were deleted; a module
-   under one of their names, or any ``DeprecationWarning`` under
+   second parallel runner, the CSV exporter and the environment-knob
+   validators were deleted; a module under one of their names, or any
+   ``DeprecationWarning`` under
    ``src/`` (the shims were the only deprecated surface), fails the
    gate. So does a module that defines or imports a removed name
    (``TuningPolicy``: the paper's tuning rule has one home,
@@ -35,8 +36,9 @@ Checks, using nothing but the stdlib ``ast`` module:
    registry; ``drive_attempts``: the retry, redirect and ledger rules
    have one home, ``repro.retry.Attempts``; ``read_frame`` /
    ``write_frame``: the wire has one framing path, ``FrameDecoder``
-   behind ``FrameProtocol``) or names a removed environment variable
-   in a string.
+   behind ``FrameProtocol``; ``SimulationBuilder``: an engine has one
+   front door, ``ExperimentSpec``) or names a removed environment
+   variable in a string.
 4. **One transport for the live service** — no module under
    ``repro.service`` names asyncio's stream API (``start_server``,
    ``open_connection``, ``StreamReader``, ``StreamWriter``), the
@@ -228,20 +230,14 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
         "repro.cluster",
         "the request-hardening core is below the cluster model",
     ),
-    # The strict env-knob validators are a leaf utility: they import
-    # nothing from repro and everything may import them.
-    (
-        "repro.knobs",
-        "repro.",
-        "the knob validators are a leaf module with no repro deps",
-    ),
 )
 
 
 #: Deleted modules that must not come back: build an engine with
-#: ``SimulationBuilder``, fan runs out with ``run_comparison``; the
-#: figure-data CSV exporter had no caller; the kernel has no generator
-#: processes or resources, only calendar callbacks.
+#: ``ExperimentSpec(...).build()``, fan runs out with
+#: ``run_comparison``; the figure-data CSV exporter had no caller; the
+#: kernel has no generator processes or resources, only calendar
+#: callbacks; the environment knobs duplicated command-line flags.
 REMOVED_MODULES: Tuple[str, ...] = (
     "repro.cluster.cluster",
     "repro.cluster.distributed_cluster",
@@ -249,9 +245,10 @@ REMOVED_MODULES: Tuple[str, ...] = (
     "repro.experiments.export",
     "repro.sim.process",
     "repro.sim.resources",
+    "repro.knobs",
 )
 
-_KNOB_PARSERS = "repro.knobs.env_int / env_float directly"
+_KNOB_PARSERS = "a command-line flag or a function argument"
 _REGENERATE = "figures regenerate their workload from (config, seed)"
 _ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
 _FIFO_CLOCK = "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)"
@@ -283,6 +280,11 @@ REMOVED_NAMES: Dict[str, str] = {
     "_tuning_loop": _CALLBACKS,
     "_invariant_loop": _CALLBACKS,
     "_probe_loop": _CALLBACKS,
+    "SimulationBuilder": "repro.engine.ExperimentSpec(...).build() (chaos: **chaos_layers(...))",
+    "SLAProbe": "repro.metrics.sla.evaluate_sla on the finished result",
+    "RoundTraceProbe": "the result's movement log (ClusterResult.movement)",
+    "observe_many": "Tally.observe_each (or observe_moments for a pre-reduced batch)",
+    "run_bench_sync": "asyncio.run(run_bench(...)) and bench_payload",
 }
 
 #: Deleted environment variables: a module that names one in a string
@@ -290,6 +292,10 @@ REMOVED_NAMES: Dict[str, str] = {
 REMOVED_ENV: Dict[str, str] = {
     "REPRO_CACHE": _REGENERATE,
     "REPRO_CACHE_DIR": _REGENERATE,
+    "REPRO_PARALLEL_WORKERS": "pass --workers / max_workers (default: the CPU count)",
+    "REPRO_SERVICE_PORT": "pass serve --port",
+    "REPRO_SERVICE_EPOCH_SECONDS": "pass serve --epoch-seconds",
+    "REPRO_SERVICE_CLIENTS": "pass bench --clients",
 }
 
 
