@@ -47,8 +47,6 @@ class FileServer:
         Service rate in work units per second (> 0).
     cache:
         Shared :class:`CacheModel`; ``None`` disables cache effects.
-    track_fileset_work:
-        Keep each window's per-file-set work for :meth:`drain_fileset_work`.
 
     Notes
     -----
@@ -72,7 +70,6 @@ class FileServer:
         server_id: object,
         power: float,
         cache: Optional[CacheModel] = None,
-        track_fileset_work: bool = True,
     ) -> None:
         if power <= 0:
             raise ValueError(f"server power must be > 0, got {power}")
@@ -116,9 +113,6 @@ class FileServer:
         self._window_latency_sum = 0.0
         self._window_count = 0
         self._window_start = env.now
-        # Per-file-set work observed this window (a server-local
-        # observation; consumed by bin-packing-style policies) or None.
-        self._window_fs_work: Optional[dict] = {} if track_fileset_work else None
         # Consecutive idle reporting windows (for delegate idle backoff).
         self._idle_rounds = 0
         # Previous window's mean latency (for the delegate's burst filter).
@@ -241,7 +235,6 @@ class FileServer:
         power = self.power
         probe = self.probe
         listened = self._listened
-        fs_work = self._window_fs_work
         head = self._head
         flushing = self._flushing
         start = self._slice_start
@@ -261,9 +254,6 @@ class FileServer:
                     latency = end - head.arrival
                     latencies.append(latency)
                     window_sum += latency
-                    if fs_work is not None:
-                        fileset = head.fileset
-                        fs_work[fileset] = fs_work.get(fileset, 0.0) + head.work
                     if head.on_complete is not None or probe is not None:
                         # Hooks see the server as booked so far, while
                         # the request still holds the head: one that
@@ -281,7 +271,6 @@ class FileServer:
                         power = self.power
                         probe = self.probe
                         listened = self._listened
-                        fs_work = self._window_fs_work
                     if not queue:
                         head = None
                         break
@@ -370,19 +359,6 @@ class FileServer:
         self._window_start = now
         return report
 
-    def drain_fileset_work(self) -> dict:
-        """Per-file-set work served this window; resets the accumulator.
-
-        This is information a real server observes locally (it served
-        the requests); policies in the bin-packing family consume it.
-        Call alongside :meth:`interval_report`. Empty when untracked.
-        """
-        out = self._window_fs_work
-        if out is None:
-            return {}
-        self._window_fs_work = {}
-        return out
-
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of time busy since t=0 (up to ``horizon`` or now)."""
         t = horizon if horizon is not None else self.env.now
@@ -444,8 +420,6 @@ def land_moments(
     window accumulators, elementwise over its servers — so every
     server ends bit for bit where landing its batches one at a time
     would leave it. Each touched server is read once and written once.
-    (Window file-set work is not tracked: the vectorized client path,
-    the caller, documents that limitation.)
     """
     if not batches:
         return

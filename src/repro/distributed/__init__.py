@@ -18,7 +18,7 @@ __getattr__, __dir__, __all__ = attach(
     {
         "chord": ["ChordNode", "ChordRing"],
         "control": ["DistributedTuningService"],
-        "election": ["ElectionProtocol", "elect"],
+        "election": ["elect"],
         "heartbeat": ["HeartbeatMonitor"],
         "messages": ["Message", "MessageKind"],
         "network": ["Network"],

@@ -7,19 +7,16 @@ the same information." (§4)
 The election is a bully-style highest-id rule. Because the delegate is
 stateless, the election needs no state transfer — any node that knows
 the live membership can take over, which is why the simple rule
-suffices and why :func:`elect` is a pure function. The message-level
-simulation (:class:`ElectionProtocol`) exists to account for election
-traffic and to demonstrate fail-over in the control-plane example.
+suffices and why :func:`elect` is a pure function: every node that
+sees the same live membership picks the same delegate without sending
+a message.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from .messages import Message, MessageKind
-from .network import Network
-
-__all__ = ["elect", "ElectionProtocol"]
+__all__ = ["elect"]
 
 
 def elect(live_ids: Iterable[object]) -> object:
@@ -35,57 +32,3 @@ def elect(live_ids: Iterable[object]) -> object:
         raise ValueError("cannot elect from an empty membership")
     return max(ids, key=lambda i: (type(i).__name__, repr(i), i if isinstance(i, (int, float, str)) else 0))
 
-
-class ElectionProtocol:
-    """Message-level bully election over the simulated network.
-
-    A node that suspects the delegate sends ELECTION probes to all
-    higher-id nodes; nodes that answer (ELECTION_OK) take over the
-    candidacy; the winner broadcasts COORDINATOR. The simulation is
-    synchronous-round simplified: reachability is evaluated through the
-    network's down-set, matching how the probes would resolve.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-        #: Elections run so far.
-        self.elections = 0
-
-    def run(self, initiator: object) -> object:
-        """Run one election from ``initiator``; returns the new delegate."""
-        nodes = sorted(
-            (n for n in self.network.node_ids),
-            key=lambda i: (type(i).__name__, repr(i)),
-        )
-        if initiator not in nodes:
-            raise ValueError(f"initiator {initiator!r} is not a cluster node")
-        self.elections += 1
-        live = [n for n in nodes if not self.network.is_down(n)]
-        if not live:
-            raise ValueError("no live nodes to elect from")
-        # Probe phase: initiator contacts every higher node; each live
-        # higher node answers and continues the cascade. We simulate the
-        # message cost of the cascade explicitly.
-        candidate = initiator
-        for node in nodes:
-            if node <= candidate if _comparable(node, candidate) else repr(node) <= repr(candidate):
-                continue
-            self.network.send(
-                Message(src=candidate, dst=node, kind=MessageKind.ELECTION)
-            )
-            if not self.network.is_down(node):
-                self.network.send(
-                    Message(src=node, dst=candidate, kind=MessageKind.ELECTION_OK)
-                )
-                candidate = node
-        winner = elect(live)
-        self.network.broadcast(winner, MessageKind.COORDINATOR, winner)
-        return winner
-
-
-def _comparable(a: object, b: object) -> bool:
-    try:
-        a <= b  # type: ignore[operator]
-        return True
-    except TypeError:
-        return False

@@ -3,8 +3,10 @@
 The ANU control loop exchanges three kinds of messages (§4): servers
 *report* interval latencies to the delegate, the delegate *distributes*
 the new mapping of servers to the unit interval, and shedding servers
-*notify* gainers that they are acquiring workload. Election and
-failure detection add their own kinds.
+*notify* gainers that they are acquiring workload. Failure detection
+adds its heartbeat kinds. Election sends nothing: every node applies
+the same rule to the live membership
+(:func:`repro.distributed.election.elect`).
 
 Messages carry an estimated wire size so experiments can account for
 control-plane traffic alongside shared-state size.
@@ -25,9 +27,6 @@ class MessageKind:
     REPORT = "report"            # server -> delegate: LatencyReport
     MAPPING = "mapping"          # delegate -> all: new interval mapping
     SHED_NOTIFY = "shed-notify"  # releasing server -> acquiring server
-    ELECTION = "election"        # election probe
-    ELECTION_OK = "election-ok"  # election acknowledgement
-    COORDINATOR = "coordinator"  # new delegate announcement
     HEARTBEAT = "heartbeat"      # liveness probe
     HEARTBEAT_ACK = "heartbeat-ack"
 
@@ -35,9 +34,6 @@ class MessageKind:
         REPORT,
         MAPPING,
         SHED_NOTIFY,
-        ELECTION,
-        ELECTION_OK,
-        COORDINATOR,
         HEARTBEAT,
         HEARTBEAT_ACK,
     )
@@ -53,9 +49,6 @@ _BASE_SIZE = {
     MessageKind.REPORT: 48,
     MessageKind.MAPPING: 24,  # plus 24 per region entry (payload-sized)
     MessageKind.SHED_NOTIFY: 64,
-    MessageKind.ELECTION: 16,
-    MessageKind.ELECTION_OK: 16,
-    MessageKind.COORDINATOR: 16,
     MessageKind.HEARTBEAT: 8,
     MessageKind.HEARTBEAT_ACK: 8,
 }

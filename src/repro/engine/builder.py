@@ -29,7 +29,7 @@ first one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union, TYPE_CHECKING
 
 from ..policies.base import LoadManager
@@ -53,8 +53,10 @@ class ExperimentSpec:
     """A fully described experiment: the triple plus one object per layer.
 
     ``None`` layers mean the engine defaults (direct control, basic
-    client path, no faults). Specs are plain data — build the same spec
-    twice and you get two independent, identically assembled engines.
+    client path, no faults). The engine takes the spec's own policy,
+    layer and bus objects, which hold run state, so a spec builds one
+    engine: a second :meth:`build` raises ``RuntimeError``. For a second
+    run, describe it with a fresh spec (fresh policy and layers).
     """
 
     workload: "Workload"
@@ -70,9 +72,16 @@ class ExperimentSpec:
     #: ``use_controller`` — the ANU adapters do). ``None`` keeps the
     #: policy's own rule.
     controller: Optional["Controller"] = None
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     def build(self) -> ClusterEngine:
-        """Assemble the engine this spec describes."""
+        """Assemble the engine this spec describes (once per spec)."""
+        if self._built:
+            raise RuntimeError(
+                "this ExperimentSpec already built an engine; its policy and "
+                "layers now hold that run's state, so build a fresh spec"
+            )
+        self._built = True
         if self.controller is not None:
             use = getattr(self.policy, "use_controller", None)
             if use is None:
@@ -80,8 +89,8 @@ class ExperimentSpec:
                     f"policy {getattr(self.policy, 'name', self.policy)!r} "
                     "does not take a pluggable controller"
                 )
-            # fork(): each build gets an isolated controller state, so
-            # building the same spec twice yields independent engines.
+            # fork(): the policy gets its own controller state, and the
+            # spec's controller stays as the caller configured it.
             use(self.controller.fork())
         return ClusterEngine(
             self.workload,

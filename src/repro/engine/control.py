@@ -31,7 +31,7 @@ the replicated controller state per round; see
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from ..core.tuning import LatencyReport
 from ..policies.base import LazyKnowledge, Move, RebalanceContext
@@ -71,18 +71,13 @@ class DirectControlPlane(ControlPlane):
     """In-process tuning: reports feed ``policy.rebalance`` directly."""
 
     def tuning_round(self, engine: "ClusterEngine") -> List[Move]:
-        reports: List[LatencyReport] = []
-        observed: Dict[str, float] = {}
-        for srv in engine.servers.values():
-            if srv.failed:
-                continue
-            reports.append(srv.interval_report())
-            for fs, work in srv.drain_fileset_work().items():
-                observed[fs] = observed.get(fs, 0.0) + work
+        reports = [
+            srv.interval_report() for srv in engine.servers.values() if not srv.failed
+        ]
         engine._round += 1
         # Offered, not computed: LazyKnowledge defers the O(catalog)
         # oracle build until a prescient-class policy reads it, so
-        # simple/ANU/table rounds skip the work entirely.
+        # simple and ANU rounds skip the work entirely.
         t0 = engine.env.now
         ctx = RebalanceContext(
             now=t0,
@@ -91,7 +86,6 @@ class DirectControlPlane(ControlPlane):
             knowledge=LazyKnowledge(lambda: engine._knowledge(t0))
             if engine.config.supply_knowledge
             else None,
-            observed_fileset_work=observed,
         )
         moves = engine.policy.rebalance(ctx)
         publish_relocation(engine, t0)
@@ -196,14 +190,10 @@ class DistributedControlPlane(ControlPlane):
 
     # ------------------------------------------------------------------ #
     def tuning_round(self, engine: "ClusterEngine") -> List[Move]:
-        reports: List[LatencyReport] = []
-        for srv in engine.servers.values():
-            if srv.failed:
-                continue
-            reports.append(srv.interval_report())
-            srv.drain_fileset_work()
+        self._pending_reports = [
+            srv.interval_report() for srv in engine.servers.values() if not srv.failed
+        ]
         engine._round += 1
-        self._pending_reports = reports
         rec = self.service.run_round()
         moves = [Move(s.fileset, s.source, s.target) for s in rec.sheds]
         if self.service.delegate_id != self._last_delegate:

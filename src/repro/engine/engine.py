@@ -27,7 +27,7 @@ assemble it with ``ExperimentSpec.build()``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -105,9 +105,8 @@ class ClusterEngine:
 
         self.env = Simulator()
         self.cache = CacheModel(config.cache)
-        track = policy.reads_fileset_work
         self.servers: Dict[object, "FileServer"] = {
-            sid: FileServer(self.env, sid, power, self.cache, track)
+            sid: FileServer(self.env, sid, power, self.cache)
             for sid, power in config.server_powers.items()
         }
         self._round = 0
@@ -264,36 +263,6 @@ class ClusterEngine:
     # ------------------------------------------------------------------ #
     # views into the layers
     # ------------------------------------------------------------------ #
-    @property
-    def movement(self):
-        """The movement log (a live view of the run record)."""
-        return self.record.movement
-
-    @property
-    def delegate_history(self) -> List[object]:
-        """Delegates in office over the run (first entry = initial)."""
-        return self.record.delegate_history
-
-    @property
-    def network(self):
-        """The control-plane network (distributed planes only)."""
-        network = getattr(self.control, "network", None)
-        if network is None:
-            raise AttributeError(
-                f"{type(self.control).__name__} has no network "
-                "(direct control plane)"
-            )
-        return network
-
-    @property
-    def failovers(self) -> int:
-        """Delegate re-elections that were forced by crashes."""
-        return self.control.failovers
-
-    def control_traffic(self) -> Dict[str, int]:
-        """Control-plane messages sent, by kind."""
-        return dict(self.network.sent_count)
-
     @property
     def client(self) -> Optional["HardenedClient"]:
         """The hardened client, when the path uses one (else ``None``)."""

@@ -302,11 +302,6 @@ class ChaosResult:
         return self.retries / self.requests_injected if self.requests_injected else 0.0
 
     @property
-    def failed_request_share(self) -> float:
-        """Fraction of logical requests abandoned after all retries."""
-        return self.requests_failed / self.requests_injected if self.requests_injected else 0.0
-
-    @property
     def server_downtime(self) -> float:
         """Total server-seconds of unavailability (fault → readmission)."""
         horizon = self.base.duration

@@ -39,9 +39,6 @@ Scope (validated at run start, loud errors otherwise):
   re-drive), continue. Faults the scalar path discovers reactively
   are replayed deterministically here;
 * no per-request probes (``RequestCompleted`` subscribers);
-* per-file-set window work is not tracked (``drain_fileset_work``
-  stays empty), so observation-driven bin-packing policies are out of
-  scope on this path;
 * per-server tallies do not retain raw samples (the driver lands every
   flushed latency in one column sized to the workload and hands that
   column to the result), so per-server percentile/SLA metrics are
@@ -128,7 +125,6 @@ class VectorizedRequestDriver:
         self._assign_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._cursor = 0
         self._submitted = 0
-        self._dropped = 0
         #: Chaos-mode state (None / empty on the fault-free path). The
         #: orphan pool holds per-slot ``(arrival, work, fileset)``
         #: column triples awaiting re-location after a crash; the
@@ -149,11 +145,6 @@ class VectorizedRequestDriver:
     def submitted(self) -> int:
         """Requests handed to servers so far."""
         return self._submitted
-
-    @property
-    def dropped(self) -> int:
-        """Requests that could not be routed (always 0: no fault layer)."""
-        return self._dropped
 
     @property
     def landed(self) -> int:

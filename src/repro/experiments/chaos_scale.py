@@ -80,9 +80,6 @@ class ChaosScalePoint:
     duration: float = 1_200.0
     tuning_interval: float = 120.0
 
-    def label(self) -> str:
-        return format_point_label(self.n_servers, self.n_filesets)
-
 
 #: Paper scale → two orders of magnitude up → the planet-scale point
 #: the acceptance bar measures (≥1000 servers, ≥100k file sets). Fault

@@ -127,9 +127,6 @@ class ControlPoint:
     duration: float = 1_200.0
     tuning_interval: float = 120.0
 
-    def label(self) -> str:
-        return f"{self.mode}:{format_point_label(self.n_servers, self.n_filesets)}"
-
 
 #: The paper's cluster on the scalar engine, and the planet-scale
 #: point the acceptance bar measures (≥1000 servers) on the vectorized

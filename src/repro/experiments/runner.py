@@ -20,7 +20,6 @@ from ..policies import (
     DynamicPrescient,
     LoadManager,
     SimpleRandomization,
-    TableBinPacking,
     VirtualProcessorSystem,
 )
 from ..workloads.synthetic import Workload
@@ -38,7 +37,7 @@ def make_policy(
 ) -> LoadManager:
     """Instantiate one of the paper's systems by name.
 
-    ``system`` ∈ {"simple", "anu", "prescient", "virtual", "table"}.
+    ``system`` ∈ {"simple", "anu", "prescient", "virtual"}.
     ``n_virtual`` overrides the VP count (Figure 8 sweep); the default
     is the paper's ``v = 5`` → ``5 N`` VPs. ``controller`` plugs a
     :class:`repro.control.Controller` into the ANU system.
@@ -67,11 +66,7 @@ def make_policy(
             hash_family=family,
             tuning_interval=config.tuning_interval,
         )
-    if system == "table":
-        return TableBinPacking(server_ids, hash_family=family)
-    raise ValueError(
-        f"unknown system {system!r}; expected simple/anu/prescient/virtual/table"
-    )
+    raise ValueError(f"unknown system {system!r}; expected simple/anu/prescient/virtual")
 
 
 def run_system(

@@ -200,7 +200,7 @@ def sweep_main(spec: SweepSpec, argv: Optional[Sequence[str]] = None) -> int:
 # --------------------------------------------------------------------- #
 def format_point_label(n_servers: int, n_filesets: int) -> str:
     """The canonical sweep-point label (``1000s/1000000fs``), shared by
-    every ``Point.label()`` and every renderer."""
+    every renderer."""
     return f"{n_servers}s/{n_filesets}fs"
 
 

@@ -1,13 +1,15 @@
 """Placement policies: ANU and the paper's baselines.
 
-All five implement :class:`LoadManager`, so the cluster driver runs
-any of them interchangeably:
+The paper's four systems implement :class:`LoadManager`, so the
+cluster driver runs any of them interchangeably:
 
 * :class:`SimpleRandomization` — static uniform hash (§5.1)
 * :class:`DynamicPrescient` — perfect-knowledge optimum (§5.1)
 * :class:`VirtualProcessorSystem` — Nv VPs, prescient VP→server map (§5.1)
 * :class:`ANURandomization` — the paper's system (§4)
-* :class:`TableBinPacking` — O(m) lookup-table comparator (§6)
+
+The §6 lookup-table scheme is accounted for by its state size alone
+(:func:`repro.distributed.state.lookup_table_footprint`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __getattr__, __dir__, __all__ = attach(
         "optimizer": ["balance_items", "estimated_average_latency"],
         "prescient": ["DynamicPrescient"],
         "simple": ["SimpleRandomization"],
-        "table": ["TableBinPacking"],
         "vector": ["VectorANU"],
         "virtual": ["VirtualProcessorSystem"],
         "weighted": ["WeightedHashing"],

@@ -78,10 +78,10 @@ class LazyKnowledge:
 
     Building the oracle costs a full catalog scan plus a
     ``work_between`` pass over the request schedule — every tuning
-    round. Policies that never consult the oracle (simple, ANU, table)
-    should not pay that price, so the driver hands out this proxy
-    instead: the factory runs once, at the first attribute access, and
-    not at all if nobody reads it.
+    round. Policies that never consult the oracle (simple, ANU) should
+    not pay that price, so the driver hands out this proxy instead: the
+    factory runs once, at the first attribute access, and not at all if
+    nobody reads it.
 
     The proxy is intentionally *not* ``None``: policies gate on
     ``ctx.knowledge is None`` to detect "oracle withheld", and a lazy
@@ -122,19 +122,15 @@ class LazyKnowledge:
 class RebalanceContext:
     """Everything a policy may consult during one tuning round.
 
-    ``observed_fileset_work`` is the merged per-file-set work the
-    servers *measured* over the closing interval — a legitimate online
-    observation (each server saw the requests it served), used by the
-    bin-packing table baseline. ``knowledge`` is the prescient oracle
-    for the *upcoming* interval; only prescient-class policies may read
-    it.
+    ``reports`` are the live servers' latency reports for the closing
+    interval. ``knowledge`` is the prescient oracle for the *upcoming*
+    interval; only prescient-class policies may read it.
     """
 
     now: float
     round_index: int
     reports: Sequence[LatencyReport]
     knowledge: Optional[PrescientKnowledge] = None
-    observed_fileset_work: Optional[Dict[str, float]] = None
 
 
 class RelocationStats:
@@ -205,9 +201,6 @@ class LoadManager(abc.ABC):
 
     #: Human-readable policy name (used in reports and figures).
     name: str = "abstract"
-    #: Whether :meth:`rebalance` reads ``ctx.observed_fileset_work``;
-    #: servers keep per-file-set window work only for a policy that does.
-    reads_fileset_work: bool = False
 
     @abc.abstractmethod
     def initial_placement(

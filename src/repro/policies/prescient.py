@@ -35,7 +35,6 @@ class DynamicPrescient(LoadManager):
         self.server_ids = list(server_ids)
         self.tuning_interval = float(tuning_interval)
         self._assignment: Dict[str, object] = {}
-        self._catalog: Optional[FileSetCatalog] = None
 
     # ------------------------------------------------------------------ #
     def initial_placement(
@@ -44,7 +43,6 @@ class DynamicPrescient(LoadManager):
         """Optimal placement before t=0 — balanced "from the very beginning"."""
         if knowledge is None:
             raise ValueError("dynamic prescient requires the oracle")
-        self._catalog = catalog
         # Perfect knowledge of "workload properties" = characteristic
         # per-interval demand (rates), the quantity a placement can
         # actually balance. (Balancing against the raw upcoming arrival
@@ -89,40 +87,3 @@ class DynamicPrescient(LoadManager):
     def shared_state_entries(self) -> int:
         """The oracle distributes a full file-set table: O(m) entries."""
         return len(self._assignment)
-
-    # ------------------------------------------------------------------ #
-    def server_failed(self, server_id: object) -> List[Move]:
-        """Drop the server and re-optimize its orphans onto survivors."""
-        if server_id not in self.server_ids:
-            raise ValueError(f"unknown server {server_id!r}")
-        self.server_ids.remove(server_id)
-        if self._catalog is None:
-            return []
-        powers_less = {sid: 1.0 for sid in self.server_ids}
-        # Without a fresh oracle at the failure instant, fall back to
-        # whole-run work shares (still perfect knowledge of workload
-        # properties, just coarser in time).
-        items = {name: self._catalog.get(name).total_work for name in self._assignment}
-        survivors_current = {
-            name: sid
-            for name, sid in self._assignment.items()
-            if sid != server_id
-        }
-        new = balance_items(items, powers_less, current=survivors_current)
-        moves = [
-            Move(name, self._assignment[name] if self._assignment[name] != server_id else None, sid)
-            for name, sid in new.items()
-            if sid != self._assignment.get(name)
-        ]
-        self._assignment = new
-        return moves
-
-    def server_added(self, server_id: object, power_hint: Optional[float] = None) -> List[Move]:
-        """Admit a server; the next tuning round re-optimizes onto it."""
-        if server_id in self.server_ids:
-            raise ValueError(f"server {server_id!r} already present")
-        self.server_ids.append(server_id)
-        return []
-
-    def assignments(self) -> Dict[str, object]:
-        return dict(self._assignment)

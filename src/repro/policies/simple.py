@@ -69,41 +69,3 @@ class SimpleRandomization(LoadManager):
     def shared_state_entries(self) -> int:
         """Only the server list is replicated (assignments re-derive)."""
         return len(self.server_ids)
-
-    # ------------------------------------------------------------------ #
-    def server_failed(self, server_id: object) -> List[Move]:
-        """Re-hash the failed server's file sets over the survivors.
-
-        The classic consistent-hashing weakness on display: with a plain
-        modulo-style hash the *entire* key space reshuffles; here we do
-        the gentler thing (re-hash only the orphans, with per-name probe
-        rounds) so the comparison against ANU isolates adaptivity rather
-        than a strawman addressing bug.
-        """
-        if server_id not in self.server_ids:
-            raise ValueError(f"unknown server {server_id!r}")
-        self.server_ids.remove(server_id)
-        moves: List[Move] = []
-        for name, sid in self._assignment.items():
-            if sid != server_id:
-                continue
-            # Probe rounds give a deterministic, per-name re-hash.
-            for r in range(1, self.hash_family.max_probes):
-                idx = int(
-                    self.hash_family.offset(name, r) * len(self.server_ids)
-                )
-                target = self.server_ids[min(idx, len(self.server_ids) - 1)]
-                break
-            self._assignment[name] = target
-            moves.append(Move(name, None, target))
-        return moves
-
-    def server_added(self, server_id: object, power_hint: Optional[float] = None) -> List[Move]:
-        """Add a server; existing assignments stay put (static policy)."""
-        if server_id in self.server_ids:
-            raise ValueError(f"server {server_id!r} already present")
-        self.server_ids.append(server_id)
-        return []
-
-    def assignments(self) -> Dict[str, object]:
-        return dict(self._assignment)

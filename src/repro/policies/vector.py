@@ -98,8 +98,6 @@ class VectorANU(RelocationStats, LoadManager):
         #: blocked from resolving into them even transiently.
         self._blocked = np.zeros(len(self.server_ids), dtype=bool)
         self.total_sheds = 0
-        self.total_lookups = 0
-        self.total_probes = 0
         self._init_relocation_stats()
         # Snapshots of the epoch the current assignment was resolved
         # against — the baseline an incremental round diffs from.
@@ -140,8 +138,6 @@ class VectorANU(RelocationStats, LoadManager):
         self._table = table
         self._table_blocked = blocked_mask
         self._table_partitions = self.layout.n_partitions
-        self.total_lookups += len(self._names)
-        self.total_probes += int(self._used.sum())
 
     def _relocate_delta(
         self, changed_sids: Optional[Sequence[object]]
@@ -196,8 +192,6 @@ class VectorANU(RelocationStats, LoadManager):
             )
             self._assign[invalid] = owner_sub
             self._used[invalid] = used_sub
-            self.total_lookups += int(invalid.size)
-            self.total_probes += int(used_sub.sum())
         self._table = new_table
         self._table_blocked = new_blocked
         self._table_partitions = self.layout.n_partitions
@@ -310,15 +304,6 @@ class VectorANU(RelocationStats, LoadManager):
     def shared_state_entries(self) -> int:
         """O(k) region descriptors, identical to the scalar adapter."""
         return self.layout.shared_state_entries()
-
-    @property
-    def mean_probes(self) -> float:
-        """Observed mean probes per resolution (≈ 2 at half occupancy)."""
-        return (
-            self.total_probes / self.total_lookups
-            if self.total_lookups
-            else float("nan")
-        )
 
     @property
     def region_lengths(self) -> Dict[object, float]:

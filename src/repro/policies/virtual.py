@@ -129,34 +129,6 @@ class VirtualProcessorSystem(LoadManager):
         """One replicated address entry per virtual processor (§5.4)."""
         return self.n_virtual
 
-    # ------------------------------------------------------------------ #
-    def server_failed(self, server_id: object) -> List[Move]:
-        """Re-map the failed server's VPs across survivors (even spread)."""
-        if server_id not in self.server_ids:
-            raise ValueError(f"unknown server {server_id!r}")
-        self.server_ids.remove(server_id)
-        if not self.server_ids:
-            raise ValueError("no surviving servers")
-        moves: List[Move] = []
-        i = 0
-        remap: Dict[int, object] = {}
-        for vp, sid in self._server_of_vp.items():
-            if sid == server_id:
-                remap[vp] = self.server_ids[i % len(self.server_ids)]
-                i += 1
-        self._server_of_vp.update(remap)
-        for name, vp in self._vp_of.items():
-            if vp in remap:
-                moves.append(Move(name, None, remap[vp]))
-        return moves
-
-    def server_added(self, server_id: object, power_hint: Optional[float] = None) -> List[Move]:
-        """Admit a server; the next round's optimizer assigns it VPs."""
-        if server_id in self.server_ids:
-            raise ValueError(f"server {server_id!r} already present")
-        self.server_ids.append(server_id)
-        return []
-
     def assignments(self) -> Dict[str, object]:
         return {name: self._server_of_vp[vp] for name, vp in self._vp_of.items()}
 

@@ -100,9 +100,3 @@ class ServiceRecording:
     def live_trajectory(self) -> List[Dict[str, float]]:
         """Per-epoch region-length vectors of the live run."""
         return [dict(e.lengths_after) for e in self.epochs]
-
-    def completed_traces(self) -> List[RequestTrace]:
-        """The requests that completed, arrival-sorted."""
-        done = [t for t in self.requests if t.ok]
-        done.sort(key=lambda t: t.arrival)
-        return done

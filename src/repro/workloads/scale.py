@@ -35,7 +35,7 @@ fan-out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -64,18 +64,6 @@ class ArrayCatalog:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        self._ensure_index()
-        return name in self._index
-
-    def __iter__(self) -> Iterator[FileSet]:
-        for i, name in enumerate(self._names):
-            yield FileSet(
-                name=name,
-                total_work=float(self._total_work[i]),
-                n_requests=int(self._n_requests[i]),
-            )
-
     def _ensure_index(self) -> None:
         if not self._index:
             self._index = {name: i for i, name in enumerate(self._names)}
@@ -96,18 +84,11 @@ class ArrayCatalog:
         )
 
     @property
-    def total_work(self) -> float:
-        return self._total
-
-    @property
     def total_requests(self) -> int:
         return int(self._n_requests.sum())
 
     def work_share(self, name: str) -> float:
         return self.get(name).total_work / self._total
-
-    def weights(self) -> Dict[str, float]:
-        return dict(zip(self._names, self._total_work.tolist()))
 
 
 class ArrayWorkload:
@@ -154,23 +135,8 @@ class ArrayWorkload:
         return int(self._arrivals.shape[0])
 
     @property
-    def total_work(self) -> float:
-        return float(self._works.sum())
-
-    @property
     def request_count(self) -> int:
         return len(self)
-
-    def work_between(self, t0: float, t1: float) -> Dict[str, float]:
-        """Per-file-set work offered in ``[t0, t1)``."""
-        lo = int(np.searchsorted(self._arrivals, t0, side="left"))
-        hi = int(np.searchsorted(self._arrivals, t1, side="left"))
-        sums = np.bincount(
-            self._fs_idx[lo:hi],
-            weights=self._works[lo:hi],
-            minlength=len(self._fs_names),
-        )
-        return dict(zip(self._fs_names, sums.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (

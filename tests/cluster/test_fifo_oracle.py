@@ -74,9 +74,6 @@ class GeneratorFileServer(FileServer):
             self.completed.observe(latency)
             self._window_latency_sum += latency
             self._window_count += 1
-            self._window_fs_work[request.fileset] = (
-                self._window_fs_work.get(request.fileset, 0.0) + request.work
-            )
 
     def fail(self):
         self.failed = True
@@ -117,7 +114,7 @@ def _books(server: FileServer) -> tuple:
     return (
         server.completed_requests,
         (tally.count, tally.mean, tally.minimum, tally.maximum),
-        (server._window_latency_sum, server._window_count, server._window_fs_work),
+        (server._window_latency_sum, server._window_count),
     )
 
 

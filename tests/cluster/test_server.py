@@ -112,23 +112,6 @@ class TestReporting:
             server.interval_report()
         assert len(server.latency_series) == 3
 
-    def test_drain_fileset_work(self, env):
-        server = FileServer(env, "s", power=1.0)
-        server.submit(req(fileset="/a", work=2.0))
-        server.submit(req(fileset="/a", work=1.0))
-        server.submit(req(fileset="/b", work=4.0))
-        env.run()
-        work = server.drain_fileset_work()
-        assert work == {"/a": 3.0, "/b": 4.0}
-        assert server.drain_fileset_work() == {}
-
-    def test_untracked_fileset_work_drains_empty(self, env):
-        server = FileServer(env, "s", power=1.0, track_fileset_work=False)
-        server.submit(req(fileset="/a", work=2.0))
-        env.run()
-        assert server.completed_requests == 1
-        assert server.drain_fileset_work() == {}
-
 
 class TestCacheIntegration:
     def test_cold_fileset_served_slower(self, env):

@@ -53,14 +53,21 @@ class TestBuilderInjection:
         result = engine.run()
         assert result.completed > 0
 
-    def test_spec_forks_per_build(self):
-        """Two builds of one spec must not share controller state."""
+    def test_policy_gets_a_fork_of_the_controller(self):
+        """The policy's controller state is its own, not the spec's."""
+        policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
+        controller = PIController()
+        ExperimentSpec(tiny_workload(), policy, config(), controller=controller).build()
+        assert isinstance(policy.controller, PIController)
+        assert policy.controller is not controller
+
+    def test_second_build_is_rejected(self):
+        """A built engine owns the spec's policy and layers: one build."""
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
         spec = ExperimentSpec(tiny_workload(), policy, config(), controller=PIController())
         spec.build()
-        first = policy.controller
-        spec.build()
-        assert policy.controller is not first
+        with pytest.raises(RuntimeError, match="already built"):
+            spec.build()
 
     def test_policy_without_seam_is_rejected(self):
         policy = SimpleRandomization(list(POWERS), hash_family=HashFamily(seed=0))

@@ -9,7 +9,6 @@ import pytest
 from repro.core import ANUManager, IntervalLayout, LatencyReport
 from repro.distributed import (
     DistributedTuningService,
-    ElectionProtocol,
     HeartbeatMonitor,
     MessageKind,
     Network,
@@ -35,22 +34,6 @@ class TestElect:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             elect([])
-
-    def test_protocol_elects_highest_live(self, env):
-        net = Network(env)
-        for n in range(4):
-            net.register(n)
-        net.set_down(3)
-        proto = ElectionProtocol(net)
-        winner = proto.run(initiator=0)
-        assert winner == 2
-        assert net.sent_count[MessageKind.COORDINATOR] >= 1
-
-    def test_protocol_unknown_initiator(self, env):
-        net = Network(env)
-        net.register(0)
-        with pytest.raises(ValueError):
-            ElectionProtocol(net).run(initiator=9)
 
 
 class TestHeartbeat:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.distributed import Message, MessageKind, elect
-from repro.distributed.election import _comparable
 
 
 class TestElectEdges:
@@ -18,10 +17,6 @@ class TestElectEdges:
 
     def test_string_ids(self):
         assert elect(["node-a", "node-c", "node-b"]) == "node-c"
-
-    def test_comparable_helper(self):
-        assert _comparable(1, 2)
-        assert not _comparable(1, "a")
 
 
 class TestMessageEdges:

@@ -16,11 +16,7 @@ from repro.engine import (
 )
 from repro.engine.record import ChaosResult
 from repro.experiments.cache import result_fingerprint
-from repro.policies import (
-    ANURandomization,
-    DynamicPrescient,
-    TableBinPacking,
-)
+from repro.policies import ANURandomization, DynamicPrescient
 
 from .conftest import POWERS
 
@@ -98,17 +94,6 @@ class TestAssembly:
             )
 
         assert result_fingerprint(one_run()) == result_fingerprint(one_run())
-
-    def test_only_a_policy_that_reads_fileset_work_gets_it_tracked(self, tiny_workload):
-        config = ClusterConfig(server_powers=POWERS)
-        for policy, tracked in (
-            (anu_policy(), False),
-            (TableBinPacking(list(POWERS), hash_family=HashFamily(seed=0)), True),
-        ):
-            engine = ExperimentSpec(tiny_workload, policy, config).build()
-            engine.run(until=100.0)
-            drained = [srv.drain_fileset_work() for srv in engine.servers.values()]
-            assert any(drained) is tracked
 
     def test_average_work_is_built_once(self, tiny_workload):
         engine = ExperimentSpec(

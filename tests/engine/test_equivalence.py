@@ -47,7 +47,6 @@ PAPER_GOLD = {
     "anu": "7a2639c735e12f30e8b985fcf2bb9b4199019e3456be942c63e269459deda9a3",
     "prescient": "7a6850e678446880d1cbbc7615e5199c753260b009abd6d583ab7abb3b148cf8",
     "virtual": "3aa6c0f40efce74d3e245f8acf7b3d78f47f641b1f4b14b0b31150cfc73a2fc5",
-    "table": "d0c3cd898835ca742b0cff1c5e467120c81c5eb7bb37b3effe7049e7b19a6c43",
 }
 
 #: Behaviour pins (event count zeroed) and event counts of the same runs.
@@ -56,14 +55,12 @@ PAPER_BEHAVIOUR = {
     "anu": "7d89dcde1199b97a0c1939a872da9aec185c44b4d4120aefc40824f628c23ac0",
     "prescient": "7c0e870d86dea3f544bea665f87490d6eb4ea2bd3095ea3594997978ae21db45",
     "virtual": "211e11ef3890246b67c85ce30af266f54b35d5316902cd375d0484be9be7ea58",
-    "table": "c414f7b8b4d4e841cb197dab6818563445088f7e47c9c73bc4168d99a6066329",
 }
 PAPER_EVENTS = {
     "simple": 2533,
     "anu": 2559,
     "prescient": 2654,
     "virtual": 2658,
-    "table": 2593,
 }
 
 #: The four paper systems over the trace-shaped workload (seed=3,
@@ -142,8 +139,8 @@ class TestDistributedGolden:
         assert behaviour_fingerprint(result) == DISTRIBUTED_BEHAVIOUR
         assert result.events_processed == DISTRIBUTED_EVENTS
         assert result_fingerprint(result) == DISTRIBUTED_GOLD
-        assert engine.failovers == 1
-        assert engine.delegate_history == [4, 3]
+        assert engine.control.failovers == 1
+        assert engine.record.delegate_history == [4, 3]
 
 
 class TestChaosGolden:

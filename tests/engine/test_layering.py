@@ -199,6 +199,69 @@ class TestCheckerTool:
             "use repro.service.protocol.FrameProtocol over FrameDecoder",
         ]
 
+    @pytest.mark.parametrize(
+        "gone",
+        [
+            "TableBinPacking",
+            "drain_fileset_work",
+            "reads_fileset_work",
+            "observed_fileset_work",
+            "track_fileset_work",
+            "ElectionProtocol",
+        ],
+    )
+    def test_table_policy_names_and_election_protocol_are_reported(self, tmp_path, gone):
+        """The lookup-table policy, its per-file-set work channel and
+        the message-level election stay deleted."""
+        imports = tmp_path / "imports.py"
+        imports.write_text(f"from repro.policies import {gone}\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text(f"def {gone}():\n    pass\n")
+        problems = check_layering.check_removed(
+            {"repro.engine.a": imports, "repro.engine.b": defines}
+        )
+        assert problems == [
+            f"repro.engine.a:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+            f"repro.engine.b:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+        ]
+
+    def test_fileset_work_channel_is_rejected_as_field_attribute_or_parameter(self, tmp_path):
+        """A revived table module, a policy flag, a context field and a
+        server parameter are each reported."""
+        table = tmp_path / "table.py"
+        table.write_text("x = 1\n")
+        base = tmp_path / "base.py"
+        base.write_text(
+            "class LoadManager:\n"
+            "    reads_fileset_work = False\n"
+            "class RebalanceContext:\n"
+            "    observed_fileset_work: dict = None\n"
+        )
+        server = tmp_path / "server.py"
+        server.write_text(
+            "class FileServer:\n"
+            "    def __init__(self, env, track_fileset_work=True):\n"
+            "        pass\n"
+        )
+        problems = check_layering.check_removed(
+            {
+                "repro.policies.table": table,
+                "repro.policies.base": base,
+                "repro.cluster.server": server,
+            }
+        )
+        channel = check_layering.REMOVED_NAMES["drain_fileset_work"]
+        assert problems == [
+            f"repro.policies.table: removed module is back ({table})",
+            f"repro.policies.base:2: defines or imports reads_fileset_work — removed; use {channel}",
+            f"repro.policies.base:4: defines or imports observed_fileset_work — removed; "
+            f"use {channel}",
+            f"repro.cluster.server:2: defines or imports track_fileset_work — removed; "
+            f"use {channel}",
+        ]
+
     def test_per_server_moment_landing_stays_removed(self, tmp_path):
         """Flushes land moments in bulk: a per-server method is rejected."""
         defines = tmp_path / "defines.py"

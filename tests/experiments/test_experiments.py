@@ -22,7 +22,6 @@ from repro.policies import (
     ANURandomization,
     DynamicPrescient,
     SimpleRandomization,
-    TableBinPacking,
     VirtualProcessorSystem,
 )
 from repro.workloads import generate_synthetic
@@ -65,7 +64,6 @@ class TestPolicyFactory:
             ("anu", ANURandomization),
             ("prescient", DynamicPrescient),
             ("virtual", VirtualProcessorSystem),
-            ("table", TableBinPacking),
         ],
     )
     def test_makes_right_type(self, name, cls):

@@ -120,8 +120,8 @@ class TestClusterStateAfterRun:
     def test_delegate_failover_happened(self, workload):
         sim = make_sim(workload)
         sim.run_chaos()
-        assert sim.failovers >= 1
-        assert len(sim.delegate_history) >= 2
+        assert sim.control.failovers >= 1
+        assert len(sim.record.delegate_history) >= 2
 
 
 class TestDeterminism:

@@ -59,15 +59,15 @@ class TestEquivalence:
         assert direct_res.aggregate_mean_latency == pytest.approx(
             dist_res.aggregate_mean_latency
         )
-        assert dist_sim.failovers == 0
+        assert dist_sim.control.failovers == 0
 
     def test_delegate_crashes_change_nothing_but_the_delegate(self, workload):
         baseline_res, baseline_policy, _ = run_distributed(workload)
         crashed_res, crashed_policy, crashed_sim = run_distributed(
             workload, crashes=[400.0, 900.0]
         )
-        assert crashed_sim.failovers == 2
-        assert len(crashed_sim.delegate_history) >= 2
+        assert crashed_sim.control.failovers == 2
+        assert len(crashed_sim.record.delegate_history) >= 2
         # The statelessness claim, end to end: the cluster converges to
         # the identical placement. (Rounds during which the crashed
         # node was unreachable legitimately lacked its report — the
@@ -82,7 +82,7 @@ class TestEquivalence:
 
     def test_crashed_delegate_is_replaced_by_next_highest(self, workload):
         _, _, sim = run_distributed(workload, crashes=[400.0])
-        first, second = sim.delegate_history[0], sim.delegate_history[1]
+        first, second = sim.record.delegate_history[0], sim.record.delegate_history[1]
         assert second != first
         assert second == max(sid for sid in POWERS if sid != first)
 
@@ -90,14 +90,14 @@ class TestEquivalence:
 class TestControlTraffic:
     def test_per_round_traffic_is_order_k(self, workload):
         _, _, sim = run_distributed(workload)
-        traffic = sim.control_traffic()
-        rounds = max(1, sum(1 for m in sim.movement if m.kind == "tune"))
+        traffic = sim.control.network.sent_count
+        rounds = max(1, sum(1 for m in sim.record.movement if m.kind == "tune"))
         k = len(POWERS)
         assert traffic[MessageKind.REPORT] == rounds * k
         # mapping broadcast: delegate -> everyone else
         assert traffic[MessageKind.MAPPING] == rounds * (k - 1)
         # shed notifications bounded by total moves
-        total_moves = sum(m.moves for m in sim.movement)
+        total_moves = sum(m.moves for m in sim.record.movement)
         assert traffic[MessageKind.SHED_NOTIFY] <= total_moves
 
 

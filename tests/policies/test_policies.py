@@ -1,4 +1,4 @@
-"""Behavioural contracts of the five LoadManager implementations."""
+"""Behavioural contracts of the four LoadManager implementations."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.policies import (
     PrescientKnowledge,
     RebalanceContext,
     SimpleRandomization,
-    TableBinPacking,
     VirtualProcessorSystem,
 )
 
@@ -44,7 +43,6 @@ def ctx(catalog, reports=(), with_knowledge=True):
         round_index=1,
         reports=list(reports),
         knowledge=knowledge(catalog) if with_knowledge else None,
-        observed_fileset_work={fs.name: fs.total_work / 10.0 for fs in catalog},
     )
 
 
@@ -69,7 +67,6 @@ ALL_POLICIES = [
     ("anu", lambda: ANURandomization(list(SERVERS))),
     ("prescient", lambda: DynamicPrescient(list(SERVERS))),
     ("virtual", lambda: VirtualProcessorSystem(list(SERVERS), v=5)),
-    ("table", lambda: TableBinPacking(list(SERVERS))),
 ]
 
 
@@ -124,14 +121,6 @@ class TestSimple:
         policy = SimpleRandomization(list(SERVERS))
         policy.initial_placement(catalog, None)
         assert policy.locate("/never-registered") in SERVERS
-
-    def test_failure_moves_only_victims(self, catalog):
-        policy = SimpleRandomization(list(SERVERS))
-        placement = policy.initial_placement(catalog, None)
-        victims = {n for n, s in placement.items() if s == 3}
-        moves = policy.server_failed(3)
-        assert {m.fileset for m in moves} == victims
-        assert all(policy.locate(n) != 3 for n in catalog.names)
 
 
 class TestPrescient:
@@ -229,27 +218,3 @@ class TestANUPolicy:
         moves = policy.server_added(2)
         assert any(m.target == 2 for m in moves)
 
-
-class TestTable:
-    def test_moves_hot_filesets_from_slow_servers(self, catalog):
-        policy = TableBinPacking(list(SERVERS), move_budget=3)
-        policy.initial_placement(catalog, None)
-        # server 0 very slow, 4 fast
-        moves = policy.rebalance(
-            ctx(catalog, reports({0: 100.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 0.1}))
-        )
-        assert 0 < len(moves) <= 3
-        assert all(m.source == 0 for m in moves)
-
-    def test_no_moves_when_balanced(self, catalog):
-        policy = TableBinPacking(list(SERVERS))
-        policy.initial_placement(catalog, None)
-        moves = policy.rebalance(
-            ctx(catalog, reports({0: 1.0, 1: 1.1, 2: 0.9, 3: 1.0, 4: 1.05}))
-        )
-        assert moves == []
-
-    def test_state_is_full_table(self, catalog):
-        policy = TableBinPacking(list(SERVERS))
-        policy.initial_placement(catalog, None)
-        assert policy.shared_state_entries() == len(catalog)

@@ -37,8 +37,10 @@ Checks, using nothing but the stdlib ``ast`` module:
    have one home, ``repro.retry.Attempts``; ``read_frame`` /
    ``write_frame``: the wire has one framing path, ``FrameDecoder``
    behind ``FrameProtocol``; ``SimulationBuilder``: an engine has one
-   front door, ``ExperimentSpec``) or names a removed environment
-   variable in a string.
+   front door, ``ExperimentSpec``; ``TableBinPacking`` and its
+   per-file-set work channel, and ``ElectionProtocol``: no run used
+   them) or names a removed environment variable in a string. A
+   parameter counts as a definition.
 4. **One transport for the live service** — no module under
    ``repro.service`` names asyncio's stream API (``start_server``,
    ``open_connection``, ``StreamReader``, ``StreamWriter``), the
@@ -237,7 +239,9 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
 #: ``ExperimentSpec(...).build()``, fan runs out with
 #: ``run_comparison``; the figure-data CSV exporter had no caller; the
 #: kernel has no generator processes or resources, only calendar
-#: callbacks; the environment knobs duplicated command-line flags.
+#: callbacks; the environment knobs duplicated command-line flags; the
+#: lookup-table policy ran in no experiment (its state size is
+#: ``repro.distributed.state.lookup_table_footprint``).
 REMOVED_MODULES: Tuple[str, ...] = (
     "repro.cluster.cluster",
     "repro.cluster.distributed_cluster",
@@ -246,6 +250,7 @@ REMOVED_MODULES: Tuple[str, ...] = (
     "repro.sim.process",
     "repro.sim.resources",
     "repro.knobs",
+    "repro.policies.table",
 )
 
 _KNOB_PARSERS = "a command-line flag or a function argument"
@@ -253,6 +258,7 @@ _REGENERATE = "figures regenerate their workload from (config, seed)"
 _ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
 _FIFO_CLOCK = "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)"
 _CALLBACKS = "Simulator.schedule_at (a cancellable calendar callback)"
+_NO_FILESET_WORK = "the servers' LatencyReport (no policy reads per-file-set work)"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
@@ -285,6 +291,12 @@ REMOVED_NAMES: Dict[str, str] = {
     "RoundTraceProbe": "the result's movement log (ClusterResult.movement)",
     "observe_many": "Tally.observe_each (or observe_moments for a pre-reduced batch)",
     "run_bench_sync": "asyncio.run(run_bench(...)) and bench_payload",
+    "TableBinPacking": "repro.distributed.state.lookup_table_footprint (the §6 table's state size)",
+    "drain_fileset_work": _NO_FILESET_WORK,
+    "reads_fileset_work": _NO_FILESET_WORK,
+    "observed_fileset_work": _NO_FILESET_WORK,
+    "track_fileset_work": _NO_FILESET_WORK,
+    "ElectionProtocol": "repro.distributed.election.elect (every node applies it; no messages)",
 }
 
 #: Deleted environment variables: a module that names one in a string
@@ -447,9 +459,12 @@ def check_bans(edges: List[Tuple[str, str, int]]) -> List[str]:
 
 
 def _bound_names(node: ast.AST) -> Iterator[str]:
-    """Names ``node`` defines or imports (``import a.B as C``: B and C)."""
+    """Names ``node`` defines or imports (``import a.B as C``: B and C);
+    a parameter counts as defined."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         yield node.name
+    elif isinstance(node, ast.arg):
+        yield node.arg
     elif isinstance(node, (ast.Import, ast.ImportFrom)):
         for alias in node.names:
             yield alias.name.rpartition(".")[2]

@@ -155,11 +155,13 @@ def main() -> int:
         run_chaos_scale_point,
     )
     from repro.experiments.scale import SMOKE_POINTS, run_scale_point
+    from repro.experiments.sweep import format_point_label
 
-    cells = [(f"scale {p.label()}", run_scale_point, p) for p in SMOKE_POINTS]
-    cells += [
-        (f"chaos-scale {p.label()}", run_chaos_scale_point, p) for p in CHAOS_POINTS
-    ]
+    def label(p) -> str:
+        return format_point_label(p.n_servers, p.n_filesets)
+
+    cells = [(f"scale {label(p)}", run_scale_point, p) for p in SMOKE_POINTS]
+    cells += [(f"chaos-scale {label(p)}", run_chaos_scale_point, p) for p in CHAOS_POINTS]
     failed = 0
     lines = []
     for label, run, point in cells:
