@@ -72,7 +72,3 @@ class MetadataRequest:
         if self.service_start is None:
             return math.nan
         return self.service_start - self.arrival
-
-    def __lt__(self, other: "MetadataRequest") -> bool:
-        """Order by arrival time (lets request lists sort naturally)."""
-        return self.arrival < other.arrival

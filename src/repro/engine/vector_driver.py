@@ -9,8 +9,10 @@ of one request. Each wake it:
 1. refreshes the policy's file-set → server assignment (array-valued
    when the policy provides :meth:`assignment_vector`, else via scalar
    ``locate`` calls);
-2. slices the workload's columnar arrays for arrivals in ``[t0, t1)``
-   and computes every completion time with the
+2. slices the workload's columns (``arrivals``, ``works``, ``fs_idx``
+   — the ones the scalar path replays request by request, so any
+   :class:`~repro.workloads.synthetic.Workload` runs on either path)
+   for arrivals in ``[t0, t1)`` and computes every completion time with the
    :func:`~repro.core.vector.fifo_drain` recurrence (short server
    segments in one padded pass, long ones one slice at a time);
 3. flushes completions that fall *inside* closed windows into each
@@ -72,27 +74,14 @@ class VectorizedRequestDriver:
 
     def __init__(self, engine: "ClusterEngine") -> None:
         workload = engine.workload
-        for attr in ("_arrivals", "_works", "_fs_idx"):
-            if not hasattr(workload, attr):
-                raise ConfigurationError(
-                    f"workload {workload!r} lacks columnar array {attr!r}; "
-                    "the vectorized client path needs array-backed workloads"
-                )
         self.engine = engine
         self.env = engine.env
-        self._arrivals: np.ndarray = workload._arrivals
-        self._works: np.ndarray = workload._works
-        self._fs_idx: np.ndarray = workload._fs_idx
-        # The columnar generators already emit int32; only the synthetic
-        # Workload's int64 column is narrowed (once per cell) so the
-        # per-cohort gathers move half the bytes.
-        if self._fs_idx.dtype.itemsize > 4 and len(workload.catalog) < 2**31:
-            self._fs_idx = self._fs_idx.astype(np.int32)
-        # Read-only (the locate fallback of _assignment): shared, not copied.
-        names = getattr(workload, "_fs_names", None)
-        self._names: Sequence[str] = (
-            names if names is not None else workload.catalog.names
-        )
+        # The workload's own columns, shared read-only: arrival-sorted
+        # float64 times and work, int32 file-set indices.
+        self._arrivals: np.ndarray = workload.arrivals
+        self._works: np.ndarray = workload.works
+        self._fs_idx: np.ndarray = workload.fs_idx
+        self._names: Sequence[str] = workload.catalog.names
         # Fixed slot order: the config's server insertion order, same
         # order the engine builds FileServers in.
         server_ids = list(engine.config.server_powers)

@@ -42,7 +42,7 @@ from ..engine import (
 )
 from ..faults import FaultSchedule, chaos_fingerprint, random_schedule
 from ..metrics.robustness import robustness_report
-from ..workloads.scale import ArrayWorkload
+from ..workloads.synthetic import Workload
 from .scale import SCALE_POLICIES, make_scale_policy
 from .sweep import (
     SweepSpec,
@@ -136,7 +136,7 @@ def _prepare(
     point: ChaosScalePoint,
     seed: int,
     axes: Optional[Mapping[str, Sequence[str]]] = None,
-) -> Tuple[ArrayWorkload, FaultSchedule]:
+) -> Tuple[Workload, FaultSchedule]:
     """The point's shared inputs: workload and fault script.
 
     Both are immutable, so one of each serves every policy — identical
@@ -152,7 +152,7 @@ def run_chaos_scale_point(
     point: ChaosScalePoint,
     policy_name: str,
     seed: int = 1,
-    shared: Optional[Tuple[ArrayWorkload, FaultSchedule]] = None,
+    shared: Optional[Tuple[Workload, FaultSchedule]] = None,
 ) -> Dict[str, object]:
     """One vectorized chaos run; returns a BENCH_chaos_scale row.
 

@@ -43,12 +43,11 @@ multiplicative baseline on convergence or oscillation somewhere);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.fileset import FileSet, FileSetCatalog
-from ..cluster.request import MetadataRequest
+from ..cluster.fileset import FileSetCatalog
 from ..control import make_controller
 from ..core.hashing import HashFamily
 from ..core.interval import HALF
@@ -66,7 +65,6 @@ from ..sim.rng import StreamRegistry
 from ..workloads import ShiftConfig, SyntheticConfig, generate_shifting, generate_synthetic
 from ..workloads.calibrate import request_work_for_utilization
 from ..workloads.distributions import lognormal_work, weighted_indices
-from ..workloads.scale import ArrayCatalog, ArrayWorkload
 from ..workloads.synthetic import Workload
 from .sweep import (
     SweepSpec,
@@ -162,16 +160,27 @@ def _merge_workloads(name: str, parts: Sequence[Workload], duration: float) -> W
     """Union of request schedules with summed per-file-set totals."""
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    requests: List[MetadataRequest] = []
     for part in parts:
         for fs in part.catalog:
             totals[fs.name] = totals.get(fs.name, 0.0) + fs.total_work
             counts[fs.name] = counts.get(fs.name, 0) + fs.n_requests
-        requests.extend(part.requests)
-    catalog = FileSetCatalog(
-        [FileSet(n, totals[n], counts[n]) for n in sorted(totals)]
+    names = sorted(totals)
+    index = {n: i for i, n in enumerate(names)}
+    return Workload(
+        name=name,
+        catalog=FileSetCatalog(
+            names, [totals[n] for n in names], [counts[n] for n in names]
+        ),
+        arrivals=np.concatenate([part.arrivals for part in parts]),
+        works=np.concatenate([part.works for part in parts]),
+        fs_idx=np.concatenate(
+            [
+                np.array([index[n] for n in part.catalog.names])[part.fs_idx]
+                for part in parts
+            ]
+        ),
+        duration=duration,
     )
-    return Workload(name=name, catalog=catalog, requests=requests, duration=duration)
 
 
 def _scalar_workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
@@ -205,10 +214,9 @@ def _scalar_workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
         surge = Workload(
             name="surge",
             catalog=surge_raw.catalog,
-            requests=[
-                MetadataRequest(fileset=r.fileset, arrival=r.arrival + t0, work=r.work)
-                for r in surge_raw.requests
-            ],
+            arrivals=surge_raw.arrivals + t0,
+            works=surge_raw.works,
+            fs_idx=surge_raw.fs_idx,
             duration=point.duration,
         )
         return _merge_workloads(
@@ -218,7 +226,7 @@ def _scalar_workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
     return generate_synthetic(base_cfg, seed=seed)
 
 
-def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWorkload:
+def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
     """The scenario's columnar schedule for the vectorized path."""
     registry = StreamRegistry(seed)
     m, n, T = point.n_filesets, point.n_requests, point.duration
@@ -261,13 +269,12 @@ def _vector_workload(point: ControlPoint, scenario: str, seed: int) -> ArrayWork
     works = lognormal_work(
         registry.stream(f"control/{scenario}/work"), len(arrivals), mean_work, 0.25
     )
-    names = [f"/fs/{i:07d}" for i in range(m)]
-    catalog = ArrayCatalog(
-        names,
+    catalog = FileSetCatalog(
+        [f"/fs/{i:07d}" for i in range(m)],
         np.bincount(fs_idx, weights=works, minlength=m),
         np.bincount(fs_idx, minlength=m),
     )
-    return ArrayWorkload(
+    return Workload(
         name=f"control/{scenario}(seed={seed})",
         catalog=catalog,
         arrivals=arrivals,
@@ -336,9 +343,7 @@ def trace_metrics(
 # --------------------------------------------------------------------- #
 # the runs
 # --------------------------------------------------------------------- #
-def _workload(
-    point: ControlPoint, scenario: str, seed: int
-) -> Union[Workload, ArrayWorkload]:
+def _workload(point: ControlPoint, scenario: str, seed: int) -> Workload:
     """The scenario's schedule in the point's engine mode."""
     generate = _scalar_workload if point.mode == "paper" else _vector_workload
     return generate(point, scenario, seed)
@@ -346,7 +351,7 @@ def _workload(
 
 def _prepare(
     point: ControlPoint, seed: int, axes: Mapping[str, Sequence[str]]
-) -> Dict[str, Union[Workload, ArrayWorkload]]:
+) -> Dict[str, Workload]:
     """The point's shared inputs: one workload per scenario."""
     return {
         scenario: _workload(point, scenario, seed) for scenario in axes["scenarios"]
@@ -358,7 +363,7 @@ def run_control_point(
     scenario: str,
     controller_name: str,
     seed: int = 1,
-    shared: Optional[Mapping[str, Union[Workload, ArrayWorkload]]] = None,
+    shared: Optional[Mapping[str, Workload]] = None,
 ) -> Dict[str, object]:
     """One (point, scenario, controller) run; returns a bench row."""
     if point.mode not in ("paper", "vector"):

@@ -35,7 +35,7 @@ from ..core.hashing import HashFamily
 from ..engine import ExperimentSpec, VectorizedClientPath
 from ..policies import BoundedLoadConsistentHashing, JSQd, VectorANU
 from ..policies.base import LoadManager
-from ..workloads.scale import ArrayWorkload
+from ..workloads.synthetic import Workload
 from .sweep import (
     SweepSpec,
     format_point_label,
@@ -107,7 +107,7 @@ def run_scale_point(
     point: ScalePoint,
     policy_name: str,
     seed: int = 1,
-    shared: Optional[ArrayWorkload] = None,
+    shared: Optional[Workload] = None,
 ) -> Dict[str, object]:
     """One vectorized run; returns a BENCH_scale row.
 

@@ -42,7 +42,8 @@ from ..engine import ClusterConfig
 from ..engine.record import ClusterResult
 from ..metrics.consistency import consistency_report
 from ..policies.base import LoadManager, RelocationStats
-from ..workloads.scale import ArrayWorkload, ScaleConfig, generate_scale
+from ..workloads.scale import ScaleConfig, generate_scale
+from ..workloads.synthetic import Workload
 from .fanout import resolve_workers, shared_payload, stream_map
 
 __all__ = [
@@ -227,7 +228,7 @@ def sweep_cluster_config(point) -> ClusterConfig:
 
 def point_workload(
     point, seed: int, axes: Optional[Mapping[str, Sequence[str]]] = None
-) -> ArrayWorkload:
+) -> Workload:
     """The point's columnar workload (a ``prepare`` as is: every axis
     value shares the one workload)."""
     return generate_scale(

@@ -111,8 +111,8 @@ class VectorANU(RelocationStats, LoadManager):
         self, catalog: FileSetCatalog, knowledge: Optional[PrescientKnowledge]
     ) -> Dict[str, object]:
         """Equal regions + batched hashing; the oracle is unused."""
-        # ``catalog.names`` is already a fresh list; the probe store
-        # shares it rather than copying a million entries again.
+        # ``catalog.names`` is the catalog's own (never mutated) list;
+        # the probe store shares it rather than copying a million entries.
         self._names = catalog.names
         self._probes = ProbeMatrix(self._names, self.hash_family)
         self._index = None

@@ -84,12 +84,14 @@ def split_schedule(workload: Workload, n_clients: int) -> List[List[Job]]:
 
     Each slice stays arrival-sorted; their union is the exact schedule.
     """
-    slices: List[List[Job]] = [[] for _ in range(n_clients)]
-    for i, request in enumerate(workload.requests):
-        slices[i % n_clients].append(
-            (request.fileset, float(request.arrival), float(request.work))
+    names = workload.catalog.names
+    jobs = [
+        (names[i], arrival, work)
+        for i, arrival, work in zip(
+            workload.fs_idx.tolist(), workload.arrivals.tolist(), workload.works.tolist()
         )
-    return slices
+    ]
+    return [jobs[k::n_clients] for k in range(n_clients)]
 
 
 # ---------------------------------------------------------------------- #

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.cache import CacheConfig
-from ..cluster.fileset import FileSet, FileSetCatalog
-from ..cluster.request import MetadataRequest
+from ..cluster.fileset import FileSetCatalog
 from ..control import as_controller
 from ..core.anu import ANUManager
 from ..core.hashing import HashFamily
@@ -140,21 +139,16 @@ def build_twin_workload(recording: ServiceRecording) -> Workload:
     traces = sorted(recording.requests, key=lambda t: t.arrival)
     if not traces:
         raise ValueError("recording has no request timeline to replay")
-    requests: List[MetadataRequest] = []
+    works = [trace.work * recording.time_scale for trace in traces]
     per_fs_work: Dict[str, float] = {}
     per_fs_count: Dict[str, int] = {}
-    for trace in traces:
-        work = trace.work * recording.time_scale
-        requests.append(
-            MetadataRequest(fileset=trace.fileset, arrival=trace.arrival, work=work)
-        )
+    for trace, work in zip(traces, works):
         per_fs_work[trace.fileset] = per_fs_work.get(trace.fileset, 0.0) + work
         per_fs_count[trace.fileset] = per_fs_count.get(trace.fileset, 0) + 1
+    names = list(per_fs_work)
+    index = {name: i for i, name in enumerate(names)}
     catalog = FileSetCatalog(
-        [
-            FileSet(name=name, total_work=per_fs_work[name], n_requests=per_fs_count[name])
-            for name in per_fs_work
-        ]
+        names, list(per_fs_work.values()), list(per_fs_count.values())
     )
     n_epochs = len(recording.epochs)
     duration = max(
@@ -164,7 +158,9 @@ def build_twin_workload(recording: ServiceRecording) -> Workload:
     return Workload(
         name="twin-replay",
         catalog=catalog,
-        requests=requests,
+        arrivals=[trace.arrival for trace in traces],
+        works=works,
+        fs_idx=[index[trace.fileset] for trace in traces],
         duration=duration,
     )
 

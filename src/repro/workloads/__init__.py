@@ -5,10 +5,11 @@
 * :func:`generate_trace_shaped` — the DFSTrace-shaped substitute
   (21 file sets, 112,590 requests, one hour; see DESIGN.md for the
   substitution rationale)
-* :class:`Workload` — immutable request schedule + catalog + oracle
-* :class:`ArrayWorkload` / :func:`generate_scale` — columnar schedules
-  for the vectorized path, file-set indices drawn by
-  :func:`weighted_indices`
+* :class:`Workload` — the one schedule container: arrival-sorted
+  columns (arrival, work, file-set index) + catalog + oracle, replayed
+  as fresh requests by the scalar engine and sliced by the vectorized one
+* :func:`generate_scale` — planet-scale schedules drawn as whole columns,
+  file-set indices by :func:`weighted_indices`
 * :mod:`repro.workloads.calibrate` — the "scaling factor c" made explicit
 * :func:`save_trace` / :func:`load_trace` — archival trace format
 """
@@ -34,7 +35,7 @@ __getattr__, __dir__, __all__ = attach(
             "zipf_weights",
         ],
         "io": ["load_trace", "save_trace"],
-        "scale": ["ArrayCatalog", "ArrayWorkload", "ScaleConfig", "generate_scale"],
+        "scale": ["ScaleConfig", "generate_scale"],
         "shifting": ["ShiftConfig", "generate_shifting"],
         "synthetic": ["SyntheticConfig", "Workload", "generate_synthetic"],
         "trace": ["TraceConfig", "generate_trace_shaped"],

@@ -54,8 +54,7 @@ def _generate(args) -> int:
 
 def _inspect(args) -> int:
     workload = load_trace(args.trace)
-    arrivals = np.array([r.arrival for r in workload.requests])
-    works = np.array([r.work for r in workload.requests])
+    arrivals, works = workload.arrivals, workload.works
     print(f"name:      {workload.name}")
     print(f"requests:  {len(workload)}")
     print(f"file sets: {len(workload.catalog)}")

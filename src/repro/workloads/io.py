@@ -19,12 +19,11 @@ then one request per line: ``arrival<TAB>fileset<TAB>work``.
 
 from __future__ import annotations
 
-import io
+import math
 from pathlib import Path
 from typing import Dict, List, TextIO, Union
 
-from ..cluster.fileset import FileSet, FileSetCatalog
-from ..cluster.request import MetadataRequest
+from ..cluster.fileset import FileSetCatalog
 from .synthetic import Workload
 
 __all__ = ["save_trace", "load_trace", "TRACE_MAGIC"]
@@ -45,8 +44,11 @@ def _write(workload: Workload, fh: TextIO) -> None:
     fh.write(f"{TRACE_MAGIC}\n")
     fh.write(f"# name: {workload.name}\n")
     fh.write(f"# duration: {workload.duration!r}\n")
-    for req in workload.requests:
-        fh.write(f"{req.arrival!r}\t{req.fileset}\t{req.work!r}\n")
+    names = workload.catalog.names
+    for arrival, i, work in zip(
+        workload.arrivals.tolist(), workload.fs_idx.tolist(), workload.works.tolist()
+    ):
+        fh.write(f"{arrival!r}\t{names[i]}\t{work!r}\n")
 
 
 def load_trace(path: Union[str, Path, TextIO]) -> Workload:
@@ -70,7 +72,9 @@ def _read(fh: TextIO) -> Workload:
         )
     name = "unnamed-trace"
     duration: float | None = None
-    requests: List[MetadataRequest] = []
+    arrivals: List[float] = []
+    works: List[float] = []
+    filesets: List[str] = []
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
     for lineno, line in enumerate(fh, start=2):
@@ -83,21 +87,34 @@ def _read(fh: TextIO) -> Workload:
                 name = body[len("name:"):].strip()
             elif body.startswith("duration:"):
                 duration = float(body[len("duration:"):].strip())
+                if not math.isfinite(duration):
+                    raise ValueError(f"line {lineno}: non-finite duration {duration}")
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
         arrival, fileset, work = float(parts[0]), parts[1], float(parts[2])
-        if arrival < 0 or work <= 0:
+        if not (0 <= arrival < math.inf and 0 < work < math.inf):
             raise ValueError(f"line {lineno}: invalid arrival/work {arrival}/{work}")
-        requests.append(MetadataRequest(fileset=fileset, arrival=arrival, work=work))
+        arrivals.append(arrival)
+        works.append(work)
+        filesets.append(fileset)
         totals[fileset] = totals.get(fileset, 0.0) + work
         counts[fileset] = counts.get(fileset, 0) + 1
-    if not requests:
+    if not arrivals:
         raise ValueError("trace contains no requests")
     if duration is None:
-        duration = max(r.arrival for r in requests) * 1.001
+        duration = max(arrivals) * 1.001
+    names = sorted(totals)
+    index = {n: i for i, n in enumerate(names)}
     catalog = FileSetCatalog(
-        [FileSet(n, totals[n], counts[n]) for n in sorted(totals)]
+        names, [totals[n] for n in names], [counts[n] for n in names]
     )
-    return Workload(name=name, catalog=catalog, requests=requests, duration=duration)
+    return Workload(
+        name=name,
+        catalog=catalog,
+        arrivals=arrivals,
+        works=works,
+        fs_idx=[index[f] for f in filesets],
+        duration=duration,
+    )

@@ -14,17 +14,15 @@ re-home it. The hot-spot ablation bench measures exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from ..cluster.fileset import FileSet, FileSetCatalog
-from ..cluster.request import MetadataRequest
+from ..cluster.fileset import FileSetCatalog
 from ..sim.rng import StreamRegistry
 from .calibrate import request_work_for_utilization
-from .distributions import arrival_times_from_gaps, lognormal_work, pareto_gaps
-from .synthetic import SyntheticConfig, Workload
+from .synthetic import SyntheticConfig, Workload, gap_train_columns
 
 __all__ = ["ShiftConfig", "generate_shifting"]
 
@@ -64,38 +62,6 @@ class ShiftConfig:
             raise ValueError(f"n_hot must be >= 1: {self.n_hot}")
 
 
-def _phase_requests(
-    names: List[str],
-    weights: np.ndarray,
-    n_requests: int,
-    t0: float,
-    duration: float,
-    mean_work: float,
-    cfg: SyntheticConfig,
-    registry: StreamRegistry,
-    tag: str,
-) -> Tuple[List[MetadataRequest], Dict[str, float], Dict[str, int]]:
-    """Generate one stationary phase offset to start at ``t0``."""
-    n_j = np.maximum(1, np.rint(n_requests * weights / weights.sum()).astype(int))
-    arrival_streams = registry.spawn(f"shift/{tag}/arrivals", len(names))
-    work_streams = registry.spawn(f"shift/{tag}/work", len(names))
-    span_rng = registry.stream(f"shift/{tag}/span")
-    requests: List[MetadataRequest] = []
-    totals: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for j, name in enumerate(names):
-        n = int(n_j[j])
-        gaps = pareto_gaps(arrival_streams[j], n, cfg.pareto_alpha)
-        span = float(span_rng.uniform(0.95, 0.999))
-        arrivals = arrival_times_from_gaps(gaps, duration, span) + t0
-        works = lognormal_work(work_streams[j], n, mean_work, cfg.work_sigma)
-        for t, w in zip(arrivals, works):
-            requests.append(MetadataRequest(fileset=name, arrival=float(t), work=float(w)))
-        totals[name] = float(works.sum())
-        counts[name] = n
-    return requests, totals, counts
-
-
 def generate_shifting(
     config: ShiftConfig = ShiftConfig(), seed: int = 0
 ) -> Tuple[Workload, List[str]]:
@@ -118,31 +84,28 @@ def generate_shifting(
         cfg.target_requests, cfg.duration, cfg.total_capacity, cfg.utilization
     )
 
-    # Phase 1: the plain X weights.
-    req1, tot1, cnt1 = _phase_requests(
-        names, x, n1, 0.0, t_shift, mean_work, cfg, registry, "p1"
-    )
-    # Phase 2: boost the coldest phase-1 sets into hot spots.
+    # Phase 2 boosts the coldest phase-1 sets into hot spots.
     coldest = list(np.argsort(x)[: config.n_hot])
     weights2 = x.copy()
     weights2[coldest] *= config.hot_boost
-    req2, tot2, cnt2 = _phase_requests(
-        names, weights2, n2, t_shift, cfg.duration - t_shift, mean_work, cfg,
-        registry, "p2",
-    )
-
-    filesets = [
-        FileSet(
-            name=name,
-            total_work=tot1.get(name, 0.0) + tot2.get(name, 0.0),
-            n_requests=cnt1.get(name, 0) + cnt2.get(name, 0),
+    phases = []
+    for tag, weights, n, t0, span in (
+        ("p1", x, n1, 0.0, t_shift),
+        ("p2", weights2, n2, t_shift, cfg.duration - t_shift),
+    ):
+        n_j = np.maximum(1, np.rint(n * weights / weights.sum()).astype(int))
+        arrivals, works, fs_idx, totals = gap_train_columns(
+            registry, f"shift/{tag}", n_j, span, cfg.pareto_alpha, mean_work,
+            cfg.work_sigma,
         )
-        for name in names
-    ]
+        phases.append((arrivals + t0, works, fs_idx, np.array(totals), n_j))
+    arrivals, works, fs_idx, totals, counts = zip(*phases)
     workload = Workload(
         name=f"shifting(seed={seed})",
-        catalog=FileSetCatalog(filesets),
-        requests=req1 + req2,
+        catalog=FileSetCatalog(names, totals[0] + totals[1], counts[0] + counts[1]),
+        arrivals=np.concatenate(arrivals),
+        works=np.concatenate(works),
+        fs_idx=np.concatenate(fs_idx),
         duration=cfg.duration,
     )
     hot_sets = [names[i] for i in coldest]

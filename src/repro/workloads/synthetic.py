@@ -22,12 +22,13 @@ Generation recipe (documented for auditability):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..cluster.fileset import FileSet, FileSetCatalog
+from ..cluster.fileset import FileSetCatalog
 from ..cluster.request import MetadataRequest
 from ..sim.rng import StreamRegistry
 from .calibrate import request_work_for_utilization
@@ -35,38 +36,51 @@ from .distributions import arrival_times_from_gaps, lognormal_work, pareto_gaps
 
 __all__ = ["Workload", "SyntheticConfig", "generate_synthetic"]
 
+#: Rows :meth:`Workload.replay` converts to Python values at a time.
+_REPLAY_CHUNK = 4096
+
 
 class Workload:
     """An immutable request schedule plus its file-set catalog.
 
-    The schedule is held as arrival-sorted template :attr:`requests`,
-    which runs copy as they replay them (:meth:`replay`) and never
-    write into, and as NumPy columns that answer the oracle queries
-    prescient policies need (:meth:`work_between`) — O(log n) per
-    window rather than a scan.
+    The schedule is three arrival-sorted columns: :attr:`arrivals` and
+    :attr:`works` (float64) and :attr:`fs_idx` (int32, indexing
+    ``catalog.names``). Both engines read them: the vectorized path
+    slices them per cohort, the scalar path draws fresh requests from
+    :meth:`replay`, and prescient policies' oracle query
+    (:meth:`work_between`) is O(log n) per window rather than a scan.
+
+    Producers hand the columns over in any order; they are put in
+    arrival order by a stable sort, so requests that arrive at the same
+    instant keep the producer's order.
     """
 
     def __init__(
         self,
         name: str,
         catalog: FileSetCatalog,
-        requests: List[MetadataRequest],
+        arrivals: np.ndarray,
+        works: np.ndarray,
+        fs_idx: np.ndarray,
         duration: float,
     ) -> None:
-        if duration <= 0:
-            raise ValueError(f"duration must be > 0, got {duration}")
+        duration = float(duration)
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {duration}")
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        works = np.asarray(works, dtype=np.float64)
+        fs_idx = np.asarray(fs_idx, dtype=np.int32)
+        if not arrivals.shape == works.shape == fs_idx.shape:
+            raise ValueError("schedule columns differ in shape")
+        if (arrivals[1:] < arrivals[:-1]).any():
+            order = np.argsort(arrivals, kind="stable")
+            arrivals, works, fs_idx = arrivals[order], works[order], fs_idx[order]
         self.name = name
         self.catalog = catalog
-        self.requests = sorted(requests, key=lambda r: r.arrival)
-        self.duration = float(duration)
-        # Columnar views for vectorized oracle queries.
-        self._fs_names = catalog.names
-        fs_index = {n: i for i, n in enumerate(self._fs_names)}
-        self._arrivals = np.array([r.arrival for r in self.requests], dtype=np.float64)
-        self._works = np.array([r.work for r in self.requests], dtype=np.float64)
-        self._fs_idx = np.array(
-            [fs_index[r.fileset] for r in self.requests], dtype=np.int64
-        )
+        self.arrivals = arrivals
+        self.works = works
+        self.fs_idx = fs_idx
+        self.duration = duration
 
     # ------------------------------------------------------------------ #
     def fork(self) -> "Workload":
@@ -77,59 +91,47 @@ class Workload:
         """The schedule as fresh requests, each built as it is drawn.
 
         Requests carry per-run mutable state (``server``,
-        ``service_start``, ``completion``), so a run stamps the copies
-        this iterator builds, never :attr:`requests`: one workload can
-        be run any number of times. A copy shares its template's field
-        objects, and lives only from its arrival to its completion.
+        ``service_start``, ``completion``), so every replay builds its
+        own: one workload can be run any number of times. A request
+        lives only from its arrival to its completion, and the columns
+        are read a chunk at a time.
         """
-        return (MetadataRequest(r.fileset, r.arrival, r.work) for r in self.requests)
+        name_of = self.catalog.names.__getitem__
+        for lo in range(0, len(self), _REPLAY_CHUNK):
+            hi = lo + _REPLAY_CHUNK
+            yield from map(
+                MetadataRequest,
+                map(name_of, self.fs_idx[lo:hi].tolist()),
+                self.arrivals[lo:hi].tolist(),
+                self.works[lo:hi].tolist(),
+            )
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return int(self.arrivals.shape[0])
 
     @property
     def total_work(self) -> float:
         """Total offered work units across all requests."""
-        return float(self._works.sum())
+        return float(self.works.sum())
 
     @property
     def request_count(self) -> int:
         """Number of requests in the schedule."""
-        return len(self.requests)
+        return len(self)
 
     def work_between(self, t0: float, t1: float) -> Dict[str, float]:
         """Per-file-set work offered in ``[t0, t1)`` — the oracle query."""
-        lo = int(np.searchsorted(self._arrivals, t0, side="left"))
-        hi = int(np.searchsorted(self._arrivals, t1, side="left"))
+        lo = int(np.searchsorted(self.arrivals, t0, side="left"))
+        hi = int(np.searchsorted(self.arrivals, t1, side="left"))
+        names = self.catalog.names
         sums = np.bincount(
-            self._fs_idx[lo:hi],
-            weights=self._works[lo:hi],
-            minlength=len(self._fs_names),
+            self.fs_idx[lo:hi], weights=self.works[lo:hi], minlength=len(names)
         )
-        return dict(zip(self._fs_names, sums.tolist()))
-
-    def work_matrix(self, interval: float) -> np.ndarray:
-        """``(n_intervals, n_filesets)`` matrix of offered work per interval."""
-        if interval <= 0:
-            raise ValueError(f"interval must be > 0, got {interval}")
-        n_int = int(np.ceil(self.duration / interval))
-        idx = np.minimum((self._arrivals / interval).astype(np.int64), n_int - 1)
-        flat = idx * len(self._fs_names) + self._fs_idx
-        sums = np.bincount(
-            flat, weights=self._works, minlength=n_int * len(self._fs_names)
-        )
-        return sums.reshape(n_int, len(self._fs_names))
-
-    def rate_per_fileset(self) -> Dict[str, float]:
-        """Long-run offered work rate (units/second) per file set."""
-        return {
-            name: fs.total_work / self.duration for name, fs in
-            ((n, self.catalog.get(n)) for n in self._fs_names)
-        }
+        return dict(zip(names, sums.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (
-            f"<Workload {self.name!r} requests={len(self.requests)} "
+            f"<Workload {self.name!r} requests={len(self)} "
             f"filesets={len(self.catalog)} duration={self.duration}s>"
         )
 
@@ -181,28 +183,48 @@ def generate_synthetic(
     mean_work = request_work_for_utilization(
         total_requests, config.duration, config.total_capacity, config.utilization
     )
-    arrival_streams = registry.spawn("synthetic/arrivals", config.n_filesets)
-    work_streams = registry.spawn("synthetic/work", config.n_filesets)
-    span_rng = registry.stream("synthetic/span")
-
-    requests: List[MetadataRequest] = []
-    filesets: List[FileSet] = []
-    for j in range(config.n_filesets):
-        name = f"/fs/{j:04d}"
-        n = int(n_j[j])
-        gaps = pareto_gaps(arrival_streams[j], n, config.pareto_alpha)
-        span = float(span_rng.uniform(0.95, 0.999))
-        arrivals = arrival_times_from_gaps(gaps, config.duration, span)
-        works = lognormal_work(work_streams[j], n, mean_work, config.work_sigma)
-        for t, w in zip(arrivals, works):
-            requests.append(MetadataRequest(fileset=name, arrival=float(t), work=float(w)))
-        filesets.append(
-            FileSet(name=name, total_work=float(works.sum()), n_requests=n)
-        )
-    catalog = FileSetCatalog(filesets)
+    arrivals, works, fs_idx, totals = gap_train_columns(
+        registry, "synthetic", n_j, config.duration, config.pareto_alpha,
+        mean_work, config.work_sigma,
+    )
     return Workload(
         name=f"synthetic(seed={seed})",
-        catalog=catalog,
-        requests=requests,
+        catalog=FileSetCatalog(
+            [f"/fs/{j:04d}" for j in range(config.n_filesets)], totals, n_j
+        ),
+        arrivals=arrivals,
+        works=works,
+        fs_idx=fs_idx,
         duration=config.duration,
     )
+
+
+def gap_train_columns(
+    registry: StreamRegistry,
+    tag: str,
+    n_j: np.ndarray,
+    duration: float,
+    alpha: float,
+    mean_work: float,
+    sigma: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
+    """One Pareto gap train and lognormal work draw per file set.
+
+    File set ``j`` issues ``n_j[j]`` requests spread over most of
+    ``duration`` (steps 3 and 4 of this module's recipe), drawn from the
+    ``tag/arrivals``, ``tag/work`` and ``tag/span`` streams. Returns the
+    ``(arrivals, works, fs_idx)`` columns in file-set order, not yet
+    arrival-sorted, and each file set's total work.
+    """
+    arrival_streams = registry.spawn(f"{tag}/arrivals", len(n_j))
+    work_streams = registry.spawn(f"{tag}/work", len(n_j))
+    span_rng = registry.stream(f"{tag}/span")
+    arrivals, works, totals = [], [], []
+    for j, n in enumerate(n_j.tolist()):
+        gaps = pareto_gaps(arrival_streams[j], n, alpha)
+        span = float(span_rng.uniform(0.95, 0.999))
+        arrivals.append(arrival_times_from_gaps(gaps, duration, span))
+        works.append(lognormal_work(work_streams[j], n, mean_work, sigma))
+        totals.append(float(works[-1].sum()))
+    fs_idx = np.repeat(np.arange(len(n_j), dtype=np.int32), n_j)
+    return np.concatenate(arrivals), np.concatenate(works), fs_idx, totals

@@ -26,45 +26,49 @@ class TestFileSet:
 
 class TestCatalog:
     def make(self):
-        return FileSetCatalog(
-            [
-                FileSet("/a", total_work=10.0, n_requests=10),
-                FileSet("/b", total_work=30.0, n_requests=20),
-                FileSet("/c", total_work=60.0, n_requests=70),
-            ]
-        )
+        return FileSetCatalog(["/a", "/b", "/c"], [10.0, 30.0, 60.0], [10, 20, 70])
 
     def test_lookup_and_len(self):
         cat = self.make()
         assert len(cat) == 3
         assert cat.get("/b").total_work == 30.0
-        assert "/b" in cat and "/z" not in cat
+        assert cat.get("/b") == FileSet("/b", total_work=30.0, n_requests=20)
+        assert "/b" in cat.names and "/z" not in cat.names
 
     def test_totals(self):
         cat = self.make()
         assert cat.total_work == 100.0
-        assert cat.total_requests == 100
+        assert sum(fs.n_requests for fs in cat) == 100
 
     def test_work_share(self):
         cat = self.make()
         assert cat.work_share("/c") == pytest.approx(0.6)
 
-    def test_weights(self):
-        cat = self.make()
-        assert cat.weights() == {"/a": 10.0, "/b": 30.0, "/c": 60.0}
-
     def test_iteration_order(self):
         cat = self.make()
-        assert [fs.name for fs in cat] == ["/a", "/b", "/c"]
+        assert list(cat) == [
+            FileSet("/a", 10.0, 10), FileSet("/b", 30.0, 20), FileSet("/c", 60.0, 70)
+        ]
         assert cat.names == ["/a", "/b", "/c"]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            FileSetCatalog([FileSet("/a", 1, 1), FileSet("/a", 2, 2)])
+            FileSetCatalog(["/a", "/a"], [1.0, 2.0], [1, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            FileSetCatalog([])
+            FileSetCatalog([], [], [])
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            FileSetCatalog(["/a", "/b"], [1.0, 2.0], [1])
+
+    def test_total_work_is_a_sequential_sum(self):
+        # NumPy's pairwise sum of these gives 6.0; the name-order sum,
+        # which work_share divides by, absorbs every 1.0 into 1e16.
+        work = [1e16] + [1.0] * 7 + [-1e16]
+        cat = FileSetCatalog([f"/{i}" for i in range(9)], work, [1] * 9)
+        assert cat.total_work == 0.0
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -85,11 +89,3 @@ class TestRequest:
         assert r.done
         assert r.latency == 3.0
         assert r.queue_delay == 2.0
-
-    def test_sort_by_arrival(self):
-        rs = [
-            MetadataRequest("/a", arrival=3.0, work=1.0),
-            MetadataRequest("/b", arrival=1.0, work=1.0),
-            MetadataRequest("/c", arrival=2.0, work=1.0),
-        ]
-        assert [r.fileset for r in sorted(rs)] == ["/b", "/c", "/a"]

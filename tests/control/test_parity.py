@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.fileset import FileSet, FileSetCatalog
+from repro.cluster.fileset import FileSetCatalog
 from repro.control import CONTROLLERS, make_controller
 from repro.core.hashing import HashFamily
 from repro.policies import ANURandomization, VectorANU
@@ -28,7 +28,7 @@ SERVER_IDS = [0, 1, 2, 3, 4]
 
 def make_catalog(n=40):
     return FileSetCatalog(
-        [FileSet(f"/fs/{i:03d}", 100.0 + i, 10) for i in range(n)]
+        [f"/fs/{i:03d}" for i in range(n)], [100.0 + i for i in range(n)], [10] * n
     )
 
 

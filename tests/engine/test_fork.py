@@ -52,24 +52,28 @@ class TestFork:
     def test_shares_immutable_columns(self, tiny_workload):
         fork = tiny_workload.fork()
         assert fork.catalog is tiny_workload.catalog
-        assert fork._arrivals is tiny_workload._arrivals
-        assert fork._works is tiny_workload._works
-        assert fork._fs_idx is tiny_workload._fs_idx
+        assert fork.arrivals is tiny_workload.arrivals
+        assert fork.works is tiny_workload.works
+        assert fork.fs_idx is tiny_workload.fs_idx
         assert fork.name == tiny_workload.name
         assert fork.duration == tiny_workload.duration
 
     def test_requests_are_fresh_and_identical(self, tiny_workload):
         assert tiny_workload.fork() is tiny_workload
         replayed = list(tiny_workload.replay())
-        assert len(replayed) == len(tiny_workload.requests)
-        for mine, orig in zip(replayed, tiny_workload.requests):
-            assert mine is not orig
+        again = list(tiny_workload.replay())
+        assert len(replayed) == len(again) == len(tiny_workload)
+        names = tiny_workload.catalog.names
+        for mine, other, arrival, work, i in zip(
+            replayed,
+            again,
+            tiny_workload.arrivals.tolist(),
+            tiny_workload.works.tolist(),
+            tiny_workload.fs_idx.tolist(),
+        ):
+            assert mine is not other
             assert type(mine.arrival) is float and type(mine.work) is float
-            assert (mine.fileset, mine.arrival, mine.work) == (
-                orig.fileset,
-                orig.arrival,
-                orig.work,
-            )
+            assert (mine.fileset, mine.arrival, mine.work) == (names[i], arrival, work)
             assert mine.server is None
             assert mine.service_start is None
             assert mine.completion is None
@@ -81,25 +85,26 @@ class TestFork:
         workload = Workload(
             name=tiny_workload.name,
             catalog=tiny_workload.catalog,
-            requests=[copy.copy(r) for r in tiny_workload.requests],
+            arrivals=tiny_workload.arrivals.copy(),
+            works=tiny_workload.works.copy(),
+            fs_idx=tiny_workload.fs_idx.copy(),
             duration=tiny_workload.duration,
         )
+        pristine = workload_fingerprint(workload)
         for path in ("basic", "hardened", "chaos"):
             first = _run(workload, path)
             assert _run(workload, path) == first, path
-        assert all(
-            r.server is None and r.service_start is None and r.completion is None
-            for r in workload.requests
-        )
+        assert workload_fingerprint(workload) == pristine
 
     def test_same_fingerprint_as_full_rebuild(self, tiny_workload):
+        requests = list(tiny_workload.replay())
+        names = tiny_workload.catalog.names
         rebuilt = Workload(
             name=tiny_workload.name,
             catalog=tiny_workload.catalog,
-            requests=[
-                type(r)(fileset=r.fileset, arrival=r.arrival, work=r.work)
-                for r in tiny_workload.requests
-            ],
+            arrivals=[r.arrival for r in requests],
+            works=[r.work for r in requests],
+            fs_idx=[names.index(r.fileset) for r in requests],
             duration=tiny_workload.duration,
         )
         assert workload_fingerprint(tiny_workload.fork()) == workload_fingerprint(
@@ -109,19 +114,19 @@ class TestFork:
 
 class TestWorkloadFingerprint:
     def test_int64_digest_pinned(self, tiny_workload):
-        assert tiny_workload._fs_idx.dtype == np.int64
+        assert tiny_workload.fs_idx.dtype == np.int32
         assert workload_fingerprint(tiny_workload) == (
             "efeaacd81953130c591a08b8c6a1e8621483ff2887fe6f5b4e1408158a7105b5"
         )
 
     def test_index_width_does_not_change_digest(self, tiny_workload):
-        narrow = copy.copy(tiny_workload)
-        narrow._fs_idx = tiny_workload._fs_idx.astype(np.int32)
-        assert workload_fingerprint(narrow) == workload_fingerprint(tiny_workload)
+        wide = copy.copy(tiny_workload)
+        wide.fs_idx = tiny_workload.fs_idx.astype(np.int64)
+        assert workload_fingerprint(wide) == workload_fingerprint(tiny_workload)
 
     def test_index_values_do_change_digest(self, tiny_workload):
         other = copy.copy(tiny_workload)
-        other._fs_idx = tiny_workload._fs_idx[::-1].astype(np.int32)
+        other.fs_idx = tiny_workload.fs_idx[::-1].copy()
         assert workload_fingerprint(other) != workload_fingerprint(tiny_workload)
 
 

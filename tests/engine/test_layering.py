@@ -227,6 +227,24 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
+    @pytest.mark.parametrize("gone", ["ArrayCatalog", "work_matrix", "rate_per_fileset"])
+    def test_second_schedule_surface_stays_removed(self, tmp_path, gone):
+        """A schedule has one container: a second catalog class or the
+        test-only oracle views on Workload are rejected."""
+        imports = tmp_path / "imports.py"
+        imports.write_text(f"from repro.workloads.scale import {gone}\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text(f"class Workload:\n    def {gone}(self):\n        pass\n")
+        problems = check_layering.check_removed(
+            {"repro.experiments.a": imports, "repro.workloads.synthetic": defines}
+        )
+        assert problems == [
+            f"repro.experiments.a:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+            f"repro.workloads.synthetic:2: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+        ]
+
     def test_fileset_work_channel_is_rejected_as_field_attribute_or_parameter(self, tmp_path):
         """A revived table module, a policy flag, a context field and a
         server parameter are each reported."""

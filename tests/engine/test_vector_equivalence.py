@@ -12,6 +12,10 @@ driver drains whole tuning-interval cohorts through
   asserted at 1e-9;
 * the scalar path itself is untouched — pinned by golden result
   fingerprints.
+
+Both engines run both kinds of schedule: the aggregate contract is
+checked on the paper's synthetic workload and on a small
+:func:`~repro.workloads.generate_scale` one.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.core.hashing import HashFamily
 from repro.engine import ClusterConfig, ExperimentSpec, VectorizedClientPath
 from repro.engine.probes import ProbeBus, RequestCompleted
 from repro.policies import ANURandomization, VectorANU
-from repro.workloads import generate_synthetic
+from repro.workloads import ScaleConfig, generate_scale, generate_synthetic
 
 from .conftest import behaviour_fingerprint
 
@@ -70,6 +74,13 @@ def vector_result():
     return _run(generate_synthetic(seed=7), vector=True)
 
 
+#: 200 file sets, 20k requests over 20 simulated minutes at the paper
+#: cluster's 0.6 utilization.
+SCALE_WORKLOAD = ScaleConfig(
+    n_filesets=200, target_requests=20_000, duration=1_200.0, total_capacity=25.0
+)
+
+
 class TestAggregateEquivalence:
     def test_request_accounting_identical(self, scalar_result, vector_result):
         assert vector_result.submitted == scalar_result.submitted
@@ -102,6 +113,19 @@ class TestAggregateEquivalence:
             assert b.std == pytest.approx(a.std, rel=1e-9, abs=1e-9)
             assert b.minimum == pytest.approx(a.minimum, rel=1e-12, abs=1e-12)
             assert b.maximum == pytest.approx(a.maximum, rel=1e-12, abs=1e-12)
+
+
+class TestAggregateEquivalenceAtScale(TestAggregateEquivalence):
+    """The same assertions on a columnar scale workload, which the
+    scalar engine replays like any other."""
+
+    @pytest.fixture(scope="class")
+    def scalar_result(self):
+        return _run(generate_scale(SCALE_WORKLOAD, seed=7), vector=False)
+
+    @pytest.fixture(scope="class")
+    def vector_result(self):
+        return _run(generate_scale(SCALE_WORKLOAD, seed=7), vector=True)
 
 
 class TestVectorPathScope:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.cluster import FileSet, FileSetCatalog
+from repro.cluster import FileSetCatalog
 from repro.core import HashFamily, LatencyReport
 from repro.policies import (
     ANURandomization,
@@ -25,7 +25,9 @@ POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
 @pytest.fixture
 def catalog():
     return FileSetCatalog(
-        [FileSet(f"/fs{i}", total_work=float(10 + i * 5), n_requests=10 + i) for i in range(25)]
+        [f"/fs{i}" for i in range(25)],
+        [float(10 + i * 5) for i in range(25)],
+        [10 + i for i in range(25)],
     )
 
 

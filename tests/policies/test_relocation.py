@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.fileset import FileSet, FileSetCatalog
+from repro.cluster.fileset import FileSetCatalog
 from repro.core.hashing import HashFamily
 from repro.core.tuning import LatencyReport
 from repro.core.vector import ProbeMatrix
@@ -38,9 +38,7 @@ SIDS = list(range(8))
 
 
 def _catalog(n):
-    return FileSetCatalog(
-        [FileSet(name=f"/fs/{i}", total_work=1.0, n_requests=10) for i in range(n)]
-    )
+    return FileSetCatalog([f"/fs/{i}" for i in range(n)], [1.0] * n, [10] * n)
 
 
 def _policy(n_filesets=2_000, emit_moves=True):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.cluster.fileset import FileSet, FileSetCatalog
+from repro.cluster.fileset import FileSetCatalog
 from repro.core.errors import ConfigurationError
 from repro.core.hashing import HashFamily
 from repro.core.tuning import LatencyReport
@@ -18,9 +18,7 @@ SIDS = [f"s{i}" for i in range(8)]
 
 
 def _catalog(n):
-    return FileSetCatalog(
-        [FileSet(name=f"/fs/{i}", total_work=1.0, n_requests=10) for i in range(n)]
-    )
+    return FileSetCatalog([f"/fs/{i}" for i in range(n)], [1.0] * n, [10] * n)
 
 
 def _report(sid, mean):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import FileSet, FileSetCatalog
+from repro.cluster import FileSetCatalog
 from repro.core import HashFamily
 from repro.policies import WeightedHashing
 from repro.policies.base import RebalanceContext
@@ -15,9 +15,7 @@ POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
 
 @pytest.fixture
 def catalog():
-    return FileSetCatalog(
-        [FileSet(f"/fs{i}", total_work=10.0, n_requests=10) for i in range(400)]
-    )
+    return FileSetCatalog([f"/fs{i}" for i in range(400)], [10.0] * 400, [10] * 400)
 
 
 class TestPlacement:

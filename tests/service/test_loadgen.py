@@ -33,11 +33,11 @@ class TestSchedule:
         config = tiny_config()
         first = make_schedule(config)
         second = make_schedule(config)
-        assert [r.arrival for r in first.requests] == [
-            r.arrival for r in second.requests
+        assert [r.arrival for r in first.replay()] == [
+            r.arrival for r in second.replay()
         ]
-        assert all(0 <= r.arrival <= config.duration_seconds for r in first.requests)
-        assert len(first.requests) > 0
+        assert all(0 <= r.arrival <= config.duration_seconds for r in first.replay())
+        assert len(first) > 0
 
     def test_split_preserves_and_partitions_the_schedule(self):
         workload = make_schedule(tiny_config())
@@ -48,7 +48,7 @@ class TestSchedule:
         )
         original = [
             (r.fileset, float(r.arrival), float(r.work))
-            for r in workload.requests
+            for r in workload.replay()
         ]
         assert sorted(original, key=lambda j: j[1]) == merged
         # Each slice stays arrival-sorted (pacing relies on it).
@@ -58,8 +58,8 @@ class TestSchedule:
 
     def test_more_clients_than_requests_leaves_empty_slices(self):
         workload = make_schedule(tiny_config(target_requests=60))
-        slices = split_schedule(workload, len(workload.requests) + 5)
-        assert sum(len(s) for s in slices) == len(workload.requests)
+        slices = split_schedule(workload, len(workload) + 5)
+        assert sum(len(s) for s in slices) == len(workload)
 
 
 class TestInlineReplay:

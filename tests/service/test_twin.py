@@ -91,10 +91,11 @@ class TestTwinWorkload:
             ]
         )
         workload = build_twin_workload(locator.recording)
-        assert len(workload.requests) == 3
+        requests = list(workload.replay())
+        assert len(requests) == 3
         # Work is pre-scaled so sim service time == live sleep.
-        assert workload.requests[0].work == pytest.approx(1.0)
-        assert workload.requests[1].work == pytest.approx(2.0)
+        assert requests[0].work == pytest.approx(1.0)
+        assert requests[1].work == pytest.approx(2.0)
         assert {f.name for f in workload.catalog} == {"/fs/a", "/fs/b"}
         assert workload.duration >= 2.0
 

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from repro.cluster import FileSetCatalog
 from repro.workloads import (
     ScaleConfig,
     SyntheticConfig,
     TraceConfig,
+    Workload,
     generate_scale,
     generate_synthetic,
     generate_trace_shaped,
@@ -28,7 +31,7 @@ class TestSyntheticGenerator:
         assert len(wl.catalog) == 50
         assert abs(len(wl) - 66_401) < 300  # rounding of per-set budgets
         assert wl.duration == 12_000.0
-        assert all(r.arrival < wl.duration for r in wl.requests)
+        assert (wl.arrivals < wl.duration).all()
 
     def test_utilization_calibrated(self):
         cfg = SyntheticConfig(utilization=0.6, total_capacity=25.0)
@@ -41,13 +44,13 @@ class TestSyntheticGenerator:
         assert len(a) == len(b)
         assert all(
             ra.arrival == rb.arrival and ra.fileset == rb.fileset
-            for ra, rb in zip(a.requests, b.requests)
+            for ra, rb in zip(a.replay(), b.replay())
         )
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=500), seed=1)
         b = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=500), seed=2)
-        assert any(ra.arrival != rb.arrival for ra, rb in zip(a.requests, b.requests))
+        assert any(ra.arrival != rb.arrival for ra, rb in zip(a.replay(), b.replay()))
 
     def test_fileset_sizes_follow_x_weights(self):
         """Request budget per file set spans roughly the X ~ U[1,10] range."""
@@ -62,13 +65,13 @@ class TestSyntheticGenerator:
 
     def test_requests_sorted(self):
         wl = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=300), seed=0)
-        arr = [r.arrival for r in wl.requests]
+        arr = [r.arrival for r in wl.replay()]
         assert arr == sorted(arr)
 
     def test_catalog_totals_match_requests(self):
         wl = generate_synthetic(SyntheticConfig(n_filesets=8, target_requests=400), seed=0)
         by_fs = {}
-        for r in wl.requests:
+        for r in wl.replay():
             by_fs[r.fileset] = by_fs.get(r.fileset, 0.0) + r.work
         for fs in wl.catalog:
             assert by_fs[fs.name] == pytest.approx(fs.total_work)
@@ -91,49 +94,37 @@ class TestScaleGenerator:
 
     def test_request_count_exact(self, wl):
         assert len(wl) == self.CFG.target_requests
-        assert wl.catalog.total_requests == self.CFG.target_requests
+        assert sum(fs.n_requests for fs in wl.catalog) == self.CFG.target_requests
         assert len(wl.catalog) == self.CFG.n_filesets
 
     def test_catalog_totals_are_bincounts(self, wl):
         m = self.CFG.n_filesets
         np.testing.assert_array_equal(
-            wl.catalog._n_requests, np.bincount(wl._fs_idx, minlength=m)
+            [fs.n_requests for fs in wl.catalog], np.bincount(wl.fs_idx, minlength=m)
         )
         np.testing.assert_array_equal(
-            wl.catalog._total_work,
-            np.bincount(wl._fs_idx, weights=wl._works, minlength=m),
+            [fs.total_work for fs in wl.catalog],
+            np.bincount(wl.fs_idx, weights=wl.works, minlength=m),
         )
 
     def test_fs_idx_int32_in_range(self, wl):
-        assert wl._fs_idx.dtype == np.int32
-        assert wl._fs_idx.min() >= 0
-        assert wl._fs_idx.max() < self.CFG.n_filesets
+        assert wl.fs_idx.dtype == np.int32
+        assert wl.fs_idx.min() >= 0
+        assert wl.fs_idx.max() < self.CFG.n_filesets
 
     def test_deterministic_in_seed(self, wl):
         again = generate_scale(self.CFG, seed=7)
-        for col in ("_arrivals", "_works", "_fs_idx"):
+        for col in ("arrivals", "works", "fs_idx"):
             np.testing.assert_array_equal(getattr(again, col), getattr(wl, col))
 
     def test_schedule_digest_pinned(self, wl):
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(wl._arrivals).tobytes())
-        h.update(np.ascontiguousarray(wl._works).tobytes())
-        h.update(np.ascontiguousarray(wl._fs_idx, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(wl.arrivals).tobytes())
+        h.update(np.ascontiguousarray(wl.works).tobytes())
+        h.update(np.ascontiguousarray(wl.fs_idx, dtype=np.int64).tobytes())
         assert h.hexdigest() == (
             "b5270723b5a245cc07365ada2b385abf186548108053d61d4a62c9fa6d604663"
         )
-
-    def test_scalar_replay_points_to_the_vector_path(self, wl):
-        from repro.engine import ClusterConfig, ExperimentSpec
-        from repro.policies import SimpleRandomization
-
-        spec = ExperimentSpec(
-            wl, SimpleRandomization([0, 1]), ClusterConfig(server_powers={0: 1.0, 1: 2.0})
-        )
-        with pytest.raises(TypeError, match="VectorizedClientPath"):
-            spec.build()
-        with pytest.raises(TypeError, match="VectorizedClientPath"):
-            wl.requests
 
 
 class TestTraceGenerator:
@@ -154,8 +145,8 @@ class TestTraceGenerator:
         cfg = TraceConfig(n_filesets=5, target_requests=1000)
         a = generate_trace_shaped(cfg, seed=3)
         b = generate_trace_shaped(cfg, seed=3)
-        assert [r.arrival for r in a.requests[:50]] == [
-            r.arrival for r in b.requests[:50]
+        assert [r.arrival for r in list(a.replay())[:50]] == [
+            r.arrival for r in list(b.replay())[:50]
         ]
 
 
@@ -175,17 +166,37 @@ class TestWorkloadOracle:
                 wl.work_between(0.0, wl.duration + 1.0)[name]
             )
 
-    def test_work_matrix_matches_work_between(self):
-        wl = generate_synthetic(SyntheticConfig(n_filesets=6, target_requests=600), seed=0)
-        m = wl.work_matrix(120.0)
-        w0 = wl.work_between(0.0, 120.0)
-        np.testing.assert_allclose(m[0], [w0[n] for n in wl.catalog.names])
 
-    def test_rate_per_fileset(self):
-        wl = generate_synthetic(SyntheticConfig(n_filesets=4, target_requests=400), seed=0)
-        rates = wl.rate_per_fileset()
-        for name, rate in rates.items():
-            assert rate == pytest.approx(wl.catalog.get(name).total_work / wl.duration)
+class TestWorkloadColumns:
+    @staticmethod
+    def make(arrivals, duration=3.0):
+        return Workload(
+            "w",
+            FileSetCatalog(["/a", "/b"], [3.0, 3.0], [2, 2]),
+            arrivals=arrivals,
+            works=[1.0, 1.0, 2.0, 2.0],
+            fs_idx=[0, 0, 1, 1],
+            duration=duration,
+        )
+
+    def test_columns_sorted_stably_by_arrival(self):
+        wl = self.make([2.0, 1.0, 2.0, 1.0])
+        assert wl.arrivals.tolist() == [1.0, 1.0, 2.0, 2.0]
+        assert wl.works.tolist() == [1.0, 2.0, 1.0, 2.0]
+        assert wl.fs_idx.tolist() == [0, 1, 0, 1]
+        assert wl.fs_idx.dtype == np.int32
+        assert [(r.fileset, r.arrival, r.work) for r in wl.replay()] == [
+            ("/a", 1.0, 1.0), ("/b", 1.0, 2.0), ("/a", 2.0, 1.0), ("/b", 2.0, 2.0)
+        ]
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            self.make([0.0, 1.0, 2.0, 3.0], duration=duration)
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            self.make([0.0, 1.0, 2.0])
 
 
 class TestCalibrate:

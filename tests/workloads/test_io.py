@@ -31,7 +31,7 @@ class TestRoundTrip:
         assert len(loaded) == len(workload)
         assert loaded.duration == workload.duration
         assert loaded.name == workload.name
-        for a, b in zip(workload.requests, loaded.requests):
+        for a, b in zip(workload.replay(), loaded.replay()):
             assert a.fileset == b.fileset
             assert a.arrival == b.arrival
             assert a.work == b.work
@@ -73,6 +73,19 @@ class TestErrors:
         path.write_text(f"{TRACE_MAGIC}\n-1.0\t/a\t1.0\n")
         with pytest.raises(ValueError):
             load_trace(path)
+        # Non-finite arrivals and work are named by their line, and a
+        # non-finite duration header is refused too.
+        for body, match in (
+            ("nan\t/a\t1.0", "line 2"),
+            ("inf\t/a\t1.0", "line 2"),
+            ("1.0\t/a\tinf", "line 2"),
+            ("1.0\t/a\tnan", "line 2"),
+            ("# duration: nan\n1.0\t/a\t1.0", "duration"),
+            ("# duration: inf\n1.0\t/a\t1.0", "duration"),
+        ):
+            path.write_text(f"{TRACE_MAGIC}\n{body}\n")
+            with pytest.raises(ValueError, match=match):
+                load_trace(path)
 
     def test_empty_trace_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"

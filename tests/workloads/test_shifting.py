@@ -61,7 +61,7 @@ class TestGenerate:
 
     def test_requests_sorted_and_within_duration(self, generated):
         (wl, _), _ = generated
-        arr = [r.arrival for r in wl.requests]
+        arr = [r.arrival for r in wl.replay()]
         assert arr == sorted(arr)
         assert arr[-1] < wl.duration
 
@@ -72,14 +72,14 @@ class TestGenerate:
         (a, hot_a) = generate_shifting(cfg, seed=3)
         (b, hot_b) = generate_shifting(cfg, seed=3)
         assert hot_a == hot_b
-        assert [r.arrival for r in a.requests[:100]] == [
-            r.arrival for r in b.requests[:100]
+        assert [r.arrival for r in list(a.replay())[:100]] == [
+            r.arrival for r in list(b.replay())[:100]
         ]
 
     def test_catalog_covers_both_phases(self, generated):
         (wl, _), _ = generated
         by_fs = {}
-        for r in wl.requests:
+        for r in wl.replay():
             by_fs[r.fileset] = by_fs.get(r.fileset, 0.0) + r.work
         for fs in wl.catalog:
             assert by_fs.get(fs.name, 0.0) == pytest.approx(fs.total_work)

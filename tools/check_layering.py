@@ -39,7 +39,10 @@ Checks, using nothing but the stdlib ``ast`` module:
    behind ``FrameProtocol``; ``SimulationBuilder``: an engine has one
    front door, ``ExperimentSpec``; ``TableBinPacking`` and its
    per-file-set work channel, and ``ElectionProtocol``: no run used
-   them) or names a removed environment variable in a string. A
+   them; ``ArrayCatalog``, ``work_matrix`` and ``rate_per_fileset``:
+   a schedule has one container, the columnar ``Workload`` and its
+   ``FileSetCatalog``) or names a removed environment variable in a
+   string. A
    parameter counts as a definition.
 4. **One transport for the live service** — no module under
    ``repro.service`` names asyncio's stream API (``start_server``,
@@ -297,6 +300,9 @@ REMOVED_NAMES: Dict[str, str] = {
     "observed_fileset_work": _NO_FILESET_WORK,
     "track_fileset_work": _NO_FILESET_WORK,
     "ElectionProtocol": "repro.distributed.election.elect (every node applies it; no messages)",
+    "ArrayCatalog": "repro.cluster.fileset.FileSetCatalog (one columnar catalog)",
+    "work_matrix": "Workload.work_between per window",
+    "rate_per_fileset": "FileSetCatalog.get(name).total_work / Workload.duration",
 }
 
 #: Deleted environment variables: a module that names one in a string
