@@ -2,8 +2,7 @@
 
 * :mod:`repro.analysis.bounds` — the §4 load-balance bounds and the
   balls-into-bins Monte Carlo that checks them (bench A6)
-* :mod:`repro.analysis.stats` — bootstrap CIs, Hill tail-index
-  estimation for the heavy-tail verification
+* :mod:`repro.analysis.stats` — mean and standard error over seeds
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ __getattr__, __dir__, __all__ = attach(
             "measure_balance",
             "simple_randomization_bound",
         ],
-        "stats": [
-            "ConfidenceInterval",
-            "bootstrap_mean_ci",
-            "is_heavy_tailed",
-            "mean_sem",
-            "pareto_tail_index",
-        ],
+        "stats": ["mean_sem"],
     },
 )

@@ -1,62 +1,17 @@
 """Statistical helpers for experiment analysis.
 
-Multi-seed experiment repetitions need uncertainty quantification: the
-bench harness reports bootstrap confidence intervals on latency means
-and uses a distribution-shape test to confirm the synthetic workload's
-heavy tail.
+Multi-seed experiment repetitions report each mean with its standard
+error (the robustness-over-seeds benchmark's error bars).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
-__all__ = [
-    "ConfidenceInterval",
-    "bootstrap_mean_ci",
-    "mean_sem",
-    "pareto_tail_index",
-    "is_heavy_tailed",
-]
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A point estimate with a two-sided confidence interval."""
-
-    estimate: float
-    low: float
-    high: float
-    level: float
-
-    @property
-    def half_width(self) -> float:
-        """Half the interval width (symmetric-equivalent error bar)."""
-        return (self.high - self.low) / 2.0
-
-
-def bootstrap_mean_ci(
-    values: Sequence[float],
-    level: float = 0.95,
-    n_boot: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap CI for the mean of ``values``."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return ConfidenceInterval(math.nan, math.nan, math.nan, level)
-    if arr.size == 1:
-        return ConfidenceInterval(float(arr[0]), float(arr[0]), float(arr[0]), level)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    boots = arr[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
-    return ConfidenceInterval(float(arr.mean()), float(lo), float(hi), level)
+__all__ = ["mean_sem"]
 
 
 def mean_sem(values: Sequence[float]) -> Tuple[float, float]:
@@ -67,31 +22,3 @@ def mean_sem(values: Sequence[float]) -> Tuple[float, float]:
     if arr.size == 1:
         return float(arr[0]), 0.0
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def pareto_tail_index(values: Sequence[float], tail_fraction: float = 0.1) -> float:
-    """Hill estimator of the tail index α over the top ``tail_fraction``.
-
-    For inter-arrival gaps drawn Pareto(α), the estimate converges to α;
-    the workload tests use it to verify the generator's advertised
-    heavy tail actually materializes in the schedule.
-    """
-    arr = np.sort(np.asarray(values, dtype=np.float64))
-    if arr.size < 10:
-        raise ValueError("need at least 10 values for a tail estimate")
-    k = max(2, int(arr.size * tail_fraction))
-    tail = arr[-k:]
-    x_k = arr[-k - 1] if arr.size > k else arr[0]
-    if x_k <= 0:
-        raise ValueError("tail estimator requires positive values")
-    logs = np.log(tail / x_k)
-    return float(1.0 / logs.mean())
-
-
-def is_heavy_tailed(values: Sequence[float], alpha_threshold: float = 2.0) -> bool:
-    """``True`` when the Hill tail index is below ``alpha_threshold``.
-
-    α < 2 means infinite variance — the operational definition of
-    "heavy-tailed" for the paper's Pareto arrivals.
-    """
-    return pareto_tail_index(values) < alpha_threshold

@@ -105,7 +105,3 @@ class CacheModel:
                 del self.cold[(server, fileset)]  # expired; keep map small
             return 1.0
         return self.config.cold_factor
-
-    def is_cold(self, server: object, fileset: str, now: float) -> bool:
-        """``True`` while the pair is inside its warmup window."""
-        return self.work_multiplier(server, fileset, now) > 1.0

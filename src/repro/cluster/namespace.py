@@ -62,12 +62,6 @@ class Namespace:
         """All file-set roots, sorted."""
         return sorted(self._roots)
 
-    def __len__(self) -> int:
-        return len(self._roots)
-
-    def __contains__(self, root: str) -> bool:
-        return normalize_path(root) in self._roots
-
     # ------------------------------------------------------------------ #
     def resolve(self, path: str) -> str:
         """File set owning ``path``: the deepest root that prefixes it.
@@ -84,14 +78,6 @@ class Namespace:
             if probe == "/":
                 raise LookupError(f"no file set covers {path!r}")
             probe = probe.rsplit("/", 1)[0] or "/"
-
-    def covers(self, path: str) -> bool:
-        """``True`` if some file set owns ``path``."""
-        try:
-            self.resolve(path)
-            return True
-        except LookupError:
-            return False
 
     def children_of(self, root: str) -> List[str]:
         """File-set roots nested (directly or not) inside ``root``."""
@@ -142,20 +128,3 @@ class Namespace:
                 f"cannot merge {norm!r}: no enclosing file set would cover it"
             ) from None
         return absorber, norm
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def balanced(cls, n_filesets: int, fanout: int = 4, prefix: str = "/fs") -> "Namespace":
-        """A synthetic namespace of ``n_filesets`` roots under ``prefix``.
-
-        Convenience for experiments: roots are spread over a two-level
-        directory tree with the given fanout, so path resolution
-        exercises real prefix walks rather than flat names.
-        """
-        if n_filesets < 1:
-            raise ValueError("need at least one file set")
-        roots = []
-        for i in range(n_filesets):
-            top = i % fanout
-            roots.append(f"{prefix}/d{top}/set{i:04d}")
-        return cls(roots)

@@ -50,11 +50,6 @@ class MetadataRequest:
     on_complete: Optional[callable] = None
 
     @property
-    def done(self) -> bool:
-        """``True`` once service has completed."""
-        return self.completion is not None
-
-    @property
     def latency(self) -> float:
         """Response time: completion − arrival (``nan`` while pending).
 
@@ -66,9 +61,3 @@ class MetadataRequest:
             return math.nan
         return self.completion - self.arrival
 
-    @property
-    def queue_delay(self) -> float:
-        """Time spent waiting in the FIFO queue (``nan`` while queued)."""
-        if self.service_start is None:
-            return math.nan
-        return self.service_start - self.arrival

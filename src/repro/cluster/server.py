@@ -171,12 +171,6 @@ class FileServer:
             self._flush_backlog.append(work)
 
     @property
-    def queue_length(self) -> int:
-        """Requests waiting at the clock (excludes the one in service)."""
-        self.advance(self.env.now)
-        return len(self._queue)
-
-    @property
     def completed_requests(self) -> int:
         """Requests completed, whole run."""
         return self.completed.count

@@ -13,8 +13,7 @@ One protocol (:class:`Controller`), several decision procedures:
                         above (default inner: multiplicative).
 ======================  ==============================================
 
-Every consumer of tuning decisions — the scalar
-:class:`~repro.core.delegate.Delegate`, :class:`~repro.core.anu.ANUManager`,
+Every consumer of tuning decisions — :class:`~repro.core.anu.ANUManager`,
 the vectorized :class:`~repro.policies.vector.VectorANU`, the
 distributed control plane, and the convergence analysis — resolves its
 controller through :func:`as_controller`, so the default lives in
@@ -67,7 +66,7 @@ def default_controller() -> Controller:
     """The system-wide default tuning rule — the paper's.
 
     This is *the* factory behind every ``controller=None`` default
-    (scalar delegate, ANU manager, vector ANU, convergence analysis):
+    (ANU manager, vector ANU, convergence analysis):
     change it here and every path changes together.
     """
     return MultiplicativeController()

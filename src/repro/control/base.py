@@ -25,8 +25,7 @@ the layout*: :meth:`fork` produces the exact controller a newly
 elected delegate would reconstruct from the replicated state, and two
 forks fed identical report sequences must emit identical targets (the
 property tests pin this). :meth:`system_average` must remain a pure
-function of the reports — the distributed control plane asserts that
-an out-of-band forked delegate reaches the manager's average exactly.
+function of the reports.
 """
 
 from __future__ import annotations
@@ -87,9 +86,7 @@ class Controller(ABC):
     def system_average(self, reports: Sequence[LatencyReport]) -> float:
         """The delegate's "average" latency over the *active* reporters.
 
-        Pure in the reports — never reads or writes controller state
-        (the distributed control plane's divergence assertion relies on
-        this).
+        Pure in the reports — never reads or writes controller state.
         """
         active = [r for r in reports if not r.is_idle]
         if not active:

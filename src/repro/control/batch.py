@@ -70,11 +70,6 @@ class EpochBatcher:
         self._idle_rounds.pop(server_id, None)
         self._prev_mean.pop(server_id, None)
 
-    @property
-    def server_ids(self) -> List[object]:
-        """Servers currently tracked (insertion order)."""
-        return list(self._sums)
-
     # ------------------------------------------------------------------ #
     # the observe path
     # ------------------------------------------------------------------ #
@@ -100,10 +95,6 @@ class EpochBatcher:
             )
         self._sums[server_id] += latency * count
         self._counts[server_id] += count
-
-    def pending(self, server_id: object) -> int:
-        """Samples accumulated for ``server_id`` in the open epoch."""
-        return self._counts.get(server_id, 0)
 
     # ------------------------------------------------------------------ #
     # epoch close

@@ -13,7 +13,6 @@ Public surface:
 * :class:`LayoutEngine` — minimal-movement region placement
 * :class:`LatencyReport` / :data:`AVERAGING_RULES` — what a tuning round
   reads (the rules themselves live in :mod:`repro.control`)
-* :class:`Delegate` / :class:`Decision` — the stateless delegate
 * :class:`ANUManager` — the façade gluing it all together
 * :class:`MultiChoicePlacer` — optional SIEVE d-choice refinement
 """
@@ -26,7 +25,6 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "anu": ["ANUManager", "Reconfiguration", "Shed"],
-        "delegate": ["Decision", "Delegate"],
         "errors": [
             "ANUError",
             "ConfigurationError",
@@ -44,7 +42,7 @@ __getattr__, __dir__, __all__ = attach(
         ],
         "layout": ["LayoutEngine"],
         "multichoice": ["MultiChoicePlacer"],
-        "render": ["render_layout", "render_lengths_bar"],
+        "render": ["render_layout"],
         "tuning": [
             "AVERAGING_RULES",
             "IncompetenceDetector",

@@ -94,9 +94,6 @@ class ANUManager:
         Shared addressing family; defaults to ``HashFamily(seed=0)``.
         All nodes must use the same family — it *is* the addressing
         scheme.
-    n_partitions:
-        Override the initial partition count (testing only); defaults to
-        the paper's ``2^(ceil(lg k) + 1)``.
     controller:
         The tuning rule, any :class:`repro.control.Controller`. Defaults
         to :func:`repro.control.default_controller`.
@@ -114,8 +111,6 @@ class ANUManager:
         self,
         server_ids: Sequence[object],
         hash_family: Optional[HashFamily] = None,
-        n_partitions: Optional[int] = None,
-        detector: Optional[IncompetenceDetector] = None,
         controller: Optional[object] = None,
     ) -> None:
         # Lazy import: repro.core and repro.control sit side by side,
@@ -127,8 +122,8 @@ class ANUManager:
         self.hash_family = hash_family or HashFamily()
         self.controller = as_controller(controller)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
-        self.layout = IntervalLayout.initial(list(server_ids), n_partitions)
-        self.detector = detector or IncompetenceDetector()
+        self.layout = IntervalLayout.initial(list(server_ids))
+        self.detector = IncompetenceDetector()
         self._assignments: Dict[str, object] = {}
         self._round = 0
         #: Layout-configuration epoch. Bumped on every reconfiguration;
@@ -221,10 +216,6 @@ class ANUManager:
     def assignments(self) -> Dict[str, object]:
         """Copy of the full file-set → server map."""
         return dict(self._assignments)
-
-    def filesets_on(self, server_id: object) -> List[str]:
-        """Names of file sets currently assigned to ``server_id``."""
-        return [n for n, sid in self._assignments.items() if sid == server_id]
 
     def load_counts(self) -> Dict[object, int]:
         """Number of file sets per server (all servers, zeros included)."""

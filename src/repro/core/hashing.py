@@ -122,20 +122,10 @@ class HashFamily:
             yield offs[r]
 
     # ------------------------------------------------------------------ #
-    def offsets(self, names: Sequence[str], round_: int = 0) -> np.ndarray:
-        """Vectorized :meth:`offset` over many names (one round)."""
-        import numpy as np
-
-        return np.fromiter(
-            (self.offset(n, round_) for n in names),
-            dtype=np.float64,
-            count=len(names),
-        )
-
     def batch_offsets(self, names: Sequence[str], round_: int = 0) -> np.ndarray:
         """One probe round over many names, bypassing the per-name memo.
 
-        :meth:`offsets` memoizes per name — right for the scalar lookup
+        :meth:`offset` memoizes per name — right for the scalar lookup
         path, wrong for million-name batches, where a dict-of-lists
         costs more memory and time than the digests themselves. This
         digests straight into a float array; values are bit-identical
@@ -160,23 +150,6 @@ class HashFamily:
             append(state.digest())
         return np.frombuffer(b"".join(digests), dtype="<u8") / _TWO64
 
-    def offset_matrix(self, names: Sequence[str], rounds: int) -> np.ndarray:
-        """``(len(names), rounds)`` matrix of offsets.
-
-        Used by analysis code (e.g. expected-probe-count studies) that
-        wants the full probe sequence of a name set at once.
-        """
-        if rounds > self.max_probes:
-            raise ConfigurationError(
-                f"requested {rounds} rounds > probe budget {self.max_probes}"
-            )
-        import numpy as np
-
-        out = np.empty((len(names), rounds), dtype=np.float64)
-        for r in range(rounds):
-            out[:, r] = self.offsets(names, r)
-        return out
-
     def uniform_server_choice(self, name: str, n_servers: int) -> int:
         """Static uniform server assignment (the *simple randomization*
         baseline): ``floor(h_0(name) * n)``.
@@ -195,16 +168,6 @@ class HashFamily:
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["seed"], state["max_probes"])  # type: ignore[misc]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, HashFamily)
-            and other.seed == self.seed
-            and other.max_probes == self.max_probes
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - trivial
-        return hash((self.seed, self.max_probes))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"HashFamily(seed={self.seed}, max_probes={self.max_probes})"

@@ -178,10 +178,6 @@ class IntervalLayout:
         except KeyError:
             raise UnknownServerError(f"no region for server {server_id!r}") from None
 
-    def length(self, server_id: object) -> float:
-        """Mapped-region length of one server."""
-        return self.region(server_id).length(self.n_partitions)
-
     def lengths(self) -> Dict[object, float]:
         """Mapped-region length of every server."""
         return {sid: r.length(self.n_partitions) for sid, r in self._regions.items()}

@@ -12,11 +12,11 @@ textual analogue of the paper's Figure 2/3 diagrams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .interval import IntervalLayout
 
-__all__ = ["render_layout", "render_lengths_bar"]
+__all__ = ["render_layout"]
 
 #: Glyphs assigned to servers in id order; '.' is unmapped space.
 _FREE = "."
@@ -58,20 +58,3 @@ def render_layout(layout: IntervalLayout, cells_per_partition: int = 4) -> str:
         f"mapped={layout.total_mapped:.3f}\n servers: {legend}"
     )
 
-
-def render_lengths_bar(
-    lengths: Dict[object, float], width: int = 50, labels: Optional[Dict[object, str]] = None
-) -> str:
-    """Horizontal bar chart of region lengths (one line per server)."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    if not lengths:
-        return "(no servers)"
-    peak = max(lengths.values()) or 1.0
-    lines = []
-    for sid in sorted(lengths, key=repr):
-        value = lengths[sid]
-        bar = "#" * max(0, round(value / peak * width))
-        label = labels.get(sid, repr(sid)) if labels else repr(sid)
-        lines.append(f"{label:>10} {value:8.4f} {bar}")
-    return "\n".join(lines)

@@ -144,8 +144,3 @@ class IncompetenceDetector:
                 del self._streak[sid]
                 self._flagged.discard(sid)
         return newly
-
-    @property
-    def flagged(self) -> Set[object]:
-        """Servers currently flagged as incompetent."""
-        return set(self._flagged)

@@ -500,11 +500,6 @@ class DrainedCohort(NamedTuple):
     service: np.ndarray
     completion: np.ndarray
 
-    def completion_in_input_order(self) -> np.ndarray:
-        out = np.empty(self.completion.shape[0], dtype=np.float64)
-        out[self.order] = self.completion
-        return out
-
 
 #: Server segments shorter than this drain together in one padded 2-D
 #: pass; longer ones keep the per-segment loop. A loop iteration costs

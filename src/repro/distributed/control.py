@@ -19,9 +19,8 @@ and fresh reports alone.
 The tuning rule itself — which :class:`repro.control.Controller` the
 cluster runs, plus any controller state (PI integrators, EWMA filters)
 — is part of that replicated state: the manager holds the agreed copy,
-and each round's out-of-band divergence check instantiates the fresh
-delegate from ``Controller.fork()``, exactly what a newly elected
-delegate would reconstruct. Fail-over therefore stays free for every
+and a newly elected delegate decides with it (``Controller.fork()`` is
+what it would reconstruct). Fail-over therefore stays free for every
 controller in the family, not just the stateless multiplicative rule.
 """
 
@@ -30,7 +29,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.anu import ANUManager, Reconfiguration
-from ..core.delegate import Delegate
 from ..core.tuning import LatencyReport
 from ..sim import Simulator
 from .election import elect
@@ -84,8 +82,9 @@ class DistributedTuningService:
 
         1. Re-elect if the current delegate is unreachable (fail-over).
         2. Every live server sends its REPORT to the delegate.
-        3. The delegate (stateless: a fresh :class:`Delegate` instance
-           every round) decides and broadcasts the MAPPING.
+        3. The delegate decides (``manager.tune``: the replicated
+           controller and layout, nothing local) and broadcasts the
+           MAPPING.
         4. Shedding servers send SHED_NOTIFY to gainers.
         """
         live = [
@@ -106,13 +105,6 @@ class DistributedTuningService:
                     payload=report,
                 )
             )
-        # A *fresh* delegate instance every round, reconstructed from
-        # the replicated controller state via fork(): nothing local
-        # carries over, so fail-over cannot change decisions (asserted
-        # by tests, for stateful controllers too).
-        decision = Delegate(controller=self.manager.controller.fork()).decide(
-            self.manager.lengths(), reports
-        )
         rec = self.manager.tune(reports)
         self.history.append(rec)
         # Broadcast the new mapping — "the only replicated state" (§4).
@@ -131,15 +123,6 @@ class DistributedTuningService:
                         payload=shed,
                     )
                 )
-        # Sanity: the out-of-band Delegate reached the same average —
-        # the decision path is pure.
-        assert (
-            decision.average_latency == rec.average_latency
-            or (
-                decision.average_latency != decision.average_latency
-                and rec.average_latency != rec.average_latency
-            )
-        ), "delegate decision diverged from manager tuning"
         return rec
 
     # ------------------------------------------------------------------ #

@@ -92,13 +92,6 @@ class HeartbeatMonitor:
         """Peers currently declared failed."""
         return set(self._declared_failed)
 
-    def watch(self, peer: object) -> None:
-        """Add a peer to the probe set (idempotent)."""
-        if peer not in self._miss_count:
-            self.peers.append(peer)
-            self._miss_count[peer] = 0
-            self._success_count[peer] = 0
-
     def _arm(self) -> None:
         self.env.schedule_at(self.env.now + self.period, self._probe_round)
 
@@ -127,11 +120,3 @@ class HeartbeatMonitor:
                     if self.on_failure is not None:
                         self.on_failure(peer)
         self._arm()
-
-    def detection_latency_bound(self) -> float:
-        """Worst-case seconds from crash to declaration."""
-        return self.period * (self.misses + 1)
-
-    def recovery_latency_bound(self) -> float:
-        """Worst-case seconds from heal to recovery declaration."""
-        return self.period * (self.recoveries + 1)

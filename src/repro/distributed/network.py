@@ -238,11 +238,6 @@ class Network:
 
     # ------------------------------------------------------------------ #
     @property
-    def total_messages(self) -> int:
-        """All messages sent so far (delivered or dropped)."""
-        return sum(self.sent_count.values())
-
-    @property
     def total_bytes(self) -> int:
         """All bytes sent so far."""
         return sum(self.sent_bytes.values())

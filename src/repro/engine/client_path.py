@@ -326,11 +326,6 @@ class RequestDriver:
         """Requests handed to the cluster (or the client) so far."""
         return self.client.injected if self.client is not None else self._submitted
 
-    @property
-    def dropped(self) -> int:
-        """Basic path: silently dropped; hardened path: counted failures."""
-        return self.client.failed if self.client is not None else self._dropped
-
 
 # ---------------------------------------------------------------------- #
 # the layer objects

@@ -132,7 +132,21 @@ class ClusterEngine:
         self.faults = faults if faults is not None else NullFaultLayer()
         self.faults.attach(self)
         if self.bus.wants(RequestCompleted):
-            self.enable_completion_probe()
+            # The only per-request event: armed only when someone
+            # subscribed before assembly.
+            bus = self.bus
+            env = self.env
+            for srv in self.servers.values():
+                def probe(request, sid=srv.server_id):
+                    bus.publish(
+                        RequestCompleted(
+                            time=env.now,
+                            server_id=sid,
+                            fileset=request.fileset,
+                            latency=request.latency,
+                        )
+                    )
+                srv.probe = probe
         self.bus.publish(
             RunStarted(
                 time=self.env.now,
@@ -140,29 +154,6 @@ class ClusterEngine:
                 n_servers=len(self.servers),
             )
         )
-
-    # ------------------------------------------------------------------ #
-    # instrumentation
-    # ------------------------------------------------------------------ #
-    def enable_completion_probe(self) -> None:
-        """Publish :class:`RequestCompleted` for every served request.
-
-        Off by default (it is the only per-request event); called
-        automatically when someone subscribed before assembly.
-        """
-        bus = self.bus
-        env = self.env
-        for srv in self.servers.values():
-            def probe(request, sid=srv.server_id):
-                bus.publish(
-                    RequestCompleted(
-                        time=env.now,
-                        server_id=sid,
-                        fileset=request.fileset,
-                        latency=request.latency,
-                    )
-                )
-            srv.probe = probe
 
     # ------------------------------------------------------------------ #
     # routing and knowledge

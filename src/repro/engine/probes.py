@@ -27,8 +27,7 @@ Membership & faults
 Performance contract: publishing an event with no subscriber costs one
 dict lookup. The only per-request event, :class:`RequestCompleted`, is
 not even *constructed* unless someone subscribed before the engine was
-built (or :meth:`ClusterEngine.enable_completion_probe` was called) —
-the figure runs therefore pay nothing for the bus.
+built — the figure runs therefore pay nothing for the bus.
 """
 
 from __future__ import annotations
@@ -206,19 +205,11 @@ class ProbeBus:
     def subscribe(
         self, event_type: Type[ProbeEvent], fn: Callable[[ProbeEvent], None]
     ) -> Callable[[ProbeEvent], None]:
-        """Register ``fn`` for ``event_type``; returns ``fn`` (for unsubscribe)."""
+        """Register ``fn`` for ``event_type``; returns ``fn``."""
         if not (isinstance(event_type, type) and issubclass(event_type, ProbeEvent)):
             raise TypeError(f"not a probe event type: {event_type!r}")
         self._subs.setdefault(event_type, []).append(fn)
         return fn
-
-    def unsubscribe(
-        self, event_type: Type[ProbeEvent], fn: Callable[[ProbeEvent], None]
-    ) -> None:
-        """Remove one registration (no-op if absent)."""
-        subs = self._subs.get(event_type)
-        if subs and fn in subs:
-            subs.remove(fn)
 
     def wants(self, event_type: Type[ProbeEvent]) -> bool:
         """``True`` if anyone subscribed to ``event_type`` (or to all)."""

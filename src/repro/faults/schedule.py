@@ -114,16 +114,8 @@ class FaultSchedule:
         ordered = tuple(sorted(self.events, key=lambda e: (e.time, e.kind, repr(e.target))))
         object.__setattr__(self, "events", ordered)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self):
         return iter(self.events)
-
-    @property
-    def horizon(self) -> float:
-        """Last instant any scheduled fault (or its heal) is active."""
-        return max((e.time + e.duration for e in self.events), default=0.0)
 
     def to_json(self) -> str:
         """Canonical JSON encoding (stable across runs)."""

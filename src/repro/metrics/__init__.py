@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = attach(
             "consistency_recovery_time",
             "robustness_report",
         ],
-        "sla": ["SLA", "SLAReport", "evaluate_sla"],
         "summary": ["ascii_table", "comparison_rows", "format_float"],
     },
 )

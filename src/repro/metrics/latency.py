@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,23 +55,9 @@ def per_server_mean(result: ClusterResult) -> Dict[object, Tuple[float, int]]:
     }
 
 
-def latency_series(
-    result: ClusterResult, resample_edges: Optional[Sequence[float]] = None
-) -> Dict[object, Tuple[np.ndarray, np.ndarray]]:
-    """Per-server (times, interval-mean-latency) series (Figures 4/5).
-
-    With ``resample_edges`` the native per-tuning-interval samples are
-    re-bucketed (useful to overlay runs with different tuning
-    intervals on common axes).
-    """
-    out: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
-    for sid, ts in result.server_latency.items():
-        if resample_edges is None:
-            out[sid] = (ts.times(), ts.values())
-        else:
-            edges = np.asarray(resample_edges, dtype=np.float64)
-            out[sid] = (edges[1:], ts.resample(edges))
-    return out
+def latency_series(result: ClusterResult) -> Dict[object, Tuple[np.ndarray, np.ndarray]]:
+    """Per-server (times, interval-mean-latency) series (Figures 4/5)."""
+    return {sid: (ts.times(), ts.values()) for sid, ts in result.server_latency.items()}
 
 
 def steady_state_means(

@@ -60,11 +60,6 @@ class ANURandomization(LoadManager):
         """Swap the tuning rule in at assembly time (see ANUManager)."""
         self.manager.use_controller(controller)
 
-    @property
-    def controller(self) -> object:
-        """The active tuning rule (a :class:`repro.control.Controller`)."""
-        return self.manager.controller
-
     def shared_state_entries(self) -> int:
         """O(k) region descriptors — "the unit interval is the only
         shared state" (§5.4)."""

@@ -101,17 +101,8 @@ class LazyKnowledge:
         return value
 
     @property
-    def materialized(self) -> bool:
-        """``True`` once the underlying oracle has been computed."""
-        return self._value is not None
-
-    @property
     def server_powers(self) -> Mapping[object, float]:
         return self._materialize().server_powers
-
-    @property
-    def upcoming_work(self) -> Mapping[str, float]:
-        return self._materialize().upcoming_work
 
     @property
     def average_work(self) -> Mapping[str, float]:

@@ -74,7 +74,6 @@ class VectorANU(RelocationStats, LoadManager):
         self,
         server_ids: List[object],
         hash_family: Optional[HashFamily] = None,
-        n_partitions: Optional[int] = None,
         emit_moves: bool = True,
         controller: Optional[object] = None,
     ) -> None:
@@ -82,7 +81,7 @@ class VectorANU(RelocationStats, LoadManager):
         self.hash_family = hash_family or HashFamily()
         self.controller = as_controller(controller)
         self.engine = LayoutEngine(floor_length=self.controller.floor_length)
-        self.layout = IntervalLayout.initial(list(self.server_ids), n_partitions)
+        self.layout = IntervalLayout.initial(list(self.server_ids))
         self.emit_moves = bool(emit_moves)
         self._slot: Dict[object, int] = {
             sid: i for i, sid in enumerate(self.server_ids)

@@ -131,10 +131,3 @@ class VirtualProcessorSystem(LoadManager):
 
     def assignments(self) -> Dict[str, object]:
         return {name: self._server_of_vp[vp] for name, vp in self._vp_of.items()}
-
-    def vp_populations(self) -> Dict[int, int]:
-        """File sets per VP (diagnostic for the Figure 8 analysis)."""
-        pops = {v: 0 for v in range(self.n_virtual)}
-        for vp in self._vp_of.values():
-            pops[vp] += 1
-        return pops

@@ -53,9 +53,11 @@ START_MARGIN_S = 0.3
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile: the smallest value with at least a
+    ``q`` share of the values at or below it."""
     if not sorted_values:
         return math.nan
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
+    index = max(0, math.ceil(q * len(sorted_values)) - 1)
     return sorted_values[index]
 
 

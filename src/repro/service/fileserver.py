@@ -107,13 +107,6 @@ class EchoFileServer:
         self._killed = True
         await self.stop()
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound address (only valid after :meth:`start`)."""
-        if self.port is None:
-            raise RuntimeError(f"server {self.server_id!r} not started")
-        return self.host, self.port
-
     # ------------------------------------------------------------------ #
     def _on_frame(self, peer, message: dict) -> None:
         if self._killed:

@@ -39,8 +39,8 @@ class Tally:
     Retained samples live in a stdlib ``array('d')`` rather than a
     Python list: one request-latency observation lands here per
     completed request, and an append to the packed buffer (amortized
-    growth) is the cheapest way to keep it, while :attr:`samples` and
-    :meth:`samples_view` read it as a float64 array without conversion.
+    growth) is the cheapest way to keep it, while :meth:`samples_view`
+    reads it as a float64 array without conversion.
     """
 
     __slots__ = ("_n", "_mean", "_m2", "_min", "_max", "_keep", "_buf")
@@ -177,17 +177,6 @@ class Tally:
         return self._mean if self._n else math.nan
 
     @property
-    def variance(self) -> float:
-        """Unbiased sample variance; ``nan`` with < 2 observations."""
-        return self._m2 / (self._n - 1) if self._n > 1 else math.nan
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else math.nan
-
-    @property
     def minimum(self) -> float:
         """Smallest observation; ``nan`` if empty."""
         return self._min if self._n else math.nan
@@ -196,19 +185,6 @@ class Tally:
     def maximum(self) -> float:
         """Largest observation; ``nan`` if empty."""
         return self._max if self._n else math.nan
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Raw observations (requires ``keep=True`` at construction).
-
-        Returns a copy so callers may mutate freely without corrupting
-        the live buffer.
-        """
-        if not self._keep:
-            raise ValueError("Tally was created with keep=False; raw samples unavailable")
-        import numpy as np
-
-        return np.frombuffer(self._buf, dtype=np.float64).copy()
 
     def forget_samples(self) -> None:
         """Switch off raw-sample retention (drops any retained so far).
@@ -224,7 +200,7 @@ class Tally:
     def samples_view(self) -> np.ndarray:
         """Raw observations as a read-only view (requires ``keep=True``).
 
-        Unlike :attr:`samples`, no copy is made — but the view pins the
+        No copy is made — but the view pins the
         buffer: an observation while it is alive raises ``BufferError``
         (the buffer cannot grow under an exported view) and leaves the
         tally unchanged. So it is for
@@ -249,10 +225,6 @@ class Tally:
         import numpy as np
 
         return float(np.percentile(np.frombuffer(self._buf, dtype=np.float64), q))
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self.__init__(keep=self._keep)  # type: ignore[misc]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"<Tally n={self._n} mean={self.mean:.6g}>"
@@ -377,38 +349,6 @@ class TimeSeries:
         v = self.values()
         mask = (t >= t0) & (t < t1)
         return t[mask], v[mask]
-
-    def window_mean(self, t0: float, t1: float) -> float:
-        """Mean value over ``[t0, t1)``; ``nan`` if the window is empty."""
-        _, v = self.window(t0, t1)
-        return float(v.mean()) if v.size else math.nan
-
-    def resample(self, edges: Sequence[float]) -> np.ndarray:
-        """Mean value in each ``[edges[i], edges[i+1])`` bucket.
-
-        Empty buckets yield ``nan``. Vectorized via ``np.searchsorted`` —
-        O(n log n) once rather than one scan per bucket.
-        """
-        import numpy as np
-
-        edges_arr = np.asarray(edges, dtype=np.float64)
-        if edges_arr.size < 2:
-            raise ValueError("need at least two bucket edges")
-        t = self.times()
-        v = self.values()
-        idx = np.searchsorted(edges_arr, t, side="right") - 1
-        nbuckets = edges_arr.size - 1
-        valid = (idx >= 0) & (idx < nbuckets) & (t < edges_arr[-1])
-        sums = np.bincount(idx[valid], weights=v[valid], minlength=nbuckets)
-        counts = np.bincount(idx[valid], minlength=nbuckets)
-        with np.errstate(invalid="ignore"):
-            out = sums / counts
-        out[counts == 0] = np.nan
-        return out
-
-    def last(self) -> Tuple[float, float]:
-        """Most recent ``(time, value)``; raises ``IndexError`` if empty."""
-        return self._t[-1], self._v[-1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"<TimeSeries {self.name!r} n={len(self._t)}>"

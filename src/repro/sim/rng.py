@@ -67,17 +67,6 @@ class StreamRegistry:
             self._streams[name] = gen
         return gen
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """A *new* generator for ``name`` reset to its initial state.
-
-        Unlike :meth:`stream`, this never shares state with previous
-        callers — used by tests asserting reproducibility.
-        """
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy, spawn_key=(_name_key(name),)
-        )
-        return np.random.default_rng(child)
-
     def spawn(self, name: str, count: int) -> list:
         """``count`` independent generators under the ``name`` namespace.
 
@@ -88,10 +77,6 @@ class StreamRegistry:
             entropy=self._root.entropy, spawn_key=(_name_key(name),)
         )
         return [np.random.default_rng(s) for s in base.spawn(count)]
-
-    def names(self) -> list:
-        """Names of streams created so far (sorted)."""
-        return sorted(self._streams)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return f"<StreamRegistry seed={self.seed} streams={len(self._streams)}>"

@@ -24,8 +24,6 @@ __getattr__, __dir__, __all__ = attach(
         "calibrate": [
             "offered_utilization",
             "request_work_for_utilization",
-            "scaling_factor_c",
-            "weakest_server_overloaded",
         ],
         "distributions": [
             "arrival_times_from_gaps",

@@ -23,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "request_work_for_utilization",
     "offered_utilization",
-    "scaling_factor_c",
-    "weakest_server_overloaded",
 ]
 
 
@@ -52,29 +50,3 @@ def offered_utilization(workload: "Workload", total_capacity: float) -> float:
         raise ValueError("total_capacity must be > 0")
     return workload.total_work / (workload.duration * total_capacity)
 
-
-def scaling_factor_c(total_work: float, sum_x: float) -> float:
-    """The paper's ``c`` given realized total work and the ``X`` draws.
-
-    Per-file-set work is ``X_j * c`` with ``sum_j X_j * c = total work``,
-    so ``c = total_work / sum(X)``. Reported in EXPERIMENTS.md so the
-    calibration is auditable.
-    """
-    if sum_x <= 0:
-        raise ValueError("sum of X draws must be > 0")
-    return total_work / sum_x
-
-
-def weakest_server_overloaded(
-    workload: "Workload", weakest_power: float, uniform_share: float
-) -> bool:
-    """Would a uniform placement overload the weakest server?
-
-    ``uniform_share`` is the expected fraction of work landing on the
-    weakest server under uniform hashing (``1/n`` for ``n`` servers).
-    Figure 5's simple-randomization panel requires this to be ``True``
-    for the paper's configuration — the check is used by tests to
-    confirm the calibrated workload actually exercises the phenomenon.
-    """
-    offered = workload.total_work * uniform_share / workload.duration
-    return offered > weakest_power

@@ -9,11 +9,8 @@ import pytest
 
 from repro.analysis import (
     anu_balance_bound,
-    bootstrap_mean_ci,
-    is_heavy_tailed,
     mean_sem,
     measure_balance,
-    pareto_tail_index,
     simple_randomization_bound,
 )
 
@@ -70,39 +67,8 @@ class TestMeasuredBalance:
 
 
 class TestStats:
-    def test_bootstrap_ci_contains_mean(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(10.0, 2.0, size=200)
-        ci = bootstrap_mean_ci(data, seed=1)
-        assert ci.low <= ci.estimate <= ci.high
-        assert ci.estimate == pytest.approx(float(data.mean()))
-        assert ci.half_width > 0
-
-    def test_bootstrap_degenerate_inputs(self):
-        assert math.isnan(bootstrap_mean_ci([]).estimate)
-        one = bootstrap_mean_ci([5.0])
-        assert one.low == one.high == 5.0
-
     def test_mean_sem(self):
         mean, sem = mean_sem([1.0, 2.0, 3.0])
         assert mean == 2.0
         assert sem == pytest.approx(1.0 / math.sqrt(3))
         assert mean_sem([7.0]) == (7.0, 0.0)
-
-    def test_hill_estimator_recovers_alpha(self):
-        rng = np.random.default_rng(2)
-        u = rng.random(100_000)
-        samples = (1.0 - u) ** (-1.0 / 1.5)  # Pareto(1.5)
-        assert pareto_tail_index(samples, 0.01) == pytest.approx(1.5, rel=0.15)
-
-    def test_heavy_tail_classification(self):
-        rng = np.random.default_rng(3)
-        u = rng.random(50_000)
-        pareto15 = (1.0 - u) ** (-1.0 / 1.5)
-        assert is_heavy_tailed(pareto15)
-        exp = rng.exponential(1.0, size=50_000)
-        assert not is_heavy_tailed(exp)
-
-    def test_hill_needs_data(self):
-        with pytest.raises(ValueError):
-            pareto_tail_index([1.0, 2.0])

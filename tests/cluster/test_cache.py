@@ -61,8 +61,9 @@ class TestShedCosts:
     def test_is_cold(self):
         model = CacheModel(CacheConfig(cold_factor=1.5, warmup_time=10.0))
         model.on_shed("/fs", "a", "b", now=0.0, mean_request_work=1.0)
-        assert model.is_cold("b", "/fs", 5.0)
-        assert not model.is_cold("b", "/fs", 15.0)
+        # Cold inside the warmup window, warm after it.
+        assert model.work_multiplier("b", "/fs", 5.0) > 1.0
+        assert model.work_multiplier("b", "/fs", 15.0) == 1.0
 
     def test_expired_entries_are_pruned(self):
         model = CacheModel(CacheConfig(cold_factor=1.5, warmup_time=10.0))

@@ -77,7 +77,7 @@ def _san_run_digest() -> str:
 
     env.schedule_at(0.0, lambda: launch(0))
     env.run()
-    h = hashlib.sha256(client.access_latency.samples.tobytes())
+    h = hashlib.sha256(client.access_latency.samples_view().tobytes())
     for disk in disks.disks:
         tally = disk.transfers
         h.update(repr((tally.count, tally.mean, tally.maximum, disk.busy_time)).encode())
@@ -147,7 +147,7 @@ class TestRequestDriver:
         schedule = [MetadataRequest("/a", arrival=0.0, work=1.0)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
-        assert driver.dropped == 1 and driver.submitted == 0
+        assert driver._dropped == 1 and driver.submitted == 0
 
     def test_same_time_arrivals_share_one_calendar_entry(self, env):
         """One event per distinct arrival instant, none to start or finish."""
@@ -156,7 +156,7 @@ class TestRequestDriver:
         ]
         driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
-        assert driver.dropped == 5
+        assert driver._dropped == 5
         assert env.events_processed == 2
 
     def test_routing_sees_arrival_time_state(self, env):

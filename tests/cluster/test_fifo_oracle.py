@@ -43,10 +43,6 @@ class GeneratorFileServer(FileServer):
         request.server = self.server_id
         self._store.put(request)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._store)
-
     def _service_loop(self):
         try:
             yield from self._serve_forever()
@@ -105,8 +101,16 @@ STEPS = st.lists(
 CACHE = CacheConfig(flush_work_scale=1.0, cold_factor=3.0, warmup_time=2.0)
 
 
+def queue_length(server: FileServer) -> int:
+    """Requests waiting at the clock (the one in service excluded)."""
+    if isinstance(server, GeneratorFileServer):
+        return len(server._store)
+    server.advance(server.env.now)
+    return len(server._queue)
+
+
 def _state(server: FileServer) -> tuple:
-    return (server.queue_length, server.busy_time, server.failed, server.incarnation)
+    return (queue_length(server), server.busy_time, server.failed, server.incarnation)
 
 
 def _books(server: FileServer) -> tuple:
@@ -210,7 +214,7 @@ def _replay(steps, power: float, probe: bool) -> tuple:
             report = server.interval_report()
             reports.append((report.mean_latency, report.request_count, report.window))
         elif action == "read":
-            reads.append((now, server.queue_length, server.busy_time))
+            reads.append((now, queue_length(server), server.busy_time))
         elif action == "late":
             if not server.failed:
                 request = MetadataRequest(fileset, max(now - work, 0.0), work)
@@ -240,7 +244,7 @@ def _replay(steps, power: float, probe: bool) -> tuple:
     for cut in cuts:
         env.run(until=cut)
         assert env.now == cut
-        reads.append((cut, server.queue_length, server.busy_time))
+        reads.append((cut, queue_length(server), server.busy_time))
     env.run()
     return (
         [(r.service_start, r.completion) for r in requests + late],
@@ -250,7 +254,7 @@ def _replay(steps, power: float, probe: bool) -> tuple:
         reads,
         _state(server),
         _books(server),
-        (driver.submitted, driver.dropped),
+        (driver.submitted, driver._dropped),
         env.events_processed,
     )
 

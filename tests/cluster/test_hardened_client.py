@@ -34,7 +34,7 @@ class TestHardenedClient:
         assert client.completed == 1
         assert client.retries == 0
         assert client.conserved
-        assert request.done and request.server == 0
+        assert request.completion is not None and request.server == 0
 
     def test_retry_until_server_appears(self, env):
         server = FileServer(env, 0, power=10.0)
@@ -91,7 +91,7 @@ class TestHardenedClient:
         env.run(until=60.0)
         assert client.completed == 1
         assert client.timeouts >= 1
-        assert victim.done
+        assert victim.completion is not None
         assert client.conserved
 
     def test_healthy_but_slow_server_not_abandoned(self, env):
@@ -157,7 +157,7 @@ class TestHardenedRequestDriver:
         driver = RequestDriver(env, schedule, client=client)
         env.run(until=10.0)
         assert driver.submitted == 10
-        assert driver.dropped == 0
+        assert client.failed == 0
         assert client.completed == 10
 
     def test_unsorted_schedule_rejected(self, env):

@@ -38,7 +38,7 @@ class TestService:
             server.submit(r)
         env.run()
         assert [r.completion for r in rs] == [2.0, 4.0, 6.0]
-        assert [r.queue_delay for r in rs] == [0.0, 2.0, 4.0]
+        assert [r.service_start - r.arrival for r in rs] == [0.0, 2.0, 4.0]
 
     def test_requests_arriving_later_wait_correctly(self, env):
         server = FileServer(env, "s", power=2.0)
@@ -157,7 +157,7 @@ class TestFailure:
         r = req(arrival=env.now, work=2.0)
         server.submit(r)
         env.run()
-        assert r.done
+        assert r.completion is not None
         assert r.latency == pytest.approx(2.0)
 
     def test_double_fail_rejected(self, env):

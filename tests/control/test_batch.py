@@ -32,7 +32,8 @@ class TestObserve:
         batcher = EpochBatcher(["s0"])
         batcher.observe("s0", 0.1)
         batcher.observe("s0", 0.2, count=3)
-        assert batcher.pending("s0") == 4
+        (report,) = batcher.close_epoch()
+        assert report.request_count == 4
 
 
 class TestCloseEpoch:
@@ -84,10 +85,10 @@ class TestMembership:
         batcher = EpochBatcher(["s0"])
         batcher.track("s1")
         batcher.track("s1")  # idempotent
-        assert batcher.server_ids == ["s0", "s1"]
+        assert [r.server_id for r in batcher.close_epoch()] == ["s0", "s1"]
         batcher.forget("s0")
         batcher.forget("s0")  # idempotent
-        assert batcher.server_ids == ["s1"]
+        assert [r.server_id for r in batcher.close_epoch()] == ["s1"]
 
     def test_forgotten_server_drops_pending_samples(self):
         batcher = EpochBatcher(["s0", "s1"])
@@ -109,7 +110,7 @@ class TestSimulatorParity:
         for work in (0.5, 1.0):
             server.submit(MetadataRequest(fileset="/a", arrival=0.0, work=work))
         env.run(until=1.0)
-        assert list(server.completed.samples) == [0.25, 0.75]
+        assert server.completed.samples_view().tolist() == [0.25, 0.75]
         for latency in (0.25, 0.75):
             batcher.observe("s0", latency)
         sim = server.interval_report()

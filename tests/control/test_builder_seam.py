@@ -49,7 +49,7 @@ class TestBuilderInjection:
         engine = ExperimentSpec(
             tiny_workload(), policy, config(), controller=BrownoutController()
         ).build()
-        assert isinstance(policy.controller, BrownoutController)
+        assert isinstance(policy.manager.controller, BrownoutController)
         result = engine.run()
         assert result.completed > 0
 
@@ -58,8 +58,8 @@ class TestBuilderInjection:
         policy = ANURandomization(list(POWERS), hash_family=HashFamily(seed=0))
         controller = PIController()
         ExperimentSpec(tiny_workload(), policy, config(), controller=controller).build()
-        assert isinstance(policy.controller, PIController)
-        assert policy.controller is not controller
+        assert isinstance(policy.manager.controller, PIController)
+        assert policy.manager.controller is not controller
 
     def test_second_build_is_rejected(self):
         """A built engine owns the spec's policy and layers: one build."""

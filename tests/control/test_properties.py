@@ -2,8 +2,9 @@
 
 For every controller in the registry, over generated report batteries:
 
-* the delegate's decided targets are normalized (sum to ``HALF``) and
-  respect ``floor_length``;
+* the delegate's decided targets (``observe`` through the layout
+  engine's ``floor_and_normalize``, as ``ANUManager.tune`` applies them)
+  are normalized (sum to ``HALF``) and respect ``floor_length``;
 * decisions are deterministic: two forks fed the identical sequence
   emit bit-identical decisions (the fail-over guarantee);
 * observe() never invents or drops servers.
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.control import CONTROLLERS, make_controller
 from repro.core import LatencyReport
-from repro.core.delegate import Delegate
 from repro.core.interval import HALF
+from repro.core.layout import LayoutEngine
 
 CONTROLLER_NAMES = sorted(CONTROLLERS)
 
@@ -34,6 +35,12 @@ def battery_strategy(n_servers):
         latency_strategy, min_size=n_servers, max_size=n_servers
     )
     return st.lists(round_strategy, min_size=1, max_size=8)
+
+
+def decide(controller, lengths, reports):
+    """One round's normalized targets, as the delegate decides them."""
+    engine = LayoutEngine(floor_length=controller.floor_length)
+    return engine.floor_and_normalize(controller.observe(lengths, reports))
 
 
 def to_reports(latencies, idle_streaks):
@@ -67,21 +74,21 @@ def to_reports(latencies, idle_streaks):
 @given(battery=battery_strategy(4))
 @settings(max_examples=25, deadline=None)
 def test_decisions_normalized_and_floored(name, battery):
-    delegate = Delegate(controller=make_controller(name))
+    controller = make_controller(name)
     lengths = {sid: HALF / 4 for sid in range(4)}
     idle = {sid: 0 for sid in range(4)}
     for latencies in battery:
-        decision = delegate.decide(lengths, to_reports(latencies, idle))
-        total = sum(decision.targets.values())
+        targets = decide(controller, lengths, to_reports(latencies, idle))
+        total = sum(targets.values())
         assert total == pytest.approx(HALF, abs=1e-9)
-        assert set(decision.targets) == set(lengths)
-        floor = delegate.controller.floor_length
-        for length in decision.targets.values():
+        assert set(targets) == set(lengths)
+        floor = controller.floor_length
+        for length in targets.values():
             # floor_and_normalize floors first, then rescales; the
             # rescale can shave below the floor but never to zero.
             assert length > 0.0
             assert length >= floor * HALF / max(total, HALF) * 0.1
-        lengths = decision.targets
+        lengths = targets
 
 
 @pytest.mark.parametrize("name", CONTROLLER_NAMES)
@@ -95,15 +102,13 @@ def test_forked_delegates_decide_identically(name, battery):
     for latencies in battery:
         reports = to_reports(latencies, idle)
         # A fresh delegate per round, from the replicated controller —
-        # exactly what distributed.control does after an election.
-        a = Delegate(controller=primary.fork()).decide(lengths, reports)
-        b = Delegate(controller=primary.fork()).decide(lengths, reports)
-        assert a.targets == b.targets
-        assert a.average_latency == b.average_latency or (
-            math.isnan(a.average_latency) and math.isnan(b.average_latency)
-        )
+        # what a newly elected delegate reconstructs.
+        a, b = primary.fork(), primary.fork()
+        assert decide(a, lengths, reports) == decide(b, lengths, reports)
+        avg_a, avg_b = a.system_average(reports), b.system_average(reports)
+        assert avg_a == avg_b or (math.isnan(avg_a) and math.isnan(avg_b))
         # Advance the authoritative copy like the manager does.
-        lengths = Delegate(controller=primary).decide(lengths, reports).targets
+        lengths = decide(primary, lengths, reports)
 
 
 @pytest.mark.parametrize("name", CONTROLLER_NAMES)

@@ -1,4 +1,9 @@
-"""Delegate statelessness and decision purity (§4 fail-over claim)."""
+"""Delegate statelessness and decision purity (§4 fail-over claim).
+
+The delegate's decision is ``Controller.observe`` plus the layout
+engine, which is what :meth:`ANUManager.tune` runs: two managers holding
+the same replicated state reach the same decision from the same reports.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import math
 import pytest
 
 from repro.control import MultiplicativeController
-from repro.core import Decision, Delegate, LatencyReport
+from repro.core import ANUManager, LatencyReport
 
 
 def report(sid, lat, count=100):
@@ -18,53 +23,46 @@ LENGTHS = {0: 0.05, 1: 0.10, 2: 0.10, 3: 0.10, 4: 0.15}
 REPORTS = [report(i, lat) for i, lat in enumerate([8.0, 2.0, 1.0, 0.9, 0.5])]
 
 
+def manager(controller=None):
+    """A manager whose replicated layout holds ``LENGTHS``."""
+    mgr = ANUManager(server_ids=list(LENGTHS), controller=controller)
+    mgr.engine.apply_targets(mgr.layout, LENGTHS)
+    return mgr
+
+
 class TestStatelessness:
     def test_two_delegates_same_decision(self):
         """A freshly elected delegate reaches the identical decision —
         this is what makes delegate fail-over free of state transfer."""
-        d1 = Delegate(controller=MultiplicativeController())
-        d2 = Delegate(controller=MultiplicativeController())
-        a = d1.decide(LENGTHS, REPORTS)
-        b = d2.decide(LENGTHS, REPORTS)
+        a = manager(MultiplicativeController()).tune(REPORTS)
+        b = manager(MultiplicativeController()).tune(REPORTS)
         assert a.average_latency == b.average_latency
-        assert a.targets == b.targets
+        assert a.lengths_after == b.lengths_after
 
     def test_repeated_decide_has_no_memory(self):
-        d = Delegate(controller=MultiplicativeController())
-        first = d.decide(LENGTHS, REPORTS)
-        # Feed garbage in between; a stateless delegate cannot care.
-        d.decide({0: 0.5}, [report(0, 1.0)])
-        second = d.decide(LENGTHS, REPORTS)
-        assert first.targets == second.targets
+        controller = MultiplicativeController()
+        first = controller.observe(LENGTHS, REPORTS)
+        # Feed garbage in between; a stateless controller cannot care.
+        controller.observe({0: 0.5}, [report(0, 1.0)])
+        second = controller.observe(LENGTHS, REPORTS)
+        assert first == second
 
     def test_decision_is_normalized(self):
-        d = Delegate(controller=MultiplicativeController())
-        decision = d.decide(LENGTHS, REPORTS)
-        assert sum(decision.targets.values()) == pytest.approx(0.5)
+        rec = manager().tune(REPORTS)
+        assert sum(rec.lengths_after.values()) == pytest.approx(0.5)
 
     def test_decision_direction(self):
-        d = Delegate(controller=MultiplicativeController(deadband=0.05))
-        decision = d.decide(LENGTHS, REPORTS)
+        rec = manager(MultiplicativeController(deadband=0.05)).tune(REPORTS)
         # Server 0 is way above average, server 4 way below.
-        norm_before = {sid: v for sid, v in LENGTHS.items()}
-        total_before = sum(norm_before.values())
-        assert decision.targets[0] / 0.5 < norm_before[0] / total_before
-        assert decision.targets[4] / 0.5 > norm_before[4] / total_before
+        assert rec.lengths_after[0] < rec.lengths_before[0]
+        assert rec.lengths_after[4] > rec.lengths_before[4]
 
     def test_all_idle_reports_keep_shares(self):
-        d = Delegate(controller=MultiplicativeController())
         idle = [
             LatencyReport(sid, math.nan, request_count=0, idle_rounds=1)
             for sid in LENGTHS
         ]
-        decision = d.decide(LENGTHS, idle)
-        assert math.isnan(decision.average_latency)
-        total = sum(LENGTHS.values())
+        rec = manager().tune(idle)
+        assert math.isnan(rec.average_latency)
         for sid in LENGTHS:
-            assert decision.targets[sid] == pytest.approx(LENGTHS[sid] / total * 0.5)
-
-    def test_decision_dataclass_frozen(self):
-        d = Delegate()
-        decision = d.decide(LENGTHS, REPORTS)
-        with pytest.raises(AttributeError):
-            decision.average_latency = 0.0  # type: ignore[misc]
+            assert rec.lengths_after[sid] == pytest.approx(LENGTHS[sid])

@@ -86,28 +86,28 @@ class TestOwnership:
         layout = IntervalLayout.initial([0, 1, 2])
         for sid, segs in layout.segments().items():
             measured = sum(e - s for s, e in segs)
-            assert measured == pytest.approx(layout.length(sid))
+            assert measured == pytest.approx(layout.lengths()[sid])
 
     def test_unknown_server(self):
         layout = IntervalLayout.initial([0])
         with pytest.raises(UnknownServerError):
-            layout.length(99)
+            layout.region(99)
 
 
 class TestGrowShrink:
     def test_grow_adds_exact_measure(self):
         layout = IntervalLayout.initial([0, 1])
-        before = layout.length(0)
+        before = layout.lengths()[0]
         layout.shrink(1, 0.1)
         layout.grow(0, 0.1)
-        assert layout.length(0) == pytest.approx(before + 0.1)
+        assert layout.lengths()[0] == pytest.approx(before + 0.1)
         layout.check_invariants()
 
     def test_shrink_caps_at_region_size(self):
         layout = IntervalLayout.initial([0, 1])
         removed = layout.shrink(0, 10.0)
         assert removed == pytest.approx(HALF / 2)
-        assert layout.length(0) == pytest.approx(0.0, abs=1e-9)
+        assert layout.lengths()[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_shrink_then_grow_preserves_prefix(self):
         """Scaling must only move the marginal slice (locality)."""
@@ -202,7 +202,7 @@ class TestAuditing:
         layout = IntervalLayout.initial([0, 1])
         dup = layout.copy()
         layout.shrink(0, 0.1)
-        assert dup.length(0) == pytest.approx(HALF / 2)
+        assert dup.lengths()[0] == pytest.approx(HALF / 2)
         dup.check_invariants()
 
 

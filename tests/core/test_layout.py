@@ -40,12 +40,12 @@ class TestApplyTargets:
         targets = {0: 0.05, 1: 0.05, 2: 0.10, 3: 0.10, 4: 0.20}
         engine.apply_targets(layout, targets)
         for sid, want in targets.items():
-            assert layout.length(sid) == pytest.approx(want, abs=1e-9)
+            assert layout.lengths()[sid] == pytest.approx(want, abs=1e-9)
         layout.check_invariants()
 
     def test_unnormalized_targets_are_scaled(self, engine, layout):
         engine.apply_targets(layout, {0: 1, 1: 3, 2: 5, 3: 7, 4: 9})
-        assert layout.length(4) == pytest.approx(9 / 25 * HALF)
+        assert layout.lengths()[4] == pytest.approx(9 / 25 * HALF)
 
     def test_mismatched_server_set_rejected(self, engine, layout):
         with pytest.raises(UnknownServerError):
@@ -58,7 +58,7 @@ class TestApplyTargets:
     def test_floor_snaps_tiny_lengths_to_zero(self, layout):
         engine = LayoutEngine(floor_length=0.01)
         engine.apply_targets(layout, {0: 0.001, 1: 1, 2: 1, 3: 1, 4: 1})
-        assert layout.length(0) == 0.0
+        assert layout.lengths()[0] == 0.0
         layout.check_invariants()
 
     def test_movement_is_bounded_by_deltas(self, engine, layout):
@@ -84,7 +84,7 @@ class TestApplyTargets:
 class TestAdmitEvict:
     def test_admit_gives_equal_share_by_default(self, engine, layout):
         engine.admit(layout, 5)
-        assert layout.length(5) == pytest.approx(HALF / 6)
+        assert layout.lengths()[5] == pytest.approx(HALF / 6)
         assert layout.total_mapped == pytest.approx(HALF)
         layout.check_invariants()
 
@@ -139,5 +139,5 @@ class TestAdmitEvict:
         layout = IntervalLayout.initial([0, 1, 2])
         engine.apply_targets(layout, {0: 1.0, 1: 0.0, 2: 0.0})
         engine.evict(layout, 0)
-        assert layout.length(1) == pytest.approx(HALF / 2)
-        assert layout.length(2) == pytest.approx(HALF / 2)
+        assert layout.lengths()[1] == pytest.approx(HALF / 2)
+        assert layout.lengths()[2] == pytest.approx(HALF / 2)

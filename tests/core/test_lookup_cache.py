@@ -156,7 +156,7 @@ class TestMemoUnderChurn:
             r for r in served if r.server == 2 and 300.0 <= r.arrival < 600.0
         ]
         assert served_during_outage == []
-        assert sim.driver.dropped == 0
+        assert sim.driver._dropped == 0
         # The outage window saw traffic, and server 2 served both before
         # and after it — the assertion above is not vacuous.
         assert any(300.0 <= r.arrival < 600.0 for r in served)
@@ -196,6 +196,6 @@ class TestHashFamilyProbeCache:
         fam = HashFamily(seed=3)
         list(fam.probe_sequence("warm"))
         clone = pickle.loads(pickle.dumps(fam))
-        assert clone == fam
+        assert (clone.seed, clone.max_probes) == (fam.seed, fam.max_probes)
         assert clone._probe_cache == {}
         assert clone.offset("warm", 0) == fam.offset("warm", 0)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import IntervalLayout
 from repro.core.layout import LayoutEngine
-from repro.core.render import render_layout, render_lengths_bar
+from repro.core.render import render_layout
 
 
 class TestRenderLayout:
@@ -44,20 +44,3 @@ class TestRenderLayout:
         with pytest.raises(ValueError):
             render_layout(layout, cells_per_partition=0)
 
-
-class TestLengthsBar:
-    def test_bars_scale(self):
-        text = render_lengths_bar({0: 0.1, 1: 0.2}, width=20)
-        lines = text.splitlines()
-        assert lines[0].count("#") * 2 == pytest.approx(lines[1].count("#"), abs=1)
-
-    def test_empty(self):
-        assert render_lengths_bar({}) == "(no servers)"
-
-    def test_custom_labels(self):
-        text = render_lengths_bar({0: 0.5}, labels={0: "big-box"})
-        assert "big-box" in text
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            render_lengths_bar({0: 0.1}, width=0)

@@ -176,20 +176,20 @@ class TestIncompetenceDetector:
         for i in range(2):
             assert det.observe({0: 0.001, 1: 0.4}) == []
         assert det.observe({0: 0.001, 1: 0.4}) == [0]
-        assert det.flagged == {0}
 
     def test_recovery_clears_flag(self):
         det = IncompetenceDetector(threshold=0.01, patience=1)
-        det.observe({0: 0.001})
-        assert det.flagged == {0}
-        det.observe({0: 0.1})
-        assert det.flagged == set()
+        assert det.observe({0: 0.001}) == [0]
+        assert det.observe({0: 0.1}) == []
+        # Cleared: parking it again flags it anew.
+        assert det.observe({0: 0.001}) == [0]
 
     def test_departed_servers_forgotten(self):
         det = IncompetenceDetector(threshold=0.01, patience=1)
         det.observe({0: 0.001, 1: 0.4})
         det.observe({1: 0.4})
-        assert det.flagged == set()
+        # Forgotten: on its return it is flagged anew.
+        assert det.observe({0: 0.001, 1: 0.4}) == [0]
 
     def test_flags_only_once(self):
         det = IncompetenceDetector(threshold=0.01, patience=1)

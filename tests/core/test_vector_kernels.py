@@ -249,7 +249,8 @@ class TestFifoDrain:
         free_at = np.zeros(k)
         want, want_free = _scalar_fifo(arrival, service, server_idx, free_at.copy())
         cohort = fifo_drain(arrival, service, server_idx, free_at)
-        got = cohort.completion_in_input_order()
+        got = np.empty_like(cohort.completion)
+        got[cohort.order] = cohort.completion  # back to input order
         # Prefix-sum association differs from the scalar chain by float
         # rounding only — the documented tolerance.
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)

@@ -85,8 +85,15 @@ class TestHeartbeat:
         net = Network(env)
         net.register("obs")
         net.register("p")
-        mon = HeartbeatMonitor(env, net, "obs", ["p"], period=2.0, misses=3)
-        assert mon.detection_latency_bound() == 8.0
+        declared = []
+        HeartbeatMonitor(
+            env, net, "obs", ["p"], period=2.0, misses=3,
+            on_failure=lambda p: declared.append(env.now),
+        )
+        env.schedule_at(0.5, lambda: net.set_down("p"))
+        env.run(until=20.0)
+        # Worst case from crash to declaration: period * (misses + 1).
+        assert len(declared) == 1 and 0 < declared[0] - 0.5 <= 2.0 * (3 + 1)
 
     def test_validation(self, env):
         net = Network(env)

@@ -74,7 +74,7 @@ class TestRequestDriverModes:
                 return True
 
             def publish(self, event):
-                seen.append((event.time, driver.submitted, driver.dropped))
+                seen.append((event.time, driver.submitted, driver._dropped))
 
         driver = RequestDriver(
             env,
@@ -86,7 +86,7 @@ class TestRequestDriverModes:
         env.run(until=10.0)
         assert seen == [(1.0, 2, 1)]
         assert driver.submitted == 2
-        assert driver.dropped == 1
+        assert driver._dropped == 1
 
     def test_hardened_path_counts_through_client(self):
         env = Simulator()
@@ -95,7 +95,7 @@ class TestRequestDriverModes:
         driver = RequestDriver(env, [req(0.5), req(1.0)], client=client)
         env.run(until=30.0)
         assert driver.submitted == client.injected == 2
-        assert driver.dropped == client.failed == 0
+        assert client.failed == 0
         assert client.completed == 2
         assert client.conserved
 

@@ -62,10 +62,10 @@ class GeneratorHardenedClient(HardenedClient):
             incarnation = server.incarnation
             server.submit(attempt)
             attempts.send()
-            while not attempt.done:
+            while attempt.completion is None:
                 timer.append(Timeout(env, self.policy.request_timeout))
                 yield AnyOf(env, [done, timer[-1]])
-                if attempt.done:
+                if attempt.completion is not None:
                     # The timeout fired first at the completion's instant:
                     # learn of the completion through its event all the
                     # same, so settles keep the servers' completion order.
@@ -80,7 +80,7 @@ class GeneratorHardenedClient(HardenedClient):
                     attempts.timed_out()
                     break
             attempts.returned()
-            if attempt.done:
+            if attempt.completion is not None:
                 request.server = attempt.server
                 request.service_start = attempt.service_start
                 request.completion = attempt.completion
@@ -264,5 +264,5 @@ class TestCallbackClientMatchesGeneratorClient:
         ]
         assert _ledger(fast.client) == _ledger(slow.client)
         assert fast.client.in_flight == slow.client.in_flight == 0
-        assert list(fast.client.latency.samples) == list(slow.client.latency.samples)
+        assert fast.client.latency.samples_view().tolist() == slow.client.latency.samples_view().tolist()
         assert fast.client.probe.events == slow.client.probe.events

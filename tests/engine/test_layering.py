@@ -245,6 +245,59 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
+    @pytest.mark.parametrize("gone", ["repro.metrics.sla", "repro.core.delegate"])
+    def test_test_only_modules_stay_removed(self, tmp_path, gone):
+        """The SLA view and the out-of-band delegate had only tests for
+        callers: a revived module is rejected."""
+        module = tmp_path / "revived.py"
+        module.write_text("x = 1\n")
+        assert check_layering.check_removed({gone: module}) == [
+            f"{gone}: removed module is back ({module})"
+        ]
+
+    @pytest.mark.parametrize(
+        "gone",
+        [
+            "Delegate",
+            "Decision",
+            "SLA",
+            "SLAReport",
+            "evaluate_sla",
+            "ConfidenceInterval",
+            "bootstrap_mean_ci",
+            "pareto_tail_index",
+            "render_lengths_bar",
+            "scaling_factor_c",
+            "filesets_on",
+            "unsubscribe",
+        ],
+    )
+    def test_test_only_names_stay_removed(self, tmp_path, gone):
+        """Public surface only tests called is rejected when imported or
+        defined again."""
+        imports = tmp_path / "imports.py"
+        imports.write_text(f"from repro.core import {gone}\n")
+        defines = tmp_path / "defines.py"
+        defines.write_text(f"class Holder:\n    def {gone}(self):\n        pass\n")
+        problems = check_layering.check_removed(
+            {"repro.experiments.a": imports, "repro.core.b": defines}
+        )
+        assert problems == [
+            f"repro.experiments.a:1: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+            f"repro.core.b:2: defines or imports {gone} — removed; "
+            f"use {check_layering.REMOVED_NAMES[gone]}",
+        ]
+
+    def test_resample_edges_parameter_stays_removed(self, tmp_path):
+        """``latency_series`` returns the native samples only."""
+        module = tmp_path / "latency.py"
+        module.write_text("def latency_series(result, resample_edges=None):\n    pass\n")
+        assert check_layering.check_removed({"repro.metrics.latency": module}) == [
+            "repro.metrics.latency:1: defines or imports resample_edges — removed; "
+            f"use {check_layering.REMOVED_NAMES['resample_edges']}",
+        ]
+
     def test_fileset_work_channel_is_rejected_as_field_attribute_or_parameter(self, tmp_path):
         """A revived table module, a policy flag, a context field and a
         server parameter are each reported."""

@@ -110,7 +110,8 @@ class TestAggregateEquivalence:
             b = vector_result.server_tally[sid]
             assert b.count == a.count
             assert b.mean == pytest.approx(a.mean, rel=1e-9, abs=1e-9)
-            assert b.std == pytest.approx(a.std, rel=1e-9, abs=1e-9)
+            # Welford's sum of squared deviations (the variance's numerator).
+            assert b._m2 == pytest.approx(a._m2, rel=1e-9, abs=1e-9)
             assert b.minimum == pytest.approx(a.minimum, rel=1e-12, abs=1e-12)
             assert b.maximum == pytest.approx(a.maximum, rel=1e-12, abs=1e-12)
 
@@ -160,7 +161,7 @@ class TestVectorPathScope:
         # The driver collects latencies itself; per-server tallies shed
         # their sample buffers (streaming moments still work, above).
         with pytest.raises(ValueError, match="keep=False"):
-            vector_result.server_tally[SIDS[0]].samples
+            vector_result.server_tally[SIDS[0]].samples_view()
 
 
 class TestScalarPathGolden:

@@ -39,13 +39,6 @@ class TestFaultSchedule:
         )
         assert [e.time for e in sched] == [2.0, 9.0]
 
-    def test_horizon_covers_heals(self):
-        sched = FaultSchedule(
-            events=(FaultEvent(5.0, FaultKind.CRASH, target=0, duration=30.0),)
-        )
-        assert sched.horizon == 35.0
-        assert FaultSchedule().horizon == 0.0
-
     def test_json_round_trip(self):
         sched = FaultSchedule(
             events=(
@@ -80,13 +73,13 @@ class TestRandomSchedule:
         sched = random_schedule(
             seed=1, duration=600.0, server_ids=[0, 1], fault_rate=0.0
         )
-        assert len(sched) == 0
+        assert len(sched.events) == 0
 
     def test_events_within_injection_window(self):
         sched = random_schedule(
             seed=2, duration=1000.0, server_ids=[0, 1, 2], fault_rate=0.05
         )
-        assert len(sched) > 0
+        assert len(sched.events) > 0
         for event in sched:
             assert 0.05 * 1000.0 <= event.time <= 0.7 * 1000.0
             assert 30.0 <= event.duration <= 90.0

@@ -60,12 +60,6 @@ class TestLatencyViews:
         t, v = series[4]
         assert t.shape == v.shape and t.size > 0
 
-    def test_latency_series_resampled(self, result):
-        edges = np.linspace(0, 1200, 7)
-        series = latency_series(result, resample_edges=edges)
-        _, v = series[4]
-        assert v.shape == (6,)
-
     def test_steady_state_means(self, result):
         means = steady_state_means(result)
         active = [m for m in means.values() if not math.isnan(m)]

@@ -1,13 +1,18 @@
-"""SLA evaluation over cluster results."""
+"""Latency targets over cluster results (the §5.2.2 SLA view).
+
+"as cluster and grid systems extend to support Service Level
+Agreements [7, 8], it is essential that application performance is
+consistent over different servers in a heterogeneous cluster" (§5.2.2).
+An SLA is a latency target with a required attainment fraction; these
+tests read it straight off the run's latencies.
+"""
 
 from __future__ import annotations
 
-import math
-
+import numpy as np
 import pytest
 
 from repro.engine import ClusterConfig, ExperimentSpec
-from repro.metrics import SLA, evaluate_sla
 from repro.policies import ANURandomization, SimpleRandomization
 from repro.workloads import SyntheticConfig, generate_synthetic
 
@@ -30,52 +35,28 @@ def runs():
     return out
 
 
-class TestSLAValidation:
-    @pytest.mark.parametrize(
-        "kwargs", [{"latency_target": 0.0}, {"latency_target": 1.0, "attainment": 0.0},
-                   {"latency_target": 1.0, "attainment": 1.5}]
-    )
-    def test_bad_sla(self, kwargs):
-        with pytest.raises(ValueError):
-            SLA(**kwargs)
-
-    def test_met_by(self):
-        sla = SLA(latency_target=5.0, attainment=0.9)
-        assert sla.met_by(0.9) and sla.met_by(0.95)
-        assert not sla.met_by(0.89)
-
-
 class TestEvaluate:
     def test_loose_sla_met_by_adaptive_system(self, runs):
-        report = evaluate_sla(runs["anu"], SLA(latency_target=60.0, attainment=0.9))
-        assert report.global_met
-        assert report.global_attainment > 0.9
+        """≥ 90 % of all submitted requests (unfinished ones count as
+        misses) complete within 60 s under ANU."""
+        result = runs["anu"]
+        within = int((result.all_latencies <= 60.0).sum())
+        assert within / result.submitted > 0.9
 
     def test_simple_randomization_violates(self, runs):
         """The overloaded weakest server breaks per-server consistency."""
-        sla = SLA(latency_target=30.0, attainment=0.9)
-        report = evaluate_sla(runs["simple"], sla, min_share=0.01)
-        assert 0 in report.violating_servers
-        assert not report.consistent
+        result = runs["simple"]
+        assert result.request_share(0) >= 0.01
+        latencies = result.server_tally[0].samples_view()
+        assert float(np.mean(latencies <= 30.0)) < 0.9
 
     def test_unfinished_requests_count_as_violations(self, runs):
         simple = runs["simple"]
         if simple.unfinished:
-            report = evaluate_sla(simple, SLA(latency_target=1e9, attainment=1.0))
-            # even an infinite target cannot reach 100% with a backlog
-            assert report.global_attainment < 1.0
-
-    def test_per_server_fractions_bounded(self, runs):
-        report = evaluate_sla(runs["anu"], SLA(latency_target=5.0))
-        for sid, frac in report.per_server.items():
-            assert math.isnan(frac) or 0.0 <= frac <= 1.0
-
-    def test_tiny_servers_exempt_from_consistency(self, runs):
-        sla = SLA(latency_target=0.5, attainment=0.99)
-        strict = evaluate_sla(runs["anu"], sla, min_share=0.0)
-        lenient = evaluate_sla(runs["anu"], sla, min_share=0.3)
-        assert len(lenient.violating_servers) <= len(strict.violating_servers)
+            # Even an unbounded target cannot reach 100 % with a backlog.
+            assert int((simple.all_latencies <= 1e9).sum()) / simple.submitted < 1.0
 
     def test_impossible_sla_unmet(self, runs):
-        report = evaluate_sla(runs["anu"], SLA(latency_target=1e-9, attainment=0.5))
-        assert not report.global_met
+        """Service takes time: no request completes within a nanosecond."""
+        result = runs["anu"]
+        assert int((result.all_latencies <= 1e-9).sum()) / result.submitted < 0.5

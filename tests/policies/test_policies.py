@@ -187,9 +187,10 @@ class TestVirtualProcessor:
         assert large.shared_state_entries() == 50
 
     def test_vp_populations_sum_to_catalog(self, catalog):
+        """Every file set of the catalog lands in exactly one VP."""
         policy = VirtualProcessorSystem(list(SERVERS), v=5)
         policy.initial_placement(catalog, knowledge(catalog))
-        assert sum(policy.vp_populations().values()) == len(catalog)
+        assert sorted(policy.assignments()) == sorted(fs.name for fs in catalog)
 
 
 class TestANUPolicy:

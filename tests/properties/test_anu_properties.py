@@ -121,16 +121,12 @@ class TestDelegateDecisionPurity:
     )
     @settings(max_examples=50, deadline=None)
     def test_targets_always_normalize_to_half(self, lats, weights):
-        from repro.core import Delegate
-
-        controller = MultiplicativeController()
-        lengths_raw = {i: w for i, w in enumerate(weights)}
-        total = sum(lengths_raw.values())
-        lengths = {sid: w / total * 0.5 for sid, w in lengths_raw.items()}
+        mgr = ANUManager(server_ids=[0, 1, 2], controller=MultiplicativeController())
+        mgr.engine.apply_targets(mgr.layout, dict(enumerate(weights)))
         reps = [
             LatencyReport(i, lat, request_count=10, prev_mean_latency=lat)
             for i, lat in enumerate(lats)
         ]
-        decision = Delegate(controller=controller).decide(lengths, reps)
-        assert abs(sum(decision.targets.values()) - 0.5) < 1e-9
-        assert all(v >= 0 for v in decision.targets.values())
+        rec = mgr.tune(reps)
+        assert abs(sum(rec.lengths_after.values()) - 0.5) < 1e-9
+        assert all(v >= 0 for v in rec.lengths_after.values())

@@ -36,7 +36,10 @@ class TestConservation:
         ).build()
         res = sim.run()
         assert res.submitted == len(wl)
-        in_queues = sum(s.queue_length for s in sim.servers.values())
+        in_queues = 0
+        for server in sim.servers.values():
+            server.advance(server.env.now)  # book what the clock has served
+            in_queues += len(server._queue)
         # in-service requests are neither completed nor queued; there is
         # at most one per server
         in_service_max = len(POWERS)

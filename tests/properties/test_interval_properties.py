@@ -68,7 +68,7 @@ class TestHalfOccupancy:
         engine.apply_targets(layout, targets)
         goal = engine.floor_and_normalize(targets)
         for sid, want in goal.items():
-            assert layout.length(sid) == pytest.approx(want, abs=1e-7)
+            assert layout.lengths()[sid] == pytest.approx(want, abs=1e-7)
 
 
 class TestOwnershipConsistency:

@@ -107,7 +107,7 @@ class TestFramedConnection:
         async def scenario():
             servers, locator = await start_stack({"s0": 1.0})
             conn = await FramedConnection.open(
-                *servers[0].address
+                servers[0].host, servers[0].port
             )
             pending = asyncio.ensure_future(
                 conn.request({"op": "exec", "name": "/fs/1", "work": 50.0})
@@ -139,7 +139,8 @@ class TestDrive:
                 # locator connection proves it was handled, and its
                 # sample reached the open epoch window.
                 assert (await barrier(client))["ok"]
-                assert locator.batcher.pending(outcome.server) == 1
+                reports = locator.close_epoch().reports
+                assert {r.server_id: r.request_count for r in reports}[outcome.server] == 1
             finally:
                 await stop_stack(servers, locator, client)
 

@@ -29,7 +29,7 @@ class TestFifoClock:
         async def scenario():
             server = EchoFileServer("s0", self.POWER, time_scale=self.TIME_SCALE)
             await server.start()
-            conn = await FramedConnection.open(*server.address)
+            conn = await FramedConnection.open(server.host, server.port)
             loop = asyncio.get_running_loop()
             done = []
 
@@ -58,7 +58,7 @@ class TestFifoClock:
         async def scenario():
             server = EchoFileServer("s0", 1.0)
             await server.start()
-            conn = await FramedConnection.open(*server.address)
+            conn = await FramedConnection.open(server.host, server.port)
             reply = await conn.request({"op": "exec", "name": "/fs/0", "work": 0}, timeout=5.0)
             assert reply == {"ok": True, "server": "s0", "service": 0.0, "name": "/fs/0", "id": 0}
             assert server._timer is None and not server._queue
@@ -71,7 +71,7 @@ class TestFifoClock:
         async def scenario():
             server = EchoFileServer("s0", self.POWER, time_scale=self.TIME_SCALE)
             await server.start()
-            conn = await FramedConnection.open(*server.address)
+            conn = await FramedConnection.open(server.host, server.port)
             pending = [
                 asyncio.ensure_future(
                     conn.request({"op": "exec", "name": f"/fs/{i}", "work": 100.0}, timeout=5.0)
@@ -96,7 +96,7 @@ class TestExecValidation:
             # 1e308 · 10 / 0.5 overflows to inf: not a finite service time.
             server = EchoFileServer("s0", 0.5, time_scale=10.0)
             await server.start()
-            conn = await FramedConnection.open(*server.address)
+            conn = await FramedConnection.open(server.host, server.port)
             reply = await conn.request({"op": "exec", "name": "/fs/1", "work": work}, timeout=5.0)
             assert reply["ok"] is False and "bad work" in reply["error"]
             assert reply["id"] == 0

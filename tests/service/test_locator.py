@@ -69,7 +69,8 @@ class TestReport:
             {"op": "report", "server": "s0", "latency": 0.25, "count": 3}
         )
         assert reply["ok"]
-        assert locator.batcher.pending("s0") == 3
+        counts = {r.server_id: r.request_count for r in locator.close_epoch().reports}
+        assert counts["s0"] == 3
         assert locator.samples_received == 3
 
     @pytest.mark.parametrize(
@@ -142,10 +143,10 @@ class TestAdmin:
         )
         assert reply["ok"]
         assert locator.addresses["s2"] == ("127.0.0.1", 9002)
-        assert "s2" in locator.batcher.server_ids
         assert locator.recording.server_powers["s2"] == 5.0
         event = locator.recording.events[-1]
         assert isinstance(event, MembershipRecord) and event.kind == "join"
+        assert "s2" in {r.server_id for r in locator.close_epoch().reports}
 
     def test_join_requires_address_and_power(self):
         locator = make_locator()
@@ -169,9 +170,9 @@ class TestAdmin:
         reply = locator.handle({"op": "admin", "action": action, "server": "s1"})
         assert reply["ok"]
         assert "s1" not in locator.addresses
-        assert "s1" not in locator.batcher.server_ids
         event = locator.recording.events[-1]
         assert event.kind == action and event.server_id == "s1"
+        assert "s1" not in {r.server_id for r in locator.close_epoch().reports}
         # Reports for the departed server now fail cleanly.
         assert not locator.handle(
             {"op": "report", "server": "s1", "latency": 0.1}

@@ -85,7 +85,7 @@ class TestWhatSrcDefines:
     "function,gated",
     [
         (("repro.engine.engine", "ClusterEngine.run"), True),
-        (("repro.core.hashing", "HashFamily.__eq__"), True),
+        (("repro.core.hashing", "HashFamily.__getstate__"), True),
         (("repro.core.hashing", "HashFamily.__repr__"), False),
         (("repro.engine.engine", "ClusterEngine._route"), False),
         (("repro._lazy", "attach"), False),
@@ -115,7 +115,7 @@ class TestGate:
 
     def test_stale_and_unknown_allowlist_entries_fail(self):
         reached = {("a.py", 1), ("a.py", 5), ("a.py", 12)}
-        allowlist = {("repro.a", "oracle"): "oracle: x", ("repro.a", "gone"): "tested"}
+        allowlist = {("repro.a", "oracle"): "oracle: x", ("repro.a", "gone"): "fault"}
         _, problems = check_reach.check(self.FUNCTIONS, reached, allowlist)
         assert problems == [
             "repro.a:gone — allowlisted but not defined in src/ (delete the line)",
@@ -128,10 +128,11 @@ class TestGate:
             "# comment\n"
             "\n"
             "repro.a:f  # oracle: the reference\n"
-            "repro.a:g  # tested\n"
+            "repro.a:g  # serve\n"
             "repro.a:h  # because\n"
             "repro.a:i\n"
-            "repro.a  # tested\n"
+            "repro.a  # serve\n"
+            "repro.a:j  # tested: only a test calls it\n"
         )
         entries, problems = check_reach.read_allowlist(path)
         assert entries[("repro.a", "f")] == "oracle: the reference"
@@ -141,7 +142,10 @@ class TestGate:
             + ", ".join(check_reach.REASONS),
             "allow.txt:6: repro.a:i: reason must start with one of "
             + ", ".join(check_reach.REASONS),
-            "allow.txt:7: not `module:qualname  # reason`: repro.a  # tested",
+            "allow.txt:7: not `module:qualname  # reason`: repro.a  # serve",
+            # Surface only tests call is no reason to keep it.
+            "allow.txt:8: repro.a:j: reason must start with one of "
+            + ", ".join(check_reach.REASONS),
         ]
 
     def test_committed_allowlist_is_well_formed(self):

@@ -19,8 +19,6 @@ from repro.workloads import (
     generate_trace_shaped,
     offered_utilization,
     request_work_for_utilization,
-    scaling_factor_c,
-    weakest_server_overloaded,
 )
 
 
@@ -61,7 +59,9 @@ class TestSyntheticGenerator:
     def test_weakest_server_would_overload_uniformly(self):
         """The Figure 5 premise: uniform placement kills server 0."""
         wl = generate_synthetic(SyntheticConfig(), seed=0)
-        assert weakest_server_overloaded(wl, weakest_power=1.0, uniform_share=0.2)
+        # A fifth of the offered work (uniform over five servers)
+        # exceeds the weakest server's power of 1.0.
+        assert wl.total_work * 0.2 / wl.duration > 1.0
 
     def test_requests_sorted(self):
         wl = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=300), seed=0)
@@ -203,9 +203,6 @@ class TestCalibrate:
     def test_request_work_formula(self):
         w = request_work_for_utilization(1000, 100.0, 25.0, 0.5)
         assert 1000 * w / (100.0 * 25.0) == pytest.approx(0.5)
-
-    def test_scaling_factor(self):
-        assert scaling_factor_c(total_work=550.0, sum_x=275.0) == 2.0
 
     @pytest.mark.parametrize(
         "args",

@@ -244,7 +244,9 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
 #: kernel has no generator processes or resources, only calendar
 #: callbacks; the environment knobs duplicated command-line flags; the
 #: lookup-table policy ran in no experiment (its state size is
-#: ``repro.distributed.state.lookup_table_footprint``).
+#: ``repro.distributed.state.lookup_table_footprint``); the SLA view and
+#: the out-of-band delegate had only tests for callers (the delegate's
+#: decision is ``ANUManager.tune``).
 REMOVED_MODULES: Tuple[str, ...] = (
     "repro.cluster.cluster",
     "repro.cluster.distributed_cluster",
@@ -254,6 +256,8 @@ REMOVED_MODULES: Tuple[str, ...] = (
     "repro.sim.resources",
     "repro.knobs",
     "repro.policies.table",
+    "repro.metrics.sla",
+    "repro.core.delegate",
 )
 
 _KNOB_PARSERS = "a command-line flag or a function argument"
@@ -262,6 +266,9 @@ _ONE_FRAMING = "repro.service.protocol.FrameProtocol over FrameDecoder"
 _FIFO_CLOCK = "calendar callbacks through Simulator.schedule_at (the FileServer FIFO clock)"
 _CALLBACKS = "Simulator.schedule_at (a cancellable calendar callback)"
 _NO_FILESET_WORK = "the servers' LatencyReport (no policy reads per-file-set work)"
+_TUNE = "repro.core.ANUManager.tune (Controller.observe through the LayoutEngine)"
+_LATENCIES = "the result's latencies (ClusterResult.all_latencies, server_tally)"
+_TEST_ONLY = "nothing (only tests called it)"
 
 #: Deleted names that must not come back, with what replaced them.
 REMOVED_NAMES: Dict[str, str] = {
@@ -290,7 +297,7 @@ REMOVED_NAMES: Dict[str, str] = {
     "_invariant_loop": _CALLBACKS,
     "_probe_loop": _CALLBACKS,
     "SimulationBuilder": "repro.engine.ExperimentSpec(...).build() (chaos: **chaos_layers(...))",
-    "SLAProbe": "repro.metrics.sla.evaluate_sla on the finished result",
+    "SLAProbe": _LATENCIES,
     "RoundTraceProbe": "the result's movement log (ClusterResult.movement)",
     "observe_many": "Tally.observe_each (or observe_moments for a pre-reduced batch)",
     "run_bench_sync": "asyncio.run(run_bench(...)) and bench_payload",
@@ -303,6 +310,25 @@ REMOVED_NAMES: Dict[str, str] = {
     "ArrayCatalog": "repro.cluster.fileset.FileSetCatalog (one columnar catalog)",
     "work_matrix": "Workload.work_between per window",
     "rate_per_fileset": "FileSetCatalog.get(name).total_work / Workload.duration",
+    "Delegate": _TUNE,
+    "Decision": _TUNE,
+    "SLA": _LATENCIES,
+    "SLAReport": _LATENCIES,
+    "evaluate_sla": _LATENCIES,
+    "ConfidenceInterval": "repro.analysis.mean_sem",
+    "bootstrap_mean_ci": "repro.analysis.mean_sem",
+    "pareto_tail_index": _TEST_ONLY,
+    "is_heavy_tailed": _TEST_ONLY,
+    "render_lengths_bar": "repro.core.render.render_layout",
+    "scaling_factor_c": "repro.workloads.request_work_for_utilization",
+    "weakest_server_overloaded": _TEST_ONLY,
+    "offset_matrix": "HashFamily.batch_offsets per round",
+    "filesets_on": "ANUManager.assignments",
+    "vp_populations": _TEST_ONLY,
+    "completion_in_input_order": _TEST_ONLY,
+    "enable_completion_probe": "subscribe to RequestCompleted before ExperimentSpec.build()",
+    "unsubscribe": _TEST_ONLY,
+    "resample_edges": "latency_series's native per-interval samples",
 }
 
 #: Deleted environment variables: a module that names one in a string

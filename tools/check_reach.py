@@ -11,9 +11,10 @@ a profile hook (``sys.setprofile``, also set for threads) that records
 each code object a call enters:
 
 * every ``examples/*.py``;
-* ``python -m repro.experiments --all --scale 0.05``, the ``chaos``
-  smoke, and the ``scale``, ``chaos-scale`` and ``control`` sweep
-  smokes at ``--workers 1``;
+* ``python -m repro.experiments --all --scale 0.05`` and
+  ``--figure fig4 --scale 0.05``, the ``chaos`` smoke, and the
+  ``scale``, ``chaos-scale`` and ``control`` sweep smokes at
+  ``--workers 1``;
 * ``python -m bench.onepass --scale 0.05 --trace 1`` for each of the
   five benchmark workloads (the traced pass, as CI runs it);
 * ``python -m repro.service bench --smoke --inline`` (in-process load
@@ -74,8 +75,6 @@ REASONS: Dict[str, str] = {
     "child": "runs only in a multi-worker child process",
     "interface": "a hook the language or an interface requires (an abstract "
     "method's implementation, a PEP 562 or pickling hook)",
-    "tested": "library surface only tier-1 tests call: give it a caller or "
-    "delete it with its tests",
 }
 
 #: A function as the ledger names it: (module, qualname).
@@ -212,6 +211,12 @@ def entry_points(scratch: Path) -> List[Tuple[str, Callable[[], object]]]:
     ]
     points.append(
         ("experiments --all", _module_main("repro.experiments", "--all", "--scale", "0.05"))
+    )
+    points.append(
+        (
+            "experiments --figure fig4",
+            _module_main("repro.experiments", "--figure", "fig4", "--scale", "0.05"),
+        )
     )
     points.append(
         (
