@@ -1,8 +1,7 @@
 """Statistical and theoretical analysis utilities.
 
-* :mod:`repro.analysis.bounds` — the §4 load-balance bounds and the
-  balls-into-bins Monte Carlo that checks them (bench A6)
-* :mod:`repro.analysis.stats` — mean and standard error over seeds
+* :mod:`repro.analysis.bounds` — the §4 load-balance bound and the
+  balls-into-bins Monte Carlo that checks it (claims A6)
 """
 
 from __future__ import annotations
@@ -13,12 +12,6 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "convergence": ["ControllerTrace", "equilibrium_lengths", "iterate_controller"],
-        "bounds": [
-            "BalanceSample",
-            "anu_balance_bound",
-            "measure_balance",
-            "simple_randomization_bound",
-        ],
-        "stats": ["mean_sem"],
+        "bounds": ["BalanceSample", "anu_balance_bound", "measure_balance"],
     },
 )

@@ -8,10 +8,10 @@ small as any known bound for randomized placement and compares
 favorably to simple randomization in which load is bounded by
 ``ceil(m/n + Θ(lg n / lg lg n) + 1)``."
 
-This module gives both bounds as functions and the empirical
+This module gives ANU's bound as a function and the empirical
 machinery (balls-into-bins Monte Carlo over the actual hash family) to
-check them — the A6 bench reports measured max-load against both
-curves.
+check it: the A6 claims of ``repro.experiments.claims`` hold measured
+d-choice max loads to the bound and one-choice overshoot above them.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from ..core.hashing import HashFamily
 from ..core.interval import IntervalLayout
 from ..core.multichoice import MultiChoicePlacer
 
-__all__ = [
-    "anu_balance_bound",
-    "simple_randomization_bound",
-    "BalanceSample",
-    "measure_balance",
-]
+__all__ = ["anu_balance_bound", "BalanceSample", "measure_balance"]
 
 
 def anu_balance_bound(m: int, n: int) -> int:
@@ -39,21 +34,6 @@ def anu_balance_bound(m: int, n: int) -> int:
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0, n >= 1; got m={m}, n={n}")
     return math.ceil(m / n + 1)
-
-
-def simple_randomization_bound(m: int, n: int, c: float = 1.0) -> float:
-    """Single-choice bound: ``m/n + c·(lg n / lg lg n) + 1``.
-
-    The Θ constant is not pinned by the paper; ``c = 1`` draws the
-    classic balls-into-bins curve (exact for m = n up to lower-order
-    terms, conservative for m >> n where the deviation is
-    ``Θ(sqrt(m lg n / n))`` — we report both regimes in the bench).
-    """
-    if n < 2:
-        return float(m) + 1.0
-    lg_n = math.log2(n)
-    lglg_n = math.log2(max(lg_n, 2.0))
-    return m / n + c * (lg_n / lglg_n) + 1.0
 
 
 @dataclass(frozen=True)

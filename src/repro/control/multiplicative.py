@@ -24,7 +24,7 @@ knobs:
   probed back in with a small seed every ``idle_backoff`` idle rounds
   (the paper lets extremely weak servers mostly sit idle).
 
-The averaging-rule ablation bench (A1 in DESIGN.md) shows the headline
+The averaging-rule claims (A1 in DESIGN.md) show the headline
 results are insensitive to these choices. ``tests/control/test_golden.py``
 pins the rule's output to recorded digests.
 """

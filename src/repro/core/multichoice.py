@@ -11,8 +11,7 @@ candidate servers (the classic power-of-d-choices).
 This is an *optional* refinement: it tightens balance from the
 ``m/n + Θ(lg n / lg lg n)`` of one-choice randomization to ``m/n + O(1)``,
 at the cost of a small placement table (choices are no longer purely
-hash-derivable). The balance-bound bench (A6 in DESIGN.md) measures
-both regimes; the main cluster experiments use plain single-choice
+hash-derivable). The A6 claims (DESIGN.md) measure both regimes; the main cluster experiments use plain single-choice
 lookup, as the paper's evaluation does.
 """
 
@@ -98,18 +97,3 @@ class MultiChoicePlacer:
             self.place(name)
         return dict(self.loads)
 
-    def table_entries(self) -> int:
-        """Extra shared-state entries beyond the hash-derivable choice.
-
-        Only items whose chosen server differs from their first-probe
-        server need an explicit table row; everything else is derivable.
-        """
-        extra = 0
-        for name, chosen in self.placements.items():
-            for offset in self.hash_family.probe_sequence(name):
-                owner = self.layout.owner_at(offset)
-                if owner is not None:
-                    if owner != chosen:
-                        extra += 1
-                    break
-        return extra

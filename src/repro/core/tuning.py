@@ -101,7 +101,7 @@ def trimmed_mean(reports: Sequence[LatencyReport], trim: float = 0.25) -> float:
     return sum(core) / len(core)
 
 
-#: Registry used by configuration files and the ablation bench.
+#: Registry of the averaging rules (the A1 claims run each).
 AVERAGING_RULES: Dict[str, Callable[[Sequence[LatencyReport]], float]] = {
     "arithmetic": arithmetic_mean,
     "weighted": weighted_mean,

@@ -16,15 +16,15 @@ implements the ring so the trade-off is *measured*, not asserted:
   ``id + 2^-i``);
 * :meth:`ChordRing.route` resolves a key's successor, counting hops.
 
-The bench compares measured hops against the log2(N) bound and the
-state against the replicated table.
+The A10 claims of ``repro.experiments.claims`` compare measured hops
+against the log2(N) bound and the state against the replicated table.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.hashing import HashFamily
 
@@ -76,14 +76,8 @@ class ChordRing:
         )
         self._positions: List[float] = [n.position for n in self._nodes]
         self._build_fingers()
-        #: Lookup statistics.
-        self.total_lookups = 0
-        self.total_hops = 0
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     @property
     def nodes(self) -> List[ChordNode]:
         """Ring members in position order."""
@@ -129,8 +123,6 @@ class ChordRing:
             hops += 1
             if hops > limit:  # pragma: no cover - defensive
                 raise RuntimeError("Chord routing failed to converge")
-        self.total_lookups += 1
-        self.total_hops += hops
         return owner, hops
 
     def _best_hop(self, current: ChordNode, target: float) -> ChordNode:
@@ -144,18 +136,6 @@ class ChordRing:
         return best
 
     # ------------------------------------------------------------------ #
-    @property
-    def mean_hops(self) -> float:
-        """Observed mean routing hops per lookup."""
-        return self.total_hops / self.total_lookups if self.total_lookups else float("nan")
-
     def per_node_state(self) -> int:
         """Routing entries each node keeps (finger-table size)."""
         return self._nodes[0].state_entries() if self._nodes else 0
-
-    def load_distribution(self, keys: List[str]) -> Dict[object, int]:
-        """Keys owned per node — the ring's (unweighted) balance."""
-        loads: Dict[object, int] = {n.node_id: 0 for n in self._nodes}
-        for key in keys:
-            loads[self.owner_of(key).node_id] += 1
-        return loads

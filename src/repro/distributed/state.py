@@ -14,7 +14,7 @@ file set.
 * **Simple randomization**: just the server list — O(k).
 
 :func:`state_table` produces the comparison used by the Figure 8
-discussion and the A5 ablation bench.
+discussion and the A5 claims.
 """
 
 from __future__ import annotations

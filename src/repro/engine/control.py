@@ -83,7 +83,7 @@ class DirectControlPlane(ControlPlane):
             now=t0,
             round_index=engine._round,
             reports=reports,
-            knowledge=LazyKnowledge(lambda: engine._knowledge(t0))
+            knowledge=LazyKnowledge(engine._knowledge)
             if engine.config.supply_knowledge
             else None,
         )

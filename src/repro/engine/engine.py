@@ -115,7 +115,7 @@ class ClusterEngine:
         # offered lazily: the catalog scan only runs if the policy
         # actually reads it.
         knowledge = (
-            LazyKnowledge(lambda: self._knowledge(0.0))
+            LazyKnowledge(self._knowledge)
             if config.supply_knowledge
             else None
         )
@@ -165,14 +165,12 @@ class ClusterEngine:
             return None
         return server
 
-    def _knowledge(self, t0: float) -> PrescientKnowledge:
-        """Oracle for the interval starting at ``t0``."""
-        t1 = t0 + self.config.tuning_interval
+    def _knowledge(self) -> PrescientKnowledge:
+        """The oracle: live servers' powers and each file set's mean demand."""
         return PrescientKnowledge(
             server_powers={
                 sid: srv.power for sid, srv in self.servers.items() if not srv.failed
             },
-            upcoming_work=self.workload.work_between(t0, t1),
             average_work=self._average_work,
         )
 

@@ -13,6 +13,7 @@ Examples::
     python -m repro.experiments chaos-scale --out BENCH_chaos_scale.json
     python -m repro.experiments control --smoke
     python -m repro.experiments control --out BENCH_control.json
+    python -m repro.experiments claims
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "chaos":
         return chaos_main(argv[1:])
+    if argv and argv[0] == "claims":
+        from .claims import main as claims_main
+
+        return claims_main(argv[1:])
     if argv and argv[0] in SWEEPS:
         module = importlib.import_module(f".{SWEEPS[argv[0]]}", __package__)
         return sweep_main(module.SWEEP, argv[1:])

@@ -1,7 +1,7 @@
 """Canonical experiment configuration (the paper's §5.1 setup).
 
 Every figure module builds on these constants so the whole harness
-shares one source of truth. ``scale`` lets benches trade run length
+shares one source of truth. ``scale`` lets tests trade run length
 for fidelity: ``scale=1.0`` is the paper-sized experiment (200 minutes,
 66,401 requests); smaller scales shrink duration and request count
 proportionally while keeping rates, utilization and the tuning cadence

@@ -2,7 +2,7 @@
 
 from . import fig4, fig5, fig6, fig7, fig8
 
-#: Registry used by the CLI and the bench harness.
+#: Registry used by the CLI.
 FIGURES = {
     "fig4": fig4,
     "fig5": fig5,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ...engine.record import ClusterResult
-from ...metrics.latency import convergence_round
 from ...workloads.trace import generate_trace_shaped
 from ..config import ExperimentConfig, paper_config
 from ..runner import run_comparison
@@ -50,25 +49,3 @@ def render(data: Fig4Data, max_rows: int = 20) -> str:
         "Figure 4 — server latency over time (DFSTrace-shaped workload)",
     )
 
-
-def sanity_against_synthetic(trace: Fig4Data, synth: "object") -> Dict[str, bool]:
-    """The paper's sanity contract: same qualitative properties.
-
-    Checks, for both workloads: (1) simple randomization's weakest
-    server is the worst performer by a wide margin, (2) ANU converges,
-    (3) prescient beats or matches every other system on aggregate
-    latency. Returns check-name → passed.
-    """
-    checks: Dict[str, bool] = {}
-    for tag, data in (("trace", trace), ("synthetic", synth)):
-        results = data.results
-        simple = results["simple"]
-        worst = max(simple.per_server_mean_latency, key=lambda s: simple.per_server_mean_latency[s])
-        checks[f"{tag}:simple-weakest-degrades"] = worst == 0
-        checks[f"{tag}:anu-converges"] = convergence_round(results["anu"]) is not None
-        best = min(results.values(), key=lambda r: r.aggregate_mean_latency)
-        checks[f"{tag}:prescient-near-best"] = (
-            results["prescient"].aggregate_mean_latency
-            <= best.aggregate_mean_latency * 1.25
-        )
-    return checks

@@ -45,8 +45,8 @@ def make_policy(
     server_ids = list(config.powers)
     # The hash family is fixed infrastructure (every node derives the
     # same family from one agreed constant); it does not vary with the
-    # workload seed. Sensitivity to the family choice is measured by
-    # the multi-seed robustness bench and reported in EXPERIMENTS.md.
+    # workload seed. Sensitivity to the family choice is reported in
+    # EXPERIMENTS.md's A11 row.
     family = HashFamily(seed=0)
     if system == "simple":
         return SimpleRandomization(server_ids, hash_family=family)

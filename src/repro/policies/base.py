@@ -53,32 +53,26 @@ class PrescientKnowledge:
     ----------
     server_powers:
         True service rate of every live server (work units / second).
-    upcoming_work:
-        Work each file set will offer during the *next* tuning interval
-        (work units). This is genuine prescience — it is computed from
-        the pre-generated request schedule, which no online system could
-        know. Only *dynamic prescient* (the upper bound) reads it.
     average_work:
         Long-run work per tuning interval per file set (rate × interval).
         This is the paper's "perfect knowledge of ... workload
         characteristics" — the characteristic demand, not the future
-        arrival schedule. The virtual-processor system uses this view;
-        giving it the upcoming schedule would let it dodge individual
-        bursts and make it an oracle rather than the paper's baseline.
-        ANU reads neither.
+        arrival schedule. Dynamic prescient and the virtual-processor
+        system both use this view; giving them the upcoming schedule
+        would let them dodge individual bursts and make them a stronger
+        oracle than the paper's baselines. ANU reads neither field.
     """
 
     server_powers: Mapping[object, float]
-    upcoming_work: Mapping[str, float]
     average_work: Mapping[str, float]
 
 
 class LazyKnowledge:
     """A :class:`PrescientKnowledge` that is computed on first read.
 
-    Building the oracle costs a full catalog scan plus a
-    ``work_between`` pass over the request schedule — every tuning
-    round. Policies that never consult the oracle (simple, ANU) should
+    Building the oracle costs a scan of the live servers every tuning
+    round (the catalog's mean demand is built once per engine).
+    Policies that never consult the oracle (simple, ANU) should
     not pay that price, so the driver hands out this proxy instead: the
     factory runs once, at the first attribute access, and not at all if
     nobody reads it.

@@ -9,7 +9,7 @@ stimulus: per-file-set popularity is re-drawn at a shift point, so a
 file set that was cold becomes hot (and vice versa) halfway through.
 A static placement — even a capacity-aware one — keeps the newly hot
 file set wherever history put it; an adaptive system must notice and
-re-home it. The hot-spot ablation bench measures exactly that.
+re-home it. The A13 claims of ``repro.experiments.claims`` measure exactly that.
 """
 
 from __future__ import annotations

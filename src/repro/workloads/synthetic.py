@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -46,9 +46,8 @@ class Workload:
     The schedule is three arrival-sorted columns: :attr:`arrivals` and
     :attr:`works` (float64) and :attr:`fs_idx` (int32, indexing
     ``catalog.names``). Both engines read them: the vectorized path
-    slices them per cohort, the scalar path draws fresh requests from
-    :meth:`replay`, and prescient policies' oracle query
-    (:meth:`work_between`) is O(log n) per window rather than a scan.
+    slices them per cohort, and the scalar path draws fresh requests from
+    :meth:`replay`.
 
     Producers hand the columns over in any order; they are put in
     arrival order by a stable sort, so requests that arrive at the same
@@ -118,16 +117,6 @@ class Workload:
     def request_count(self) -> int:
         """Number of requests in the schedule."""
         return len(self)
-
-    def work_between(self, t0: float, t1: float) -> Dict[str, float]:
-        """Per-file-set work offered in ``[t0, t1)`` — the oracle query."""
-        lo = int(np.searchsorted(self.arrivals, t0, side="left"))
-        hi = int(np.searchsorted(self.arrivals, t1, side="left"))
-        names = self.catalog.names
-        sums = np.bincount(
-            self.fs_idx[lo:hi], weights=self.works[lo:hi], minlength=len(names)
-        )
-        return dict(zip(names, sums.tolist()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (

@@ -1,32 +1,17 @@
-"""Balance bounds and statistical helpers."""
+"""The §4 balance bound and its Monte Carlo."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    anu_balance_bound,
-    mean_sem,
-    measure_balance,
-    simple_randomization_bound,
-)
+from repro.analysis import anu_balance_bound, measure_balance
 
 
 class TestBounds:
     def test_anu_bound_formula(self):
         assert anu_balance_bound(100, 10) == 11
         assert anu_balance_bound(101, 10) == 12
-
-    def test_simple_bound_exceeds_anu_bound(self):
-        for n in (4, 16, 64):
-            m = 10 * n
-            assert simple_randomization_bound(m, n) > anu_balance_bound(m, n) - 1
-
-    def test_simple_bound_small_n(self):
-        assert simple_randomization_bound(10, 1) == 11.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,10 +50,3 @@ class TestMeasuredBalance:
         with pytest.raises(ValueError):
             measure_balance(10, 2, trials=0)
 
-
-class TestStats:
-    def test_mean_sem(self):
-        mean, sem = mean_sem([1.0, 2.0, 3.0])
-        assert mean == 2.0
-        assert sem == pytest.approx(1.0 / math.sqrt(3))
-        assert mean_sem([7.0]) == (7.0, 0.0)

@@ -77,10 +77,3 @@ class TestPlacement:
         placer = MultiChoicePlacer(layout, family, d=2)
         loads = placer.place_all([f"i{i}" for i in range(m)])
         assert max(loads.values()) <= m / 8 + 8  # generous O(1) slack
-
-    def test_table_entries_bounded_by_items(self, layout, family):
-        placer = MultiChoicePlacer(layout, family, d=2)
-        names = [f"i{i}" for i in range(100)]
-        placer.place_all(names)
-        extra = placer.table_entries()
-        assert 0 <= extra <= len(names)

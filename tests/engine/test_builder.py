@@ -99,8 +99,8 @@ class TestAssembly:
         engine = ExperimentSpec(
             tiny_workload, DynamicPrescient(list(POWERS)), ClusterConfig(server_powers=POWERS)
         ).build()
-        first = engine._knowledge(0.0).average_work
-        assert engine._knowledge(120.0).average_work is first
+        first = engine._knowledge().average_work
+        assert engine._knowledge().average_work is first
         assert set(first) == set(tiny_workload.catalog.names)
 
     def test_chaos_requires_distributed_control(self, tiny_workload):

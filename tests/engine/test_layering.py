@@ -227,7 +227,9 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
-    @pytest.mark.parametrize("gone", ["ArrayCatalog", "work_matrix", "rate_per_fileset"])
+    @pytest.mark.parametrize(
+        "gone", ["ArrayCatalog", "work_matrix", "rate_per_fileset", "work_between"]
+    )
     def test_second_schedule_surface_stays_removed(self, tmp_path, gone):
         """A schedule has one container: a second catalog class or the
         test-only oracle views on Workload are rejected."""
@@ -245,7 +247,9 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
         ]
 
-    @pytest.mark.parametrize("gone", ["repro.metrics.sla", "repro.core.delegate"])
+    @pytest.mark.parametrize(
+        "gone", ["repro.metrics.sla", "repro.core.delegate", "repro.analysis.stats"]
+    )
     def test_test_only_modules_stay_removed(self, tmp_path, gone):
         """The SLA view and the out-of-band delegate had only tests for
         callers: a revived module is rejected."""
@@ -270,6 +274,8 @@ class TestCheckerTool:
             "scaling_factor_c",
             "filesets_on",
             "unsubscribe",
+            "mean_sem",
+            "simple_randomization_bound",
         ],
     )
     def test_test_only_names_stay_removed(self, tmp_path, gone):
@@ -287,6 +293,16 @@ class TestCheckerTool:
             f"use {check_layering.REMOVED_NAMES[gone]}",
             f"repro.core.b:2: defines or imports {gone} — removed; "
             f"use {check_layering.REMOVED_NAMES[gone]}",
+        ]
+
+    def test_sanity_contract_function_stays_removed(self, tmp_path):
+        """The Figure 4 sanity contract is six claims of the claims
+        table; a second copy of it in the figure module is rejected."""
+        module = tmp_path / "fig4.py"
+        module.write_text("def sanity_against_synthetic(trace, synth):\n    pass\n")
+        assert check_layering.check_removed({"repro.experiments.figures.fig4": module}) == [
+            "repro.experiments.figures.fig4:1: defines or imports sanity_against_synthetic"
+            f" — removed; use {check_layering.REMOVED_NAMES['sanity_against_synthetic']}",
         ]
 
     def test_resample_edges_parameter_stays_removed(self, tmp_path):
@@ -514,6 +530,16 @@ class TestEngineImportDiscipline:
             "print('clean')\n"
         )
         assert "clean" in out
+
+    def test_runner_does_not_load_the_claims_table(self, run_fresh):
+        """``bench/engine_workloads.py`` imports the runner: loading it
+        must not pull in the claims table and every ablation behind it."""
+        out = run_fresh(
+            "import sys\n"
+            "import repro.experiments.runner\n"
+            "print('repro.experiments.claims' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
 
     def test_sequential_engine_run_loads_no_pool_or_message_stack(self, run_fresh):
         """A one-worker comparison on the direct control plane imports

@@ -1,7 +1,8 @@
 """Experiment harness: config scaling, policy factory, figure runs.
 
 Figure runs here use tiny scales — they verify plumbing and qualitative
-shape, not paper numbers (the benchmarks do that at full scale).
+shape, not paper numbers (``python -m repro.experiments claims`` checks
+those at full scale).
 """
 
 from __future__ import annotations

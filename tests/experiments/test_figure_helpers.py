@@ -1,17 +1,24 @@
-"""Figure-module helpers and cross-figure sanity contracts."""
+"""Figure-module helpers and the Figure 4 sanity contract."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments import claims
 from repro.experiments.figures import fig4, fig5
 
 SCALE = 0.08
+SANITY = [claim for claim in claims.CLAIMS if ":" in claim.id]
 
 
 @pytest.fixture(scope="module")
-def synth_data():
-    return fig5.run(seed=4, scale=SCALE)
+def runs():
+    return claims.Runs(seed=4, scale=SCALE)
+
+
+@pytest.fixture(scope="module")
+def synth_data(runs):
+    return fig5.Fig5Data(config=runs.config, results=runs.fig5)
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +27,19 @@ def trace_data():
 
 
 class TestSanityContract:
-    def test_sanity_checks_structure(self, trace_data, synth_data):
-        checks = fig4.sanity_against_synthetic(trace_data, synth_data)
-        # one entry per (workload, check) pair
-        assert len(checks) == 6
-        assert {k.split(":")[0] for k in checks} == {"trace", "synthetic"}
+    """The paper's sanity contract, as the claims table states it: the
+    trace run shows the synthetic run's scaling and tuning properties."""
 
-    def test_prescient_near_best_on_both_workloads(self, trace_data, synth_data):
-        checks = fig4.sanity_against_synthetic(trace_data, synth_data)
-        assert checks["trace:prescient-near-best"]
-        assert checks["synthetic:prescient-near-best"]
+    def test_sanity_checks_structure(self):
+        # one claim per (workload, check) pair
+        assert len(SANITY) == 6
+        assert {claim.id.split(":")[0] for claim in SANITY} == {"trace", "synthetic"}
+
+    def test_prescient_near_best_on_both_workloads(self, runs):
+        for claim in SANITY:
+            if claim.id.endswith(":prescient-near-best"):
+                measured, bound, holds = claims.evaluate(claim, runs)
+                assert holds, (claim.id, measured, bound)
 
 
 class TestRenderers:

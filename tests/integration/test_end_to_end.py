@@ -3,7 +3,7 @@
 Each test runs a real simulation (workload → cluster → policy → result)
 and checks a claim from the paper's evaluation section. Scales are
 chosen so the whole module stays in CI time; the full-scale equivalents
-live in benchmarks/.
+are the claims of ``repro.experiments.claims``.
 """
 
 from __future__ import annotations

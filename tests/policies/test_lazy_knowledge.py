@@ -12,7 +12,6 @@ from repro.workloads import generate_synthetic
 def oracle() -> PrescientKnowledge:
     return PrescientKnowledge(
         server_powers={0: 1.0, 1: 3.0},
-        upcoming_work={"/fs/0": 2.0},
         average_work={"/fs/0": 1.5},
     )
 
@@ -57,9 +56,9 @@ class TestLazyKnowledgeIntegration:
         builds = []
         original = engine_mod.ClusterEngine._knowledge
 
-        def counting(self, t0):
+        def counting(self):
             builds.append(self.policy.name)
-            return original(self, t0)
+            return original(self)
 
         monkeypatch.setattr(engine_mod.ClusterEngine, "_knowledge", counting)
         config = paper_config(seed=2, scale=0.03)
@@ -73,9 +72,9 @@ class TestLazyKnowledgeIntegration:
         builds = []
         original = engine_mod.ClusterEngine._knowledge
 
-        def counting(self, t0):
+        def counting(self):
             builds.append(self.policy.name)
-            return original(self, t0)
+            return original(self)
 
         monkeypatch.setattr(engine_mod.ClusterEngine, "_knowledge", counting)
         config = paper_config(seed=2, scale=0.03)

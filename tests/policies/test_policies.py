@@ -34,7 +34,6 @@ def catalog():
 def knowledge(catalog, powers=POWERS):
     return PrescientKnowledge(
         server_powers=dict(powers),
-        upcoming_work={fs.name: fs.total_work / 10.0 for fs in catalog},
         average_work={fs.name: fs.total_work / 10.0 for fs in catalog},
     )
 

@@ -133,6 +133,7 @@ class TestGate:
             "repro.a:i\n"
             "repro.a  # serve\n"
             "repro.a:j  # tested: only a test calls it\n"
+            "repro.a:k  # ablation: only a benchmark runs it\n"
         )
         entries, problems = check_reach.read_allowlist(path)
         assert entries[("repro.a", "f")] == "oracle: the reference"
@@ -145,6 +146,10 @@ class TestGate:
             "allow.txt:7: not `module:qualname  # reason`: repro.a  # serve",
             # Surface only tests call is no reason to keep it.
             "allow.txt:8: repro.a:j: reason must start with one of "
+            + ", ".join(check_reach.REASONS),
+            # Nor is a comparator only a benchmark ran: it is a claim
+            # (which the `claims` entry point reaches) or it goes.
+            "allow.txt:9: repro.a:k: reason must start with one of "
             + ", ".join(check_reach.REASONS),
         ]
 

@@ -150,23 +150,6 @@ class TestTraceGenerator:
         ]
 
 
-class TestWorkloadOracle:
-    def test_work_between_sums_to_total(self):
-        wl = generate_synthetic(SyntheticConfig(n_filesets=6, target_requests=600), seed=0)
-        full = wl.work_between(0.0, wl.duration + 1.0)
-        assert sum(full.values()) == pytest.approx(wl.total_work)
-
-    def test_work_between_window_additivity(self):
-        wl = generate_synthetic(SyntheticConfig(n_filesets=6, target_requests=600), seed=0)
-        mid = wl.duration / 2
-        a = wl.work_between(0.0, mid)
-        b = wl.work_between(mid, wl.duration + 1.0)
-        for name in wl.catalog.names:
-            assert a[name] + b[name] == pytest.approx(
-                wl.work_between(0.0, wl.duration + 1.0)[name]
-            )
-
-
 class TestWorkloadColumns:
     @staticmethod
     def make(arrivals, duration=3.0):

@@ -258,6 +258,7 @@ REMOVED_MODULES: Tuple[str, ...] = (
     "repro.policies.table",
     "repro.metrics.sla",
     "repro.core.delegate",
+    "repro.analysis.stats",
 )
 
 _KNOB_PARSERS = "a command-line flag or a function argument"
@@ -308,15 +309,15 @@ REMOVED_NAMES: Dict[str, str] = {
     "track_fileset_work": _NO_FILESET_WORK,
     "ElectionProtocol": "repro.distributed.election.elect (every node applies it; no messages)",
     "ArrayCatalog": "repro.cluster.fileset.FileSetCatalog (one columnar catalog)",
-    "work_matrix": "Workload.work_between per window",
+    "work_matrix": "np.bincount over a window of Workload.fs_idx / works",
     "rate_per_fileset": "FileSetCatalog.get(name).total_work / Workload.duration",
     "Delegate": _TUNE,
     "Decision": _TUNE,
     "SLA": _LATENCIES,
     "SLAReport": _LATENCIES,
     "evaluate_sla": _LATENCIES,
-    "ConfidenceInterval": "repro.analysis.mean_sem",
-    "bootstrap_mean_ci": "repro.analysis.mean_sem",
+    "ConfidenceInterval": _TEST_ONLY,
+    "bootstrap_mean_ci": _TEST_ONLY,
     "pareto_tail_index": _TEST_ONLY,
     "is_heavy_tailed": _TEST_ONLY,
     "render_lengths_bar": "repro.core.render.render_layout",
@@ -329,6 +330,10 @@ REMOVED_NAMES: Dict[str, str] = {
     "enable_completion_probe": "subscribe to RequestCompleted before ExperimentSpec.build()",
     "unsubscribe": _TEST_ONLY,
     "resample_edges": "latency_series's native per-interval samples",
+    "sanity_against_synthetic": "the trace:/synthetic: claims of repro.experiments.claims",
+    "work_between": "np.bincount over a window of Workload.fs_idx / works (no policy reads it)",
+    "mean_sem": _TEST_ONLY,
+    "simple_randomization_bound": _TEST_ONLY,
 }
 
 #: Deleted environment variables: a module that names one in a string

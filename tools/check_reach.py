@@ -12,7 +12,8 @@ each code object a call enters:
 
 * every ``examples/*.py``;
 * ``python -m repro.experiments --all --scale 0.05`` and
-  ``--figure fig4 --scale 0.05``, the ``chaos`` smoke, and the
+  ``--figure fig4 --scale 0.05``, ``claims`` (the paper's claims at full
+  scale, the longest entry point), the ``chaos`` smoke, and the
   ``scale``, ``chaos-scale`` and ``control`` sweep smokes at
   ``--workers 1``;
 * ``python -m bench.onepass --scale 0.05 --trace 1`` for each of the
@@ -69,7 +70,6 @@ ALLOWLIST = ROOT / "tools" / "reach_allowlist.txt"
 #: Why a public function may stay unreached by every entry point.
 REASONS: Dict[str, str] = {
     "oracle": "a test oracle (the reference a test checks the program against)",
-    "ablation": "a comparator or measure only tests and benchmarks/ run",
     "fault": "a fault or error path no healthy run takes",
     "serve": "the long-running `repro.service serve` command",
     "child": "runs only in a multi-worker child process",
@@ -218,6 +218,7 @@ def entry_points(scratch: Path) -> List[Tuple[str, Callable[[], object]]]:
             _module_main("repro.experiments", "--figure", "fig4", "--scale", "0.05"),
         )
     )
+    points.append(("experiments claims", _module_main("repro.experiments", "claims")))
     points.append(
         (
             "experiments chaos --smoke",
