@@ -22,8 +22,8 @@ def synth_data(runs):
 
 
 @pytest.fixture(scope="module")
-def trace_data():
-    return fig4.run(seed=4, scale=SCALE)
+def trace_data(runs):
+    return fig4.Fig4Data(config=runs.config, results=runs.fig4)
 
 
 class TestSanityContract:
