@@ -36,12 +36,12 @@ from ..metrics.summary import ascii_table
 from ..policies.weighted import WeightedHashing
 from ..workloads.shifting import ShiftConfig, generate_shifting
 from ..workloads.synthetic import Workload, generate_synthetic
-from .config import PAPER_POWERS, SYSTEMS, paper_config
+from .config import PAPER_POWERS, paper_config
 from .figures.fig4 import run as run_fig4
-from .figures.fig5 import Fig5Data
+from .figures.fig5 import Fig5Data, run as run_fig5
 from .figures.fig7 import Fig7Data, run as run_fig7
-from .figures.fig8 import DEFAULT_SWEEP, Fig8Data
-from .runner import make_policy
+from .figures.fig8 import DEFAULT_SWEEP, Fig8Data, run as run_fig8
+from .runner import make_policy, run_comparison, run_system
 
 __all__ = ["Claim", "CLAIMS", "Runs", "evaluate", "report", "main"]
 
@@ -81,22 +81,19 @@ class Runs:
     """Every run the claims read, each built once, on first use.
 
     The Figure 5 comparison is also Figure 8's references and 25-VP point,
-    A1's ``weighted`` rule, A2's 120 s interval, A9's ``simple`` / ``anu``,
-    A11's seed-1 runs and A12's default cache."""
+    A1's ``weighted`` rule, A2's 120 s interval, A9's ``simple`` / ``anu``
+    and A11's seed-1 runs."""
 
     def __init__(self, seed: int = 1, scale: float = 1.0) -> None:
         self.seed = seed
         self.scale = scale
         self.config = paper_config(seed=seed, scale=scale)
 
-    def _engine(self, system: str, config=None, workload=None, **policy_kw: Any):
+    def _engine(self, system: str, config=None, workload=None):
         """An engine for ``system``; by default the paper's config over :attr:`synthetic`."""
         config = config or self.config
-        policy = make_policy(system, config, **policy_kw)
+        policy = make_policy(system, config)
         return ExperimentSpec(workload or self.synthetic, policy, config.cluster_config()).build()
-
-    def _run(self, system: str, *args: Any, **kwargs: Any) -> ClusterResult:
-        return self._engine(system, *args, **kwargs).run()
 
     def _variant(self, **changes: Any) -> Workload:
         """The synthetic workload with some of its parameters changed."""
@@ -112,29 +109,21 @@ class Runs:
         return run_fig4(seed=self.seed, scale=self.scale).results
 
     @cached_property
-    def _comparison(self) -> Dict[str, Tuple[ClusterResult, Any]]:
-        """(result, engine) of the four systems over :attr:`synthetic`."""
-        engines = {system: self._engine(system) for system in SYSTEMS}
-        return {system: (engine.run(), engine) for system, engine in engines.items()}
+    def _fig5(self) -> Fig5Data:
+        return run_fig5(seed=self.seed, scale=self.scale)
 
-    @cached_property
+    @property
     def fig5(self) -> Results:
         """The four-system comparison of Figures 5 and 6."""
-        return {system: result for system, (result, _) in self._comparison.items()}
+        return self._fig5.results
 
     @cached_property
     def fig7(self) -> Fig7Data:
-        return run_fig7(fig5=Fig5Data(config=self.config, results=self.fig5))
+        return run_fig7(fig5=self._fig5)
 
     @cached_property
     def fig8(self) -> Fig8Data:
-        paper_nv = 5 * len(self.config.powers)  # Figure 5's virtual-processor run
-        sweep = {
-            nv: self.fig5["virtual"] if nv == paper_nv else self._run("virtual", n_virtual=nv)
-            for nv in DEFAULT_SWEEP
-        }
-        references = {system: self.fig5[system] for system in ("anu", "prescient")}
-        return Fig8Data(config=self.config, sweep=sweep, references=references)
+        return run_fig8(fig5=self._fig5)
 
     @cached_property
     def repartition(self) -> Tuple[List[Tuple[int, int, bool, int]], List[float]]:
@@ -161,7 +150,8 @@ class Runs:
         """A1: ANU under each averaging rule (``weighted`` is the default), and simple."""
         out = {"weighted": self.fig5["anu"], "simple": self.fig5["simple"]}
         for rule in RULES[1:]:
-            out[rule] = self._run("anu", controller=MultiplicativeController(averaging=rule))
+            controller = MultiplicativeController(averaging=rule)
+            out[rule] = run_system("anu", self.synthetic, self.config, controller=controller)
         return out
 
     @cached_property
@@ -170,27 +160,33 @@ class Runs:
         return {
             i: self.fig5["anu"]
             if i == self.config.tuning_interval
-            else self._run("anu", replace(self.config, tuning_interval=i))
+            else run_system("anu", self.synthetic, replace(self.config, tuning_interval=i))
             for i in INTERVALS
         }
 
     @cached_property
-    def homogeneous(self) -> Results:
-        """A3: equal servers, equal file sets and equal request work."""
+    def homogeneous(self) -> Dict[str, Tuple[ClusterResult, np.ndarray]]:
+        """A3: (result, requests per server) with equal servers, equal file
+        sets and equal request work."""
         workload = self._variant(x_low=5.0, x_high=5.0, work_sigma=0.0)
         config = replace(self.config, powers=dict(EQUAL_POWERS))
-        return {system: self._run(system, config, workload) for system in ("simple", "anu")}
+        results = run_comparison(workload, config, systems=("simple", "anu"))
+        return {
+            system: (r, np.array([r.server_requests[s] for s in EQUAL_POWERS], dtype=float))
+            for system, r in results.items()
+        }
 
     @cached_property
-    def churn(self) -> ClusterResult:
-        """A4: ANU while server 2 fails at 25 % of the run and recovers at 60 %."""
+    def churn(self) -> Tuple[ClusterResult, list]:
+        """A4: ANU while server 2 fails at 25 % of the run and recovers at 60 %,
+        and the movement records of the failure and the recovery."""
         engine = self._engine("anu")
         duration = self.config.synthetic_config().duration
         engine.schedule_failure(duration * 0.25, 2)
         engine.schedule_recovery(duration * 0.60, 2)
         result = engine.run()
         engine.policy.manager.layout.check_invariants()
-        return result
+        return result, [m for m in result.movement if m.kind != "tune"]
 
     @cached_property
     def state(self) -> Dict[Tuple[int, str], int]:
@@ -216,8 +212,8 @@ class Runs:
     def vp_granularity(self) -> Results:
         """A8: 5, 15 and 50 VPs against prescient at utilization 0.7."""
         workload = self._variant(utilization=0.7)
-        out = {f"vp{n}": self._run("virtual", workload=workload, n_virtual=n) for n in (5, 15, 50)}
-        out["prescient"] = self._run("prescient", workload=workload)
+        out = {f"vp{n}": run_system("virtual", workload, self.config, n) for n in (5, 15, 50)}
+        out["prescient"] = run_system("prescient", workload, self.config)
         return out
 
     @cached_property
@@ -250,16 +246,16 @@ class Runs:
         out = {self.seed: {system: self.fig5[system] for system in systems}}
         for seed in (s for s in SEEDS if s != self.seed):
             other = Runs(seed=seed, scale=self.scale)
-            out[seed] = {system: other._run(system) for system in systems}
+            out[seed] = run_comparison(other.synthetic, other.config, systems)
         return out
 
     @cached_property
     def cache_sweep(self) -> Dict[str, Tuple[ClusterResult, Any]]:
         """A12: (ANU's result, its cache model), free movement to punitive."""
-        result, engine = self._comparison["anu"]
-        out = {"paper-ish": (result, engine.cache)}
+        out = {}
         for name, cache in (
             ("free", CacheConfig(flush_work_scale=0.0, cold_factor=1.0, warmup_time=0.0)),
+            ("paper-ish", self.config.cache),
             ("punitive", CacheConfig(flush_work_scale=20.0, cold_factor=3.0, warmup_time=120.0)),
         ):
             engine = self._engine("anu", replace(self.config, cache=cache))
@@ -281,15 +277,12 @@ class Runs:
         after = [m.moves for m in tune if m.round_index > r + 5]
         return {
             "anu": anu,
-            "prescient": self._run("prescient", workload=workload),
+            "prescient": run_system("prescient", workload, self.config),
             "homes": [engine.policy.assignments()[name] for name in hot],
             "rates": (sum(burst) / max(1, len(burst)), sum(after) / max(1, len(after))),
         }
 
 
-# ---------------------------------------------------------------------- #
-# what the checks read
-# ---------------------------------------------------------------------- #
 def _lat(result: ClusterResult) -> float:
     return result.aggregate_mean_latency
 
@@ -308,17 +301,12 @@ def _sanity(tag: str, known: Tuple[str, str] = ("", "")) -> Tuple[tuple, ...]:
     simple's slowest server is the weakest, ANU converges (its round is
     finite), prescient is within 1.25x of the best system."""
     return (
-        (f"{tag}:simple-weakest-degrades", "==", lambda d: (_worst(d["simple"]), 0), known[0]),
+        (f"{tag}:simple-weakest-degrades", "==", lambda d: (max(
+            d["simple"].per_server_mean_latency.items(), key=lambda kv: kv[1])[0], 0), known[0]),
         (f"{tag}:anu-converges", "<", lambda d: (_round(d["anu"]), math.inf)),
         (f"{tag}:prescient-near-best", "<=",
          lambda d: (_lat(d["prescient"]), _floor(d) * 1.25), known[1]),
     )
-
-
-def _worst(result: ClusterResult) -> object:
-    """The server with the highest whole-run mean latency."""
-    psm = result.per_server_mean_latency
-    return max(psm, key=lambda sid: psm[sid])
 
 
 def _server0_growth(result: ClusterResult) -> Tuple[float, float]:
@@ -342,31 +330,6 @@ def _busy(result: ClusterResult) -> List[float]:
 def _misses(pairs) -> int:
     """How many ``(value, expected)`` pairs differ."""
     return sum(1 for value, expected in pairs if value != expected)
-
-
-def _moves_per_round(result: ClusterResult) -> float:
-    return result.total_moves / max(1, sum(1 for m in result.movement if m.kind == "tune"))
-
-
-def _churn(result: ClusterResult) -> list:
-    """The movement records of the failure and the recovery."""
-    return [m for m in result.movement if m.kind != "tune"]
-
-
-def _requests(result: ClusterResult) -> np.ndarray:
-    return np.array([result.server_requests[s] for s in EQUAL_POWERS], dtype=float)
-
-
-def _spread(result: ClusterResult) -> float:
-    return _requests(result).max() / _requests(result).mean()
-
-
-def _max_load(samples: list) -> np.ndarray:
-    return np.array([sample.max_load for sample in samples])
-
-
-def _overshoot(samples: list) -> float:
-    return np.mean([sample.overshoot for sample in samples])
 
 
 def _claims(section: str, run: str, *rows: tuple) -> Tuple[Claim, ...]:
@@ -411,8 +374,7 @@ CLAIMS: Tuple[Claim, ...] = (
     *_claims("Figure 7", "fig7",
         ("fig7-moves-per-round", "<", lambda d: (d.total_moves / max(1, d.rounds), 6.0)),
         ("fig7-front-loaded", ">=", lambda d: (d.front_loadedness, 0.1)),
-        ("fig7-cumulative-share", "<",
-         lambda d: (d.series.cumulative_work_share[-1],
+        ("fig7-cumulative-share", "<", lambda d: (d.series.cumulative_work_share[-1],
                     d.total_moves / max(1, d.rounds) * max(1, d.rounds) * 5.0))),
     *_claims("Figure 8", "fig8",
         ("fig8-vp5-worse-than-vp50", ">", lambda d: (_lat(d.sweep[5]), _lat(d.sweep[50]))),
@@ -441,24 +403,26 @@ CLAIMS: Tuple[Claim, ...] = (
     *_claims(_A, "interval",
         *((f"a2-{i:g}s-completes", ">=", lambda d, i=i: (d[i].completed, 0.98 * d[i].submitted))
           for i in INTERVALS),
-        ("a2-30s-moves-per-round", ">=",
-         lambda d: (_moves_per_round(d[30.0]), _moves_per_round(d[120.0]) * 0.5)),
+        ("a2-30s-moves-per-round", ">=", lambda d: tuple(  # moves per round; 0.5x at 120 s
+            d[i].total_moves / max(1, sum(m.kind == "tune" for m in d[i].movement)) * f
+            for i, f in ((30.0, 1), (120.0, 0.5)))),
         ("a2-120s-near-best", "<=", lambda d: (_lat(d[120.0]), _floor(d) * 3.0))),
     *_claims(_A, "homogeneous",
         ("a3-simple-hashing-misplaces-load", ">",
-         lambda d: (_requests(d["simple"]).max(), 1.05 * _requests(d["simple"]).mean())),
-        ("a3-anu-latency-no-worse", "<=", lambda d: (_lat(d["anu"]), _lat(d["simple"]) * 1.5)),
-        ("a3-anu-tighter-request-spread", "<=",
-         lambda d: (_spread(d["anu"]), _spread(d["simple"]) + 0.05))),
+         lambda d: (d["simple"][1].max(), 1.05 * d["simple"][1].mean())),
+        ("a3-anu-latency-no-worse", "<=",
+         lambda d: (_lat(d["anu"][0]), _lat(d["simple"][0]) * 1.5)),
+        ("a3-anu-tighter-request-spread", "<=", lambda d: tuple(  # max / mean requests
+            q.max() / q.mean() + extra
+            for q, extra in ((d["anu"][1], 0), (d["simple"][1], 0.05))))),
     *_claims(_A, "churn",
-        ("a4-fail-then-recover", "==",
-         lambda r: ([m.kind for m in _churn(r)], ["fail", "recover"])),
-        ("a4-fail-moves-some", ">", lambda r: (_churn(r)[0].moves, 0)),
-        ("a4-fail-moves-local", "<", lambda r: (_churn(r)[0].moves, 50 * 0.6)),
-        ("a4-recover-moves-some", ">", lambda r: (_churn(r)[1].moves, 0)),
-        ("a4-recover-moves-local", "<", lambda r: (_churn(r)[1].moves, 50 * 0.6)),
-        ("a4-service-continuity", ">=", lambda r: (r.completed, 0.97 * r.submitted)),
-        ("a4-recovered-server-serves", ">", lambda r: (r.server_requests[2], 0))),
+        ("a4-fail-then-recover", "==", lambda d: ([m.kind for m in d[1]], ["fail", "recover"])),
+        ("a4-fail-moves-some", ">", lambda d: (d[1][0].moves, 0)),
+        ("a4-fail-moves-local", "<", lambda d: (d[1][0].moves, 50 * 0.6)),
+        ("a4-recover-moves-some", ">", lambda d: (d[1][1].moves, 0)),
+        ("a4-recover-moves-local", "<", lambda d: (d[1][1].moves, 50 * 0.6)),
+        ("a4-service-continuity", ">=", lambda d: (d[0].completed, 0.97 * d[0].submitted)),
+        ("a4-recovered-server-serves", ">", lambda d: (d[0].server_requests[2], 0))),
     *_claims(_A, "state",
         *((f"a5-anu-state-{k}-servers", "<=", lambda by, k=k: (by[(k, "anu")], 2 * k))
           for k, _ in STATE_SIZES),
@@ -473,13 +437,14 @@ CLAIMS: Tuple[Claim, ...] = (
          lambda by: (by[(1_000, "anu")] / by[(5, "anu")], (1_000 / 5) * 2))),
     *_claims(_A, "balance",
         *((f"a6-dchoice-max-load-m{m}-n{n}", "<=",
-           lambda d, c=(m, n): (_max_load(d[c]["multi"]).max(), anu_balance_bound(*c) + 4))
+           lambda d, c=(m, n): (max(x.max_load for x in d[c]["multi"]),
+                                anu_balance_bound(*c) + 4))
           for m, n in BALANCE_CASES),
-        *((f"a6-{s}-above-dchoice-m{m}-n{n}", ">=",
-           lambda d, c=(m, n), s=s: (_max_load(d[c][s]).mean(), _max_load(d[c]["multi"]).mean()))
+        *((f"a6-{s}-above-dchoice-m{m}-n{n}", ">=", lambda d, c=(m, n), s=s: tuple(
+            np.mean([x.max_load for x in d[c][t]]) for t in (s, "multi")))
           for m, n in BALANCE_CASES for s in ("single", "uniform")),
-        ("a6-overshoot-grows-with-n", ">",
-         lambda d: (_overshoot(d[(1_024, 32)]["uniform"]), _overshoot(d[(64, 8)]["uniform"])))),
+        ("a6-overshoot-grows-with-n", ">", lambda d: tuple(
+            np.mean([x.overshoot for x in d[c]["uniform"]]) for c in ((1_024, 32), (64, 8))))),
     *_claims(_A, "lookup_probes",
         ("a7-lookup-probes-above-1.5", ">", lambda p: (p, 1.5 * 1_000)),
         ("a7-lookup-probes-below-3", "<", lambda p: (p, 3.0 * 1_000))),
@@ -530,9 +495,6 @@ CLAIMS: Tuple[Claim, ...] = (
 )
 
 
-# ---------------------------------------------------------------------- #
-# checking and reporting
-# ---------------------------------------------------------------------- #
 def evaluate(claim: Claim, runs: Any) -> Tuple[Any, Any, bool]:
     """``(measured, bound, holds)`` of ``claim`` over ``runs``."""
     measured, bound = claim.check(getattr(runs, claim.run))

@@ -24,6 +24,7 @@ from ...metrics.summary import ascii_table
 from ...workloads.synthetic import generate_synthetic
 from ..config import ExperimentConfig, paper_config
 from ..runner import run_comparison, run_vp_sweep
+from .fig5 import Fig5Data
 
 __all__ = ["Fig8Data", "run", "render", "DEFAULT_SWEEP"]
 
@@ -53,19 +54,26 @@ def run(
     scale: float = 1.0,
     sweep: Sequence[int] = DEFAULT_SWEEP,
     max_workers: Optional[int] = 1,
+    fig5: Optional[Fig5Data] = None,
 ) -> Fig8Data:
     """Execute the VP sweep and the ANU/prescient reference runs.
 
     ``max_workers > 1`` fans the runs out across a process pool;
     results are identical to the sequential path — the sweep is one
-    independent run per VP count.
+    independent run per VP count. ``fig5`` lends its config, its ANU and
+    prescient runs and its virtual-processor run, the sweep's point at
+    five VPs per server; only the other points run.
     """
-    config = paper_config(seed=seed, scale=scale)
-    workload = generate_synthetic(config.synthetic_config(), seed=seed)
-    references = run_comparison(
-        workload, config, systems=("anu", "prescient"), max_workers=max_workers
-    )
-    sweep_results = run_vp_sweep(workload, config, sweep, max_workers=max_workers)
+    config = fig5.config if fig5 is not None else paper_config(seed=seed, scale=scale)
+    workload = generate_synthetic(config.synthetic_config(), seed=config.seed)
+    if fig5 is not None:
+        references = {system: fig5.results[system] for system in ("anu", "prescient")}
+        lent = {5 * len(config.powers): fig5.results["virtual"]}
+    else:
+        references = run_comparison(workload, config, ("anu", "prescient"), max_workers)
+        lent = {}
+    fresh = run_vp_sweep(workload, config, [nv for nv in sweep if nv not in lent], max_workers)
+    sweep_results = {nv: {**fresh, **lent}[nv] for nv in map(int, sweep)}
     return Fig8Data(config=config, sweep=sweep_results, references=references)
 
 

@@ -20,7 +20,7 @@ def run_figure(name: str, seed: int = 1, scale: float = 1.0) -> str:
 
 
 def run_all_figures(seed: int = 1, scale: float = 1.0) -> Dict[str, str]:
-    """Run every figure; shares the synthetic run across 5/6/7.
+    """Run every figure; shares the synthetic run across 5/6/7/8.
 
     Returns figure name → rendered text, in paper order.
     """
@@ -33,5 +33,5 @@ def run_all_figures(seed: int = 1, scale: float = 1.0) -> Dict[str, str]:
     out["fig5"] = fig5.render(data5)
     out["fig6"] = fig6.render(fig6.run(fig5=data5))
     out["fig7"] = fig7.render(fig7.run(fig5=data5))
-    out["fig8"] = fig8.render(fig8.run(seed=seed, scale=scale))
+    out["fig8"] = fig8.render(fig8.run(fig5=data5))
     return out

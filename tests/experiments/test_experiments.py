@@ -15,6 +15,7 @@ from repro.experiments import (
     ExperimentConfig,
     make_policy,
     paper_config,
+    result_fingerprint,
     run_comparison,
     run_figure,
 )
@@ -149,6 +150,23 @@ class TestFigureModules:
         assert data.sweep[50].shared_state_entries == 50
         text = fig8.render(data)
         assert "crossover" in text
+
+    def test_fig8_reuses_fig5(self):
+        # the lent runs (ANU, prescient, 25 VPs) equal the ones fig8 builds itself
+        sweep = (5, 25, 50)
+        data5 = fig5.run(seed=2, scale=SCALE)
+        lent = fig8.run(sweep=sweep, fig5=data5)
+        own = fig8.run(seed=2, scale=SCALE, sweep=sweep)
+        assert lent.sweep[25] is data5.results["virtual"]
+        assert lent.references["anu"] is data5.results["anu"]
+        assert list(lent.sweep) == list(sweep)
+        assert fig8.render(lent) == fig8.render(own)
+        for nv in sweep:
+            assert result_fingerprint(lent.sweep[nv]) == result_fingerprint(own.sweep[nv])
+        for system in ("anu", "prescient"):
+            assert result_fingerprint(lent.references[system]) == result_fingerprint(
+                own.references[system]
+            )
 
     def test_run_figure_cli_entry(self):
         text = run_figure("fig7", seed=2, scale=SCALE)
