@@ -20,12 +20,17 @@ __all__ = ["MetadataRequest"]
 
 @dataclass(slots=True)
 class MetadataRequest:
-    """One metadata operation against a file set.
+    """One metadata operation against a file set, as an object.
 
-    Life cycle fields are filled in by the simulation as the request
-    flows through: ``server`` at routing, ``service_start`` when it
-    reaches the head of the server's FIFO queue, ``completion`` when
-    service finishes.
+    A replayed schedule is rows ``(fileset, arrival, work)``, and a file
+    server books a row without building one of these. An object is made
+    only where something holds on to the request: a hardened client's
+    attempt, an :class:`~repro.cluster.client.AccessClient` access, a
+    server ``probe``'s argument, and an orphan a crashed server hands
+    back. Life cycle fields are filled in by the simulation as the
+    request flows through: ``server`` at submission, ``service_start``
+    when it reaches the head of the server's FIFO queue, ``completion``
+    when service finishes.
 
     Attributes
     ----------

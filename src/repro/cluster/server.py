@@ -15,13 +15,18 @@ The FIFO is a queue, the request at its head, and the end of the
 service or flush slice in progress: finish = max(arrival, previous
 finish) + work / power. A request that reaches an idle server starts
 service in the same instant, with no hand-off event in between.
+
+A request in line is a row ``(fileset, arrival, work)``, the schedule's
+own tuple, with the :class:`~repro.cluster.request.MetadataRequest` as a
+fourth field when one was submitted. A row carries no per-run state: a
+line no one listens to books its latency and builds no object.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +37,11 @@ from .cache import CacheModel
 from .request import MetadataRequest
 
 __all__ = ["FileServer", "land_moments"]
+
+#: A scheduled request: ``(fileset, arrival, work)``.
+Row = Tuple[str, float, float]
+#: A request in line: a row, plus the submitted request object if any.
+Entry = Union[Row, Tuple[str, float, float, MetadataRequest]]
 
 
 class FileServer:
@@ -59,7 +69,11 @@ class FileServer:
     backlog — every slice that ends before the next calendar entry —
     in one pass, with the same values and one counted event per slice.
     Between entries the placement is fixed, so each line evolves alone.
-    :meth:`submit` is the only entry point for work;
+    :meth:`submit_row` is the one entry point for work and holds the
+    quiet rule; :meth:`submit` enters a request object through it. A
+    submitted object is stamped (``server``, ``service_start``,
+    ``completion``) and its hook called; a row is not, and ``probe``
+    sees a request built from its fields at its completion.
     :meth:`interval_report` closes a measurement window (the report the
     server sends the delegate each tuning interval).
     """
@@ -83,10 +97,10 @@ class FileServer:
         #: Requests behind the head, in arrival order. Between entries
         #: some of them may be due to have started: :meth:`advance`
         #: books that backlog when something looks.
-        self._queue: Deque[MetadataRequest] = deque()
+        self._queue: Deque[Entry] = deque()
         #: The request at the head of the line — in service, or waiting
         #: behind a flush slice — or ``None`` while the server is idle.
-        self._head: Optional[MetadataRequest] = None
+        self._head: Optional[Entry] = None
         #: The slice in progress: its start, whether it is flush work,
         #: and its calendar entry if listened, else its inline end
         #: (``inf`` when none; finite exactly while in ``env.stations``).
@@ -120,22 +134,29 @@ class FileServer:
         self._flush_backlog: List[float] = []
         #: Optional completion hook ``probe(request)`` — set by the
         #: engine when a RequestCompleted subscriber exists; ``None``
-        #: (the default) keeps the completion path probe-free.
+        #: (the default) keeps the completion path probe-free. A row's
+        #: request is built from its fields when it completes.
         self.probe = None
 
     # ------------------------------------------------------------------ #
     # workload entry points
     # ------------------------------------------------------------------ #
     def submit(self, request: MetadataRequest) -> bool:
-        """Enqueue a metadata request (FIFO); an idle server starts it now.
+        """Enqueue a request object (FIFO): :meth:`submit_row` with the
+        object riding along, stamped as it is served."""
+        return self.submit_row((request.fileset, request.arrival, request.work), request)
 
-        An unlistened request submitted at its own arrival instant to an
+    def submit_row(self, row: Row, request: Optional[MetadataRequest] = None) -> bool:
+        """Enqueue a row ``(fileset, arrival, work)`` (FIFO); an idle
+        server starts it now. ``request``, if given, is the row's object.
+
+        An unlistened row submitted at its own arrival instant to an
         unlistened line only joins the queue: it starts at max(arrival,
         previous finish) when the line is next booked. Any other submit
-        (a listened request or line, a ``probe``, or a clock past the
-        arrival, as for an orphan re-issued after a crash) first brings
-        the server to the clock, and a listened request puts the line
-        on the calendar until it ends.
+        (a request with an ``on_complete`` hook, a listened line, a
+        ``probe``, or a clock past the arrival, as for an orphan
+        re-issued after a crash) first brings the server to the clock,
+        and a hooked request puts the line on the calendar until it ends.
 
         Returns ``True`` when the submit left the calendar as it was
         (the line is unlistened); on ``False`` it may have scheduled an
@@ -145,18 +166,23 @@ class FileServer:
         if self.failed:
             raise RuntimeError(f"server {self.server_id!r} is failed")
         now = self.env.now
-        request.server = self.server_id
-        quiet = not self._listened and self.probe is None and request.on_complete is None
-        if not quiet or request.arrival != now:
+        entry = row
+        hooked = False
+        if request is not None:
+            request.server = self.server_id
+            entry = (*row, request)
+            hooked = request.on_complete is not None
+        quiet = not self._listened and self.probe is None and not hooked
+        if not quiet or row[1] != now:
             self.advance(now)
-            if request.on_complete is not None:
+            if hooked:
                 self._listened += 1
                 self._to_calendar()
         if self._head is None:
-            self._head = request
+            self._head = entry
             self._serve(None, now)
         else:
-            self._queue.append(request)
+            self._queue.append(entry)
         return quiet
 
     def charge_flush(self, work: float) -> None:
@@ -230,6 +256,8 @@ class FileServer:
         probe = self.probe
         listened = self._listened
         head = self._head
+        # The head's request object, if one rides along.
+        request = head[3] if head is not None and len(head) > 3 else None
         flushing = self._flushing
         start = self._slice_start
         busy = self.busy_time
@@ -244,22 +272,27 @@ class FileServer:
                 busy += end - start
                 at = end
                 if not flushing:
-                    head.completion = end
-                    latency = end - head.arrival
+                    latency = end - head[1]
                     latencies.append(latency)
                     window_sum += latency
-                    if head.on_complete is not None or probe is not None:
+                    hook = None
+                    if request is not None:
+                        request.completion = end
+                        hook = request.on_complete
+                    if hook is not None or probe is not None:
                         # Hooks see the server as booked so far, while
                         # the request still holds the head: one that
                         # submits here queues behind whatever waits.
                         self._head = head
                         self._write_back(busy, window_sum, latencies)
                         latencies = []
-                        if head.on_complete is not None:
+                        if hook is not None:
                             self._listened -= 1
-                            head.on_complete(head)
+                            hook(request)
                         if probe is not None:
-                            probe(head)
+                            if request is None:
+                                request = MetadataRequest(*head, sid, start, end)
+                            probe(request)
                         busy = self.busy_time
                         window_sum = self._window_latency_sum
                         power = self.power
@@ -269,8 +302,9 @@ class FileServer:
                         head = None
                         break
                     head = queue.popleft()
-                    if head.arrival > end:
-                        at = head.arrival
+                    request = head[3] if len(head) > 3 else None
+                    if head[1] > end:
+                        at = head[1]
             book = True
             start = at
             if backlog:
@@ -278,10 +312,11 @@ class FileServer:
                 end = at + backlog.pop(0) / power
             else:
                 flushing = False
-                head.service_start = at
-                work = head.work
+                if request is not None:
+                    request.service_start = at
+                work = head[2]
                 if cache is not None and cache.cold:  # else every multiplier is 1
-                    work *= cache.work_multiplier(sid, head.fileset, at)
+                    work *= cache.work_multiplier(sid, head[0], at)
                 end = at + work / power
             if listened or probe is not None:
                 self._leave_stations()
@@ -367,9 +402,11 @@ class FileServer:
         The request at the head (in service, or behind a flush slice) is
         lost with it, and the slice in progress — even one ending at
         this instant — never completes: its entry, real even for an
-        inline slice, fires as a counted no-op. The cluster driver
-        re-routes the returned requests through the updated placement,
-        modeling clients re-issuing to the new owner.
+        inline slice, fires as a counted no-op. A queued row comes back
+        as a request built from its fields, a submitted object as
+        itself. The cluster driver re-routes the returned requests
+        through the updated placement, modeling clients re-issuing to
+        the new owner.
         """
         if self.failed:
             raise RuntimeError(f"server {self.server_id!r} already failed")
@@ -382,7 +419,10 @@ class FileServer:
             self._slice = None
         self._head = None
         self._listened = 0
-        orphans = list(self._queue)
+        orphans = [
+            entry[3] if len(entry) > 3 else MetadataRequest(*entry, self.server_id)
+            for entry in self._queue
+        ]
         self._queue.clear()
         return orphans
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Set, TYPE_CHECKING
+from typing import Callable, Iterable, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..retry import Attempts, RequestLedger, RetryPolicy
 from ..sim import Call, Simulator
@@ -51,9 +51,10 @@ class HardenedClient(RequestLedger):
     env:
         The simulator.
     route:
-        ``route(request) -> Optional[FileServer]`` — resolves the file
-        set's *current* server; re-consulted before every attempt, so a
-        reconfiguration redirects the next retry automatically.
+        ``route(attempt) -> Optional[FileServer]`` — resolves the file
+        set's *current* server for an attempt's request; re-consulted
+        before every attempt, so a reconfiguration redirects the next
+        retry automatically.
     policy:
         Retry/backoff/timeout configuration.
     rng:
@@ -86,13 +87,18 @@ class HardenedClient(RequestLedger):
         self.probe = probe
 
     # ------------------------------------------------------------------ #
-    def submit(self, request: "MetadataRequest") -> None:
-        """Drive one logical request to completion (or exhaustion).
+    def submit_row(
+        self, row: Tuple[str, float, float], request: Optional["MetadataRequest"] = None
+    ) -> None:
+        """Drive one logical request, a row ``(fileset, arrival, work)``,
+        to completion (or exhaustion). ``request``, if given, is the
+        row's object: it is stamped, and its ``on_complete`` called, when
+        the request settles.
 
         The first attempt is located from a start hop, after every entry
         already due at this instant.
         """
-        self.env.schedule_at(self.env.now, _Drive(self, request).dispatch)
+        self.env.schedule_at(self.env.now, _Drive(self, row, request).dispatch)
 
     def _suspects(self, server: "FileServer") -> bool:
         return self.suspected is not None and server.server_id in self.suspected()
@@ -102,21 +108,30 @@ class _Drive:
     """One logical request's attempts, as calendar callbacks.
 
     :meth:`dispatch` re-locates before every attempt (so a
-    reconfiguration redirects the next retry) and submits a pristine
-    copy of the request, or backs off when there is no live owner. The
-    attempt then races one timer entry. If the attempt completes first,
-    its completion hook cancels the timer and settles the request. If
-    the timer expires first, the target is looked at from a hop — after
-    every entry already due at that instant, a crash or a heartbeat
-    round included — and the client either keeps waiting on a
-    healthy-but-slow server or abandons the attempt, backs off and
+    reconfiguration redirects the next retry) and submits a fresh
+    request object built from the row, or backs off when there is no
+    live owner. The attempt then races one timer entry. If the attempt
+    completes first, its completion hook cancels the timer and settles
+    the request. If the timer expires first, the target is looked at
+    from a hop — after every entry already due at that instant, a crash
+    or a heartbeat round included — and the client either keeps waiting
+    on a healthy-but-slow server or abandons the attempt, backs off and
     dispatches again.
     """
 
-    __slots__ = ("client", "request", "attempts", "attempt", "server", "incarnation", "timer")
+    __slots__ = (
+        "client", "row", "request", "attempts", "attempt", "server", "incarnation", "timer"
+    )
 
-    def __init__(self, client: HardenedClient, request: "MetadataRequest") -> None:
+    def __init__(
+        self,
+        client: HardenedClient,
+        row: Tuple[str, float, float],
+        request: Optional["MetadataRequest"],
+    ) -> None:
         self.client = client
+        self.row = row
+        #: The logical request object, if the client was given one.
         self.request = request
         self.attempts = Attempts(client, client.policy, client.rng)
         #: The attempt in flight (``None`` between attempts).
@@ -133,23 +148,18 @@ class _Drive:
         if not attempts.next():
             attempts.exhaust()
             if client.probe is not None:
-                client.probe.publish(
-                    RequestFailed(time=client.env.now, fileset=self.request.fileset)
-                )
+                client.probe.publish(RequestFailed(time=client.env.now, fileset=self.row[0]))
             return
-        request = self.request
-        server = client.route(request)
+        # The row's arrival is kept, so measured latency includes every
+        # retry delay.
+        attempt = MetadataRequest(*self.row)
+        server = client.route(attempt)
         if server is None or server.failed or client._suspects(server):
             # No live owner right now (stale mapping or mid-failover):
             # back off and re-locate.
             self._back_off()
             return
         attempts.aim(server.server_id)
-        # The original request's arrival is kept, so measured latency
-        # includes every retry delay.
-        attempt = MetadataRequest(
-            fileset=request.fileset, arrival=request.arrival, work=request.work
-        )
         attempt.on_complete = self._served
         self.attempt = attempt
         self.server = server
@@ -172,11 +182,12 @@ class _Drive:
         attempts = self.attempts
         attempts.returned()
         request = self.request
-        request.server = attempt.server
-        request.service_start = attempt.service_start
-        request.completion = attempt.completion
+        if request is not None:
+            request.server = attempt.server
+            request.service_start = attempt.service_start
+            request.completion = attempt.completion
         attempts.settle(attempt.latency)
-        if request.on_complete is not None:
+        if request is not None and request.on_complete is not None:
             request.on_complete(request)
 
     def _expired(self) -> None:
@@ -216,15 +227,19 @@ class _Drive:
 class RequestDriver:
     """Replays a time-ordered request schedule into the cluster.
 
-    The one driver both client paths share. Exactly one of ``locate`` /
-    ``client`` must be given:
+    The schedule is rows ``(fileset, arrival, work)``, as
+    :meth:`~repro.workloads.synthetic.Workload.replay` yields them; the
+    driver builds no request object. The one driver both client paths
+    share. Exactly one of ``locate`` / ``client`` must be given:
 
     ``locate`` and ``servers``
-        Basic path — ``servers.get(locate(request.fileset))`` is the file
-        set's current server *at arrival time*; a missing or failed
-        server drops the request (counted, optionally published).
+        Basic path — ``servers.get(locate(fileset))`` is the file set's
+        current server *at arrival time*; the row goes to its
+        :meth:`~repro.cluster.server.FileServer.submit_row`, and a
+        missing or failed server drops it (counted, optionally
+        published).
     ``client``
-        Hardened path — every request is handed to a
+        Hardened path — every row is handed to a
         :class:`HardenedClient` for the retry/redirect treatment
         instead of being dropped when routing fails.
 
@@ -243,7 +258,7 @@ class RequestDriver:
     def __init__(
         self,
         env: Simulator,
-        schedule: Iterable["MetadataRequest"],
+        schedule: Iterable[Tuple[str, float, float]],
         locate: Optional[Callable[[str], object]] = None,
         servers: Mapping[object, "FileServer"] = MappingProxyType({}),
         client: Optional[HardenedClient] = None,
@@ -258,11 +273,11 @@ class RequestDriver:
         self.probe = probe
         self._submitted = 0
         self._dropped = 0
-        # The request the pending calendar entry submits, and the rest.
+        # The row the pending calendar entry submits, and the rest.
         self._rest = iter(schedule)
         self._due = next(self._rest, None)
         if self._due is not None:
-            env.schedule_at(env.now + max(self._due.arrival - env.now, 0.0), self._arrive)
+            env.schedule_at(env.now + max(self._due[1] - env.now, 0.0), self._arrive)
 
     def _arrive(self) -> None:
         """Submit the request this entry was scheduled for and every
@@ -279,32 +294,32 @@ class RequestDriver:
         locate = self.locate
         servers = self.servers
         rest = self._rest
-        request = self._due
+        row = self._due
         now = env.now
-        last = request.arrival
+        last = row[1]
         limit = env.skip_limit()
         while True:
             if client is not None:
-                client.submit(request)
+                client.submit_row(row)
                 limit = env.skip_limit()
             else:
-                server = servers.get(locate(request.fileset))
+                server = servers.get(locate(row[0]))
                 if server is None or server.failed:
-                    self._drop(request)
+                    self._drop(row[0])
                     limit = env.skip_limit()
                 else:
-                    if not server.submit(request):
+                    if not server.submit_row(row):
                         limit = env.skip_limit()
                     self._submitted += 1
-            request = next(rest, None)
-            if request is None:
+            row = next(rest, None)
+            if row is None:
                 return
-            arrival = request.arrival
+            arrival = row[1]
             delay = arrival - now
             if delay > 0:
                 now += delay
                 if now >= limit:
-                    self._due = request
+                    self._due = row
                     env.schedule_at(now, self._arrive)
                     return
                 env.now = now
@@ -315,10 +330,10 @@ class RequestDriver:
                 raise ValueError("request schedule must be sorted by arrival time")
             last = arrival
 
-    def _drop(self, request: "MetadataRequest") -> None:
+    def _drop(self, fileset: str) -> None:
         self._dropped += 1
         if self.probe is not None and self.probe.wants(RequestDropped):
-            self.probe.publish(RequestDropped(time=self.env.now, fileset=request.fileset))
+            self.probe.publish(RequestDropped(time=self.env.now, fileset=fileset))
 
     # ------------------------------------------------------------------ #
     @property

@@ -16,13 +16,15 @@ procedure with VPs as the items. This module implements that search:
   placements that are already optimal do not churn items.
 
 Everything is deterministic: ties break on item/server order.
+:class:`BalanceMemo` is the search as the policies call it each round:
+it skips a solve whose inputs equal the last one's.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["estimated_average_latency", "balance_items"]
+__all__ = ["estimated_average_latency", "balance_items", "BalanceMemo"]
 
 #: Utilization above which the queueing estimate switches to a linear
 #: penalty (an M/M/1 latency diverges at ρ=1; a finite steep slope keeps
@@ -196,3 +198,39 @@ def balance_items(
         if not improved:
             break
     return assignment
+
+
+class BalanceMemo:
+    """:func:`balance_items` over one interval, remembering its last solve.
+
+    The oracle policies re-solve every tuning round, and most rounds
+    hand the search what the last one did: the run-constant demand, the
+    same powers, and the incumbent the last solve returned. A call whose
+    items and powers equal the last call's, in order (ties break on
+    order), and whose incumbent maps every name as the last one did,
+    returns the last result instead of searching again.
+    :func:`balance_items` is pure, so every decision is the one a fresh
+    solve makes. The result is shared between such calls: callers must
+    not write into it.
+    """
+
+    __slots__ = ("interval", "_key", "_result")
+
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+        self._key: Optional[tuple] = None
+        self._result: Dict[str, object] = {}
+
+    def __call__(
+        self,
+        items: Mapping[str, float],
+        powers: Mapping[object, float],
+        current: Optional[Mapping[str, object]] = None,
+    ) -> Dict[str, object]:
+        # The search reads items and powers in order, the incumbent by
+        # name only.
+        key = (tuple(items.items()), tuple(powers.items()), current and dict(current))
+        if key != self._key:
+            self._result = balance_items(items, powers, self.interval, current=current)
+            self._key = key
+        return self._result

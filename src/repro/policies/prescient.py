@@ -6,11 +6,15 @@ average latency, because it has perfect knowledge of server
 capabilities and workload properties. It provides the upper bound of
 load balancing." (§5.1)
 
-Every tuning interval it re-solves the file-set → server assignment
-against the oracle's *upcoming* per-file-set work, warm-started from
-the incumbent assignment (an already-optimal placement therefore does
-not churn). It is an experimental yardstick, not a deployable system:
-the oracle reads the pre-generated request schedule.
+Every tuning interval it asks for the file-set → server assignment
+that minimizes estimated latency against the oracle's characteristic
+per-file-set work, warm-started from the incumbent assignment (an
+already-optimal placement therefore does not churn). The oracle's work
+is constant over a run, so a round whose powers and incumbent are the
+last round's gets the last answer without a new search
+(:class:`~repro.policies.optimizer.BalanceMemo`). It is an experimental
+yardstick, not a deployable system: the oracle reads the pre-generated
+request schedule.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Dict, List, Optional
 
 from ..cluster.fileset import FileSetCatalog
 from .base import LoadManager, Move, PrescientKnowledge, RebalanceContext
-from .optimizer import balance_items
+from .optimizer import BalanceMemo
 
 __all__ = ["DynamicPrescient"]
 
@@ -34,6 +38,7 @@ class DynamicPrescient(LoadManager):
             raise ValueError("need at least one server")
         self.server_ids = list(server_ids)
         self.tuning_interval = float(tuning_interval)
+        self._solve = BalanceMemo(self.tuning_interval)
         self._assignment: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -54,9 +59,7 @@ class DynamicPrescient(LoadManager):
             or catalog.get(name).total_work * 1e-9
             for name in catalog.names
         }
-        self._assignment = balance_items(
-            items, dict(knowledge.server_powers), self.tuning_interval
-        )
+        self._assignment = self._solve(items, dict(knowledge.server_powers))
         return dict(self._assignment)
 
     def locate(self, fileset: str) -> object:
@@ -70,12 +73,7 @@ class DynamicPrescient(LoadManager):
         if ctx.knowledge is None:
             raise ValueError("dynamic prescient requires the oracle each round")
         items = {name: ctx.knowledge.average_work.get(name, 0.0) for name in self._assignment}
-        new = balance_items(
-            items,
-            dict(ctx.knowledge.server_powers),
-            self.tuning_interval,
-            current=self._assignment,
-        )
+        new = self._solve(items, dict(ctx.knowledge.server_powers), current=self._assignment)
         moves = [
             Move(name, self._assignment[name], sid)
             for name, sid in new.items()

@@ -10,7 +10,9 @@ minimizes average latency." (§5.1)
 
 The file-set → VP map is a *static* hash (VPs are fixed buckets); only
 the VP → server map is re-optimized each interval, with the same
-optimizer as dynamic prescient but VPs as the indivisible items. The
+optimizer as dynamic prescient but VPs as the indivisible items, and
+the same memo: a round whose VP work, powers and incumbent map are the
+last round's reuses the last solve. The
 coarser the VPs (small ``Nv``), the worse the achievable balance —
 Figure 8's trade-off — while shared state grows with ``Nv`` (one
 address entry per VP; §5.4 and footnote 1).
@@ -23,7 +25,7 @@ from typing import Dict, List, Optional
 from ..cluster.fileset import FileSetCatalog
 from ..core.hashing import HashFamily
 from .base import LoadManager, Move, PrescientKnowledge, RebalanceContext
-from .optimizer import balance_items
+from .optimizer import BalanceMemo
 
 __all__ = ["VirtualProcessorSystem"]
 
@@ -60,6 +62,7 @@ class VirtualProcessorSystem(LoadManager):
         self.n_virtual = n_virtual
         self.hash_family = hash_family or HashFamily()
         self.tuning_interval = float(tuning_interval)
+        self._solve = BalanceMemo(self.tuning_interval)
         # Static bucket map: file set -> VP index.
         self._vp_of: Dict[str, int] = {}
         # Dynamic map: VP index -> server id.
@@ -96,7 +99,7 @@ class VirtualProcessorSystem(LoadManager):
                 for name in catalog.names
             }
         )
-        vp_map = balance_items(items, dict(knowledge.server_powers), self.tuning_interval)
+        vp_map = self._solve(items, dict(knowledge.server_powers))
         self._server_of_vp = {int(k[2:]): sid for k, sid in vp_map.items()}
         return self.assignments()
 
@@ -109,12 +112,7 @@ class VirtualProcessorSystem(LoadManager):
             raise ValueError("the virtual-processor system requires the oracle")
         items = self._vp_work(dict(ctx.knowledge.average_work))
         current = {f"vp{v}": sid for v, sid in self._server_of_vp.items()}
-        new = balance_items(
-            items,
-            dict(ctx.knowledge.server_powers),
-            self.tuning_interval,
-            current=current,
-        )
+        new = self._solve(items, dict(ctx.knowledge.server_powers), current=current)
         moves: List[Move] = []
         new_map = {int(k[2:]): sid for k, sid in new.items()}
         for name, vp in self._vp_of.items():

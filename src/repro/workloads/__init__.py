@@ -7,7 +7,8 @@
   substitution rationale)
 * :class:`Workload` — the one schedule container: arrival-sorted
   columns (arrival, work, file-set index) + catalog + oracle, replayed
-  as fresh requests by the scalar engine and sliced by the vectorized one
+  as ``(fileset, arrival, work)`` rows by the scalar engine and sliced
+  by the vectorized one
 * :func:`generate_scale` — planet-scale schedules drawn as whole columns,
   file-set indices by :func:`weighted_indices`
 * :mod:`repro.workloads.calibrate` — the "scaling factor c" made explicit

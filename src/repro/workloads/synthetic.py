@@ -29,7 +29,6 @@ from typing import Iterator, List, Tuple
 import numpy as np
 
 from ..cluster.fileset import FileSetCatalog
-from ..cluster.request import MetadataRequest
 from ..sim.rng import StreamRegistry
 from .calibrate import request_work_for_utilization
 from .distributions import arrival_times_from_gaps, lognormal_work, pareto_gaps
@@ -46,7 +45,7 @@ class Workload:
     The schedule is three arrival-sorted columns: :attr:`arrivals` and
     :attr:`works` (float64) and :attr:`fs_idx` (int32, indexing
     ``catalog.names``). Both engines read them: the vectorized path
-    slices them per cohort, and the scalar path draws fresh requests from
+    slices them per cohort, and the scalar path draws rows from
     :meth:`replay`.
 
     Producers hand the columns over in any order; they are put in
@@ -86,20 +85,19 @@ class Workload:
         """This workload: a run replays it and never writes into it."""
         return self
 
-    def replay(self) -> Iterator[MetadataRequest]:
-        """The schedule as fresh requests, each built as it is drawn.
+    def replay(self) -> Iterator[Tuple[str, float, float]]:
+        """The schedule as rows ``(fileset, arrival, work)``, in arrival
+        order.
 
-        Requests carry per-run mutable state (``server``,
-        ``service_start``, ``completion``), so every replay builds its
-        own: one workload can be run any number of times. A request
-        lives only from its arrival to its completion, and the columns
-        are read a chunk at a time.
+        A row is a plain tuple that holds no per-run state, so one
+        workload can be replayed any number of times; whatever stamps a
+        request as it is served builds its own object. The columns are
+        read a chunk at a time.
         """
         name_of = self.catalog.names.__getitem__
         for lo in range(0, len(self), _REPLAY_CHUNK):
             hi = lo + _REPLAY_CHUNK
-            yield from map(
-                MetadataRequest,
+            yield from zip(
                 map(name_of, self.fs_idx[lo:hi].tolist()),
                 self.arrivals[lo:hi].tolist(),
                 self.works[lo:hi].tolist(),

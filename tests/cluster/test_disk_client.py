@@ -11,7 +11,6 @@ from repro.cluster import (
     AccessClient,
     DiskArray,
     FileServer,
-    MetadataRequest,
     SharedDisk,
 )
 from repro.engine import RequestDriver
@@ -126,34 +125,27 @@ class TestDiskArray:
 class TestRequestDriver:
     def test_replays_in_order_and_counts(self, env):
         server = FileServer(env, "s", power=100.0)
-        schedule = [
-            MetadataRequest("/a", arrival=float(t), work=1.0) for t in range(5)
-        ]
+        schedule = [("/a", float(t), 1.0) for t in range(5)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: "s", servers={"s": server})
         env.run()
         assert driver.submitted == 5
         assert server.completed_requests == 5
 
     def test_unsorted_schedule_rejected(self, env):
-        schedule = [
-            MetadataRequest("/a", arrival=2.0, work=1.0),
-            MetadataRequest("/a", arrival=1.0, work=1.0),
-        ]
+        schedule = [("/a", 2.0, 1.0), ("/a", 1.0, 1.0)]
         RequestDriver(env, schedule, locate=lambda fileset: None)
         with pytest.raises(ValueError):
             env.run()
 
     def test_route_none_drops(self, env):
-        schedule = [MetadataRequest("/a", arrival=0.0, work=1.0)]
+        schedule = [("/a", 0.0, 1.0)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
         assert driver._dropped == 1 and driver.submitted == 0
 
     def test_same_time_arrivals_share_one_calendar_entry(self, env):
         """One event per distinct arrival instant, none to start or finish."""
-        schedule = [
-            MetadataRequest("/a", arrival=t, work=1.0) for t in (1.0, 1.0, 1.0, 2.5, 2.5)
-        ]
+        schedule = [("/a", t, 1.0) for t in (1.0, 1.0, 1.0, 2.5, 2.5)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: None)
         env.run()
         assert driver._dropped == 5
@@ -165,9 +157,7 @@ class TestRequestDriver:
         s2 = FileServer(env, 2, power=100.0)
         flip_at = 5.0
         locate = lambda fileset: 2 if env.now >= flip_at else 1
-        schedule = [
-            MetadataRequest("/a", arrival=float(t), work=0.1) for t in range(10)
-        ]
+        schedule = [("/a", float(t), 0.1) for t in range(10)]
         RequestDriver(env, schedule, locate, servers={1: s1, 2: s2})
         env.run()
         assert s1.completed_requests == 5

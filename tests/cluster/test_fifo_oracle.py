@@ -16,6 +16,8 @@ the request's arrival (an orphan re-issued after a crash) and reads of
 ``queue_length`` and ``busy_time`` between entries, are replayed twice
 through a :class:`RequestDriver` into one server — once with a no-op
 ``probe``, which keeps every slice on the calendar, and once without.
+The driver hands the server rows; a listened arrival enters as its
+request object, the others as plain rows.
 """
 
 from __future__ import annotations
@@ -182,6 +184,22 @@ TWIN_STEPS = st.lists(
 )
 
 
+class _DrivenView:
+    """The server as the driver sees it: a row whose arrival is listened
+    to enters with its request object, any other row as itself."""
+
+    def __init__(self, server: FileServer, objects: dict) -> None:
+        self.server = server
+        self.objects = objects
+
+    @property
+    def failed(self) -> bool:
+        return self.server.failed
+
+    def submit_row(self, row: tuple) -> bool:
+        return self.server.submit_row(row, self.objects.get(id(row)))
+
+
 def _replay(steps, power: float, probe: bool) -> tuple:
     """One server fed by a driver; the other actions are calendar entries
     placed up front, like a fault timeline. A late submit comes from
@@ -191,14 +209,16 @@ def _replay(steps, power: float, probe: bool) -> tuple:
     server = FileServer(env, "s", power, cache=cache)
     if probe:
         server.probe = lambda request: None
-    requests, late, hooks, orphans, reports, reads = [], [], [], [], [], []
+    rows, objects, late, hooks, orphans, reports, reads = [], {}, [], [], [], [], []
+    requests = []  # the listened arrivals' request objects
 
     def tag(request):
         for kind, pool in (("driven", requests), ("late", late)):
             for i, r in enumerate(pool):
                 if r is request:
                     return kind, i
-        raise AssertionError("unknown request")
+        # An unlistened row comes back from a crash as a new object.
+        return "row", rows.index((request.fileset, request.arrival, request.work))
 
     def hook(request):
         hooks.append((tag(request), env.now, request.completion))
@@ -234,13 +254,17 @@ def _replay(steps, power: float, probe: bool) -> tuple:
         if cut:
             cuts.append(now)
         if action == "arrive":
-            request = MetadataRequest(fileset, now, work)
+            rows.append((fileset, now, work))
             if listened:
+                request = MetadataRequest(fileset, now, work)
                 request.on_complete = hook
-            requests.append(request)
+                requests.append(request)
+                objects[id(rows[-1])] = request
         else:
             env.schedule_at(now, lambda a=(action, work, fileset, listened, now): act(*a))
-    driver = RequestDriver(env, requests, locate=lambda fileset: 0, servers={0: server})
+    driver = RequestDriver(
+        env, rows, locate=lambda fileset: 0, servers={0: _DrivenView(server, objects)}
+    )
     for cut in cuts:
         env.run(until=cut)
         assert env.now == cut
@@ -256,6 +280,8 @@ def _replay(steps, power: float, probe: bool) -> tuple:
         _books(server),
         (driver.submitted, driver._dropped),
         env.events_processed,
+        # Rows are not stamped: every latency, in completion order.
+        server.completed.samples_view().tolist(),
     )
 
 

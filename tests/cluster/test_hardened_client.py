@@ -16,6 +16,12 @@ def make_request(arrival=0.0, work=1.0):
     return MetadataRequest(fileset="/fs/0", arrival=arrival, work=work)
 
 
+def submit(client, request):
+    """Drive ``request`` through the client: its row, with the object
+    stamped as it settles."""
+    client.submit_row((request.fileset, request.arrival, request.work), request)
+
+
 class TestRetryPolicy:
     def test_jitter_deterministic_per_seed(self):
         policy = RetryPolicy()
@@ -29,7 +35,7 @@ class TestHardenedClient:
         server = FileServer(env, 0, power=10.0)
         client = HardenedClient(env, lambda r: server)
         request = make_request()
-        client.submit(request)
+        submit(client, request)
         env.run(until=10.0)
         assert client.completed == 1
         assert client.retries == 0
@@ -45,7 +51,7 @@ class TestHardenedClient:
             policy=RetryPolicy(backoff_base=0.5, backoff_cap=0.5, jitter=0.0),
         )
         env.schedule_at(1.2, lambda: available.append(True))
-        client.submit(make_request())
+        submit(client, make_request())
         env.run(until=10.0)
         assert client.completed == 1
         assert client.retries >= 2
@@ -61,7 +67,7 @@ class TestHardenedClient:
             policy=RetryPolicy(request_timeout=2.0, backoff_base=0.25, jitter=0.0),
         )
         request = make_request(work=1.0)  # 5 s of service on `a`
-        client.submit(request)
+        submit(client, request)
         env.schedule_at(1.0, a.fail)
         env.run(until=30.0)
         assert client.completed == 1
@@ -81,7 +87,7 @@ class TestHardenedClient:
         blocker = make_request(work=4.0)  # 20 s of service: blocks the queue
         victim = make_request(work=0.2)
         server.submit(blocker)
-        client.submit(victim)
+        submit(client, victim)
 
         def bounce():
             server.fail()
@@ -99,7 +105,7 @@ class TestHardenedClient:
         client = HardenedClient(
             env, lambda r: server, policy=RetryPolicy(request_timeout=1.0, jitter=0.0)
         )
-        client.submit(make_request(work=3.0))  # 30 s of service
+        submit(client, make_request(work=3.0))  # 30 s of service
         env.run(until=60.0)
         # Many timeout ticks fired, but the attempt was never abandoned.
         assert client.completed == 1
@@ -112,7 +118,7 @@ class TestHardenedClient:
             lambda r: None,
             policy=RetryPolicy(max_attempts=3, backoff_base=0.1, backoff_cap=0.1, jitter=0.0),
         )
-        client.submit(make_request())
+        submit(client, make_request())
         env.run(until=10.0)
         assert client.failed == 1
         assert client.retries == 3
@@ -129,7 +135,7 @@ class TestHardenedClient:
             suspected=lambda: suspicions,
         )
         env.schedule_at(0.5, suspicions.clear)
-        client.submit(make_request())
+        submit(client, make_request())
         env.run(until=10.0)
         assert client.completed == 1
         assert client.retries >= 1  # refused the suspected target first
@@ -143,7 +149,7 @@ class TestHardenedClient:
             policy=RetryPolicy(backoff_base=1.0, backoff_cap=1.0, jitter=0.0),
         )
         env.schedule_at(2.5, lambda: available.append(True))
-        client.submit(make_request(arrival=0.0, work=0.1))
+        submit(client, make_request(arrival=0.0, work=0.1))
         env.run(until=10.0)
         assert client.latency.count == 1
         assert client.latency.mean > 2.5  # waited through the outage
@@ -153,7 +159,7 @@ class TestHardenedRequestDriver:
     def test_replays_schedule_through_client(self, env):
         server = FileServer(env, 0, power=10.0)
         client = HardenedClient(env, lambda r: server)
-        schedule = [make_request(arrival=float(i) * 0.1, work=0.01) for i in range(10)]
+        schedule = [("/fs/0", float(i) * 0.1, 0.01) for i in range(10)]
         driver = RequestDriver(env, schedule, client=client)
         env.run(until=10.0)
         assert driver.submitted == 10
@@ -162,7 +168,7 @@ class TestHardenedRequestDriver:
 
     def test_unsorted_schedule_rejected(self, env):
         client = HardenedClient(env, lambda r: None)
-        schedule = [make_request(arrival=5.0), make_request(arrival=1.0)]
+        schedule = [("/fs/0", 5.0, 1.0), ("/fs/0", 1.0, 1.0)]
         RequestDriver(env, schedule, client=client)
         with pytest.raises(ValueError):
             env.run()

@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from repro.cluster.request import MetadataRequest
 from repro.cluster.server import FileServer
 from repro.engine.client_path import HardenedClient, RequestDriver
 from repro.retry import RetryPolicy
 from repro.sim import Simulator
 
 
-def req(t: float, fileset: str = "/fs/0", work: float = 1.0) -> MetadataRequest:
-    return MetadataRequest(fileset=fileset, arrival=t, work=work)
+def row(t: float, fileset: str = "/fs/0", work: float = 1.0) -> tuple:
+    """A schedule row, as ``Workload.replay`` yields it."""
+    return (fileset, t, work)
 
 
 class TestRequestDriverModes:
@@ -29,14 +29,14 @@ class TestRequestDriverModes:
     def test_schedule_must_be_sorted(self):
         # The order is checked as requests come due, not up front.
         env = Simulator()
-        RequestDriver(env, [req(2.0), req(1.0)], locate=lambda fileset: None)
+        RequestDriver(env, [row(2.0), row(1.0)], locate=lambda fileset: None)
         with pytest.raises(ValueError, match="sorted"):
             env.run()
 
     def test_unsorted_schedule_raises_when_the_inversion_comes_due(self):
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
-        schedule = [req(1.0), req(2.0), req(2.0), req(3.0), req(2.5), req(4.0)]
+        schedule = [row(1.0), row(2.0), row(2.0), row(3.0), row(2.5), row(4.0)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: "s0", servers={"s0": server})
         with pytest.raises(ValueError, match="sorted"):
             env.run(until=10.0)
@@ -53,7 +53,7 @@ class TestRequestDriverModes:
         server = FileServer(env, "s0", power=5.0)
         driver = RequestDriver(
             env,
-            [req(0.7), req(a), req(a), req(5.0)],
+            [row(0.7), row(a), row(a), row(5.0)],
             locate=lambda fileset: "s0",
             servers={"s0": server},
         )
@@ -78,7 +78,7 @@ class TestRequestDriverModes:
 
         driver = RequestDriver(
             env,
-            [req(0.5, "/fs/0"), req(0.75, "/fs/0"), req(1.0, "/fs/1")],
+            [row(0.5, "/fs/0"), row(0.75, "/fs/0"), row(1.0, "/fs/1")],
             locate=owners.__getitem__,
             servers={"s0": server},
             probe=Probe(),
@@ -92,7 +92,7 @@ class TestRequestDriverModes:
         env = Simulator()
         server = FileServer(env, "s0", power=5.0)
         client = HardenedClient(env, route=lambda r: server)
-        driver = RequestDriver(env, [req(0.5), req(1.0)], client=client)
+        driver = RequestDriver(env, [row(0.5), row(1.0)], client=client)
         env.run(until=30.0)
         assert driver.submitted == client.injected == 2
         assert client.failed == 0
@@ -117,7 +117,7 @@ class TestDriveAttempts:
         env = Simulator()
         policy = RetryPolicy(max_attempts=3, backoff_base=0.1, jitter=0.0)
         client = HardenedClient(env, route=lambda r: None, policy=policy)
-        client.submit(req(0.0))
+        client.submit_row(row(0.0))
         env.run(until=60.0)
         assert client.failed == 1
         assert client.completed == 0
@@ -134,7 +134,7 @@ class TestDriveAttempts:
 
         policy = RetryPolicy(request_timeout=1.0, backoff_base=0.1, jitter=0.0)
         client = HardenedClient(env, route, policy=policy, rng=random.Random(3))
-        client.submit(req(0.0, work=5.0))
+        client.submit_row(row(0.0, work=5.0))
         env.schedule_at(2.0, lambda: primary.fail())
         env.run(until=60.0)
         assert client.completed == 1

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import math
 
 import numpy as np
 
@@ -71,13 +70,10 @@ class TestFork:
             tiny_workload.works.tolist(),
             tiny_workload.fs_idx.tolist(),
         ):
-            assert mine is not other
-            assert type(mine.arrival) is float and type(mine.work) is float
-            assert (mine.fileset, mine.arrival, mine.work) == (names[i], arrival, work)
-            assert mine.server is None
-            assert mine.service_start is None
-            assert mine.completion is None
-            assert math.isnan(mine.latency)
+            # A row is an immutable tuple: no run can stamp it.
+            assert type(mine) is tuple and mine == other
+            assert type(mine[1]) is float and type(mine[2]) is float
+            assert mine == (names[i], arrival, work)
 
     def test_fork_isolation(self, tiny_workload):
         # Runs over a copy of the session fixture, which stays pristine
@@ -102,9 +98,9 @@ class TestFork:
         rebuilt = Workload(
             name=tiny_workload.name,
             catalog=tiny_workload.catalog,
-            arrivals=[r.arrival for r in requests],
-            works=[r.work for r in requests],
-            fs_idx=[names.index(r.fileset) for r in requests],
+            arrivals=[arrival for _, arrival, _ in requests],
+            works=[work for _, _, work in requests],
+            fs_idx=[names.index(fileset) for fileset, _, _ in requests],
             duration=tiny_workload.duration,
         )
         assert workload_fingerprint(tiny_workload.fork()) == workload_fingerprint(

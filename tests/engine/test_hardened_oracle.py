@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
+from typing import Optional
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,7 +32,9 @@ from ..sim.generators import AnyOf, Event, Process, Timeout
 class GeneratorHardenedClient(HardenedClient):
     """The generator drive loop, kept as the oracle."""
 
-    def submit(self, request: MetadataRequest) -> None:
+    def submit_row(self, row: tuple, request: Optional[MetadataRequest] = None) -> None:
+        if request is None:
+            request = MetadataRequest(*row)
         Process(self.env, self._drive(request, Attempts(self, self.policy, self.rng)))
 
     def _drive(self, request: MetadataRequest, attempts: Attempts):
@@ -182,7 +185,7 @@ class _Side:
         if action == "arrive":
             request = MetadataRequest(fileset=fileset, arrival=self.env.now, work=work)
             self.requests.append(request)
-            self.client.submit(request)
+            self.client.submit_row((fileset, request.arrival, work), request)
         elif action == "slow" and not server.failed:
             server.set_power_factor(0.25 if server.power == server.base_power else 1.0)
         elif action in ("crash", "bounce") and not server.failed:

@@ -34,6 +34,29 @@ class TestCheckerTool:
         assert len(problems) == 1
         assert "repro.engine.engine:12" in problems[0]
 
+    def test_workloads_may_not_import_the_request_object(self, tmp_path):
+        """A schedule is columns replayed as rows: a workload module that
+        imports ``MetadataRequest`` is refused; the file-set catalog it
+        builds on is not."""
+        modules = {}
+        for name, text in (
+            ("repro.cluster.fileset", "class FileSetCatalog:\n    pass\n"),
+            ("repro.cluster.request", "class MetadataRequest:\n    pass\n"),
+            (
+                "repro.workloads.synthetic",
+                "from ..cluster.fileset import FileSetCatalog\n"
+                "from ..cluster.request import MetadataRequest\n",
+            ),
+        ):
+            modules[name] = tmp_path / f"{name.rpartition('.')[2]}.py"
+            modules[name].write_text(text)
+        _, edges = check_layering.build_graph(modules)
+        problems = check_layering.check_bans(edges)
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "repro.workloads.synthetic:2: imports repro.cluster.request — "
+        )
+
     def test_removed_paths_are_reported(self, tmp_path):
         """A resurrected shim module and a deprecation warning both fail."""
         shim = tmp_path / "cluster.py"

@@ -4,7 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.policies import balance_items, estimated_average_latency
+from repro.cluster import FileSetCatalog
+from repro.experiments.cache import result_fingerprint
+from repro.experiments.config import paper_config
+from repro.experiments.runner import run_system
+from repro.policies import (
+    DynamicPrescient,
+    PrescientKnowledge,
+    RebalanceContext,
+    VirtualProcessorSystem,
+    balance_items,
+    estimated_average_latency,
+)
+from repro.policies import optimizer
+from repro.policies.optimizer import BalanceMemo
+from repro.workloads import generate_synthetic
 
 
 POWERS = {0: 1.0, 1: 3.0, 2: 5.0, 3: 7.0, 4: 9.0}
@@ -99,3 +113,82 @@ class TestBalanceItems:
         items = {"a": 1.0, "b": 2.0}
         assignment = balance_items(items, {7: 5.0})
         assert set(assignment.values()) == {7}
+
+
+class TestBalanceMemo:
+    """The oracle policies reuse their last solve on unchanged inputs,
+    and every decision stays the one a fresh solve makes."""
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        solves = [0]
+        solve = optimizer.balance_items
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "balance_items", counted)
+        return solves
+
+    @pytest.mark.parametrize("system", ["prescient", "virtual"])
+    def test_paper_run_is_bit_identical_to_solving_every_round(self, system, monkeypatch):
+        config = paper_config(seed=1)
+        workload = generate_synthetic(config.synthetic_config(), seed=1)
+        solves = self.count_solves(monkeypatch)
+        memo = run_system(system, workload.fork(), config)
+        # The initial placement and the first round; then every round
+        # hands the search the incumbent it returned.
+        assert solves[0] == 2
+        with monkeypatch.context() as forced:
+
+            def always(self, items, powers, current=None):
+                return optimizer.balance_items(items, powers, self.interval, current=current)
+
+            forced.setattr(BalanceMemo, "__call__", always)
+            fresh = run_system(system, workload.fork(), config)
+        assert solves[0] > 2 + 0.9 * config.synthetic_config().duration / config.tuning_interval
+        assert result_fingerprint(memo) == result_fingerprint(fresh)
+        assert memo.movement == fresh.movement
+
+    @pytest.mark.parametrize("policy_cls", [DynamicPrescient, VirtualProcessorSystem])
+    def test_every_round_matches_a_fresh_solve(self, policy_cls, monkeypatch):
+        names = [f"/fs{i}" for i in range(30)]
+        catalog = FileSetCatalog(names, [float(5 + 3 * i) for i in range(30)], [10] * 30)
+        work = {name: fs.total_work / 10.0 for name, fs in zip(names, catalog)}
+        hot = dict(work, **{"/fs3": 40.0})
+        straggled = {**POWERS, 4: 2.25}
+        # Each state holds for three rounds: the first solves new inputs,
+        # the second re-solves only if the first moved something, and
+        # the third hands the search the incumbent it just returned.
+        states = [
+            (POWERS, work), (straggled, work), (POWERS, work), (POWERS, hot), (straggled, hot)
+        ]
+        rounds = [state for state in states for _ in range(3)]
+        policy = policy_cls(list(POWERS))
+        policy.initial_placement(catalog, PrescientKnowledge(dict(POWERS), work))
+        solves = self.count_solves(monkeypatch)
+        for i, (powers, average_work) in enumerate(rounds, start=1):
+            # The fresh solve gets the policy's inputs, in its order.
+            if policy_cls is DynamicPrescient:
+                before = dict(policy._assignment)
+                items = {name: average_work[name] for name in before}
+                expected = balance_items(items, powers, 120.0, current=before)
+            else:
+                before = policy.assignments()
+                vp = {f"vp{v}": sid for v, sid in policy._server_of_vp.items()}
+                vp = balance_items(policy._vp_work(average_work), powers, 120.0, current=vp)
+                expected = {name: vp[f"vp{policy._vp(name)}"] for name in before}
+            moves = policy.rebalance(
+                RebalanceContext(
+                    now=120.0 * i,
+                    round_index=i,
+                    reports=[],
+                    knowledge=PrescientKnowledge(dict(powers), average_work),
+                )
+            )
+            assert {name: policy.locate(name) for name in expected} == expected
+            assert {(m.fileset, m.source, m.target) for m in moves} == {
+                (name, before[name], sid) for name, sid in expected.items() if sid != before[name]
+            }
+        assert solves[0] <= 2 * len(states)

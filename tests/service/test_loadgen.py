@@ -33,10 +33,10 @@ class TestSchedule:
         config = tiny_config()
         first = make_schedule(config)
         second = make_schedule(config)
-        assert [r.arrival for r in first.replay()] == [
-            r.arrival for r in second.replay()
+        assert [arrival for _, arrival, _ in first.replay()] == [
+            arrival for _, arrival, _ in second.replay()
         ]
-        assert all(0 <= r.arrival <= config.duration_seconds for r in first.replay())
+        assert all(0 <= arrival <= config.duration_seconds for _, arrival, _ in first.replay())
         assert len(first) > 0
 
     def test_split_preserves_and_partitions_the_schedule(self):
@@ -47,8 +47,8 @@ class TestSchedule:
             (job for jobs in slices for job in jobs), key=lambda j: j[1]
         )
         original = [
-            (r.fileset, float(r.arrival), float(r.work))
-            for r in workload.replay()
+            (fileset, float(arrival), float(work))
+            for fileset, arrival, work in workload.replay()
         ]
         assert sorted(original, key=lambda j: j[1]) == merged
         # Each slice stays arrival-sorted (pacing relies on it).

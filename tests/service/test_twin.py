@@ -94,8 +94,8 @@ class TestTwinWorkload:
         requests = list(workload.replay())
         assert len(requests) == 3
         # Work is pre-scaled so sim service time == live sleep.
-        assert requests[0].work == pytest.approx(1.0)
-        assert requests[1].work == pytest.approx(2.0)
+        assert requests[0][2] == pytest.approx(1.0)
+        assert requests[1][2] == pytest.approx(2.0)
         assert {f.name for f in workload.catalog} == {"/fs/a", "/fs/b"}
         assert workload.duration >= 2.0
 

@@ -219,7 +219,7 @@ class TestSkipTo:
             return "s"
 
         server.probe = lambda request: clock.append(("done", env.now))
-        schedule = [MetadataRequest("/a", t, 0.5) for t in (0.0, 1.0, 1.25)]
+        schedule = [("/a", t, 0.5) for t in (0.0, 1.0, 1.25)]
         RequestDriver(env, schedule, locate=locate, servers={"s": server})
         env.run()
         assert clock == [
@@ -313,12 +313,16 @@ class TestTies:
 
     def test_an_arrival_tied_with_an_entry_is_submitted_after_it(self, env):
         server = FileServer(env, "s", 1.0)
-        schedule = [MetadataRequest("/a", t, 0.25) for t in (0.0, 1.0, 2.0)]
+        schedule = [("/a", t, 0.25) for t in (0.0, 1.0, 2.0)]
         driver = RequestDriver(env, schedule, locate=lambda fileset: "s", servers={"s": server})
         seen = []
         env.schedule_at(1.0, lambda: seen.append((env.now, driver.submitted)))
         env.run()
         assert seen == [(1.0, 1)]
-        assert [r.completion for r in schedule] == [0.25, 1.25, 2.25]
+        # A row is not stamped: its completion is its arrival plus its
+        # latency, in FIFO order.
+        latencies = server.completed.samples_view().tolist()
+        completions = [t + latency for (_, t, _), latency in zip(schedule, latencies)]
+        assert completions == [0.25, 1.25, 2.25]
         # Three arrival instants, three slices, the entry at 1.0.
         assert env.events_processed == 7

@@ -41,14 +41,14 @@ class TestSyntheticGenerator:
         b = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=500), seed=9)
         assert len(a) == len(b)
         assert all(
-            ra.arrival == rb.arrival and ra.fileset == rb.fileset
+            ra[1] == rb[1] and ra[0] == rb[0]
             for ra, rb in zip(a.replay(), b.replay())
         )
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=500), seed=1)
         b = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=500), seed=2)
-        assert any(ra.arrival != rb.arrival for ra, rb in zip(a.replay(), b.replay()))
+        assert any(ra[1] != rb[1] for ra, rb in zip(a.replay(), b.replay()))
 
     def test_fileset_sizes_follow_x_weights(self):
         """Request budget per file set spans roughly the X ~ U[1,10] range."""
@@ -65,14 +65,14 @@ class TestSyntheticGenerator:
 
     def test_requests_sorted(self):
         wl = generate_synthetic(SyntheticConfig(n_filesets=5, target_requests=300), seed=0)
-        arr = [r.arrival for r in wl.replay()]
+        arr = [arrival for _, arrival, _ in wl.replay()]
         assert arr == sorted(arr)
 
     def test_catalog_totals_match_requests(self):
         wl = generate_synthetic(SyntheticConfig(n_filesets=8, target_requests=400), seed=0)
         by_fs = {}
-        for r in wl.replay():
-            by_fs[r.fileset] = by_fs.get(r.fileset, 0.0) + r.work
+        for fileset, _, work in wl.replay():
+            by_fs[fileset] = by_fs.get(fileset, 0.0) + work
         for fs in wl.catalog:
             assert by_fs[fs.name] == pytest.approx(fs.total_work)
 
@@ -145,8 +145,8 @@ class TestTraceGenerator:
         cfg = TraceConfig(n_filesets=5, target_requests=1000)
         a = generate_trace_shaped(cfg, seed=3)
         b = generate_trace_shaped(cfg, seed=3)
-        assert [r.arrival for r in list(a.replay())[:50]] == [
-            r.arrival for r in list(b.replay())[:50]
+        assert [arrival for _, arrival, _ in list(a.replay())[:50]] == [
+            arrival for _, arrival, _ in list(b.replay())[:50]
         ]
 
 
@@ -168,7 +168,7 @@ class TestWorkloadColumns:
         assert wl.works.tolist() == [1.0, 2.0, 1.0, 2.0]
         assert wl.fs_idx.tolist() == [0, 1, 0, 1]
         assert wl.fs_idx.dtype == np.int32
-        assert [(r.fileset, r.arrival, r.work) for r in wl.replay()] == [
+        assert list(wl.replay()) == [
             ("/a", 1.0, 1.0), ("/b", 1.0, 2.0), ("/a", 2.0, 1.0), ("/b", 2.0, 2.0)
         ]
 

@@ -31,10 +31,12 @@ class TestRoundTrip:
         assert len(loaded) == len(workload)
         assert loaded.duration == workload.duration
         assert loaded.name == workload.name
-        for a, b in zip(workload.replay(), loaded.replay()):
-            assert a.fileset == b.fileset
-            assert a.arrival == b.arrival
-            assert a.work == b.work
+        for (a_fileset, a_arrival, a_work), (b_fileset, b_arrival, b_work) in zip(
+            workload.replay(), loaded.replay()
+        ):
+            assert a_fileset == b_fileset
+            assert a_arrival == b_arrival
+            assert a_work == b_work
 
     def test_catalog_reconstructed(self, workload, tmp_path):
         path = tmp_path / "trace.tsv"

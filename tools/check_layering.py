@@ -18,7 +18,8 @@ Checks, using nothing but the stdlib ``ast`` module:
    service's serving path (client, protocol, file server, locator)
    imports nothing from the engine, and the request-hardening core
    ``repro.retry`` imports neither the engine, the service nor the
-   cluster model.
+   cluster model. Workload generation does not import the request
+   object: a schedule replays as ``(fileset, arrival, work)`` rows.
 2. **Import cycles** — the module-level import graph of ``repro`` must
    be acyclic. Imports guarded by ``if TYPE_CHECKING:`` are ignored
    (they never execute). Package inits re-export lazily
@@ -117,6 +118,12 @@ BANS: Tuple[Tuple[str, str, str], ...] = (
         "repro.workloads",
         "repro.experiments",
         "workload generation is below the experiment harness",
+    ),
+    (
+        "repro.workloads",
+        "repro.cluster.request",
+        "a schedule is columns replayed as rows; request objects belong "
+        "to the cluster model",
     ),
     (
         "repro.policies",
